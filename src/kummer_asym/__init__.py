@@ -24,8 +24,8 @@ from .special.gammafn import log_gamma
 from .special.bessel import bessel_i, bessel_k
 from .special.kummer import kummer_m, kummer_u
 from .expansion import (ExpansionConfig, SideBySide, SweepResult, SweepRow,
-                        acceptance_grid, decay_sweep, eval_m_sides,
-                        eval_u_sides, evaluate_sides, gamma_ratio_check)
+                        acceptance_grid, decay_sweep, evaluate_sides,
+                        gamma_ratio_check)
 
 __version__ = "0.1.0"
 
@@ -40,8 +40,7 @@ __all__ = [
     "LogComplex", "Precision", "RiemannPoint", "log_gamma",
     "bessel_i", "bessel_k", "kummer_m", "kummer_u",
     "ExpansionConfig", "SideBySide", "SweepResult", "SweepRow",
-    "acceptance_grid", "decay_sweep", "eval_m_sides", "eval_u_sides",
-    "evaluate_sides", "gamma_ratio_check",
+    "acceptance_grid", "decay_sweep", "evaluate_sides", "gamma_ratio_check",
     "DomainError", "ExactDivisionError", "ExactnessError",
     "InvalidSeedError", "OrderStarvationError", "ParameterMixError",
     "ParityError", "PoleError", "PrecisionExhaustedError",

@@ -18,14 +18,13 @@ from fractions import Fraction
 
 from .errors import DomainError, ExactnessError
 from .expansion import (ExpansionConfig, VARIANTS, acceptance_grid,
-                        decay_sweep, evaluate_sides)
+                        decay_sweep, evaluate_sides, product_grid)
 from .olver import (compute_coefficient_table, lower_coefficients,
                     normalizer_series, satisfies_recursion, shift_basis)
 from .ratpoly import CoeffPoly, ParamPoly, TruncSeries
 from .special.bessel import bessel_i, bessel_k
 from .special.kummer import kummer_m, kummer_u
-from .special.types import (LogComplex, PRECISION_ENV_VAR, Precision,
-                            RiemannPoint)
+from .special.types import LogComplex, Precision, RiemannPoint
 from .temme import gamma_ratio_coefficients, generalized_bernoulli, temme_base_series, temme_iterate
 
 CSV_COLUMNS = ("variant", "b_re", "b_im", "z_r", "z_theta", "t", "u_theta",
@@ -98,28 +97,32 @@ def _print_logcomplex(label: str, value: LogComplex, stream) -> None:
         print(f"{label}_value={_fmt_complex(value.to_complex())}", file=stream)
 
 
+def _emit_families(config, families, fmt: str) -> None:
+    """Print (name, family) pairs as one JSON document, or as the config
+    echo followed by one `name[index] = polynomial` line per entry."""
+    if fmt == "json":
+        payload = {"config": dict(config)}
+        for name, family in families:
+            payload[name] = [p.to_json() for p in family]
+        print(json.dumps(payload, indent=2))
+    else:
+        _echo(config, sys.stdout)
+        for name, family in families:
+            for s, poly in enumerate(family):
+                print(f"{name}[{s}] = {poly}")
+
+
 def cmd_coeffs(args) -> int:
     table = compute_coefficient_table(
         CoeffPoly.monomial(args.param, 2), order=args.order, param=args.param)
     if args.variant == "AB":
-        first, second = table.even, table.odd
-        names = ("A", "B")
+        families = (("A", table.even), ("B", table.odd))
     else:
-        first, second = lower_coefficients(table)
-        names = ("a", "b")
+        families = tuple(zip(("a", "b"), lower_coefficients(table)))
     config = [("subcommand", "coeffs"), ("f", args.f), ("order", args.order),
               ("variant", args.variant), ("param", args.param),
               ("format", args.format)]
-    if args.format == "json":
-        payload = {"config": dict(config),
-                   names[0]: [p.to_json() for p in first],
-                   names[1]: [p.to_json() for p in second]}
-        print(json.dumps(payload, indent=2))
-    else:
-        _echo(config, sys.stdout)
-        for name, family in zip(names, (first, second)):
-            for s, poly in enumerate(family):
-                print(f"{name}[{s}] = {poly}")
+    _emit_families(config, families, args.format)
     return 0
 
 
@@ -129,23 +132,8 @@ def cmd_temme(args) -> int:
     d, dtilde = gamma_ratio_coefficients(args.nmax)
     config = [("subcommand", "temme"), ("nmax", args.nmax),
               ("kmax", args.kmax), ("format", args.format)]
-    if args.format == "json":
-        payload = {"config": dict(config),
-                   "a": [p.to_json() for p in table.even_out],
-                   "b": [p.to_json() for p in table.odd_out],
-                   "d": [p.to_json() for p in d],
-                   "dtilde": [p.to_json() for p in dtilde]}
-        print(json.dumps(payload, indent=2))
-    else:
-        _echo(config, sys.stdout)
-        for s, poly in enumerate(table.even_out):
-            print(f"a[{s}] = {poly}")
-        for s, poly in enumerate(table.odd_out):
-            print(f"b[{s}] = {poly}")
-        for n, poly in enumerate(d):
-            print(f"d[{n}] = {poly}")
-        for n, poly in enumerate(dtilde):
-            print(f"dtilde[{n}] = {poly}")
+    _emit_families(config, (("a", table.even_out), ("b", table.odd_out),
+                            ("d", d), ("dtilde", dtilde)), args.format)
     return 0
 
 
@@ -155,14 +143,7 @@ def cmd_bernoulli(args) -> int:
     values = generalized_bernoulli(args.n, ell, x)
     config = [("subcommand", "bernoulli"), ("n", args.n),
               ("ell", args.ell), ("x", args.x), ("format", args.format)]
-    if args.format == "json":
-        payload = {"config": dict(config),
-                   "B": [p.to_json() for p in values]}
-        print(json.dumps(payload, indent=2))
-    else:
-        _echo(config, sys.stdout)
-        for n, poly in enumerate(values):
-            print(f"B[{n}] = {poly}")
+    _emit_families(config, (("B", values),), args.format)
     return 0
 
 
@@ -324,18 +305,13 @@ def cmd_sweep(args) -> int:
         prec = _precision_for("double")
         def floats(text):
             return [float(v) for v in text.split(",") if v]
-        grid = []
-        for b_text in (args.b or "1.5").split(","):
-            b = _parse_complex(b_text)
-            for z_r in floats(args.z_r or "1"):
-                for z_theta in floats(args.z_theta or "0"):
-                    for u_theta in floats(args.u_theta or "0"):
-                        for order in [int(v) for v in (args.order or "3").split(",")]:
-                            for t in floats(args.t or "20"):
-                                grid.append(ExpansionConfig(
-                                    variant=args.variant, b=b,
-                                    z=RiemannPoint(z_r, z_theta), t=t,
-                                    u_theta=u_theta, order=order, prec=prec))
+        grid = product_grid(
+            args.variant, prec,
+            [_parse_complex(v) for v in (args.b or "1.5").split(",")],
+            floats(args.z_r or "1"), floats(args.z_theta or "0"),
+            floats(args.u_theta or "0"),
+            [int(v) for v in (args.order or "3").split(",")],
+            floats(args.t or "20"))
     result = decay_sweep(grid)
     config = [("subcommand", "sweep"), ("variant", args.variant),
               ("preset", args.preset or "none"), ("rows", len(result.rows)),

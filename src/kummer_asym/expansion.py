@@ -10,6 +10,7 @@ LogComplex boundary type.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -17,14 +18,13 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError, OrderStarvationError, PoleError
-from .olver import (CoefficientTable, DEFAULT_ORDER, compute_coefficient_table,
-                    lower_coefficients)
+from .olver import DEFAULT_ORDER, compute_coefficient_table, lower_coefficients
 from .ratpoly import CoeffPoly
 from .special.bessel import bessel_i_scaled, bessel_k_scaled
 from .special.gammafn import log_gamma_ctx
 from .special.kummer import kummer_m_scaled, kummer_u_scaled
 from .special.types import (LogComplex, NumericContext, Precision,
-                            RiemannPoint, ScaledValue)
+                            RiemannPoint, ScaledValue, is_nonpositive_integer)
 from .temme import gamma_ratio_coefficients
 
 VARIANTS = ("m", "u-capital", "u-lower")
@@ -67,10 +67,9 @@ class ExpansionConfig:
             raise DomainError("u magnitude t must be positive and finite")
         if not math.isfinite(self.u_theta):
             raise DomainError("u angle must be finite")
-        b = complex(self.b)
         if self.variant == "m":
-            if b.imag == 0.0 and b.real <= 0.5 and abs(b.real - round(b.real)) < 1e-12:
-                raise PoleError(f"b = {b.real:g} is a pole of the M kernel")
+            if is_nonpositive_integer(self.b):
+                raise PoleError(f"b = {complex(self.b).real:g} is a pole of the M kernel")
         else:
             if abs(self.u_theta) >= math.pi / 2:
                 raise DomainError("second-kind variants need |arg u| < pi/2")
@@ -97,49 +96,6 @@ class SideBySide:
             raise DomainError("discrepancy is NaN")
 
 
-class _Workspace:
-    """Context-precision scalars shared by the assembly routines."""
-
-    def __init__(self, cfg: ExpansionConfig):
-        self.cfg = cfg
-        ctx = cfg.prec.ctx
-        self.ctx = ctx
-        i_unit = ctx.make_complex(0.0, 1.0)
-        b = complex(cfg.b)
-        self.b_c = ctx.make_complex(b.real, b.imag)
-        self.mu_c = self.b_c - ctx.rational(1)
-        t_c = ctx.real(cfg.t)
-        th_u = ctx.real(cfg.u_theta)
-        self.log_u = ctx.log(t_c) + i_unit * th_u
-        self.u_c = t_c * ctx.exp(i_unit * th_u)
-        self.a_c = self.u_c * self.u_c / ctx.rational(4) + self.b_c / ctx.rational(2)
-        r_c = ctx.real(cfg.z.r)
-        th_z = ctx.real(cfg.z.theta)
-        self.log_z = ctx.log(r_c) + i_unit * th_z
-        self.z_red = r_c * ctx.exp(i_unit * th_z)
-        self.x_red = self.z_red * self.z_red
-        self.log2 = ctx.log(ctx.rational(2))
-        self.uz_point = cfg.z.scaled(cfg.t, cfg.u_theta)
-
-    def coefficient_sums(self, even_family, odd_family):
-        """Sum_{s<N} family_s(mu, z) / u^(2s) for both families, in ctx."""
-        cfg, ctx = self.cfg, self.ctx
-        if cfg.order > len(even_family):
-            raise OrderStarvationError(
-                f"tables hold {len(even_family)} orders, need {cfg.order}")
-        inv_u2 = ctx.rational(1) / (self.u_c * self.u_c)
-        power = ctx.make_complex(1.0)
-        total_even = ctx.make_complex(0.0)
-        total_odd = ctx.make_complex(0.0)
-        for s in range(cfg.order):
-            total_even = total_even + power * even_family[s].evaluate(
-                self.mu_c, self.z_red, ctx.rational)
-            total_odd = total_odd + power * odd_family[s].evaluate(
-                self.mu_c, self.z_red, ctx.rational)
-            power = power * inv_u2
-        return total_even, total_odd
-
-
 def _finish(lhs: ScaledValue, rhs: ScaledValue, ctx: NumericContext) -> SideBySide:
     ratio = lhs.div(rhs, ctx)
     gap = ctx.to_float(ctx.re(ratio.shift)) + math.log(
@@ -152,65 +108,69 @@ def _finish(lhs: ScaledValue, rhs: ScaledValue, ctx: NumericContext) -> SideBySi
     return SideBySide(lhs.to_logcomplex(ctx), rhs.to_logcomplex(ctx), disc)
 
 
-def eval_m_sides(cfg: ExpansionConfig) -> SideBySide:
-    """First-kind expansion: scaled M against the I-Bessel combination."""
-    if cfg.variant != "m":
-        raise DomainError(f"eval_m_sides needs variant 'm', got {cfg.variant!r}")
-    ws = _Workspace(cfg)
-    ctx = ws.ctx
-    one = ctx.rational(1)
-    m_val = kummer_m_scaled(ws.a_c, ws.b_c, ws.x_red, cfg.prec)
-    pref = ((one - ws.b_c) * ws.log2 + (ws.b_c - one) * ws.log_u
-            - log_gamma_ctx(ws.b_c, ctx) - ws.x_red / ctx.rational(2)
-            + ws.b_c * ws.log_z)
-    lhs = ScaledValue(m_val.mantissa, m_val.shift + pref)
-
-    table, _, _ = expansion_tables()
-    sum_even, sum_odd = ws.coefficient_sums(table.even, table.odd)
-    i_low = bessel_i_scaled(complex(cfg.b) - 1, ws.uz_point, cfg.prec)
-    i_high = bessel_i_scaled(complex(cfg.b), ws.uz_point, cfg.prec)
-    term1 = ScaledValue(i_low.mantissa * sum_even, i_low.shift + ws.log_z)
-    term2 = ScaledValue(i_high.mantissa * sum_odd,
-                        i_high.shift + ws.log_z - ws.log_u)
-    rhs = term1.add(term2, ctx)
-    return _finish(lhs, rhs, ctx)
-
-
-def eval_u_sides(cfg: ExpansionConfig) -> SideBySide:
-    """Second-kind expansion: scaled U against the K-Bessel combination."""
-    if cfg.variant not in ("u-capital", "u-lower"):
-        raise DomainError(
-            f"eval_u_sides needs a second-kind variant, got {cfg.variant!r}")
-    ws = _Workspace(cfg)
-    ctx = ws.ctx
-    one = ctx.rational(1)
-    u_val = kummer_u_scaled(ws.a_c, complex(cfg.b), cfg.z.squared(), cfg.prec)
-    table, low_even, low_odd = expansion_tables()
-    if cfg.variant == "u-capital":
-        gamma_shift = log_gamma_ctx(one + ws.a_c - ws.b_c, ctx)
-        power_shift = -ws.b_c * ws.log2 + (ws.b_c - one) * ws.log_u
-        families = (table.even, table.odd)
-    else:
-        gamma_shift = log_gamma_ctx(ws.a_c, ctx)
-        power_shift = (ws.b_c - ctx.rational(2)) * ws.log2 + (one - ws.b_c) * ws.log_u
-        families = (low_even, low_odd)
-    pref = (gamma_shift + power_shift - ws.x_red / ctx.rational(2)
-            + ws.b_c * ws.log_z)
-    lhs = ScaledValue(u_val.mantissa, u_val.shift + pref)
-
-    sum_even, sum_odd = ws.coefficient_sums(*families)
-    k_low = bessel_k_scaled(complex(cfg.b) - 1, ws.uz_point, cfg.prec)
-    k_high = bessel_k_scaled(complex(cfg.b), ws.uz_point, cfg.prec)
-    term1 = ScaledValue(k_low.mantissa * sum_even, k_low.shift + ws.log_z)
-    term2 = ScaledValue(-k_high.mantissa * sum_odd,
-                        k_high.shift + ws.log_z - ws.log_u)
-    rhs = term1.add(term2, ctx)
-    return _finish(lhs, rhs, ctx)
-
-
 def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
-    """Dispatch on the variant."""
-    return eval_m_sides(cfg) if cfg.variant == "m" else eval_u_sides(cfg)
+    """Oracle times prefactor against the two-term Bessel sum.
+
+    The variant picks the oracle (M at the reduced z^2, or U on the
+    surface), the gamma argument and log 2 / log u coefficients of the
+    prefactor, the Bessel kind (I or K), the sign of the order-b term and
+    the coefficient table (raw or lowered).  Kernels run in the order
+    oracle, log-gamma, coefficient sums, Bessel pair.
+    """
+    prec, ctx = cfg.prec, cfg.prec.ctx
+    one, two = ctx.rational(1), ctx.rational(2)
+    i_unit = ctx.make_complex(0.0, 1.0)
+    b = complex(cfg.b)
+    b_c = ctx.coerce(b)
+    t_c, th_u = ctx.real(cfg.t), ctx.real(cfg.u_theta)
+    log_u = ctx.log(t_c) + i_unit * th_u
+    u_c = t_c * ctx.exp(i_unit * th_u)
+    a_c = u_c * u_c / ctx.rational(4) + b_c / two
+    r_c, th_z = ctx.real(cfg.z.r), ctx.real(cfg.z.theta)
+    log_z = ctx.log(r_c) + i_unit * th_z
+    z_red = r_c * ctx.exp(i_unit * th_z)
+    x_red = z_red * z_red
+    log2 = ctx.log(two)
+
+    if cfg.variant == "m":
+        oracle = kummer_m_scaled(a_c, b_c, x_red, prec)
+        head = ((one - b_c) * log2 + (b_c - one) * log_u
+                - log_gamma_ctx(b_c, ctx))
+    else:
+        oracle = kummer_u_scaled(a_c, b, cfg.z.squared(), prec)
+        if cfg.variant == "u-capital":
+            head = (log_gamma_ctx(one + a_c - b_c, ctx)
+                    + (-b_c * log2 + (b_c - one) * log_u))
+        else:
+            head = (log_gamma_ctx(a_c, ctx)
+                    + ((b_c - two) * log2 + (one - b_c) * log_u))
+    lhs = ScaledValue(oracle.mantissa,
+                      oracle.shift + (head - x_red / two + b_c * log_z))
+
+    table, low_even, low_odd = expansion_tables()
+    even, odd = ((low_even, low_odd) if cfg.variant == "u-lower"
+                 else (table.even, table.odd))
+    if cfg.order > len(even):
+        raise OrderStarvationError(
+            f"tables hold {len(even)} orders, need {cfg.order}")
+    mu_c = b_c - one
+    inv_u2 = one / (u_c * u_c)
+    power = ctx.make_complex(1.0)
+    sum_even = ctx.make_complex(0.0)
+    sum_odd = ctx.make_complex(0.0)
+    for s in range(cfg.order):
+        sum_even = sum_even + power * even[s].evaluate(mu_c, z_red, ctx.rational)
+        sum_odd = sum_odd + power * odd[s].evaluate(mu_c, z_red, ctx.rational)
+        power = power * inv_u2
+
+    bessel = bessel_i_scaled if cfg.variant == "m" else bessel_k_scaled
+    uz_point = cfg.z.scaled(cfg.t, cfg.u_theta)
+    low = bessel(b - 1, uz_point, prec)
+    high = bessel(b, uz_point, prec)
+    high_mantissa = high.mantissa if cfg.variant == "m" else -high.mantissa
+    term1 = ScaledValue(low.mantissa * sum_even, low.shift + log_z)
+    term2 = ScaledValue(high_mantissa * sum_odd, high.shift + log_z - log_u)
+    return _finish(lhs, term1.add(term2, ctx), ctx)
 
 
 def gamma_ratio_check(b: complex, u: float, order: int,
@@ -227,8 +187,7 @@ def gamma_ratio_check(b: complex, u: float, order: int,
     if order < 0:
         raise DomainError("order must be non-negative")
     ctx = prec.ctx
-    b = complex(b)
-    b_c = ctx.make_complex(b.real, b.imag)
+    b_c = ctx.coerce(b)
     u_c = ctx.real(u)
     one = ctx.rational(1)
     two = ctx.rational(2)
@@ -305,21 +264,19 @@ def decay_sweep(grid: Sequence[ExpansionConfig]) -> SweepResult:
     return SweepResult(tuple(rows), slopes)
 
 
+def product_grid(variant: str, prec: Precision, bs, z_rs, z_thetas, u_thetas,
+                 orders, ts) -> Tuple[ExpansionConfig, ...]:
+    """Configs over the product of the axes; b varies slowest, t fastest."""
+    return tuple(
+        ExpansionConfig(variant=variant, b=b, z=RiemannPoint(z_r, z_theta),
+                        t=t, u_theta=u_theta, order=order, prec=prec)
+        for b, z_r, z_theta, u_theta, order, t in itertools.product(
+            bs, z_rs, z_thetas, u_thetas, orders, ts))
+
+
 def acceptance_grid(variant: str, prec: Precision = None) -> Tuple[ExpansionConfig, ...]:
     """The pinned default grid for one variant, in deterministic order."""
     if prec is None:
         prec = Precision.dd()
-    if variant not in VARIANTS:
-        raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    configs = []
-    for b in GRID_B:
-        for z_r in GRID_Z_R:
-            for z_theta in GRID_Z_THETA:
-                for u_theta in GRID_U_THETA:
-                    for order in GRID_ORDER:
-                        for t in GRID_T:
-                            configs.append(ExpansionConfig(
-                                variant=variant, b=b,
-                                z=RiemannPoint(z_r, z_theta),
-                                t=t, u_theta=u_theta, order=order, prec=prec))
-    return tuple(configs)
+    return product_grid(variant, prec, GRID_B, GRID_Z_R, GRID_Z_THETA,
+                        GRID_U_THETA, GRID_ORDER, GRID_T)

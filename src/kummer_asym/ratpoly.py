@@ -671,20 +671,6 @@ class TruncSeries:
     __repr__ = __str__
 
 
-# spec-level operation aliases
-
-def integrate_from_zero(p: CoeffPoly) -> CoeffPoly:
-    return p.integrate_from_zero()
-
-
-def divide_by_z(p: CoeffPoly, power: int = 1) -> CoeffPoly:
-    return p.divide_by_z(power)
-
-
-def substitute_param(p: CoeffPoly, image: ParamPoly) -> CoeffPoly:
-    return p.substitute_param(image)
-
-
 def evaluate(p: CoeffPoly, param_value: complex, z_value: complex) -> complex:
     """Evaluate with exact rationals converted to floats at the last step."""
     return p.evaluate(param_value, z_value)

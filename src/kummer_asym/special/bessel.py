@@ -20,7 +20,7 @@ import math
 from ..errors import DomainError, PrecisionExhaustedError
 from .gammafn import log_gamma_ctx
 from .types import (LogComplex, NumericContext, Precision, RiemannPoint,
-                    ScaledValue, half_turn_reduce)
+                    ScaledValue, is_nonpositive_integer, turn_reduce)
 
 # Ascending series vs asymptotic expansion crossover, per mode.  The values
 # equalize series cancellation (eps * e^(2|x|)) against the optimal
@@ -37,7 +37,7 @@ def _mode_switch(ctx: NumericContext) -> float:
 
 def _base_point(point: RiemannPoint, ctx: NumericContext):
     """Reduced base value x0 (ctx complex, Re >= 0) and half-turn count m."""
-    _, m = half_turn_reduce(point.theta)
+    _, m = turn_reduce(point.theta, math.pi)
     theta0 = ctx.real(point.theta) - m * ctx.pi
     r = ctx.real(point.r)
     return r * ctx.exp(ctx.make_complex(0.0, 1.0) * theta0), m
@@ -206,11 +206,11 @@ def bessel_i_scaled(nu: complex, point: RiemannPoint,
                     prec: Precision) -> ScaledValue:
     """I_nu at a surface point as a ScaledValue in prec's context."""
     nu = complex(nu)
-    if nu.imag == 0.0 and nu.real < -0.5 and abs(nu.real - round(nu.real)) < 1e-12:
+    if nu.real < -0.5 and is_nonpositive_integer(nu):
         raise DomainError(f"I undefined in this form at negative integer order {nu.real:g}")
     ctx = prec.ctx
     x0, m = _base_point(point, ctx)
-    nu_c = ctx.make_complex(nu.real, nu.imag)
+    nu_c = ctx.coerce(nu)
     base = _i_base(nu_c, x0, ctx, prec.series_tol)
     if m == 0:
         return base
@@ -226,7 +226,7 @@ def bessel_k_scaled(nu: complex, point: RiemannPoint,
         nu = -nu
     ctx = prec.ctx
     x0, m = _base_point(point, ctx)
-    nu_c = ctx.make_complex(nu.real, nu.imag)
+    nu_c = ctx.coerce(nu)
     k_base = _k_base(nu_c, nu, x0, ctx, prec.series_tol)
     if m == 0:
         return k_base

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import PoleError
-from .types import NumericContext, Precision
+from .types import NumericContext, Precision, is_nonpositive_integer
 
 # Stirling threshold and tail length per mode; the tail error at the
 # threshold sits below each mode's target accuracy with ~2 digits to spare.
@@ -51,8 +51,7 @@ def _stirling_log_gamma(w, ctx: NumericContext, terms: int):
 def log_gamma_ctx(w, ctx: NumericContext):
     """Principal-branch log(Gamma(w)) for a ctx complex w."""
     re = ctx.to_float(ctx.re(w))
-    im = ctx.to_float(ctx.im(w))
-    if im == 0.0 and re <= 0.5 and abs(re - round(re)) < 1e-12:
+    if is_nonpositive_integer(w):
         raise PoleError(f"log_gamma pole at {re:.17g}")
     threshold, terms = _PROFILE["dd" if ctx.name == "dd" else "double"]
     shift = 0
@@ -69,5 +68,4 @@ def log_gamma(w, prec: Precision = None) -> complex:
     if prec is None:
         prec = Precision.double()
     ctx = prec.ctx
-    wc = ctx.make_complex(complex(w).real, complex(w).imag)
-    return ctx.to_complex(log_gamma_ctx(wc, ctx))
+    return ctx.to_complex(log_gamma_ctx(ctx.coerce(w), ctx))

@@ -17,19 +17,13 @@ from ..errors import DomainError, PoleError, PrecisionExhaustedError
 from .gammafn import log_gamma_ctx
 from .quad import peak_integral
 from .types import (LogComplex, NumericContext, Precision, RiemannPoint,
-                    ScaledValue, full_turn_reduce)
+                    ScaledValue, is_nonpositive_integer, turn_reduce)
 
 _MAX_TERMS = 20000
 _GUARD_THRESHOLD = 1e-6
 # beyond this fraction of pi the base integral loses its damping and the
 # connection formula takes over
 _QUAD_ANGLE_LIMIT = 0.45 * math.pi
-
-
-def _check_b_pole(b: complex):
-    b = complex(b)
-    if b.imag == 0.0 and b.real <= 0.5 and abs(b.real - round(b.real)) < 1e-12:
-        raise PoleError(f"parameter b = {b.real:g} is a pole of the M series")
 
 
 def _m_series(a_c, b_c, x_c, ctx: NumericContext, tol: float) -> ScaledValue:
@@ -74,12 +68,7 @@ def kummer_m(a: complex, b: complex, x: complex,
     """M(a,b,x) by series; b must stay off 0 and the negative integers."""
     if prec is None:
         prec = Precision.double()
-    _check_b_pole(b)
-    ctx = prec.ctx
-    a_c = ctx.make_complex(complex(a).real, complex(a).imag)
-    b_c = ctx.make_complex(complex(b).real, complex(b).imag)
-    x_c = ctx.make_complex(complex(x).real, complex(x).imag)
-    return _m_series(a_c, b_c, x_c, ctx, prec.series_tol).to_logcomplex(ctx)
+    return kummer_m_scaled(a, b, x, prec).to_logcomplex(prec.ctx)
 
 
 def _u_base_integral(a_c, b_c, x0, ctx: NumericContext,
@@ -136,11 +125,11 @@ def kummer_m_scaled(a: complex, b: complex, x: complex,
                     prec: Precision) -> ScaledValue:
     """M(a,b,x) as a ScaledValue in prec's context; a, b, x may already be
     context numbers, in which case no precision is shed on the way in."""
-    _check_b_pole(complex(b))
+    if is_nonpositive_integer(b):
+        raise PoleError(f"parameter b = {complex(b).real:g} is a pole of the M series")
     ctx = prec.ctx
-    conv = lambda w: w if not isinstance(w, (int, float, complex)) else \
-        ctx.make_complex(complex(w).real, complex(w).imag)
-    return _m_series(conv(a), conv(b), conv(x), ctx, prec.series_tol)
+    return _m_series(ctx.coerce(a), ctx.coerce(b), ctx.coerce(x), ctx,
+                     prec.series_tol)
 
 
 def kummer_u_scaled(a: complex, b: complex, x: RiemannPoint,
@@ -154,10 +143,8 @@ def kummer_u_scaled(a: complex, b: complex, x: RiemannPoint,
     b_key = complex(b)
     if not complex(a).real > 0:
         raise DomainError(f"U oracle requires Re a > 0, got {complex(a).real:g}")
-    conv = lambda w: w if not isinstance(w, (int, float, complex)) else \
-        ctx.make_complex(complex(w).real, complex(w).imag)
-    a_c, b_c = conv(a), conv(b)
-    _, m = full_turn_reduce(x.theta)
+    a_c, b_c = ctx.coerce(a), ctx.coerce(b)
+    _, m = turn_reduce(x.theta, 2.0 * math.pi)
     theta0 = ctx.real(x.theta) - (2 * m) * ctx.pi
     r = ctx.real(x.r)
     x0 = r * ctx.exp(ctx.make_complex(0.0, 1.0) * theta0)

@@ -23,6 +23,7 @@ class NumericContext:
 
     name = "abstract"
     eps = 0.0
+    own_types = ()  # number types that coerce passes through unchanged
 
     def real(self, x):
         raise NotImplementedError
@@ -38,6 +39,14 @@ class NumericContext:
 
     def to_complex(self, x) -> complex:
         raise NotImplementedError
+
+    def coerce(self, w):
+        """Any number, by way of complex(), into a context complex; numbers
+        of own_types pass through, so no precision is shed on the way in."""
+        if isinstance(w, self.own_types):
+            return w
+        w = complex(w)
+        return self.make_complex(w.real, w.imag)
 
 
 class _Double(NumericContext):
@@ -72,14 +81,8 @@ class _Double(NumericContext):
     def log1p_real(self, x):
         return math.log1p(x)
 
-    def sqrt(self, x):
-        return cmath.sqrt(x) if isinstance(x, complex) else math.sqrt(abs(x)) if x >= 0 else cmath.sqrt(complex(x))
-
     def sin(self, x):
         return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
-
-    def cos(self, x):
-        return cmath.cos(x) if isinstance(x, complex) else math.cos(x)
 
     def atan2(self, y, x):
         return math.atan2(y, x)
@@ -108,7 +111,11 @@ class _Double(NumericContext):
 
 
 class _ExtendedMP(NumericContext):
-    """mpmath-backed mode pinned at 34 significant digits (~double-double)."""
+    """mpmath-backed mode pinned at 34 significant digits (~double-double).
+
+    It works in a private mpmath.MPContext, so it neither reads nor writes
+    the process-wide mpmath.mp precision.
+    """
 
     name = "dd"
     eps = 1e-33
@@ -116,10 +123,10 @@ class _ExtendedMP(NumericContext):
     def __init__(self, dps: int = 34):
         import mpmath
 
-        self._mp = mpmath
-        if mpmath.mp.dps < dps:
-            mpmath.mp.dps = dps
+        self._mp = mpmath.MPContext()
+        self._mp.dps = dps
         self.dps = dps
+        self.own_types = (self._mp.mpf, self._mp.mpc)
 
     def real(self, x):
         return self._mp.mpf(x)
@@ -149,14 +156,8 @@ class _ExtendedMP(NumericContext):
     def log1p_real(self, x):
         return self._mp.log1p(x)
 
-    def sqrt(self, x):
-        return self._mp.sqrt(x)
-
     def sin(self, x):
         return self._mp.sin(x)
-
-    def cos(self, x):
-        return self._mp.cos(x)
 
     def atan2(self, y, x):
         return self._mp.atan2(y, x)
@@ -225,7 +226,7 @@ class Precision:
 
     @classmethod
     def from_mode(cls, mode: str) -> "Precision":
-        return cls.dd() if mode == "dd" else cls.double()
+        return cls.dd() if mode == "dd" else cls(mode=mode)
 
     @classmethod
     def from_env(cls, default: str = "double") -> "Precision":
@@ -268,20 +269,19 @@ class RiemannPoint:
         return RiemannPoint(self.r * factor, self.theta + dtheta)
 
 
-def half_turn_reduce(theta: float) -> tuple:
-    """Split theta = theta0 + pi*m with theta0 in (-pi/2, pi/2]."""
-    raw = theta / math.pi - 0.5
+def turn_reduce(theta: float, period: float) -> tuple:
+    """Split theta = theta0 + period*m with theta0 in (-period/2, period/2]."""
+    raw = theta / period - 0.5
     nearest = round(raw)
     m = nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw)
-    return theta - math.pi * m, int(m)
+    return theta - period * m, int(m)
 
 
-def full_turn_reduce(theta: float) -> tuple:
-    """Split theta = theta0 + 2*pi*m with theta0 in (-pi, pi]."""
-    raw = theta / (2.0 * math.pi) - 0.5
-    nearest = round(raw)
-    m = nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw)
-    return theta - 2.0 * math.pi * m, int(m)
+def is_nonpositive_integer(w) -> bool:
+    """True when w is real and within 1e-12 of 0, -1, -2, ...: a pole of
+    Gamma(w), hence of log-gamma and of the M series at parameter b = w."""
+    w = complex(w)
+    return w.imag == 0.0 and w.real <= 0.5 and abs(w.real - round(w.real)) < 1e-12
 
 
 @dataclass(frozen=True)
@@ -347,13 +347,6 @@ class LogComplex:
             return LogComplex.zero()
         return LogComplex(self.logmag - other.logmag, self.phase - other.phase)
 
-    def __pow__(self, exponent) -> "LogComplex":
-        if self.is_zero:
-            raise DomainError("power of the zero sentinel")
-        w = complex(exponent)
-        return LogComplex(w.real * self.logmag - w.imag * self.phase,
-                          w.imag * self.logmag + w.real * self.phase)
-
     def __neg__(self) -> "LogComplex":
         if self.is_zero:
             return self
@@ -408,19 +401,8 @@ class ScaledValue:
     def zero(cls, ctx: NumericContext) -> "ScaledValue":
         return cls(ctx.make_complex(0.0), ctx.make_complex(0.0))
 
-    @classmethod
-    def one(cls, ctx: NumericContext) -> "ScaledValue":
-        return cls(ctx.make_complex(1.0), ctx.make_complex(0.0))
-
-    @classmethod
-    def from_shift(cls, shift, ctx: NumericContext) -> "ScaledValue":
-        return cls(ctx.make_complex(1.0), shift)
-
     def is_zero(self) -> bool:
         return self.mantissa == 0
-
-    def mul(self, other: "ScaledValue") -> "ScaledValue":
-        return ScaledValue(self.mantissa * other.mantissa, self.shift + other.shift)
 
     def mul_complex(self, w) -> "ScaledValue":
         return ScaledValue(self.mantissa * w, self.shift)

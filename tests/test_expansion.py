@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from kummer_asym.errors import DomainError, PoleError
@@ -10,6 +11,7 @@ from kummer_asym.expansion import (ExpansionConfig, SideBySide, VARIANTS,
                                    acceptance_grid, decay_sweep,
                                    evaluate_sides, gamma_ratio_check,
                                    sweep_group_key)
+from kummer_asym.special import types
 from kummer_asym.special.types import LogComplex, Precision, RiemannPoint
 
 
@@ -203,3 +205,22 @@ class TestAcceptanceGrid:
             acceptance_grid("bogus")
         for variant in VARIANTS:
             assert len(acceptance_grid(variant)) == 648
+
+
+class TestPrecisionIsolation:
+    """dd mode works in a private mpmath context: mpmath.mp is neither
+    read nor written."""
+
+    POINT = dict(b=1.5, z=(1.0, 2 * math.pi), t=20.0, order=3)
+
+    def test_caller_dps_survives_a_fresh_dd_context(self, monkeypatch):
+        monkeypatch.setattr(types, "_CTX_DD", None)
+        with mpmath.workdps(15):
+            evaluate_sides(cfg("u-lower", **self.POINT))
+            assert mpmath.mp.dps == 15
+
+    def test_dd_result_ignores_caller_dps(self):
+        want = evaluate_sides(cfg("u-lower", **self.POINT))
+        with mpmath.workdps(50):
+            got = evaluate_sides(cfg("u-lower", **self.POINT))
+        assert got == want

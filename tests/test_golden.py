@@ -1,0 +1,70 @@
+"""Golden outputs: `eval` and `sweep` stdout and stderr, byte for byte.
+
+Each case runs the CLI through `main(argv)` with KUMMER_ASYM_PRECISION set,
+and compares exit code, stdout and stderr against a file recorded under
+tests/data/golden/.  The cases cover all three variants at a wound z
+(arg z = 3.5, past a half turn) in double and dd, and sweeps whose grid
+includes arg z = 5*pi/2 and the integer b = 2.0, so the error-status rows
+are pinned too.
+
+The double rows pin this platform's libm as well as the package: a
+different `exp`, `log` or `atan2` rounding can change the last printed
+digits without any change in the code.  Re-record with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from kummer_asym.cli import main
+from kummer_asym.special.types import PRECISION_ENV_VAR
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+_WOUND = ["--b", "0.7", "--z-r", "1", "--z-theta", "3.5", "--t", "20",
+          "--u-theta", "0.3", "--order", "3"]
+_GRID_DOUBLE = ["--b", "0.7,2.0", "--z-r", "1",
+                "--z-theta", "0,3.5,7.853981633974483", "--t", "10,40",
+                "--u-theta", "0,0.3", "--order", "1,3"]
+_GRID_DD = ["--b", "1.5", "--z-r", "1", "--z-theta", "0,7.853981633974483",
+            "--t", "10,20", "--order", "2"]
+
+CASES = {}
+for _variant in ("m", "u-capital", "u-lower"):
+    for _mode in ("double", "dd"):
+        CASES[f"eval-{_variant}-{_mode}"] = (
+            _mode, ["eval", "--variant", _variant, *_WOUND])
+    CASES[f"sweep-{_variant}-double"] = (
+        "double", ["sweep", "--variant", _variant, *_GRID_DOUBLE])
+    CASES[f"sweep-{_variant}-dd"] = (
+        "dd", ["sweep", "--variant", _variant, *_GRID_DD])
+
+
+def run_case(name: str) -> str:
+    """Exit code, stdout and stderr of one case as a single text."""
+    mode, argv = CASES[name]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {PRECISION_ENV_VAR: mode}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return f"{out.getvalue()}# stderr\n{err.getvalue()}# exit {code}\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    want = (GOLDEN / f"{name}.txt").read_bytes()
+    assert run_case(name).encode() == want
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for case in sorted(CASES):
+        (GOLDEN / f"{case}.txt").write_bytes(run_case(case).encode())
+        print(f"recorded {case}", file=sys.stderr)

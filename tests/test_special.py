@@ -15,7 +15,7 @@ from kummer_asym.special.kummer import kummer_m, kummer_u
 from kummer_asym.special.quad import peak_integral
 from kummer_asym.special.types import (LogComplex, PRECISION_ENV_VAR,
                                        Precision, RiemannPoint, ScaledValue,
-                                       full_turn_reduce, half_turn_reduce)
+                                       is_nonpositive_integer, turn_reduce)
 
 
 def rp(r, theta=0.0):
@@ -54,34 +54,34 @@ class TestAngleReduction:
         rng = random.Random(5150)
         for _ in range(200):
             theta = rng.uniform(-40.0, 40.0)
-            theta0, m = half_turn_reduce(theta)
+            theta0, m = turn_reduce(theta, math.pi)
             assert -math.pi / 2 - 1e-12 < theta0 <= math.pi / 2 + 1e-12
             assert theta0 + math.pi * m == pytest.approx(theta, abs=1e-9)
 
     def test_half_turn_boundaries(self):
-        assert half_turn_reduce(0.0) == (0.0, 0)
-        theta0, m = half_turn_reduce(math.pi / 2)
+        assert turn_reduce(0.0, math.pi) == (0.0, 0)
+        theta0, m = turn_reduce(math.pi / 2, math.pi)
         assert (theta0, m) == (math.pi / 2, 0)
-        theta0, m = half_turn_reduce(math.pi)
+        theta0, m = turn_reduce(math.pi, math.pi)
         assert m == 1 and abs(theta0) < 1e-15
-        theta0, m = half_turn_reduce(-math.pi / 2)
+        theta0, m = turn_reduce(-math.pi / 2, math.pi)
         assert m == -1 and theta0 == pytest.approx(math.pi / 2)
 
     def test_full_turn_ranges(self):
         rng = random.Random(313)
         for _ in range(200):
             theta = rng.uniform(-40.0, 40.0)
-            theta0, m = full_turn_reduce(theta)
+            theta0, m = turn_reduce(theta, 2 * math.pi)
             assert -math.pi - 1e-12 < theta0 <= math.pi + 1e-12
             assert theta0 + 2 * math.pi * m == pytest.approx(theta, abs=1e-9)
 
     def test_full_turn_boundaries(self):
-        assert full_turn_reduce(0.0) == (0.0, 0)
-        theta0, m = full_turn_reduce(math.pi)
+        assert turn_reduce(0.0, 2 * math.pi) == (0.0, 0)
+        theta0, m = turn_reduce(math.pi, 2 * math.pi)
         assert (m, theta0) == (0, math.pi)
-        theta0, m = full_turn_reduce(3 * math.pi)
+        theta0, m = turn_reduce(3 * math.pi, 2 * math.pi)
         assert m == 1 and theta0 == pytest.approx(math.pi)
-        theta0, m = full_turn_reduce(-math.pi)
+        theta0, m = turn_reduce(-math.pi, 2 * math.pi)
         assert m == -1 and theta0 == pytest.approx(math.pi)
 
 
@@ -102,8 +102,6 @@ class TestLogComplex:
         assert (as_log(2.0) + z).ratio_deviation(as_log(2.0)) == 0
         with pytest.raises(DomainError):
             as_log(1.0) / z
-        with pytest.raises(DomainError):
-            z ** 2
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -135,12 +133,6 @@ class TestLogComplex:
             got = (as_log(w1) - as_log(w2)).to_complex()
             assert got == pytest.approx(w1 - w2, rel=1e-10, abs=1e-12)
 
-    def test_pow(self):
-        w = as_log(complex(1.2, 0.7))
-        assert (w ** 2).to_complex() == pytest.approx(complex(1.2, 0.7) ** 2)
-        got = (w ** complex(0.3, -0.4)).to_complex()
-        assert got == pytest.approx(complex(1.2, 0.7) ** complex(0.3, -0.4))
-
     def test_ratio_deviation_ignores_turns(self):
         a = LogComplex(1.5, 0.3)
         b = LogComplex(1.5, 0.3 + 2 * math.pi)
@@ -156,7 +148,6 @@ class TestScaledValue:
         b = ScaledValue(ctx.make_complex(-0.25, 1.0), ctx.make_complex(1.0, -0.5))
         va = complex(1.5, 0.5) * cmath.exp(complex(2.0, 1.0))
         vb = complex(-0.25, 1.0) * cmath.exp(complex(1.0, -0.5))
-        assert a.mul(b).to_logcomplex(ctx).to_complex() == pytest.approx(va * vb)
         assert a.add(b, ctx).to_logcomplex(ctx).to_complex() == pytest.approx(va + vb)
         assert a.div(b, ctx).to_logcomplex(ctx).to_complex() == pytest.approx(va / vb)
         assert a.neg().to_logcomplex(ctx).to_complex() == pytest.approx(-va)
@@ -167,7 +158,7 @@ class TestScaledValue:
         assert z.is_zero()
         assert z.to_logcomplex(ctx).is_zero
         with pytest.raises(DomainError):
-            ScaledValue.one(ctx).div(z, ctx)
+            ScaledValue(ctx.make_complex(1.0), ctx.make_complex(0.0)).div(z, ctx)
 
 
 class TestPrecision:
@@ -189,6 +180,32 @@ class TestPrecision:
         monkeypatch.setenv(PRECISION_ENV_VAR, "quad")
         with pytest.raises(DomainError):
             Precision.from_env()
+
+    def test_from_mode(self):
+        assert Precision.from_mode("double") == Precision.double()
+        assert Precision.from_mode("dd") == Precision.dd()
+        for mode in ("DD", "quad", ""):
+            with pytest.raises(DomainError):
+                Precision.from_mode(mode)
+
+    def test_coerce(self):
+        for prec in (Precision.double(), Precision.dd()):
+            ctx = prec.ctx
+            for w in (3, -0.5, Fraction(1, 4), complex(1.25, -2.0)):
+                assert ctx.to_complex(ctx.coerce(w)) == complex(w)
+        dd = Precision.dd().ctx
+        third = dd.make_complex(1.0) / 3
+        assert dd.coerce(third) is third
+
+
+class TestPolePredicate:
+    def test_poles(self):
+        for w in (0, -1, -7.0, complex(-3.0, 0.0), -2.0 + 1e-13):
+            assert is_nonpositive_integer(w)
+        for w in (1, 0.5, -0.5, -2.0 + 1e-9, complex(-2.0, 1e-30)):
+            assert not is_nonpositive_integer(w)
+        dd = Precision.dd().ctx
+        assert is_nonpositive_integer(dd.make_complex(-4.0))
 
 
 class TestLogGamma:
