@@ -12,10 +12,10 @@ from .errors import (DomainError, ExactDivisionError, ExactnessError,
                      InvalidSeedError, OrderStarvationError,
                      ParameterMixError, ParityError, PoleError,
                      PrecisionExhaustedError, QuadratureError)
-from .ratpoly import CoeffPoly, ParamPoly, TruncSeries, evaluate
-from .olver import (CoefficientTable, NormalizerSeries,
-                    compute_coefficient_table, lower_coefficients,
-                    normalizer_series, satisfies_recursion, shift_basis)
+from .ratpoly import CoeffPoly, ParamPoly, TruncSeries
+from .olver import (CoefficientTable, compute_coefficient_table,
+                    lower_coefficients, normalizer_series,
+                    satisfies_recursion, shift_basis)
 from .temme import (TemmeTable, binomial_poly, gamma_ratio_coefficients,
                     generalized_bernoulli, mu_series, temme_base_series,
                     temme_iterate)
@@ -30,8 +30,8 @@ from .expansion import (ExpansionConfig, SideBySide, SweepResult, SweepRow,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffPoly", "ParamPoly", "TruncSeries", "evaluate",
-    "CoefficientTable", "NormalizerSeries", "compute_coefficient_table",
+    "CoeffPoly", "ParamPoly", "TruncSeries",
+    "CoefficientTable", "compute_coefficient_table",
     "lower_coefficients", "normalizer_series", "satisfies_recursion",
     "shift_basis",
     "TemmeTable", "binomial_poly", "gamma_ratio_coefficients",

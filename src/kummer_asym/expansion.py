@@ -241,7 +241,7 @@ def decay_sweep(grid: Sequence[ExpansionConfig]) -> SweepResult:
         try:
             result = evaluate_sides(cfg)
             rows.append(SweepRow(cfg, result, "ok"))
-        except (DomainError, ArithmeticError) as exc:
+        except (DomainError, OrderStarvationError, ArithmeticError) as exc:
             rows.append(SweepRow(cfg, None, f"error:{type(exc).__name__}"))
     groups = {}
     for row in rows:

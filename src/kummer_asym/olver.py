@@ -38,18 +38,16 @@ class CoefficientTable:
     odd: Tuple[CoeffPoly, ...]
 
 
-@dataclass(frozen=True)
-class NormalizerSeries:
-    """Series in u^-2 normalizing the second-kind prefactor; unit constant term."""
-
-    param: str
-    sign: int
-    series: TruncSeries
-
-
 def _weight(param: str) -> ParamPoly:
     # 2*mu + 1
     return ParamPoly(param, (1, 2))
+
+
+def _odd_stage(f: CoeffPoly, w: ParamPoly, a: CoeffPoly) -> CoeffPoly:
+    """odd[s] from even[s]: (-a' + int_0^z (f*a - w*a'/t) dt) / 2."""
+    da = a.differentiate()
+    integrand = f * a - w * da.divide_by_z()
+    return (-da + integrand.integrate_from_zero()) * Fraction(1, 2)
 
 
 def compute_coefficient_table(f: CoeffPoly, order: int = DEFAULT_ORDER,
@@ -68,31 +66,22 @@ def compute_coefficient_table(f: CoeffPoly, order: int = DEFAULT_ORDER,
     half = Fraction(1, 2)
 
     even = [CoeffPoly.one(param)]
-    odd = []
+    odd = [_odd_stage(f, w, even[0])]
     for _ in range(order):
-        a = even[-1]
-        da = a.differentiate()
-        integrand = f * a - w * da.divide_by_z()
-        b = (-da + integrand.integrate_from_zero()) * half
-        odd.append(b)
-
+        b = odd[-1]
         db = b.differentiate()
         term = w * b.divide_by_z() - db + (f * b).integrate_from_zero()
         # fix the antiderivative constant so the next stage vanishes at 0
         term = term - CoeffPoly.from_param(term.value_at_zero())
         even.append(term * half)
-    # final odd companion for the last even stage
-    a = even[-1]
-    da = a.differentiate()
-    integrand = f * a - w * da.divide_by_z()
-    odd.append((-da + integrand.integrate_from_zero()) * half)
+        odd.append(_odd_stage(f, w, even[-1]))
 
     return CoefficientTable(f=f, order=order, param=param,
                             even=tuple(even), odd=tuple(odd))
 
 
 def satisfies_recursion(f: CoeffPoly, even: Sequence[CoeffPoly],
-                        odd: Sequence[CoeffPoly], param: str = None) -> bool:
+                        odd: Sequence[CoeffPoly]) -> bool:
     """Exact re-substitution check.
 
     The odd-family equation is checked verbatim; the even-family one only up
@@ -101,16 +90,11 @@ def satisfies_recursion(f: CoeffPoly, even: Sequence[CoeffPoly],
     """
     if not even:
         return True
-    param = param or even[0].param
-    w = _weight(param)
-    half = Fraction(1, 2)
+    w = _weight(even[0].param)
     for s, b in enumerate(odd):
         if s >= len(even):
             break
-        a = even[s]
-        da = a.differentiate()
-        rhs = (-da + (f * a - w * da.divide_by_z()).integrate_from_zero()) * half
-        if b != rhs:
+        if b != _odd_stage(f, w, even[s]):
             return False
     for s in range(len(odd)):
         if s + 1 >= len(even):
@@ -132,32 +116,35 @@ def lower_coefficients(table: CoefficientTable) -> Tuple[Tuple[CoeffPoly, ...],
     lowered_odd[s]   = odd[s](-mu, z).
     """
     param = table.param
-    flip = ParamPoly(param, (0, -1))
     two_mu = ParamPoly(param, (0, 2))
     lowered_even = [CoeffPoly.one(param)]
     lowered_odd = []
     for s in range(table.order + 1):
-        b_flip = table.odd[s].substitute_param(flip)
+        b_flip = table.odd[s].reflect()
         lowered_odd.append(b_flip)
         if s + 1 <= table.order:
-            a_flip = table.even[s + 1].substitute_param(flip)
+            a_flip = table.even[s + 1].reflect()
             lowered_even.append(a_flip + two_mu * b_flip.divide_by_z())
     return tuple(lowered_even), tuple(lowered_odd)
 
 
-def normalizer_series(table: CoefficientTable, sign: int = 1) -> NormalizerSeries:
-    """Series 1 - 2*mu' * sum_s odd[s]'(mu', 0) * u^(-2s-2) with mu' = sign*mu."""
+def normalizer_series(table: CoefficientTable, sign: int = 1) -> TruncSeries:
+    """Series 1 - 2*mu' * sum_s odd[s]'(mu', 0) * u^(-2s-2) with mu' = sign*mu.
+
+    Its u^(-2s) coefficients at sign = -1 are the seeds under which
+    `shift_basis` turns the table into the lowered families.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     param = table.param
-    image = ParamPoly(param, (0, sign))
-    mu_prime = image
+    mu_prime = ParamPoly(param, (0, sign))
     coeffs = [CoeffPoly.one(param)]
     for k in range(1, table.order + 2):
-        slope = table.odd[k - 1].derivative_at_zero().compose(image)
+        slope = table.odd[k - 1].derivative_at_zero()
+        if sign < 0:
+            slope = slope.reflect()
         coeffs.append(CoeffPoly.from_param(mu_prime * slope * Fraction(-2)))
-    series = TruncSeries("u^-2", table.order + 1, coeffs, param=param)
-    return NormalizerSeries(param=param, sign=sign, series=series)
+    return TruncSeries("u^-2", table.order + 1, coeffs, param=param)
 
 
 def shift_basis(table: CoefficientTable,

@@ -144,17 +144,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "ParamPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ParamPoly.one(self.param)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def derivative(self) -> "ParamPoly":
-        return ParamPoly(self.param, [k * c for k, c in enumerate(self.coeffs)][1:])
-
     def compose(self, image: "ParamPoly") -> "ParamPoly":
         """Substitute the parameter by another polynomial (Horner)."""
         result = ParamPoly.zero(image.param)
@@ -162,28 +151,10 @@ class ParamPoly:
             result = result * image + ParamPoly.constant(image.param, c)
         return result
 
-    def divexact(self, divisor: "ParamPoly") -> "ParamPoly":
-        """Exact polynomial division; raises if a remainder is left."""
-        divisor = self._coerce(divisor)
-        param = self._merged_param(divisor)
-        if divisor.is_zero():
-            raise ExactDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return ParamPoly.zero(param)
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        dd = len(dc) - 1
-        if len(rem) - 1 < dd:
-            raise ExactDivisionError(f"{self} is not divisible by {divisor}")
-        qu = [Fraction(0)] * (len(rem) - dd)
-        for k in range(len(qu) - 1, -1, -1):
-            q = rem[k + dd] / dc[dd]
-            qu[k] = q
-            for j in range(dd + 1):
-                rem[k + j] -= q * dc[j]
-        if any(rem):
-            raise ExactDivisionError(f"{self} is not divisible by {divisor}")
-        return ParamPoly(param, qu)
+    def reflect(self) -> "ParamPoly":
+        """Substitute parameter -> -parameter: odd-degree coefficients negated."""
+        return ParamPoly(self.param,
+                         [-c if k % 2 else c for k, c in enumerate(self.coeffs)])
 
     def evaluate(self, value, convert: Callable[[Fraction], object] = None):
         """Horner evaluation; `convert` maps Fraction into the target arithmetic."""
@@ -420,6 +391,11 @@ class CoeffPoly:
         return CoeffPoly(
             [c.compose(image) for c in self.coeffs], parity=self.parity, param=image.param)
 
+    def reflect(self) -> "CoeffPoly":
+        """Substitute parameter -> -parameter in every coefficient; parity kept."""
+        return CoeffPoly(
+            [c.reflect() for c in self.coeffs], parity=self.parity, param=self.param)
+
     def evaluate(self, param_value, z_value, convert: Callable[[Fraction], object] = None):
         conv = convert if convert is not None else (lambda f: complex(f))
         result = conv(Fraction(0))
@@ -508,10 +484,6 @@ class TruncSeries:
         return cls(var, order, cs, param=param)
 
     @classmethod
-    def zero(cls, var: str, order: int, param: str) -> "TruncSeries":
-        return cls(var, order, (), param=param)
-
-    @classmethod
     def one(cls, var: str, order: int, param: str) -> "TruncSeries":
         return cls(var, order, (CoeffPoly.one(param),), param=param)
 
@@ -520,12 +492,6 @@ class TruncSeries:
             raise OrderStarvationError(
                 f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise OrderStarvationError(
-                f"cannot extend order {self.order} series to {order}")
-        return TruncSeries(self.var, order, self.coeffs[: order + 1], param=self.param)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -579,11 +545,6 @@ class TruncSeries:
         return TruncSeries(self.var, order, out)
 
     __rmul__ = __mul__
-
-    def mul_by_var(self, power: int = 1) -> "TruncSeries":
-        zero = CoeffPoly.zero(self.param)
-        out = [zero] * power + list(self.coeffs)
-        return TruncSeries(self.var, self.order, out[: self.order + 1], param=self.param)
 
     def divide_by_var(self, power: int = 1) -> "TruncSeries":
         """Exact division by var**power; low coefficients must vanish.
@@ -640,14 +601,6 @@ class TruncSeries:
             out.append(acc * (-inv0))
         return TruncSeries(self.var, self.order, out)
 
-    def pow_int(self, n: int) -> "TruncSeries":
-        if n < 0:
-            return self.inverse().pow_int(-n)
-        result = TruncSeries.one(self.var, self.order, self.param)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def pow_param(self, exponent) -> "TruncSeries":
         """Series**p for a polynomial exponent, as exp(p*log(series))."""
         if isinstance(exponent, (int, Fraction)):
@@ -669,8 +622,3 @@ class TruncSeries:
         return f"{body} + O({self.var}^{self.order + 1})"
 
     __repr__ = __str__
-
-
-def evaluate(p: CoeffPoly, param_value: complex, z_value: complex) -> complex:
-    """Evaluate with exact rationals converted to floats at the last step."""
-    return p.evaluate(param_value, z_value)

@@ -1,28 +1,25 @@
 """Acceptance gate: ten pinned criteria, one printed pass/fail line each.
 
-Criteria 1-4 are exact polynomial identities, 5-6 pin the numeric kernels,
-7-10 pin expansion accuracy and log-log decay rates in dd precision.
+Criteria 1-4 are exact polynomial identities, read from the `verify`
+identity suite at nmax = 8; 5-6 pin the numeric kernels, 7-10 pin expansion
+accuracy and log-log decay rates in dd precision.
 Tolerances here are contractual; do not relax them.
 """
 
 import cmath
 import math
 import statistics
-from fractions import Fraction
 
+import pytest
+
+from kummer_asym.cli import verify_identities
 from kummer_asym.expansion import (ExpansionConfig, decay_sweep,
                                    evaluate_sides, gamma_ratio_check,
                                    sweep_group_key)
-from kummer_asym.olver import normalizer_series, satisfies_recursion, shift_basis
-from kummer_asym.ratpoly import ParamPoly, TruncSeries
 from kummer_asym.special.bessel import bessel_i, bessel_k
 from kummer_asym.special.gammafn import log_gamma
 from kummer_asym.special.kummer import kummer_m, kummer_u
 from kummer_asym.special.types import LogComplex, RiemannPoint
-from kummer_asym.temme import (gamma_ratio_coefficients, temme_base_series,
-                               temme_iterate)
-
-TO_B = ParamPoly("b", (-1, 1))  # mu -> b - 1
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -36,47 +33,39 @@ def _cfg(variant, b=1.5, z=(1.0, 0.0), t=20.0, order=3, prec=None):
                            order=order, prec=prec)
 
 
-def test_criterion_01_lowered_equals_iterated(lowered8):
-    low_even, low_odd = lowered8
-    diag = temme_iterate(temme_base_series(18), n_max=8, k_max=2)
-    ok = all(low_even[n].substitute_param(TO_B) == diag.even_out[n]
-             and low_odd[n].substitute_param(TO_B) == diag.odd_out[n]
-             for n in range(9))
+@pytest.fixture(scope="module")
+def identities8():
+    """(passed, note) of each identity in the `verify` suite at nmax = 8."""
+    return {name: (passed, note) for name, passed, note in verify_identities(8)}
+
+
+def _passed(identities8, *expected):
+    """True when every (name, note) pair passed with exactly that note, so
+    the ranges a criterion prints are the ranges the suite checked."""
+    return all(identities8[name] == (True, note) for name, note in expected)
+
+
+def test_criterion_01_lowered_equals_iterated(identities8):
+    ok = _passed(identities8, ("lowered-equals-iterated", "n<=8, exact"))
     _report(1, ok, "lowered families equal iterated diagonals, n <= 8, exact")
 
 
-def test_criterion_02_normalizer_reciprocal(table8):
-    product = (normalizer_series(table8, sign=1).series
-               * normalizer_series(table8, sign=-1).series)
-    unit = TruncSeries.one(product.var, product.order, product.param)
-    ok = product == unit and product.order >= 9
-    _report(2, ok, f"reciprocal law through u^-{2 * product.order}, exact")
+def test_criterion_02_normalizer_reciprocal(identities8):
+    ok = _passed(identities8, ("normalizer-reciprocal", "through u^-18, exact"))
+    _report(2, ok, "reciprocal law through u^-18, exact")
 
 
-def test_criterion_03_shift_identity(table8, lowered8):
-    low_even, low_odd = lowered8
-    flip = ParamPoly("mu", (0, -1))
-    two_mu = ParamPoly("mu", (0, 2))
-    seeds = [ParamPoly.one("mu")]
-    for s in range(1, table8.order + 1):
-        seeds.append(two_mu * table8.odd[s - 1].derivative_at_zero().compose(flip))
-    shifted = shift_basis(table8, tuple(seeds))
-    ok = shifted.even == low_even and shifted.odd == low_odd
-    ok = ok and satisfies_recursion(table8.f, low_even, low_odd)
+def test_criterion_03_shift_identity(identities8):
+    ok = _passed(identities8, ("shifted-equals-lowered", "s<=8, exact"),
+                 ("lowered-recursion", "s<=8, exact"))
     _report(3, ok, "shift identity s <= 8 and lowered-family recursion, exact")
 
 
-def test_criterion_04_gamma_ratio_bridges(table8, lowered8):
-    low_even, _ = lowered8
-    d, dtilde = gamma_ratio_coefficients(9)
-    ok = all(d[n].is_zero() for n in range(1, 10, 2))
-    one_minus_b = ParamPoly("b", (1, -1))
-    half = Fraction(1, 2)
-    ok = ok and all(
-        table8.odd[n].derivative_at_zero().compose(TO_B) * one_minus_b
-        == d[n + 1] * half for n in range(7))
-    ok = ok and all(low_even[n].value_at_zero().compose(TO_B) == dtilde[n]
-                    for n in range(9))
+def test_criterion_04_gamma_ratio_bridges(identities8):
+    ok = _passed(identities8,
+                 ("odd-ratio-coefficients-vanish", "odd n<=9, exact"),
+                 ("slope-bridge", "n<=6, exact"),
+                 ("origin-bridge", "n<=8, exact"))
     _report(4, ok, "odd d_n = 0 (n <= 9), slope bridge n <= 6, "
                    "origin bridge n <= 8, exact")
 

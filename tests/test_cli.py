@@ -242,6 +242,18 @@ class TestSweep:
         assert row[8:13] == [""] * 5
         assert row[13] == "error:DomainError"
 
+    def test_starved_order_rows_do_not_abort(self, capsys):
+        # the tables hold 11 orders, so the N = 12 rows fail on their own
+        code, out, err = run_cli(capsys, "sweep", "--variant", "m", "--order",
+                                 "3,12", "--t", "10,20")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["N"], row["status"]) for row in rows] == [
+            ("3", "ok"), ("3", "ok"),
+            ("12", "error:OrderStarvationError"),
+            ("12", "error:OrderStarvationError")]
+        assert err.count("# slope:") == 1 and " N=3 " in err
+
     def test_deterministic(self, capsys):
         args = ("sweep", "--variant", "u-lower", "--t", "10,20")
         _, first, _ = run_cli(capsys, *args)
@@ -258,3 +270,18 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["A"][0] == [["1"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["temme", "--nmax", "-1"],
+    ["temme", "--kmax", "0"],
+    ["bernoulli", "--n", "-1", "--ell", "2-b", "--x", "1-b/2"],
+    ["coeffs", "--order", "-2", "--variant", "ab"],
+    ["verify", "--nmax", "-1"],
+    ["verify", "--nmax", "two"],
+])
+def test_bad_order_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "expected an integer >=" in capsys.readouterr().err

@@ -1,11 +1,13 @@
-"""Golden outputs: `eval` and `sweep` stdout and stderr, byte for byte.
+"""Golden outputs: CLI stdout and stderr, byte for byte.
 
 Each case runs the CLI through `main(argv)` with KUMMER_ASYM_PRECISION set,
 and compares exit code, stdout and stderr against a file recorded under
-tests/data/golden/.  The cases cover all three variants at a wound z
-(arg z = 3.5, past a half turn) in double and dd, and sweeps whose grid
-includes arg z = 5*pi/2 and the integer b = 2.0, so the error-status rows
-are pinned too.
+tests/data/golden/.  The numeric cases cover `eval` for all three variants
+at a wound z (arg z = 3.5, past a half turn) in double and dd, and sweeps
+whose grid includes arg z = 5*pi/2 and the integer b = 2.0, so the
+error-status rows are pinned too.  The exact cases pin `coeffs` (raw and
+lowered families, JSON and text, and the b renaming), `temme`, `bernoulli`
+and `verify`, whose output involves no floating point.
 
 The double rows pin this platform's libm as well as the package: a
 different `exp`, `log` or `atan2` rounding can change the last printed
@@ -45,6 +47,18 @@ for _variant in ("m", "u-capital", "u-lower"):
         "double", ["sweep", "--variant", _variant, *_GRID_DOUBLE])
     CASES[f"sweep-{_variant}-dd"] = (
         "dd", ["sweep", "--variant", _variant, *_GRID_DD])
+for _variant, _family in (("AB", "raw"), ("ab", "lowered")):
+    for _fmt in ("json", "text"):
+        CASES[f"coeffs-{_family}-12-{_fmt}"] = (
+            "double", ["coeffs", "--order", "12", "--variant", _variant,
+                       "--format", _fmt])
+CASES["coeffs-lowered-3-b-text"] = (
+    "double", ["coeffs", "--order", "3", "--variant", "ab", "--param", "b",
+               "--format", "text"])
+CASES["temme-12-text"] = ("double", ["temme", "--nmax", "12", "--format", "text"])
+CASES["bernoulli-6"] = (
+    "double", ["bernoulli", "--n", "6", "--ell", "2-b", "--x", "1-b/2"])
+CASES["verify-8"] = ("double", ["verify", "--nmax", "8"])
 
 
 def run_case(name: str) -> str:

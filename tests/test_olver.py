@@ -77,16 +77,15 @@ class TestLoweredFamilies:
 
 class TestNormalizer:
     def test_unit_constant_and_leading_terms(self, table8):
-        norm = normalizer_series(table8)
-        s = norm.series
+        s = normalizer_series(table8)
         assert s.coefficient(0) == CoeffPoly.one("mu")
         # B_0'(mu, 0) = 0, so the u^-2 term vanishes
         assert s.coefficient(1).is_zero()
         assert not s.coefficient(2).is_zero()
 
     def test_reciprocal_pair(self, table8):
-        plus = normalizer_series(table8, sign=1).series
-        minus = normalizer_series(table8, sign=-1).series
+        plus = normalizer_series(table8, sign=1)
+        minus = normalizer_series(table8, sign=-1)
         prod = plus * minus
         assert prod == TruncSeries.one(prod.var, prod.order, prod.param)
 
@@ -124,13 +123,16 @@ class TestShiftBasis:
         assert satisfies_recursion(table8.f, shifted.even, shifted.odd)
 
     def test_lowered_equals_shift_by_slope_seeds(self, table8, lowered8):
-        # seeds built from the odd-family origin slopes at reflected parameter
+        # seeds built from the odd-family origin slopes at reflected parameter;
+        # they are the coefficients of the sign = -1 normalizer
         low_even, low_odd = lowered8
         flip = ParamPoly("mu", (0, -1))
         two_mu = ParamPoly("mu", (0, 2))
         seeds = [ParamPoly.one("mu")]
         for s in range(1, 9):
             seeds.append(two_mu * table8.odd[s - 1].derivative_at_zero().compose(flip))
+        minus = normalizer_series(table8, sign=-1)
+        assert [c.value_at_zero() for c in minus.coeffs[:9]] == seeds
         shifted = shift_basis(table8, tuple(seeds))
         assert shifted.even == tuple(low_even)
         assert shifted.odd == tuple(low_odd)
