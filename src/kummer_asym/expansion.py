@@ -108,15 +108,52 @@ def _finish(lhs: ScaledValue, rhs: ScaledValue, ctx: NumericContext) -> SideBySi
     return SideBySide(lhs.to_logcomplex(ctx), rhs.to_logcomplex(ctx), disc)
 
 
-def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
+def _shared(memo: Optional[dict], key, compute):
+    """compute() once per key of memo (every time when memo is None).
+
+    A kernel failure is kept in place of the value and raised again for
+    every later caller of the key.
+    """
+    if memo is None:
+        return compute()
+    if key not in memo:
+        try:
+            memo[key] = compute()
+        except (DomainError, ArithmeticError) as exc:
+            memo[key] = exc
+    value = memo[key]
+    if isinstance(value, Exception):
+        try:
+            raise value
+        finally:
+            del value  # the traceback keeps this frame; it must not keep value
+    return value
+
+
+def evaluate_sides(cfg: ExpansionConfig, memo: Optional[dict] = None) -> SideBySide:
     """Oracle times prefactor against the two-term Bessel sum.
 
     The variant picks the oracle (M at the reduced z^2, or U on the
     surface), the gamma argument and log 2 / log u coefficients of the
     prefactor, the Bessel kind (I or K), the sign of the order-b term and
-    the coefficient table (raw or lowered).  Kernels run in the order
-    oracle, log-gamma, coefficient sums, Bessel pair.
+    the coefficient table (raw or lowered).  The order is checked against
+    the table first; kernels then run in the order oracle, log-gamma,
+    coefficient values, Bessel pair.
+
+    With memo, a dict kept by the caller, every value that does not depend
+    on the order N is computed once per key and shared: the oracle per
+    (M or U, b, z, t, arg u, precision), so u-capital and u-lower read one
+    U; the prefactored lhs per variant at that point; the Bessel pair per
+    kind at that point; and each coefficient value even[s], odd[s] per
+    (raw or lowered table, b, z, s, precision).  Shared values are the
+    values this function computes without memo, so results are identical.
     """
+    table, low_even, low_odd = expansion_tables()
+    lowered = cfg.variant == "u-lower"
+    even, odd = (low_even, low_odd) if lowered else (table.even, table.odd)
+    if cfg.order > len(even):
+        raise OrderStarvationError(
+            f"tables hold {len(even)} orders, need {cfg.order}")
     prec, ctx = cfg.prec, cfg.prec.ctx
     one, two = ctx.rational(1), ctx.rational(2)
     i_unit = ctx.make_complex(0.0, 1.0)
@@ -131,42 +168,48 @@ def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
     z_red = r_c * ctx.exp(i_unit * th_z)
     x_red = z_red * z_red
     log2 = ctx.log(two)
+    point = (b, cfg.z.r, cfg.z.theta, cfg.t, cfg.u_theta, prec)
 
-    if cfg.variant == "m":
-        oracle = kummer_m_scaled(a_c, b_c, x_red, prec)
-        head = ((one - b_c) * log2 + (b_c - one) * log_u
-                - log_gamma_ctx(b_c, ctx))
-    else:
-        oracle = kummer_u_scaled(a_c, b, cfg.z.squared(), prec)
-        if cfg.variant == "u-capital":
-            head = (log_gamma_ctx(one + a_c - b_c, ctx)
-                    + (-b_c * log2 + (b_c - one) * log_u))
+    def prefactored_oracle():
+        if cfg.variant == "m":
+            oracle = kummer_m_scaled(a_c, b_c, x_red, prec)
+            head = ((one - b_c) * log2 + (b_c - one) * log_u
+                    - log_gamma_ctx(b_c, ctx))
         else:
-            head = (log_gamma_ctx(a_c, ctx)
-                    + ((b_c - two) * log2 + (one - b_c) * log_u))
-    lhs = ScaledValue(oracle.mantissa,
-                      oracle.shift + (head - x_red / two + b_c * log_z))
+            oracle = _shared(memo, ("U",) + point, lambda: kummer_u_scaled(
+                a_c, b, cfg.z.squared(), prec))
+            if cfg.variant == "u-capital":
+                head = (log_gamma_ctx(one + a_c - b_c, ctx)
+                        + (-b_c * log2 + (b_c - one) * log_u))
+            else:
+                head = (log_gamma_ctx(a_c, ctx)
+                        + ((b_c - two) * log2 + (one - b_c) * log_u))
+        return ScaledValue(oracle.mantissa,
+                           oracle.shift + (head - x_red / two + b_c * log_z))
 
-    table, low_even, low_odd = expansion_tables()
-    even, odd = ((low_even, low_odd) if cfg.variant == "u-lower"
-                 else (table.even, table.odd))
-    if cfg.order > len(even):
-        raise OrderStarvationError(
-            f"tables hold {len(even)} orders, need {cfg.order}")
+    lhs = _shared(memo, (cfg.variant,) + point, prefactored_oracle)
+
     mu_c = b_c - one
     inv_u2 = one / (u_c * u_c)
     power = ctx.make_complex(1.0)
     sum_even = ctx.make_complex(0.0)
     sum_odd = ctx.make_complex(0.0)
     for s in range(cfg.order):
-        sum_even = sum_even + power * even[s].evaluate(mu_c, z_red, ctx.rational)
-        sum_odd = sum_odd + power * odd[s].evaluate(mu_c, z_red, ctx.rational)
+        even_s, odd_s = _shared(
+            memo, (lowered, s, b, cfg.z.r, cfg.z.theta, prec),
+            lambda: (even[s].evaluate(mu_c, z_red, ctx.rational),
+                     odd[s].evaluate(mu_c, z_red, ctx.rational)))
+        sum_even = sum_even + power * even_s
+        sum_odd = sum_odd + power * odd_s
         power = power * inv_u2
 
-    bessel = bessel_i_scaled if cfg.variant == "m" else bessel_k_scaled
-    uz_point = cfg.z.scaled(cfg.t, cfg.u_theta)
-    low = bessel(b - 1, uz_point, prec)
-    high = bessel(b, uz_point, prec)
+    def bessel_pair():
+        bessel = bessel_i_scaled if cfg.variant == "m" else bessel_k_scaled
+        uz_point = cfg.z.scaled(cfg.t, cfg.u_theta)
+        return bessel(b - 1, uz_point, prec), bessel(b, uz_point, prec)
+
+    low, high = _shared(memo, ("I" if cfg.variant == "m" else "K",) + point,
+                        bessel_pair)
     high_mantissa = high.mantissa if cfg.variant == "m" else -high.mantissa
     term1 = ScaledValue(low.mantissa * sum_even, low.shift + log_z)
     term2 = ScaledValue(high_mantissa * sum_odd, high.shift + log_z - log_u)
@@ -230,19 +273,26 @@ def sweep_group_key(cfg: ExpansionConfig):
 def decay_sweep(grid: Sequence[ExpansionConfig]) -> SweepResult:
     """Evaluate every config; fit log-log discrepancy decay per group.
 
-    Failures are recorded per row and never abort the sweep.  Fits need at
-    least two distinct t values with finite nonzero discrepancy.
+    Kernels are computed once per (b, z, t, arg u) in each sweep and shared
+    across the orders N; u-capital and u-lower share U and the K pair.
+    Every row equals evaluate_sides(cfg) run alone.  Failures are recorded
+    per row and never abort the sweep.  Fits need at least two distinct t
+    values with finite nonzero discrepancy.
     """
     grid = tuple(grid)
     if not grid:
         raise DomainError("sweep grid is empty")
+    memo = {}
     rows = []
     for cfg in grid:
         try:
-            result = evaluate_sides(cfg)
+            result = evaluate_sides(cfg, memo)
             rows.append(SweepRow(cfg, result, "ok"))
         except (DomainError, OrderStarvationError, ArithmeticError) as exc:
             rows.append(SweepRow(cfg, None, f"error:{type(exc).__name__}"))
+    # a kept failure's traceback holds frames that hold memo: clearing memo
+    # frees them now rather than at the next cyclic garbage collection
+    memo.clear()
     groups = {}
     for row in rows:
         if row.status != "ok":

@@ -80,11 +80,12 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext,
     bma = b_c - a_c - ctx.rational(1)
 
     def logf(w):
+        exp_w = ctx.exp(w)
         if ctx.to_float(w) > 33.0:
             log1p = w + ctx.log1p_real(ctx.exp(-w))
         else:
-            log1p = ctx.log1p_real(ctx.exp(w))
-        return a_c * w + bma * log1p - x0 * ctx.exp(w)
+            log1p = ctx.log1p_real(exp_w)
+        return a_c * w + bma * log1p - x0 * exp_w
 
     # saddle of the t-space integrand: x t^2 + (x+2-b) t - (a-1) = 0
     ad, bd, xd = ctx.to_complex(a_c), ctx.to_complex(b_c), ctx.to_complex(x0)

@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -263,11 +265,15 @@ class TestSweep:
 
 class TestEntryPoint:
     def test_clean_interpreter_run(self):
+        # the child does not inherit pytest's pythonpath, so hand it src
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from kummer_asym.cli import main; "
              "sys.exit(main(sys.argv[1:]))", "coeffs", "--order", "1"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["A"][0] == [["1"]]
 

@@ -1,11 +1,14 @@
 """End-to-end expansion evaluation: discrepancies, decay rates, sweeps."""
 
 import cmath
+import gc
 import math
+from collections import Counter
 
 import mpmath
 import pytest
 
+from kummer_asym import expansion
 from kummer_asym.errors import DomainError, PoleError
 from kummer_asym.expansion import (ExpansionConfig, SideBySide, VARIANTS,
                                    acceptance_grid, decay_sweep,
@@ -13,6 +16,10 @@ from kummer_asym.expansion import (ExpansionConfig, SideBySide, VARIANTS,
                                    sweep_group_key)
 from kummer_asym.special import types
 from kummer_asym.special.types import LogComplex, Precision, RiemannPoint
+
+
+KERNELS = ("kummer_u_scaled", "kummer_m_scaled", "bessel_k_scaled",
+           "bessel_i_scaled")
 
 
 def cfg(variant, b=1.5, z=(1.0, 0.0), t=20.0, u_theta=0.0, order=3, prec=None):
@@ -188,6 +195,89 @@ class TestDecaySweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             decay_sweep([])
+
+    def test_starved_order_calls_no_kernel(self, monkeypatch):
+        # the tables hold 11 orders; N = 12 fails before any kernel runs
+        def broken(*args):
+            raise AssertionError("kernel called for a starved row")
+
+        for name in KERNELS + ("log_gamma_ctx",):
+            monkeypatch.setattr(expansion, name, broken)
+        result = decay_sweep([cfg(variant, order=12) for variant in VARIANTS])
+        assert [row.status for row in result.rows] == [
+            "error:OrderStarvationError"] * 3
+
+
+class TestKernelSharing:
+    """decay_sweep computes each kernel once per (b, z, t, arg u) and shares
+    it across N and variants without changing any result."""
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_rows_and_slopes_equal_unshared_evaluation(self, monkeypatch, mode):
+        prec = Precision.from_mode(mode)
+        grid = [cfg(variant, b=b, z=(2.0, theta), t=t, order=n, prec=prec)
+                for variant in VARIANTS for b in (1.5, 2.0)
+                for theta in (0.0, 2 * math.pi, 2.5 * math.pi)
+                for n in (1, 2, 3) for t in (10.0, 20.0)]
+        shared = decay_sweep(grid)
+        alone = expansion.evaluate_sides
+        monkeypatch.setattr(expansion, "evaluate_sides",
+                            lambda c, memo=None: alone(c))
+        unshared = decay_sweep(grid)
+        assert shared == unshared
+        statuses = Counter(row.status for row in shared.rows)
+        # integer b at 5 pi/2 rejects the U connection route; in double the
+        # M series at 5 pi/2 runs out of precision (in dd only from t = 40)
+        assert statuses["error:DomainError"] == 12
+        assert statuses["error:PrecisionExhaustedError"] == (
+            15 if mode == "double" else 0)
+        assert len(shared.slopes) > 0
+
+    def test_each_kernel_runs_once_per_point(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        for name in KERNELS:
+            monkeypatch.setattr(expansion, name,
+                                counting(name, getattr(expansion, name)))
+        double = Precision.double()
+        cell = [cfg(variant, t=t, order=n, prec=double) for variant in VARIANTS
+                for t in (10.0, 20.0, 40.0) for n in (1, 2, 3)]
+        result = decay_sweep(cell)
+        assert all(row.status == "ok" for row in result.rows)
+        assert calls == {"kummer_u_scaled": 3, "kummer_m_scaled": 3,
+                         "bessel_k_scaled": 6, "bessel_i_scaled": 6}
+
+        # a failed oracle is kept: once per t, not once per N
+        calls.clear()
+        failing = [cfg("m", z=(2.0, 2.5 * math.pi), t=t, order=n, prec=double)
+                   for t in (10.0, 20.0, 40.0) for n in (1, 2, 3)]
+        result = decay_sweep(failing)
+        assert [row.status for row in result.rows] == (
+            ["ok"] * 3 + ["error:PrecisionExhaustedError"] * 6)
+        assert calls == {"kummer_m_scaled": 3, "bessel_i_scaled": 2}
+
+    def test_kept_failures_leave_no_garbage(self):
+        # the memo dies with the sweep: no reference cycle waits for the
+        # cyclic collector, so peak memory does not grow across sweeps
+        grid = [cfg(variant, b=2.0, z=(2.0, 2.5 * math.pi), t=t, order=n,
+                    prec=Precision.double())
+                for variant in VARIANTS for t in (10.0, 20.0) for n in (1, 2)]
+        gc.collect()
+        gc.disable()
+        try:
+            result = decay_sweep(grid)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert {row.status for row in result.rows} == {
+            "error:DomainError", "error:PrecisionExhaustedError"}
+        assert garbage == 0
 
 
 class TestAcceptanceGrid:
