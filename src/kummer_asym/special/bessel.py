@@ -50,18 +50,18 @@ def _i_series(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
     term = one
     total = one
     max_term = 1.0
-    absx = ctx.to_float(ctx.abs(x0))
+    absx = ctx.mag(x0)
     min_terms = int(absx / 2) + 8
     for k in range(_MAX_SERIES_TERMS):
         term = term * q / ((k + 1) * (nu_c + ctx.rational(k + 1)))
         total = total + term
-        t_mag = ctx.to_float(ctx.abs(term))
+        t_mag = ctx.mag(term)
         max_term = max(max_term, t_mag)
-        if k >= min_terms and t_mag <= tol * ctx.to_float(ctx.abs(total)):
+        if k >= min_terms and t_mag <= tol * ctx.mag(total):
             break
     else:
         raise PrecisionExhaustedError("I series did not converge")
-    s_mag = ctx.to_float(ctx.abs(total))
+    s_mag = ctx.mag(total)
     if s_mag == 0.0 or ctx.eps * max_term / s_mag > _GUARD_THRESHOLD:
         raise PrecisionExhaustedError(
             "I series cancellation exceeds precision headroom")
@@ -79,12 +79,12 @@ def _asym_sum(nu_c, x0, ctx: NumericContext, tol: float, sign: int):
         term = term * (nu4 - ctx.rational((2 * k + 1) ** 2)) / (8 * (k + 1) * x0)
         if sign < 0:
             term = -term
-        t_mag = ctx.to_float(ctx.abs(term))
+        t_mag = ctx.mag(term)
         if t_mag >= prev_mag:
             break
         total = total + term
         prev_mag = t_mag
-        if t_mag <= tol * ctx.to_float(ctx.abs(total)):
+        if t_mag <= tol * ctx.mag(total):
             break
     return total
 
@@ -107,7 +107,7 @@ def _k_asym(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
 
 
 def _i_base(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
-    if ctx.to_float(ctx.abs(x0)) >= _mode_switch(ctx):
+    if ctx.mag(x0) >= _mode_switch(ctx):
         return _i_asym(nu_c, x0, ctx, tol)
     return _i_series(nu_c, x0, ctx, tol)
 
@@ -121,9 +121,9 @@ def _k_reflection(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
     factor = ctx.pi / (2 * ctx.sin(ctx.pi * nu_c))
     result = diff.mul_complex(factor)
     # cancellation estimate: how much of the I magnitudes was lost
-    big = max(ctx.to_float(ctx.re(i_plus.shift)) + math.log(ctx.to_float(ctx.abs(i_plus.mantissa))),
-              ctx.to_float(ctx.re(i_minus.shift)) + math.log(ctx.to_float(ctx.abs(i_minus.mantissa))))
-    got = ctx.to_float(ctx.re(result.shift)) + math.log(ctx.to_float(ctx.abs(result.mantissa)))
+    big = max(ctx.to_float(ctx.re(i_plus.shift)) + math.log(ctx.mag(i_plus.mantissa)),
+              ctx.to_float(ctx.re(i_minus.shift)) + math.log(ctx.mag(i_minus.mantissa)))
+    got = ctx.to_float(ctx.re(result.shift)) + math.log(ctx.mag(result.mantissa))
     if math.log(ctx.eps) + big - got > math.log(_GUARD_THRESHOLD):
         raise PrecisionExhaustedError(
             "K reflection cancellation exceeds precision headroom")
@@ -158,8 +158,7 @@ def _k_integer(n: int, x0, ctx: NumericContext, tol: float) -> ScaledValue:
             psi_b = psi_b + ctx.rational(1) / (order + k)
             piece = (psi_a + psi_b) * term
             total = total + piece
-            if k > 8 and ctx.to_float(ctx.abs(piece)) <= tol * max(
-                    ctx.to_float(ctx.abs(total)), 1e-300):
+            if k > 8 and ctx.mag(piece) <= tol * max(ctx.mag(total), 1e-300):
                 break
             if k > _MAX_SERIES_TERMS:
                 raise PrecisionExhaustedError("integer-order K series stalled")
@@ -191,7 +190,7 @@ def _near_integer(nu: complex):
 
 
 def _k_base(nu_c, nu: complex, x0, ctx: NumericContext, tol: float) -> ScaledValue:
-    if ctx.to_float(ctx.abs(x0)) >= _mode_switch(ctx):
+    if ctx.mag(x0) >= _mode_switch(ctx):
         return _k_asym(nu_c, x0, ctx, tol)
     n = _near_integer(nu)
     if n is not None:

@@ -34,16 +34,25 @@ def bernoulli_numbers(count: int) -> tuple:
     return tuple(values)
 
 
-def _stirling_log_gamma(w, ctx: NumericContext, terms: int):
+@lru_cache(maxsize=None)
+def _stirling_constants(ctx: NumericContext, terms: int) -> tuple:
+    """1/2, log(2 pi)/2 and the tail coefficients B_2n / (2n (2n-1)) as
+    numbers of ctx, converted once per context."""
     half = ctx.rational(Fraction(1, 2))
-    log_two_pi = ctx.log(ctx.make_complex(2 * ctx.pi))
-    result = (w - half) * ctx.log(w) - w + half * log_two_pi
+    half_log_two_pi = half * ctx.log(ctx.make_complex(2 * ctx.pi))
     bern = bernoulli_numbers(2 * terms + 1)
+    coeffs = tuple(ctx.rational(Fraction(bern[2 * n], (2 * n) * (2 * n - 1)))
+                   for n in range(1, terms + 1))
+    return half, half_log_two_pi, coeffs
+
+
+def _stirling_log_gamma(w, ctx: NumericContext, terms: int):
+    half, half_log_two_pi, coeffs = _stirling_constants(ctx, terms)
+    result = (w - half) * ctx.log(w) - w + half_log_two_pi
     w2 = w * w
     power = w
-    for n in range(1, terms + 1):
-        coeff = Fraction(bern[2 * n], (2 * n) * (2 * n - 1))
-        result = result + ctx.rational(coeff) / power
+    for coeff in coeffs:
+        result = result + coeff / power
         power = power * w2
     return result
 

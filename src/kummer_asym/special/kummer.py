@@ -24,11 +24,12 @@ _GUARD_THRESHOLD = 1e-6
 # beyond this fraction of pi the base integral loses its damping and the
 # connection formula takes over
 _QUAD_ANGLE_LIMIT = 0.45 * math.pi
+_NATIVE = Precision.double().ctx
 
 
 def _m_series(a_c, b_c, x_c, ctx: NumericContext, tol: float) -> ScaledValue:
     """Compensated ascending series for M(a,b,x); mantissa with zero shift."""
-    abs_ax = ctx.to_float(ctx.abs(a_c)) * ctx.to_float(ctx.abs(x_c))
+    abs_ax = ctx.mag(a_c) * ctx.mag(x_c)
     min_terms = int(2.0 * math.sqrt(abs_ax)) + 10
     term = ctx.make_complex(1.0)
     total = term
@@ -44,9 +45,9 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext, tol: float) -> ScaledValue:
         t = total + y
         comp = (t - total) - y
         total = t
-        t_mag = ctx.to_float(ctx.abs(term))
+        t_mag = ctx.mag(term)
         max_mag = max(max_mag, t_mag)
-        if t_mag <= tol * ctx.to_float(ctx.abs(total)):
+        if t_mag <= tol * ctx.mag(total):
             quiet += 1
             if quiet >= 2 and n >= min_terms:
                 break
@@ -54,7 +55,7 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext, tol: float) -> ScaledValue:
             quiet = 0
     else:
         raise PrecisionExhaustedError("M series did not converge")
-    s_mag = ctx.to_float(ctx.abs(total))
+    s_mag = ctx.mag(total)
     if s_mag == 0.0 or not ctx.is_finite(total):
         raise PrecisionExhaustedError("M series overflowed its mode")
     if ctx.eps * max_mag / s_mag > _GUARD_THRESHOLD:
@@ -71,13 +72,8 @@ def kummer_m(a: complex, b: complex, x: complex,
     return kummer_m_scaled(a, b, x, prec).to_logcomplex(prec.ctx)
 
 
-def _u_base_integral(a_c, b_c, x0, ctx: NumericContext,
-                     prec: Precision) -> ScaledValue:
-    """Gamma(a) U(a,b,x0) by the real-axis integral, then the Gamma division.
-
-    Integrand exp(a w + (b-a-1) ln(1+e^w) - x0 e^w) over w in R.
-    """
-    bma = b_c - a_c - ctx.rational(1)
+def _u_log_integrand(a, bma, x0, ctx: NumericContext):
+    """w -> a w + bma log(1+e^w) - x0 e^w in ctx arithmetic, bma = b-a-1."""
 
     def logf(w):
         exp_w = ctx.exp(w)
@@ -85,16 +81,29 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext,
             log1p = w + ctx.log1p_real(ctx.exp(-w))
         else:
             log1p = ctx.log1p_real(exp_w)
-        return a_c * w + bma * log1p - x0 * exp_w
+        return a * w + bma * log1p - x0 * exp_w
 
-    # saddle of the t-space integrand: x t^2 + (x+2-b) t - (a-1) = 0
+    return logf
+
+
+def _u_base_integral(a_c, b_c, x0, ctx: NumericContext,
+                     prec: Precision) -> ScaledValue:
+    """Gamma(a) U(a,b,x0) by the real-axis integral, then the Gamma division.
+
+    Integrand exp(a w + (b-a-1) ln(1+e^w) - x0 e^w) over w in R.
+    """
+    bma = b_c - a_c - ctx.rational(1)
     ad, bd, xd = ctx.to_complex(a_c), ctx.to_complex(b_c), ctx.to_complex(x0)
+    logf = _u_log_integrand(a_c, bma, x0, ctx)
+    plan_logf = _u_log_integrand(ad, ctx.to_complex(bma), xd, _NATIVE)
+    # saddle of the t-space integrand: x t^2 + (x+2-b) t - (a-1) = 0
     disc = cmath.sqrt((xd + 2 - bd) ** 2 + 4 * xd * (ad - 1))
     candidates = [(-(xd + 2 - bd) + disc) / (2 * xd),
                   (-(xd + 2 - bd) - disc) / (2 * xd)]
     t_peak = max(c.real for c in candidates)
     w_start = math.log(t_peak) if t_peak > 1e-8 else math.log(1e-8)
-    integral = peak_integral(logf, w_start, ctx, prec.quadrature_tol)
+    integral = peak_integral(logf, w_start, ctx, prec.quadrature_tol,
+                             plan_logf)
     return ScaledValue(integral.mantissa,
                        integral.shift - log_gamma_ctx(a_c, ctx))
 

@@ -1,11 +1,24 @@
-"""Adaptive trapezoid integration of exp(logf(w)) over the real line.
+"""Trapezoid integration of exp(logf(w)) over the real line.
 
 Built for Laplace-type integrands with a single interior peak: the caller
 supplies the log of the integrand (already transformed so the domain is all
-of R and the tails decay at least exponentially).  Nodes are spaced evenly,
-the step is halved until the sum stabilizes, and everything is summed
-relative to the peak so no overflow can occur.  The trapezoid rule converges
-spectrally fast for these integrands, so a handful of halvings suffice.
+of R and the tails decay at least exponentially).  Nodes are spaced evenly
+between two cutoffs where the integrand has fallen far below its peak, and
+everything is summed relative to the peak so no overflow can occur.
+
+For such analytic integrands the trapezoid error falls geometrically with
+the node count (Trefethen & Weideman, SIAM Review 56, 2014): an error e at
+n intervals becomes about e^2 at 2n.  Every decision is therefore made in
+native floats.  The plan locates the peak, walks out to the cutoffs and
+halves the step of a trial sum, all on a native twin of the integrand, and
+it is the answer in double mode, where halving stops once two successive
+changes meet the tolerance.  In an extended mode the plan stops at the
+first level n whose change meets sqrt(tol), which predicts a change below
+tol at 2n.  One working-precision pass then sums the 2n intervals, with
+nodes placed in working precision, and its every-other-node subset gives
+the confirming comparison at no extra cost.  Should that comparison fail,
+the step keeps halving in working precision until two successive changes
+meet tol.
 """
 
 from __future__ import annotations
@@ -13,22 +26,23 @@ from __future__ import annotations
 import math
 
 from ..errors import QuadratureError
-from .types import NumericContext, ScaledValue
+from .types import NumericContext, Precision, ScaledValue
 
 _MAX_HALVINGS = 12
 _MAX_TAIL_STEPS = 600
+_FIRST_LEVEL = 16
+_MAX_LEVEL = _FIRST_LEVEL << _MAX_HALVINGS
+_NATIVE = Precision.double().ctx
 
 
-def _locate_peak(logf, w_start, ctx: NumericContext):
-    """Walk then golden-section to the maximum of Re logf."""
-    re = lambda w: ctx.to_float(ctx.re(logf(w)))
-    w0 = ctx.to_float(w_start)
+def _locate_peak(re, w0: float) -> float:
+    """Walk then golden-section to the maximum of re, a float function."""
     step = 0.5
-    f0 = re(ctx.real(w0))
+    f0 = re(w0)
     # walk uphill until the value drops on both sides
     while True:
-        fl = re(ctx.real(w0 - step))
-        fr = re(ctx.real(w0 + step))
+        fl = re(w0 - step)
+        fr = re(w0 + step)
         if fl <= f0 and fr <= f0:
             break
         if fr > f0:
@@ -40,51 +54,59 @@ def _locate_peak(logf, w_start, ctx: NumericContext):
     lo, hi = w0 - step, w0 + step
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = hi - phi * (hi - lo), lo + phi * (hi - lo)
-    fa, fb = re(ctx.real(a)), re(ctx.real(b))
+    fa, fb = re(a), re(b)
     for _ in range(80):
         if hi - lo < 1e-14 * max(1.0, abs(w0)):
             break
         if fa >= fb:
             hi, b, fb = b, a, fa
             a = hi - phi * (hi - lo)
-            fa = re(ctx.real(a))
+            fa = re(a)
         else:
             lo, a, fa = a, b, fb
             b = lo + phi * (hi - lo)
-            fb = re(ctx.real(b))
-    w_peak = 0.5 * (lo + hi)
-    return ctx.real(w_peak)
+            fb = re(b)
+    return 0.5 * (lo + hi)
 
 
-def _find_cutoff(logf, w_peak, peak_re, direction, drop, ctx: NumericContext):
-    """First point in `direction` where Re logf falls `drop` below the peak."""
-    re = lambda w: ctx.to_float(ctx.re(logf(w)))
-    w = ctx.to_float(w_peak)
+def _find_cutoff(re, w_peak: float, peak_re: float, direction: float,
+                 drop: float) -> float:
+    """First point in `direction` where re falls `drop` below the peak."""
+    w = w_peak
     step = 1.0
     for _ in range(_MAX_TAIL_STEPS):
         w += direction * step
-        if re(ctx.real(w)) < peak_re - drop:
+        if re(w) < peak_re - drop:
             return w
     raise QuadratureError("integrand tail does not decay")
 
 
-def peak_integral(logf, w_start, ctx: NumericContext, tol: float) -> ScaledValue:
-    """Integrate exp(logf(w)) dw over R; logf maps ctx real -> ctx complex.
+def _unstable(tol: float) -> QuadratureError:
+    return QuadratureError(
+        f"quadrature failed to stabilize to {tol:g} within {_MAX_HALVINGS} halvings")
 
-    Returns a ScaledValue; raises QuadratureError if the step-halving fails
-    to stabilize within the level cap.
+
+def _plan(logf, w_start, tol: float, stop_tol: float, needed: int):
+    """Peak, cutoffs and step halving on a native integrand.
+
+    Halving stops once `needed` successive changes are at most stop_tol
+    relative.  Returns (w_peak, g_peak, w_left, w_right, n, value): n is
+    the interval count reached and value the sum there, or both are None
+    when the level cap comes first.
     """
-    w_peak = _locate_peak(logf, w_start, ctx)
+    ctx = _NATIVE
+    re = lambda w: ctx.to_float(ctx.re(logf(w)))
+    w_peak = _locate_peak(re, ctx.to_float(w_start))
     g_peak = logf(w_peak)
     peak_re = ctx.to_float(ctx.re(g_peak))
     drop = -math.log(tol) + 15.0
-    w_left = _find_cutoff(logf, w_peak, peak_re, -1.0, drop, ctx)
-    w_right = _find_cutoff(logf, w_peak, peak_re, +1.0, drop, ctx)
+    w_left = _find_cutoff(re, w_peak, peak_re, -1.0, drop)
+    w_right = _find_cutoff(re, w_peak, peak_re, +1.0, drop)
 
-    def sample(w_float):
-        return ctx.exp(logf(ctx.real(w_float)) - g_peak)
+    def sample(w):
+        return ctx.exp(logf(w) - g_peak)
 
-    n = 16
+    n = _FIRST_LEVEL
     h = (w_right - w_left) / n
     total = 0.5 * (sample(w_left) + sample(w_right))
     for i in range(1, n):
@@ -98,16 +120,84 @@ def peak_integral(logf, w_start, ctx: NumericContext, tol: float) -> ScaledValue
         total = total + mid
         n *= 2
         h *= 0.5
-        current = total * ctx.real(h)
+        current = total * h
         if previous is not None:
-            change = ctx.to_float(ctx.abs(current - previous))
-            scale = ctx.to_float(ctx.abs(current))
-            if scale == 0.0 or change <= tol * scale:
+            change = ctx.mag(current - previous)
+            scale = ctx.mag(current)
+            if scale == 0.0 or change <= stop_tol * scale:
                 stable += 1
-                if stable >= 2:
-                    return ScaledValue(current, g_peak)
+                if stable >= needed:
+                    return w_peak, g_peak, w_left, w_right, n, current
             else:
                 stable = 0
         previous = current
-    raise QuadratureError(
-        f"quadrature failed to stabilize to {tol:g} within {_MAX_HALVINGS} halvings")
+    return w_peak, g_peak, w_left, w_right, None, None
+
+
+def _working_pass(logf, ctx: NumericContext, w_peak: float, w_left: float,
+                  w_right: float, n: int, needed: int,
+                  tol: float) -> ScaledValue:
+    """Trapezoid sum over n intervals in ctx, checked against its n/2 subset;
+    halves on until `needed` successive changes meet tol."""
+    g_peak = logf(ctx.real(w_peak))
+    wl = ctx.real(w_left)
+    span = ctx.real(w_right) - wl
+
+    def sample(k, intervals):
+        return ctx.exp(logf(wl + span * k / intervals) - g_peak)
+
+    even = (sample(0, n) + sample(n, n)) / 2
+    for k in range(2, n, 2):
+        even = even + sample(k, n)
+    odd = 0
+    for k in range(1, n, 2):
+        odd = odd + sample(k, n)
+    previous = even * span * 2 / n
+    total = even + odd
+    stable = 0
+    while True:
+        current = total * span / n
+        change = ctx.mag(current - previous)
+        scale = ctx.mag(current)
+        if scale == 0.0 or change <= tol * scale:
+            stable += 1
+            if stable >= needed:
+                return ScaledValue(current, g_peak)
+        else:
+            stable = 0
+            needed = 2
+        if n >= _MAX_LEVEL:
+            raise _unstable(tol)
+        previous = current
+        mid = 0
+        for k in range(1, 2 * n, 2):
+            mid = mid + sample(k, 2 * n)
+        total = total + mid
+        n *= 2
+
+
+def peak_integral(logf, w_start, ctx: NumericContext, tol: float,
+                  plan_logf=None) -> ScaledValue:
+    """Integrate exp(logf(w)) dw over R; logf maps ctx real -> ctx number.
+
+    plan_logf is the same integrand on native floats (returning float or
+    complex) and steers an extended-precision ctx; it defaults to logf,
+    which must then accept floats.  In double mode logf is its own plan.
+    Returns a ScaledValue; raises QuadratureError if the step-halving fails
+    to stabilize within the level cap.
+    """
+    if ctx.name == "double":
+        _, g_peak, _, _, n, value = _plan(logf, w_start, tol, tol, 2)
+        if n is None:
+            raise _unstable(tol)
+        return ScaledValue(value, g_peak)
+    plan = logf if plan_logf is None else plan_logf
+    w_peak, _, w_left, w_right, n, _ = _plan(plan, w_start, tol,
+                                             math.sqrt(tol), 1)
+    if n is None:
+        # double's rounding floor hid the convergence: halve in ctx alone
+        level, needed = _FIRST_LEVEL, 2
+    else:
+        level, needed = min(2 * n, _MAX_LEVEL), 1
+    return _working_pass(logf, ctx, w_peak, w_left, w_right, level, needed,
+                         tol)

@@ -40,6 +40,11 @@ class NumericContext:
     def to_complex(self, x) -> complex:
         raise NotImplementedError
 
+    def mag(self, x) -> float:
+        """|x| as a float, for decisions only (stopping tests, guards,
+        route switches); never for a value that is returned."""
+        raise NotImplementedError
+
     def coerce(self, w):
         """Any number, by way of complex(), into a context complex; numbers
         of own_types pass through, so no precision is shed on the way in."""
@@ -69,6 +74,9 @@ class _Double(NumericContext):
 
     def to_complex(self, x):
         return complex(x)
+
+    def mag(self, x):
+        return float(abs(x))
 
     def exp(self, x):
         return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
@@ -125,6 +133,7 @@ class _ExtendedMP(NumericContext):
 
         self._mp = mpmath.MPContext()
         self._mp.dps = dps
+        self._raw_to_float = mpmath.libmp.to_float
         self.dps = dps
         self.own_types = (self._mp.mpf, self._mp.mpc)
 
@@ -146,6 +155,20 @@ class _ExtendedMP(NumericContext):
 
     def to_complex(self, x):
         return complex(x)
+
+    def mag(self, x):
+        # hypot of the parts rounded to floats costs a fraction of a
+        # 34-digit fabs; rounding the raw parts of an mpc spares building
+        # two mpf objects
+        parts = getattr(x, "_mpc_", None)
+        if parts is not None:
+            m = math.hypot(self._raw_to_float(parts[0], rnd="n"),
+                           self._raw_to_float(parts[1], rnd="n"))
+        else:
+            m = abs(float(x))
+        if math.isfinite(m):
+            return m
+        return self.to_float(self._mp.fabs(x))
 
     def exp(self, x):
         return self._mp.exp(x)

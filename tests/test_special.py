@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from kummer_asym.errors import DomainError, PoleError
+from kummer_asym.errors import DomainError, PoleError, QuadratureError
 from kummer_asym.special.bessel import bessel_i, bessel_k
 from kummer_asym.special.gammafn import bernoulli_numbers, log_gamma
 from kummer_asym.special.kummer import kummer_m, kummer_u
@@ -196,6 +196,38 @@ class TestPrecision:
         dd = Precision.dd().ctx
         third = dd.make_complex(1.0) / 3
         assert dd.coerce(third) is third
+
+
+class TestMag:
+    def test_double_is_abs(self):
+        ctx = Precision.double().ctx
+        for x in (3 - 4j, -2.5, 0.1 + 0.7j, 1e-310j, -1e300 + 1e300j):
+            assert ctx.mag(x) == float(abs(x))
+
+    def test_dd_within_one_ulp(self, dd):
+        ctx, mp = dd.ctx, dd.ctx._mp
+        rng = random.Random(5)
+
+        def part():
+            # a 34-digit mantissa, not a float in disguise
+            scale = mp.mpf(10) ** rng.randint(-200, 200)
+            return mp.mpf(rng.uniform(-1, 1)) / 3 * scale
+
+        for _ in range(200):
+            x = mp.mpc(part(), part())
+            want = float(mp.fabs(x))
+            assert abs(ctx.mag(x) - want) <= math.ulp(want)
+            assert ctx.mag(x) == math.hypot(float(x.real), float(x.imag))
+            assert ctx.mag(x.real) == abs(float(x.real))
+
+    def test_dd_overflow_and_zero(self, dd):
+        ctx, mp = dd.ctx, dd.ctx._mp
+        huge = mp.mpf(10) ** 400
+        assert ctx.mag(huge) == math.inf
+        assert ctx.mag(mp.mpc(huge, -huge)) == math.inf
+        assert ctx.mag(mp.mpc(0)) == 0.0
+        assert ctx.mag(mp.mpf(0)) == 0.0
+        assert Precision.double().ctx.mag(0j) == 0.0
 
 
 class TestPolePredicate:
@@ -438,16 +470,59 @@ class TestKummerU:
             kummer_u(1.5, 2.0, rp(2.0, math.pi), dd)
 
 
+def counting(f):
+    """f wrapped to count its calls in .calls."""
+
+    def wrapper(w):
+        wrapper.calls += 1
+        return f(w)
+
+    wrapper.calls = 0
+    return wrapper
+
+
 class TestPeakIntegral:
     def test_gaussian(self):
         ctx = Precision.double().ctx
-        got = peak_integral(lambda w: -w * w, 0.5, ctx, 1e-13)
+        logf = counting(lambda w: -w * w)
+        got = peak_integral(logf, 0.5, ctx, 1e-13)
         value = got.to_logcomplex(ctx).to_complex()
         assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        # double mode is its own plan: nodes, stopping rule and bits as before
+        assert logf.calls == 218
+        assert got.mantissa == 1.7724538509055159
+        assert got.shift == -9.242213211096245e-30
 
     def test_shifted_oscillatory_gaussian(self):
         ctx = Precision.double().ctx
-        got = peak_integral(lambda w: -((w - 2.0) ** 2) + 1j * w, 0.0, ctx, 1e-13)
+        logf = counting(lambda w: -((w - 2.0) ** 2) + 1j * w)
+        got = peak_integral(logf, 0.0, ctx, 1e-13)
         value = got.to_logcomplex(ctx).to_complex()
         want = math.sqrt(math.pi) * cmath.exp(2j - 0.25)
         assert value == pytest.approx(want, rel=1e-11)
+        assert logf.calls == 223
+        assert got.mantissa == 1.380388447043143 + 1.0810593703305583e-17j
+        assert got.shift == 2j
+
+    def test_dd_sums_once_at_the_planned_level(self, dd):
+        ctx = dd.ctx
+        logf = counting(lambda w: -w * w)
+        got = peak_integral(logf, 0.5, ctx, dd.quadrature_tol,
+                            plan_logf=lambda w: -w * w)
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        value = mp.mpf(got.mantissa) * mp.exp(mp.mpf(got.shift))
+        assert abs(value - mp.sqrt(mp.pi)) <= 1e-28
+        # a step-halving run in dd took 348 working-precision evaluations
+        assert logf.calls <= 200
+
+    def test_dd_plans_on_logf_by_default(self, dd):
+        got = peak_integral(lambda w: -w * w, 0.5, dd.ctx, dd.quadrature_tol)
+        value = got.to_logcomplex(dd.ctx).to_complex()
+        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+    def test_tail_that_does_not_decay(self, dd):
+        for prec in (Precision.double(), dd):
+            with pytest.raises(QuadratureError, match="tail does not decay"):
+                peak_integral(lambda w: -abs(w) / 100, 0.0, prec.ctx,
+                              prec.quadrature_tol)
