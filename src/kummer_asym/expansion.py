@@ -14,11 +14,11 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError, OrderStarvationError, PoleError
-from .olver import DEFAULT_ORDER, compute_coefficient_table, lower_coefficients
+from .olver import compute_coefficient_table, lower_coefficients
 from .ratpoly import CoeffPoly
 from .special.bessel import bessel_i_scaled, bessel_k_scaled
 from .special.gammafn import log_gamma_ctx
@@ -38,10 +38,10 @@ GRID_U_THETA = (0.0, 0.3)
 GRID_ORDER = (1, 2, 3)
 
 
-@lru_cache(maxsize=4)
-def expansion_tables(order: int = DEFAULT_ORDER):
+@cache
+def expansion_tables():
     """Coefficient table for f = z^2 plus its lowered families (immutable)."""
-    table = compute_coefficient_table(CoeffPoly.monomial("mu", 2), order=order)
+    table = compute_coefficient_table(CoeffPoly.monomial("mu", 2))
     low_even, low_odd = lower_coefficients(table)
     return table, low_even, low_odd
 
@@ -104,7 +104,7 @@ def _finish(lhs: ScaledValue, rhs: ScaledValue, ctx: NumericContext) -> SideBySi
         disc = math.inf
     else:
         w = ratio.mantissa * ctx.exp(ratio.shift)
-        disc = ctx.to_float(ctx.abs(w - ctx.rational(1)))
+        disc = ctx.to_float(ctx.abs(w - 1))
     return SideBySide(lhs.to_logcomplex(ctx), rhs.to_logcomplex(ctx), disc)
 
 
@@ -155,42 +155,41 @@ def evaluate_sides(cfg: ExpansionConfig, memo: Optional[dict] = None) -> SideByS
         raise OrderStarvationError(
             f"tables hold {len(even)} orders, need {cfg.order}")
     prec, ctx = cfg.prec, cfg.prec.ctx
-    one, two = ctx.rational(1), ctx.rational(2)
     i_unit = ctx.make_complex(0.0, 1.0)
     b = complex(cfg.b)
     b_c = ctx.coerce(b)
     t_c, th_u = ctx.real(cfg.t), ctx.real(cfg.u_theta)
     log_u = ctx.log(t_c) + i_unit * th_u
     u_c = t_c * ctx.exp(i_unit * th_u)
-    a_c = u_c * u_c / ctx.rational(4) + b_c / two
+    a_c = u_c * u_c / 4 + b_c / 2
     r_c, th_z = ctx.real(cfg.z.r), ctx.real(cfg.z.theta)
     log_z = ctx.log(r_c) + i_unit * th_z
     z_red = r_c * ctx.exp(i_unit * th_z)
     x_red = z_red * z_red
-    log2 = ctx.log(two)
+    log2 = ctx.log(2)
     point = (b, cfg.z.r, cfg.z.theta, cfg.t, cfg.u_theta, prec)
 
     def prefactored_oracle():
         if cfg.variant == "m":
             oracle = kummer_m_scaled(a_c, b_c, x_red, prec)
-            head = ((one - b_c) * log2 + (b_c - one) * log_u
+            head = ((1 - b_c) * log2 + (b_c - 1) * log_u
                     - log_gamma_ctx(b_c, ctx))
         else:
             oracle = _shared(memo, ("U",) + point, lambda: kummer_u_scaled(
                 a_c, b, cfg.z.squared(), prec))
             if cfg.variant == "u-capital":
-                head = (log_gamma_ctx(one + a_c - b_c, ctx)
-                        + (-b_c * log2 + (b_c - one) * log_u))
+                head = (log_gamma_ctx(1 + a_c - b_c, ctx)
+                        + (-b_c * log2 + (b_c - 1) * log_u))
             else:
                 head = (log_gamma_ctx(a_c, ctx)
-                        + ((b_c - two) * log2 + (one - b_c) * log_u))
+                        + ((b_c - 2) * log2 + (1 - b_c) * log_u))
         return ScaledValue(oracle.mantissa,
-                           oracle.shift + (head - x_red / two + b_c * log_z))
+                           oracle.shift + (head - x_red / 2 + b_c * log_z))
 
     lhs = _shared(memo, (cfg.variant,) + point, prefactored_oracle)
 
-    mu_c = b_c - one
-    inv_u2 = one / (u_c * u_c)
+    mu_c = b_c - 1
+    inv_u2 = 1 / (u_c * u_c)
     power = ctx.make_complex(1.0)
     sum_even = ctx.make_complex(0.0)
     sum_odd = ctx.make_complex(0.0)
@@ -232,14 +231,12 @@ def gamma_ratio_check(b: complex, u: float, order: int,
     ctx = prec.ctx
     b_c = ctx.coerce(b)
     u_c = ctx.real(u)
-    one = ctx.rational(1)
-    two = ctx.rational(2)
-    a_c = u_c * u_c / ctx.rational(4) + b_c / two
-    shift = (log_gamma_ctx(one + a_c - b_c, ctx) - log_gamma_ctx(a_c, ctx)
-             + (two - two * b_c) * ctx.log(two) + (two * b_c - two) * ctx.log(u_c))
+    a_c = u_c * u_c / 4 + b_c / 2
+    shift = (log_gamma_ctx(1 + a_c - b_c, ctx) - log_gamma_ctx(a_c, ctx)
+             + (2 - 2 * b_c) * ctx.log(2) + (2 * b_c - 2) * ctx.log(u_c))
     lhs = ScaledValue(ctx.make_complex(1.0), shift)
     d_coeffs, _ = gamma_ratio_coefficients(order)
-    inv_u2 = one / (u_c * u_c)
+    inv_u2 = 1 / (u_c * u_c)
     power = ctx.make_complex(1.0)
     total = ctx.make_complex(0.0)
     for n in range(order + 1):

@@ -20,32 +20,15 @@ import math
 from ..errors import DomainError, PrecisionExhaustedError
 from .gammafn import log_gamma_ctx
 from .types import (LogComplex, NumericContext, Precision, RiemannPoint,
-                    ScaledValue, is_nonpositive_integer, turn_reduce)
+                    ScaledValue, base_point, is_nonpositive_integer)
 
-# Ascending series vs asymptotic expansion crossover, per mode.  The values
-# equalize series cancellation (eps * e^(2|x|)) against the optimal
-# asymptotic truncation floor (~ e^(-2|x|)).
-_SWITCH = {"double": 9.5, "dd": 20.0}
 _INTEGER_WINDOW = 1e-3
 _MAX_SERIES_TERMS = 3000
-_GUARD_THRESHOLD = 1e-6
 
 
-def _mode_switch(ctx: NumericContext) -> float:
-    return _SWITCH["dd" if ctx.name == "dd" else "double"]
-
-
-def _base_point(point: RiemannPoint, ctx: NumericContext):
-    """Reduced base value x0 (ctx complex, Re >= 0) and half-turn count m."""
-    _, m = turn_reduce(point.theta, math.pi)
-    theta0 = ctx.real(point.theta) - m * ctx.pi
-    r = ctx.real(point.r)
-    return r * ctx.exp(ctx.make_complex(0.0, 1.0) * theta0), m
-
-
-def _i_series(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
+def _i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     """Ascending series; value = mantissa * exp(nu*log(x0/2) - lgamma(nu+1))."""
-    q = x0 * x0 / ctx.rational(4)
+    q = x0 * x0 / 4
     one = ctx.make_complex(1.0)
     term = one
     total = one
@@ -53,30 +36,27 @@ def _i_series(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
     absx = ctx.mag(x0)
     min_terms = int(absx / 2) + 8
     for k in range(_MAX_SERIES_TERMS):
-        term = term * q / ((k + 1) * (nu_c + ctx.rational(k + 1)))
+        term = term * q / ((k + 1) * (nu_c + (k + 1)))
         total = total + term
         t_mag = ctx.mag(term)
         max_term = max(max_term, t_mag)
-        if k >= min_terms and t_mag <= tol * ctx.mag(total):
+        if k >= min_terms and t_mag <= ctx.series_tol * ctx.mag(total):
             break
     else:
         raise PrecisionExhaustedError("I series did not converge")
-    s_mag = ctx.mag(total)
-    if s_mag == 0.0 or ctx.eps * max_term / s_mag > _GUARD_THRESHOLD:
-        raise PrecisionExhaustedError(
-            "I series cancellation exceeds precision headroom")
-    shift = nu_c * ctx.log(x0 / ctx.rational(2)) - log_gamma_ctx(nu_c + ctx.rational(1), ctx)
+    ctx.check_headroom(max_term, ctx.mag(total), "I series")
+    shift = nu_c * ctx.log(x0 / 2) - log_gamma_ctx(nu_c + 1, ctx)
     return ScaledValue(total, shift)
 
 
-def _asym_sum(nu_c, x0, ctx: NumericContext, tol: float, sign: int):
+def _asym_sum(nu_c, x0, ctx: NumericContext, sign: int):
     """Sum_k a_k(nu) (sign)^k / x0^k truncated at the smallest term."""
     nu4 = 4 * nu_c * nu_c
     term = ctx.make_complex(1.0)
     total = term
     prev_mag = math.inf
     for k in range(140):
-        term = term * (nu4 - ctx.rational((2 * k + 1) ** 2)) / (8 * (k + 1) * x0)
+        term = term * (nu4 - (2 * k + 1) ** 2) / (8 * (k + 1) * x0)
         if sign < 0:
             term = -term
         t_mag = ctx.mag(term)
@@ -84,99 +64,95 @@ def _asym_sum(nu_c, x0, ctx: NumericContext, tol: float, sign: int):
             break
         total = total + term
         prev_mag = t_mag
-        if t_mag <= tol * ctx.mag(total):
+        if t_mag <= ctx.series_tol * ctx.mag(total):
             break
     return total
 
 
-def _i_asym(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
+def _i_asym(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     """Compound large-argument expansion, both exponentials retained."""
     two_pi = 2 * ctx.pi
-    shift = x0 - ctx.log(two_pi * x0) / ctx.rational(2)
-    grow = _asym_sum(nu_c, x0, ctx, tol, -1)
-    decay = _asym_sum(nu_c, x0, ctx, tol, +1)
+    shift = x0 - ctx.log(two_pi * x0) / 2
+    grow = _asym_sum(nu_c, x0, ctx, -1)
+    decay = _asym_sum(nu_c, x0, ctx, +1)
     sign = 1.0 if ctx.to_float(ctx.im(x0)) >= 0.0 else -1.0
-    rotate = ctx.exp(ctx.make_complex(0.0, sign) * ctx.pi * (nu_c + ctx.rational(0.5)))
+    rotate = ctx.exp(ctx.make_complex(0.0, sign) * ctx.pi * (nu_c + 0.5))
     mantissa = grow + rotate * ctx.exp(-2 * x0) * decay
     return ScaledValue(mantissa, shift)
 
 
-def _k_asym(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
-    shift = -x0 + (ctx.log(ctx.pi / (2 * x0))) / ctx.rational(2)
-    return ScaledValue(_asym_sum(nu_c, x0, ctx, tol, +1), shift)
+def _k_asym(nu_c, x0, ctx: NumericContext) -> ScaledValue:
+    shift = -x0 + (ctx.log(ctx.pi / (2 * x0))) / 2
+    return ScaledValue(_asym_sum(nu_c, x0, ctx, +1), shift)
 
 
-def _i_base(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
-    if ctx.mag(x0) >= _mode_switch(ctx):
-        return _i_asym(nu_c, x0, ctx, tol)
-    return _i_series(nu_c, x0, ctx, tol)
+def _i_base(nu_c, x0, ctx: NumericContext) -> ScaledValue:
+    if ctx.mag(x0) >= ctx.bessel_switch:
+        return _i_asym(nu_c, x0, ctx)
+    return _i_series(nu_c, x0, ctx)
 
 
-def _k_reflection(nu_c, x0, ctx: NumericContext, tol: float) -> ScaledValue:
-    i_plus = _i_series(nu_c, x0, ctx, tol)
-    i_minus = _i_series(-nu_c, x0, ctx, tol)
+def _k_reflection(nu_c, x0, ctx: NumericContext) -> ScaledValue:
+    i_plus = _i_series(nu_c, x0, ctx)
+    i_minus = _i_series(-nu_c, x0, ctx)
     diff = i_minus.add(i_plus.neg(), ctx)
     if diff.is_zero():
         raise PrecisionExhaustedError("K reflection cancelled to zero")
-    factor = ctx.pi / (2 * ctx.sin(ctx.pi * nu_c))
-    result = diff.mul_complex(factor)
-    # cancellation estimate: how much of the I magnitudes was lost
-    big = max(ctx.to_float(ctx.re(i_plus.shift)) + math.log(ctx.mag(i_plus.mantissa)),
-              ctx.to_float(ctx.re(i_minus.shift)) + math.log(ctx.mag(i_minus.mantissa)))
-    got = ctx.to_float(ctx.re(result.shift)) + math.log(ctx.mag(result.mantissa))
-    if math.log(ctx.eps) + big - got > math.log(_GUARD_THRESHOLD):
-        raise PrecisionExhaustedError(
-            "K reflection cancellation exceeds precision headroom")
-    return result
+    # the loss is that of the difference itself: the factor
+    # pi / (2 sin(pi nu)) below grows near integer order and would hide it
+    scale = ctx.re(diff.shift)
+    peak = max(ctx.mag(v.mantissa) * math.exp(ctx.to_float(ctx.re(v.shift) - scale))
+               for v in (i_plus, i_minus))
+    ctx.check_headroom(peak, ctx.mag(diff.mantissa), "K reflection")
+    return diff.mul_complex(ctx.pi / (2 * ctx.sin(ctx.pi * nu_c)))
 
 
-def _k_integer(n: int, x0, ctx: NumericContext, tol: float) -> ScaledValue:
-    """K_n for n in {0,1} by the logarithmic series, then upward recurrence."""
-    target = abs(n)
-    start = min(target, 1)
-    log_half_x = ctx.log(x0 / ctx.rational(2))
-    q = x0 * x0 / ctx.rational(4)
+def _k_integer(n: int, x0, ctx: NumericContext) -> ScaledValue:
+    """K_n, n >= 0: the logarithmic series at orders 0 and 1, then the
+    upward recurrence."""
+    log_half_x = ctx.log(x0 / 2)
+    q = x0 * x0 / 4
+    one = ctx.real(1)
 
     def k_small(order: int):
         # finite part: 1/2 sum_{k<order} (-1)^k (order-k-1)!/k! (x/2)^{2k-order}
         finite = ctx.make_complex(0.0)
         if order == 1:
-            finite = ctx.rational(1) / x0
+            finite = 1 / x0
         # psi series: (-1)^order/2 * sum_k (psi(k+1)+psi(order+k+1)) q^k/(k! (order+k)!)
         psi_a = -ctx.euler
         psi_b = psi_a
         for j in range(1, order + 1):
-            psi_b = psi_b + ctx.rational(1) / j
-        fact = ctx.rational(math.factorial(order))
-        term = ctx.make_complex(1.0) / fact
+            psi_b = psi_b + one / j
+        term = ctx.make_complex(1.0) / math.factorial(order)
         total = (psi_a + psi_b) * term
         k = 0
         while True:
             k += 1
             term = term * q / (k * (order + k))
-            psi_a = psi_a + ctx.rational(1) / k
-            psi_b = psi_b + ctx.rational(1) / (order + k)
+            psi_a = psi_a + one / k
+            psi_b = psi_b + one / (order + k)
             piece = (psi_a + psi_b) * term
             total = total + piece
-            if k > 8 and ctx.mag(piece) <= tol * max(ctx.mag(total), 1e-300):
+            if k > 8 and ctx.mag(piece) <= ctx.series_tol * max(ctx.mag(total), 1e-300):
                 break
             if k > _MAX_SERIES_TERMS:
                 raise PrecisionExhaustedError("integer-order K series stalled")
-        psi_part = total * ctx.exp(log_half_x * ctx.rational(order)) / ctx.rational(2)
+        psi_part = total * ctx.exp(log_half_x * order) / 2
         if order % 2:
             psi_part = -psi_part
-        i_val = _i_series(ctx.make_complex(order), x0, ctx, tol)
+        i_val = _i_series(ctx.make_complex(order), x0, ctx)
         log_term = i_val.mul_complex(log_half_x)
         if order % 2 == 0:
             log_term = log_term.neg()
         return log_term.add(ScaledValue(finite + psi_part, ctx.make_complex(0.0)), ctx)
 
     k_prev = k_small(0)
-    if target == 0:
+    if n == 0:
         return k_prev
     k_cur = k_small(1)
-    for m in range(1, target):
-        factor = ctx.rational(2 * m) / x0
+    for m in range(1, n):
+        factor = 2 * m / x0
         k_next = k_prev.add(k_cur.mul_complex(factor), ctx)
         k_prev, k_cur = k_cur, k_next
     return k_cur
@@ -189,16 +165,16 @@ def _near_integer(nu: complex):
     return None
 
 
-def _k_base(nu_c, nu: complex, x0, ctx: NumericContext, tol: float) -> ScaledValue:
-    if ctx.mag(x0) >= _mode_switch(ctx):
-        return _k_asym(nu_c, x0, ctx, tol)
+def _k_base(nu_c, nu: complex, x0, ctx: NumericContext) -> ScaledValue:
+    if ctx.mag(x0) >= ctx.bessel_switch:
+        return _k_asym(nu_c, x0, ctx)
     n = _near_integer(nu)
     if n is not None:
         if nu.imag != 0.0:
             raise DomainError(
                 "integer-order K path supports real order only")
-        return _k_integer(abs(n), x0, ctx, tol)
-    return _k_reflection(nu_c, x0, ctx, tol)
+        return _k_integer(n, x0, ctx)
+    return _k_reflection(nu_c, x0, ctx)
 
 
 def bessel_i_scaled(nu: complex, point: RiemannPoint,
@@ -208,12 +184,12 @@ def bessel_i_scaled(nu: complex, point: RiemannPoint,
     if nu.real < -0.5 and is_nonpositive_integer(nu):
         raise DomainError(f"I undefined in this form at negative integer order {nu.real:g}")
     ctx = prec.ctx
-    x0, m = _base_point(point, ctx)
+    x0, _, m = base_point(point, 1, ctx)
     nu_c = ctx.coerce(nu)
-    base = _i_base(nu_c, x0, ctx, prec.series_tol)
+    base = _i_base(nu_c, x0, ctx)
     if m == 0:
         return base
-    winding = ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * ctx.rational(m)
+    winding = ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m
     return ScaledValue(base.mantissa, base.shift + winding)
 
 
@@ -224,20 +200,20 @@ def bessel_k_scaled(nu: complex, point: RiemannPoint,
     if nu.real < 0:
         nu = -nu
     ctx = prec.ctx
-    x0, m = _base_point(point, ctx)
+    x0, _, m = base_point(point, 1, ctx)
     nu_c = ctx.coerce(nu)
-    k_base = _k_base(nu_c, nu, x0, ctx, prec.series_tol)
+    k_base = _k_base(nu_c, nu, x0, ctx)
     if m == 0:
         return k_base
-    unwind = ctx.exp(-ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * ctx.rational(m))
+    unwind = ctx.exp(-ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m)
     first = k_base.mul_complex(unwind)
     n = _near_integer(nu)
     if n is not None:
         # limit of sin(pi nu m)/sin(pi nu) as nu -> n
-        ratio = ctx.rational(m if (n * (m - 1)) % 2 == 0 else -m)
+        ratio = m if (n * (m - 1)) % 2 == 0 else -m
     else:
-        ratio = ctx.sin(ctx.pi * nu_c * ctx.rational(m)) / ctx.sin(ctx.pi * nu_c)
-    i_base = _i_base(nu_c, x0, ctx, prec.series_tol)
+        ratio = ctx.sin(ctx.pi * nu_c * m) / ctx.sin(ctx.pi * nu_c)
+    i_base = _i_base(nu_c, x0, ctx)
     second = i_base.mul_complex(-ctx.make_complex(0.0, 1.0) * ctx.pi * ratio)
     return first.add(second, ctx)
 

@@ -15,10 +15,6 @@ from functools import lru_cache
 from ..errors import PoleError
 from .types import NumericContext, Precision, is_nonpositive_integer
 
-# Stirling threshold and tail length per mode; the tail error at the
-# threshold sits below each mode's target accuracy with ~2 digits to spare.
-_PROFILE = {"double": (20.0, 12), "dd": (35.0, 18)}
-
 
 @lru_cache(maxsize=None)
 def bernoulli_numbers(count: int) -> tuple:
@@ -35,9 +31,10 @@ def bernoulli_numbers(count: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _stirling_constants(ctx: NumericContext, terms: int) -> tuple:
-    """1/2, log(2 pi)/2 and the tail coefficients B_2n / (2n (2n-1)) as
-    numbers of ctx, converted once per context."""
+def _stirling_constants(ctx: NumericContext) -> tuple:
+    """1/2, log(2 pi)/2 and the tail coefficients B_2n / (2n (2n-1)) of
+    ctx's Stirling profile as numbers of ctx, converted once per context."""
+    terms = ctx.stirling_profile[1]
     half = ctx.rational(Fraction(1, 2))
     half_log_two_pi = half * ctx.log(ctx.make_complex(2 * ctx.pi))
     bern = bernoulli_numbers(2 * terms + 1)
@@ -46,8 +43,8 @@ def _stirling_constants(ctx: NumericContext, terms: int) -> tuple:
     return half, half_log_two_pi, coeffs
 
 
-def _stirling_log_gamma(w, ctx: NumericContext, terms: int):
-    half, half_log_two_pi, coeffs = _stirling_constants(ctx, terms)
+def _stirling_log_gamma(w, ctx: NumericContext):
+    half, half_log_two_pi, coeffs = _stirling_constants(ctx)
     result = (w - half) * ctx.log(w) - w + half_log_two_pi
     w2 = w * w
     power = w
@@ -62,14 +59,14 @@ def log_gamma_ctx(w, ctx: NumericContext):
     re = ctx.to_float(ctx.re(w))
     if is_nonpositive_integer(w):
         raise PoleError(f"log_gamma pole at {re:.17g}")
-    threshold, terms = _PROFILE["dd" if ctx.name == "dd" else "double"]
+    threshold = ctx.stirling_profile[0]
     shift = 0
     if re < threshold:
         shift = int(math.ceil(threshold - re))
     correction = ctx.make_complex(0.0)
     for k in range(shift):
-        correction = correction + ctx.log(w + ctx.rational(k))
-    return _stirling_log_gamma(w + ctx.rational(shift), ctx, terms) - correction
+        correction = correction + ctx.log(w + k)
+    return _stirling_log_gamma(w + shift, ctx) - correction
 
 
 def log_gamma(w, prec: Precision = None) -> complex:

@@ -16,18 +16,17 @@ import math
 from ..errors import DomainError, PoleError, PrecisionExhaustedError
 from .gammafn import log_gamma_ctx
 from .quad import peak_integral
-from .types import (LogComplex, NumericContext, Precision, RiemannPoint,
-                    ScaledValue, is_nonpositive_integer, turn_reduce)
+from .types import (NATIVE, LogComplex, NumericContext, Precision,
+                    RiemannPoint, ScaledValue, base_point,
+                    is_nonpositive_integer)
 
 _MAX_TERMS = 20000
-_GUARD_THRESHOLD = 1e-6
 # beyond this fraction of pi the base integral loses its damping and the
 # connection formula takes over
 _QUAD_ANGLE_LIMIT = 0.45 * math.pi
-_NATIVE = Precision.double().ctx
 
 
-def _m_series(a_c, b_c, x_c, ctx: NumericContext, tol: float) -> ScaledValue:
+def _m_series(a_c, b_c, x_c, ctx: NumericContext) -> ScaledValue:
     """Compensated ascending series for M(a,b,x); mantissa with zero shift."""
     abs_ax = ctx.mag(a_c) * ctx.mag(x_c)
     min_terms = int(2.0 * math.sqrt(abs_ax)) + 10
@@ -37,8 +36,7 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext, tol: float) -> ScaledValue:
     max_mag = 1.0
     quiet = 0
     for n in range(_MAX_TERMS):
-        term = term * (a_c + ctx.rational(n)) * x_c / (
-            (b_c + ctx.rational(n)) * ctx.rational(n + 1))
+        term = term * (a_c + n) * x_c / ((b_c + n) * (n + 1))
         if term == 0:
             break
         y = term - comp
@@ -47,7 +45,7 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext, tol: float) -> ScaledValue:
         total = t
         t_mag = ctx.mag(term)
         max_mag = max(max_mag, t_mag)
-        if t_mag <= tol * ctx.mag(total):
+        if t_mag <= ctx.series_tol * ctx.mag(total):
             quiet += 1
             if quiet >= 2 and n >= min_terms:
                 break
@@ -58,9 +56,7 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext, tol: float) -> ScaledValue:
     s_mag = ctx.mag(total)
     if s_mag == 0.0 or not ctx.is_finite(total):
         raise PrecisionExhaustedError("M series overflowed its mode")
-    if ctx.eps * max_mag / s_mag > _GUARD_THRESHOLD:
-        raise PrecisionExhaustedError(
-            "M series cancellation exceeds precision headroom")
+    ctx.check_headroom(max_mag, s_mag, "M series")
     return ScaledValue(total, ctx.make_complex(0.0))
 
 
@@ -86,30 +82,28 @@ def _u_log_integrand(a, bma, x0, ctx: NumericContext):
     return logf
 
 
-def _u_base_integral(a_c, b_c, x0, ctx: NumericContext,
-                     prec: Precision) -> ScaledValue:
+def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
     """Gamma(a) U(a,b,x0) by the real-axis integral, then the Gamma division.
 
     Integrand exp(a w + (b-a-1) ln(1+e^w) - x0 e^w) over w in R.
     """
-    bma = b_c - a_c - ctx.rational(1)
+    bma = b_c - a_c - 1
     ad, bd, xd = ctx.to_complex(a_c), ctx.to_complex(b_c), ctx.to_complex(x0)
     logf = _u_log_integrand(a_c, bma, x0, ctx)
-    plan_logf = _u_log_integrand(ad, ctx.to_complex(bma), xd, _NATIVE)
+    plan_logf = _u_log_integrand(ad, ctx.to_complex(bma), xd, NATIVE)
     # saddle of the t-space integrand: x t^2 + (x+2-b) t - (a-1) = 0
     disc = cmath.sqrt((xd + 2 - bd) ** 2 + 4 * xd * (ad - 1))
     candidates = [(-(xd + 2 - bd) + disc) / (2 * xd),
                   (-(xd + 2 - bd) - disc) / (2 * xd)]
     t_peak = max(c.real for c in candidates)
     w_start = math.log(t_peak) if t_peak > 1e-8 else math.log(1e-8)
-    integral = peak_integral(logf, w_start, ctx, prec.quadrature_tol,
-                             plan_logf)
+    integral = peak_integral(logf, w_start, ctx, plan_logf)
     return ScaledValue(integral.mantissa,
                        integral.shift - log_gamma_ctx(a_c, ctx))
 
 
-def _u_base_connection(a_c, b_c, b: complex, x0, theta0, ctx: NumericContext,
-                       prec: Precision) -> ScaledValue:
+def _u_base_connection(a_c, b_c, b: complex, x0, theta0,
+                       ctx: NumericContext) -> ScaledValue:
     """Two-term M connection for base points left of the imaginary axis.
 
     Fails for integer b, where the pair of M solutions degenerates.
@@ -117,16 +111,14 @@ def _u_base_connection(a_c, b_c, b: complex, x0, theta0, ctx: NumericContext,
     if complex(b).imag == 0.0 and abs(complex(b).real - round(complex(b).real)) < 1e-9:
         raise DomainError(
             "U base point left of the imaginary axis needs non-integer b")
-    one = ctx.rational(1)
-    m1 = _m_series(a_c, b_c, x0, ctx, prec.series_tol)
-    g1 = log_gamma_ctx(one - b_c, ctx) - log_gamma_ctx(a_c - b_c + one, ctx)
+    m1 = _m_series(a_c, b_c, x0, ctx)
+    g1 = log_gamma_ctx(1 - b_c, ctx) - log_gamma_ctx(a_c - b_c + 1, ctx)
     first = ScaledValue(m1.mantissa, m1.shift + g1)
-    m2 = _m_series(a_c - b_c + one, ctx.rational(2) - b_c, x0, ctx,
-                   prec.series_tol)
+    m2 = _m_series(a_c - b_c + 1, 2 - b_c, x0, ctx)
     # x0^(1-b) with the surface angle theta0, kept in the shift
     log_x0 = ctx.log(ctx.abs(x0)) + ctx.make_complex(0.0, 1.0) * theta0
-    g2 = (log_gamma_ctx(b_c - one, ctx) - log_gamma_ctx(a_c, ctx)
-          + (one - b_c) * log_x0)
+    g2 = (log_gamma_ctx(b_c - 1, ctx) - log_gamma_ctx(a_c, ctx)
+          + (1 - b_c) * log_x0)
     second = ScaledValue(m2.mantissa, m2.shift + g2)
     return first.add(second, ctx)
 
@@ -138,8 +130,7 @@ def kummer_m_scaled(a: complex, b: complex, x: complex,
     if is_nonpositive_integer(b):
         raise PoleError(f"parameter b = {complex(b).real:g} is a pole of the M series")
     ctx = prec.ctx
-    return _m_series(ctx.coerce(a), ctx.coerce(b), ctx.coerce(x), ctx,
-                     prec.series_tol)
+    return _m_series(ctx.coerce(a), ctx.coerce(b), ctx.coerce(x), ctx)
 
 
 def kummer_u_scaled(a: complex, b: complex, x: RiemannPoint,
@@ -154,22 +145,18 @@ def kummer_u_scaled(a: complex, b: complex, x: RiemannPoint,
     if not complex(a).real > 0:
         raise DomainError(f"U oracle requires Re a > 0, got {complex(a).real:g}")
     a_c, b_c = ctx.coerce(a), ctx.coerce(b)
-    _, m = turn_reduce(x.theta, 2.0 * math.pi)
-    theta0 = ctx.real(x.theta) - (2 * m) * ctx.pi
-    r = ctx.real(x.r)
-    x0 = r * ctx.exp(ctx.make_complex(0.0, 1.0) * theta0)
+    x0, theta0, m = base_point(x, 2, ctx)
     if abs(ctx.to_float(theta0)) <= _QUAD_ANGLE_LIMIT:
-        base = _u_base_integral(a_c, b_c, x0, ctx, prec)
+        base = _u_base_integral(a_c, b_c, x0, ctx)
     else:
-        base = _u_base_connection(a_c, b_c, b_key, x0, theta0, ctx, prec)
+        base = _u_base_connection(a_c, b_c, b_key, x0, theta0, ctx)
     if m == 0:
         return base
     # monodromy constant: 2 pi i e^(-i pi b) / (Gamma(b) Gamma(1+a-b))
     i_unit = ctx.make_complex(0.0, 1.0)
-    one = ctx.rational(1)
-    m_base = _m_series(a_c, b_c, x0, ctx, prec.series_tol)
+    m_base = _m_series(a_c, b_c, x0, ctx)
     c_shift = (-i_unit * ctx.pi * b_c - log_gamma_ctx(b_c, ctx)
-               - log_gamma_ctx(one + a_c - b_c, ctx))
+               - log_gamma_ctx(1 + a_c - b_c, ctx))
     cm = ScaledValue(m_base.mantissa * 2 * ctx.pi * i_unit,
                      m_base.shift + c_shift)
     turn = -2 * ctx.pi * i_unit * b_c

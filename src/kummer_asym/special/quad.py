@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 
 from ..errors import QuadratureError
-from .types import NumericContext, Precision, ScaledValue
+from .types import NATIVE, NumericContext, ScaledValue
 
 _MAX_HALVINGS = 12
 _MAX_TAIL_STEPS = 600
 _FIRST_LEVEL = 16
 _MAX_LEVEL = _FIRST_LEVEL << _MAX_HALVINGS
-_NATIVE = Precision.double().ctx
 
 
 def _locate_peak(re, w0: float) -> float:
@@ -81,20 +80,25 @@ def _find_cutoff(re, w_peak: float, peak_re: float, direction: float,
     raise QuadratureError("integrand tail does not decay")
 
 
-def _unstable(tol: float) -> QuadratureError:
+def _unstable(ctx: NumericContext) -> QuadratureError:
     return QuadratureError(
-        f"quadrature failed to stabilize to {tol:g} within {_MAX_HALVINGS} halvings")
+        f"quadrature failed to stabilize to {ctx.quadrature_tol:g} "
+        f"within {_MAX_HALVINGS} halvings")
 
 
-def _plan(logf, w_start, tol: float, stop_tol: float, needed: int):
-    """Peak, cutoffs and step halving on a native integrand.
+def _plan(logf, w_start, working: NumericContext):
+    """Peak, cutoffs and step halving on a native integrand, for the
+    working context.
 
-    Halving stops once `needed` successive changes are at most stop_tol
-    relative.  Returns (w_peak, g_peak, w_left, w_right, n, value): n is
-    the interval count reached and value the sum there, or both are None
-    when the level cap comes first.
+    Halving stops once two successive changes are at most tol relative when
+    the working context is native, and at the first change of at most
+    sqrt(tol) otherwise.  Returns (w_peak, g_peak, w_left, w_right, n,
+    value): n is the interval count reached and value the sum there, or
+    both are None when the level cap comes first.
     """
-    ctx = _NATIVE
+    tol = working.quadrature_tol
+    stop_tol, needed = (tol, 2) if working is NATIVE else (math.sqrt(tol), 1)
+    ctx = NATIVE
     re = lambda w: ctx.to_float(ctx.re(logf(w)))
     w_peak = _locate_peak(re, ctx.to_float(w_start))
     g_peak = logf(w_peak)
@@ -135,10 +139,10 @@ def _plan(logf, w_start, tol: float, stop_tol: float, needed: int):
 
 
 def _working_pass(logf, ctx: NumericContext, w_peak: float, w_left: float,
-                  w_right: float, n: int, needed: int,
-                  tol: float) -> ScaledValue:
+                  w_right: float, n: int, needed: int) -> ScaledValue:
     """Trapezoid sum over n intervals in ctx, checked against its n/2 subset;
-    halves on until `needed` successive changes meet tol."""
+    halves on until `needed` successive changes meet ctx.quadrature_tol."""
+    tol = ctx.quadrature_tol
     g_peak = logf(ctx.real(w_peak))
     wl = ctx.real(w_left)
     span = ctx.real(w_right) - wl
@@ -167,7 +171,7 @@ def _working_pass(logf, ctx: NumericContext, w_peak: float, w_left: float,
             stable = 0
             needed = 2
         if n >= _MAX_LEVEL:
-            raise _unstable(tol)
+            raise _unstable(ctx)
         previous = current
         mid = 0
         for k in range(1, 2 * n, 2):
@@ -176,9 +180,10 @@ def _working_pass(logf, ctx: NumericContext, w_peak: float, w_left: float,
         n *= 2
 
 
-def peak_integral(logf, w_start, ctx: NumericContext, tol: float,
+def peak_integral(logf, w_start, ctx: NumericContext,
                   plan_logf=None) -> ScaledValue:
-    """Integrate exp(logf(w)) dw over R; logf maps ctx real -> ctx number.
+    """Integrate exp(logf(w)) dw over R to ctx.quadrature_tol; logf maps
+    ctx real -> ctx number.
 
     plan_logf is the same integrand on native floats (returning float or
     complex) and steers an extended-precision ctx; it defaults to logf,
@@ -186,18 +191,16 @@ def peak_integral(logf, w_start, ctx: NumericContext, tol: float,
     Returns a ScaledValue; raises QuadratureError if the step-halving fails
     to stabilize within the level cap.
     """
-    if ctx.name == "double":
-        _, g_peak, _, _, n, value = _plan(logf, w_start, tol, tol, 2)
+    if ctx is NATIVE:
+        _, g_peak, _, _, n, value = _plan(logf, w_start, ctx)
         if n is None:
-            raise _unstable(tol)
+            raise _unstable(ctx)
         return ScaledValue(value, g_peak)
     plan = logf if plan_logf is None else plan_logf
-    w_peak, _, w_left, w_right, n, _ = _plan(plan, w_start, tol,
-                                             math.sqrt(tol), 1)
+    w_peak, _, w_left, w_right, n, _ = _plan(plan, w_start, ctx)
     if n is None:
         # double's rounding floor hid the convergence: halve in ctx alone
         level, needed = _FIRST_LEVEL, 2
     else:
         level, needed = min(2 * n, _MAX_LEVEL), 1
-    return _working_pass(logf, ctx, w_peak, w_left, w_right, level, needed,
-                         tol)
+    return _working_pass(logf, ctx, w_peak, w_left, w_right, level, needed)

@@ -1,10 +1,14 @@
-"""Numeric domain types: surface points, log-scaled values, precision modes.
+"""Numeric domain types: contexts, surface points, log-scaled values.
 
-Kernels compute internally in a NumericContext (plain double via math/cmath,
-or extended precision via mpmath pinned at 34 significant digits) and hand
-results around as ScaledValue pairs value = mantissa * exp(shift), so
-magnitudes like e^2000 never materialize.  The public boundary type is
-LogComplex, which stores log-magnitude and unrestricted phase as doubles.
+Kernels compute internally in a NumericContext: plain double via
+math/cmath, or extended precision via mpmath pinned at 34 significant
+digits.  The context is the single home of every number that differs
+between the two modes (roundoff, the series and quadrature tolerances, the
+Bessel route switch, the Stirling profile) and of the one cancellation
+guard every kernel applies.  Kernels hand results around as ScaledValue
+pairs value = mantissa * exp(shift), so magnitudes like e^2000 never
+materialize.  The public boundary type is LogComplex, which stores
+log-magnitude and unrestricted phase as doubles.
 """
 
 from __future__ import annotations
@@ -13,22 +17,38 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ..errors import DomainError
+from ..errors import DomainError, PrecisionExhaustedError
 
 
 class NumericContext:
-    """Arithmetic backend shared by every kernel; see _Double and _ExtendedMP."""
+    """Arithmetic backend shared by every kernel; see _Double and _ExtendedMP.
+
+    Per mode: eps is the unit roundoff; series_tol the relative term size
+    at which a series stops; quadrature_tol the relative error the U
+    integral aims for; bessel_switch the |x| from which I and K take the
+    asymptotic expansion instead of the ascending series (it equalizes
+    series cancellation, eps e^(2|x|), against the asymptotic floor,
+    e^(-2|x|)); stirling_profile the (threshold, terms) of log-gamma's
+    Stirling series, whose tail at the threshold sits about two digits
+    below the mode's accuracy.  guard_threshold is shared; see
+    check_headroom.
+    """
 
     name = "abstract"
     eps = 0.0
+    series_tol = 0.0
+    quadrature_tol = 0.0
+    bessel_switch = 0.0
+    stirling_profile = (0.0, 0)
+    guard_threshold = 1e-6
     own_types = ()  # number types that coerce passes through unchanged
 
     def real(self, x):
         raise NotImplementedError
 
     def rational(self, fr):
+        """A Fraction as a context real, rounded once."""
         raise NotImplementedError
 
     def make_complex(self, re, im=0.0):
@@ -38,7 +58,7 @@ class NumericContext:
         raise NotImplementedError
 
     def to_complex(self, x) -> complex:
-        raise NotImplementedError
+        return complex(x)
 
     def mag(self, x) -> float:
         """|x| as a float, for decisions only (stopping tests, guards,
@@ -53,27 +73,35 @@ class NumericContext:
         w = complex(w)
         return self.make_complex(w.real, w.imag)
 
+    def check_headroom(self, peak: float, result: float, what: str) -> None:
+        """The one cancellation guard: raise PrecisionExhaustedError when a
+        result of magnitude `result`, reached from terms or operands as
+        large as `peak`, carries a rounding error eps * peak above
+        guard_threshold of itself."""
+        if result == 0.0 or self.eps * peak / result > self.guard_threshold:
+            raise PrecisionExhaustedError(
+                f"{what} cancellation exceeds precision headroom")
+
 
 class _Double(NumericContext):
     name = "double"
     eps = 2.2e-16
+    series_tol = 1e-17
+    quadrature_tol = 1e-13
+    bessel_switch = 9.5
+    stirling_profile = (20.0, 12)
 
     def real(self, x):
         return float(x)
 
     def rational(self, fr):
-        if isinstance(fr, Fraction):
-            return fr.numerator / fr.denominator
-        return complex(fr) if isinstance(fr, complex) else float(fr)
+        return fr.numerator / fr.denominator
 
     def make_complex(self, re, im=0.0):
         return complex(re, im)
 
     def to_float(self, x):
         return float(x.real) if isinstance(x, complex) else float(x)
-
-    def to_complex(self, x):
-        return complex(x)
 
     def mag(self, x):
         return float(abs(x))
@@ -127,6 +155,10 @@ class _ExtendedMP(NumericContext):
 
     name = "dd"
     eps = 1e-33
+    series_tol = 1e-36
+    quadrature_tol = 1e-18
+    bessel_switch = 20.0
+    stirling_profile = (35.0, 18)
 
     def __init__(self, dps: int = 34):
         import mpmath
@@ -141,20 +173,13 @@ class _ExtendedMP(NumericContext):
         return self._mp.mpf(x)
 
     def rational(self, fr):
-        if isinstance(fr, Fraction):
-            return self._mp.mpf(fr.numerator) / self._mp.mpf(fr.denominator)
-        if isinstance(fr, complex):
-            return self._mp.mpc(fr.real, fr.imag)
-        return self._mp.mpf(fr)
+        return self._mp.mpf(fr.numerator) / self._mp.mpf(fr.denominator)
 
     def make_complex(self, re, im=0.0):
         return self._mp.mpc(re, im)
 
     def to_float(self, x):
         return float(self._mp.re(x)) if isinstance(x, self._mp.mpc) else float(x)
-
-    def to_complex(self, x):
-        return complex(x)
 
     def mag(self, x):
         # hypot of the parts rounded to floats costs a fraction of a
@@ -206,7 +231,7 @@ class _ExtendedMP(NumericContext):
         return self._mp.euler
 
 
-_CTX_DOUBLE = _Double()
+NATIVE = _Double()  # the double context; extended modes steer in it too
 _CTX_DD = None
 
 
@@ -222,22 +247,17 @@ PRECISION_ENV_VAR = "KUMMER_ASYM_PRECISION"
 
 @dataclass(frozen=True)
 class Precision:
-    """Precision mode plus the tolerances kernels aim for.
+    """Precision mode, "double" or "dd", naming its NumericContext.
 
-    series_tol is the relative term threshold for stopping ascending series;
-    quadrature_tol bounds the relative quadrature error.
+    The mode's numbers (roundoff, tolerances, route switches, the guard)
+    are attributes of that context, prec.ctx, not of this handle.
     """
 
     mode: str = "double"
-    series_tol: float = 1e-17
-    quadrature_tol: float = 1e-13
 
     def __post_init__(self):
         if self.mode not in ("double", "dd"):
             raise DomainError(f"unknown precision mode {self.mode!r}")
-        for tol in (self.series_tol, self.quadrature_tol):
-            if not (0.0 < tol < 1.0):
-                raise DomainError(f"tolerance {tol} outside (0, 1)")
 
     @classmethod
     def double(cls) -> "Precision":
@@ -245,11 +265,11 @@ class Precision:
 
     @classmethod
     def dd(cls) -> "Precision":
-        return cls(mode="dd", series_tol=1e-36, quadrature_tol=1e-18)
+        return cls(mode="dd")
 
     @classmethod
     def from_mode(cls, mode: str) -> "Precision":
-        return cls.dd() if mode == "dd" else cls(mode=mode)
+        return cls(mode=mode)
 
     @classmethod
     def from_env(cls, default: str = "double") -> "Precision":
@@ -257,11 +277,11 @@ class Precision:
         if mode not in ("double", "dd"):
             raise DomainError(
                 f"{PRECISION_ENV_VAR} must be 'double' or 'dd', got {mode!r}")
-        return cls.from_mode(mode)
+        return cls(mode=mode)
 
     @property
     def ctx(self) -> NumericContext:
-        return _dd_context() if self.mode == "dd" else _CTX_DOUBLE
+        return _dd_context() if self.mode == "dd" else NATIVE
 
 
 @dataclass(frozen=True)
@@ -298,6 +318,16 @@ def turn_reduce(theta: float, period: float) -> tuple:
     nearest = round(raw)
     m = nearest if abs(raw - nearest) < 1e-9 else math.ceil(raw)
     return theta - period * m, int(m)
+
+
+def base_point(point: RiemannPoint, half_turns: int, ctx: NumericContext):
+    """Split point = x0 e^(i pi half_turns m) with arg x0 = theta0 in
+    (-pi half_turns / 2, pi half_turns / 2]; returns (x0, theta0, m), x0 and
+    theta0 as ctx numbers, the angle reduced in ctx arithmetic."""
+    _, m = turn_reduce(point.theta, half_turns * math.pi)
+    theta0 = ctx.real(point.theta) - (half_turns * m) * ctx.pi
+    x0 = ctx.real(point.r) * ctx.exp(ctx.make_complex(0.0, 1.0) * theta0)
+    return x0, theta0, m
 
 
 def is_nonpositive_integer(w) -> bool:

@@ -7,7 +7,12 @@ at a wound z (arg z = 3.5, past a half turn) in double and dd, and sweeps
 whose grid includes arg z = 5*pi/2 and the integer b = 2.0, so the
 error-status rows are pinned too.  The exact cases pin `coeffs` (raw and
 lowered families, JSON and text, and the b renaming), `temme`, `bernoulli`
-and `verify`, whose output involves no floating point.
+and `verify`, whose output involves no floating point.  The oracle cases
+reach each kernel route directly, in both modes: I by series and by
+asymptotics (and on a wound sheet); K by reflection, the integer-order
+series, asymptotics and winding (at a fractional and an integer order); the
+M series; and U by the integral, the connection formula and the monodromy
+(one whole turn either way).
 
 The double rows pin this platform's libm as well as the package: a
 different `exp`, `log` or `atan2` rounding can change the last printed
@@ -37,6 +42,25 @@ _GRID_DOUBLE = ["--b", "0.7,2.0", "--z-r", "1",
                 "--u-theta", "0,0.3", "--order", "1,3"]
 _GRID_DD = ["--b", "1.5", "--z-r", "1", "--z-theta", "0,7.853981633974483",
             "--t", "10,20", "--order", "2"]
+_ORACLE = {
+    "i-series": ["--fn", "i", "--nu", "0.3", "--r", "2", "--theta", "0.4"],
+    "i-asym": ["--fn", "i", "--nu", "0.3+0.2j", "--r", "25", "--theta", "0.2"],
+    "i-wound": ["--fn", "i", "--nu", "1.3", "--r", "3", "--theta", "2.5"],
+    "k-reflection": ["--fn", "k", "--nu", "0.3", "--r", "2", "--theta", "0.5"],
+    "k-integer": ["--fn", "k", "--nu", "2", "--r", "3", "--theta", "0.4"],
+    "k-asym": ["--fn", "k", "--nu", "0.7", "--r", "25", "--theta", "-0.3"],
+    "k-wound": ["--fn", "k", "--nu", "0.3", "--r", "2", "--theta", "4"],
+    "k-integer-wound": ["--fn", "k", "--nu", "1", "--r", "1.5", "--theta", "-3.5"],
+    "m-series": ["--fn", "m", "--a", "1.3", "--b", "0.7", "--x", "2+1j"],
+    "u-integral": ["--fn", "u", "--a", "1.5", "--b", "0.7", "--r", "3",
+                   "--theta", "0.5"],
+    "u-connection": ["--fn", "u", "--a", "1.5", "--b", "0.7", "--r", "2",
+                     "--theta", "2.5"],
+    "u-monodromy-up": ["--fn", "u", "--a", "1.5", "--b", "0.7", "--r", "2",
+                       "--theta", "7"],
+    "u-monodromy-down": ["--fn", "u", "--a", "2+1j", "--b", "0.7", "--r", "2",
+                         "--theta", "-8"],
+}
 
 CASES = {}
 for _variant in ("m", "u-capital", "u-lower"):
@@ -59,6 +83,9 @@ CASES["temme-12-text"] = ("double", ["temme", "--nmax", "12", "--format", "text"
 CASES["bernoulli-6"] = (
     "double", ["bernoulli", "--n", "6", "--ell", "2-b", "--x", "1-b/2"])
 CASES["verify-8"] = ("double", ["verify", "--nmax", "8"])
+for _route, _argv in _ORACLE.items():
+    for _mode in ("double", "dd"):
+        CASES[f"oracle-{_route}-{_mode}"] = (_mode, ["oracle", *_argv])
 
 
 def run_case(name: str) -> str:
