@@ -1,9 +1,13 @@
 """Exact polynomial and truncated-series arithmetic over big rationals.
 
-Three immutable layers, all with fractions.Fraction coefficients:
+Three immutable layers, all with exact rational coefficients:
 
   ParamPoly    univariate polynomial in one named formal parameter
-               (e.g. 'mu' or 'b'), degree-indexed coefficients.
+               (e.g. 'mu' or 'b'), degree-indexed coefficients, stored
+               fraction-free: integer numerators over one positive common
+               denominator in canonical form, so arithmetic is integer
+               loops with one gcd pass per result.  `coeffs` is a cached
+               read-only view as a tuple of fractions.Fraction.
   CoeffPoly    polynomial in z whose coefficients are ParamPoly values,
                carrying a declared parity ('even', 'odd', 'none') that is
                validated on construction, never inferred.
@@ -18,6 +22,7 @@ degree-indexed arrays (zero polynomial = empty array).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
@@ -38,58 +43,118 @@ def _frac(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _trim(coeffs: Sequence[Fraction]) -> tuple:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
+def _canonical(param: str, numerators: list, denominator: int,
+               bound: int) -> "ParamPoly":
+    """ParamPoly from integer numerators over a positive denominator, where
+    any factor common to all of them divides `bound`: trailing zeros are
+    trimmed, then one gcd pass divides that factor out."""
+    n = len(numerators)
+    while n and not numerators[n - 1]:
         n -= 1
-    return tuple(coeffs[:n])
+    if not n:
+        return ParamPoly._raw(param, (), 1)
+    del numerators[n:]
+    if bound != 1:
+        g = gcd(bound, *numerators)
+        if g != 1:
+            numerators = [c // g for c in numerators]
+            denominator //= g
+    return ParamPoly._raw(param, tuple(numerators), denominator)
 
 
 class ParamPoly:
-    """Polynomial in one formal parameter with exact rational coefficients."""
+    """Polynomial in one formal parameter with exact rational coefficients.
 
-    __slots__ = ("coeffs", "param")
+    Stored fraction-free: integer `numerators` over one positive common
+    `denominator`, kept canonical (no trailing zero numerator, the zero
+    polynomial as ((), 1), no factor shared by the denominator and every
+    numerator), so equal polynomials have equal storage.  `coeffs` is a
+    cached read-only view of the same values as a tuple of Fraction.
+    """
+
+    __slots__ = ("param", "numerators", "denominator", "_view")
 
     def __init__(self, param: str, coeffs: Iterable[RationalLike] = ()):
+        fracs = [_frac(c) for c in coeffs]
+        n = len(fracs)
+        while n and not fracs[n - 1]:
+            n -= 1
+        del fracs[n:]
+        # over the lcm of reduced denominators no common factor is left
+        den = lcm(*[f.denominator for f in fracs])
         object.__setattr__(self, "param", param)
-        object.__setattr__(self, "coeffs", _trim([_frac(c) for c in coeffs]))
+        object.__setattr__(self, "numerators",
+                           tuple([f.numerator * (den // f.denominator) for f in fracs]))
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "_view", tuple(fracs))
+
+    @classmethod
+    def _raw(cls, param: str, numerators: tuple, denominator: int) -> "ParamPoly":
+        """Wrap storage that is already canonical."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_view", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        """Degree-indexed coefficients as a tuple of Fraction."""
+        view = self._view
+        if view is None:
+            den = self.denominator
+            view = tuple([Fraction(c, den) for c in self.numerators])
+            object.__setattr__(self, "_view", view)
+        return view
+
     @classmethod
     def zero(cls, param: str) -> "ParamPoly":
-        return cls(param, ())
+        return cls._raw(param, (), 1)
 
     @classmethod
     def one(cls, param: str) -> "ParamPoly":
-        return cls(param, (1,))
+        return cls._raw(param, (1,), 1)
 
     @classmethod
     def constant(cls, param: str, value: RationalLike) -> "ParamPoly":
-        return cls(param, (value,))
+        value = _frac(value)
+        if not value:
+            return cls._raw(param, (), 1)
+        return cls._raw(param, (value.numerator,), value.denominator)
 
     @classmethod
     def variable(cls, param: str) -> "ParamPoly":
-        return cls(param, (0, 1))
+        return cls._raw(param, (0, 1), 1)
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.numerators) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ExactDivisionError(f"not a constant: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coefficient(0)
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k], self.denominator)
+        return Fraction(0)
+
+    def _renamed(self, param: str) -> "ParamPoly":
+        """The same storage under another parameter name."""
+        if param == self.param:
+            return self
+        return ParamPoly._raw(param, self.numerators, self.denominator)
 
     def _merged_param(self, other: "ParamPoly") -> str:
         if self.param == other.param:
@@ -104,20 +169,35 @@ class ParamPoly:
     def _coerce(self, other) -> "ParamPoly":
         if isinstance(other, ParamPoly):
             return other
-        return ParamPoly.constant(self.param, _frac(other))
+        return ParamPoly.constant(self.param, other)
 
     def __add__(self, other) -> "ParamPoly":
         if not isinstance(other, (ParamPoly, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
         param = self._merged_param(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ParamPoly(param, [self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        a, b = self.numerators, other.numerators
+        if not b:
+            return self._renamed(param)
+        if not a:
+            return other._renamed(param)
+        da, db = self.denominator, other.denominator
+        # over lcm(da, db) a common factor can only divide g
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        den = da * sa
+        if len(a) < len(b):
+            a, b, sa, sb = b, a, sb, sa
+        out = [c * sa for c in a]
+        for k, c in enumerate(b):
+            out[k] += c * sb
+        return _canonical(param, out, den, g)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.param, [-c for c in self.coeffs])
+        return ParamPoly._raw(self.param, tuple([-c for c in self.numerators]),
+                              self.denominator)
 
     def __sub__(self, other) -> "ParamPoly":
         if not isinstance(other, (ParamPoly, int, Fraction)):
@@ -132,29 +212,35 @@ class ParamPoly:
             return NotImplemented
         other = self._coerce(other)
         param = self._merged_param(other)
-        if self.is_zero() or other.is_zero():
-            return ParamPoly.zero(param)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, c in enumerate(other.coeffs):
-                out[i + j] += a * c
-        return ParamPoly(param, out)
+        a, b = self.numerators, other.numerators
+        if not a or not b:
+            return ParamPoly._raw(param, (), 1)
+        den = self.denominator * other.denominator
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, c in enumerate(b):
+            if c:
+                for i, x in enumerate(a, j):
+                    out[i] += x * c
+        return _canonical(param, out, den, den)
 
     __rmul__ = __mul__
 
     def compose(self, image: "ParamPoly") -> "ParamPoly":
-        """Substitute the parameter by another polynomial (Horner)."""
+        """Substitute the parameter by another polynomial (Horner over the
+        numerators, then one division by the denominator)."""
         result = ParamPoly.zero(image.param)
-        for c in reversed(self.coeffs):
-            result = result * image + ParamPoly.constant(image.param, c)
-        return result
+        for c in reversed(self.numerators):
+            result = result * image + c
+        return result * Fraction(1, self.denominator)
 
     def reflect(self) -> "ParamPoly":
         """Substitute parameter -> -parameter: odd-degree coefficients negated."""
-        return ParamPoly(self.param,
-                         [-c if k % 2 else c for k, c in enumerate(self.coeffs)])
+        return ParamPoly._raw(
+            self.param,
+            tuple([-c if k % 2 else c for k, c in enumerate(self.numerators)]),
+            self.denominator)
 
     def evaluate(self, value, convert: Callable[[Fraction], object] = None):
         """Horner evaluation; `convert` maps Fraction into the target arithmetic."""
@@ -174,19 +260,21 @@ class ParamPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        if self.coeffs != other.coeffs:
+        if (self.numerators != other.numerators
+                or self.denominator != other.denominator):
             return False
         # constants compare equal across parameter names
-        return self.is_constant() or other.is_constant() or self.param == other.param
+        return self.is_constant() or self.param == other.param
 
     def __hash__(self):
-        return hash((self.coeffs, None if self.is_constant() else self.param))
+        return hash((self.numerators, self.denominator,
+                     None if self.is_constant() else self.param))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.numerators:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -246,7 +334,7 @@ class CoeffPoly:
                         f"coefficients mix parameters {name!r} and {c.param!r}")
         if name is None:
             name = "mu"
-        coeffs = [c if c.param == name else ParamPoly(name, c.coeffs) for c in coeffs]
+        coeffs = [c._renamed(name) for c in coeffs]
         if parity not in PARITIES:
             raise ValueError(f"unknown parity {parity!r}")
         bad = "odd" if parity == "even" else "even" if parity == "odd" else None

@@ -18,7 +18,9 @@ tol at 2n.  One working-precision pass then sums the 2n intervals, with
 nodes placed in working precision, and its every-other-node subset gives
 the confirming comparison at no extra cost.  Should that comparison fail,
 the step keeps halving in working precision until two successive changes
-meet tol.
+meet tol.  When cancellation puts double's rounding floor above sqrt(tol),
+the extended plan gives up as soon as its change stalls at that floor, and
+working precision halves from the first level instead.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ _MAX_HALVINGS = 12
 _MAX_TAIL_STEPS = 600
 _FIRST_LEVEL = 16
 _MAX_LEVEL = _FIRST_LEVEL << _MAX_HALVINGS
+# a change within this many roundoffs of the span is at double's floor
+_FLOOR_ULPS = 1024
 
 
 def _locate_peak(re, w0: float) -> float:
@@ -94,10 +98,12 @@ def _plan(logf, w_start, working: NumericContext):
     the working context is native, and at the first change of at most
     sqrt(tol) otherwise.  Returns (w_peak, g_peak, w_left, w_right, n,
     value): n is the interval count reached and value the sum there, or
-    both are None when the level cap comes first.
+    both are None when the level cap comes first or, for an extended
+    working context, when the change has stalled at double's rounding floor.
     """
     tol = working.quadrature_tol
-    stop_tol, needed = (tol, 2) if working is NATIVE else (math.sqrt(tol), 1)
+    native = working is NATIVE
+    stop_tol, needed = (tol, 2) if native else (math.sqrt(tol), 1)
     ctx = NATIVE
     re = lambda w: ctx.to_float(ctx.re(logf(w)))
     w_peak = _locate_peak(re, ctx.to_float(w_start))
@@ -106,6 +112,11 @@ def _plan(logf, w_start, working: NumericContext):
     drop = -math.log(tol) + 15.0
     w_left = _find_cutoff(re, w_peak, peak_re, -1.0, drop)
     w_right = _find_cutoff(re, w_peak, peak_re, +1.0, drop)
+    # samples are at most 1 in size, so double rounds a trial sum at about
+    # eps * span; past that the change no longer halves level on level
+    floor = _FLOOR_ULPS * ctx.eps * (w_right - w_left)
+    best = math.inf
+    stalls = 0
 
     def sample(w):
         return ctx.exp(logf(w) - g_peak)
@@ -134,6 +145,11 @@ def _plan(logf, w_start, working: NumericContext):
                     return w_peak, g_peak, w_left, w_right, n, current
             else:
                 stable = 0
+                if not native:
+                    stalls = stalls + 1 if best <= floor and change > 0.5 * best else 0
+                    if stalls == 2:
+                        break
+                    best = min(best, change)
         previous = current
     return w_peak, g_peak, w_left, w_right, None, None
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from kummer_asym.cli import CSV_COLUMNS, main, parse_linear_in_b
+from kummer_asym.cli import (CSV_COLUMNS, main, parse_linear_in_b,
+                             verify_identities)
 from kummer_asym.errors import DomainError
 from kummer_asym.ratpoly import ParamPoly
 
@@ -197,6 +198,12 @@ class TestVerify:
             assert f"{name}: PASS" in out
         assert out.count(": PASS") == 8
         assert "all identity checks passed" in out
+
+    def test_every_identity_holds_at_nmax_16(self):
+        results = list(verify_identities(16))
+        assert len(results) == 8
+        failed = [name for name, passed, _ in results if not passed]
+        assert failed == []
 
 
 class TestSweep:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kummer_asym.special import kummer
 from kummer_asym.special.kummer import kummer_u_scaled
 from kummer_asym.special.types import Precision, RiemannPoint
 
@@ -50,6 +51,35 @@ class TestUIntegralRoute:
         (0.5, 0.1, 0.1, 0.4 * math.pi)])
     def test_dd_halving_takes_over_from_the_plan(self, a, b, r, theta):
         assert _u_rel_error(a, b, r, theta) <= 1e-22
+
+    def test_plan_gives_up_at_the_rounding_floor(self, monkeypatch):
+        # the plan at (200, 1.5, 10 e^{0.4 pi i}) finds no level; running
+        # all 12 halvings took 65,617 native evaluations before dd took over
+        calls = 0
+        original = kummer.peak_integral
+
+        def counted(logf, w_start, ctx, plan_logf):
+            def plan(w):
+                nonlocal calls
+                calls += 1
+                return plan_logf(w)
+            return original(logf, w_start, ctx, plan)
+
+        monkeypatch.setattr(kummer, "peak_integral", counted)
+        got = kummer_u_scaled(200.0, 1.5, RiemannPoint(10.0, 0.4 * math.pi),
+                              Precision.dd())
+        assert calls < 10_000
+        # the fallback is unchanged, so the dd value keeps every bit
+        exact = _MP.clone()
+        exact.prec = 256
+        want_mantissa = exact.mpc(
+            exact.mpf((25811948669707218998114085266163685, -150)),
+            exact.mpf((-43058509762510571672785981792524455, -150)))
+        want_shift = exact.mpc(
+            exact.mpf((-73427625308690342607852160949722965, -106)),
+            exact.mpf((-23569779683922231943303437550960529, -108)))
+        assert exact.mpc(got.mantissa) == want_mantissa
+        assert exact.mpc(got.shift) == want_shift
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(a=st.floats(0.5, 200.0), b=st.floats(0.1, 3.0),

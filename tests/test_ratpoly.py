@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummer_asym.errors import (ExactDivisionError, OrderStarvationError,
                                 ParameterMixError, ParityError)
@@ -80,6 +83,121 @@ class TestParamPoly:
             assert ParamPoly.from_json("mu", data) == p
         assert ParamPoly.from_json("mu", ["-1/6", "1/6"]) == ParamPoly(
             "mu", (Fraction(-1, 6), Fraction(1, 6)))
+
+
+def ref_trim(coeffs):
+    """Reference polynomial: a plain list of Fraction, no trailing zero."""
+    out = [Fraction(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def ref_add(p, q):
+    n = max(len(p), len(q))
+    pad = lambda r: r + [Fraction(0)] * (n - len(r))
+    return ref_trim([a + b for a, b in zip(pad(p), pad(q))])
+
+
+def ref_mul(p, q):
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return ref_trim(out)
+
+
+def ref_evaluate(p, x):
+    total = Fraction(0)
+    for c in reversed(p):
+        total = total * x + c
+    return total
+
+
+def ref_compose(p, q):
+    total = []
+    for c in reversed(p):
+        total = ref_add(ref_mul(total, q), [c])
+    return total
+
+
+def assert_canonical(p, want):
+    """Integer numerators over a positive denominator sharing no factor with
+    all of them, no trailing zero, and the Fraction view equal to `want`."""
+    assert all(type(c) is int for c in p.numerators)
+    assert type(p.denominator) is int and p.denominator > 0
+    if p.numerators:
+        assert p.numerators[-1] != 0
+        assert gcd(p.denominator, *p.numerators) == 1
+    else:
+        assert p.denominator == 1
+    assert p.coeffs == tuple(want)
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-50, max_value=50, max_denominator=360),
+    st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 64)))
+coeff_lists = st.lists(rationals, max_size=7)
+
+
+class TestParamPolyAgainstFractionLists:
+    """The fraction-free kernel against plain lists of Fraction."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(p=coeff_lists, q=coeff_lists)
+    def test_ring_operations(self, p, q):
+        a, b = ParamPoly("mu", p), ParamPoly("mu", q)
+        rp, rq = ref_trim(p), ref_trim(q)
+        assert_canonical(a, rp)
+        assert_canonical(a + b, ref_add(rp, rq))
+        assert_canonical(a - b, ref_add(rp, [-c for c in rq]))
+        assert_canonical(-a, [-c for c in rp])
+        assert_canonical(a * b, ref_mul(rp, rq))
+        assert_canonical(a.reflect(), [-c if k % 2 else c for k, c in enumerate(rp)])
+        assert_canonical(a.compose(ParamPoly("b", q)), ref_compose(rp, rq))
+        assert_canonical(ParamPoly.from_json("mu", a.to_json()), rp)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=coeff_lists, c=rationals, x=rationals)
+    def test_scalars_and_evaluation(self, p, c, x):
+        a = ParamPoly("mu", p)
+        rp = ref_trim(p)
+        scaled = [c * v for v in rp]
+        assert_canonical(a * c, ref_trim(scaled))
+        assert_canonical(c * a, ref_trim(scaled))
+        assert_canonical(a + c, ref_add(rp, [c]))
+        assert_canonical(c - a, ref_add([c], [-v for v in rp]))
+        assert a.evaluate(Fraction(x), lambda f: f) == ref_evaluate(rp, x)
+        for k in range(-1, len(rp) + 2):
+            assert a.coefficient(k) == (rp[k] if 0 <= k < len(rp) else 0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=coeff_lists, k=st.integers(1, 10 ** 6))
+    def test_equal_polynomials_have_equal_storage_and_hash(self, p, k):
+        a = ParamPoly("mu", p)
+        # the same polynomial reached through scaled inputs
+        b = ParamPoly("mu", [Fraction(c) * k for c in p]) * Fraction(1, k)
+        c = ParamPoly("mu", [Fraction(c) / k for c in p]) * k
+        for other in (b, c):
+            assert other == a and hash(other) == hash(a)
+            assert (other.numerators, other.denominator) == (a.numerators, a.denominator)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(c=rationals)
+    def test_constants_are_equal_across_parameter_names(self, c):
+        mu, b = ParamPoly.constant("mu", c), ParamPoly.constant("b", c)
+        assert mu == b and hash(mu) == hash(b)
+        assert ParamPoly("mu", (0, c)) != ParamPoly("b", (0, c)) or c == 0
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            ParamPoly("mu", (0.5,))
+        with pytest.raises(TypeError):
+            ParamPoly.one("mu") * 0.5
+        with pytest.raises(TypeError):
+            ParamPoly.one("mu") + 0.5
 
 
 class TestCoeffPoly:
