@@ -114,7 +114,7 @@ def _emit_families(config, families, fmt: str) -> None:
 
 def cmd_coeffs(args) -> int:
     table = compute_coefficient_table(
-        CoeffPoly.monomial(args.param, 2), order=args.order, param=args.param)
+        CoeffPoly.monomial(2), order=args.order, param=args.param)
     if args.variant == "AB":
         families = (("A", table.even), ("B", table.odd))
     else:
@@ -208,7 +208,7 @@ def verify_identities(nmax: int):
     `verify` prints it, and acceptance criteria 1-4 are its results at
     nmax = 8.
     """
-    f = CoeffPoly.monomial("mu", 2)
+    f = CoeffPoly.monomial(2)
     table = compute_coefficient_table(f, order=nmax, param="mu")
     low_even, low_odd = lower_coefficients(table)
 
@@ -229,7 +229,7 @@ def verify_identities(nmax: int):
            f"s<={nmax}, exact")
 
     product = norm_plus * norm_minus
-    unit = TruncSeries.one(product.var, product.order, product.param)
+    unit = TruncSeries.one(product.var, product.order)
     yield ("normalizer-reciprocal",
            product == unit and product.order == table.order + 1,
            f"through u^-{2 * (table.order + 1)}, exact")
@@ -300,15 +300,9 @@ def cmd_sweep(args) -> int:
         grid = acceptance_grid(args.variant, prec)
     else:
         prec = _precision_for("double")
-        def floats(text):
-            return [float(v) for v in text.split(",") if v]
         grid = product_grid(
-            args.variant, prec,
-            [_parse_complex(v) for v in (args.b or "1.5").split(",")],
-            floats(args.z_r or "1"), floats(args.z_theta or "0"),
-            floats(args.u_theta or "0"),
-            [int(v) for v in (args.order or "3").split(",")],
-            floats(args.t or "20"))
+            args.variant, prec, [_parse_complex(v) for v in args.b.split(",")],
+            args.z_r, args.z_theta, args.u_theta, args.order, args.t)
     result = decay_sweep(grid)
     config = [("subcommand", "sweep"), ("variant", args.variant),
               ("preset", args.preset or "none"), ("rows", len(result.rows)),
@@ -348,6 +342,20 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {low}, got {text!r}")
         return value
+    return parse
+
+
+def _comma_list(item):
+    """argparse type: a non-empty comma-separated list of `item` values."""
+    def parse(text: str) -> list:
+        try:
+            values = [item(v) for v in text.split(",") if v]
+        except ValueError:
+            values = None
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {item.__name__}, got {text!r}")
+        return values
     return parse
 
 
@@ -412,12 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a grid and emit CSV")
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--preset", choices=("acceptance",))
-    p.add_argument("--b", help="comma-separated b values")
-    p.add_argument("--z-r", dest="z_r", help="comma-separated moduli")
-    p.add_argument("--z-theta", dest="z_theta", help="comma-separated angles")
-    p.add_argument("--t", help="comma-separated u magnitudes")
-    p.add_argument("--u-theta", dest="u_theta", help="comma-separated u angles")
-    p.add_argument("--order", help="comma-separated truncation orders")
+    floats, ints = _comma_list(float), _comma_list(int)
+    p.add_argument("--b", default="1.5", help="comma-separated b values")
+    p.add_argument("--z-r", dest="z_r", type=floats, default="1",
+                   help="comma-separated moduli")
+    p.add_argument("--z-theta", dest="z_theta", type=floats, default="0",
+                   help="comma-separated angles")
+    p.add_argument("--t", type=floats, default="20",
+                   help="comma-separated u magnitudes")
+    p.add_argument("--u-theta", dest="u_theta", type=floats, default="0",
+                   help="comma-separated u angles")
+    p.add_argument("--order", type=ints, default="3",
+                   help="comma-separated truncation orders")
     p.add_argument("--out", help="CSV file path (default stdout)")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -41,7 +41,7 @@ GRID_ORDER = (1, 2, 3)
 @cache
 def expansion_tables():
     """Coefficient table for f = z^2 plus its lowered families (immutable)."""
-    table = compute_coefficient_table(CoeffPoly.monomial("mu", 2))
+    table = compute_coefficient_table(CoeffPoly.monomial(2))
     low_even, low_odd = lower_coefficients(table)
     return table, low_even, low_odd
 

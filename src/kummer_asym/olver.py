@@ -61,11 +61,12 @@ def compute_coefficient_table(f: CoeffPoly, order: int = DEFAULT_ORDER,
         raise ValueError("perturbation polynomial must be declared even")
     if not f.value_at_zero().is_zero():
         raise ValueError("perturbation polynomial must vanish at z=0")
-    f = f.substitute_param(ParamPoly.variable(param)) if f.param != param else f
+    if f.param not in (None, param):
+        f = f.substitute_param(ParamPoly.variable(param))
     w = _weight(param)
     half = Fraction(1, 2)
 
-    even = [CoeffPoly.one(param)]
+    even = [CoeffPoly.one()]
     odd = [_odd_stage(f, w, even[0])]
     for _ in range(order):
         b = odd[-1]
@@ -90,7 +91,8 @@ def satisfies_recursion(f: CoeffPoly, even: Sequence[CoeffPoly],
     """
     if not even:
         return True
-    w = _weight(even[0].param)
+    # any name serves when no polynomial mentions the parameter
+    w = _weight(next((p.param for p in (f, *even, *odd) if p.param), "mu"))
     for s, b in enumerate(odd):
         if s >= len(even):
             break
@@ -115,9 +117,8 @@ def lower_coefficients(table: CoefficientTable) -> Tuple[Tuple[CoeffPoly, ...],
     lowered_even[s+1] = even[s+1](-mu, z) + (2*mu/z) * odd[s](-mu, z),
     lowered_odd[s]   = odd[s](-mu, z).
     """
-    param = table.param
-    two_mu = ParamPoly(param, (0, 2))
-    lowered_even = [CoeffPoly.one(param)]
+    two_mu = ParamPoly(table.param, (0, 2))
+    lowered_even = [CoeffPoly.one()]
     lowered_odd = []
     for s in range(table.order + 1):
         b_flip = table.odd[s].reflect()
@@ -136,15 +137,14 @@ def normalizer_series(table: CoefficientTable, sign: int = 1) -> TruncSeries:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    param = table.param
-    mu_prime = ParamPoly(param, (0, sign))
-    coeffs = [CoeffPoly.one(param)]
+    mu_prime = ParamPoly(table.param, (0, sign))
+    coeffs = [CoeffPoly.one()]
     for k in range(1, table.order + 2):
         slope = table.odd[k - 1].derivative_at_zero()
         if sign < 0:
             slope = slope.reflect()
         coeffs.append(CoeffPoly.from_param(mu_prime * slope * Fraction(-2)))
-    return TruncSeries("u^-2", table.order + 1, coeffs, param=param)
+    return TruncSeries("u^-2", table.order + 1, coeffs)
 
 
 def shift_basis(table: CoefficientTable,
@@ -155,25 +155,19 @@ def shift_basis(table: CoefficientTable,
     The shifted families satisfy the same recursion with shifted-even
     origin values equal to the seeds.
     """
-    param = table.param
-    norm = []
-    for s in seeds:
-        if isinstance(s, ParamPoly):
-            norm.append(s)
-        else:
-            norm.append(ParamPoly.constant(param, s))
-    if not norm or norm[0] != ParamPoly.one(param):
+    norm = [s if isinstance(s, ParamPoly) else ParamPoly.constant(s) for s in seeds]
+    if not norm or norm[0] != ParamPoly.one():
         raise InvalidSeedError("seed sequence must start with 1")
     shifted_even = []
     shifted_odd = []
     for s in range(table.order + 1):
-        acc_e = CoeffPoly.zero(param)
-        acc_o = CoeffPoly.zero(param, parity="odd")
+        acc_e = CoeffPoly.zero()
+        acc_o = CoeffPoly.zero(parity="odd")
         for r in range(s + 1):
             if s - r < len(norm):
                 acc_e = acc_e + table.even[r] * norm[s - r]
                 acc_o = acc_o + table.odd[r] * norm[s - r]
         shifted_even.append(acc_e)
         shifted_odd.append(acc_o)
-    return CoefficientTable(f=table.f, order=table.order, param=param,
+    return CoefficientTable(f=table.f, order=table.order, param=table.param,
                             even=tuple(shifted_even), odd=tuple(shifted_odd))

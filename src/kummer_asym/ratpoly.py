@@ -2,18 +2,24 @@
 
 Three immutable layers, all with exact rational coefficients:
 
-  ParamPoly    univariate polynomial in one named formal parameter
-               (e.g. 'mu' or 'b'), degree-indexed coefficients, stored
-               fraction-free: integer numerators over one positive common
-               denominator in canonical form, so arithmetic is integer
-               loops with one gcd pass per result.  `coeffs` is a cached
-               read-only view as a tuple of fractions.Fraction.
+  ParamPoly    univariate polynomial in one formal parameter (e.g. 'mu'
+               or 'b'), degree-indexed coefficients, stored fraction-free:
+               integer numerators over one positive common denominator in
+               canonical form, so arithmetic is integer loops with one gcd
+               pass per result.  `coeffs` builds the same values as a tuple
+               of fractions.Fraction on each access; nothing is cached.
   CoeffPoly    polynomial in z whose coefficients are ParamPoly values,
                carrying a declared parity ('even', 'odd', 'none') that is
                validated on construction, never inferred.
   TruncSeries  truncated power series in a named variable with CoeffPoly
                coefficients; supports the exp/log/inverse recurrences
                needed for generating-function work.
+
+The parameter is named only where it occurs: `param` is its name on a
+polynomial of degree >= 1 and None on every constant, zero included, and a
+CoeffPoly's `param` is the one name its coefficients mention, or None.
+Operands combine under `merge_param`, so constants mix with any parameter
+and two different parameters never mix.
 
 JSON serialization writes rationals as "p/q" strings and polynomials as
 degree-indexed arrays (zero polynomial = empty array).
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     ExactDivisionError,
@@ -43,7 +49,17 @@ def _frac(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _canonical(param: str, numerators: list, denominator: int,
+def merge_param(a: Optional[str], b: Optional[str]) -> Optional[str]:
+    """The parameter of a result from those of its operands: None is
+    neutral, equal names merge, and two different names raise."""
+    if a is None or a == b:
+        return b
+    if b is None:
+        return a
+    raise ParameterMixError(f"cannot mix parameters {a!r} and {b!r}")
+
+
+def _canonical(param: Optional[str], numerators: list, denominator: int,
                bound: int) -> "ParamPoly":
     """ParamPoly from integer numerators over a positive denominator, where
     any factor common to all of them divides `bound`: trailing zeros are
@@ -52,7 +68,7 @@ def _canonical(param: str, numerators: list, denominator: int,
     while n and not numerators[n - 1]:
         n -= 1
     if not n:
-        return ParamPoly._raw(param, (), 1)
+        return _ZERO
     del numerators[n:]
     if bound != 1:
         g = gcd(bound, *numerators)
@@ -68,34 +84,34 @@ class ParamPoly:
     Stored fraction-free: integer `numerators` over one positive common
     `denominator`, kept canonical (no trailing zero numerator, the zero
     polynomial as ((), 1), no factor shared by the denominator and every
-    numerator), so equal polynomials have equal storage.  `coeffs` is a
-    cached read-only view of the same values as a tuple of Fraction.
+    numerator), so equal polynomials have equal storage.  `param` names the
+    parameter when the degree is >= 1 and is None on every constant.
     """
 
-    __slots__ = ("param", "numerators", "denominator", "_view")
+    __slots__ = ("param", "numerators", "denominator")
 
-    def __init__(self, param: str, coeffs: Iterable[RationalLike] = ()):
+    def __init__(self, param: Optional[str], coeffs: Iterable[RationalLike] = ()):
         fracs = [_frac(c) for c in coeffs]
         n = len(fracs)
         while n and not fracs[n - 1]:
             n -= 1
         del fracs[n:]
+        if n > 1 and not isinstance(param, str):
+            raise ValueError(f"a polynomial of degree {n - 1} needs a parameter name")
         # over the lcm of reduced denominators no common factor is left
         den = lcm(*[f.denominator for f in fracs])
-        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "param", param if n > 1 else None)
         object.__setattr__(self, "numerators",
                            tuple([f.numerator * (den // f.denominator) for f in fracs]))
         object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "_view", tuple(fracs))
 
     @classmethod
-    def _raw(cls, param: str, numerators: tuple, denominator: int) -> "ParamPoly":
-        """Wrap storage that is already canonical."""
+    def _raw(cls, param: Optional[str], numerators: tuple, denominator: int) -> "ParamPoly":
+        """Wrap storage that is already canonical; a constant drops the name."""
         self = object.__new__(cls)
-        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "param", param if len(numerators) > 1 else None)
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "_view", None)
         return self
 
     def __setattr__(self, name, value):
@@ -104,31 +120,27 @@ class ParamPoly:
     @property
     def coeffs(self) -> tuple:
         """Degree-indexed coefficients as a tuple of Fraction."""
-        view = self._view
-        if view is None:
-            den = self.denominator
-            view = tuple([Fraction(c, den) for c in self.numerators])
-            object.__setattr__(self, "_view", view)
-        return view
+        den = self.denominator
+        return tuple([Fraction(c, den) for c in self.numerators])
 
     @classmethod
-    def zero(cls, param: str) -> "ParamPoly":
-        return cls._raw(param, (), 1)
+    def zero(cls) -> "ParamPoly":
+        return cls._raw(None, (), 1)
 
     @classmethod
-    def one(cls, param: str) -> "ParamPoly":
-        return cls._raw(param, (1,), 1)
+    def one(cls) -> "ParamPoly":
+        return cls._raw(None, (1,), 1)
 
     @classmethod
-    def constant(cls, param: str, value: RationalLike) -> "ParamPoly":
+    def constant(cls, value: RationalLike) -> "ParamPoly":
         value = _frac(value)
         if not value:
-            return cls._raw(param, (), 1)
-        return cls._raw(param, (value.numerator,), value.denominator)
+            return cls.zero()
+        return cls._raw(None, (value.numerator,), value.denominator)
 
     @classmethod
     def variable(cls, param: str) -> "ParamPoly":
-        return cls._raw(param, (0, 1), 1)
+        return cls(param, (0, 1))
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -150,37 +162,22 @@ class ParamPoly:
             return Fraction(self.numerators[k], self.denominator)
         return Fraction(0)
 
-    def _renamed(self, param: str) -> "ParamPoly":
-        """The same storage under another parameter name."""
-        if param == self.param:
-            return self
-        return ParamPoly._raw(param, self.numerators, self.denominator)
-
-    def _merged_param(self, other: "ParamPoly") -> str:
-        if self.param == other.param:
-            return self.param
-        # constants are parameter-neutral
-        if self.is_constant():
-            return other.param
-        if other.is_constant():
-            return self.param
-        raise ParameterMixError(f"cannot mix parameters {self.param!r} and {other.param!r}")
-
-    def _coerce(self, other) -> "ParamPoly":
+    @staticmethod
+    def _coerce(other) -> "ParamPoly":
         if isinstance(other, ParamPoly):
             return other
-        return ParamPoly.constant(self.param, other)
+        return ParamPoly.constant(other)
 
     def __add__(self, other) -> "ParamPoly":
         if not isinstance(other, (ParamPoly, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
-        param = self._merged_param(other)
+        param = merge_param(self.param, other.param)
         a, b = self.numerators, other.numerators
         if not b:
-            return self._renamed(param)
+            return self
         if not a:
-            return other._renamed(param)
+            return other
         da, db = self.denominator, other.denominator
         # over lcm(da, db) a common factor can only divide g
         g = gcd(da, db)
@@ -211,10 +208,10 @@ class ParamPoly:
         if not isinstance(other, (ParamPoly, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
-        param = self._merged_param(other)
+        param = merge_param(self.param, other.param)
         a, b = self.numerators, other.numerators
         if not a or not b:
-            return ParamPoly._raw(param, (), 1)
+            return _ZERO
         den = self.denominator * other.denominator
         if len(a) < len(b):
             a, b = b, a
@@ -230,7 +227,7 @@ class ParamPoly:
     def compose(self, image: "ParamPoly") -> "ParamPoly":
         """Substitute the parameter by another polynomial (Horner over the
         numerators, then one division by the denominator)."""
-        result = ParamPoly.zero(image.param)
+        result = _ZERO
         for c in reversed(self.numerators):
             result = result * image + c
         return result * Fraction(1, self.denominator)
@@ -260,15 +257,12 @@ class ParamPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        if (self.numerators != other.numerators
-                or self.denominator != other.denominator):
-            return False
-        # constants compare equal across parameter names
-        return self.is_constant() or self.param == other.param
+        return (self.numerators == other.numerators
+                and self.denominator == other.denominator
+                and self.param == other.param)
 
     def __hash__(self):
-        return hash((self.numerators, self.denominator,
-                     None if self.is_constant() else self.param))
+        return hash((self.numerators, self.denominator, self.param))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -291,6 +285,8 @@ class ParamPoly:
     def __repr__(self) -> str:
         return f"ParamPoly({self.param!r}, {[str(c) for c in self.coeffs]})"
 
+
+_ZERO = ParamPoly.zero()
 
 PARITIES = ("even", "odd", "none")
 
@@ -318,23 +314,15 @@ class CoeffPoly:
 
     __slots__ = ("coeffs", "parity", "param")
 
-    def __init__(self, coeffs: Iterable[ParamPoly], parity: str = "none", param: str = None):
+    def __init__(self, coeffs: Iterable[ParamPoly], parity: str = "none"):
         coeffs = list(coeffs)
         n = len(coeffs)
         while n and coeffs[n - 1].is_zero():
             n -= 1
         coeffs = coeffs[:n]
-        name = param
+        name = None
         for c in coeffs:
-            if not c.is_constant():
-                if name is None:
-                    name = c.param
-                elif c.param != name:
-                    raise ParameterMixError(
-                        f"coefficients mix parameters {name!r} and {c.param!r}")
-        if name is None:
-            name = "mu"
-        coeffs = [c._renamed(name) for c in coeffs]
+            name = merge_param(name, c.param)
         if parity not in PARITIES:
             raise ValueError(f"unknown parity {parity!r}")
         bad = "odd" if parity == "even" else "even" if parity == "odd" else None
@@ -352,22 +340,22 @@ class CoeffPoly:
         raise AttributeError("CoeffPoly is immutable")
 
     @classmethod
-    def zero(cls, param: str, parity: str = "even") -> "CoeffPoly":
-        return cls((), parity=parity, param=param)
+    def zero(cls, parity: str = "even") -> "CoeffPoly":
+        return cls((), parity=parity)
 
     @classmethod
-    def one(cls, param: str) -> "CoeffPoly":
-        return cls((ParamPoly.one(param),), parity="even", param=param)
+    def one(cls) -> "CoeffPoly":
+        return cls((ParamPoly.one(),), parity="even")
 
     @classmethod
     def from_param(cls, p: ParamPoly) -> "CoeffPoly":
         """Embed a parameter polynomial as a z-degree-0 (even) polynomial."""
-        return cls((p,), parity="even", param=p.param)
+        return cls((p,), parity="even")
 
     @classmethod
-    def monomial(cls, param: str, k: int, coeff: RationalLike = 1) -> "CoeffPoly":
-        c = [ParamPoly.zero(param)] * k + [ParamPoly.constant(param, coeff)]
-        return cls(c, parity="even" if k % 2 == 0 else "odd", param=param)
+    def monomial(cls, k: int, coeff: RationalLike = 1) -> "CoeffPoly":
+        c = [_ZERO] * k + [ParamPoly.constant(coeff)]
+        return cls(c, parity="even" if k % 2 == 0 else "odd")
 
     def z_degree(self) -> int:
         return len(self.coeffs) - 1
@@ -375,19 +363,8 @@ class CoeffPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_param_neutral(self) -> bool:
-        """True when no coefficient actually mentions the parameter."""
-        return all(c.is_constant() for c in self.coeffs)
-
-    def _merged_name(self, other: "CoeffPoly") -> str:
-        if not self.is_param_neutral():
-            return self.param
-        if not other.is_param_neutral():
-            return other.param
-        return self.param
-
     def coefficient(self, k: int) -> ParamPoly:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ParamPoly.zero(self.param)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
 
     def value_at_zero(self) -> ParamPoly:
         return self.coefficient(0)
@@ -396,12 +373,11 @@ class CoeffPoly:
         """d/dz at z=0, i.e. the z^1 coefficient."""
         return self.coefficient(1)
 
-    def _coerce(self, other) -> "CoeffPoly":
+    @staticmethod
+    def _coerce(other) -> "CoeffPoly":
         if isinstance(other, CoeffPoly):
             return other
-        if isinstance(other, ParamPoly):
-            return CoeffPoly.from_param(other)
-        return CoeffPoly.from_param(ParamPoly.constant(self.param, _frac(other)))
+        return CoeffPoly.from_param(ParamPoly._coerce(other))
 
     def __add__(self, other) -> "CoeffPoly":
         if not isinstance(other, (CoeffPoly, ParamPoly, int, Fraction)):
@@ -411,12 +387,12 @@ class CoeffPoly:
         parity = _add_parity(self, other)
         return CoeffPoly(
             [self.coefficient(k) + other.coefficient(k) for k in range(n)],
-            parity=parity, param=self._merged_name(other))
+            parity=parity)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoeffPoly":
-        return CoeffPoly([-c for c in self.coeffs], parity=self.parity, param=self.param)
+        return CoeffPoly([-c for c in self.coeffs], parity=self.parity)
 
     def __sub__(self, other) -> "CoeffPoly":
         if not isinstance(other, (CoeffPoly, ParamPoly, int, Fraction)):
@@ -430,33 +406,31 @@ class CoeffPoly:
         if not isinstance(other, (CoeffPoly, ParamPoly, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
-        param = self._merged_name(other)
         if self.is_zero() or other.is_zero():
-            return CoeffPoly.zero(param)
+            return CoeffPoly.zero()
         parity = _mul_parity(self.parity, other.parity)
-        zero = ParamPoly.zero(param)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, c in enumerate(other.coeffs):
                 if not c.is_zero():
                     out[i + j] = out[i + j] + a * c
-        return CoeffPoly(out, parity=parity, param=param)
+        return CoeffPoly(out, parity=parity)
 
     __rmul__ = __mul__
 
     def differentiate(self) -> "CoeffPoly":
         return CoeffPoly(
             [k * c for k, c in enumerate(self.coeffs)][1:],
-            parity=_flip(self.parity), param=self.param)
+            parity=_flip(self.parity))
 
     def integrate_from_zero(self) -> "CoeffPoly":
         """Antiderivative vanishing at z=0; parity flips."""
-        out = [ParamPoly.zero(self.param)]
+        out = [_ZERO]
         for k, c in enumerate(self.coeffs):
             out.append(c * Fraction(1, k + 1))
-        return CoeffPoly(out, parity=_flip(self.parity), param=self.param)
+        return CoeffPoly(out, parity=_flip(self.parity))
 
     def divide_by_z(self, power: int = 1) -> "CoeffPoly":
         """Exact division by z**power; raises if any low coefficient is nonzero."""
@@ -465,24 +439,23 @@ class CoeffPoly:
                 raise ExactDivisionError(
                     f"z^{k} coefficient {self.coeffs[k]} blocks division by z^{power}")
         parity = self.parity if power % 2 == 0 else _flip(self.parity)
-        return CoeffPoly(self.coeffs[power:], parity=parity, param=self.param)
+        return CoeffPoly(self.coeffs[power:], parity=parity)
 
     def mul_by_z(self, power: int = 1) -> "CoeffPoly":
         if self.is_zero():
             return self
         parity = self.parity if power % 2 == 0 else _flip(self.parity)
-        pad = [ParamPoly.zero(self.param)] * power
-        return CoeffPoly(pad + list(self.coeffs), parity=parity, param=self.param)
+        return CoeffPoly([_ZERO] * power + list(self.coeffs), parity=parity)
 
     def substitute_param(self, image: ParamPoly) -> "CoeffPoly":
         """Replace the formal parameter by `image` in every coefficient."""
         return CoeffPoly(
-            [c.compose(image) for c in self.coeffs], parity=self.parity, param=image.param)
+            [c.compose(image) for c in self.coeffs], parity=self.parity)
 
     def reflect(self) -> "CoeffPoly":
         """Substitute parameter -> -parameter in every coefficient; parity kept."""
         return CoeffPoly(
-            [c.reflect() for c in self.coeffs], parity=self.parity, param=self.param)
+            [c.reflect() for c in self.coeffs], parity=self.parity)
 
     def evaluate(self, param_value, z_value, convert: Callable[[Fraction], object] = None):
         conv = convert if convert is not None else (lambda f: complex(f))
@@ -496,8 +469,7 @@ class CoeffPoly:
 
     @classmethod
     def from_json(cls, param: str, data: Sequence[Sequence[str]], parity: str = "none"):
-        return cls([ParamPoly.from_json(param, row) for row in data],
-                   parity=parity, param=param)
+        return cls([ParamPoly.from_json(param, row) for row in data], parity=parity)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffPoly):
@@ -539,41 +511,28 @@ class TruncSeries:
     and everything beyond `order` is dropped by every operation.
     """
 
-    __slots__ = ("var", "order", "coeffs", "param")
+    __slots__ = ("var", "order", "coeffs")
 
-    def __init__(self, var: str, order: int, coeffs: Iterable[CoeffPoly], param: str = None):
+    def __init__(self, var: str, order: int, coeffs: Iterable[CoeffPoly]):
         if order < 0:
             raise ValueError("series order must be >= 0")
         coeffs = list(coeffs)[: order + 1]
-        name = param
-        if name is None:
-            for c in coeffs:
-                if not c.is_param_neutral():
-                    name = c.param
-                    break
-            if name is None and coeffs:
-                name = coeffs[0].param
-        name = name or "mu"
-        zero = CoeffPoly.zero(name)
-        while len(coeffs) < order + 1:
-            coeffs.append(zero)
+        coeffs += [CoeffPoly.zero()] * (order + 1 - len(coeffs))
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "param", name)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
     @classmethod
     def from_rationals(cls, var: str, order: int,
-                       values: Sequence[RationalLike], param: str = "mu") -> "TruncSeries":
-        cs = [CoeffPoly.from_param(ParamPoly.constant(param, v)) for v in values]
-        return cls(var, order, cs, param=param)
+                       values: Sequence[RationalLike]) -> "TruncSeries":
+        return cls(var, order, [CoeffPoly.from_param(ParamPoly.constant(v)) for v in values])
 
     @classmethod
-    def one(cls, var: str, order: int, param: str) -> "TruncSeries":
-        return cls(var, order, (CoeffPoly.one(param),), param=param)
+    def one(cls, var: str, order: int) -> "TruncSeries":
+        return cls(var, order, (CoeffPoly.one(),))
 
     def coefficient(self, k: int) -> CoeffPoly:
         if not 0 <= k <= self.order:
@@ -591,10 +550,7 @@ class TruncSeries:
     def _coerce(self, other) -> "TruncSeries":
         if isinstance(other, TruncSeries):
             return other
-        if isinstance(other, (CoeffPoly, ParamPoly, int, Fraction)):
-            c = other if isinstance(other, CoeffPoly) else CoeffPoly.zero(self.param)._coerce(other)
-            return TruncSeries(self.var, self.order, (c,), param=self.param)
-        raise TypeError(f"cannot combine TruncSeries with {type(other).__name__}")
+        return TruncSeries(self.var, self.order, (CoeffPoly._coerce(other),))
 
     def __add__(self, other) -> "TruncSeries":
         other = self._coerce(other)
@@ -606,7 +562,7 @@ class TruncSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.var, self.order, [-c for c in self.coeffs], param=self.param)
+        return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other) -> "TruncSeries":
         return self + (-self._coerce(other))
@@ -615,13 +571,11 @@ class TruncSeries:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other) -> "TruncSeries":
-        if isinstance(other, (CoeffPoly, ParamPoly, int, Fraction)):
-            return TruncSeries(self.var, self.order,
-                               [c * other for c in self.coeffs], param=self.param)
+        if not isinstance(other, TruncSeries):
+            return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
         self._check(other)
         order = min(self.order, other.order)
-        zero = CoeffPoly.zero(self.param)
-        out = [zero] * (order + 1)
+        out = [CoeffPoly.zero()] * (order + 1)
         for i in range(order + 1):
             a = self.coeffs[i]
             if a.is_zero():
@@ -646,15 +600,15 @@ class TruncSeries:
             if not self.coeffs[k].is_zero():
                 raise ExactDivisionError(
                     f"{self.var}^{k} coefficient nonzero; cannot divide by {self.var}^{power}")
-        return TruncSeries(self.var, self.order - power, self.coeffs[power:], param=self.param)
+        return TruncSeries(self.var, self.order - power, self.coeffs[power:])
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term."""
         if not self.coeffs[0].is_zero():
             raise ExactDivisionError("exp needs a zero constant term")
-        out = [CoeffPoly.one(self.param)]
+        out = [CoeffPoly.one()]
         for n in range(1, self.order + 1):
-            acc = CoeffPoly.zero(self.param)
+            acc = CoeffPoly.zero()
             for k in range(1, n + 1):
                 if not self.coeffs[k].is_zero():
                     acc = acc + (self.coeffs[k] * k) * out[n - k]
@@ -663,9 +617,9 @@ class TruncSeries:
 
     def log(self) -> "TruncSeries":
         """log of a series with constant term exactly 1."""
-        if self.coeffs[0] != CoeffPoly.one(self.param):
+        if self.coeffs[0] != CoeffPoly.one():
             raise ExactDivisionError("log needs constant term 1")
-        out = [CoeffPoly.zero(self.param)]
+        out = [CoeffPoly.zero()]
         for n in range(1, self.order + 1):
             acc = self.coeffs[n] * n
             for k in range(1, n):
@@ -680,9 +634,9 @@ class TruncSeries:
         if self.coeffs[0].z_degree() > 0 or not c0.is_constant() or c0.is_zero():
             raise ExactDivisionError("inverse needs a nonzero constant leading term")
         inv0 = Fraction(1) / c0.constant_value()
-        out = [CoeffPoly.from_param(ParamPoly.constant(self.param, inv0))]
+        out = [CoeffPoly._coerce(inv0)]
         for n in range(1, self.order + 1):
-            acc = CoeffPoly.zero(self.param)
+            acc = CoeffPoly.zero()
             for k in range(1, n + 1):
                 if not self.coeffs[k].is_zero():
                     acc = acc + self.coeffs[k] * out[n - k]
@@ -691,9 +645,7 @@ class TruncSeries:
 
     def pow_param(self, exponent) -> "TruncSeries":
         """Series**p for a polynomial exponent, as exp(p*log(series))."""
-        if isinstance(exponent, (int, Fraction)):
-            exponent = ParamPoly.constant(self.param, exponent)
-        return (self.log() * exponent).exp()
+        return (self.log() * ParamPoly._coerce(exponent)).exp()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):

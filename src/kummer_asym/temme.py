@@ -45,16 +45,16 @@ class TemmeTable:
     odd_out: Tuple[CoeffPoly, ...]
 
 
-def _exp_minus_one_over_var(var: str, order: int, param: str) -> TruncSeries:
+def _exp_minus_one_over_var(var: str, order: int) -> TruncSeries:
     # (e^t - 1)/t = sum_k t^k / (k+1)!
     vals = [Fraction(1, factorial(k + 1)) for k in range(order + 1)]
-    return TruncSeries.from_rationals(var, order, vals, param=param)
+    return TruncSeries.from_rationals(var, order, vals)
 
 
-def mu_series(order: int, param: str = "b") -> TruncSeries:
+def mu_series(order: int) -> TruncSeries:
     """Maclaurin series of 1/s - 1/(e^s - 1) - 1/2 (odd, no constant term)."""
-    e = _exp_minus_one_over_var("s", order + 1, param)
-    numer = TruncSeries.one("s", order + 1, param) - e.inverse()
+    e = _exp_minus_one_over_var("s", order + 1)
+    numer = TruncSeries.one("s", order + 1) - e.inverse()
     return numer.divide_by_var() - Fraction(1, 2)
 
 
@@ -64,9 +64,7 @@ def temme_base_series(order: int = DEFAULT_BASE_ORDER) -> Tuple[CoeffPoly, ...]:
     Each c_k is an even z-polynomial with coefficients polynomial in b;
     c_0 = 1.
     """
-    param = "b"
-    z2 = CoeffPoly.monomial(param, 2)
-    exp_part = (mu_series(order, param) * z2).exp()
+    exp_part = (mu_series(order) * CoeffPoly.monomial(2)).exp()
 
     # sinh(s/2)/(s/2) = sum_k (s/2)^(2k) / (2k+1)!
     vals = []
@@ -75,8 +73,8 @@ def temme_base_series(order: int = DEFAULT_BASE_ORDER) -> Tuple[CoeffPoly, ...]:
             vals.append(Fraction(1, 4 ** (k // 2) * factorial(k + 1)))
         else:
             vals.append(Fraction(0))
-    sinh_ratio = TruncSeries.from_rationals("s", order, vals, param=param)
-    power_part = sinh_ratio.inverse().pow_param(ParamPoly.variable(param))
+    sinh_ratio = TruncSeries.from_rationals("s", order, vals)
+    power_part = sinh_ratio.inverse().pow_param(ParamPoly.variable("b"))
 
     return (exp_part * power_part).coeffs
 
@@ -91,12 +89,9 @@ def temme_iterate(base: Sequence[CoeffPoly], n_max: int = DEFAULT_N_MAX,
         raise OrderStarvationError(
             f"base series has {len(base)} coefficients, need {need} "
             f"for n_max={n_max}, k_max={k_max}")
-    param = base[0].param
-    for c in base:
-        if not c.is_param_neutral():
-            param = c.param
-            break
-    z2 = CoeffPoly.monomial(param, 2)
+    # the base names the parameter; b when no entry mentions it
+    param = next((c.param for c in base if c.param), "b")
+    z2 = CoeffPoly.monomial(2)
     rows = [list(base)]
     for n in range(n_max):
         prev = rows[-1]
@@ -115,7 +110,7 @@ def temme_iterate(base: Sequence[CoeffPoly], n_max: int = DEFAULT_N_MAX,
 
 def binomial_poly(p: ParamPoly, n: int) -> ParamPoly:
     """binom(p, n) as a polynomial: falling factorial over n!."""
-    result = ParamPoly.one(p.param)
+    result = ParamPoly.one()
     for j in range(n):
         result = result * (p - j)
     return result * Fraction(1, factorial(n))
@@ -123,26 +118,15 @@ def binomial_poly(p: ParamPoly, n: int) -> ParamPoly:
 
 def generalized_bernoulli(n_max: int,
                           ell: Union[ParamPoly, Fraction, int],
-                          x: Union[ParamPoly, Fraction, int],
-                          param: str = "b") -> Tuple[ParamPoly, ...]:
+                          x: Union[ParamPoly, Fraction, int]) -> Tuple[ParamPoly, ...]:
     """B_n at polynomial arguments from (t/(e^t-1))^ell * e^(x*t).
 
     Returns B_0..B_n_max; entries are polynomials in the parameter when
     ell or x is one.
     """
-    if isinstance(ell, ParamPoly):
-        param = ell.param
-    elif isinstance(x, ParamPoly):
-        param = x.param
-    e = _exp_minus_one_over_var("t", n_max, param)
-    core = e.inverse()  # t/(e^t - 1)
-    powered = core.pow_param(ell if isinstance(ell, ParamPoly)
-                             else ParamPoly.constant(param, ell))
-    x_poly = x if isinstance(x, ParamPoly) else ParamPoly.constant(param, x)
-    linear = TruncSeries("t", n_max,
-                         [CoeffPoly.zero(param), CoeffPoly.from_param(x_poly)],
-                         param=param)
-    series = powered * linear.exp()
+    core = _exp_minus_one_over_var("t", n_max).inverse()  # t/(e^t - 1)
+    linear = TruncSeries.from_rationals("t", n_max, (0, 1)) * x
+    series = core.pow_param(ell) * linear.exp()
     return tuple(series.coeffs[n].value_at_zero() * factorial(n)
                  for n in range(n_max + 1))
 
@@ -157,7 +141,7 @@ def gamma_ratio_coefficients(n_max: int) -> Tuple[Tuple[ParamPoly, ...],
     Every odd-index d_n vanishes identically.
     """
     b = ParamPoly.variable("b")
-    one = ParamPoly.one("b")
+    one = ParamPoly.one()
     half = Fraction(1, 2)
     bern_d = generalized_bernoulli(n_max, one * 2 - b, one - b * half)
     bern_t = generalized_bernoulli(n_max, b, b * half)

@@ -9,7 +9,7 @@ from kummer_asym.special.types import Precision
 
 @pytest.fixture(scope="session")
 def table8():
-    return compute_coefficient_table(CoeffPoly.monomial("mu", 2), order=8)
+    return compute_coefficient_table(CoeffPoly.monomial(2), order=8)
 
 
 @pytest.fixture(scope="session")

@@ -298,3 +298,23 @@ def test_bad_order_argument_is_a_usage_error(capsys, argv):
         main(argv)
     assert excinfo.value.code == 2
     assert "expected an integer >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--t", "1,x"),
+    ("--order", "x"),
+    ("--order", "2.5"),
+    ("--z-r", "one"),
+    ("--z-theta", "0,pi"),
+    ("--u-theta", ","),
+])
+def test_bad_sweep_list_is_a_usage_error(capsys, option, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--variant", "m", option, value])
+    assert excinfo.value.code == 2
+    assert "expected a comma-separated list" in capsys.readouterr().err
+
+
+def test_out_of_range_sweep_order_is_a_domain_error(capsys):
+    assert main(["sweep", "--variant", "m", "--order", "0"]) == 1
+    assert "truncation order must be at least 1" in capsys.readouterr().err

@@ -7,8 +7,9 @@ at a wound z (arg z = 3.5, past a half turn) in double and dd, and sweeps
 whose grid includes arg z = 5*pi/2 and the integer b = 2.0, so the
 error-status rows are pinned too.  The exact cases pin `coeffs` (raw and
 lowered families, JSON and text, and the b renaming), `temme`, `bernoulli`
-and `verify`, whose output involves no floating point.  The oracle cases
-reach each kernel route directly, in both modes: I by series and by
+and `verify`, whose output involves no floating point; `coeffs`, `temme`
+and `verify` also at order 0, where no entry mentions the parameter.  The oracle
+cases reach each kernel route directly, in both modes: I by series and by
 asymptotics (and on a wound sheet); K by reflection, the integer-order
 series, asymptotics and winding (at a fractional and an integer order); the
 M series; and U by the integral, the connection formula and the monodromy
@@ -83,6 +84,10 @@ CASES["temme-12-text"] = ("double", ["temme", "--nmax", "12", "--format", "text"
 CASES["bernoulli-6"] = (
     "double", ["bernoulli", "--n", "6", "--ell", "2-b", "--x", "1-b/2"])
 CASES["verify-8"] = ("double", ["verify", "--nmax", "8"])
+CASES["verify-0"] = ("double", ["verify", "--nmax", "0"])
+CASES["coeffs-raw-0-text"] = (
+    "double", ["coeffs", "--order", "0", "--format", "text"])
+CASES["temme-0-text"] = ("double", ["temme", "--nmax", "0", "--format", "text"])
 for _route, _argv in _ORACLE.items():
     for _mode in ("double", "dd"):
         CASES[f"oracle-{_route}-{_mode}"] = (_mode, ["oracle", *_argv])

@@ -20,7 +20,7 @@ A1 = poly([[], [], ["-1/6", "1/6"], [], [], [], ["1/72"]])
 
 class TestCoefficientTable:
     def test_low_order_values(self, table8):
-        assert table8.even[0] == CoeffPoly.one("mu")
+        assert table8.even[0] == CoeffPoly.one()
         assert table8.odd[0] == poly([[], [], [], ["1/6"]])
         assert table8.even[1] == A1
 
@@ -47,20 +47,20 @@ class TestCoefficientTable:
 
     def test_recursion_check_rejects_perturbation(self, table8):
         broken = list(table8.even)
-        broken[1] = broken[1] + CoeffPoly.monomial("mu", 2, Fraction(1, 7))
+        broken[1] = broken[1] + CoeffPoly.monomial(2, Fraction(1, 7))
         assert not satisfies_recursion(table8.f, broken, table8.odd)
 
     def test_rejects_bad_perturbation_polynomial(self):
         with pytest.raises(ValueError):
-            compute_coefficient_table(CoeffPoly.monomial("mu", 3), order=2)
+            compute_coefficient_table(CoeffPoly.monomial(3), order=2)
         with pytest.raises(ValueError):
-            compute_coefficient_table(CoeffPoly.one("mu"), order=2)
+            compute_coefficient_table(CoeffPoly.one(), order=2)
 
 
 class TestLoweredFamilies:
     def test_low_order_values(self, lowered8):
         low_even, low_odd = lowered8
-        assert low_even[0] == CoeffPoly.one("mu")
+        assert low_even[0] == CoeffPoly.one()
         assert low_odd[0] == poly([[], [], [], ["1/6"]])
         # a_1 has the same shape as A_1 in this normalization
         assert low_even[1] == A1
@@ -78,7 +78,7 @@ class TestLoweredFamilies:
 class TestNormalizer:
     def test_unit_constant_and_leading_terms(self, table8):
         s = normalizer_series(table8)
-        assert s.coefficient(0) == CoeffPoly.one("mu")
+        assert s.coefficient(0) == CoeffPoly.one()
         # B_0'(mu, 0) = 0, so the u^-2 term vanishes
         assert s.coefficient(1).is_zero()
         assert not s.coefficient(2).is_zero()
@@ -87,7 +87,9 @@ class TestNormalizer:
         plus = normalizer_series(table8, sign=1)
         minus = normalizer_series(table8, sign=-1)
         prod = plus * minus
-        assert prod == TruncSeries.one(prod.var, prod.order, prod.param)
+        assert prod == TruncSeries.one(prod.var, prod.order)
+        # the product is constant, so no coefficient names the parameter
+        assert all(c.param is None for c in prod.coeffs)
 
     def test_sign_validation(self, table8):
         with pytest.raises(ValueError):
@@ -105,13 +107,13 @@ class TestShiftBasis:
         seeds = (Fraction(1), Fraction(1)) + (Fraction(0),) * 7
         shifted = shift_basis(table8, seeds)
         assert shifted.even[0] == table8.even[0]
-        assert shifted.even[1] == table8.even[1] + CoeffPoly.one("mu")
+        assert shifted.even[1] == table8.even[1] + CoeffPoly.one()
         assert shifted.odd[1] == table8.odd[1] + table8.odd[0]
 
     def test_shifted_origin_values(self, table8):
         seeds = tuple(ParamPoly("mu", (Fraction(k, 3), Fraction(1, k + 1)))
                       for k in range(9))
-        seeds = (ParamPoly.one("mu"),) + seeds[1:]
+        seeds = (ParamPoly.one(),) + seeds[1:]
         shifted = shift_basis(table8, seeds)
         for s in range(9):
             # at z = 0 only the A_0 * seeds[s] term survives
@@ -128,7 +130,7 @@ class TestShiftBasis:
         low_even, low_odd = lowered8
         flip = ParamPoly("mu", (0, -1))
         two_mu = ParamPoly("mu", (0, 2))
-        seeds = [ParamPoly.one("mu")]
+        seeds = [ParamPoly.one()]
         for s in range(1, 9):
             seeds.append(two_mu * table8.odd[s - 1].derivative_at_zero().compose(flip))
         minus = normalizer_series(table8, sign=-1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kummer_asym.errors import (ExactDivisionError, OrderStarvationError,
                                 ParameterMixError, ParityError)
-from kummer_asym.ratpoly import CoeffPoly, ParamPoly, TruncSeries
+from kummer_asym.ratpoly import CoeffPoly, ParamPoly, TruncSeries, merge_param
 
 
 def rand_frac(rng):
@@ -24,20 +24,18 @@ def rand_parampoly(rng, param="mu", max_deg=3):
 
 def rand_coeffpoly(rng, param="mu", max_zdeg=4):
     n = rng.randint(0, max_zdeg + 1)
-    return CoeffPoly([rand_parampoly(rng, param, 2) for _ in range(n)],
-                     param=param)
+    return CoeffPoly([rand_parampoly(rng, param, 2) for _ in range(n)])
 
 
 def rand_series(rng, var="w", order=6, param="mu"):
     return TruncSeries(var, order,
-                       [rand_coeffpoly(rng, param, 3) for _ in range(order + 1)],
-                       param=param)
+                       [rand_coeffpoly(rng, param, 3) for _ in range(order + 1)])
 
 
 def with_zero_constant(rng, order):
     """Random series in w whose constant term is zero."""
     tail = [rand_coeffpoly(rng, "mu", 3) for _ in range(order)]
-    return TruncSeries("w", order, [CoeffPoly.zero("mu")] + tail, param="mu")
+    return TruncSeries("w", order, [CoeffPoly.zero()] + tail)
 
 
 class TestParamPoly:
@@ -54,10 +52,10 @@ class TestParamPoly:
             assert (p * q) * r == p * (q * r)
 
     def test_constructors_and_degree(self):
-        assert ParamPoly.zero("mu").degree() == -1
-        assert ParamPoly.one("mu").degree() == 0
+        assert ParamPoly.zero().degree() == -1
+        assert ParamPoly.one().degree() == 0
         assert ParamPoly.variable("mu").degree() == 1
-        assert ParamPoly.constant("mu", Fraction(3, 7)).constant_value() == Fraction(3, 7)
+        assert ParamPoly.constant(Fraction(3, 7)).constant_value() == Fraction(3, 7)
         # trailing zeros are trimmed away on construction
         p = ParamPoly("mu", (1, 2, 0, 0))
         assert p.degree() == 1
@@ -69,7 +67,7 @@ class TestParamPoly:
         for _ in range(10):
             p = rand_parampoly(rng)
             composed = p.compose(image)
-            assert composed.param == "b"
+            assert composed.param == ("b" if composed.degree() > 0 else None)
             v = rand_frac(rng)
             direct = p.evaluate(image.evaluate(v, lambda f: f), lambda f: f)
             assert composed.evaluate(v, lambda f: f) == direct
@@ -187,24 +185,53 @@ class TestParamPolyAgainstFractionLists:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(c=rationals)
     def test_constants_are_equal_across_parameter_names(self, c):
-        mu, b = ParamPoly.constant("mu", c), ParamPoly.constant("b", c)
+        mu, b = ParamPoly("mu", (c,)), ParamPoly("b", (c,))
         assert mu == b and hash(mu) == hash(b)
         assert ParamPoly("mu", (0, c)) != ParamPoly("b", (0, c)) or c == 0
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(p=coeff_lists)
+    def test_only_a_polynomial_of_degree_one_or_more_is_named(self, p):
+        for name in ("mu", "b"):
+            a = ParamPoly(name, p)
+            assert a.param == (name if a.degree() > 0 else None)
+            assert (a - a).param is None and (a * 0).param is None
+
+    def test_a_nameless_nonconstant_is_refused(self):
+        with pytest.raises(ValueError):
+            ParamPoly(None, (0, 1))
+        with pytest.raises(ValueError):
+            ParamPoly.variable(None)
+        assert ParamPoly(None, (3,)) == ParamPoly.constant(3)
+
+    def test_different_parameters_do_not_mix(self):
+        assert merge_param(None, "b") == merge_param("b", None) == "b"
+        assert merge_param("mu", "mu") == "mu" and merge_param(None, None) is None
+        with pytest.raises(ParameterMixError):
+            merge_param("mu", "b")
+        mu, b = ParamPoly.variable("mu"), ParamPoly.variable("b")
+        with pytest.raises(ParameterMixError):
+            mu + b
+        with pytest.raises(ParameterMixError):
+            mu * b
+        assert (mu + 1).param == "mu" and (2 * b).param == "b"
 
     def test_floats_are_refused(self):
         with pytest.raises(TypeError):
             ParamPoly("mu", (0.5,))
         with pytest.raises(TypeError):
-            ParamPoly.one("mu") * 0.5
+            ParamPoly.one() * 0.5
         with pytest.raises(TypeError):
-            ParamPoly.one("mu") + 0.5
+            ParamPoly.one() + 0.5
+        with pytest.raises(TypeError):
+            TruncSeries.one("w", 2) * 0.5
 
 
 class TestCoeffPoly:
     def test_parity_declarations(self):
         mu = ParamPoly.variable("mu")
-        zero = ParamPoly.zero("mu")
-        one = ParamPoly.one("mu")
+        zero = ParamPoly.zero()
+        one = ParamPoly.one()
         CoeffPoly([one, zero, mu], parity="even")
         CoeffPoly([zero, one], parity="odd")
         with pytest.raises(ParityError):
@@ -216,8 +243,8 @@ class TestCoeffPoly:
 
     def test_parity_propagation(self):
         # monomial() does not declare parity, so declare explicitly
-        even = CoeffPoly(CoeffPoly.monomial("mu", 2).coeffs, parity="even")
-        odd = CoeffPoly(CoeffPoly.monomial("mu", 3, Fraction(1, 6)).coeffs,
+        even = CoeffPoly(CoeffPoly.monomial(2).coeffs, parity="even")
+        odd = CoeffPoly(CoeffPoly.monomial(3, Fraction(1, 6)).coeffs,
                         parity="odd")
         assert (even * odd).parity == "odd"
         assert (odd * odd).parity == "even"
@@ -234,10 +261,10 @@ class TestCoeffPoly:
             assert p.mul_by_z(2).divide_by_z(2) == p
 
     def test_divide_by_z_requires_low_zeros(self):
-        sixth = CoeffPoly.monomial("mu", 3, Fraction(1, 6))
-        assert sixth.divide_by_z() == CoeffPoly.monomial("mu", 2, Fraction(1, 6))
+        sixth = CoeffPoly.monomial(3, Fraction(1, 6))
+        assert sixth.divide_by_z() == CoeffPoly.monomial(2, Fraction(1, 6))
         with pytest.raises(ExactDivisionError):
-            CoeffPoly.one("mu").divide_by_z()
+            CoeffPoly.one().divide_by_z()
         with pytest.raises(ExactDivisionError):
             sixth.divide_by_z(4)
 
@@ -248,32 +275,40 @@ class TestCoeffPoly:
             p = rand_coeffpoly(rng)
             assert p.substitute_param(minus).substitute_param(minus) == p
             assert p.reflect() == p.substitute_param(minus)
-        odd = CoeffPoly.monomial("mu", 3) * ParamPoly("mu", (1, 2, 3))
+        odd = CoeffPoly.monomial(3) * ParamPoly("mu", (1, 2, 3))
         assert odd.reflect().parity == "odd"
         p = rand_coeffpoly(rng)
         image = ParamPoly("b", (-1, 1))
         q = p.substitute_param(image)
-        assert q.param == "b"
+        assert q.param == ("b" if any(c.degree() > 0 for c in q.coeffs) else None)
         got = q.evaluate(Fraction(5, 2), Fraction(1, 3), lambda f: f)
         want = p.evaluate(Fraction(3, 2), Fraction(1, 3), lambda f: f)
         assert got == want
 
     def test_evaluate(self):
         # (mu - 1) z^2 / 6 + z^6 / 72 at mu = 1/2, z = 1
-        p = CoeffPoly([ParamPoly.zero("mu"), ParamPoly.zero("mu"),
+        p = CoeffPoly([ParamPoly.zero(), ParamPoly.zero(),
                        ParamPoly("mu", (Fraction(-1, 6), Fraction(1, 6))),
-                       ParamPoly.zero("mu"), ParamPoly.zero("mu"),
-                       ParamPoly.zero("mu"),
-                       ParamPoly.constant("mu", Fraction(1, 72))])
+                       ParamPoly.zero(), ParamPoly.zero(),
+                       ParamPoly.zero(),
+                       ParamPoly.constant(Fraction(1, 72))])
         exact = p.evaluate(Fraction(1, 2), Fraction(1), lambda f: f)
         assert exact == Fraction(-5, 72)
-        sixth = CoeffPoly.monomial("mu", 3, Fraction(1, 6))
+        sixth = CoeffPoly.monomial(3, Fraction(1, 6))
         assert sixth.evaluate(Fraction(0), Fraction(2), lambda f: f) == Fraction(4, 3)
         assert sixth.evaluate(0.0, 2.0) == pytest.approx(4.0 / 3.0)
 
     def test_parameter_mixing_rejected(self):
         with pytest.raises(ParameterMixError):
             CoeffPoly([ParamPoly.variable("mu"), ParamPoly.variable("b")])
+
+    def test_param_is_the_one_its_coefficients_mention(self):
+        mu = ParamPoly.variable("mu")
+        assert CoeffPoly([ParamPoly.one(), mu]).param == "mu"
+        assert CoeffPoly([ParamPoly("b", (2,)), ParamPoly.one()]).param is None
+        assert CoeffPoly.zero().param is None
+        assert (CoeffPoly.monomial(2) * mu).param == "mu"
+        assert (CoeffPoly.from_param(mu) - mu).param is None
 
     def test_json_round_trip(self):
         rng = random.Random(19)
@@ -282,8 +317,8 @@ class TestCoeffPoly:
             assert CoeffPoly.from_json("mu", p.to_json()) == p
 
     def test_equality_ignores_parity_declaration(self):
-        a = CoeffPoly([ParamPoly.one("mu")], parity="even")
-        b = CoeffPoly([ParamPoly.one("mu")], parity="none")
+        a = CoeffPoly([ParamPoly.one()], parity="even")
+        b = CoeffPoly([ParamPoly.one()], parity="none")
         assert a == b
 
 
@@ -304,53 +339,53 @@ class TestTruncSeries:
         b = rand_series(rng, order=7)
         prod = a * b
         for k in range(8):
-            want = CoeffPoly.zero("mu")
+            want = CoeffPoly.zero()
             for i in range(k + 1):
                 want = want + a.coefficient(i) * b.coefficient(k - i)
             assert prod.coefficient(k) == want
 
     def test_coefficient_bounds(self):
-        s = TruncSeries.one("w", 4, "mu")
+        s = TruncSeries.one("w", 4)
         with pytest.raises(OrderStarvationError):
             s.coefficient(5)
 
     def test_exp_log_round_trip(self):
         rng = random.Random(42)
         for _ in range(5):
-            u = TruncSeries.one("w", 5, "mu") + with_zero_constant(rng, order=5)
+            u = TruncSeries.one("w", 5) + with_zero_constant(rng, order=5)
             assert u.log().exp() == u
         with pytest.raises(ExactDivisionError):
-            TruncSeries.one("w", 3, "mu").exp()
+            TruncSeries.one("w", 3).exp()
         with pytest.raises(ExactDivisionError):
-            TruncSeries("w", 3, (), param="mu").log()
+            TruncSeries("w", 3, ()).log()
 
     def test_inverse(self):
-        geom = TruncSeries.from_rationals("w", 6, [1, 1], param="mu")
+        geom = TruncSeries.from_rationals("w", 6, [1, 1])
         inv = geom.inverse()
         for k in range(7):
             assert inv.coefficient(k) == CoeffPoly.from_param(
-                ParamPoly.constant("mu", (-1) ** k))
-        assert geom * inv == TruncSeries.one("w", 6, "mu")
+                ParamPoly.constant((-1) ** k))
+        assert geom * inv == TruncSeries.one("w", 6)
         with pytest.raises(ExactDivisionError):
-            TruncSeries.from_rationals("w", 3, [0, 1], param="mu").inverse()
+            TruncSeries.from_rationals("w", 3, [0, 1]).inverse()
 
     def test_var_shift_round_trip(self):
         rng = random.Random(77)
         s = rand_series(rng, order=5)
-        zero = CoeffPoly.zero("mu")
-        shifted = TruncSeries("w", 5, (zero, zero) + s.coeffs, param="mu")
-        assert shifted.divide_by_var(2) == TruncSeries("w", 3, s.coeffs, param="mu")
+        zero = CoeffPoly.zero()
+        shifted = TruncSeries("w", 5, (zero, zero) + s.coeffs)
+        assert shifted.divide_by_var(2) == TruncSeries("w", 3, s.coeffs)
         with pytest.raises(ExactDivisionError):
-            TruncSeries.one("w", 3, "mu").divide_by_var()
+            TruncSeries.one("w", 3).divide_by_var()
 
     def test_pow(self):
         rng = random.Random(11)
-        s = TruncSeries.one("w", 5, "mu") + with_zero_constant(rng, order=5)
+        s = TruncSeries.one("w", 5) + with_zero_constant(rng, order=5)
         assert s.pow_param(Fraction(3)) == s * s * s
-        assert s.pow_param(-1) * s == TruncSeries.one("w", 5, "mu")
+        assert s.pow_param(-1) * s == TruncSeries.one("w", 5)
 
     def test_variable_mismatch_rejected(self):
-        a = TruncSeries.one("w", 3, "mu")
-        b = TruncSeries.one("s", 3, "mu")
+        a = TruncSeries.one("w", 3)
+        b = TruncSeries.one("s", 3)
         with pytest.raises(ValueError):
             a + b

@@ -15,7 +15,7 @@ B = "b"
 
 
 def const(value):
-    return CoeffPoly.from_param(ParamPoly.constant(B, value))
+    return CoeffPoly.from_param(ParamPoly.constant(value))
 
 
 class TestMuSeries:
@@ -37,11 +37,11 @@ class TestMuSeries:
 class TestBaseSeries:
     def test_low_coefficients(self):
         base = temme_base_series(4)
-        assert base[0] == CoeffPoly.one(B)
+        assert base[0] == CoeffPoly.one()
         # c_1 = -z^2 / 12
-        assert base[1] == CoeffPoly.monomial(B, 2, Fraction(-1, 12))
+        assert base[1] == CoeffPoly.monomial(2, Fraction(-1, 12))
         # c_2 = z^4 / 288 - b / 24
-        want = (CoeffPoly.monomial(B, 4, Fraction(1, 288))
+        want = (CoeffPoly.monomial(4, Fraction(1, 288))
                 + CoeffPoly.from_param(ParamPoly(B, (0, Fraction(-1, 24)))))
         assert base[2] == want
 
@@ -60,13 +60,13 @@ class TestBaseSeries:
 class TestIteration:
     def test_diagonal_families_start(self):
         table = temme_iterate(temme_base_series(7), n_max=1, k_max=2)
-        assert table.even_out[0] == CoeffPoly.one(B)
+        assert table.even_out[0] == CoeffPoly.one()
         # b-dagger_0 = -2z * c_1 = z^3 / 6
-        assert table.odd_out[0] == CoeffPoly.monomial(B, 3, Fraction(1, 6))
+        assert table.odd_out[0] == CoeffPoly.monomial(3, Fraction(1, 6))
         # a-dagger_1 = (b - 2) z^2 / 6 + z^6 / 72
-        want = (CoeffPoly([ParamPoly.zero(B), ParamPoly.zero(B),
+        want = (CoeffPoly([ParamPoly.zero(), ParamPoly.zero(),
                            ParamPoly(B, (-Fraction(2, 6), Fraction(1, 6)))])
-                + CoeffPoly.monomial(B, 6, Fraction(1, 72)))
+                + CoeffPoly.monomial(6, Fraction(1, 72)))
         assert table.even_out[1] == want
 
     def test_matches_lowered_recursion_families(self, lowered8):
@@ -89,7 +89,7 @@ class TestGeneralizedBernoulli:
         ell = ParamPoly(B, (3,))
         x = ParamPoly(B, (1,))
         polys = generalized_bernoulli(2, ell, x)
-        assert polys[0] == ParamPoly.one(B)
+        assert polys[0] == ParamPoly.one()
         # B_1 = x - ell / 2
         assert polys[1] == ParamPoly(B, (-Fraction(1, 2),))
         ell = ParamPoly(B, (2, -1))
@@ -98,25 +98,25 @@ class TestGeneralizedBernoulli:
         assert polys[1].is_zero()
 
     def test_order_zero_at_origin(self):
-        zero = ParamPoly.zero(B)
+        zero = ParamPoly.zero()
         polys = generalized_bernoulli(6, zero, zero)
-        assert polys[0] == ParamPoly.one(B)
+        assert polys[0] == ParamPoly.one()
         for n in range(1, 7):
             assert polys[n].is_zero()
 
     def test_classic_numbers_cross_route(self):
         # ell = 1, x = 0 reproduces the Bernoulli numbers computed
         # independently by the gamma-function module
-        one = ParamPoly.one(B)
-        zero = ParamPoly.zero(B)
+        one = ParamPoly.one()
+        zero = ParamPoly.zero()
         polys = generalized_bernoulli(8, one, zero)
         classic = bernoulli_numbers(9)
         for n in range(9):
-            assert polys[n] == ParamPoly.constant(B, classic[n])
+            assert polys[n] == ParamPoly.constant(classic[n])
 
     def test_binomial_poly(self):
         p = ParamPoly.variable(B)
-        assert binomial_poly(p, 0) == ParamPoly.one(B)
+        assert binomial_poly(p, 0) == ParamPoly.one()
         assert binomial_poly(p, 1) == p
         assert binomial_poly(p, 2) == (p * (p - 1)) * Fraction(1, 2)
         assert binomial_poly(p, 2).evaluate(Fraction(7), lambda f: f) == 21
@@ -125,8 +125,8 @@ class TestGeneralizedBernoulli:
 class TestGammaRatioCoefficients:
     def test_normalization_and_vanishing(self):
         d, dtilde = gamma_ratio_coefficients(9)
-        assert d[0] == ParamPoly.one(B)
-        assert dtilde[0] == ParamPoly.one(B)
+        assert d[0] == ParamPoly.one()
+        assert dtilde[0] == ParamPoly.one()
         for n in range(1, 10, 2):
             assert d[n].is_zero()
         assert not d[2].is_zero()
@@ -135,10 +135,10 @@ class TestGammaRatioCoefficients:
         # sum d_n u^-2n and sum dtilde_n u^-2n are reciprocal series
         d, dtilde = gamma_ratio_coefficients(8)
         for m in range(9):
-            acc = ParamPoly.zero(B)
+            acc = ParamPoly.zero()
             for k in range(m + 1):
                 acc = acc + d[k] * dtilde[m - k]
-            assert acc == (ParamPoly.one(B) if m == 0 else ParamPoly.zero(B))
+            assert acc == (ParamPoly.one() if m == 0 else ParamPoly.zero())
 
     def test_slope_bridge(self, table8):
         # odd-family origin slopes against the gamma-ratio coefficients
