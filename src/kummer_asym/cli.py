@@ -81,10 +81,6 @@ def parse_linear_in_b(expr: str) -> ParamPoly:
     return ParamPoly("b", (const, slope))
 
 
-def _precision_for(default_mode: str) -> Precision:
-    return Precision.from_env(default=default_mode)
-
-
 def _echo(args_pairs, stream) -> None:
     parts = " ".join(f"{k}={v}" for k, v in args_pairs)
     print(f"# config: {parts}", file=stream)
@@ -148,7 +144,7 @@ def cmd_bernoulli(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    prec = _precision_for("double")
+    prec = Precision.from_env(default="double")
     config = [("subcommand", "oracle"), ("fn", args.fn),
               ("precision", prec.mode)]
     if args.fn in ("i", "k"):
@@ -183,7 +179,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    prec = _precision_for("double")
+    prec = Precision.from_env(default="double")
     cfg = ExpansionConfig(variant=args.variant, b=_parse_complex(args.b),
                           z=RiemannPoint(args.z_r, args.z_theta),
                           t=args.t, u_theta=args.u_theta,
@@ -296,10 +292,10 @@ def _csv_row(row) -> list:
 
 def cmd_sweep(args) -> int:
     if args.preset == "acceptance":
-        prec = _precision_for("dd")
+        prec = Precision.from_env(default="dd")
         grid = acceptance_grid(args.variant, prec)
     else:
-        prec = _precision_for("double")
+        prec = Precision.from_env(default="double")
         grid = product_grid(
             args.variant, prec, [_parse_complex(v) for v in args.b.split(",")],
             args.z_r, args.z_theta, args.u_theta, args.order, args.t)

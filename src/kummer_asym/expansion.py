@@ -74,14 +74,6 @@ class ExpansionConfig:
             if abs(self.u_theta) >= math.pi / 2:
                 raise DomainError("second-kind variants need |arg u| < pi/2")
 
-    @property
-    def u(self) -> complex:
-        return self.t * complex(math.cos(self.u_theta), math.sin(self.u_theta))
-
-    @property
-    def a(self) -> complex:
-        return self.u ** 2 / 4 + complex(self.b) / 2
-
 
 @dataclass(frozen=True)
 class SideBySide:

@@ -149,7 +149,8 @@ def normalizer_series(table: CoefficientTable, sign: int = 1) -> TruncSeries:
 
 def shift_basis(table: CoefficientTable,
                 seeds: Sequence[Union[ParamPoly, Fraction, int]]) -> CoefficientTable:
-    """Re-seed the recursion: shifted[s] = sum_r family[r] * seeds[s-r].
+    """Re-seed the recursion: shifted[s] = sum_r family[r] * seeds[s-r],
+    the u^-2 series product of each family with the seeds.
 
     seeds[0] must be exactly 1; seeds beyond the table order are ignored.
     The shifted families satisfy the same recursion with shifted-even
@@ -158,16 +159,11 @@ def shift_basis(table: CoefficientTable,
     norm = [s if isinstance(s, ParamPoly) else ParamPoly.constant(s) for s in seeds]
     if not norm or norm[0] != ParamPoly.one():
         raise InvalidSeedError("seed sequence must start with 1")
-    shifted_even = []
-    shifted_odd = []
-    for s in range(table.order + 1):
-        acc_e = CoeffPoly.zero()
-        acc_o = CoeffPoly.zero(parity="odd")
-        for r in range(s + 1):
-            if s - r < len(norm):
-                acc_e = acc_e + table.even[r] * norm[s - r]
-                acc_o = acc_o + table.odd[r] * norm[s - r]
-        shifted_even.append(acc_e)
-        shifted_odd.append(acc_o)
-    return CoefficientTable(f=table.f, order=table.order, param=table.param,
-                            even=tuple(shifted_even), odd=tuple(shifted_odd))
+    order = table.order
+    seed_series = TruncSeries("u^-2", order, map(CoeffPoly.from_param, norm))
+
+    def shifted(family):
+        return (TruncSeries("u^-2", order, family) * seed_series).coeffs
+
+    return CoefficientTable(f=table.f, order=order, param=table.param,
+                            even=shifted(table.even), odd=shifted(table.odd))

@@ -12,8 +12,10 @@ Three immutable layers, all with exact rational coefficients:
                carrying a declared parity ('even', 'odd', 'none') that is
                validated on construction, never inferred.
   TruncSeries  truncated power series in a named variable with CoeffPoly
-               coefficients; supports the exp/log/inverse recurrences
-               needed for generating-function work.
+               coefficients; supports the product and the exp/log/inverse
+               recurrences needed for generating-function work.  There is
+               no division by the variable: a quotient that would need one
+               is written as a product with an inverse.
 
 The parameter is named only where it occurs: `param` is its name on a
 polynomial of degree >= 1 and None on every constant, zero included, and a
@@ -587,20 +589,6 @@ class TruncSeries:
         return TruncSeries(self.var, order, out)
 
     __rmul__ = __mul__
-
-    def divide_by_var(self, power: int = 1) -> "TruncSeries":
-        """Exact division by var**power; low coefficients must vanish.
-
-        The result keeps the same truncation order, so its top `power`
-        coefficients are genuinely unknown; they are dropped (order shrinks).
-        """
-        if power > self.order:
-            raise OrderStarvationError("series too short to divide by that power")
-        for k in range(power):
-            if not self.coeffs[k].is_zero():
-                raise ExactDivisionError(
-                    f"{self.var}^{k} coefficient nonzero; cannot divide by {self.var}^{power}")
-        return TruncSeries(self.var, self.order - power, self.coeffs[power:])
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term."""

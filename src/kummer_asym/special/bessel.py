@@ -20,7 +20,8 @@ import math
 from ..errors import DomainError, PrecisionExhaustedError
 from .gammafn import log_gamma_ctx
 from .types import (LogComplex, NumericContext, Precision, RiemannPoint,
-                    ScaledValue, base_point, is_nonpositive_integer)
+                    ScaledValue, base_point, is_nonpositive_integer,
+                    nearest_integer)
 
 _INTEGER_WINDOW = 1e-3
 _MAX_SERIES_TERMS = 3000
@@ -158,17 +159,10 @@ def _k_integer(n: int, x0, ctx: NumericContext) -> ScaledValue:
     return k_cur
 
 
-def _near_integer(nu: complex):
-    n = round(nu.real)
-    if abs(complex(nu) - n) < _INTEGER_WINDOW:
-        return int(n)
-    return None
-
-
 def _k_base(nu_c, nu: complex, x0, ctx: NumericContext) -> ScaledValue:
     if ctx.mag(x0) >= ctx.bessel_switch:
         return _k_asym(nu_c, x0, ctx)
-    n = _near_integer(nu)
+    n = nearest_integer(nu, _INTEGER_WINDOW)
     if n is not None:
         if nu.imag != 0.0:
             raise DomainError(
@@ -207,7 +201,7 @@ def bessel_k_scaled(nu: complex, point: RiemannPoint,
         return k_base
     unwind = ctx.exp(-ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m)
     first = k_base.mul_complex(unwind)
-    n = _near_integer(nu)
+    n = nearest_integer(nu, _INTEGER_WINDOW)
     if n is not None:
         # limit of sin(pi nu m)/sin(pi nu) as nu -> n
         ratio = m if (n * (m - 1)) % 2 == 0 else -m

@@ -18,7 +18,7 @@ from .gammafn import log_gamma_ctx
 from .quad import peak_integral
 from .types import (NATIVE, LogComplex, NumericContext, Precision,
                     RiemannPoint, ScaledValue, base_point,
-                    is_nonpositive_integer)
+                    is_nonpositive_integer, nearest_integer)
 
 _MAX_TERMS = 20000
 # beyond this fraction of pi the base integral loses its damping and the
@@ -103,12 +103,13 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
 
 
 def _u_base_connection(a_c, b_c, b: complex, x0, theta0,
-                       ctx: NumericContext) -> ScaledValue:
-    """Two-term M connection for base points left of the imaginary axis.
+                       ctx: NumericContext) -> tuple:
+    """Two-term M connection for base points left of the imaginary axis;
+    returns U(a,b,x0) and the M(a,b,x0) it used.
 
     Fails for integer b, where the pair of M solutions degenerates.
     """
-    if complex(b).imag == 0.0 and abs(complex(b).real - round(complex(b).real)) < 1e-9:
+    if b.imag == 0.0 and nearest_integer(b, 1e-9) is not None:
         raise DomainError(
             "U base point left of the imaginary axis needs non-integer b")
     m1 = _m_series(a_c, b_c, x0, ctx)
@@ -120,7 +121,7 @@ def _u_base_connection(a_c, b_c, b: complex, x0, theta0,
     g2 = (log_gamma_ctx(b_c - 1, ctx) - log_gamma_ctx(a_c, ctx)
           + (1 - b_c) * log_x0)
     second = ScaledValue(m2.mantissa, m2.shift + g2)
-    return first.add(second, ctx)
+    return first.add(second, ctx), m1
 
 
 def kummer_m_scaled(a: complex, b: complex, x: complex,
@@ -146,15 +147,17 @@ def kummer_u_scaled(a: complex, b: complex, x: RiemannPoint,
         raise DomainError(f"U oracle requires Re a > 0, got {complex(a).real:g}")
     a_c, b_c = ctx.coerce(a), ctx.coerce(b)
     x0, theta0, m = base_point(x, 2, ctx)
+    m_base = None
     if abs(ctx.to_float(theta0)) <= _QUAD_ANGLE_LIMIT:
         base = _u_base_integral(a_c, b_c, x0, ctx)
     else:
-        base = _u_base_connection(a_c, b_c, b_key, x0, theta0, ctx)
+        base, m_base = _u_base_connection(a_c, b_c, b_key, x0, theta0, ctx)
     if m == 0:
         return base
+    if m_base is None:
+        m_base = _m_series(a_c, b_c, x0, ctx)
     # monodromy constant: 2 pi i e^(-i pi b) / (Gamma(b) Gamma(1+a-b))
     i_unit = ctx.make_complex(0.0, 1.0)
-    m_base = _m_series(a_c, b_c, x0, ctx)
     c_shift = (-i_unit * ctx.pi * b_c - log_gamma_ctx(b_c, ctx)
                - log_gamma_ctx(1 + a_c - b_c, ctx))
     cm = ScaledValue(m_base.mantissa * 2 * ctx.pi * i_unit,

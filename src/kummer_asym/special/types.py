@@ -24,6 +24,26 @@ from ..errors import DomainError, PrecisionExhaustedError
 class NumericContext:
     """Arithmetic backend shared by every kernel; see _Double and _ExtendedMP.
 
+    Each context provides, on numbers of its own types:
+
+      real(x)                  x as a context real
+      rational(fr)             a Fraction as a context real, rounded once
+      make_complex(re, im=0)   a context complex
+      exp(x), log(x), sin(x)   real or complex; log of a negative real is complex
+      log1p_real(x)            log(1 + x) of a real
+      atan2(y, x)              the angle of x + iy, from two reals
+      re(x), im(x)             the parts; im of a real is 0
+      abs(x)                   |x| as a context real
+      is_finite(x)             no part infinite or NaN
+      pi, euler                the constants
+      to_float(x)              the real part as a float
+      to_complex(x)            x as a complex
+      mag(x)                   |x| as a float, for decisions only (stopping
+                               tests, guards, route switches); never for a
+                               value that is returned
+      coerce(w)                any number as a context complex
+      check_headroom(...)      the cancellation guard
+
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
     integral aims for; bessel_switch the |x| from which I and K take the
@@ -44,26 +64,8 @@ class NumericContext:
     guard_threshold = 1e-6
     own_types = ()  # number types that coerce passes through unchanged
 
-    def real(self, x):
-        raise NotImplementedError
-
-    def rational(self, fr):
-        """A Fraction as a context real, rounded once."""
-        raise NotImplementedError
-
-    def make_complex(self, re, im=0.0):
-        raise NotImplementedError
-
-    def to_float(self, x) -> float:
-        raise NotImplementedError
-
     def to_complex(self, x) -> complex:
         return complex(x)
-
-    def mag(self, x) -> float:
-        """|x| as a float, for decisions only (stopping tests, guards,
-        route switches); never for a value that is returned."""
-        raise NotImplementedError
 
     def coerce(self, w):
         """Any number, by way of complex(), into a context complex; numbers
@@ -91,14 +93,16 @@ class _Double(NumericContext):
     bessel_switch = 9.5
     stirling_profile = (20.0, 12)
 
-    def real(self, x):
-        return float(x)
+    real = float
+    make_complex = complex
+    log1p_real = staticmethod(math.log1p)
+    atan2 = staticmethod(math.atan2)
+    abs = staticmethod(abs)
+    pi = math.pi
+    euler = 0.5772156649015328606
 
     def rational(self, fr):
         return fr.numerator / fr.denominator
-
-    def make_complex(self, re, im=0.0):
-        return complex(re, im)
 
     def to_float(self, x):
         return float(x.real) if isinstance(x, complex) else float(x)
@@ -114,14 +118,8 @@ class _Double(NumericContext):
             return cmath.log(x)
         return math.log(x) if x > 0 else cmath.log(complex(x, 0.0))
 
-    def log1p_real(self, x):
-        return math.log1p(x)
-
     def sin(self, x):
         return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
-
-    def atan2(self, y, x):
-        return math.atan2(y, x)
 
     def re(self, x):
         return x.real if isinstance(x, complex) else x
@@ -129,28 +127,18 @@ class _Double(NumericContext):
     def im(self, x):
         return x.imag if isinstance(x, complex) else 0.0
 
-    def abs(self, x):
-        return abs(x)
-
     def is_finite(self, x):
         if isinstance(x, complex):
             return math.isfinite(x.real) and math.isfinite(x.imag)
         return math.isfinite(x)
-
-    @property
-    def pi(self):
-        return math.pi
-
-    @property
-    def euler(self):
-        return 0.5772156649015328606
 
 
 class _ExtendedMP(NumericContext):
     """mpmath-backed mode pinned at 34 significant digits (~double-double).
 
     It works in a private mpmath.MPContext, so it neither reads nor writes
-    the process-wide mpmath.mp precision.
+    the process-wide mpmath.mp precision; the interface functions are that
+    context's own.
     """
 
     name = "dd"
@@ -163,20 +151,19 @@ class _ExtendedMP(NumericContext):
     def __init__(self, dps: int = 34):
         import mpmath
 
-        self._mp = mpmath.MPContext()
-        self._mp.dps = dps
+        mp = self._mp = mpmath.MPContext()
+        mp.dps = dps
         self._raw_to_float = mpmath.libmp.to_float
         self.dps = dps
-        self.own_types = (self._mp.mpf, self._mp.mpc)
-
-    def real(self, x):
-        return self._mp.mpf(x)
+        self.own_types = (mp.mpf, mp.mpc)
+        self.real, self.make_complex = mp.mpf, mp.mpc
+        self.exp, self.log, self.sin, self.atan2 = mp.exp, mp.log, mp.sin, mp.atan2
+        self.log1p_real, self.abs, self.is_finite = mp.log1p, mp.fabs, mp.isfinite
+        self.re, self.im = mp.re, mp.im
+        self.pi, self.euler = mp.pi, mp.euler
 
     def rational(self, fr):
         return self._mp.mpf(fr.numerator) / self._mp.mpf(fr.denominator)
-
-    def make_complex(self, re, im=0.0):
-        return self._mp.mpc(re, im)
 
     def to_float(self, x):
         return float(self._mp.re(x)) if isinstance(x, self._mp.mpc) else float(x)
@@ -194,41 +181,6 @@ class _ExtendedMP(NumericContext):
         if math.isfinite(m):
             return m
         return self.to_float(self._mp.fabs(x))
-
-    def exp(self, x):
-        return self._mp.exp(x)
-
-    def log(self, x):
-        return self._mp.log(x)
-
-    def log1p_real(self, x):
-        return self._mp.log1p(x)
-
-    def sin(self, x):
-        return self._mp.sin(x)
-
-    def atan2(self, y, x):
-        return self._mp.atan2(y, x)
-
-    def re(self, x):
-        return self._mp.re(x)
-
-    def im(self, x):
-        return self._mp.im(x)
-
-    def abs(self, x):
-        return self._mp.fabs(x)
-
-    def is_finite(self, x):
-        return self._mp.isfinite(x)
-
-    @property
-    def pi(self):
-        return self._mp.pi
-
-    @property
-    def euler(self):
-        return self._mp.euler
 
 
 NATIVE = _Double()  # the double context; extended modes steer in it too
@@ -330,11 +282,20 @@ def base_point(point: RiemannPoint, half_turns: int, ctx: NumericContext):
     return x0, theta0, m
 
 
+def nearest_integer(w, tol: float):
+    """The integer n with |w - n| < tol, else None; w is any number that
+    complex() accepts, and its imaginary part counts in the distance."""
+    w = complex(w)
+    n = round(w.real)
+    return n if abs(w - n) < tol else None
+
+
 def is_nonpositive_integer(w) -> bool:
     """True when w is real and within 1e-12 of 0, -1, -2, ...: a pole of
     Gamma(w), hence of log-gamma and of the M series at parameter b = w."""
     w = complex(w)
-    return w.imag == 0.0 and w.real <= 0.5 and abs(w.real - round(w.real)) < 1e-12
+    return (w.imag == 0.0 and w.real <= 0.5
+            and nearest_integer(w, 1e-12) is not None)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ The route: expand
 
     g(s, z) = exp(z^2 * m(s)) * ((s/2) / sinh(s/2))^b = sum_k c_k(z) s^k,
 
-where m(s) = 1/s - 1/(e^s - 1) - 1/2, then iterate
+where m(s) = 1/s - 1/(e^s - 1) - 1/2 (a series product, F/E - 1/2 with
+E = (e^s - 1)/s and F = (E - 1)/s, so no division by s), then iterate
 
     c_k^(n+1) = 4 * (z^2 * c_{k+2}^(n) + (1 - b + k) * c_{k+1}^(n)).
 
@@ -35,27 +36,23 @@ DEFAULT_BASE_ORDER = DEFAULT_K_MAX + 2 * DEFAULT_N_MAX
 
 @dataclass(frozen=True)
 class TemmeTable:
-    """Base series, iterated rows, and the extracted diagonal families."""
+    """The diagonal families extracted from the iterated base series."""
 
-    n_max: int
-    k_max: int
-    base: Tuple[CoeffPoly, ...]
-    iterated: Tuple[Tuple[CoeffPoly, ...], ...]
     even_out: Tuple[CoeffPoly, ...]
     odd_out: Tuple[CoeffPoly, ...]
 
 
-def _exp_minus_one_over_var(var: str, order: int) -> TruncSeries:
-    # (e^t - 1)/t = sum_k t^k / (k+1)!
-    vals = [Fraction(1, factorial(k + 1)) for k in range(order + 1)]
+def _exp_tail(var: str, order: int, drop: int) -> TruncSeries:
+    # (e^t - sum_{j<drop} t^j/j!) / t^drop = sum_k t^k / (k+drop)!
+    vals = [Fraction(1, factorial(k + drop)) for k in range(order + 1)]
     return TruncSeries.from_rationals(var, order, vals)
 
 
 def mu_series(order: int) -> TruncSeries:
-    """Maclaurin series of 1/s - 1/(e^s - 1) - 1/2 (odd, no constant term)."""
-    e = _exp_minus_one_over_var("s", order + 1)
-    numer = TruncSeries.one("s", order + 1) - e.inverse()
-    return numer.divide_by_var() - Fraction(1, 2)
+    """Maclaurin series of m(s) = 1/s - 1/(e^s - 1) - 1/2 (odd, no
+    constant term), as F/E - 1/2; see the module docstring."""
+    e_series, f_series = _exp_tail("s", order, 1), _exp_tail("s", order, 2)
+    return f_series * e_series.inverse() - Fraction(1, 2)
 
 
 def temme_base_series(order: int = DEFAULT_BASE_ORDER) -> Tuple[CoeffPoly, ...]:
@@ -103,9 +100,7 @@ def temme_iterate(base: Sequence[CoeffPoly], n_max: int = DEFAULT_N_MAX,
 
     even_out = tuple(rows[n][0] for n in range(n_max + 1))
     odd_out = tuple(rows[n][1].mul_by_z() * (-2) for n in range(n_max + 1))
-    iterated = tuple(tuple(row[: k_max + 1]) for row in rows)
-    return TemmeTable(n_max=n_max, k_max=k_max, base=tuple(base),
-                      iterated=iterated, even_out=even_out, odd_out=odd_out)
+    return TemmeTable(even_out=even_out, odd_out=odd_out)
 
 
 def binomial_poly(p: ParamPoly, n: int) -> ParamPoly:
@@ -124,7 +119,7 @@ def generalized_bernoulli(n_max: int,
     Returns B_0..B_n_max; entries are polynomials in the parameter when
     ell or x is one.
     """
-    core = _exp_minus_one_over_var("t", n_max).inverse()  # t/(e^t - 1)
+    core = _exp_tail("t", n_max, 1).inverse()  # t/(e^t - 1)
     linear = TruncSeries.from_rationals("t", n_max, (0, 1)) * x
     series = core.pow_param(ell) * linear.exp()
     return tuple(series.coeffs[n].value_at_zero() * factorial(n)

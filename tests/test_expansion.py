@@ -51,11 +51,6 @@ class TestConfigValidation:
             cfg("u-lower", u_theta=-math.pi / 2)
         cfg("m", u_theta=1.6)
 
-    def test_derived_quantities(self):
-        c = cfg("m", t=20.0, u_theta=0.3)
-        assert c.u == pytest.approx(20.0 * cmath.exp(0.3j))
-        assert c.a == pytest.approx(c.u ** 2 / 4 + 0.75)
-
     def test_side_by_side_rejects_nan(self):
         one = LogComplex(0.0, 0.0)
         with pytest.raises(DomainError):

@@ -369,15 +369,6 @@ class TestTruncSeries:
         with pytest.raises(ExactDivisionError):
             TruncSeries.from_rationals("w", 3, [0, 1]).inverse()
 
-    def test_var_shift_round_trip(self):
-        rng = random.Random(77)
-        s = rand_series(rng, order=5)
-        zero = CoeffPoly.zero()
-        shifted = TruncSeries("w", 5, (zero, zero) + s.coeffs)
-        assert shifted.divide_by_var(2) == TruncSeries("w", 3, s.coeffs)
-        with pytest.raises(ExactDivisionError):
-            TruncSeries.one("w", 3).divide_by_var()
-
     def test_pow(self):
         rng = random.Random(11)
         s = TruncSeries.one("w", 5) + with_zero_constant(rng, order=5)

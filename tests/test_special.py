@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -13,11 +14,14 @@ from kummer_asym.errors import (DomainError, PoleError,
                                PrecisionExhaustedError, QuadratureError)
 from kummer_asym.special.bessel import bessel_i, bessel_k
 from kummer_asym.special.gammafn import bernoulli_numbers, log_gamma
+from kummer_asym.special import kummer as kummer_module
 from kummer_asym.special.kummer import kummer_m, kummer_u
 from kummer_asym.special.quad import peak_integral
-from kummer_asym.special.types import (LogComplex, PRECISION_ENV_VAR,
-                                       Precision, RiemannPoint, ScaledValue,
-                                       is_nonpositive_integer, turn_reduce)
+from kummer_asym.special.types import (LogComplex, NumericContext,
+                                       PRECISION_ENV_VAR, Precision,
+                                       RiemannPoint, ScaledValue,
+                                       is_nonpositive_integer,
+                                       nearest_integer, turn_reduce)
 
 
 def rp(r, theta=0.0):
@@ -211,6 +215,56 @@ class TestPrecision:
         third = dd.make_complex(1.0) / 3
         assert dd.coerce(third) is third
 
+    def test_context_interface(self):
+        doc = NumericContext.__doc__
+        listing = doc.split("types:\n\n")[1].split("\n\n")[0]
+        names = []
+        for line in listing.splitlines():
+            if re.match(r" {6}\w", line):
+                field = re.split(r"\s{2,}", line.strip())[0]
+                names += re.findall(r"(?:^|, )(\w+)(?=\(|,|$)", field)
+        assert len(names) == 19 and "log1p_real" in names and "euler" in names
+        double, dd = Precision.double().ctx, Precision.dd().ctx
+        for ctx in (double, dd):
+            for name in names:
+                assert hasattr(ctx, name), (ctx.name, name)
+        mpf, mpc = dd._mp.mpf, dd._mp.mpc
+        reals = (0.7, -0.4, 1e-3)  # log(-0.4) is complex in both modes
+        complexes = (0.3 + 1.2j, -1.5 - 0.4j)
+        for ctx, real_t, complex_t in ((double, float, complex), (dd, mpf, mpc)):
+            x, w = ctx.real(0.7), ctx.make_complex(0.3, 1.2)
+            assert isinstance(x, real_t) and isinstance(w, complex_t)
+            assert isinstance(ctx.rational(Fraction(1, 3)), real_t)
+            for f in (ctx.exp, ctx.sin, ctx.log, ctx.abs, ctx.re):
+                assert isinstance(f(x), real_t)
+            for f in (ctx.exp, ctx.sin, ctx.log):
+                assert isinstance(f(w), complex_t)
+            assert isinstance(ctx.log(ctx.real(-2.0)), complex_t)
+            for f in (ctx.abs, ctx.re, ctx.im):
+                assert isinstance(f(w), real_t)
+            assert isinstance(ctx.log1p_real(x), real_t)
+            assert isinstance(ctx.atan2(x, ctx.real(-1.3)), real_t)
+            assert isinstance(ctx.pi * 1, real_t)
+            assert isinstance(ctx.euler * 1, real_t)
+            assert ctx.is_finite(w) and not ctx.is_finite(ctx.real(math.inf))
+
+        def agree(name, *args):
+            args_dd = [dd.real(a) if isinstance(a, float) else dd.coerce(a)
+                       for a in args]
+            got = dd.to_complex(getattr(dd, name)(*args_dd))
+            want = complex(getattr(double, name)(*args))
+            assert abs(got - want) <= 1e-15 * abs(want), (name, args)
+
+        for v in reals + complexes:
+            for name in ("exp", "log", "sin", "abs", "re", "im"):
+                agree(name, v)
+        for v in reals:
+            agree("log1p_real", v)
+        for y, x in ((-0.7, -1.3), (0.7, -1.3), (-0.2, 0.9)):
+            agree("atan2", y, x)
+        assert abs(float(dd.pi) - double.pi) <= 1e-15 * double.pi
+        assert abs(float(dd.euler) - double.euler) <= 1e-15 * double.euler
+
 
 class TestMag:
     def test_double_is_abs(self):
@@ -252,6 +306,11 @@ class TestPolePredicate:
             assert not is_nonpositive_integer(w)
         dd = Precision.dd().ctx
         assert is_nonpositive_integer(dd.make_complex(-4.0))
+        # the distance counts the imaginary part
+        assert nearest_integer(2.0004, 1e-3) == 2
+        assert nearest_integer(-3 + 5e-4j, 1e-3) == -3
+        assert nearest_integer(2.002, 1e-3) is None
+        assert nearest_integer(2 + 2e-3j, 1e-3) is None
 
 
 class TestLogGamma:
@@ -499,6 +558,25 @@ class TestKummerU:
             kummer_u(-1.0, 1.5, rp(2.0), dd)
         with pytest.raises(DomainError):
             kummer_u(1.5, 2.0, rp(2.0, math.pi), dd)
+
+    def test_wound_connection_sums_m_once(self, dd, monkeypatch):
+        # theta = 5 pi: base angle pi (connection route) two turns up; the
+        # monodromy reuses the connection's M(a, b, x0)
+        calls = []
+        m_series = kummer_module._m_series
+
+        def counted(*args):
+            calls.append(args)
+            return m_series(*args)
+
+        monkeypatch.setattr(kummer_module, "_m_series", counted)
+        kummer_u(1.5, 0.7, rp(2.0, 5 * math.pi), dd)
+        assert len(calls) == 2
+        # integer b is refused before any series is summed
+        calls.clear()
+        with pytest.raises(DomainError):
+            kummer_u(1.5, 2.0, rp(2.0, 5 * math.pi), dd)
+        assert calls == []
 
 
 def counting(f):
