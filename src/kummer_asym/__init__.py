@@ -12,11 +12,10 @@ from .errors import (DomainError, ExactDivisionError, ExactnessError,
                      InvalidSeedError, OrderStarvationError,
                      ParameterMixError, ParityError, PoleError,
                      PrecisionExhaustedError, QuadratureError)
-from .ratpoly import CoeffPoly, ParamPoly, TruncSeries
-from .olver import (CoefficientTable, compute_coefficient_table,
-                    lower_coefficients, normalizer_series,
-                    satisfies_recursion, shift_basis)
-from .temme import (TemmeTable, binomial_poly, gamma_ratio_coefficients,
+from .ratpoly import CoeffPoly, CoefficientTable, ParamPoly, TruncSeries
+from .olver import (compute_coefficient_table, lower_coefficients,
+                    normalizer_series, satisfies_recursion, shift_basis)
+from .temme import (binomial_poly, gamma_ratio_coefficients,
                     generalized_bernoulli, mu_series, temme_base_series,
                     temme_iterate)
 from .special.types import LogComplex, Precision, RiemannPoint
@@ -30,13 +29,11 @@ from .expansion import (ExpansionConfig, SideBySide, SweepResult, SweepRow,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffPoly", "ParamPoly", "TruncSeries",
-    "CoefficientTable", "compute_coefficient_table",
-    "lower_coefficients", "normalizer_series", "satisfies_recursion",
-    "shift_basis",
-    "TemmeTable", "binomial_poly", "gamma_ratio_coefficients",
-    "generalized_bernoulli", "mu_series", "temme_base_series",
-    "temme_iterate",
+    "CoeffPoly", "CoefficientTable", "ParamPoly", "TruncSeries",
+    "compute_coefficient_table", "lower_coefficients", "normalizer_series",
+    "satisfies_recursion", "shift_basis",
+    "binomial_poly", "gamma_ratio_coefficients", "generalized_bernoulli",
+    "mu_series", "temme_base_series", "temme_iterate",
     "LogComplex", "Precision", "RiemannPoint", "log_gamma",
     "bessel_i", "bessel_k", "kummer_m", "kummer_u",
     "ExpansionConfig", "SideBySide", "SweepResult", "SweepRow",

@@ -1,15 +1,16 @@
 """Command-line interface: coefficient dumps, oracles, verification, sweeps.
 
-Exit codes: 0 success, 1 domain or precision failure (one-line diagnostic on
-stderr), 2 usage errors.  Output is deterministic: fixed key order, floats at
-17 significant digits.  KUMMER_ASYM_PRECISION=double|dd overrides the
-default precision mode (double for single evaluations, dd for the
-acceptance sweep preset).
+Exit codes: 0 success, 1 domain, precision or file failure (one-line
+diagnostic on stderr), 2 usage errors.  Output is deterministic: fixed key
+order, floats at 17 significant digits.  KUMMER_ASYM_PRECISION=double|dd
+overrides the default precision mode (double for single evaluations, dd for
+the acceptance sweep preset).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import re
@@ -111,10 +112,10 @@ def _emit_families(config, families, fmt: str) -> None:
 def cmd_coeffs(args) -> int:
     table = compute_coefficient_table(
         CoeffPoly.monomial(2), order=args.order, param=args.param)
-    if args.variant == "AB":
-        families = (("A", table.even), ("B", table.odd))
-    else:
-        families = tuple(zip(("a", "b"), lower_coefficients(table)))
+    if args.variant == "ab":
+        table = lower_coefficients(table)
+    # the variant spells the names of its two families
+    families = tuple(zip(args.variant, (table.even, table.odd)))
     config = [("subcommand", "coeffs"), ("f", args.f), ("order", args.order),
               ("variant", args.variant), ("param", args.param),
               ("format", args.format)]
@@ -123,12 +124,12 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_temme(args) -> int:
-    base = temme_base_series(args.kmax + 2 * args.nmax)
-    table = temme_iterate(base, n_max=args.nmax, k_max=args.kmax)
+    table = temme_iterate(temme_base_series(2 * args.nmax + 1), args.nmax)
     d, dtilde = gamma_ratio_coefficients(args.nmax)
+    # --kmax shapes no output; the recorded temme outputs pin its echo
     config = [("subcommand", "temme"), ("nmax", args.nmax),
               ("kmax", args.kmax), ("format", args.format)]
-    _emit_families(config, (("a", table.even_out), ("b", table.odd_out),
+    _emit_families(config, (("a", table.even), ("b", table.odd),
                             ("d", d), ("dtilde", dtilde)), args.format)
     return 0
 
@@ -204,24 +205,19 @@ def verify_identities(nmax: int):
     `verify` prints it, and acceptance criteria 1-4 are its results at
     nmax = 8.
     """
-    f = CoeffPoly.monomial(2)
-    table = compute_coefficient_table(f, order=nmax, param="mu")
-    low_even, low_odd = lower_coefficients(table)
+    table = compute_coefficient_table(CoeffPoly.monomial(2), order=nmax, param="mu")
+    lowered = lower_coefficients(table)
 
-    yield ("recursion-resubstitution",
-           satisfies_recursion(f, table.even, table.odd),
+    yield ("recursion-resubstitution", satisfies_recursion(table),
            f"s<={nmax}, exact")
-    yield ("lowered-recursion",
-           satisfies_recursion(f, low_even, low_odd),
+    yield ("lowered-recursion", satisfies_recursion(lowered),
            f"s<={nmax}, exact")
 
     norm_plus = normalizer_series(table)
     norm_minus = normalizer_series(table, sign=-1)
     # the shift seeds 2*mu*odd[s-1]'(-mu, 0) are the reflected normalizer
-    seeds = tuple(c.value_at_zero() for c in norm_minus.coeffs)
-    shifted = shift_basis(table, seeds)
-    yield ("shifted-equals-lowered",
-           shifted.even == low_even and shifted.odd == low_odd,
+    seeds = tuple(c.coefficient(0) for c in norm_minus.coeffs)
+    yield ("shifted-equals-lowered", shift_basis(table, seeds) == lowered,
            f"s<={nmax}, exact")
 
     product = norm_plus * norm_minus
@@ -230,14 +226,15 @@ def verify_identities(nmax: int):
            product == unit and product.order == table.order + 1,
            f"through u^-{2 * (table.order + 1)}, exact")
 
-    base = temme_base_series(2 + 2 * nmax)
-    diag = temme_iterate(base, n_max=nmax, k_max=2)
-    image = ParamPoly("b", (-1, 1))
-    even_ok = all(low_even[n].substitute_param(image) == diag.even_out[n]
-                  for n in range(nmax + 1))
-    odd_ok = all(low_odd[n].substitute_param(image) == diag.odd_out[n]
-                 for n in range(nmax + 1))
-    yield ("lowered-equals-iterated", even_ok and odd_ok, f"n<={nmax}, exact")
+    diag = temme_iterate(temme_base_series(2 * nmax + 1), nmax)
+    image = ParamPoly("b", (-1, 1))  # mu -> b - 1
+
+    def in_b(family):
+        return tuple(p.substitute_param(image) for p in family)
+
+    yield ("lowered-equals-iterated",
+           (in_b(lowered.even), in_b(lowered.odd)) == (diag.even, diag.odd),
+           f"n<={nmax}, exact")
 
     d, dtilde = gamma_ratio_coefficients(9)
     yield ("odd-ratio-coefficients-vanish",
@@ -248,12 +245,12 @@ def verify_identities(nmax: int):
     half = Fraction(1, 2)
     slope_top = min(nmax, 6)
     slope_ok = all(
-        table.odd[n].derivative_at_zero().compose(image) * one_minus_b
+        table.odd[n].coefficient(1).compose(image) * one_minus_b
         == d[n + 1] * half for n in range(slope_top + 1))
     yield ("slope-bridge", slope_ok, f"n<={slope_top}, exact")
 
     origin_ok = all(
-        low_even[n].value_at_zero().compose(image) == dtilde[n]
+        lowered.even[n].coefficient(0).compose(image) == dtilde[n]
         for n in range(min(nmax, 8) + 1))
     yield ("origin-bridge", origin_ok, f"n<={min(nmax, 8)}, exact")
 
@@ -299,18 +296,15 @@ def cmd_sweep(args) -> int:
         grid = product_grid(
             args.variant, prec, [_parse_complex(v) for v in args.b.split(",")],
             args.z_r, args.z_theta, args.u_theta, args.order, args.t)
-    result = decay_sweep(grid)
-    config = [("subcommand", "sweep"), ("variant", args.variant),
-              ("preset", args.preset or "none"), ("rows", len(result.rows)),
-              ("precision", prec.mode), ("out", args.out or "stdout")]
-    if args.out:
-        echo_stream = sys.stdout
-        csv_handle = open(args.out, "w", newline="")
-    else:
-        echo_stream = sys.stderr
-        csv_handle = sys.stdout
-    try:
-        _echo(config, echo_stream)
+    # --out is opened before the sweep runs, so a bad path costs nothing
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as csv_handle:
+        result = decay_sweep(grid)
+        echo_stream = sys.stdout if args.out else sys.stderr
+        _echo([("subcommand", "sweep"), ("variant", args.variant),
+               ("preset", args.preset or "none"), ("rows", len(result.rows)),
+               ("precision", prec.mode), ("out", args.out or "stdout")],
+              echo_stream)
         writer = csv.writer(csv_handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in result.rows:
@@ -321,9 +315,6 @@ def cmd_sweep(args) -> int:
                   f"z_r={_fmt(z_r)} z_theta={_fmt(z_theta)} "
                   f"u_theta={_fmt(u_theta)} N={order} "
                   f"fitted={_fmt(slope)}", file=echo_stream)
-    finally:
-        if args.out:
-            csv_handle.close()
     return 0
 
 
@@ -438,7 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ExactnessError, ArithmeticError) as exc:
+    except (DomainError, ExactnessError, ArithmeticError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ LogComplex boundary type.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import statistics
@@ -40,10 +41,11 @@ GRID_ORDER = (1, 2, 3)
 
 @cache
 def expansion_tables():
-    """Coefficient table for f = z^2 plus its lowered families (immutable)."""
+    """(table, low_even, low_odd): the coefficient table for f = z^2 and
+    the two families of its lowered table (immutable)."""
     table = compute_coefficient_table(CoeffPoly.monomial(2))
-    low_even, low_odd = lower_coefficients(table)
-    return table, low_even, low_odd
+    lowered = lower_coefficients(table)
+    return table, lowered.even, lowered.odd
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,8 @@ class ExpansionConfig:
             raise DomainError("u magnitude t must be positive and finite")
         if not math.isfinite(self.u_theta):
             raise DomainError("u angle must be finite")
+        if not cmath.isfinite(self.b):
+            raise DomainError(f"parameter b must be finite, got {self.b}")
         if self.variant == "m":
             if is_nonpositive_integer(self.b):
                 raise PoleError(f"b = {complex(self.b).real:g} is a pole of the M kernel")

@@ -12,30 +12,19 @@ module runs in exact rational arithmetic:
 with even[0] = 1 and the free constant in the second line fixed by
 even[s+1](0) = 0.  Also provided: the lowered variant used by the
 second-kind expansions, the normalizer series built from odd-family slopes
-at the origin, and the seeded basis shift.
+at the origin, and the seeded basis shift.  Every family pair, raw,
+lowered or shifted, is a ratpoly.CoefficientTable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 from .errors import InvalidSeedError
-from .ratpoly import CoeffPoly, ParamPoly, TruncSeries
+from .ratpoly import CoeffPoly, CoefficientTable, ParamPoly, TruncSeries
 
 DEFAULT_ORDER = 10
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Even/odd coefficient families for one perturbation polynomial."""
-
-    f: CoeffPoly
-    order: int
-    param: str
-    even: Tuple[CoeffPoly, ...]
-    odd: Tuple[CoeffPoly, ...]
 
 
 def _weight(param: str) -> ParamPoly:
@@ -59,7 +48,7 @@ def compute_coefficient_table(f: CoeffPoly, order: int = DEFAULT_ORDER,
     """
     if f.parity != "even":
         raise ValueError("perturbation polynomial must be declared even")
-    if not f.value_at_zero().is_zero():
+    if f.coefficient(0):
         raise ValueError("perturbation polynomial must vanish at z=0")
     if f.param not in (None, param):
         f = f.substitute_param(ParamPoly.variable(param))
@@ -73,7 +62,7 @@ def compute_coefficient_table(f: CoeffPoly, order: int = DEFAULT_ORDER,
         db = b.differentiate()
         term = w * b.divide_by_z() - db + (f * b).integrate_from_zero()
         # fix the antiderivative constant so the next stage vanishes at 0
-        term = term - CoeffPoly.from_param(term.value_at_zero())
+        term = term - CoeffPoly.from_param(term.coefficient(0))
         even.append(term * half)
         odd.append(_odd_stage(f, w, even[-1]))
 
@@ -81,52 +70,34 @@ def compute_coefficient_table(f: CoeffPoly, order: int = DEFAULT_ORDER,
                             even=tuple(even), odd=tuple(odd))
 
 
-def satisfies_recursion(f: CoeffPoly, even: Sequence[CoeffPoly],
-                        odd: Sequence[CoeffPoly]) -> bool:
-    """Exact re-substitution check.
+def satisfies_recursion(table: CoefficientTable) -> bool:
+    """Exact re-substitution check of the table's families against its f.
 
     The odd-family equation is checked verbatim; the even-family one only up
     to its free additive constant (the lowered variant uses a different
     normalization at z=0).
     """
-    if not even:
-        return True
-    # any name serves when no polynomial mentions the parameter
-    w = _weight(next((p.param for p in (f, *even, *odd) if p.param), "mu"))
-    for s, b in enumerate(odd):
-        if s >= len(even):
-            break
-        if b != _odd_stage(f, w, even[s]):
-            return False
-    for s in range(len(odd)):
-        if s + 1 >= len(even):
-            break
-        b = odd[s]
-        lhs = even[s + 1].differentiate() * 2
-        rhs = (w * b.divide_by_z() - b.differentiate()).differentiate() + f * b
-        if lhs != rhs:
-            return False
-    return True
+    f, w = table.f, _weight(table.param)
+    if any(b != _odd_stage(f, w, a) for a, b in zip(table.even, table.odd)):
+        return False
+    return all(
+        a_next.differentiate() * 2
+        == (w * b.divide_by_z() - b.differentiate()).differentiate() + f * b
+        for b, a_next in zip(table.odd, table.even[1:]))
 
 
-def lower_coefficients(table: CoefficientTable) -> Tuple[Tuple[CoeffPoly, ...],
-                                                         Tuple[CoeffPoly, ...]]:
-    """Lowered coefficient pair for the alternative second-kind prefactor.
+def lower_coefficients(table: CoefficientTable) -> CoefficientTable:
+    """Lowered coefficient table for the alternative second-kind prefactor.
 
     lowered_even[0] = 1,
     lowered_even[s+1] = even[s+1](-mu, z) + (2*mu/z) * odd[s](-mu, z),
     lowered_odd[s]   = odd[s](-mu, z).
     """
     two_mu = ParamPoly(table.param, (0, 2))
-    lowered_even = [CoeffPoly.one()]
-    lowered_odd = []
-    for s in range(table.order + 1):
-        b_flip = table.odd[s].reflect()
-        lowered_odd.append(b_flip)
-        if s + 1 <= table.order:
-            a_flip = table.even[s + 1].reflect()
-            lowered_even.append(a_flip + two_mu * b_flip.divide_by_z())
-    return tuple(lowered_even), tuple(lowered_odd)
+    odd = tuple(b.reflect() for b in table.odd)
+    even = (CoeffPoly.one(),) + tuple(a.reflect() + two_mu * b.divide_by_z()
+                                      for a, b in zip(table.even[1:], odd))
+    return CoefficientTable(table.f, table.order, table.param, even, odd)
 
 
 def normalizer_series(table: CoefficientTable, sign: int = 1) -> TruncSeries:
@@ -140,7 +111,7 @@ def normalizer_series(table: CoefficientTable, sign: int = 1) -> TruncSeries:
     mu_prime = ParamPoly(table.param, (0, sign))
     coeffs = [CoeffPoly.one()]
     for k in range(1, table.order + 2):
-        slope = table.odd[k - 1].derivative_at_zero()
+        slope = table.odd[k - 1].coefficient(1)
         if sign < 0:
             slope = slope.reflect()
         coeffs.append(CoeffPoly.from_param(mu_prime * slope * Fraction(-2)))

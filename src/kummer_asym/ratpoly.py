@@ -17,6 +17,9 @@ Three immutable layers, all with exact rational coefficients:
                no division by the variable: a quotient that would need one
                is written as a product with an inverse.
 
+CoefficientTable holds one pair of CoeffPoly families (even, odd), the form
+in which both coefficient routes, olver and temme, hand over their results.
+
 The parameter is named only where it occurs: `param` is its name on a
 polynomial of degree >= 1 and None on every constant, zero included, and a
 CoeffPoly's `param` is the one name its coefficients mention, or None.
@@ -29,6 +32,7 @@ degree-indexed arrays (zero polynomial = empty array).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -150,14 +154,6 @@ class ParamPoly:
 
     def is_zero(self) -> bool:
         return not self.numerators
-
-    def is_constant(self) -> bool:
-        return len(self.numerators) <= 1
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ExactDivisionError(f"not a constant: {self}")
-        return self.coefficient(0)
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.numerators):
@@ -368,13 +364,6 @@ class CoeffPoly:
     def coefficient(self, k: int) -> ParamPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
 
-    def value_at_zero(self) -> ParamPoly:
-        return self.coefficient(0)
-
-    def derivative_at_zero(self) -> ParamPoly:
-        """d/dz at z=0, i.e. the z^1 coefficient."""
-        return self.coefficient(1)
-
     @staticmethod
     def _coerce(other) -> "CoeffPoly":
         if isinstance(other, CoeffPoly):
@@ -506,6 +495,18 @@ class CoeffPoly:
         return f"CoeffPoly({self.param!r}, parity={self.parity!r}, {self.to_json()})"
 
 
+@dataclass(frozen=True)
+class CoefficientTable:
+    """Families even[s], odd[s] for s <= order, in the parameter `param`,
+    for the perturbation polynomial f; what both coefficient routes return."""
+
+    f: CoeffPoly
+    order: int
+    param: str
+    even: tuple[CoeffPoly, ...]
+    odd: tuple[CoeffPoly, ...]
+
+
 class TruncSeries:
     """Power series in a named variable, truncated at a fixed order.
 
@@ -618,10 +619,10 @@ class TruncSeries:
 
     def inverse(self) -> "TruncSeries":
         """Reciprocal series; constant term must be a nonzero rational constant."""
-        c0 = self.coeffs[0].value_at_zero()
-        if self.coeffs[0].z_degree() > 0 or not c0.is_constant() or c0.is_zero():
+        c0 = self.coeffs[0].coefficient(0)
+        if self.coeffs[0].z_degree() > 0 or c0.degree() != 0:
             raise ExactDivisionError("inverse needs a nonzero constant leading term")
-        inv0 = Fraction(1) / c0.constant_value()
+        inv0 = 1 / c0.coefficient(0)
         out = [CoeffPoly._coerce(inv0)]
         for n in range(1, self.order + 1):
             acc = CoeffPoly.zero()

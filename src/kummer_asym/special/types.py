@@ -41,7 +41,7 @@ class NumericContext:
       mag(x)                   |x| as a float, for decisions only (stopping
                                tests, guards, route switches); never for a
                                value that is returned
-      coerce(w)                any number as a context complex
+      coerce(w)                any finite number as a context complex
       check_headroom(...)      the cancellation guard
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
@@ -68,11 +68,14 @@ class NumericContext:
         return complex(x)
 
     def coerce(self, w):
-        """Any number, by way of complex(), into a context complex; numbers
-        of own_types pass through, so no precision is shed on the way in."""
+        """Any finite number, by way of complex(), into a context complex;
+        numbers of own_types pass through, so no precision is shed on the
+        way in.  A NaN or infinite part raises DomainError."""
         if isinstance(w, self.own_types):
             return w
         w = complex(w)
+        if not cmath.isfinite(w):
+            raise DomainError(f"kernel input {w} is not finite")
         return self.make_complex(w.real, w.imag)
 
     def check_headroom(self, peak: float, result: float, what: str) -> None:
@@ -272,11 +275,21 @@ def turn_reduce(theta: float, period: float) -> tuple:
     return theta - period * m, int(m)
 
 
+# The most turns base_point hands to a kernel.  U restores its turns one
+# monodromy step at a time, so its cost and the rounding those steps leave
+# both grow with m, the rounding faster than m.
+MAX_TURNS = 2 ** 16
+
+
 def base_point(point: RiemannPoint, half_turns: int, ctx: NumericContext):
     """Split point = x0 e^(i pi half_turns m) with arg x0 = theta0 in
     (-pi half_turns / 2, pi half_turns / 2]; returns (x0, theta0, m), x0 and
-    theta0 as ctx numbers, the angle reduced in ctx arithmetic."""
+    theta0 as ctx numbers, the angle reduced in ctx arithmetic.  A turn
+    count |m| above MAX_TURNS raises DomainError."""
     _, m = turn_reduce(point.theta, half_turns * math.pi)
+    if abs(m) > MAX_TURNS:
+        raise DomainError(f"angle {point.theta:g} is more than {MAX_TURNS} "
+                          f"turns from the base sheet")
     theta0 = ctx.real(point.theta) - (half_turns * m) * ctx.pi
     x0 = ctx.real(point.r) * ctx.exp(ctx.make_complex(0.0, 1.0) * theta0)
     return x0, theta0, m
@@ -284,8 +297,11 @@ def base_point(point: RiemannPoint, half_turns: int, ctx: NumericContext):
 
 def nearest_integer(w, tol: float):
     """The integer n with |w - n| < tol, else None; w is any number that
-    complex() accepts, and its imaginary part counts in the distance."""
+    complex() accepts, and its imaginary part counts in the distance.  No
+    integer is near a NaN or infinite w."""
     w = complex(w)
+    if not cmath.isfinite(w):
+        return None
     n = round(w.real)
     return n if abs(w - n) < tol else None
 

@@ -12,34 +12,25 @@ E = (e^s - 1)/s and F = (E - 1)/s, so no division by s), then iterate
 
     c_k^(n+1) = 4 * (z^2 * c_{k+2}^(n) + (1 - b + k) * c_{k+1}^(n)).
 
-The diagonal entries c_0^(n) and -2z * c_1^(n) reproduce the lowered
-recursion families, which is the cross-check the verify suite runs.
+The diagonal entries c_0^(n) and -2z * c_1^(n), n <= n_max, read the base
+coefficients c_0 .. c_(2 n_max + 1) and form a CoefficientTable in b that
+reproduces the lowered recursion table under mu = b - 1, which is the
+cross-check the verify suite runs.
+
 Generalized Bernoulli polynomials and the gamma-ratio coefficient
 sequences d_n, dtilde_n come from the same series toolkit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence, Tuple, Union
 
 from .errors import OrderStarvationError
-from .ratpoly import CoeffPoly, ParamPoly, TruncSeries
+from .ratpoly import CoeffPoly, CoefficientTable, ParamPoly, TruncSeries
 
 DEFAULT_N_MAX = 8
-DEFAULT_K_MAX = 2
-# diagonal extraction to n_max needs k_max + 2*n_max + 1 base coefficients
-DEFAULT_BASE_ORDER = DEFAULT_K_MAX + 2 * DEFAULT_N_MAX
-
-
-@dataclass(frozen=True)
-class TemmeTable:
-    """The diagonal families extracted from the iterated base series."""
-
-    even_out: Tuple[CoeffPoly, ...]
-    odd_out: Tuple[CoeffPoly, ...]
 
 
 def _exp_tail(var: str, order: int, drop: int) -> TruncSeries:
@@ -55,11 +46,12 @@ def mu_series(order: int) -> TruncSeries:
     return f_series * e_series.inverse() - Fraction(1, 2)
 
 
-def temme_base_series(order: int = DEFAULT_BASE_ORDER) -> Tuple[CoeffPoly, ...]:
+def temme_base_series(order: int = 2 * DEFAULT_N_MAX + 1) -> Tuple[CoeffPoly, ...]:
     """Coefficients c_k(z), k <= order, of the base generating function.
 
     Each c_k is an even z-polynomial with coefficients polynomial in b;
-    c_0 = 1.
+    c_0 = 1.  The default order is what temme_iterate reads at its default
+    n_max.
     """
     exp_part = (mu_series(order) * CoeffPoly.monomial(2)).exp()
 
@@ -76,31 +68,31 @@ def temme_base_series(order: int = DEFAULT_BASE_ORDER) -> Tuple[CoeffPoly, ...]:
     return (exp_part * power_part).coeffs
 
 
-def temme_iterate(base: Sequence[CoeffPoly], n_max: int = DEFAULT_N_MAX,
-                  k_max: int = DEFAULT_K_MAX) -> TemmeTable:
-    """Run the lowering iteration and extract the diagonal families."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1 (both diagonal families need it)")
-    need = k_max + 2 * n_max + 1
+def temme_iterate(base: Sequence[CoeffPoly],
+                  n_max: int = DEFAULT_N_MAX) -> CoefficientTable:
+    """Run the lowering iteration and extract the diagonal families
+    even[n] = c_0^(n), odd[n] = -2z c_1^(n) as a table in b for f = z^2.
+
+    Reads base[0 .. 2 n_max + 1]; further entries are ignored.
+    """
+    need = 2 * n_max + 2
     if len(base) < need:
         raise OrderStarvationError(
             f"base series has {len(base)} coefficients, need {need} "
-            f"for n_max={n_max}, k_max={k_max}")
-    # the base names the parameter; b when no entry mentions it
-    param = next((c.param for c in base if c.param), "b")
+            f"for n_max={n_max}")
     z2 = CoeffPoly.monomial(2)
-    rows = [list(base)]
+    rows = [list(base[:need])]
     for n in range(n_max):
         prev = rows[-1]
         row = []
         for k in range(len(prev) - 2):
-            shift = ParamPoly(param, (1 + k, -1))  # 1 - b + k
+            shift = ParamPoly("b", (1 + k, -1))  # 1 - b + k
             row.append((z2 * prev[k + 2] + shift * prev[k + 1]) * 4)
         rows.append(row)
 
-    even_out = tuple(rows[n][0] for n in range(n_max + 1))
-    odd_out = tuple(rows[n][1].mul_by_z() * (-2) for n in range(n_max + 1))
-    return TemmeTable(even_out=even_out, odd_out=odd_out)
+    even = tuple(row[0] for row in rows)
+    odd = tuple(row[1].mul_by_z() * (-2) for row in rows)
+    return CoefficientTable(f=z2, order=n_max, param="b", even=even, odd=odd)
 
 
 def binomial_poly(p: ParamPoly, n: int) -> ParamPoly:
@@ -122,7 +114,7 @@ def generalized_bernoulli(n_max: int,
     core = _exp_tail("t", n_max, 1).inverse()  # t/(e^t - 1)
     linear = TruncSeries.from_rationals("t", n_max, (0, 1)) * x
     series = core.pow_param(ell) * linear.exp()
-    return tuple(series.coeffs[n].value_at_zero() * factorial(n)
+    return tuple(series.coeffs[n].coefficient(0) * factorial(n)
                  for n in range(n_max + 1))
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from kummer_asym import cli
 from kummer_asym.cli import (CSV_COLUMNS, main, parse_linear_in_b,
                              verify_identities)
 from kummer_asym.errors import DomainError
@@ -143,6 +144,13 @@ class TestOracle:
         assert code == 1
         assert "error: DomainError" in err
 
+    def test_overwound_angle_is_a_domain_error(self, capsys):
+        # a turn count no float can carry is refused, not evaluated
+        code, _, err = run_cli(capsys, "oracle", "--fn", "k", "--nu", "0.5",
+                               "--r", "2", "--theta", "1e300")
+        assert code == 1
+        assert err.startswith("error: DomainError: ")
+
     def test_kernel_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--fn", "m", "--a", "1",
                                "--b", "0", "--x", "2")
@@ -263,6 +271,26 @@ class TestSweep:
             ("12", "error:OrderStarvationError")]
         assert err.count("# slope:") == 1 and " N=3 " in err
 
+    def test_overwound_rows_fail_on_their_own(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--variant", "m",
+                               "--z-theta", "1e300")
+        assert code == 0
+        assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == [
+            "error:DomainError"]
+
+    def test_unwritable_out_fails_before_the_sweep(self, capsys, monkeypatch,
+                                                   tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "decay_sweep", calls.append)
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(capsys, "sweep", "--variant", "m",
+                                 "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: FileNotFoundError: ")
+        assert calls == []
+
     def test_deterministic(self, capsys):
         args = ("sweep", "--variant", "u-lower", "--t", "10,20")
         _, first, _ = run_cli(capsys, *args)
@@ -313,6 +341,27 @@ def test_bad_sweep_list_is_a_usage_error(capsys, option, value):
         main(["sweep", "--variant", "m", option, value])
     assert excinfo.value.code == 2
     assert "expected a comma-separated list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["double", "dd"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--variant", "m", "--b", "nan"],
+    ["eval", "--variant", "u-capital", "--b", "inf"],
+    ["oracle", "--fn", "m", "--a", "1", "--b", "2", "--x", "nan"],
+    ["oracle", "--fn", "m", "--a", "nan", "--b", "2", "--x", "1"],
+    ["oracle", "--fn", "k", "--nu", "nan", "--r", "1"],
+    ["oracle", "--fn", "i", "--nu", "inf", "--r", "1"],
+    ["oracle", "--fn", "u", "--a", "1", "--b", "nan", "--r", "1"],
+    ["sweep", "--variant", "m", "--b", "nan,1.5"],
+])
+def test_non_finite_parameter_is_one_domain_error_line(capsys, monkeypatch,
+                                                       mode, argv):
+    monkeypatch.setenv("KUMMER_ASYM_PRECISION", mode)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: DomainError: ")
+    assert "Traceback" not in err
 
 
 def test_out_of_range_sweep_order_is_a_domain_error(capsys):

@@ -1,5 +1,6 @@
 """Recursion-generated coefficient families and their derived objects."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from kummer_asym.errors import InvalidSeedError
 from kummer_asym.olver import (compute_coefficient_table, lower_coefficients,
                                normalizer_series, satisfies_recursion,
                                shift_basis)
-from kummer_asym.ratpoly import CoeffPoly, ParamPoly, TruncSeries
+from kummer_asym.ratpoly import CoeffPoly, CoefficientTable, ParamPoly, TruncSeries
 
 
 def poly(rows):
@@ -29,7 +30,7 @@ class TestCoefficientTable:
         for s in range(9):
             assert table8.even[s].z_degree() == 6 * s
             assert table8.odd[s].z_degree() == 6 * s + 3
-            assert table8.odd[s].value_at_zero().is_zero()
+            assert table8.odd[s].coefficient(0).is_zero()
 
     def test_parities(self, table8):
         for s in range(9):
@@ -39,16 +40,22 @@ class TestCoefficientTable:
     def test_even_vanishes_at_mu_zero_origin(self, table8):
         # A_s(mu, 0) = 0 for s >= 1 under the default normalization
         for s in range(1, 9):
-            assert table8.even[s].value_at_zero().evaluate(
+            assert table8.even[s].coefficient(0).evaluate(
                 Fraction(0), lambda f: f) == 0
 
     def test_recursion_holds(self, table8):
-        assert satisfies_recursion(table8.f, table8.even, table8.odd)
+        assert satisfies_recursion(table8)
 
     def test_recursion_check_rejects_perturbation(self, table8):
         broken = list(table8.even)
         broken[1] = broken[1] + CoeffPoly.monomial(2, Fraction(1, 7))
-        assert not satisfies_recursion(table8.f, broken, table8.odd)
+        assert not satisfies_recursion(replace(table8, even=tuple(broken)))
+
+    def test_recursion_weight_follows_the_table_parameter(self):
+        # the weight is 2*param + 1 in whatever name the table carries
+        table = compute_coefficient_table(CoeffPoly.monomial(2), order=4, param="b")
+        assert satisfies_recursion(table)
+        assert satisfies_recursion(lower_coefficients(table))
 
     def test_rejects_bad_perturbation_polynomial(self):
         with pytest.raises(ValueError):
@@ -59,20 +66,22 @@ class TestCoefficientTable:
 
 class TestLoweredFamilies:
     def test_low_order_values(self, lowered8):
-        low_even, low_odd = lowered8
-        assert low_even[0] == CoeffPoly.one()
-        assert low_odd[0] == poly([[], [], [], ["1/6"]])
+        assert lowered8.even[0] == CoeffPoly.one()
+        assert lowered8.odd[0] == poly([[], [], [], ["1/6"]])
         # a_1 has the same shape as A_1 in this normalization
-        assert low_even[1] == A1
+        assert lowered8.even[1] == A1
 
-    def test_lowered_satisfy_recursion(self, table8, lowered8):
-        low_even, low_odd = lowered8
-        assert satisfies_recursion(table8.f, low_even, low_odd)
+    def test_lowered_satisfy_recursion(self, lowered8):
+        assert satisfies_recursion(lowered8)
+
+    def test_lowered_table_keeps_f_order_and_parameter(self, table8, lowered8):
+        assert isinstance(lowered8, CoefficientTable)
+        assert (lowered8.f, lowered8.order, lowered8.param) == (
+            table8.f, table8.order, table8.param)
 
     def test_lengths(self, table8, lowered8):
-        low_even, low_odd = lowered8
-        assert len(low_even) == len(table8.even)
-        assert len(low_odd) == len(table8.odd)
+        assert len(lowered8.even) == len(table8.even)
+        assert len(lowered8.odd) == len(table8.odd)
 
 
 class TestNormalizer:
@@ -117,27 +126,24 @@ class TestShiftBasis:
         shifted = shift_basis(table8, seeds)
         for s in range(9):
             # at z = 0 only the A_0 * seeds[s] term survives
-            assert shifted.even[s].value_at_zero() == seeds[s]
+            assert shifted.even[s].coefficient(0) == seeds[s]
 
     def test_shifted_family_satisfies_recursion(self, table8):
         seeds = (Fraction(1), Fraction(0), Fraction(3, 2)) + (Fraction(0),) * 6
         shifted = shift_basis(table8, seeds)
-        assert satisfies_recursion(table8.f, shifted.even, shifted.odd)
+        assert satisfies_recursion(shifted)
 
     def test_lowered_equals_shift_by_slope_seeds(self, table8, lowered8):
         # seeds built from the odd-family origin slopes at reflected parameter;
         # they are the coefficients of the sign = -1 normalizer
-        low_even, low_odd = lowered8
         flip = ParamPoly("mu", (0, -1))
         two_mu = ParamPoly("mu", (0, 2))
         seeds = [ParamPoly.one()]
         for s in range(1, 9):
-            seeds.append(two_mu * table8.odd[s - 1].derivative_at_zero().compose(flip))
+            seeds.append(two_mu * table8.odd[s - 1].coefficient(1).compose(flip))
         minus = normalizer_series(table8, sign=-1)
-        assert [c.value_at_zero() for c in minus.coeffs[:9]] == seeds
-        shifted = shift_basis(table8, tuple(seeds))
-        assert shifted.even == tuple(low_even)
-        assert shifted.odd == tuple(low_odd)
+        assert [c.coefficient(0) for c in minus.coeffs[:9]] == seeds
+        assert shift_basis(table8, tuple(seeds)) == lowered8
 
     def test_invalid_seed(self, table8):
         with pytest.raises(InvalidSeedError):

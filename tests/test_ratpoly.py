@@ -55,7 +55,7 @@ class TestParamPoly:
         assert ParamPoly.zero().degree() == -1
         assert ParamPoly.one().degree() == 0
         assert ParamPoly.variable("mu").degree() == 1
-        assert ParamPoly.constant(Fraction(3, 7)).constant_value() == Fraction(3, 7)
+        assert ParamPoly.constant(Fraction(3, 7)).coefficient(0) == Fraction(3, 7)
         # trailing zeros are trimmed away on construction
         p = ParamPoly("mu", (1, 2, 0, 0))
         assert p.degree() == 1

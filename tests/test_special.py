@@ -17,7 +17,7 @@ from kummer_asym.special.gammafn import bernoulli_numbers, log_gamma
 from kummer_asym.special import kummer as kummer_module
 from kummer_asym.special.kummer import kummer_m, kummer_u
 from kummer_asym.special.quad import peak_integral
-from kummer_asym.special.types import (LogComplex, NumericContext,
+from kummer_asym.special.types import (MAX_TURNS, LogComplex, NumericContext,
                                        PRECISION_ENV_VAR, Precision,
                                        RiemannPoint, ScaledValue,
                                        is_nonpositive_integer,
@@ -215,6 +215,12 @@ class TestPrecision:
         third = dd.make_complex(1.0) / 3
         assert dd.coerce(third) is third
 
+    def test_coerce_refuses_non_finite_numbers(self):
+        for prec in (Precision.double(), Precision.dd()):
+            for w in (math.nan, -math.inf, complex(1.0, math.nan)):
+                with pytest.raises(DomainError):
+                    prec.ctx.coerce(w)
+
     def test_context_interface(self):
         doc = NumericContext.__doc__
         listing = doc.split("types:\n\n")[1].split("\n\n")[0]
@@ -311,6 +317,11 @@ class TestPolePredicate:
         assert nearest_integer(-3 + 5e-4j, 1e-3) == -3
         assert nearest_integer(2.002, 1e-3) is None
         assert nearest_integer(2 + 2e-3j, 1e-3) is None
+
+    def test_no_integer_is_near_a_non_finite_value(self):
+        for w in (math.nan, -math.inf, complex(-1.0, math.nan)):
+            assert nearest_integer(w, 0.5) is None
+            assert not is_nonpositive_integer(w)
 
 
 class TestLogGamma:
@@ -552,6 +563,26 @@ class TestKummerU:
         # a negative turn inverts the relation
         want = (base - m * c) * cmath.exp(2j * math.pi * b)
         assert down.ratio_deviation(want) < 1e-9
+
+    def test_winding_just_inside_the_cap(self):
+        # MAX_TURNS monodromy steps in double, against DLMF 13.2.12 for
+        # U(a, b, x0 e^(2 pi i m)) evaluated at 40 digits
+        a, b, theta0, m = 1.0, 0.7, 0.3, MAX_TURNS
+        got = kummer_u(a, b, rp(1.0, 2 * math.pi * m + theta0)).to_complex()
+        mp = mpmath.MPContext()
+        mp.dps = 40
+        a, b, x0 = mp.mpf(a), mp.mpf(b), mp.expj(theta0)
+        c = (2j * mp.pi * mp.expjpi(-b * m) * mp.sinpi(b * m)
+             / (mp.sinpi(b) * mp.gamma(b) * mp.gamma(1 + a - b)))
+        ref = mp.expjpi(-2 * b * m) * mp.hyperu(a, b, x0) + c * mp.hyp1f1(a, b, x0)
+        assert abs(got / complex(ref) - 1) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_winding_beyond_the_cap_is_refused(self, mode):
+        for sign in (1, -1):
+            theta = sign * (2 * math.pi * (MAX_TURNS + 1) + 0.3)
+            with pytest.raises(DomainError):
+                kummer_u(1.0, 0.7, rp(1.0, theta), Precision.from_mode(mode))
 
     def test_domain_errors(self, dd):
         with pytest.raises(DomainError):

@@ -54,34 +54,43 @@ class TestBaseSeries:
     def test_odd_index_vanishes_at_origin(self):
         base = temme_base_series(9)
         for k in range(1, 10, 2):
-            assert base[k].value_at_zero().is_zero()
+            assert base[k].coefficient(0).is_zero()
 
 
 class TestIteration:
     def test_diagonal_families_start(self):
-        table = temme_iterate(temme_base_series(7), n_max=1, k_max=2)
-        assert table.even_out[0] == CoeffPoly.one()
+        table = temme_iterate(temme_base_series(7), n_max=1)
+        assert table.even[0] == CoeffPoly.one()
         # b-dagger_0 = -2z * c_1 = z^3 / 6
-        assert table.odd_out[0] == CoeffPoly.monomial(3, Fraction(1, 6))
+        assert table.odd[0] == CoeffPoly.monomial(3, Fraction(1, 6))
         # a-dagger_1 = (b - 2) z^2 / 6 + z^6 / 72
         want = (CoeffPoly([ParamPoly.zero(), ParamPoly.zero(),
                            ParamPoly(B, (-Fraction(2, 6), Fraction(1, 6)))])
                 + CoeffPoly.monomial(6, Fraction(1, 72)))
-        assert table.even_out[1] == want
+        assert table.even[1] == want
 
     def test_matches_lowered_recursion_families(self, lowered8):
-        low_even, low_odd = lowered8
-        table = temme_iterate(temme_base_series(), n_max=8, k_max=2)
+        table = temme_iterate(temme_base_series(), n_max=8)
         image = ParamPoly(B, (-1, 1))  # mu -> b - 1
         for n in range(9):
-            assert low_even[n].substitute_param(image) == table.even_out[n]
-            assert low_odd[n].substitute_param(image) == table.odd_out[n]
+            assert lowered8.even[n].substitute_param(image) == table.even[n]
+            assert lowered8.odd[n].substitute_param(image) == table.odd[n]
 
     def test_starvation_message_names_requirement(self):
-        with pytest.raises(OrderStarvationError, match="need 19"):
-            temme_iterate(temme_base_series(10), n_max=8, k_max=2)
-        with pytest.raises(ValueError):
-            temme_iterate(temme_base_series(5), n_max=1, k_max=0)
+        with pytest.raises(OrderStarvationError, match="need 18"):
+            temme_iterate(temme_base_series(10), n_max=8)
+
+    def test_reads_exactly_two_n_max_plus_two_base_coefficients(self):
+        for n_max in (0, 3):
+            base = temme_base_series(2 * n_max + 1)
+            table = temme_iterate(base, n_max)
+            assert (table.f, table.order, table.param) == (
+                CoeffPoly.monomial(2), n_max, B)
+            assert len(table.even) == len(table.odd) == n_max + 1
+            # entries past c_(2 n_max + 1) change nothing
+            assert temme_iterate(temme_base_series(2 * n_max + 4), n_max) == table
+            with pytest.raises(OrderStarvationError, match=f"need {2 * n_max + 2}"):
+                temme_iterate(base[:-1], n_max)
 
 
 class TestGeneralizedBernoulli:
@@ -146,13 +155,12 @@ class TestGammaRatioCoefficients:
         image = ParamPoly(B, (-1, 1))
         one_minus_b = ParamPoly(B, (1, -1))
         for n in range(7):
-            slope = table8.odd[n].derivative_at_zero().compose(image)
+            slope = table8.odd[n].coefficient(1).compose(image)
             assert slope * one_minus_b == d[n + 1] * Fraction(1, 2)
 
     def test_origin_bridge(self, lowered8):
         # lowered even family at z = 0 against the reciprocal coefficients
-        low_even, _ = lowered8
         _, dtilde = gamma_ratio_coefficients(8)
         image = ParamPoly(B, (-1, 1))
         for n in range(9):
-            assert low_even[n].value_at_zero().compose(image) == dtilde[n]
+            assert lowered8.even[n].coefficient(0).compose(image) == dtilde[n]
