@@ -25,7 +25,8 @@ from .special.bessel import bessel_i_scaled, bessel_k_scaled
 from .special.gammafn import log_gamma_ctx
 from .special.kummer import kummer_m_scaled, kummer_u_scaled
 from .special.types import (LogComplex, NumericContext, Precision,
-                            RiemannPoint, ScaledValue, is_nonpositive_integer)
+                            RiemannPoint, ScaledValue, exact_key,
+                            is_nonpositive_integer, shared, sharing_scope)
 from .temme import gamma_ratio_coefficients
 
 VARIANTS = ("m", "u-capital", "u-lower")
@@ -104,29 +105,23 @@ def _finish(lhs: ScaledValue, rhs: ScaledValue, ctx: NumericContext) -> SideBySi
     return SideBySide(lhs.to_logcomplex(ctx), rhs.to_logcomplex(ctx), disc)
 
 
-def _shared(memo: Optional[dict], key, compute):
-    """compute() once per key of memo (every time when memo is None).
-
-    A kernel failure is kept in place of the value and raised again for
-    every later caller of the key.
-    """
-    if memo is None:
-        return compute()
-    if key not in memo:
-        try:
-            memo[key] = compute()
-        except (DomainError, ArithmeticError) as exc:
-            memo[key] = exc
-    value = memo[key]
-    if isinstance(value, Exception):
-        try:
-            raise value
-        finally:
-            del value  # the traceback keeps this frame; it must not keep value
-    return value
+def _point_constants(cfg: ExpansionConfig, ctx: NumericContext) -> tuple:
+    """b, log u, a, log z, z, z^2, log 2, mu = b - 1 and 1/u^2 of cfg's
+    point as ctx numbers, with z the reduced value of cfg.z."""
+    i_unit = ctx.make_complex(0.0, 1.0)
+    b_c = ctx.coerce(complex(cfg.b))
+    t_c, th_u = ctx.real(cfg.t), ctx.real(cfg.u_theta)
+    log_u = ctx.log(t_c) + i_unit * th_u
+    u_c = t_c * ctx.exp(i_unit * th_u)
+    a_c = u_c * u_c / 4 + b_c / 2
+    r_c, th_z = ctx.real(cfg.z.r), ctx.real(cfg.z.theta)
+    log_z = ctx.log(r_c) + i_unit * th_z
+    z_red = r_c * ctx.exp(i_unit * th_z)
+    return (b_c, log_u, a_c, log_z, z_red, z_red * z_red, ctx.log(2),
+            b_c - 1, 1 / (u_c * u_c))
 
 
-def evaluate_sides(cfg: ExpansionConfig, memo: Optional[dict] = None) -> SideBySide:
+def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
     """Oracle times prefactor against the two-term Bessel sum.
 
     The variant picks the oracle (M at the reduced z^2, or U on the
@@ -136,13 +131,16 @@ def evaluate_sides(cfg: ExpansionConfig, memo: Optional[dict] = None) -> SideByS
     the table first; kernels then run in the order oracle, log-gamma,
     coefficient values, Bessel pair.
 
-    With memo, a dict kept by the caller, every value that does not depend
-    on the order N is computed once per key and shared: the oracle per
-    (M or U, b, z, t, arg u, precision), so u-capital and u-lower read one
-    U; the prefactored lhs per variant at that point; the Bessel pair per
-    kind at that point; and each coefficient value even[s], odd[s] per
-    (raw or lowered table, b, z, s, precision).  Shared values are the
-    values this function computes without memo, so results are identical.
+    Every value that does not depend on the order N is shared (see
+    special.types.shared) within the sharing scope this opens unless the
+    caller, such as decay_sweep, has one open: the point's constants, the
+    oracle per (M or U, b, z, t, arg u, precision), so u-capital and
+    u-lower read one U; the prefactored lhs per variant at that point; the
+    Bessel pair per kind at that point; and each coefficient value even[s],
+    odd[s] per (raw or lowered table, b, z, s, precision).  Below them the
+    kernels share log-gamma values, I series and asymptotic sums by their
+    exact inputs.  A shared value is the one computed for its key alone,
+    so results are identical with and without sharing.
     """
     table, low_even, low_odd = expansion_tables()
     lowered = cfg.variant == "u-lower"
@@ -150,20 +148,20 @@ def evaluate_sides(cfg: ExpansionConfig, memo: Optional[dict] = None) -> SideByS
     if cfg.order > len(even):
         raise OrderStarvationError(
             f"tables hold {len(even)} orders, need {cfg.order}")
+    with sharing_scope():
+        return _sides(cfg, lowered, even, odd)
+
+
+def _sides(cfg: ExpansionConfig, lowered: bool, even, odd) -> SideBySide:
     prec, ctx = cfg.prec, cfg.prec.ctx
-    i_unit = ctx.make_complex(0.0, 1.0)
     b = complex(cfg.b)
-    b_c = ctx.coerce(b)
-    t_c, th_u = ctx.real(cfg.t), ctx.real(cfg.u_theta)
-    log_u = ctx.log(t_c) + i_unit * th_u
-    u_c = t_c * ctx.exp(i_unit * th_u)
-    a_c = u_c * u_c / 4 + b_c / 2
-    r_c, th_z = ctx.real(cfg.z.r), ctx.real(cfg.z.theta)
-    log_z = ctx.log(r_c) + i_unit * th_z
-    z_red = r_c * ctx.exp(i_unit * th_z)
-    x_red = z_red * z_red
-    log2 = ctx.log(2)
-    point = (b, cfg.z.r, cfg.z.theta, cfg.t, cfg.u_theta, prec)
+    # keys read the exact inputs: b = 1.5 - 0j and 1.5 + 0j, or arg z = -0.0
+    # and 0.0, compare equal, yet log tells them apart
+    z_key = (prec.mode, exact_key(b), exact_key(cfg.z.r),
+             exact_key(cfg.z.theta))
+    point = z_key + (exact_key(cfg.t), exact_key(cfg.u_theta))
+    (b_c, log_u, a_c, log_z, z_red, x_red, log2, mu_c,
+     inv_u2) = shared(("point",) + point, lambda: _point_constants(cfg, ctx))
 
     def prefactored_oracle():
         if cfg.variant == "m":
@@ -171,7 +169,7 @@ def evaluate_sides(cfg: ExpansionConfig, memo: Optional[dict] = None) -> SideByS
             head = ((1 - b_c) * log2 + (b_c - 1) * log_u
                     - log_gamma_ctx(b_c, ctx))
         else:
-            oracle = _shared(memo, ("U",) + point, lambda: kummer_u_scaled(
+            oracle = shared(("U",) + point, lambda: kummer_u_scaled(
                 a_c, b, cfg.z.squared(), prec))
             if cfg.variant == "u-capital":
                 head = (log_gamma_ctx(1 + a_c - b_c, ctx)
@@ -182,16 +180,14 @@ def evaluate_sides(cfg: ExpansionConfig, memo: Optional[dict] = None) -> SideByS
         return ScaledValue(oracle.mantissa,
                            oracle.shift + (head - x_red / 2 + b_c * log_z))
 
-    lhs = _shared(memo, (cfg.variant,) + point, prefactored_oracle)
+    lhs = shared((cfg.variant,) + point, prefactored_oracle)
 
-    mu_c = b_c - 1
-    inv_u2 = 1 / (u_c * u_c)
     power = ctx.make_complex(1.0)
     sum_even = ctx.make_complex(0.0)
     sum_odd = ctx.make_complex(0.0)
     for s in range(cfg.order):
-        even_s, odd_s = _shared(
-            memo, (lowered, s, b, cfg.z.r, cfg.z.theta, prec),
+        even_s, odd_s = shared(
+            ("coefficients", lowered, s) + z_key,
             lambda: (even[s].evaluate(mu_c, z_red, ctx.rational),
                      odd[s].evaluate(mu_c, z_red, ctx.rational)))
         sum_even = sum_even + power * even_s
@@ -203,8 +199,8 @@ def evaluate_sides(cfg: ExpansionConfig, memo: Optional[dict] = None) -> SideByS
         uz_point = cfg.z.scaled(cfg.t, cfg.u_theta)
         return bessel(b - 1, uz_point, prec), bessel(b, uz_point, prec)
 
-    low, high = _shared(memo, ("I" if cfg.variant == "m" else "K",) + point,
-                        bessel_pair)
+    low, high = shared(("I" if cfg.variant == "m" else "K",) + point,
+                       bessel_pair)
     high_mantissa = high.mantissa if cfg.variant == "m" else -high.mantissa
     term1 = ScaledValue(low.mantissa * sum_even, low.shift + log_z)
     term2 = ScaledValue(high_mantissa * sum_odd, high.shift + log_z - log_u)
@@ -266,26 +262,25 @@ def sweep_group_key(cfg: ExpansionConfig):
 def decay_sweep(grid: Sequence[ExpansionConfig]) -> SweepResult:
     """Evaluate every config; fit log-log discrepancy decay per group.
 
-    Kernels are computed once per (b, z, t, arg u) in each sweep and shared
-    across the orders N; u-capital and u-lower share U and the K pair.
-    Every row equals evaluate_sides(cfg) run alone.  Failures are recorded
-    per row and never abort the sweep.  Fits need at least two distinct t
-    values with finite nonzero discrepancy.
+    The whole sweep is one sharing scope (see evaluate_sides): kernels are
+    computed once per (b, z, t, arg u) and shared across the orders N,
+    u-capital and u-lower share U and the K pair, and each log-gamma value,
+    I series and asymptotic sum is computed once per exact input.  Nothing
+    is shared across sweeps, and every row equals evaluate_sides(cfg) run
+    alone.  Failures are recorded per row and never abort the sweep.  Fits
+    need at least two distinct t values with finite nonzero discrepancy.
     """
     grid = tuple(grid)
     if not grid:
         raise DomainError("sweep grid is empty")
-    memo = {}
     rows = []
-    for cfg in grid:
-        try:
-            result = evaluate_sides(cfg, memo)
-            rows.append(SweepRow(cfg, result, "ok"))
-        except (DomainError, OrderStarvationError, ArithmeticError) as exc:
-            rows.append(SweepRow(cfg, None, f"error:{type(exc).__name__}"))
-    # a kept failure's traceback holds frames that hold memo: clearing memo
-    # frees them now rather than at the next cyclic garbage collection
-    memo.clear()
+    with sharing_scope():
+        for cfg in grid:
+            try:
+                result = evaluate_sides(cfg)
+                rows.append(SweepRow(cfg, result, "ok"))
+            except (DomainError, OrderStarvationError, ArithmeticError) as exc:
+                rows.append(SweepRow(cfg, None, f"error:{type(exc).__name__}"))
     groups = {}
     for row in rows:
         if row.status != "ok":

@@ -10,7 +10,14 @@ continuation rules
 
 with R_m = sin(pi nu m)/sin(pi nu).  K at non-integer order uses the
 reflection through I of orders +-nu; orders within 1e-3 of an integer use
-the logarithmic series at n in {0, 1} and the stable upward recurrence.
+the logarithmic series at n in {0, 1} and the stable upward recurrence, up
+to order MAX_STEPS.
+
+Within a sharing scope the I series and the asymptotic sums are computed
+once per (nu, x0): the reflection reads the I values of an I pair at the
+same point, the winding reads those of the base value, and one term loop
+gives the growing and the decaying asymptotic sum, so K's sum is the
+decaying half of I's.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ import math
 
 from ..errors import DomainError, PrecisionExhaustedError
 from .gammafn import log_gamma_ctx
-from .types import (LogComplex, NumericContext, Precision, RiemannPoint,
-                    ScaledValue, base_point, is_nonpositive_integer,
-                    nearest_integer)
+from .types import (MAX_STEPS, LogComplex, NumericContext, Precision,
+                    RiemannPoint, ScaledValue, base_point, exact_key,
+                    is_nonpositive_integer, nearest_integer, shared)
 
 _INTEGER_WINDOW = 1e-3
 _MAX_SERIES_TERMS = 3000
@@ -29,6 +36,11 @@ _MAX_SERIES_TERMS = 3000
 
 def _i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     """Ascending series; value = mantissa * exp(nu*log(x0/2) - lgamma(nu+1))."""
+    return shared(("I series", ctx.name, exact_key(nu_c), exact_key(x0)),
+                  lambda: _sum_i_series(nu_c, x0, ctx))
+
+
+def _sum_i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     q = x0 * x0 / 4
     one = ctx.make_complex(1.0)
     term = one
@@ -50,32 +62,43 @@ def _i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     return ScaledValue(total, shift)
 
 
-def _asym_sum(nu_c, x0, ctx: NumericContext, sign: int):
-    """Sum_k a_k(nu) (sign)^k / x0^k truncated at the smallest term."""
+def _asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
+    """(Sum_k a_k(nu) (-1)^k / x0^k, Sum_k a_k(nu) / x0^k), the growing and
+    the decaying sum, each truncated at the smallest term."""
+    return shared(("I asymptotic", ctx.name, exact_key(nu_c), exact_key(x0)),
+                  lambda: _sum_asym_pair(nu_c, x0, ctx))
+
+
+def _sum_asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
+    # a growing term is the decaying one, negated at odd k; negation is
+    # exact, so both sums read one term loop and stop as they would alone
     nu4 = 4 * nu_c * nu_c
     term = ctx.make_complex(1.0)
-    total = term
+    grow = decay = term
+    grow_open = decay_open = True
     prev_mag = math.inf
     for k in range(140):
         term = term * (nu4 - (2 * k + 1) ** 2) / (8 * (k + 1) * x0)
-        if sign < 0:
-            term = -term
         t_mag = ctx.mag(term)
         if t_mag >= prev_mag:
             break
-        total = total + term
         prev_mag = t_mag
-        if t_mag <= ctx.series_tol * ctx.mag(total):
+        if grow_open:
+            grow = grow + (term if k % 2 else -term)
+            grow_open = not t_mag <= ctx.series_tol * ctx.mag(grow)
+        if decay_open:
+            decay = decay + term
+            decay_open = not t_mag <= ctx.series_tol * ctx.mag(decay)
+        if not (grow_open or decay_open):
             break
-    return total
+    return grow, decay
 
 
 def _i_asym(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     """Compound large-argument expansion, both exponentials retained."""
     two_pi = 2 * ctx.pi
     shift = x0 - ctx.log(two_pi * x0) / 2
-    grow = _asym_sum(nu_c, x0, ctx, -1)
-    decay = _asym_sum(nu_c, x0, ctx, +1)
+    grow, decay = _asym_pair(nu_c, x0, ctx)
     sign = 1.0 if ctx.to_float(ctx.im(x0)) >= 0.0 else -1.0
     rotate = ctx.exp(ctx.make_complex(0.0, sign) * ctx.pi * (nu_c + 0.5))
     mantissa = grow + rotate * ctx.exp(-2 * x0) * decay
@@ -84,7 +107,7 @@ def _i_asym(nu_c, x0, ctx: NumericContext) -> ScaledValue:
 
 def _k_asym(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     shift = -x0 + (ctx.log(ctx.pi / (2 * x0))) / 2
-    return ScaledValue(_asym_sum(nu_c, x0, ctx, +1), shift)
+    return ScaledValue(_asym_pair(nu_c, x0, ctx)[1], shift)
 
 
 def _i_base(nu_c, x0, ctx: NumericContext) -> ScaledValue:
@@ -109,8 +132,10 @@ def _k_reflection(nu_c, x0, ctx: NumericContext) -> ScaledValue:
 
 
 def _k_integer(n: int, x0, ctx: NumericContext) -> ScaledValue:
-    """K_n, n >= 0: the logarithmic series at orders 0 and 1, then the
-    upward recurrence."""
+    """K_n, 0 <= n <= MAX_STEPS: the logarithmic series at orders 0 and 1,
+    then the upward recurrence."""
+    if n > MAX_STEPS:
+        raise DomainError(f"integer order {n:.6g} is above {MAX_STEPS}")
     log_half_x = ctx.log(x0 / 2)
     q = x0 * x0 / 4
     one = ctx.real(1)

@@ -3,7 +3,8 @@
 Strategy: push the argument up by an integer shift until Stirling's series
 applies, then subtract the principal logs of the skipped points.  The result
 is the principal branch, continuous off the negative real axis; on the axis
-itself the limit from above is returned.
+itself the limit from above is returned.  Within a sharing scope each
+argument's value is computed once.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from ..errors import PoleError
-from .types import NumericContext, Precision, is_nonpositive_integer
+from ..errors import DomainError, PoleError
+from .types import (MAX_STEPS, NumericContext, Precision, exact_key,
+                    is_nonpositive_integer, shared)
 
 
 @lru_cache(maxsize=None)
@@ -55,10 +57,19 @@ def _stirling_log_gamma(w, ctx: NumericContext):
 
 
 def log_gamma_ctx(w, ctx: NumericContext):
-    """Principal-branch log(Gamma(w)) for a ctx complex w."""
+    """Principal-branch log(Gamma(w)) for a ctx complex w, once per w within
+    a sharing scope.  Re w below -MAX_STEPS raises DomainError."""
+    return shared(("log-gamma", ctx.name, exact_key(w)),
+                  lambda: _shifted_stirling(w, ctx))
+
+
+def _shifted_stirling(w, ctx: NumericContext):
     re = ctx.to_float(ctx.re(w))
     if is_nonpositive_integer(w):
         raise PoleError(f"log_gamma pole at {re:.17g}")
+    if re < -MAX_STEPS:
+        raise DomainError(
+            f"log_gamma argument real part {re:.6g} is below -{MAX_STEPS}")
     threshold = ctx.stirling_profile[0]
     shift = 0
     if re < threshold:

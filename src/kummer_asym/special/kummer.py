@@ -92,7 +92,11 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
     logf = _u_log_integrand(a_c, bma, x0, ctx)
     plan_logf = _u_log_integrand(ad, ctx.to_complex(bma), xd, NATIVE)
     # saddle of the t-space integrand: x t^2 + (x+2-b) t - (a-1) = 0
-    disc = cmath.sqrt((xd + 2 - bd) ** 2 + 4 * xd * (ad - 1))
+    try:
+        disc = cmath.sqrt((xd + 2 - bd) ** 2 + 4 * xd * (ad - 1))
+    except OverflowError:
+        raise DomainError("U integral saddle estimate overflows a double "
+                          f"at a = {ad}, b = {bd}") from None
     candidates = [(-(xd + 2 - bd) + disc) / (2 * xd),
                   (-(xd + 2 - bd) - disc) / (2 * xd)]
     t_peak = max(c.real for c in candidates)

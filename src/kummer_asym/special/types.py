@@ -9,11 +9,16 @@ guard every kernel applies.  Kernels hand results around as ScaledValue
 pairs value = mantissa * exp(shift), so magnitudes like e^2000 never
 materialize.  The public boundary type is LogComplex, which stores
 log-magnitude and unrestricted phase as doubles.
+
+Within a sharing scope, shared() computes each keyed value once: a sweep
+opens one, so the kernels it runs read each other's log-gamma values,
+I series and asymptotic sums instead of computing them again.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
 import os
 from dataclasses import dataclass
@@ -279,6 +284,11 @@ def turn_reduce(theta: float, period: float) -> tuple:
 # monodromy step at a time, so its cost and the rounding those steps leave
 # both grow with m, the rounding faster than m.
 MAX_TURNS = 2 ** 16
+# The most unit steps of the other kernel loops whose length grows with an
+# input: log-gamma's shift up from Re w >= -MAX_STEPS to the Stirling
+# threshold, and K's integer-order recurrence up to order MAX_STEPS.  Their
+# cost, and log-gamma's rounding, grow with the step count.
+MAX_STEPS = 2 ** 16
 
 
 def base_point(point: RiemannPoint, half_turns: int, ctx: NumericContext):
@@ -293,6 +303,72 @@ def base_point(point: RiemannPoint, half_turns: int, ctx: NumericContext):
     theta0 = ctx.real(point.theta) - (half_turns * m) * ctx.pi
     x0 = ctx.real(point.r) * ctx.exp(ctx.make_complex(0.0, 1.0) * theta0)
     return x0, theta0, m
+
+
+# The memo of the open sharing scope, or None when no scope is open.
+_SCOPE = contextvars.ContextVar("kummer_asym_sharing", default=None)
+
+
+class sharing_scope:
+    """Open a sharing scope for the body of a with statement, unless one is
+    open already.
+
+    The scope that opened the memo clears it on exit, also when an
+    exception leaves the body: no value outlives the scope, and the frames
+    that kept failures' tracebacks hold are freed at once rather than at
+    the next cyclic garbage collection.
+    """
+
+    def __enter__(self):
+        self._memo = None
+        if _SCOPE.get() is None:
+            self._memo = {}
+            self._token = _SCOPE.set(self._memo)
+
+    def __exit__(self, *exc_info):
+        if self._memo is not None:
+            _SCOPE.reset(self._token)
+            self._memo.clear()
+
+
+def exact_key(x):
+    """A dict key for a native or mpmath number x, equal only for numbers
+    that every operation treats alike."""
+    if isinstance(x, (complex, float, int)):
+        # 0.0 == -0.0, yet log and atan2 put the two on different branches;
+        # equal numbers of different types take different functions
+        return (type(x), x.real, x.imag,
+                math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
+    # mpmath numbers are exact binary values without a signed zero; the raw
+    # parts of an mpc and of an mpf are tuples of different shapes
+    parts = getattr(x, "_mpc_", None)
+    return x._mpf_ if parts is None else parts
+
+
+def shared(key, compute):
+    """compute(), once per key while a sharing scope is open, and at every
+    call otherwise.
+
+    The key must determine the value: each shared value is the one
+    compute() returns for it alone.  A DomainError or ArithmeticError is
+    kept in place of the value and raised again for every later caller of
+    the key.
+    """
+    memo = _SCOPE.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        try:
+            memo[key] = compute()
+        except (DomainError, ArithmeticError) as exc:
+            memo[key] = exc
+    value = memo[key]
+    if isinstance(value, Exception):
+        try:
+            raise value
+        finally:
+            del value  # the traceback keeps this frame; it must not keep value
+    return value
 
 
 def nearest_integer(w, tol: float):

@@ -367,3 +367,37 @@ def test_non_finite_parameter_is_one_domain_error_line(capsys, monkeypatch,
 def test_out_of_range_sweep_order_is_a_domain_error(capsys):
     assert main(["sweep", "--variant", "m", "--order", "0"]) == 1
     assert "truncation order must be at least 1" in capsys.readouterr().err
+
+
+def run_child(argv, timeout, **env_vars):
+    """The CLI in a fresh interpreter, as test_clean_interpreter_run runs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               **env_vars)
+    return subprocess.run(
+        [sys.executable, "-m", "kummer_asym.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("mode, argv", [
+    # log-gamma's shift ran about 1e15 times
+    ("double", ["eval", "--variant", "m", "--b=-1e15+0.5j", "--z-r", "1",
+                "--t", "20"]),
+    ("double", ["oracle", "--fn", "i", "--nu=-1e15+0.5j", "--r", "1"]),
+    ("dd", ["oracle", "--fn", "i", "--nu=-1e15+0.5j", "--r", "1"]),
+    # K's integer recurrence ran n times
+    ("double", ["oracle", "--fn", "k", "--nu=3e9", "--r", "1"]),
+    ("dd", ["oracle", "--fn", "k", "--nu=3e9", "--r", "1"]),
+    ("double", ["oracle", "--fn", "k", "--nu=1e300", "--r", "1"]),
+    # the reflection's log-gamma summed 1e5 logs to a phase 3.9e-7 off
+    ("double", ["oracle", "--fn", "k", "--nu", "100000.5", "--r", "1"]),
+    # the U saddle estimate squared |b| ~ 1e200 in native complex
+    ("double", ["oracle", "--fn", "u", "--a", "1", "--b", "1e200", "--r", "1"]),
+    ("dd", ["oracle", "--fn", "u", "--a", "1", "--b", "1e200", "--r", "1"]),
+])
+def test_huge_parameter_is_one_domain_error_line_in_time(mode, argv):
+    proc = run_child(argv, timeout=20, KUMMER_ASYM_PRECISION=mode)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: DomainError: ")

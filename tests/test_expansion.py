@@ -1,6 +1,7 @@
 """End-to-end expansion evaluation: discrepancies, decay rates, sweeps."""
 
 import cmath
+import contextlib
 import gc
 import math
 from collections import Counter
@@ -14,8 +15,9 @@ from kummer_asym.expansion import (ExpansionConfig, SideBySide, VARIANTS,
                                    acceptance_grid, decay_sweep,
                                    evaluate_sides, gamma_ratio_check,
                                    sweep_group_key)
-from kummer_asym.special import types
-from kummer_asym.special.types import LogComplex, Precision, RiemannPoint
+from kummer_asym.special import bessel, gammafn, types
+from kummer_asym.special.types import (LogComplex, Precision, RiemannPoint,
+                                       exact_key, shared)
 
 
 KERNELS = ("kummer_u_scaled", "kummer_m_scaled", "bessel_k_scaled",
@@ -203,30 +205,76 @@ class TestDecaySweep:
             "error:OrderStarvationError"] * 3
 
 
+def scope_is_open():
+    calls = []
+    for _ in range(2):
+        shared(("probe",), lambda: calls.append(1))
+    return len(calls) == 1
+
+
 class TestKernelSharing:
-    """decay_sweep computes each kernel once per (b, z, t, arg u) and shares
-    it across N and variants without changing any result."""
+    """decay_sweep computes each kernel once per (b, z, t, arg u), and each
+    log-gamma value, I series and asymptotic sum once per exact input, and
+    shares them across N and variants without changing any result."""
 
     @pytest.mark.parametrize("mode", ["double", "dd"])
     def test_rows_and_slopes_equal_unshared_evaluation(self, monkeypatch, mode):
+        # integer, half-integer and complex b, and b = 1.5 - 0j beside 1.5;
+        # |u z| = 5 and 20 take both Bessel routes in both modes
         prec = Precision.from_mode(mode)
-        grid = [cfg(variant, b=b, z=(2.0, theta), t=t, order=n, prec=prec)
-                for variant in VARIANTS for b in (1.5, 2.0)
-                for theta in (0.0, 2 * math.pi, 2.5 * math.pi)
-                for n in (1, 2, 3) for t in (10.0, 20.0)]
-        shared = decay_sweep(grid)
-        alone = expansion.evaluate_sides
-        monkeypatch.setattr(expansion, "evaluate_sides",
-                            lambda c, memo=None: alone(c))
+        grid = [cfg(variant, b=b, z=(0.5, theta), t=t, order=n, prec=prec)
+                for variant in VARIANTS
+                for b in (2.0, 1.5, complex(1.2, 0.5), complex(1.5, -0.0))
+                for theta in (-0.0, math.pi, 2 * math.pi, 2.5 * math.pi)
+                for n in (1, 2) for t in (10.0, 40.0)]
+        with_sharing = decay_sweep(grid)
+        monkeypatch.setattr(expansion, "sharing_scope", contextlib.nullcontext)
         unshared = decay_sweep(grid)
-        assert shared == unshared
-        statuses = Counter(row.status for row in shared.rows)
-        # integer b at 5 pi/2 rejects the U connection route; in double the
-        # M series at 5 pi/2 runs out of precision (in dd only from t = 40)
-        assert statuses["error:DomainError"] == 12
-        assert statuses["error:PrecisionExhaustedError"] == (
-            15 if mode == "double" else 0)
-        assert len(shared.slopes) > 0
+        assert with_sharing == unshared
+        assert repr(with_sharing) == repr(unshared)  # signs of zeros too
+        statuses = Counter(row.status for row in with_sharing.rows)
+        # integer b at 5 pi/2 rejects the U connection route
+        assert statuses == {"ok": 184, "error:DomainError": 8}
+        assert len(with_sharing.slopes) > 0
+
+    def test_kernel_bodies_run_once_per_distinct_input(self, monkeypatch):
+        inputs = {}
+
+        def count(module, name):
+            body = getattr(module, name)
+
+            def wrapper(*args):
+                *numbers, ctx = args
+                inputs.setdefault(name, []).append(
+                    (ctx.name,) + tuple(exact_key(x) for x in numbers))
+                return body(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(gammafn, "_shifted_stirling")
+        count(bessel, "_sum_i_series")
+        count(bessel, "_sum_asym_pair")
+        # half-integer b winds K through the reflection and I; |u z| = 10
+        # takes the series in dd, 20 and 40 the asymptotic sums
+        cell = [cfg(variant, b=1.5, z=(1.0, 2 * math.pi), t=t, order=n)
+                for variant in VARIANTS for t in (10.0, 20.0, 40.0)
+                for n in (1, 2, 3)]
+        result = decay_sweep(cell)
+        assert all(row.status == "ok" for row in result.rows)
+        assert set(inputs) == {"_shifted_stirling", "_sum_i_series",
+                               "_sum_asym_pair"}
+        for name, seen in inputs.items():
+            assert len(seen) == len(set(seen)), name
+
+    def test_no_scope_outlives_a_call(self):
+        double = Precision.double()
+        failing = cfg("u-capital", b=2.0, z=(2.0, 2.5 * math.pi), prec=double)
+        with pytest.raises(DomainError):
+            evaluate_sides(failing)
+        assert not scope_is_open()
+        result = decay_sweep([failing, cfg("m", prec=double)])
+        assert [row.status for row in result.rows] == ["error:DomainError", "ok"]
+        assert not scope_is_open()
 
     def test_each_kernel_runs_once_per_point(self, monkeypatch):
         calls = Counter()

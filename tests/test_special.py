@@ -9,19 +9,23 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummer_asym.errors import (DomainError, PoleError,
                                PrecisionExhaustedError, QuadratureError)
+from kummer_asym.special import bessel as bessel_module
 from kummer_asym.special.bessel import bessel_i, bessel_k
 from kummer_asym.special.gammafn import bernoulli_numbers, log_gamma
 from kummer_asym.special import kummer as kummer_module
 from kummer_asym.special.kummer import kummer_m, kummer_u
 from kummer_asym.special.quad import peak_integral
-from kummer_asym.special.types import (MAX_TURNS, LogComplex, NumericContext,
-                                       PRECISION_ENV_VAR, Precision,
-                                       RiemannPoint, ScaledValue,
-                                       is_nonpositive_integer,
-                                       nearest_integer, turn_reduce)
+from kummer_asym.special.types import (MAX_STEPS, MAX_TURNS, LogComplex,
+                                       NumericContext, PRECISION_ENV_VAR,
+                                       Precision, RiemannPoint, ScaledValue,
+                                       exact_key, is_nonpositive_integer,
+                                       nearest_integer, shared,
+                                       sharing_scope, turn_reduce)
 
 
 def rp(r, theta=0.0):
@@ -324,6 +328,64 @@ class TestPolePredicate:
             assert not is_nonpositive_integer(w)
 
 
+class TestSharing:
+    def test_without_a_scope_every_call_computes(self):
+        calls = []
+        for _ in range(2):
+            assert shared("key", lambda: calls.append(1) or 7) == 7
+        assert len(calls) == 2
+
+    def test_a_scope_computes_once_per_key_and_dies_with_its_opener(self):
+        calls = []
+
+        def compute(value):
+            calls.append(value)
+            return value
+
+        with sharing_scope():
+            with sharing_scope():  # a nested scope adds nothing
+                assert shared("a", lambda: compute(1)) == 1
+            assert shared("a", lambda: compute(2)) == 1
+            assert shared("b", lambda: compute(3)) == 3
+        assert calls == [1, 3]
+        assert shared("a", lambda: compute(4)) == 4
+
+    def test_kept_failure_is_raised_again_and_an_escape_closes_the_scope(self):
+        calls = []
+
+        def fail():
+            calls.append(1)
+            raise PoleError("kept")
+
+        with pytest.raises(ZeroDivisionError):
+            with sharing_scope():
+                for _ in range(2):
+                    with pytest.raises(PoleError, match="kept"):
+                        shared("pole", fail)
+                assert len(calls) == 1
+                # other exceptions are not kept
+                with pytest.raises(KeyError):
+                    shared("other", lambda: {}["missing"])
+                1 / 0
+        shared("pole", lambda: None)  # no scope is left open
+
+    def test_exact_keys_part_signed_zeros_and_types(self):
+        assert exact_key(complex(-2, 0.0)) != exact_key(complex(-2, -0.0))
+        assert exact_key(-0.0) != exact_key(0.0)
+        assert exact_key(1.5) != exact_key(complex(1.5, 0.0))
+        assert exact_key(complex(0.1, 2)) == exact_key(complex(0.1, 2))
+        mp = Precision.dd().ctx
+        third = mp.make_complex(1.0) / 3
+        assert exact_key(third) == exact_key(mp.make_complex(1.0) / 3)
+        assert exact_key(third) != exact_key(mp.make_complex(1.0) / 3 + 1e-30)
+        assert exact_key(mp.real(2)) != exact_key(mp.make_complex(2))
+        # so values keyed by them stay apart where a branch cut parts them
+        with sharing_scope():
+            logs = [shared(("log", exact_key(w)), lambda: cmath.log(w))
+                    for w in (complex(-2, 0.0), complex(-2, -0.0))]
+        assert [w.imag for w in logs] == [math.pi, -math.pi]
+
+
 class TestLogGamma:
     def test_closed_forms(self, dd):
         assert log_gamma(1.0) == pytest.approx(0.0, abs=5e-14)
@@ -358,6 +420,23 @@ class TestLogGamma:
         w = complex(1.7, 2.3)
         assert log_gamma(w.conjugate(), dd) == pytest.approx(
             log_gamma(w, dd).conjugate(), rel=1e-14)
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_shift_beyond_the_step_bound_is_refused(self, mode):
+        prec = Precision.from_mode(mode)
+        for w in (-MAX_STEPS - 0.5, complex(-1e15, 0.5), -1e300):
+            with pytest.raises(DomainError):
+                log_gamma(w, prec)
+
+    def test_shift_at_the_step_bound(self):
+        # double's rounding over the 65556 shift logs stays below the guard
+        w = complex(-MAX_STEPS + 0.5, 0.0)
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        want = complex(mp.loggamma(w))
+        got = log_gamma(w)
+        assert abs(got.real - want.real) < 1e-6 * abs(want.real)
+        assert abs(got.imag - want.imag) < 1e-6
 
     def test_bernoulli_numbers(self):
         b = bernoulli_numbers(7)
@@ -436,7 +515,76 @@ class TestBesselBase:
         assert bessel_k(nu, rp(x), dd).ratio_deviation(want) <= 1e-14
 
 
+def two_sign_asym_sums(nu_c, x0, ctx):
+    """The growing and the decaying asymptotic sum, each by its own loop."""
+    sums = []
+    for sign in (-1, +1):
+        nu4 = 4 * nu_c * nu_c
+        term = ctx.make_complex(1.0)
+        total = term
+        prev_mag = math.inf
+        for k in range(140):
+            term = term * (nu4 - (2 * k + 1) ** 2) / (8 * (k + 1) * x0)
+            if sign < 0:
+                term = -term
+            t_mag = ctx.mag(term)
+            if t_mag >= prev_mag:
+                break
+            total = total + term
+            prev_mag = t_mag
+            if t_mag <= ctx.series_tol * ctx.mag(total):
+                break
+        sums.append(total)
+    return tuple(sums)
+
+
+class TestAsymptoticPair:
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(["double", "dd"]),
+           nu_re=st.floats(-6.0, 6.0), nu_im=st.floats(-2.0, 2.0) | st.just(-0.0),
+           scale=st.floats(1.0, 4.0), angle=st.floats(-math.pi / 2, math.pi / 2))
+    def test_one_loop_gives_both_sums_bit_for_bit(self, mode, nu_re, nu_im,
+                                                  scale, angle):
+        ctx = Precision.from_mode(mode).ctx
+        r = ctx.bessel_switch * scale
+        nu_c = ctx.make_complex(nu_re, nu_im)
+        x0 = ctx.make_complex(r * math.cos(angle), r * math.sin(angle))
+        got = bessel_module._asym_pair(nu_c, x0, ctx)
+        want = two_sign_asym_sums(nu_c, x0, ctx)
+        assert [exact_key(v) for v in got] == [exact_key(v) for v in want]
+
+    def test_k_reads_the_decaying_half_of_the_pair(self, dd, monkeypatch):
+        # K's base sum, its winding's I and I itself read one pair
+        calls = []
+        pair = bessel_module._sum_asym_pair
+
+        def counted(*args):
+            calls.append(args)
+            return pair(*args)
+
+        point = rp(30.0, 2 * math.pi + 0.2)
+        want = bessel_k(0.3, point, dd), bessel_i(0.3, point, dd)
+        monkeypatch.setattr(bessel_module, "_sum_asym_pair", counted)
+        with sharing_scope():
+            got = bessel_k(0.3, point, dd), bessel_i(0.3, point, dd)
+        assert len(calls) == 1
+        assert got == want
+
+
 class TestBesselContinuation:
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_integer_order_beyond_the_step_bound_is_refused(self, mode):
+        # K's upward recurrence would take n steps; I's log-gamma shift as many
+        prec = Precision.from_mode(mode)
+        for nu in (MAX_STEPS + 1, 3e9, 1e300):
+            with pytest.raises(DomainError):
+                bessel_k(nu, rp(1.0), prec)
+        for nu in (-MAX_STEPS - 1.5, complex(-1e15, 0.5)):
+            with pytest.raises(DomainError):
+                bessel_k(nu, rp(1.0), prec)
+            with pytest.raises(DomainError):
+                bessel_i(nu, rp(1.0), prec)
+
     def test_i_rotation_rule(self, dd):
         # I_nu(x e^{i pi m}) = e^{i pi nu m} I_nu(x)
         for nu in (0.3, 0.7, 1.0, 2.5):
@@ -583,6 +731,11 @@ class TestKummerU:
             theta = sign * (2 * math.pi * (MAX_TURNS + 1) + 0.3)
             with pytest.raises(DomainError):
                 kummer_u(1.0, 0.7, rp(1.0, theta), Precision.from_mode(mode))
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_saddle_estimate_overflow_is_a_domain_error(self, mode):
+        with pytest.raises(DomainError):
+            kummer_u(1.0, 1e200, rp(1.0), Precision.from_mode(mode))
 
     def test_domain_errors(self, dd):
         with pytest.raises(DomainError):
