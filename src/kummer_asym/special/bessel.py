@@ -18,6 +18,14 @@ once per (nu, x0): the reflection reads the I values of an I pair at the
 same point, the winding reads those of the base value, and one term loop
 gives the growing and the decaying asymptotic sum, so K's sum is the
 decaying half of I's.
+
+The I series and the asymptotic term loop run in the context's series
+arithmetic (NumericContext series_in / series_out): native complex numbers
+in double, block-floating Python integers in dd (see blockfloat), whose
+roundings truncate toward zero so that the growing sum's negated terms are
+the decaying sum's, bit for bit.  The integer-order recurrence folds a
+mantissa that grows past 1e100 into its shift, so K_n stays finite in
+double as long as its log does.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ from .types import (MAX_STEPS, LogComplex, NumericContext, Precision,
 
 _INTEGER_WINDOW = 1e-3
 _MAX_SERIES_TERMS = 3000
+# the K recurrence folds a mantissa above this size into the shift
+_FOLD_ABOVE = 1e100
 
 
 def _i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
@@ -41,15 +51,16 @@ def _i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
 
 
 def _sum_i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
-    q = x0 * x0 / 4
-    one = ctx.make_complex(1.0)
+    nu_s, x_s = ctx.series_in(nu_c), ctx.series_in(x0)
+    q = x_s * x_s / 4
+    one = ctx.series_in(ctx.make_complex(1.0))
     term = one
     total = one
     max_term = 1.0
     absx = ctx.mag(x0)
     min_terms = int(absx / 2) + 8
     for k in range(_MAX_SERIES_TERMS):
-        term = term * q / ((k + 1) * (nu_c + (k + 1)))
+        term = term * q / ((k + 1) * (nu_s + (k + 1)))
         total = total + term
         t_mag = ctx.mag(term)
         max_term = max(max_term, t_mag)
@@ -59,7 +70,7 @@ def _sum_i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
         raise PrecisionExhaustedError("I series did not converge")
     ctx.check_headroom(max_term, ctx.mag(total), "I series")
     shift = nu_c * ctx.log(x0 / 2) - log_gamma_ctx(nu_c + 1, ctx)
-    return ScaledValue(total, shift)
+    return ScaledValue(ctx.series_out(total), shift)
 
 
 def _asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
@@ -72,13 +83,14 @@ def _asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
 def _sum_asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
     # a growing term is the decaying one, negated at odd k; negation is
     # exact, so both sums read one term loop and stop as they would alone
-    nu4 = 4 * nu_c * nu_c
-    term = ctx.make_complex(1.0)
+    nu_s, x_s = ctx.series_in(nu_c), ctx.series_in(x0)
+    nu4 = 4 * nu_s * nu_s
+    term = ctx.series_in(ctx.make_complex(1.0))
     grow = decay = term
     grow_open = decay_open = True
     prev_mag = math.inf
     for k in range(140):
-        term = term * (nu4 - (2 * k + 1) ** 2) / (8 * (k + 1) * x0)
+        term = term * (nu4 - (2 * k + 1) ** 2) / (8 * (k + 1) * x_s)
         t_mag = ctx.mag(term)
         if t_mag >= prev_mag:
             break
@@ -91,7 +103,7 @@ def _sum_asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
             decay_open = not t_mag <= ctx.series_tol * ctx.mag(decay)
         if not (grow_open or decay_open):
             break
-    return grow, decay
+    return ctx.series_out(grow), ctx.series_out(decay)
 
 
 def _i_asym(nu_c, x0, ctx: NumericContext) -> ScaledValue:
@@ -181,6 +193,12 @@ def _k_integer(n: int, x0, ctx: NumericContext) -> ScaledValue:
         factor = 2 * m / x0
         k_next = k_prev.add(k_cur.mul_complex(factor), ctx)
         k_prev, k_cur = k_cur, k_next
+        if ctx.mag(k_cur.mantissa) > _FOLD_ABOVE:
+            # K_n grows like (n-1)! (2/x)^n: move the mantissa's size into
+            # the shift before it leaves the double range
+            size = ctx.abs(k_cur.mantissa)
+            k_cur = ScaledValue(k_cur.mantissa / size,
+                                k_cur.shift + ctx.log(size))
     return k_cur
 
 

@@ -6,6 +6,13 @@ the Riemann surface: the angle is reduced by whole turns to a base angle in
 representation (or, left of the imaginary axis, from the two-term connection
 to M), and the turns are restored with the exact monodromy relation, which
 couples U back to M at the base point.
+
+The M series runs in its context's series arithmetic (NumericContext
+series_in / series_out): native complex numbers in double, and in dd
+block-floating Python integers (see blockfloat), where each term keeps the
+working precision plus guard bits and the sum is exact on the grid of its
+largest term, so the compensation that double needs is always zero there.
+The stopping rules are the same in both modes.
 """
 
 from __future__ import annotations
@@ -27,12 +34,27 @@ _QUAD_ANGLE_LIMIT = 0.45 * math.pi
 
 
 def _m_series(a_c, b_c, x_c, ctx: NumericContext) -> ScaledValue:
-    """Compensated ascending series for M(a,b,x); mantissa with zero shift."""
+    """Compensated ascending series for M(a,b,x); mantissa with zero shift.
+
+    The terms run in the context's series arithmetic (see
+    NumericContext); in dd the sum is exact on its grid, so there the
+    compensation is always zero.  The series may stop only after
+    2 sqrt(|a x|) + 10 terms, unless a term vanishes; when that is more
+    than the cap and no term can vanish (a is no nonpositive integer, x is
+    not 0, and the arithmetic does not underflow), it fails at once.
+    """
     abs_ax = ctx.mag(a_c) * ctx.mag(x_c)
+    need = 2.0 * math.sqrt(abs_ax) + 10
+    if (need > _MAX_TERMS and not ctx.underflows and x_c != 0
+            and not is_nonpositive_integer(a_c)):
+        raise PrecisionExhaustedError(
+            f"M series needs at least {need:.4g} terms, more than its cap "
+            f"of {_MAX_TERMS}")
     min_terms = int(2.0 * math.sqrt(abs_ax)) + 10
-    term = ctx.make_complex(1.0)
+    a_c, b_c, x_c = ctx.series_in(a_c), ctx.series_in(b_c), ctx.series_in(x_c)
+    term = ctx.series_in(ctx.make_complex(1.0))
     total = term
-    comp = ctx.make_complex(0.0)
+    comp = ctx.series_in(ctx.make_complex(0.0))
     max_mag = 1.0
     quiet = 0
     for n in range(_MAX_TERMS):
@@ -53,6 +75,7 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext) -> ScaledValue:
             quiet = 0
     else:
         raise PrecisionExhaustedError("M series did not converge")
+    total = ctx.series_out(total)
     s_mag = ctx.mag(total)
     if s_mag == 0.0 or not ctx.is_finite(total):
         raise PrecisionExhaustedError("M series overflowed its mode")

@@ -119,7 +119,13 @@ def _plan(logf, w_start, working: NumericContext):
     stalls = 0
 
     def sample(w):
-        return ctx.exp(logf(w) - g_peak)
+        try:
+            return ctx.exp(logf(w) - g_peak)
+        except OverflowError:
+            # the located peak is not the integrand's maximum
+            raise QuadratureError(
+                f"integrand at w = {w:.6g} exceeds its located peak beyond "
+                f"a double's range") from None
 
     n = _FIRST_LEVEL
     h = (w_right - w_left) / n

@@ -4,11 +4,12 @@ Kernels compute internally in a NumericContext: plain double via
 math/cmath, or extended precision via mpmath pinned at 34 significant
 digits.  The context is the single home of every number that differs
 between the two modes (roundoff, the series and quadrature tolerances, the
-Bessel route switch, the Stirling profile) and of the one cancellation
-guard every kernel applies.  Kernels hand results around as ScaledValue
-pairs value = mantissa * exp(shift), so magnitudes like e^2000 never
-materialize.  The public boundary type is LogComplex, which stores
-log-magnitude and unrestricted phase as doubles.
+Bessel route switch, the Stirling profile), of the arithmetic the series
+term loops run in, and of the one cancellation guard every kernel applies.
+Kernels hand results around as ScaledValue pairs value = mantissa *
+exp(shift), so magnitudes like e^2000 never materialize.  The public
+boundary type is LogComplex, which stores log-magnitude and unrestricted
+phase as doubles.
 
 Within a sharing scope, shared() computes each keyed value once: a sweep
 opens one, so the kernels it runs read each other's log-gamma values,
@@ -47,7 +48,21 @@ class NumericContext:
                                tests, guards, route switches); never for a
                                value that is returned
       coerce(w)                any finite number as a context complex
+      series_in(x)             a context number in the arithmetic of the
+                               series term loops, which mag also reads
+      series_out(s)            a number of that arithmetic as a context
+                               complex, rounded once
       check_headroom(...)      the cancellation guard
+
+    The term loops of the M series, the I series and the Bessel asymptotic
+    sums convert their parameters with series_in, step and sum with + - *
+    / and the comparison with 0, and convert the sums back with
+    series_out.  In double both conversions are the identity, so the loops
+    run on native complex numbers.  In dd they run on block-floating
+    integers (blockfloat.BlockComplex) instead of mpmath numbers: exact
+    products, one rounding per quotient to the working precision plus
+    blockfloat.SERIES_GUARD_BITS, and sums exact on the grid of their
+    largest term.
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
@@ -56,7 +71,9 @@ class NumericContext:
     series cancellation, eps e^(2|x|), against the asymptotic floor,
     e^(-2|x|)); stirling_profile the (threshold, terms) of log-gamma's
     Stirling series, whose tail at the threshold sits about two digits
-    below the mode's accuracy.  guard_threshold is shared; see
+    below the mode's accuracy; underflows whether a product of nonzero
+    series numbers can round to 0, so that a series' terms may vanish
+    before its stopping rule is met.  guard_threshold is shared; see
     check_headroom.
     """
 
@@ -66,11 +83,18 @@ class NumericContext:
     quadrature_tol = 0.0
     bessel_switch = 0.0
     stirling_profile = (0.0, 0)
+    underflows = True
     guard_threshold = 1e-6
     own_types = ()  # number types that coerce passes through unchanged
 
     def to_complex(self, x) -> complex:
         return complex(x)
+
+    def series_in(self, x):
+        return x
+
+    def series_out(self, s):
+        return s
 
     def coerce(self, w):
         """Any finite number, by way of complex(), into a context complex;
@@ -147,6 +171,17 @@ class _ExtendedMP(NumericContext):
     It works in a private mpmath.MPContext, so it neither reads nor writes
     the process-wide mpmath.mp precision; the interface functions are that
     context's own.
+
+    Its series numbers are BlockComplex values with wp = prec +
+    SERIES_GUARD_BITS bits; like mpmath, blockfloat is imported only when
+    the context is built.  series_in reads an mpc's two raw mpf parts
+    onto one grid with mpmath.libmp.to_fixed, wp bits below the smaller
+    nonzero part's leading bit, so that both parts stay exact and a
+    parameter near a nonpositive integer keeps a + n exact however small
+    its imaginary part; series_out rounds each part to prec bits once,
+    with from_man_exp.  Integer mantissas never underflow, and a term loop
+    costs a few integer multiplications a step instead of mpmath's
+    pure-Python mpc objects.
     """
 
     name = "dd"
@@ -155,14 +190,21 @@ class _ExtendedMP(NumericContext):
     quadrature_tol = 1e-18
     bessel_switch = 20.0
     stirling_profile = (35.0, 18)
+    underflows = False
 
-    def __init__(self, dps: int = 34):
+    def __init__(self):
         import mpmath
+        from mpmath.libmp import fzero, from_man_exp, to_fixed
+
+        from .blockfloat import DD_PREC, BlockComplex
 
         mp = self._mp = mpmath.MPContext()
-        mp.dps = dps
+        mp.prec = DD_PREC
+        self._block = BlockComplex
         self._raw_to_float = mpmath.libmp.to_float
-        self.dps = dps
+        self._fzero, self._to_fixed = fzero, to_fixed
+        self._from_man_exp = from_man_exp
+        self.dps = mp.dps
         self.own_types = (mp.mpf, mp.mpc)
         self.real, self.make_complex = mp.mpf, mp.mpc
         self.exp, self.log, self.sin, self.atan2 = mp.exp, mp.log, mp.sin, mp.atan2
@@ -176,7 +218,23 @@ class _ExtendedMP(NumericContext):
     def to_float(self, x):
         return float(self._mp.re(x)) if isinstance(x, self._mp.mpc) else float(x)
 
+    def series_in(self, x):
+        parts = getattr(x, "_mpc_", None) or (x._mpf_, self._fzero)
+        tops = [exp + bc for _, man, exp, bc in parts if man]
+        if not tops:
+            return self._block(0, 0, 0)
+        exp = min(tops) - self._block.wp
+        return self._block(self._to_fixed(parts[0], -exp),
+                           self._to_fixed(parts[1], -exp), exp)
+
+    def series_out(self, s):
+        prec, exp = self._mp.prec, s.exp
+        return self._mp.make_mpc((self._from_man_exp(s.re, exp, prec, "n"),
+                                  self._from_man_exp(s.im, exp, prec, "n")))
+
     def mag(self, x):
+        if type(x) is self._block:
+            return x.mag()
         # hypot of the parts rounded to floats costs a fraction of a
         # 34-digit fabs; rounding the raw parts of an mpc spares building
         # two mpf objects

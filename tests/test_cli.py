@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +16,10 @@ import pytest
 from kummer_asym import cli
 from kummer_asym.cli import (CSV_COLUMNS, main, parse_linear_in_b,
                              verify_identities)
-from kummer_asym.errors import DomainError
+from kummer_asym.errors import DomainError, PrecisionExhaustedError
 from kummer_asym.ratpoly import ParamPoly
+from kummer_asym.special.kummer import kummer_m_scaled
+from kummer_asym.special.types import Precision
 
 
 def run_cli(capsys, *argv):
@@ -401,3 +404,32 @@ def test_huge_parameter_is_one_domain_error_line_in_time(mode, argv):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: DomainError: ")
+
+
+def test_m_series_beyond_its_term_cap_fails_at_once():
+    # a = t^2/4 + b/2 = 1.024e15 + 0.25 at x = 1: the terms grow until
+    # n ~ 3e7, and 2 sqrt(|a x|) + 10 = 6.4e7 terms are needed, against a
+    # cap of 20,000; dd summed all 20,000 terms before it raised
+    argv = ["eval", "--variant", "m", "--b", "0.5", "--z-r", "1",
+            "--t", "6.4e7"]
+    proc = run_child(argv, timeout=20, KUMMER_ASYM_PRECISION="dd")
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(
+        "error: PrecisionExhaustedError: M series needs at least 6.4e+07 "
+        "terms")
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhaustedError):
+        kummer_m_scaled(1.024e15 + 0.25, 0.5, 1.0, Precision.dd())
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("mode", ["double", "dd"])
+def test_quadrature_overflow_is_a_quadrature_error(capsys, monkeypatch, mode):
+    # a sample beyond e^709 of the located peak raised OverflowError
+    monkeypatch.setenv("KUMMER_ASYM_PRECISION", mode)
+    code, _, err = run_cli(capsys, "oracle", "--fn", "u", "--a", "1e20",
+                           "--b", "1", "--r", "1")
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: QuadratureError: ")

@@ -9,10 +9,14 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kummer_asym.errors import PrecisionExhaustedError
+from kummer_asym.expansion import VARIANTS, _point_constants, acceptance_grid
 from kummer_asym.special import kummer
+from kummer_asym.special.bessel import (bessel_i_scaled, bessel_k,
+                                        bessel_k_scaled)
 from kummer_asym.special.kummer import kummer_u_scaled
 from kummer_asym.special.types import Precision, RiemannPoint
 
@@ -87,3 +91,149 @@ class TestUIntegralRoute:
            theta=st.floats(-0.4 * math.pi, 0.4 * math.pi))
     def test_dd_matches_hyperu(self, a, b, log10_r, theta):
         assert _u_rel_error(a, b, 10.0 ** log10_r, theta) <= 1e-22
+
+
+def _value(scaled):
+    """mantissa * exp(shift) of a dd ScaledValue, formed at 50 digits."""
+    return _MP.mpc(scaled.mantissa) * _MP.exp(_MP.mpc(scaled.shift))
+
+
+def _m_peak(a, b, x):
+    """The largest term modulus of the series of M(a,b,x), at 50 digits."""
+    a, b, x = _MP.mpc(a), _MP.mpc(b), _MP.mpc(x)
+    term = peak = _MP.mpf(1)
+    n = 0
+    while n < 2 * math.sqrt(abs(a * x)) + 10 or abs(term) > peak * 1e-45:
+        term = term * (a + n) * x / ((b + n) * (n + 1))
+        peak = max(peak, abs(term))
+        n += 1
+    return peak
+
+
+class TestDDSeriesLoops:
+    """The dd term loops (M series, I series, Bessel asymptotic sums) sum
+    in block-floating integers; each term keeps the working precision plus
+    guard bits, so the error is the final rounding to 34 digits plus the
+    guard-bit rounding times the cancellation peak / |M|."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a_re=st.floats(-40.0, 40.0), a_im=st.floats(-40.0, 40.0),
+           b=st.floats(0.1, 8.0), log10_r=st.floats(-3.0, 1.4),
+           theta=st.floats(-math.pi, math.pi))
+    def test_m_matches_hyp1f1(self, a_re, a_im, b, log10_r, theta):
+        a = complex(a_re, a_im)
+        x = 10.0 ** log10_r * complex(math.cos(theta), math.sin(theta))
+        try:
+            got = _value(kummer.kummer_m_scaled(a, b, x, Precision.dd()))
+        except PrecisionExhaustedError:
+            return
+        ref = _MP.hyp1f1(_MP.mpc(a), _MP.mpf(b), _MP.mpc(x))
+        bound = 1e-34 + 1e-38 * _m_peak(a, b, x) / abs(ref)
+        assert abs(got / ref - 1) <= bound
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
+           r=st.floats(0.05, 19.5) | st.floats(40.0, 200.0),
+           theta=st.floats(-1.5, 1.5))
+    def test_i_matches_besseli(self, nu_re, nu_im, r, theta):
+        # the series below the switch at 20, the asymptotic sums from 40,
+        # where their truncation floor e^(-2r) is far below the rounding
+        nu = complex(nu_re, nu_im)
+        got = _value(bessel_i_scaled(nu, RiemannPoint(r, theta), Precision.dd()))
+        ref = _MP.besseli(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
+        assert abs(got / ref - 1) <= 1e-30
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
+           r=st.floats(0.05, 4.0) | st.floats(40.0, 200.0),
+           theta=st.floats(-1.5, 1.5))
+    def test_k_matches_besselk(self, nu_re, nu_im, r, theta):
+        # small r takes the reflection through two I series, which loses
+        # up to e^(2r) / |sin(pi nu)|: orders near an integer are left out
+        nu = complex(nu_re, nu_im)
+        assume(r >= 40.0 or abs(_MP.sinpi(_MP.mpc(nu))) > 0.1)
+        got = _value(bessel_k_scaled(nu, RiemannPoint(r, theta), Precision.dd()))
+        ref = _MP.besselk(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
+        assert abs(got / ref - 1) <= 1e-28
+
+    def test_terms_that_shrink_then_grow_keep_full_precision(self):
+        # the terms fall to 2e-38 and then rise to about 1e43; 50-digit
+        # hyp1f1 is itself only 1.8e-32 close here, so the reference takes 80
+        got = _value(kummer.kummer_m_scaled(1e-40, 1.0, 200.0, Precision.dd()))
+        exact = _MP.clone()
+        exact.dps = 80
+        assert abs(exact.mpc(got) / exact.hyp1f1(1e-40, 1, 200) - 1) <= 1e-32
+
+    @pytest.mark.parametrize("near, im, x", [
+        ("b", "1e-25", 1), ("b", "1e-45", 1), ("a", "1e-40", 200)])
+    def test_m_parameter_just_off_a_negative_integer(self, near, im, x):
+        # -3 + i im read at 34 digits has an imaginary part of 116 bits, as
+        # a derived parameter has.  a + 3 or b + 3 is exact only if both
+        # parts are: on a grid 140 bits below the real part, Im(b + 3)
+        # kept 55 bits at 1e-25 and none at 1e-45
+        prec = Precision.dd()
+        p, one = prec.ctx.make_complex(-3, im), prec.ctx.make_complex(1)
+        a, b = (p, one) if near == "a" else (one, p)
+        got = _value(kummer.kummer_m_scaled(a, b, x, prec))
+        exact = _MP.clone()
+        exact.dps = 80
+        ref = exact.hyp1f1(exact.mpc(a), exact.mpc(b), x)
+        assert abs(exact.mpc(got) / ref - 1) <= 1e-32
+
+    @pytest.mark.parametrize("im", ["1e-25", "1e-45"])
+    def test_i_order_just_off_a_negative_integer(self, im):
+        prec = Precision.dd()
+        nu = prec.ctx.make_complex(-3, im)
+        got = _value(bessel_i_scaled(nu, RiemannPoint(1.0, 0.0), prec))
+        exact = _MP.clone()
+        exact.dps = 80
+        ref = exact.besseli(exact.mpc(nu), 1)
+        assert abs(exact.mpc(got) / ref - 1) <= 1e-30
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_acceptance_input_at_five_half_turns(self, variant,
+                                                       monkeypatch):
+        # at arg z = 5 pi/2 the M series cancels by up to 1e23: summed in
+        # mpc, M(330.48+225.86i, 0.7, -4) came back 2.1e-10 off
+        prec = Precision.dd()
+        inputs = {}
+        m_series = kummer._m_series
+
+        def recorded(a, b, x, ctx):
+            try:
+                value = m_series(a, b, x, ctx)
+            except PrecisionExhaustedError:
+                value = None
+                raise
+            finally:
+                inputs[(a, b, x)] = value
+            return value
+
+        monkeypatch.setattr(kummer, "_m_series", recorded)
+        for cfg in acceptance_grid(variant, prec):
+            if cfg.z.theta != 2.5 * math.pi or cfg.order != 1:
+                continue
+            b_c, _, a_c, _, _, x_red, *_ = _point_constants(cfg, prec.ctx)
+            try:
+                if variant == "m":
+                    kummer.kummer_m_scaled(a_c, b_c, x_red, prec)
+                else:
+                    kummer_u_scaled(a_c, cfg.b, cfg.z.squared(), prec)
+            except PrecisionExhaustedError:
+                pass
+        # 54 points; U's connection formula sums two M series at each,
+        # unless the first one fails
+        assert len(inputs) >= 54
+        for (a, b, x), value in inputs.items():
+            if value is not None:
+                ref = _MP.hyp1f1(_MP.mpc(a), _MP.mpc(b), _MP.mpc(x))
+                assert abs(_value(value) / ref - 1) <= 1e-15
+
+
+def test_k_integer_recurrence_stays_in_double_range():
+    # K_200(1) is about e^996: the recurrence's mantissa overflowed to NaN
+    got = bessel_k(200, RiemannPoint(1.0, 0.0), Precision.double())
+    ref = _MP.besselk(200, 1)
+    deviation = abs(_MP.exp(_MP.mpf(got.logmag) + 1j * _MP.mpf(got.phase)
+                            - _MP.log(ref)) - 1)
+    assert deviation <= 1e-12

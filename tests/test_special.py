@@ -233,7 +233,8 @@ class TestPrecision:
             if re.match(r" {6}\w", line):
                 field = re.split(r"\s{2,}", line.strip())[0]
                 names += re.findall(r"(?:^|, )(\w+)(?=\(|,|$)", field)
-        assert len(names) == 19 and "log1p_real" in names and "euler" in names
+        assert len(names) == 21 and "log1p_real" in names and "euler" in names
+        assert "series_in" in names and "series_out" in names
         double, dd = Precision.double().ctx, Precision.dd().ctx
         for ctx in (double, dd):
             for name in names:
@@ -257,6 +258,12 @@ class TestPrecision:
             assert isinstance(ctx.pi * 1, real_t)
             assert isinstance(ctx.euler * 1, real_t)
             assert ctx.is_finite(w) and not ctx.is_finite(ctx.real(math.inf))
+            # a context number goes into the series arithmetic and back
+            # out unchanged
+            for v in (w, ctx.make_complex(0.0), ctx.make_complex(-0.4, 3e-9)):
+                back = ctx.series_out(ctx.series_in(v))
+                assert isinstance(back, complex_t) and back == v
+            assert ctx.series_out(ctx.series_in(ctx.real(-2.5))) == -2.5
 
         def agree(name, *args):
             args_dd = [dd.real(a) if isinstance(a, float) else dd.coerce(a)
@@ -516,15 +523,17 @@ class TestBesselBase:
 
 
 def two_sign_asym_sums(nu_c, x0, ctx):
-    """The growing and the decaying asymptotic sum, each by its own loop."""
+    """The growing and the decaying asymptotic sum, each by its own loop,
+    in the context's series arithmetic as the kernel sums them."""
     sums = []
+    nu_s, x_s = ctx.series_in(nu_c), ctx.series_in(x0)
     for sign in (-1, +1):
-        nu4 = 4 * nu_c * nu_c
-        term = ctx.make_complex(1.0)
+        nu4 = 4 * nu_s * nu_s
+        term = ctx.series_in(ctx.make_complex(1.0))
         total = term
         prev_mag = math.inf
         for k in range(140):
-            term = term * (nu4 - (2 * k + 1) ** 2) / (8 * (k + 1) * x0)
+            term = term * (nu4 - (2 * k + 1) ** 2) / (8 * (k + 1) * x_s)
             if sign < 0:
                 term = -term
             t_mag = ctx.mag(term)
@@ -534,7 +543,7 @@ def two_sign_asym_sums(nu_c, x0, ctx):
             prev_mag = t_mag
             if t_mag <= ctx.series_tol * ctx.mag(total):
                 break
-        sums.append(total)
+        sums.append(ctx.series_out(total))
     return tuple(sums)
 
 
