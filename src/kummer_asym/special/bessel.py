@@ -8,10 +8,11 @@ continuation rules
     I_nu(x e^(i pi m)) = e^(i pi nu m) I_nu(x)
     K_nu(x e^(i pi m)) = e^(-i pi nu m) K_nu(x) - i pi R_m(nu) I_nu(x)
 
-with R_m = sin(pi nu m)/sin(pi nu).  K at non-integer order uses the
-reflection through I of orders +-nu; orders within 1e-3 of an integer use
-the logarithmic series at n in {0, 1} and the stable upward recurrence, up
-to order MAX_STEPS.
+with R_m = sin(pi nu m)/sin(pi nu) from types.winding_ratio; where it is
+exactly 0 (nu m an integer, nu not) I is not evaluated.  K at non-integer
+order uses the reflection through I of orders +-nu; orders within 1e-3 of
+an integer use the logarithmic series at n in {0, 1} and the stable upward
+recurrence, up to order MAX_STEPS.
 
 Within a sharing scope the I series and the asymptotic sums are computed
 once per (nu, x0): the reflection reads the I values of an I pair at the
@@ -36,7 +37,8 @@ from ..errors import DomainError, PrecisionExhaustedError
 from .gammafn import log_gamma_ctx
 from .types import (MAX_STEPS, LogComplex, NumericContext, Precision,
                     RiemannPoint, ScaledValue, base_point, exact_key,
-                    is_nonpositive_integer, nearest_integer, shared)
+                    is_nonpositive_integer, nearest_integer, shared,
+                    winding_ratio)
 
 _INTEGER_WINDOW = 1e-3
 _MAX_SERIES_TERMS = 3000
@@ -129,17 +131,9 @@ def _i_base(nu_c, x0, ctx: NumericContext) -> ScaledValue:
 
 
 def _k_reflection(nu_c, x0, ctx: NumericContext) -> ScaledValue:
-    i_plus = _i_series(nu_c, x0, ctx)
-    i_minus = _i_series(-nu_c, x0, ctx)
-    diff = i_minus.add(i_plus.neg(), ctx)
-    if diff.is_zero():
-        raise PrecisionExhaustedError("K reflection cancelled to zero")
-    # the loss is that of the difference itself: the factor
-    # pi / (2 sin(pi nu)) below grows near integer order and would hide it
-    scale = ctx.re(diff.shift)
-    peak = max(ctx.mag(v.mantissa) * math.exp(ctx.to_float(ctx.re(v.shift) - scale))
-               for v in (i_plus, i_minus))
-    ctx.check_headroom(peak, ctx.mag(diff.mantissa), "K reflection")
+    # guard the difference before pi / (2 sin(pi nu)) can hide its loss
+    diff = _i_series(-nu_c, x0, ctx).add(_i_series(nu_c, x0, ctx).neg(), ctx,
+                                         "K reflection")
     return diff.mul_complex(ctx.pi / (2 * ctx.sin(ctx.pi * nu_c)))
 
 
@@ -244,15 +238,12 @@ def bessel_k_scaled(nu: complex, point: RiemannPoint,
         return k_base
     unwind = ctx.exp(-ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m)
     first = k_base.mul_complex(unwind)
-    n = nearest_integer(nu, _INTEGER_WINDOW)
-    if n is not None:
-        # limit of sin(pi nu m)/sin(pi nu) as nu -> n
-        ratio = m if (n * (m - 1)) % 2 == 0 else -m
-    else:
-        ratio = ctx.sin(ctx.pi * nu_c * m) / ctx.sin(ctx.pi * nu_c)
+    ratio = winding_ratio(nu_c, m, ctx)
+    if ratio == 0:
+        return first
     i_base = _i_base(nu_c, x0, ctx)
     second = i_base.mul_complex(-ctx.make_complex(0.0, 1.0) * ctx.pi * ratio)
-    return first.add(second, ctx)
+    return first.add(second, ctx, "K continuation")
 
 
 def bessel_i(nu: complex, point: RiemannPoint,

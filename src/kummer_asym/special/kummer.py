@@ -1,11 +1,13 @@
 """Kummer functions: M by ascending series, U by integral plus monodromy.
 
 M(a,b,x) is entire in x, so it takes a plain complex argument.  U lives on
-the Riemann surface: the angle is reduced by whole turns to a base angle in
-(-pi, pi], the base value is computed from the real-axis integral
-representation (or, left of the imaginary axis, from the two-term connection
-to M), and the turns are restored with the exact monodromy relation, which
-couples U back to M at the base point.
+the Riemann surface: the angle is reduced by m whole turns to a base angle
+in (-pi, pi], the base value comes from the real-axis integral (or, left of
+the imaginary axis, from the two-term connection to M), and the turns are
+restored by DLMF 13.2.12, U(x e^(2 pi i m)) = e^(-2 pi i b m) U(x) +
+2 pi i e^(-i pi b m) R_m(b) M(x) / (Gamma(b) Gamma(1+a-b)), with R_m from
+types.winding_ratio.  Where R_m is exactly 0 (b m an integer, b not), M is
+not evaluated.  Both two-term sums are guarded, as every ScaledValue.add is.
 
 The M series runs in its context's series arithmetic (NumericContext
 series_in / series_out): native complex numbers in double, and in dd
@@ -25,7 +27,7 @@ from .gammafn import log_gamma_ctx
 from .quad import peak_integral
 from .types import (NATIVE, LogComplex, NumericContext, Precision,
                     RiemannPoint, ScaledValue, base_point,
-                    is_nonpositive_integer, nearest_integer)
+                    is_nonpositive_integer, nearest_integer, winding_ratio)
 
 _MAX_TERMS = 20000
 # beyond this fraction of pi the base integral loses its damping and the
@@ -148,7 +150,7 @@ def _u_base_connection(a_c, b_c, b: complex, x0, theta0,
     g2 = (log_gamma_ctx(b_c - 1, ctx) - log_gamma_ctx(a_c, ctx)
           + (1 - b_c) * log_x0)
     second = ScaledValue(m2.mantissa, m2.shift + g2)
-    return first.add(second, ctx), m1
+    return first.add(second, ctx, "U connection"), m1
 
 
 def kummer_m_scaled(a: complex, b: complex, x: complex,
@@ -181,24 +183,17 @@ def kummer_u_scaled(a: complex, b: complex, x: RiemannPoint,
         base, m_base = _u_base_connection(a_c, b_c, b_key, x0, theta0, ctx)
     if m == 0:
         return base
-    if m_base is None:
-        m_base = _m_series(a_c, b_c, x0, ctx)
-    # monodromy constant: 2 pi i e^(-i pi b) / (Gamma(b) Gamma(1+a-b))
     i_unit = ctx.make_complex(0.0, 1.0)
-    c_shift = (-i_unit * ctx.pi * b_c - log_gamma_ctx(b_c, ctx)
+    turned = ScaledValue(base.mantissa, base.shift - 2 * ctx.pi * i_unit * b_c * m)
+    ratio = winding_ratio(b_c, m, ctx)
+    if ratio == 0:
+        return turned
+    m_base = m_base or _m_series(a_c, b_c, x0, ctx)
+    c_shift = (-i_unit * ctx.pi * b_c * m - log_gamma_ctx(b_c, ctx)
                - log_gamma_ctx(1 + a_c - b_c, ctx))
-    cm = ScaledValue(m_base.mantissa * 2 * ctx.pi * i_unit,
+    cm = ScaledValue(m_base.mantissa * 2 * ctx.pi * i_unit * ratio,
                      m_base.shift + c_shift)
-    turn = -2 * ctx.pi * i_unit * b_c
-    value = base
-    if m > 0:
-        for _ in range(m):
-            value = ScaledValue(value.mantissa, value.shift + turn).add(cm, ctx)
-    else:
-        for _ in range(-m):
-            value = value.add(cm.neg(), ctx)
-            value = ScaledValue(value.mantissa, value.shift - turn)
-    return value
+    return turned.add(cm, ctx, "U continuation")
 
 
 def kummer_u(a: complex, b: complex, x: RiemannPoint,

@@ -36,6 +36,7 @@ class NumericContext:
       rational(fr)             a Fraction as a context real, rounded once
       make_complex(re, im=0)   a context complex
       exp(x), log(x), sin(x)   real or complex; log of a negative real is complex
+      sinpi(x)                 sin(pi x), its argument reduced exactly
       log1p_real(x)            log(1 + x) of a real
       atan2(y, x)              the angle of x + iy, from two reals
       re(x), im(x)             the parts; im of a real is 0
@@ -153,6 +154,16 @@ class _Double(NumericContext):
     def sin(self, x):
         return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
 
+    def sinpi(self, x):
+        # each step is exact, so sin sees Re x reduced to |r| <= 1/2 unrounded
+        r = math.fmod(x.real, 2.0)
+        r -= 2.0 * round(r / 2.0)
+        if abs(r) > 0.5:  # sin(pi (+-1 - x)) = sin(pi x)
+            r, x = math.copysign(1.0, r) - r, x.conjugate()
+        if isinstance(x, complex):
+            return cmath.sin(complex(math.pi * r, math.pi * x.imag))
+        return math.sin(math.pi * r)
+
     def re(self, x):
         return x.real if isinstance(x, complex) else x
 
@@ -207,9 +218,9 @@ class _ExtendedMP(NumericContext):
         self.dps = mp.dps
         self.own_types = (mp.mpf, mp.mpc)
         self.real, self.make_complex = mp.mpf, mp.mpc
-        self.exp, self.log, self.sin, self.atan2 = mp.exp, mp.log, mp.sin, mp.atan2
+        self.exp, self.log, self.sin, self.sinpi = mp.exp, mp.log, mp.sin, mp.sinpi
         self.log1p_real, self.abs, self.is_finite = mp.log1p, mp.fabs, mp.isfinite
-        self.re, self.im = mp.re, mp.im
+        self.re, self.im, self.atan2 = mp.re, mp.im, mp.atan2
         self.pi, self.euler = mp.pi, mp.euler
 
     def rational(self, fr):
@@ -338,9 +349,9 @@ def turn_reduce(theta: float, period: float) -> tuple:
     return theta - period * m, int(m)
 
 
-# The most turns base_point hands to a kernel.  U restores its turns one
-# monodromy step at a time, so its cost and the rounding those steps leave
-# both grow with m, the rounding faster than m.
+# The most turns base_point hands to a kernel.  The continuations restore m
+# turns in closed form, but the phase they add, about 2 pi |b| m for U, is
+# a float at the LogComplex boundary, whose rounding grows with m.
 MAX_TURNS = 2 ** 16
 # The most unit steps of the other kernel loops whose length grows with an
 # input: log-gamma's shift up from Re w >= -MAX_STEPS to the Stirling
@@ -361,6 +372,17 @@ def base_point(point: RiemannPoint, half_turns: int, ctx: NumericContext):
     theta0 = ctx.real(point.theta) - (half_turns * m) * ctx.pi
     x0 = ctx.real(point.r) * ctx.exp(ctx.make_complex(0.0, 1.0) * theta0)
     return x0, theta0, m
+
+
+def winding_ratio(nu, m: int, ctx: NumericContext):
+    """R_m(nu) = sin(pi nu m) / sin(pi nu), which weighs the growing
+    solution when K_nu or U(a, nu, .) winds m times: exactly 0 where nu m
+    is an integer and nu is not, m (-1)^(n (m-1)) at an integer nu = n."""
+    den = ctx.sinpi(nu)
+    if den == 0:
+        n = round(ctx.to_float(nu))
+        return m if n * (m - 1) % 2 == 0 else -m
+    return ctx.sinpi(nu * m) / den
 
 
 # The memo of the open sharing scope, or None when no scope is open.
@@ -578,7 +600,10 @@ class ScaledValue:
             return ScaledValue.zero(ctx)
         return ScaledValue(self.mantissa / other.mantissa, self.shift - other.shift)
 
-    def add(self, other: "ScaledValue", ctx: NumericContext) -> "ScaledValue":
+    def add(self, other: "ScaledValue", ctx: NumericContext,
+            what: str = "two-term sum") -> "ScaledValue":
+        """The one guarded two-term sum: check_headroom weighs it against
+        its larger term, so a sum that cancels to zero raises as well."""
         if self.is_zero():
             return other
         if other.is_zero():
@@ -587,7 +612,10 @@ class ScaledValue:
             hi, lo = self, other
         else:
             hi, lo = other, self
-        m = hi.mantissa + lo.mantissa * ctx.exp(lo.shift - hi.shift)
+        lo_mantissa = lo.mantissa * ctx.exp(lo.shift - hi.shift)
+        m = hi.mantissa + lo_mantissa
+        ctx.check_headroom(max(ctx.mag(hi.mantissa), ctx.mag(lo_mantissa)),
+                           ctx.mag(m), what)
         return ScaledValue(m, hi.shift)
 
     def neg(self) -> "ScaledValue":

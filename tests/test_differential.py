@@ -5,6 +5,8 @@ uses them to produce a result.  The references run in a private MPContext,
 so the process-wide mpmath.mp precision is left alone.
 """
 
+import functools
+import itertools
 import math
 
 import mpmath
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kummer_asym.errors import PrecisionExhaustedError
+from kummer_asym.errors import DomainError, PrecisionExhaustedError
 from kummer_asym.expansion import VARIANTS, _point_constants, acceptance_grid
 from kummer_asym.special import kummer
 from kummer_asym.special.bessel import (bessel_i_scaled, bessel_k,
@@ -237,3 +239,127 @@ def test_k_integer_recurrence_stays_in_double_range():
     deviation = abs(_MP.exp(_MP.mpf(got.logmag) + 1j * _MP.mpf(got.phase)
                             - _MP.log(ref)) - 1)
     assert deviation <= 1e-12
+
+
+class TestSinpi:
+    """sinpi reduces its argument exactly, so it is exact where sin(pi x) is
+    0 or +-1 and keeps its relative accuracy next to the integers."""
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_exact_at_integers_and_half_integers(self, mode):
+        ctx = Precision.from_mode(mode).ctx
+        for n in (0, 1, 2, 3, -1, -4, 1001, 2**52 - 1, 2**52 + 1,
+                  2**53 - 1, 2**53, -2**53):
+            for x in (ctx.real(n), ctx.make_complex(n)):
+                assert ctx.sinpi(x) == 0
+        for n in (0, 1, 2, -1, -2, 1001, 2**51, -2**51 - 1):
+            for x in (ctx.real(n + 0.5), ctx.make_complex(n + 0.5)):
+                assert ctx.sinpi(x) == (1 if n % 2 == 0 else -1)
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_near_integers_within_a_few_ulps(self, mode):
+        ctx = Precision.from_mode(mode).ctx
+        for n in (0, 1, 2, -3, 7, 1000, 2**20):
+            near = [n + d for d in (1e-3, -1e-7, 1e-12, -1e-15)]
+            # whole ulps off n; at 0 they would be subnormal
+            near += [n + k * math.ulp(n) for k in (1, -1, 3) if n]
+            for x in (x for x in near if x != n):
+                for im in (0.0, 0.25):
+                    w = ctx.make_complex(x, im) if im else ctx.real(x)
+                    ref = _MP.sinpi(_MP.mpc(x, im))
+                    assert abs(_MP.mpc(ctx.sinpi(w)) / ref - 1) <= 4 * ctx.eps
+
+
+# accuracy every kernel value off the base sheet keeps, unless it raises
+_TOL = {"double": 1e-10, "dd": 1e-22}
+_TURNS = (-3, -2, -1, 1, 2, 3)
+
+
+def _winding_ratio(nu, m):
+    """R_m(nu) = sin(pi nu m) / sin(pi nu) at 50 digits, with its limit
+    m (-1)^(n (m-1)) at an integer nu = n."""
+    nu = _MP.mpf(nu)
+    if _MP.sinpi(nu) == 0:
+        return m if int(nu) * (m - 1) % 2 == 0 else -m
+    return _MP.sinpi(nu * m) / _MP.sinpi(nu)
+
+
+@functools.lru_cache(maxsize=None)
+def _k_wound(nu, r, theta, m):
+    """K_nu(r e^(i theta)) from the base angle theta - pi m, DLMF 10.34.2."""
+    nu = _MP.mpf(nu)
+    x0 = _MP.mpf(r) * _MP.expj(_MP.mpf(theta) - _MP.pi * m)
+    return (_MP.expjpi(-nu * m) * _MP.besselk(nu, x0)
+            - 1j * _MP.pi * _winding_ratio(nu, m) * _MP.besseli(nu, x0))
+
+
+@functools.lru_cache(maxsize=None)
+def _u_wound(a, b, r, theta, m):
+    """U(a, b, r e^(i theta)) from the base angle theta - 2 pi m, DLMF
+    13.2.12."""
+    a, b = _MP.mpf(a), _MP.mpf(b)
+    x0 = _MP.mpf(r) * _MP.expj(_MP.mpf(theta) - 2 * _MP.pi * m)
+    c = (2j * _MP.pi * _MP.expjpi(-b * m) * _winding_ratio(b, m)
+         / (_MP.gamma(b) * _MP.gamma(1 + a - b)))
+    return (_MP.expjpi(-2 * b * m) * _MP.hyperu(a, b, x0)
+            + c * _MP.hyp1f1(a, b, x0))
+
+
+def _misses(points, kernel, reference, mode):
+    """(points off by more than the mode's tolerance, points that raised a
+    typed error); kernel and reference take a point and the value's
+    surface angle."""
+    prec = Precision.from_mode(mode)
+    wrong, raised = [], []
+    for point in points:
+        try:
+            got = _value(kernel(*point, prec))
+        except (DomainError, PrecisionExhaustedError):
+            raised.append(point)
+            continue
+        error = abs(got / reference(*point) - 1)
+        if not error <= _TOL[mode]:
+            wrong.append((point, float(error)))
+    return wrong, raised
+
+
+class TestContinuation:
+    """K and U restored over m = +-1 to +-3 turns.  Where nu m is an integer
+    and nu is not, R_m is exactly 0 and only the decaying solution is left:
+    a rounded R_m of 1e-16 times the growing one put U(100.75, 1.5,
+    4 e^(4 pi i)) 2.3e19 off in double and 7.9 off in dd."""
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_k_matches_the_continuation(self, mode):
+        # at |x| = 40, K(x e^(2 pi i)) is e^(80) times K(x) times R_2, so a
+        # rounded R_2(1.5) is seen; mpmath's besselk takes half a second a
+        # value there at integer order, which is left out
+        points = [(nu, r, theta0 + math.pi * m, m) for nu, (r, theta0), m
+                  in itertools.product((0, 0.5, 0.7, 1, 1.5, 1.5 - 1e-9,
+                                        1.5 + 1e-9, 2, 2.5),
+                                       ((0.5, 0.0), (3.0, -1.2), (40.0, 0.7)),
+                                       _TURNS)
+                  if r < 40.0 or nu != round(nu)]
+
+        def kernel(nu, r, theta, m, prec):
+            return bessel_k_scaled(nu, RiemannPoint(r, theta), prec)
+
+        wrong, raised = _misses(points, kernel, _k_wound, mode)
+        assert not wrong
+        assert not raised
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_u_matches_the_continuation(self, mode):
+        points = [(a, b, r, theta0 + 2 * math.pi * m, m)
+                  for (a, r, theta0), b, m in itertools.product(
+                      ((2.3, 0.5, 0.3), (100.75, 4.0, 0.0), (100.75, 4.0, -1.0)),
+                      (0.7, 1.5, 1.5 - 1e-9, 1.5 + 1e-9, 2.0, 2.5), _TURNS)]
+
+        def kernel(a, b, r, theta, m, prec):
+            return kummer_u_scaled(a, b, RiemannPoint(r, theta), prec)
+
+        wrong, raised = _misses(points, kernel, _u_wound, mode)
+        assert not wrong
+        # double's base integral fails at one base point, at every m
+        failing = {(100.75, 1.5, 4.0)} if mode == "double" else set()
+        assert {point[:3] for point in raised} <= failing

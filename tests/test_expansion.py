@@ -339,6 +339,16 @@ class TestAcceptanceGrid:
         for variant in VARIANTS:
             assert len(acceptance_grid(variant)) == 648
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_decay_group_decays(self, variant):
+        # a kernel error that lhs and rhs do not share grows with t when it
+        # comes from a growing solution, and turns the fitted slope
+        # positive: a rounded winding factor of 1e-16 gave 24 groups per U
+        # variant slopes up to +15.9, all at arg z = 2 pi
+        result = decay_sweep(acceptance_grid(variant))
+        rising = {key: s for key, s in result.slopes.items() if s > 0}
+        assert not rising
+
 
 class TestPrecisionIsolation:
     """dd mode works in a private mpmath context: mpmath.mp is neither

@@ -25,7 +25,8 @@ from kummer_asym.special.types import (MAX_STEPS, MAX_TURNS, LogComplex,
                                        Precision, RiemannPoint, ScaledValue,
                                        exact_key, is_nonpositive_integer,
                                        nearest_integer, shared,
-                                       sharing_scope, turn_reduce)
+                                       sharing_scope, turn_reduce,
+                                       winding_ratio)
 
 
 def rp(r, theta=0.0):
@@ -162,6 +163,22 @@ class TestScaledValue:
         assert a.div(b, ctx).to_logcomplex(ctx).to_complex() == pytest.approx(va / vb)
         assert a.neg().to_logcomplex(ctx).to_complex() == pytest.approx(-va)
 
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_add_guards_against_cancellation(self, mode):
+        ctx = Precision.from_mode(mode).ctx
+        one = ScaledValue(ctx.make_complex(1.0), ctx.make_complex(0.0))
+        # 1 - (1 - 10^-k) keeps k digits fewer than its terms
+        for k, raises in ((5, False), (20, mode == "double"), (60, True)):
+            near = ScaledValue(ctx.make_complex(-1.0) + ctx.real(10) ** -k,
+                               ctx.make_complex(0.0))
+            if raises:
+                with pytest.raises(PrecisionExhaustedError, match="label"):
+                    one.add(near, ctx, "label")
+            else:
+                one.add(near, ctx, "label")
+        with pytest.raises(PrecisionExhaustedError):
+            one.add(one.neg(), ctx)
+
     def test_zero(self):
         ctx = Precision.double().ctx
         z = ScaledValue.zero(ctx)
@@ -233,7 +250,8 @@ class TestPrecision:
             if re.match(r" {6}\w", line):
                 field = re.split(r"\s{2,}", line.strip())[0]
                 names += re.findall(r"(?:^|, )(\w+)(?=\(|,|$)", field)
-        assert len(names) == 21 and "log1p_real" in names and "euler" in names
+        assert len(names) == 22 and "log1p_real" in names and "euler" in names
+        assert "sinpi" in names
         assert "series_in" in names and "series_out" in names
         double, dd = Precision.double().ctx, Precision.dd().ctx
         for ctx in (double, dd):
@@ -246,9 +264,9 @@ class TestPrecision:
             x, w = ctx.real(0.7), ctx.make_complex(0.3, 1.2)
             assert isinstance(x, real_t) and isinstance(w, complex_t)
             assert isinstance(ctx.rational(Fraction(1, 3)), real_t)
-            for f in (ctx.exp, ctx.sin, ctx.log, ctx.abs, ctx.re):
+            for f in (ctx.exp, ctx.sin, ctx.sinpi, ctx.log, ctx.abs, ctx.re):
                 assert isinstance(f(x), real_t)
-            for f in (ctx.exp, ctx.sin, ctx.log):
+            for f in (ctx.exp, ctx.sin, ctx.sinpi, ctx.log):
                 assert isinstance(f(w), complex_t)
             assert isinstance(ctx.log(ctx.real(-2.0)), complex_t)
             for f in (ctx.abs, ctx.re, ctx.im):
@@ -627,6 +645,20 @@ class TestBesselContinuation:
                 want = k0 * cmath.exp(-1j * math.pi * n * m) + i0 * (-1j * math.pi * s)
                 assert got.ratio_deviation(want) < 1e-10
 
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_winding_ratio(self, mode):
+        ctx = Precision.from_mode(mode).ctx
+        for nu in (0.5, 1.5, 2.5):
+            for m in (-2, 2, 4):
+                # exactly 0, so the continuations skip the growing solution
+                assert winding_ratio(ctx.make_complex(nu), m, ctx) == 0
+        # the limit m (-1)^(n (m-1)) at integer order n
+        for n, m, want in ((0, 3, 3), (1, 2, -2), (1, -1, -1), (2, -3, -3)):
+            assert winding_ratio(ctx.make_complex(n), m, ctx) == want
+        got = winding_ratio(ctx.make_complex(0.7), 3, ctx)
+        assert complex(got) == pytest.approx(
+            math.sin(2.1 * math.pi) / math.sin(0.7 * math.pi), rel=1e-14)
+
     def test_near_integer_window_snaps(self, dd):
         k1 = bessel_k(1.0, rp(2.0), dd)
         assert bessel_k(1.0001, rp(2.0), dd).ratio_deviation(k1) == 0.0
@@ -721,18 +753,41 @@ class TestKummerU:
         want = (base - m * c) * cmath.exp(2j * math.pi * b)
         assert down.ratio_deviation(want) < 1e-9
 
-    def test_winding_just_inside_the_cap(self):
-        # MAX_TURNS monodromy steps in double, against DLMF 13.2.12 for
-        # U(a, b, x0 e^(2 pi i m)) evaluated at 40 digits
-        a, b, theta0, m = 1.0, 0.7, 0.3, MAX_TURNS
-        got = kummer_u(a, b, rp(1.0, 2 * math.pi * m + theta0)).to_complex()
+    @staticmethod
+    def _wound_reference(a, b, r, theta0, m):
+        """U(a, b, r e^(i (2 pi m + theta0))) by DLMF 13.2.12 at 40 digits."""
         mp = mpmath.MPContext()
         mp.dps = 40
-        a, b, x0 = mp.mpf(a), mp.mpf(b), mp.expj(theta0)
+        a, b, x0 = mp.mpf(a), mp.mpf(b), r * mp.expj(theta0)
         c = (2j * mp.pi * mp.expjpi(-b * m) * mp.sinpi(b * m)
              / (mp.sinpi(b) * mp.gamma(b) * mp.gamma(1 + a - b)))
         ref = mp.expjpi(-2 * b * m) * mp.hyperu(a, b, x0) + c * mp.hyp1f1(a, b, x0)
-        assert abs(got / complex(ref) - 1) < 1e-6
+        return complex(ref)
+
+    def test_winding_just_inside_the_cap(self):
+        # MAX_TURNS turns in double; what is left is the float rounding of
+        # the surface angle, about 6e-11 here
+        a, b, theta0, m = 1.0, 0.7, 0.3, MAX_TURNS
+        got = kummer_u(a, b, rp(1.0, 2 * math.pi * m + theta0)).to_complex()
+        assert abs(got / self._wound_reference(a, b, 1.0, theta0, m) - 1) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    @pytest.mark.parametrize("b, theta0", [(1.5, 0.3), (2.5, 0.3), (1.5, -1.0)])
+    def test_half_integer_b_at_the_cap(self, mode, b, theta0):
+        # b m is an integer, so the M term is exactly 0; restoring the turns
+        # one step at a time left m rounded copies of it, up to 3e-4 off
+        a, m = 2.3, MAX_TURNS
+        got = kummer_u(a, b, rp(2.0, 2 * math.pi * m + theta0),
+                       Precision.from_mode(mode)).to_complex()
+        assert abs(got / self._wound_reference(a, b, 2.0, theta0, m) - 1) < 1e-9
+
+    @pytest.mark.parametrize("mode, a", [("double", 100.75), ("dd", 400.75)])
+    def test_connection_sum_is_guarded(self, mode, a):
+        # the two M terms are about e^(4 sqrt(a |x|) cos(theta/2)) larger than
+        # U; unguarded, their sum came back 1.1e14 (double) and 2.0e20 (dd)
+        # off 50-digit hyperu
+        with pytest.raises(PrecisionExhaustedError, match="U connection"):
+            kummer_u(a, 1.5, rp(4.0, 0.46 * math.pi), Precision.from_mode(mode))
 
     @pytest.mark.parametrize("mode", ["double", "dd"])
     def test_winding_beyond_the_cap_is_refused(self, mode):
