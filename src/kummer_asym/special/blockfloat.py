@@ -26,16 +26,40 @@ Summing hypergeometric-type series in integer mantissas is the standard
 technique: Brent & Zimmermann, Modern Computer Arithmetic (2010), 4.4;
 Johansson, "Computing hypergeometric functions rigorously", ACM TOMS 45
 (2019).
+
+The dd working pass of the U quadrature (quad.py) runs on the same numbers
+held on the fixed grid 2^-QUAD_BITS (on_grid), where its sums are exact.
+FixedKernels gives it exp and log(1 + x) of block numbers, computed by
+the fixed-point routines of mpmath.libmp.libelefun.  The integrand's
+parameters stay exact, and e^w keeps wp bits however small or large it
+is, so x0 e^w loses nothing to the grid.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 # The significant bits of the dd context (34 digits), and the bits beyond
 # them that each series term keeps.
 DD_PREC = 116
 SERIES_GUARD_BITS = 24
+
+# The bits FixedKernels computes with beyond the quadrature grid.  Each
+# kernel then stays within 2^-12 (1 + |x| / 2^10) units of the grid (see
+# FixedKernels), so that e^w, entering the exponent times x0 with
+# |x0 e^w| up to 2^10, and log(1 + e^w), times b - a - 1 up to 2^11 in
+# size, each add less than a unit of the grid to it.
+KERNEL_GUARD_BITS = 24
+# The quadrature grid is 2^-QUAD_BITS.  A sample exp(E - g) is at most about
+# 1 (g is the exponent at the peak) and lies within 2^3 units of the grid of
+# its exact value: a unit for truncating E - g onto the grid, another for
+# truncating the sample, and under one each for e^w, log(1 + e^w) and the
+# sample's own exp.  A trapezoid value over a span below 2^11 (the cutoff
+# walk reaches 600 steps each way) is then within 2^(14 - QUAD_BITS) of the
+# exact trapezoid sum, in units of the peak, so an integral down to 2^-24
+# of the peak keeps the DD_PREC bits of the dd context.
+QUAD_BITS = DD_PREC + 24 + 14
 
 
 def _truncate(m: int, bits: int) -> int:
@@ -57,12 +81,35 @@ class BlockComplex:
         self.im = im
         self.exp = exp
 
+    def __float__(self) -> float:
+        """The real part as a float, as NumericContext.to_float reads it."""
+        re, exp = self.re, self.exp
+        drop = re.bit_length() - 64
+        if drop > 0:
+            re, exp = _truncate(re, drop), exp + drop
+        return math.ldexp(re, exp)
+
+    def on_grid(self, exp: int):
+        """self on the grid 2^exp: exact where that grid is the finer one,
+        truncated toward zero onto it otherwise."""
+        drop = exp - self.exp
+        if drop <= 0:
+            return type(self)(self.re << -drop, self.im << -drop, exp)
+        return type(self)(_truncate(self.re, drop), _truncate(self.im, drop),
+                          exp)
+
     def mag(self) -> float:
         """|self| as a float: 0.0 below the double range, inf above it.
-        The series loops take it of terms and sums only, whose mantissas
-        stay within a few bits of wp, far below a float's 1024."""
+        A series term or sum has mantissas within a few bits of wp, but a
+        quadrature sum far above its peak can have mantissas beyond a
+        float's range; their low bits are dropped first."""
+        re, im, exp = self.re, self.im, self.exp
         try:
-            return math.ldexp(math.hypot(self.re, self.im), self.exp)
+            return math.ldexp(math.hypot(re, im), exp)
+        except OverflowError:
+            drop = max(0, max(abs(re), abs(im)).bit_length() - 64)
+        try:
+            return math.ldexp(math.hypot(re >> drop, im >> drop), exp + drop)
         except OverflowError:
             return math.inf
 
@@ -131,3 +178,62 @@ class BlockComplex:
         if type(other) is not int or other:
             return NotImplemented
         return not (self.re or self.im)
+
+
+class FixedKernels:
+    """exp and log(1 + x) of block numbers, computed on fixed-point integers
+    at wp = QUAD_BITS + KERNEL_GUARD_BITS bits by mpmath's exp_fixed,
+    cos_sin_fixed and log_taylor_cached, with ln 2 and pi/2 built once.
+
+    An argument is read onto the grid 2^-wp, exactly when it lies on the
+    quadrature grid.  Reducing it by ln 2 or pi/2 rounds once per multiple
+    taken off, and the series add a few units of 2^-wp, so in units
+    u = 2^-QUAD_BITS, each result is within 2^-12 (1 + |x| / 2^10) u:
+
+      exp(x), x real:    e^x = v 2^(n - wp), v = e^t 2^wp with
+                         t = x - n ln 2 in [0, ln 2); relative error;
+      exp(x), x complex: e^Re x (cos Im x + i sin Im x); each part's error
+                         relative to e^Re x;
+      log1p(x), x > -1:  log(1 + x) on the grid 2^-wp; absolute error,
+                         with |log(1 + x)| in place of |x|.
+
+    exp raises OverflowError where e^Re x is beyond a double's range, as
+    math.exp does, so that no sample far above its peak builds a huge
+    integer.  Both are exact at 0: exp(0) = 1 and log1p(0) = 0.
+    """
+
+    wp = QUAD_BITS + KERNEL_GUARD_BITS
+
+    def __init__(self):
+        from mpmath.libmp.libelefun import (cos_sin_fixed, exp_fixed,
+                                            ln2_fixed, log_taylor_cached,
+                                            pi_fixed)
+
+        wp = self.wp
+        self._exp_fixed, self._cos_sin_fixed = exp_fixed, cos_sin_fixed
+        self._log_taylor = log_taylor_cached
+        self._ln2 = ln2_fixed(wp)
+        self._half_pi = pi_fixed(wp - 1)
+        self._overflow = int(math.ldexp(math.log(sys.float_info.max), wp))
+
+    def exp(self, x: BlockComplex) -> BlockComplex:
+        wp = self.wp
+        x = x.on_grid(-wp)
+        re, im = x.re, x.im
+        if re > self._overflow:
+            raise OverflowError("math range error")
+        # e^Re x = e^t 2^n with t in [0, ln 2)
+        n, t = divmod(re, self._ln2)
+        v = self._exp_fixed(t, wp, self._ln2)
+        if not im:
+            return BlockComplex(v, 0, n - wp)
+        c, s = self._cos_sin_fixed(im, wp, self._half_pi)
+        return BlockComplex(v * c, v * s, n - 2 * wp)
+
+    def log1p(self, x: BlockComplex) -> BlockComplex:
+        wp = self.wp
+        # 1 + x = y 2^k with y in [1, 2)
+        y = (1 << wp) + x.on_grid(-wp).re
+        k = y.bit_length() - 1 - wp
+        y = y >> k if k >= 0 else y << -k
+        return BlockComplex(k * self._ln2 + self._log_taylor(y, wp), 0, -wp)

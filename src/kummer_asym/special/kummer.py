@@ -41,18 +41,24 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext) -> ScaledValue:
     The terms run in the context's series arithmetic (see
     NumericContext); in dd the sum is exact on its grid, so there the
     compensation is always zero.  The series may stop only after
-    2 sqrt(|a x|) + 10 terms, unless a term vanishes; when that is more
-    than the cap and no term can vanish (a is no nonpositive integer, x is
-    not 0, and the arithmetic does not underflow), it fails at once.
+    2 |a x| / max(|b|, sqrt(|a x|)) + 10 terms, unless a term vanishes:
+    the terms grow while |a x| / (|b + n| n) exceeds 1, that is up to about
+    n = |a x| / |b| where |b| exceeds sqrt(|a x|), and up to sqrt(|a x|)
+    otherwise.
+    When that is more than the cap and no term can vanish (a is no
+    nonpositive integer, x is not 0, and the arithmetic does not
+    underflow), it fails at once.
     """
     abs_ax = ctx.mag(a_c) * ctx.mag(x_c)
-    need = 2.0 * math.sqrt(abs_ax) + 10
+    root, abs_b = math.sqrt(abs_ax), ctx.mag(b_c)
+    rise = 2.0 * (root if abs_b <= root else abs_ax / abs_b)
+    need = rise + 10
     if (need > _MAX_TERMS and not ctx.underflows and x_c != 0
             and not is_nonpositive_integer(a_c)):
         raise PrecisionExhaustedError(
             f"M series needs at least {need:.4g} terms, more than its cap "
             f"of {_MAX_TERMS}")
-    min_terms = int(2.0 * math.sqrt(abs_ax)) + 10
+    min_terms = int(rise) + 10
     a_c, b_c, x_c = ctx.series_in(a_c), ctx.series_in(b_c), ctx.series_in(x_c)
     term = ctx.series_in(ctx.make_complex(1.0))
     total = term
@@ -94,7 +100,12 @@ def kummer_m(a: complex, b: complex, x: complex,
 
 
 def _u_log_integrand(a, bma, x0, ctx: NumericContext):
-    """w -> a w + bma log(1+e^w) - x0 e^w in ctx arithmetic, bma = b-a-1."""
+    """w -> a w + bma log(1+e^w) - x0 e^w, bma = b-a-1, in ctx's series
+    arithmetic: the parameters are read exactly with series_in, and w and
+    the value are series numbers (native numbers in double; in dd the
+    quadrature's fixed-point nodes, and e^w keeps its working bits however
+    far w is from 0, so x0 e^w stays accurate for any |x0|)."""
+    a, bma, x0 = ctx.series_in(a), ctx.series_in(bma), ctx.series_in(x0)
 
     def logf(w):
         exp_w = ctx.exp(w)

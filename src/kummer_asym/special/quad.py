@@ -14,13 +14,20 @@ halves the step of a trial sum, all on a native twin of the integrand, and
 it is the answer in double mode, where halving stops once two successive
 changes meet the tolerance.  In an extended mode the plan stops at the
 first level n whose change meets sqrt(tol), which predicts a change below
-tol at 2n.  One working-precision pass then sums the 2n intervals, with
-nodes placed in working precision, and its every-other-node subset gives
-the confirming comparison at no extra cost.  Should that comparison fail,
-the step keeps halving in working precision until two successive changes
-meet tol.  When cancellation puts double's rounding floor above sqrt(tol),
-the extended plan gives up as soon as its change stalls at that floor, and
-working precision halves from the first level instead.
+tol at 2n.  One working pass then sums the 2n intervals, and its
+every-other-node subset gives the confirming comparison at no extra cost.
+Should that comparison fail, the step keeps halving in the working pass
+until two successive changes meet tol.  When cancellation puts double's
+rounding floor above sqrt(tol), the extended plan gives up as soon as its
+change stalls at that floor, and the working pass halves from the first
+level instead.
+
+The working pass, which only an extended context runs, is in fixed point:
+nodes, samples and sums lie on the context's quadrature grid (quad_in; in
+dd blockfloat's 2^-QUAD_BITS), so the sums are exact and two levels
+compare exactly, and the value is rounded into the context once.  A sample
+beyond a double's range above the located peak raises QuadratureError
+there as in the plan.
 """
 
 from __future__ import annotations
@@ -90,6 +97,12 @@ def _unstable(ctx: NumericContext) -> QuadratureError:
         f"within {_MAX_HALVINGS} halvings")
 
 
+def _beyond_peak(w: float) -> QuadratureError:
+    # the located peak is not the integrand's maximum
+    return QuadratureError(f"integrand at w = {w:.6g} exceeds its located "
+                           f"peak beyond a double's range")
+
+
 def _plan(logf, w_start, working: NumericContext):
     """Peak, cutoffs and step halving on a native integrand, for the
     working context.
@@ -122,10 +135,7 @@ def _plan(logf, w_start, working: NumericContext):
         try:
             return ctx.exp(logf(w) - g_peak)
         except OverflowError:
-            # the located peak is not the integrand's maximum
-            raise QuadratureError(
-                f"integrand at w = {w:.6g} exceeds its located peak beyond "
-                f"a double's range") from None
+            raise _beyond_peak(w) from None
 
     n = _FIRST_LEVEL
     h = (w_right - w_left) / n
@@ -162,56 +172,70 @@ def _plan(logf, w_start, working: NumericContext):
 
 def _working_pass(logf, ctx: NumericContext, w_peak: float, w_left: float,
                   w_right: float, n: int, needed: int) -> ScaledValue:
-    """Trapezoid sum over n intervals in ctx, checked against its n/2 subset;
-    halves on until `needed` successive changes meet ctx.quadrature_tol."""
+    """Trapezoid sum over n intervals on ctx's quadrature grid, checked
+    against its n/2 subset; halves on until `needed` successive changes
+    meet ctx.quadrature_tol.
+
+    Each sum holds the two end samples once and every other sample twice,
+    so the trapezoid value at n intervals is total * span / (2 n): the sums
+    stay exact, and two levels compare exactly as total_n - 2 total_n/2
+    against total_n.
+    """
     tol = ctx.quadrature_tol
-    g_peak = logf(ctx.real(w_peak))
-    wl = ctx.real(w_left)
-    span = ctx.real(w_right) - wl
+    g_peak = ctx.quad_out(logf(ctx.quad_in(w_peak)))
+    g = ctx.quad_in(g_peak)
+    wl = ctx.quad_in(w_left)
+    span = ctx.quad_in(w_right) - wl
+    zero = ctx.quad_in(0.0)
 
-    def sample(k, intervals):
-        return ctx.exp(logf(wl + span * k / intervals) - g_peak)
+    def sample(w):
+        try:
+            return ctx.quad_in(ctx.exp(logf(w) - g))
+        except OverflowError:
+            raise _beyond_peak(ctx.to_float(w)) from None
 
-    even = (sample(0, n) + sample(n, n)) / 2
-    for k in range(2, n, 2):
-        even = even + sample(k, n)
-    odd = 0
-    for k in range(1, n, 2):
-        odd = odd + sample(k, n)
-    previous = even * span * 2 / n
-    total = even + odd
+    def twice_every_other(start, intervals):
+        h = span * ctx.quad_in(1.0 / intervals)
+        return 2 * sum((sample(wl + h * k)
+                        for k in range(start, intervals, 2)), zero)
+
+    previous = sample(wl) + sample(wl + span) + twice_every_other(2, n)
+    total = previous + twice_every_other(1, n)
     stable = 0
     while True:
-        current = total * span / n
-        change = ctx.mag(current - previous)
-        scale = ctx.mag(current)
+        change = ctx.mag(total - 2 * previous)
+        scale = ctx.mag(total)
         if scale == 0.0 or change <= tol * scale:
             stable += 1
             if stable >= needed:
-                return ScaledValue(current, g_peak)
+                value = total * span * ctx.quad_in(0.5 / n)
+                return ScaledValue(ctx.quad_out(value), g_peak)
         else:
             stable = 0
             needed = 2
         if n >= _MAX_LEVEL:
             raise _unstable(ctx)
-        previous = current
-        mid = 0
-        for k in range(1, 2 * n, 2):
-            mid = mid + sample(k, 2 * n)
-        total = total + mid
+        previous = total
+        total = total + twice_every_other(1, 2 * n)
         n *= 2
 
 
 def peak_integral(logf, w_start, ctx: NumericContext,
                   plan_logf=None) -> ScaledValue:
-    """Integrate exp(logf(w)) dw over R to ctx.quadrature_tol; logf maps
-    ctx real -> ctx number.
+    """Integrate exp(logf(w)) dw over R to ctx.quadrature_tol.
 
-    plan_logf is the same integrand on native floats (returning float or
-    complex) and steers an extended-precision ctx; it defaults to logf,
-    which must then accept floats.  In double mode logf is its own plan.
-    Returns a ScaledValue; raises QuadratureError if the step-halving fails
-    to stabilize within the level cap.
+    logf maps a real of ctx's series arithmetic to a number of it, and is
+    called once per node: in double both are native numbers; in an
+    extended ctx the working pass hands it nodes on the quadrature grid
+    (ctx.quad_in) and takes back a series number, so a logf built from
+    + - * with integers and series numbers, ctx.exp, ctx.log1p_real and
+    ctx.to_float runs in every mode.  plan_logf is the same integrand on
+    native floats (returning float or complex) and steers an extended ctx;
+    it defaults to logf, which must then accept floats.  In double mode
+    logf is its own plan.  Returns a ScaledValue whose parts are ctx reals
+    where the integrand is real; raises QuadratureError if the
+    step-halving fails to stabilize within the level cap, or where a
+    sample lies beyond a double's range above the located peak.
     """
     if ctx is NATIVE:
         _, g_peak, _, _, n, value = _plan(logf, w_start, ctx)

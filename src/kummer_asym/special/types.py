@@ -53,6 +53,12 @@ class NumericContext:
                                series term loops, which mag also reads
       series_out(s)            a number of that arithmetic as a context
                                complex, rounded once
+      quad_in(x)               a float, context number or series number
+                               on the fixed grid of the quadrature's
+                               working pass, in the series arithmetic
+      quad_out(s)              a series number as a context number,
+                               rounded once: a real where its imaginary
+                               part is 0
       check_headroom(...)      the cancellation guard
 
     The term loops of the M series, the I series and the Bessel asymptotic
@@ -64,6 +70,10 @@ class NumericContext:
     products, one rounding per quotient to the working precision plus
     blockfloat.SERIES_GUARD_BITS, and sums exact on the grid of their
     largest term.
+
+    The U quadrature's working pass (quad.py) and its integrand use the
+    same arithmetic, held on a fixed grid by quad_in, with exp and
+    log1p_real of series numbers; in double this is all native math.
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
@@ -95,6 +105,12 @@ class NumericContext:
         return x
 
     def series_out(self, s):
+        return s
+
+    def quad_in(self, x):
+        return x
+
+    def quad_out(self, s):
         return s
 
     def coerce(self, w):
@@ -181,7 +197,7 @@ class _ExtendedMP(NumericContext):
 
     It works in a private mpmath.MPContext, so it neither reads nor writes
     the process-wide mpmath.mp precision; the interface functions are that
-    context's own.
+    context's own, but for exp and log1p_real of series numbers.
 
     Its series numbers are BlockComplex values with wp = prec +
     SERIES_GUARD_BITS bits; like mpmath, blockfloat is imported only when
@@ -193,6 +209,10 @@ class _ExtendedMP(NumericContext):
     with from_man_exp.  Integer mantissas never underflow, and a term loop
     costs a few integer multiplications a step instead of mpmath's
     pure-Python mpc objects.
+
+    quad_in puts a number on the grid 2^-blockfloat.QUAD_BITS, and exp and
+    log1p_real of a series number are those of blockfloat.FixedKernels,
+    built with the context.
     """
 
     name = "dd"
@@ -207,19 +227,23 @@ class _ExtendedMP(NumericContext):
         import mpmath
         from mpmath.libmp import fzero, from_man_exp, to_fixed
 
-        from .blockfloat import DD_PREC, BlockComplex
+        from .blockfloat import DD_PREC, QUAD_BITS, BlockComplex, FixedKernels
 
         mp = self._mp = mpmath.MPContext()
         mp.prec = DD_PREC
         self._block = BlockComplex
+        kernels = FixedKernels()
+        self._series_exp, self._series_log1p = kernels.exp, kernels.log1p
+        self._quad_grid = -QUAD_BITS
         self._raw_to_float = mpmath.libmp.to_float
         self._fzero, self._to_fixed = fzero, to_fixed
         self._from_man_exp = from_man_exp
         self.dps = mp.dps
         self.own_types = (mp.mpf, mp.mpc)
         self.real, self.make_complex = mp.mpf, mp.mpc
-        self.exp, self.log, self.sin, self.sinpi = mp.exp, mp.log, mp.sin, mp.sinpi
-        self.log1p_real, self.abs, self.is_finite = mp.log1p, mp.fabs, mp.isfinite
+        self._mp_exp, self._mp_log1p = mp.exp, mp.log1p
+        self.log, self.sin, self.sinpi = mp.log, mp.sin, mp.sinpi
+        self.abs, self.is_finite = mp.fabs, mp.isfinite
         self.re, self.im, self.atan2 = mp.re, mp.im, mp.atan2
         self.pi, self.euler = mp.pi, mp.euler
 
@@ -242,6 +266,25 @@ class _ExtendedMP(NumericContext):
         prec, exp = self._mp.prec, s.exp
         return self._mp.make_mpc((self._from_man_exp(s.re, exp, prec, "n"),
                                   self._from_man_exp(s.im, exp, prec, "n")))
+
+    def quad_in(self, x):
+        if type(x) is not self._block:
+            x = self.series_in(self.coerce(x))
+        return x.on_grid(self._quad_grid)
+
+    def quad_out(self, s):
+        z = self.series_out(s)
+        return z if s.im else z.real
+
+    def exp(self, x):
+        if type(x) is self._block:
+            return self._series_exp(x)
+        return self._mp_exp(x)
+
+    def log1p_real(self, x):
+        if type(x) is self._block:
+            return self._series_log1p(x)
+        return self._mp_log1p(x)
 
     def mag(self, x):
         if type(x) is self._block:

@@ -1,11 +1,20 @@
-"""Block-floating complex arithmetic against exact Fraction arithmetic."""
+"""Block-floating complex arithmetic against exact Fraction arithmetic, and
+the quadrature's fixed-point kernels against 50-digit mpmath."""
 
+import importlib
+import math
+import pathlib
+import re
 from fractions import Fraction
 
+import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummer_asym.special.blockfloat import BlockComplex
+import kummer_asym
+from kummer_asym.special.blockfloat import (QUAD_BITS, BlockComplex,
+                                            FixedKernels)
 
 WP = 60
 
@@ -78,5 +87,124 @@ def test_mag_and_comparison_with_zero():
     assert Block(3, 4, -2).mag() == 1.25
     assert Block(1, 0, 5000).mag() == float("inf")
     assert Block(1, 0, -5000).mag() == 0.0
+    # mantissas beyond a float's range, on a fine grid
+    assert Block(3 << 1100, -4 << 1100, -1100).mag() == 5.0
+    assert Block(1 << 2000, 0, 100).mag() == float("inf")
     assert Block(0, 0, 7) == 0
     assert not Block(8, 0, -3) == 0 and not Block(0, 1, 9) == 0
+
+
+@settings(max_examples=200, derandomize=True)
+@given(blocks, st.integers(-300, 300))
+def test_on_grid_is_exact_or_truncates_toward_zero(a, exp):
+    b = a.on_grid(exp)
+    assert b.exp == exp
+    unit = Fraction(2) ** exp
+    for got, part in zip(exact(b), exact(a)):
+        assert 0 <= (part - got) * (1 if part >= 0 else -1) < unit
+        if exp <= a.exp:
+            assert got == part
+    assert same((-a).on_grid(exp), -b)
+
+
+def test_float_reads_the_real_part():
+    assert float(Block(-3, 7, -2)) == -0.75
+    assert float(Block(1 << 300, 0, -301)) == 0.5
+    assert float(Block(-(3 << 200), 0, -200)) == -3.0
+
+
+# The mpmath.libmp names the package uses.  They are not documented API,
+# and pyproject.toml allows any mpmath from 1.2 on.
+LIBMP_NAMES = {
+    "mpmath.libmp": {"fzero", "from_man_exp", "to_fixed", "to_float"},
+    "mpmath.libmp.libelefun": {"cos_sin_fixed", "exp_fixed", "ln2_fixed",
+                               "log_taylor_cached", "pi_fixed"},
+}
+
+
+def test_mpmath_has_the_libmp_names_the_package_uses():
+    for module, names in LIBMP_NAMES.items():
+        lib = importlib.import_module(module)
+        missing = sorted(name for name in names if not hasattr(lib, name))
+        assert not missing, (
+            f"mpmath {mpmath.__version__} has no {module}."
+            f"{', '.join(missing)}, which the dd context's series and "
+            f"quadrature arithmetic need")
+    # and the package names no others
+    used = {module: set() for module in LIBMP_NAMES}
+    root = pathlib.Path(kummer_asym.__file__).parent
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        for module, listed, line in re.findall(
+                r"from (mpmath\.libmp(?:\.\w+)?) import "
+                r"(?:\(([^)]*)\)|([\w, ]+))", text):
+            used[module] |= set(re.findall(r"\w+", listed + line))
+        used["mpmath.libmp"] |= set(re.findall(r"mpmath\.libmp\.(\w+)\b(?!\.)",
+                                               text)) - {"libelefun"}
+    assert used == LIBMP_NAMES
+
+
+KERNELS = FixedKernels()
+_REF = mpmath.MPContext()
+_REF.dps = 50
+UNIT = _REF.ldexp(1, -QUAD_BITS)
+
+
+def kernel_bound(size, reference=1.0):
+    """FixedKernels' documented error, in units of the grid, for an
+    argument (or logarithm) of modulus `size`, plus the 50-digit
+    reference's own rounding, relative to `reference`."""
+    return (2.0 ** -12 * (1 + size / 2.0 ** 10)
+            + 2.0 ** (QUAD_BITS - _REF.prec) * max(1.0, reference))
+
+
+def on_quad_grid(re, im=0.0):
+    return BlockComplex(int(math.ldexp(re, QUAD_BITS)),
+                        int(math.ldexp(im, QUAD_BITS)), -QUAD_BITS)
+
+
+def value(b):
+    return _REF.mpc(_REF.ldexp(b.re, b.exp), _REF.ldexp(b.im, b.exp))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.floats(-600.0, 600.0) | st.sampled_from(
+    [-600.0, -1e-9, 0.5, 33.0, 600.0, 709.0]))
+def test_exp_of_a_real(w):
+    x = on_quad_grid(w)
+    got = KERNELS.exp(x)
+    assert got.im == 0 and got.re.bit_length() >= KERNELS.wp - 1
+    ref = _REF.exp(value(x))
+    assert abs(value(got) / ref - 1) / UNIT <= kernel_bound(abs(w))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.floats(0.0, 2.0 ** 70) | st.floats(0.0, 4.0) | st.sampled_from(
+    [2.0 ** -200, 1e-20, 2.0 ** 60, 2.0 ** 60 + 2.0 ** 10, 2.0 ** 64]))
+def test_log1p_from_zero_past_two_to_the_sixty(t):
+    mantissa, exponent = math.frexp(t)
+    x = BlockComplex(int(math.ldexp(mantissa, 53)), 0, exponent - 53)
+    got = value(KERNELS.log1p(x)).real
+    ref = _REF.log1p(value(x).real)
+    assert abs(got - ref) / UNIT <= kernel_bound(float(ref), float(ref))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.floats(-60.0, 5.0), st.floats(-1e4, 1e4) | st.floats(-4.0, 4.0))
+def test_exp_of_a_complex_exponent(re_x, im_x):
+    x = on_quad_grid(re_x, im_x)
+    got, ref = value(KERNELS.exp(x)), _REF.exp(value(x))
+    error = max(abs(got.real - ref.real), abs(got.imag - ref.imag))
+    assert error / (UNIT * abs(ref)) <= kernel_bound(abs(complex(re_x, im_x)))
+
+
+def test_kernels_are_exact_at_zero_and_refuse_overflow():
+    zero = on_quad_grid(0.0)
+    assert value(KERNELS.exp(zero)) == 1 and value(KERNELS.log1p(zero)) == 0
+    top = math.log(2.0 ** 1023 * (2 - 2.0 ** -52))  # a double's largest exp
+    KERNELS.exp(on_quad_grid(top - 1e-9, 3.0))
+    for x in (on_quad_grid(top + 1e-9), on_quad_grid(1e6, -2.0)):
+        with pytest.raises(OverflowError):
+            KERNELS.exp(x)
+    # far below the peak a sample is exactly 0 on the grid
+    assert KERNELS.exp(on_quad_grid(-1e6, 1.0)).on_grid(-QUAD_BITS) == 0

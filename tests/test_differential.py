@@ -75,17 +75,42 @@ class TestUIntegralRoute:
         got = kummer_u_scaled(200.0, 1.5, RiemannPoint(10.0, 0.4 * math.pi),
                               Precision.dd())
         assert calls < 10_000
-        # the fallback is unchanged, so the dd value keeps every bit
+        # giving up early changes nothing after it: with the stall exit
+        # off, all 12 halvings lead to these same bits
         exact = _MP.clone()
         exact.prec = 256
         want_mantissa = exact.mpc(
-            exact.mpf((25811948669707218998114085266163685, -150)),
-            exact.mpf((-43058509762510571672785981792524455, -150)))
+            exact.mpf((3226493583713402374764291714225651, -147)),
+            exact.mpf((-43058509762510571672785955524465073, -150)))
         want_shift = exact.mpc(
             exact.mpf((-73427625308690342607852160949722965, -106)),
             exact.mpf((-23569779683922231943303437550960529, -108)))
         assert exact.mpc(got.mantissa) == want_mantissa
         assert exact.mpc(got.shift) == want_shift
+
+    @pytest.mark.parametrize("a, b, r, theta, evaluations", [
+        (200.0, 1.5, 10.0, 0.4 * math.pi, 1026),
+        (0.5, 0.1, 0.1, 0.4 * math.pi, 16386),
+        # the U value of the sweep's u-capital config at b = 2.5, z = 1,
+        # t = 10, arg u = 0
+        (26.25, 2.5, 1.0, 0.0, 130)])
+    def test_working_pass_keeps_its_nodes(self, monkeypatch, a, b, r, theta,
+                                          evaluations):
+        # the integrand is evaluated once per node, at the same levels as
+        # when the pass summed mpmath numbers
+        calls = 0
+        original = kummer.peak_integral
+
+        def counted(logf, w_start, ctx, plan_logf):
+            def working(w):
+                nonlocal calls
+                calls += 1
+                return logf(w)
+            return original(working, w_start, ctx, plan_logf)
+
+        monkeypatch.setattr(kummer, "peak_integral", counted)
+        kummer_u_scaled(a, b, RiemannPoint(r, theta), Precision.dd())
+        assert calls == evaluations
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(a=st.floats(0.5, 200.0), b=st.floats(0.1, 3.0),
@@ -181,6 +206,17 @@ class TestDDSeriesLoops:
         exact.dps = 80
         ref = exact.hyp1f1(exact.mpc(a), exact.mpc(b), x)
         assert abs(exact.mpc(got) / ref - 1) <= 1e-32
+
+    def test_m_with_b_as_large_as_a(self):
+        # |a x / b| is about 1/2, so the terms fall from the first; a term
+        # rule in sqrt(|a x|) alone asked for 4.5e7 of them and refused M
+        prec = Precision.dd()
+        a, b = complex(100 - 5e14, 0.25), complex(-1e15, 0.5)
+        got = _value(kummer.kummer_m_scaled(a, b, 1, prec))
+        exact = _MP.clone()
+        exact.dps = 60
+        ref = exact.hyp1f1(exact.mpc(a), exact.mpc(b), 1)
+        assert abs(exact.mpc(got) / ref - 1) <= 1e-34
 
     @pytest.mark.parametrize("im", ["1e-25", "1e-45"])
     def test_i_order_just_off_a_negative_integer(self, im):

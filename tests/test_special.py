@@ -250,9 +250,10 @@ class TestPrecision:
             if re.match(r" {6}\w", line):
                 field = re.split(r"\s{2,}", line.strip())[0]
                 names += re.findall(r"(?:^|, )(\w+)(?=\(|,|$)", field)
-        assert len(names) == 22 and "log1p_real" in names and "euler" in names
+        assert len(names) == 24 and "log1p_real" in names and "euler" in names
         assert "sinpi" in names
         assert "series_in" in names and "series_out" in names
+        assert "quad_in" in names and "quad_out" in names
         double, dd = Precision.double().ctx, Precision.dd().ctx
         for ctx in (double, dd):
             for name in names:
@@ -282,6 +283,13 @@ class TestPrecision:
                 back = ctx.series_out(ctx.series_in(v))
                 assert isinstance(back, complex_t) and back == v
             assert ctx.series_out(ctx.series_in(ctx.real(-2.5))) == -2.5
+            # a number on the quadrature grid comes back out unchanged, a
+            # real one as a real
+            for v in (w, ctx.make_complex(-0.4, 3.0)):
+                back = ctx.quad_out(ctx.quad_in(v))
+                assert isinstance(back, complex_t) and back == v
+            back = ctx.quad_out(ctx.quad_in(-2.5))
+            assert isinstance(back, real_t) and back == -2.5
 
         def agree(name, *args):
             args_dd = [dd.real(a) if isinstance(a, float) else dd.coerce(a)
@@ -876,6 +884,47 @@ class TestPeakIntegral:
         got = peak_integral(lambda w: -w * w, 0.5, dd.ctx)
         value = got.to_logcomplex(dd.ctx).to_complex()
         assert value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+    def test_dd_oscillatory_gaussian_on_series_numbers(self, dd):
+        # a complex logf in dd: the working pass hands it nodes as series
+        # numbers, the plan floats
+        ctx = dd.ctx
+        i = ctx.series_in(ctx.make_complex(0.0, 1.0))
+        logf = counting(lambda w: -(w - 2) * (w - 2) + i * w)
+        got = peak_integral(logf, 0.0, ctx,
+                            plan_logf=lambda w: -((w - 2.0) ** 2) + 1j * w)
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        value = mp.mpc(got.mantissa) * mp.exp(mp.mpc(got.shift))
+        assert abs(value / (mp.sqrt(mp.pi) * mp.exp(2j - 0.25)) - 1) <= 1e-28
+        assert logf.calls <= 200
+
+    def test_dd_sample_far_above_the_peak_is_refused(self, dd):
+        # the plan sees a plain Gaussian; right of w = 1 the working pass's
+        # integrand lies 2000 above the peak, past a double's range, and
+        # is refused as the plan refuses it, not summed as a huge integer
+        ctx = dd.ctx
+
+        def logf(w):
+            return -w * w + (2000 if ctx.to_float(w) > 1.0 else 0)
+
+        with pytest.raises(QuadratureError,
+                           match=r"integrand at w = [\d.]+ exceeds its located "
+                                 r"peak beyond a double's range"):
+            peak_integral(logf, 0.5, ctx, plan_logf=lambda w: -w * w)
+
+    def test_dd_sums_far_above_the_peak_are_still_measured(self, dd):
+        # samples e^650 above the located peak fit a double's range, but
+        # their sums' mantissas on the quadrature grid do not fit a float;
+        # read as infinite, every level would have passed the stopping
+        # test at once (the sum came back as 1.8e281)
+        ctx = dd.ctx
+
+        def logf(w):
+            return -w * w + (650 if 1.0 < ctx.to_float(w) < 1.5 else 0)
+
+        with pytest.raises(QuadratureError, match="failed to stabilize"):
+            peak_integral(logf, 0.5, ctx, plan_logf=lambda w: -w * w)
 
     def test_tail_that_does_not_decay(self, dd):
         for prec in (Precision.double(), dd):
