@@ -12,7 +12,9 @@ loops, whose step is term * p(n) / q(n) with p and q low-degree in n:
     1, that is when the operand is already above 2^wp);
   * a quotient is rounded once, to wp significant bits of its larger
     part, so each series step rounds once and every term keeps wp bits
-    however far the terms shrink below 1 or grow again;
+    however far the terms shrink below 1 or grow again; an int over a
+    block number is rounded to the divisor's own bits where it has more,
+    so a reciprocal keeps the precision of what it inverts;
   * a sum of two block numbers lies on the coarser of their two grids,
     the finer operand truncated to it.  Terms that each carry wp bits then
     keep the running sum an exact integer at the scale 2^-wp times the
@@ -32,7 +34,9 @@ held on the fixed grid 2^-QUAD_BITS (on_grid), where its sums are exact.
 FixedKernels gives it exp and log(1 + x) of block numbers, computed by
 the fixed-point routines of mpmath.libmp.libelefun.  The integrand's
 parameters stay exact, and e^w keeps wp bits however small or large it
-is, so x0 e^w loses nothing to the grid.
+is, so x0 e^w loses nothing to the grid; its reciprocal e^-w, which the
+integrand's log(1 + e^-w) takes for w > 0, is one quotient that keeps
+those bits.
 """
 
 from __future__ import annotations
@@ -47,15 +51,20 @@ SERIES_GUARD_BITS = 24
 
 # The bits FixedKernels computes with beyond the quadrature grid.  Each
 # kernel then stays within 2^-12 (1 + |x| / 2^10) units of the grid (see
-# FixedKernels), so that e^w, entering the exponent times x0 with
-# |x0 e^w| up to 2^10, and log(1 + e^w), times b - a - 1 up to 2^11 in
-# size, each add less than a unit of the grid to it.
+# FixedKernels), so that e^w, entering the U exponent times x0 with
+# |x0 e^w| up to 2^10, and l = log(1 + e^-w), times a - b + 1 up to 2^11
+# in size, each add less than a unit of the grid to it; l itself is within
+# 2^-11 units.  For w > 0, l is the log of 1 + 1 / e^w, at most ln 2, and
+# the reciprocal's one rounding (to the bits of e^w, 2^-24 units relative)
+# and e^w's own error reach it times at most 1/2.  For w <= 0, l is
+# log(1 + e^w) - w, with the log's error and at most half of e^w's, and
+# (a - b + 1) l is formed as two exact products.
 KERNEL_GUARD_BITS = 24
 # The quadrature grid is 2^-QUAD_BITS.  A sample exp(E - g) is at most about
 # 1 (g is the exponent at the peak) and lies within 2^3 units of the grid of
 # its exact value: a unit for truncating E - g onto the grid, another for
-# truncating the sample, and under one each for e^w, log(1 + e^w) and the
-# sample's own exp.  A trapezoid value over a span below 2^11 (the cutoff
+# truncating the sample, and under one each for x0 e^w, (a - b + 1) l and
+# the sample's own exp.  A trapezoid value over a span below 2^11 (the cutoff
 # walk reaches 600 steps each way) is then within 2^(14 - QUAD_BITS) of the
 # exact trapezoid sum, in units of the peak, so an integral down to 2^-24
 # of the peak keeps the DD_PREC bits of the dd context.
@@ -152,7 +161,8 @@ class BlockComplex:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
+    def __truediv__(self, other, wp=None):
+        """self / other rounded once to wp bits, by default the class's."""
         if type(other) is int:
             other = type(self)(other, 0, 0)
         br, bi = other.re, other.im
@@ -160,7 +170,7 @@ class BlockComplex:
         den = br * br + bi * bi
         num_re = self.re * br + self.im * bi
         num_im = self.im * br - self.re * bi
-        shift = (self.wp + den.bit_length()
+        shift = ((wp or self.wp) + den.bit_length()
                  - (abs(num_re) | abs(num_im)).bit_length())
         exp = self.exp - other.exp - shift
         if shift >= 0:
@@ -172,6 +182,12 @@ class BlockComplex:
         re = num_re // den if num_re >= 0 else -(-num_re // den)
         im = num_im // den if num_im >= 0 else -(-num_im // den)
         return type(self)(re, im, exp)
+
+    def __rtruediv__(self, other):
+        """other / self for an int other, rounded once to wp bits, or to
+        self's own significant bits where it has more (a kernel's e^w)."""
+        bits = max(self.wp, (abs(self.re) | abs(self.im)).bit_length())
+        return type(self)(other, 0, 0).__truediv__(self, bits)
 
     def __eq__(self, other):
         # the loops compare with 0 only: is a term exactly zero

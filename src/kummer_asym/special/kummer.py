@@ -99,21 +99,31 @@ def kummer_m(a: complex, b: complex, x: complex,
     return kummer_m_scaled(a, b, x, prec).to_logcomplex(prec.ctx)
 
 
-def _u_log_integrand(a, bma, x0, ctx: NumericContext):
-    """w -> a w + bma log(1+e^w) - x0 e^w, bma = b-a-1, in ctx's series
-    arithmetic: the parameters are read exactly with series_in, and w and
-    the value are series numbers (native numbers in double; in dd the
+def _u_log_integrand(c, d, x0, ctx: NumericContext):
+    """w -> c w - d log(1+e^-w) - x0 e^w, c = b-1, d = a-b+1, in ctx's
+    series arithmetic: the parameters are read exactly with series_in, and
+    w and the value are series numbers (native numbers in double; in dd the
     quadrature's fixed-point nodes, and e^w keeps its working bits however
-    far w is from 0, so x0 e^w stays accurate for any |x0|)."""
-    a, bma, x0 = ctx.series_in(a), ctx.series_in(bma), ctx.series_in(x0)
+    far w is from 0, so x0 e^w stays accurate for any |x0|).
+
+    This is a w + (b-a-1) log(1+e^w) - x0 e^w with no two terms that
+    cancel.  In that form, for large |a|, a w and (b-a-1) log(1+e^w) are
+    each some hundreds at the peak and cancel to a few tens, and double's
+    roundoff in them would hold the trapezoid sums near 1e-13.  Here the
+    terms there are some tens, the exponent's own size.  For w > 0, e^-w
+    is 1 / e^w, so a node costs one exp; for w <= 0, d log(1+e^-w) is
+    d log(1+e^w) - d w, two products of opposite sign that add in size
+    and that dd forms exactly, where log(1+e^w) - w would be cut to the
+    coarser grid of w first."""
+    c, d, x0 = ctx.series_in(c), ctx.series_in(d), ctx.series_in(x0)
 
     def logf(w):
         exp_w = ctx.exp(w)
-        if ctx.to_float(w) > 33.0:
-            log1p = w + ctx.log1p_real(ctx.exp(-w))
+        if ctx.to_float(w) > 0:
+            d_ell = d * ctx.log1p_real(1 / exp_w)
         else:
-            log1p = ctx.log1p_real(exp_w)
-        return a * w + bma * log1p - x0 * exp_w
+            d_ell = d * ctx.log1p_real(exp_w) - d * w
+        return c * w - d_ell - x0 * exp_w
 
     return logf
 
@@ -121,12 +131,16 @@ def _u_log_integrand(a, bma, x0, ctx: NumericContext):
 def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
     """Gamma(a) U(a,b,x0) by the real-axis integral, then the Gamma division.
 
-    Integrand exp(a w + (b-a-1) ln(1+e^w) - x0 e^w) over w in R.
+    Integrand exp((b-1) w - (a-b+1) ln(1+e^-w) - x0 e^w) over w in R,
+    which is Gamma(a) U = int t^(a-1) (1+t)^(b-a-1) e^(-x0 t) dt at t = e^w.
+    c = b-1 and d = a-b+1 are formed in ctx; the float plan samples the
+    same formula at their complex roundings.
     """
-    bma = b_c - a_c - 1
+    c, d = b_c - 1, a_c - b_c + 1
     ad, bd, xd = ctx.to_complex(a_c), ctx.to_complex(b_c), ctx.to_complex(x0)
-    logf = _u_log_integrand(a_c, bma, x0, ctx)
-    plan_logf = _u_log_integrand(ad, ctx.to_complex(bma), xd, NATIVE)
+    logf = _u_log_integrand(c, d, x0, ctx)
+    plan_logf = _u_log_integrand(ctx.to_complex(c), ctx.to_complex(d), xd,
+                                 NATIVE)
     # saddle of the t-space integrand: x t^2 + (x+2-b) t - (a-1) = 0
     try:
         disc = cmath.sqrt((xd + 2 - bd) ** 2 + 4 * xd * (ad - 1))
@@ -135,7 +149,7 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
                           f"at a = {ad}, b = {bd}") from None
     candidates = [(-(xd + 2 - bd) + disc) / (2 * xd),
                   (-(xd + 2 - bd) - disc) / (2 * xd)]
-    t_peak = max(c.real for c in candidates)
+    t_peak = max(root.real for root in candidates)
     w_start = math.log(t_peak) if t_peak > 1e-8 else math.log(1e-8)
     integral = peak_integral(logf, w_start, ctx, plan_logf)
     return ScaledValue(integral.mantissa,

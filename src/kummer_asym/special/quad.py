@@ -14,13 +14,15 @@ halves the step of a trial sum, all on a native twin of the integrand, and
 it is the answer in double mode, where halving stops once two successive
 changes meet the tolerance.  In an extended mode the plan stops at the
 first level n whose change meets sqrt(tol), which predicts a change below
-tol at 2n.  One working pass then sums the 2n intervals, and its
-every-other-node subset gives the confirming comparison at no extra cost.
-Should that comparison fail, the step keeps halving in the working pass
-until two successive changes meet tol.  When cancellation puts double's
-rounding floor above sqrt(tol), the extended plan gives up as soon as its
-change stalls at that floor, and the working pass halves from the first
-level instead.
+tol at 2n.  One working pass then starts at n, where its every-other-node
+subset gives a first comparison at no extra cost: if that meets tol, n
+intervals are the answer; if not, the pass adds the midpoints and compares
+again at 2n, having sampled the same 2n + 1 nodes as a pass started there.
+Should a comparison beyond the first fail, the step keeps halving in the
+working pass until two successive changes meet tol.  When cancellation
+puts double's rounding floor above sqrt(tol), the extended plan gives up
+once two successive changes miss sqrt(tol) within that floor, and the
+working pass halves from the first level instead.
 
 The working pass, which only an extended context runs, is in fixed point:
 nodes, samples and sums lie on the context's quadrature grid (quad_in; in
@@ -112,7 +114,8 @@ def _plan(logf, w_start, working: NumericContext):
     sqrt(tol) otherwise.  Returns (w_peak, g_peak, w_left, w_right, n,
     value): n is the interval count reached and value the sum there, or
     both are None when the level cap comes first or, for an extended
-    working context, when the change has stalled at double's rounding floor.
+    working context, when two successive changes lie at double's rounding
+    floor.
     """
     tol = working.quadrature_tol
     native = working is NATIVE
@@ -128,7 +131,6 @@ def _plan(logf, w_start, working: NumericContext):
     # samples are at most 1 in size, so double rounds a trial sum at about
     # eps * span; past that the change no longer halves level on level
     floor = _FLOOR_ULPS * ctx.eps * (w_right - w_left)
-    best = math.inf
     stalls = 0
 
     def sample(w):
@@ -162,10 +164,9 @@ def _plan(logf, w_start, working: NumericContext):
             else:
                 stable = 0
                 if not native:
-                    stalls = stalls + 1 if best <= floor and change > 0.5 * best else 0
+                    stalls = stalls + 1 if change <= floor else 0
                     if stalls == 2:
                         break
-                    best = min(best, change)
         previous = current
     return w_peak, g_peak, w_left, w_right, None, None
 
@@ -174,7 +175,9 @@ def _working_pass(logf, ctx: NumericContext, w_peak: float, w_left: float,
                   w_right: float, n: int, needed: int) -> ScaledValue:
     """Trapezoid sum over n intervals on ctx's quadrature grid, checked
     against its n/2 subset; halves on until `needed` successive changes
-    meet ctx.quadrature_tol.
+    meet ctx.quadrature_tol.  A failed comparison at the first level leaves
+    `needed` as it is, since the plan met only sqrt(tol) there; any later
+    one asks for two.
 
     Each sum holds the two end samples once and every other sample twice,
     so the trapezoid value at n intervals is total * span / (2 n): the sums
@@ -199,6 +202,7 @@ def _working_pass(logf, ctx: NumericContext, w_peak: float, w_left: float,
         return 2 * sum((sample(wl + h * k)
                         for k in range(start, intervals, 2)), zero)
 
+    first = n
     previous = sample(wl) + sample(wl + span) + twice_every_other(2, n)
     total = previous + twice_every_other(1, n)
     stable = 0
@@ -210,9 +214,8 @@ def _working_pass(logf, ctx: NumericContext, w_peak: float, w_left: float,
             if stable >= needed:
                 value = total * span * ctx.quad_in(0.5 / n)
                 return ScaledValue(ctx.quad_out(value), g_peak)
-        else:
-            stable = 0
-            needed = 2
+        elif n > first:
+            stable, needed = 0, 2
         if n >= _MAX_LEVEL:
             raise _unstable(ctx)
         previous = total
@@ -248,5 +251,5 @@ def peak_integral(logf, w_start, ctx: NumericContext,
         # double's rounding floor hid the convergence: halve in ctx alone
         level, needed = _FIRST_LEVEL, 2
     else:
-        level, needed = min(2 * n, _MAX_LEVEL), 1
+        level, needed = n, 1
     return _working_pass(logf, ctx, w_peak, w_left, w_right, level, needed)

@@ -66,6 +66,23 @@ def test_a_quotient_is_rounded_once_to_wp_bits(a, b):
 
 
 @settings(max_examples=200, derandomize=True)
+@given(st.integers(-(1 << 70), 1 << 70), nonzero)
+def test_an_integer_over_a_block_is_rounded_once(n, b):
+    # to wp bits, or to the divisor's own bits where it has more
+    q = n / b
+    br, bi = exact(b)
+    den = br * br + bi * bi
+    want = (n * br / den, -n * bi / den)
+    unit = Fraction(2) ** q.exp
+    for got, part in zip(exact(q), want):
+        assert 0 <= (part - got) * (1 if part >= 0 else -1) < unit
+    bits = max(WP, max(abs(b.re), abs(b.im)).bit_length())
+    if n:
+        assert bits - 1 <= max(abs(q.re), abs(q.im)).bit_length() <= bits + 1
+    assert same(-n / b, -(n / b))
+
+
+@settings(max_examples=200, derandomize=True)
 @given(blocks, blocks)
 def test_a_sum_lies_on_the_coarser_grid(a, b):
     s = a + b
@@ -196,6 +213,17 @@ def test_exp_of_a_complex_exponent(re_x, im_x):
     got, ref = value(KERNELS.exp(x)), _REF.exp(value(x))
     error = max(abs(got.real - ref.real), abs(got.imag - ref.imag))
     assert error / (UNIT * abs(ref)) <= kernel_bound(abs(complex(re_x, im_x)))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.floats(2.0 ** -20, 600.0) | st.sampled_from([1e-9, 0.5, 2.2, 40.0]))
+def test_log1p_of_a_reciprocal_exp(w):
+    # the U integrand's log(1 + e^-w) for w > 0: the reciprocal keeps the
+    # bits of e^w, so the result stays within the kernels' bound
+    x = on_quad_grid(w)
+    got = value(KERNELS.log1p(1 / KERNELS.exp(x))).real
+    ref = _REF.log1p(_REF.exp(-value(x).real))
+    assert abs(got - ref) / UNIT <= kernel_bound(w) + 2.0 ** -12
 
 
 def test_kernels_are_exact_at_zero_and_refuse_overflow():

@@ -5,9 +5,11 @@ uses them to produce a result.  The references run in a private MPContext,
 so the process-wide mpmath.mp precision is left alone.
 """
 
+import cmath
 import functools
 import itertools
 import math
+import sys
 
 import mpmath
 import pytest
@@ -20,7 +22,7 @@ from kummer_asym.special import kummer
 from kummer_asym.special.bessel import (bessel_i_scaled, bessel_k,
                                         bessel_k_scaled)
 from kummer_asym.special.kummer import kummer_u_scaled
-from kummer_asym.special.types import Precision, RiemannPoint
+from kummer_asym.special.types import NATIVE, Precision, RiemannPoint
 
 _MP = mpmath.MPContext()
 _MP.dps = 50
@@ -80,13 +82,58 @@ class TestUIntegralRoute:
         exact = _MP.clone()
         exact.prec = 256
         want_mantissa = exact.mpc(
-            exact.mpf((3226493583713402374764291714225651, -147)),
-            exact.mpf((-43058509762510571672785955524465073, -150)))
+            exact.mpf((51623848601283886443245054577332163, -151)),
+            exact.mpf((-43058524370834847799275390379022133, -150)))
         want_shift = exact.mpc(
-            exact.mpf((-73427625308690342607852160949722965, -106)),
-            exact.mpf((-23569779683922231943303437550960529, -108)))
+            exact.mpf((-286826661362071652705339917870801, -98)),
+            exact.mpf((-47139559000520440390719249046873813, -109)))
         assert exact.mpc(got.mantissa) == want_mantissa
         assert exact.mpc(got.shift) == want_shift
+
+    def test_double_integral_at_large_complex_a(self, monkeypatch):
+        # the U integral of sweep-double's cells at t = 40, arg u = 0.3,
+        # |z| = 2, b = 1.5: in the form a w + (b - a - 1) log(1 + e^w) two
+        # terms near 900 cancel at the peak, and double's halving runs on
+        # to 32,845 integrand calls
+        a = 330.88424596387125 + 225.85698935801412j
+        calls, integrals = 0, []
+        original = kummer.peak_integral
+
+        def counted(logf, w_start, ctx, plan_logf):
+            def counted_logf(w):
+                nonlocal calls
+                calls += 1
+                return logf(w)
+            integrals.append(original(counted_logf, w_start, ctx, plan_logf))
+            return integrals[-1]
+
+        monkeypatch.setattr(kummer, "peak_integral", counted)
+        kummer_u_scaled(a, 1.5, RiemannPoint(4.0, 0.0), Precision.double())
+        assert calls <= 600
+        mp = _MP.clone()
+        mp.dps = 60
+        got = mp.mpc(integrals[0].mantissa) * mp.exp(mp.mpc(integrals[0].shift))
+        want = mp.gamma(mp.mpc(a)) * mp.hyperu(mp.mpc(a), 1.5, 4)
+        # double's floor here: the samples' exponent roundoff, about 4e-15,
+        # times the integrand's oscillation, sum |f| / |sum f| = 42
+        assert abs(got / want - 1) <= 3e-14
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(abs_a=st.floats(0.0, 400.0), arg_a=st.floats(0.0, 0.7),
+           b=st.floats(0.1, 3.0), x0=st.floats(0.25, 4.0),
+           w=st.floats(-4.0, 6.0))
+    def test_double_exponent_is_free_of_cancellation(self, abs_a, arg_a, b,
+                                                     x0, w):
+        # within a few roundoffs of the sum of its terms' sizes, however
+        # large a w and (b - a - 1) log(1 + e^w) are
+        a = cmath.rect(abs_a, arg_a)
+        got = kummer._u_log_integrand(b - 1, a - b + 1, x0, NATIVE)(w)
+        mp_a, mp_w = _MP.mpc(a), _MP.mpf(w)
+        want = (mp_a * mp_w + (b - mp_a - 1) * _MP.log1p(_MP.exp(mp_w))
+                - x0 * _MP.exp(mp_w))
+        ell = math.log1p(math.exp(-w)) if w > 0 else math.log1p(math.exp(w)) - w
+        size = abs(b - 1) * abs(w) + abs(a - b + 1) * ell + x0 * math.exp(w)
+        assert abs(got - complex(want)) <= 4 * sys.float_info.epsilon * size
 
     @pytest.mark.parametrize("a, b, r, theta, evaluations", [
         (200.0, 1.5, 10.0, 0.4 * math.pi, 1026),
