@@ -1,48 +1,54 @@
 """Modified Bessel functions I and K on the Riemann surface of the logarithm.
 
-The angle is reduced to theta0 in (-pi/2, pi/2] plus half-turns m; the base
-value comes from the ascending series (or, for large modulus, the compound
-asymptotic expansion), and the winding is restored through the exact
-continuation rules
+The angle is reduced to theta0 in (-pi/2, pi/2] plus half-turns m, and the
+winding is restored through the exact continuation rules
 
     I_nu(x e^(i pi m)) = e^(i pi nu m) I_nu(x)
     K_nu(x e^(i pi m)) = e^(-i pi nu m) K_nu(x) - i pi R_m(nu) I_nu(x)
 
 with R_m = sin(pi nu m)/sin(pi nu) from types.winding_ratio; where it is
-exactly 0 (nu m an integer, nu not) I is not evaluated.  K at non-integer
-order uses the reflection through I of orders +-nu; orders within 1e-3 of
-an integer use the logarithmic series at n in {0, 1} and the stable upward
-recurrence, up to order MAX_STEPS.
+exactly 0 (nu m an integer, nu not) I is not evaluated.  From |x| =
+bessel_switch both base values take the compound asymptotic expansion.
+Below it I takes the ascending series, and K one route at every order:
+nu = mu + n with n the integer nearest Re nu, (K_mu, K_mu+1) from Temme's
+series for |x| <= 2 (N. M. Temme, J. Comput. Phys. 19, 1975) or Steed's
+continued fraction CF2 beyond (Thompson & Barnett, Comput. Phys. Commun.
+47, 1987), both as in Numerical Recipes' bessik, then the upward
+recurrence, stable for K, at most MAX_STEPS long.  The recurrence folds a
+mantissa past 1e100 into its shift, so K_n stays finite in double as long
+as its log does.
 
-Within a sharing scope the I series and the asymptotic sums are computed
-once per (nu, x0): the reflection reads the I values of an I pair at the
-same point, the winding reads those of the base value, and one term loop
-gives the growing and the decaying asymptotic sum, so K's sum is the
-decaying half of I's.
-
-The I series and the asymptotic term loop run in the context's series
-arithmetic (NumericContext series_in / series_out): native complex numbers
-in double, block-floating Python integers in dd (see blockfloat), whose
-roundings truncate toward zero so that the growing sum's negated terms are
-the decaying sum's, bit for bit.  The integer-order recurrence folds a
-mantissa that grows past 1e100 into its shift, so K_n stays finite in
-double as long as its log does.
+Within a sharing scope the I series, the K pair (K_(b-1) and K_b share one
+where b - 1/2 is an integer) and the asymptotic sums are computed once per
+input; one term loop gives the growing and the decaying asymptotic sum, so
+K's is the decaying half of I's.  The term loops run in the context's
+series arithmetic (NumericContext series_in / series_out): native complex
+numbers in double, block-floating Python integers in dd (see blockfloat),
+whose roundings truncate toward zero, so that the growing sum's negated
+terms are the decaying sum's, bit for bit.  Every state update of Temme's
+series and of CF2 ends in a quotient, so in dd it is rounded once a step.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 from ..errors import DomainError, PrecisionExhaustedError
-from .gammafn import log_gamma_ctx
+from .gammafn import bernoulli_numbers, log_gamma_ctx
 from .types import (MAX_STEPS, LogComplex, NumericContext, Precision,
                     RiemannPoint, ScaledValue, base_point, exact_key,
-                    is_nonpositive_integer, nearest_integer, shared,
-                    winding_ratio)
+                    is_nonpositive_integer, shared, winding_ratio)
 
-_INTEGER_WINDOW = 1e-3
 _MAX_SERIES_TERMS = 3000
-# the K recurrence folds a mantissa above this size into the shift
+# Temme's series up to this |x|, CF2 beyond it
+_TEMME_RADIUS = 2.0
+# Taylor terms of 1/Gamma(1 + z), used for |z| <= 1: the rest is below
+# 1e-37 there
+_RGAMMA_TERMS = 50
+# the K recurrence folds a mantissa into the shift before a step takes it
+# above this size
 _FOLD_ABOVE = 1e100
 
 
@@ -130,82 +136,151 @@ def _i_base(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     return _i_series(nu_c, x0, ctx)
 
 
-def _k_reflection(nu_c, x0, ctx: NumericContext) -> ScaledValue:
-    # guard the difference before pi / (2 sin(pi nu)) can hide its loss
-    diff = _i_series(-nu_c, x0, ctx).add(_i_series(nu_c, x0, ctx).neg(), ctx,
-                                         "K reflection")
-    return diff.mul_complex(ctx.pi / (2 * ctx.sin(ctx.pi * nu_c)))
+@lru_cache(maxsize=None)
+def _rgamma_taylor(ctx: NumericContext) -> tuple:
+    """Taylor coefficients a_k of 1/Gamma(1 + z) in ctx, by DLMF 5.7.2,
+    k a_k = gamma a_(k-1) - zeta(2) a_(k-2) + zeta(3) a_(k-3) - ..., each
+    with an absolute rounding error of a few eps.  zeta(s) is an exact
+    Fraction within 1e-38: the terms below 20, then the Euler-Maclaurin
+    tail from 20 with 20 Bernoulli terms (DLMF 2.10.1)."""
+    n, bern = 20, bernoulli_numbers(41)
+
+    def zeta(s):
+        tail = sum(bern[2 * j] * math.prod(range(s, s + 2 * j - 1))
+                   / (math.factorial(2 * j) * n ** (s + 2 * j - 1))
+                   for j in range(1, 21))
+        return (sum(Fraction(1, k ** s) for k in range(1, n)) + tail
+                + Fraction(2 * n + s - 1, 2 * (s - 1) * n ** s))
+
+    weights = [ctx.euler] + [ctx.rational((-1) ** (j + 1) * zeta(j))
+                             for j in range(2, _RGAMMA_TERMS)]
+    coeffs = [ctx.real(1)]
+    for k in range(1, _RGAMMA_TERMS):
+        coeffs.append(sum((weights[j] * coeffs[k - 1 - j] for j in range(k)),
+                          ctx.real(0)) / k)
+    return tuple(coeffs)
 
 
-def _k_integer(n: int, x0, ctx: NumericContext) -> ScaledValue:
-    """K_n, 0 <= n <= MAX_STEPS: the logarithmic series at orders 0 and 1,
-    then the upward recurrence."""
-    if n > MAX_STEPS:
-        raise DomainError(f"integer order {n:.6g} is above {MAX_STEPS}")
-    log_half_x = ctx.log(x0 / 2)
-    q = x0 * x0 / 4
-    one = ctx.real(1)
+def _temme_gammas(mu, ctx: NumericContext) -> tuple:
+    """Gamma_1 = (1/Gamma(1 - mu) - 1/Gamma(1 + mu)) / (2 mu) and Gamma_2 =
+    (1/Gamma(1 - mu) + 1/Gamma(1 + mu)) / 2: by the Taylor series where
+    |mu| <= 1, as Gamma_1's difference cancels near 0; from log-gamma
+    beyond, where the series' rounding grows as |mu|^k."""
+    if ctx.mag(mu) > 1.0:
+        minus = ctx.exp(-log_gamma_ctx(1 - mu, ctx))
+        plus = ctx.exp(-log_gamma_ctx(1 + mu, ctx))
+        return (minus - plus) / (2 * mu), (minus + plus) / 2
+    coeffs, mu2 = _rgamma_taylor(ctx), mu * mu
+    odd = even = ctx.make_complex(0.0)
+    for k in range(_RGAMMA_TERMS - 2, -1, -2):
+        even, odd = even * mu2 + coeffs[k], odd * mu2 + coeffs[k + 1]
+    return -odd, even
 
-    def k_small(order: int):
-        # finite part: 1/2 sum_{k<order} (-1)^k (order-k-1)!/k! (x/2)^{2k-order}
-        finite = ctx.make_complex(0.0)
-        if order == 1:
-            finite = 1 / x0
-        # psi series: (-1)^order/2 * sum_k (psi(k+1)+psi(order+k+1)) q^k/(k! (order+k)!)
-        psi_a = -ctx.euler
-        psi_b = psi_a
-        for j in range(1, order + 1):
-            psi_b = psi_b + one / j
-        term = ctx.make_complex(1.0) / math.factorial(order)
-        total = (psi_a + psi_b) * term
-        k = 0
-        while True:
-            k += 1
-            term = term * q / (k * (order + k))
-            psi_a = psi_a + one / k
-            psi_b = psi_b + one / (order + k)
-            piece = (psi_a + psi_b) * term
-            total = total + piece
-            if k > 8 and ctx.mag(piece) <= ctx.series_tol * max(ctx.mag(total), 1e-300):
-                break
-            if k > _MAX_SERIES_TERMS:
-                raise PrecisionExhaustedError("integer-order K series stalled")
-        psi_part = total * ctx.exp(log_half_x * order) / 2
-        if order % 2:
-            psi_part = -psi_part
-        i_val = _i_series(ctx.make_complex(order), x0, ctx)
-        log_term = i_val.mul_complex(log_half_x)
-        if order % 2 == 0:
-            log_term = log_term.neg()
-        return log_term.add(ScaledValue(finite + psi_part, ctx.make_complex(0.0)), ctx)
 
-    k_prev = k_small(0)
-    if n == 0:
-        return k_prev
-    k_cur = k_small(1)
-    for m in range(1, n):
-        factor = 2 * m / x0
-        k_next = k_prev.add(k_cur.mul_complex(factor), ctx)
-        k_prev, k_cur = k_cur, k_next
-        if ctx.mag(k_cur.mantissa) > _FOLD_ABOVE:
-            # K_n grows like (n-1)! (2/x)^n: move the mantissa's size into
-            # the shift before it leaves the double range
-            size = ctx.abs(k_cur.mantissa)
-            k_cur = ScaledValue(k_cur.mantissa / size,
-                                k_cur.shift + ctx.log(size))
-    return k_cur
+def _k_temme(mu, x0, ctx: NumericContext) -> tuple:
+    """(K_mu, K_mu+1)(x0) = (sum c_k f_k, (2/x0) sum c_k (p_k - k f_k)),
+    c_k = (x0^2/4)^k / k!; K_mu+1's factor 2/x0 is kept in its shift, so
+    that no mantissa leaves the double range however small x0 is."""
+    log_2x = ctx.log(2 / x0)
+    gamma1, gamma2 = _temme_gammas(mu, ctx)
+    power = ctx.exp(mu * log_2x)  # (x0/2)^-mu
+    if mu == 0:
+        f = gamma1 + log_2x * gamma2
+    else:
+        # sinh(mu log(2/x0)) / mu, as sin(i y) = i sinh(y)
+        i = ctx.make_complex(0.0, 1.0)
+        sinhc = ctx.sin(i * mu * log_2x) / (i * mu)
+        f = (ctx.pi * mu / ctx.sinpi(mu)
+             * ((power + 1 / power) / 2 * gamma1 + sinhc * gamma2))
+    p = ctx.series_in(power / (2 * (gamma2 - mu * gamma1)))
+    q = ctx.series_in(1 / (2 * power * (gamma2 + mu * gamma1)))
+    f, mu_s, x_s = ctx.series_in(f), ctx.series_in(mu), ctx.series_in(x0)
+    mu2, quarter_x2 = mu_s * mu_s, x_s * x_s / 4
+    c = ctx.series_in(ctx.make_complex(1.0))
+    sums, peak = (f, p), max(ctx.mag(f), ctx.mag(p))
+    for k in range(1, _MAX_SERIES_TERMS):
+        f = -(k * f + p + q) / (mu2 - k * k)
+        p, q = -p / (mu_s - k), q / (mu_s + k)
+        c = c * quarter_x2 / k
+        terms = (c * f, c * (p - k * f))
+        sums = tuple(s + t for s, t in zip(sums, terms))
+        sizes = [ctx.mag(t) for t in terms]
+        peak = max(peak, *sizes)
+        if all(t <= ctx.series_tol * ctx.mag(s) for t, s in zip(sizes, sums)):
+            break
+    else:
+        raise PrecisionExhaustedError("K series did not converge")
+    for s in sums:
+        ctx.check_headroom(peak, ctx.mag(s), "K series")
+    k0, k1 = (ctx.series_out(s) for s in sums)
+    return ScaledValue(k0, ctx.make_complex(0.0)), ScaledValue(k1, log_2x)
+
+
+def _k_cf2(mu, x0, ctx: NumericContext) -> tuple:
+    """(K_mu, K_mu+1)(x0) by Steed's algorithm, sqrt(pi / (2 x0)) e^-x0
+    kept in the shift.  Its sum q = sum_i c_i Q_i is formed from the terms
+    t_i = c_i Q_i themselves, whose recurrence follows from those of c_i
+    and Q_i: c_i grows like i! and Q_i falls as fast, and either alone
+    leaves the double range near |x0| = 2."""
+    a1 = 0.25 - mu * mu
+    one = ctx.series_in(ctx.make_complex(1.0))
+    a, b = -ctx.series_in(a1), 2 * (ctx.series_in(x0) + 1)
+    d = h = delh = one / b
+    t_prev, t = ctx.series_in(ctx.make_complex(0.0)), -a
+    q, s, peak = t, t * delh + 1, 1.0
+    for i in range(2, _MAX_SERIES_TERMS):
+        t_prev, t = t, ((i - 1) * b * t + a * t_prev) / (i * (i - 1))
+        a, b = a - 2 * (i - 1), b + 2
+        q = q + t
+        # with den = b + a d, b d_new - 1 = -a d / den: every update of the
+        # state ends in a quotient
+        ad = a * d
+        den = b + ad
+        delh, d = ad * delh / -den, one / den
+        h, term = h + delh, q * delh
+        s, size = s + term, ctx.mag(term)
+        peak = max(peak, size)
+        if size <= ctx.series_tol * ctx.mag(s):
+            break
+    else:
+        raise PrecisionExhaustedError("K continued fraction did not converge")
+    ctx.check_headroom(peak, ctx.mag(s), "K continued fraction")
+    k0, base, h = 1 / ctx.series_out(s), mu + x0 + 0.5, a1 * ctx.series_out(h)
+    ctx.check_headroom(max(ctx.mag(base), ctx.mag(h)), ctx.mag(base - h),
+                       "K continued fraction")
+    shift = -x0 + ctx.log(ctx.pi / (2 * x0)) / 2
+    return ScaledValue(k0, shift), ScaledValue(k0 * (base - h) / x0, shift)
+
+
+def _k_pair(mu, x0, ctx: NumericContext) -> tuple:
+    """(K_mu, K_mu+1)(x0) as two ScaledValues."""
+    route = _k_temme if ctx.mag(x0) <= _TEMME_RADIUS else _k_cf2
+    return shared(("K pair", ctx.name, exact_key(mu), exact_key(x0)),
+                  lambda: route(mu, x0, ctx))
 
 
 def _k_base(nu_c, nu: complex, x0, ctx: NumericContext) -> ScaledValue:
+    """K at Re nu >= 0."""
     if ctx.mag(x0) >= ctx.bessel_switch:
         return _k_asym(nu_c, x0, ctx)
-    n = nearest_integer(nu, _INTEGER_WINDOW)
-    if n is not None:
-        if nu.imag != 0.0:
-            raise DomainError(
-                "integer-order K path supports real order only")
-        return _k_integer(n, x0, ctx)
-    return _k_reflection(nu_c, x0, ctx)
+    n = math.floor(nu.real + 0.5)
+    if n > MAX_STEPS:
+        raise DomainError(f"order {nu.real:.6g} needs more than {MAX_STEPS} "
+                          f"recurrence steps")
+    mu = nu_c - n
+    k_prev, k_cur = _k_pair(mu, x0, ctx)
+    for j in range(1, n):
+        # K_(mu+j+1) = K_(mu+j-1) + (2 (mu + j) / x0) K_(mu+j)
+        factor = 2 * (mu + j) / x0
+        if ctx.mag(k_cur.mantissa) * ctx.mag(factor) > _FOLD_ABOVE:
+            # K_n grows like (n-1)! (2/x)^n: move the mantissa's size into
+            # the shift before the step can take it out of the double range
+            size = ctx.abs(k_cur.mantissa)
+            k_cur = ScaledValue(k_cur.mantissa / size,
+                                k_cur.shift + ctx.log(size))
+        k_prev, k_cur = k_cur, k_prev.add(k_cur.mul_complex(factor), ctx,
+                                          "K recurrence")
+    return k_cur if n else k_prev
 
 
 def bessel_i_scaled(nu: complex, point: RiemannPoint,

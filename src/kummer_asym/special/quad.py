@@ -125,7 +125,9 @@ def _plan(logf, w_start, working: NumericContext):
     w_peak = _locate_peak(re, ctx.to_float(w_start))
     g_peak = logf(w_peak)
     peak_re = ctx.to_float(ctx.re(g_peak))
-    drop = -math.log(tol) + 15.0
+    # an extended mode's tails must fall below its rounding, not just its
+    # tolerance: cut at eps there, which tol exceeds by 15 digits in dd
+    drop = -math.log(tol if native else working.eps) + 15.0
     w_left = _find_cutoff(re, w_peak, peak_re, -1.0, drop)
     w_right = _find_cutoff(re, w_peak, peak_re, +1.0, drop)
     # samples are at most 1 in size, so double rounds a trial sum at about

@@ -61,15 +61,15 @@ class NumericContext:
                                part is 0
       check_headroom(...)      the cancellation guard
 
-    The term loops of the M series, the I series and the Bessel asymptotic
-    sums convert their parameters with series_in, step and sum with + - *
-    / and the comparison with 0, and convert the sums back with
-    series_out.  In double both conversions are the identity, so the loops
-    run on native complex numbers.  In dd they run on block-floating
-    integers (blockfloat.BlockComplex) instead of mpmath numbers: exact
-    products, one rounding per quotient to the working precision plus
-    blockfloat.SERIES_GUARD_BITS, and sums exact on the grid of their
-    largest term.
+    The term loops of the M series, the I series, K's Temme series and CF2,
+    and the Bessel asymptotic sums convert their parameters with series_in,
+    step and sum with + - * / and the comparison with 0, and convert the
+    sums back with series_out.  In double both conversions are the
+    identity, so the loops run on native complex numbers.  In dd they run
+    on block-floating integers (blockfloat.BlockComplex) instead of mpmath
+    numbers: exact products, one rounding per quotient to the working
+    precision plus blockfloat.SERIES_GUARD_BITS, and sums exact on the grid
+    of their largest term.
 
     The U quadrature's working pass (quad.py) and its integrand use the
     same arithmetic, held on a fixed grid by quad_in, with exp and
@@ -78,14 +78,13 @@ class NumericContext:
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
     integral aims for; bessel_switch the |x| from which I and K take the
-    asymptotic expansion instead of the ascending series (it equalizes
-    series cancellation, eps e^(2|x|), against the asymptotic floor,
-    e^(-2|x|)); stirling_profile the (threshold, terms) of log-gamma's
-    Stirling series, whose tail at the threshold sits about two digits
-    below the mode's accuracy; underflows whether a product of nonzero
-    series numbers can round to 0, so that a series' terms may vanish
-    before its stopping rule is met.  guard_threshold is shared; see
-    check_headroom.
+    asymptotic expansion (it equalizes I's series cancellation, eps
+    e^(2|x|), against the asymptotic floor, e^(-2|x|)); stirling_profile
+    the (threshold, terms) of log-gamma's Stirling series, whose tail at
+    the threshold sits about two digits below the mode's accuracy;
+    underflows whether a product of nonzero series numbers can round to 0,
+    so that a series' terms may vanish before its stopping rule is met.
+    guard_threshold is shared; see check_headroom.
     """
 
     name = "abstract"
@@ -398,8 +397,8 @@ def turn_reduce(theta: float, period: float) -> tuple:
 MAX_TURNS = 2 ** 16
 # The most unit steps of the other kernel loops whose length grows with an
 # input: log-gamma's shift up from Re w >= -MAX_STEPS to the Stirling
-# threshold, and K's integer-order recurrence up to order MAX_STEPS.  Their
-# cost, and log-gamma's rounding, grow with the step count.
+# threshold, and K's upward recurrence from an order of real part at most
+# 1/2.  Their cost, and log-gamma's rounding, grow with the step count.
 MAX_STEPS = 2 ** 16
 
 

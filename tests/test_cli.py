@@ -128,7 +128,8 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", "--fn", "k", "--nu", "0.5",
                                "--r", "2")
         assert code == 0
-        assert "value_value=0.11993777196803" in out
+        # K_(1/2)(2) = sqrt(pi / 4) e^-2 = 0.1199377719680614...
+        assert "value_value=0.119937771968061" in out
 
     def test_exponential_m(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--fn", "m", "--a", "1",
@@ -433,3 +434,31 @@ def test_quadrature_overflow_is_a_quadrature_error(capsys, monkeypatch, mode):
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("error: QuadratureError: ")
+
+
+def test_double_mode_imports_no_mpmath():
+    # setup_s times the double context cold: mpmath and the block
+    # arithmetic load with the dd context only, and K's coefficient table
+    # is built in floats
+    code = "\n".join([
+        "import math, sys",
+        "from kummer_asym.cli import main",
+        "from kummer_asym.expansion import VARIANTS, ExpansionConfig, decay_sweep",
+        "from kummer_asym.special.types import Precision, RiemannPoint",
+        "grid = [ExpansionConfig(variant=v, b=0.7, z=RiemannPoint(0.5, theta),",
+        "                        t=10.0, u_theta=0.0, order=2,",
+        "                        prec=Precision.double())",
+        "        for v in VARIANTS for theta in (0.0, 2.5 * math.pi)]",
+        "decay_sweep(grid)",
+        "main(['oracle', '--fn', 'k', '--nu', '0.3', '--r', '1'])",
+        "print(sorted(m for m in ('mpmath', 'kummer_asym.special.blockfloat')",
+        "             if m in sys.modules))",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("KUMMER_ASYM_PRECISION", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "value_value=" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

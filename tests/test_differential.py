@@ -13,7 +13,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kummer_asym.errors import DomainError, PrecisionExhaustedError
@@ -59,6 +59,19 @@ class TestUIntegralRoute:
         (0.5, 0.1, 0.1, 0.4 * math.pi)])
     def test_dd_halving_takes_over_from_the_plan(self, a, b, r, theta):
         assert _u_rel_error(a, b, r, theta) <= 1e-22
+
+    @pytest.mark.parametrize("a, b, r, theta", [
+        (2.0, 1.5, 1e20, 0.0), (0.5, 0.3, 1e30, 0.0), (3.0, 1.5, 1e8, 1.2)])
+    def test_dd_tails_are_cut_below_the_rounding(self, a, b, r, theta):
+        # cutoffs where the integrand fell -log(quadrature_tol) + 15 below
+        # its peak dropped tails of e^-56 of it: 1.75e-26, 1.4e-25 and
+        # 8.3e-25 off
+        got = kummer_u_scaled(a, b, RiemannPoint(r, theta), Precision.dd())
+        exact = _MP.clone()
+        exact.dps = 90
+        value = exact.mpc(got.mantissa) * exact.exp(exact.mpc(got.shift))
+        ref = exact.hyperu(a, b, exact.mpf(r) * exact.expj(theta))
+        assert abs(value / ref - 1) <= 1e-30
 
     def test_plan_gives_up_at_the_rounding_floor(self, monkeypatch):
         # the plan at (200, 1.5, 10 e^{0.4 pi i}) finds no level; running
@@ -137,14 +150,14 @@ class TestUIntegralRoute:
 
     @pytest.mark.parametrize("a, b, r, theta, evaluations", [
         (200.0, 1.5, 10.0, 0.4 * math.pi, 1026),
-        (0.5, 0.1, 0.1, 0.4 * math.pi, 16386),
+        (0.5, 0.1, 0.1, 0.4 * math.pi, 8194),
         # the U value of the sweep's u-capital config at b = 2.5, z = 1,
         # t = 10, arg u = 0
         (26.25, 2.5, 1.0, 0.0, 130)])
     def test_working_pass_keeps_its_nodes(self, monkeypatch, a, b, r, theta,
                                           evaluations):
-        # the integrand is evaluated once per node, at the same levels as
-        # when the pass summed mpmath numbers
+        # the integrand is evaluated once per node, n + 1 nodes at n
+        # intervals, and once more at the peak
         calls = 0
         original = kummer.peak_integral
 
@@ -219,16 +232,26 @@ class TestDDSeriesLoops:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
-           r=st.floats(0.05, 4.0) | st.floats(40.0, 200.0),
+           r=st.floats(0.05, 19.5) | st.floats(40.0, 200.0),
            theta=st.floats(-1.5, 1.5))
     def test_k_matches_besselk(self, nu_re, nu_im, r, theta):
-        # small r takes the reflection through two I series, which loses
-        # up to e^(2r) / |sin(pi nu)|: orders near an integer are left out
+        # Temme's series or CF2 below the switch at 20, at every order; the
+        # asymptotic sum from 40.  The reflection through I_(+-nu) lost up
+        # to e^(2r) / |sin(pi nu)| and snapped orders within 1e-3 of an
+        # integer to it
         nu = complex(nu_re, nu_im)
-        assume(r >= 40.0 or abs(_MP.sinpi(_MP.mpc(nu))) > 0.1)
         got = _value(bessel_k_scaled(nu, RiemannPoint(r, theta), Precision.dd()))
         ref = _MP.besselk(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
         assert abs(got / ref - 1) <= 1e-28
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
+           r=st.floats(0.05, 9.4), theta=st.floats(-1.5, 1.5))
+    def test_double_k_matches_besselk(self, nu_re, nu_im, r, theta):
+        nu = complex(nu_re, nu_im)
+        got = bessel_k_scaled(nu, RiemannPoint(r, theta), Precision.double())
+        ref = _MP.besselk(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
+        assert abs(_value(got) / ref - 1) <= 1e-13
 
     def test_terms_that_shrink_then_grow_keep_full_precision(self):
         # the terms fall to 2e-38 and then rise to about 1e43; 50-digit

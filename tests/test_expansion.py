@@ -254,15 +254,17 @@ class TestKernelSharing:
         count(gammafn, "_shifted_stirling")
         count(bessel, "_sum_i_series")
         count(bessel, "_sum_asym_pair")
-        # half-integer b winds K through the reflection and I; |u z| = 10
-        # takes the series in dd, 20 and 40 the asymptotic sums
+        count(bessel, "_k_cf2")
+        # half-integer b winds K through I; |u z| = 10 takes the I series
+        # and CF2 in dd, where K_(1/2) and K_(3/2) read one pair at
+        # mu = -1/2, and 20 and 40 the asymptotic sums
         cell = [cfg(variant, b=1.5, z=(1.0, 2 * math.pi), t=t, order=n)
                 for variant in VARIANTS for t in (10.0, 20.0, 40.0)
                 for n in (1, 2, 3)]
         result = decay_sweep(cell)
         assert all(row.status == "ok" for row in result.rows)
         assert set(inputs) == {"_shifted_stirling", "_sum_i_series",
-                               "_sum_asym_pair"}
+                               "_sum_asym_pair", "_k_cf2"}
         for name, seen in inputs.items():
             assert len(seen) == len(set(seen)), name
 

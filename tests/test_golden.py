@@ -10,10 +10,10 @@ lowered families, JSON and text, and the b renaming), `temme`, `bernoulli`
 and `verify`, whose output involves no floating point; `coeffs`, `temme`
 and `verify` also at order 0, where no entry mentions the parameter.  The oracle
 cases reach each kernel route directly, in both modes: I by series and by
-asymptotics (and on a wound sheet); K by reflection, the integer-order
-series, asymptotics and winding (at a fractional and an integer order); the
-M series; and U by the integral, the connection formula and the monodromy
-(one whole turn either way).
+asymptotics (and on a wound sheet); K by Temme's series, by CF2 and the
+upward recurrence, by asymptotics, and by winding (at a fractional and an
+integer order); the M series; and U by the integral, the connection
+formula and the monodromy (one whole turn either way).
 
 The double rows pin this platform's libm as well as the package: a
 different `exp`, `log` or `atan2` rounding can change the last printed
@@ -47,8 +47,8 @@ _ORACLE = {
     "i-series": ["--fn", "i", "--nu", "0.3", "--r", "2", "--theta", "0.4"],
     "i-asym": ["--fn", "i", "--nu", "0.3+0.2j", "--r", "25", "--theta", "0.2"],
     "i-wound": ["--fn", "i", "--nu", "1.3", "--r", "3", "--theta", "2.5"],
-    "k-reflection": ["--fn", "k", "--nu", "0.3", "--r", "2", "--theta", "0.5"],
-    "k-integer": ["--fn", "k", "--nu", "2", "--r", "3", "--theta", "0.4"],
+    "k-temme": ["--fn", "k", "--nu", "0.3", "--r", "2", "--theta", "0.5"],
+    "k-cf2": ["--fn", "k", "--nu", "2", "--r", "3", "--theta", "0.4"],
     "k-asym": ["--fn", "k", "--nu", "0.7", "--r", "25", "--theta", "-0.3"],
     "k-wound": ["--fn", "k", "--nu", "0.3", "--r", "2", "--theta", "4"],
     "k-integer-wound": ["--fn", "k", "--nu", "1", "--r", "1.5", "--theta", "-3.5"],

@@ -531,21 +531,18 @@ class TestBesselBase:
                 assert got.ratio_deviation(bessel_k(nu, rp(x), dd)) < 1e-10
 
     @pytest.mark.parametrize("nu, x", [(1.0011, 9.0), (1.0011, 9.4),
-                                       (2.0015, 9.4), (0.0012, 9.0)])
-    def test_k_reflection_near_integer_is_right_or_raises(self, dd, nu, x):
-        # just outside the integer window pi / (2 sin(pi nu)) is large, and
-        # the digits lost in I_{-nu} - I_nu show only before that factor;
-        # double used to return these up to 1.8e-4 off without an error
+                                       (2.0015, 9.4), (0.0012, 9.0),
+                                       (1.0005, 0.5), (1.0009, 0.3)])
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_k_near_an_integer_order_is_right(self, mode, nu, x):
+        # the reflection through I_(+-nu) lost the digits of I_-nu - I_nu,
+        # and returned these up to 1.8e-4 off in double; orders within 1e-3
+        # of an integer were snapped to it, 1e-3 off in both modes
         mp = mpmath.MPContext()
         mp.dps = 50
         want = as_log(complex(mp.besselk(nu, x)))
-        try:
-            got = bessel_k(nu, rp(x), Precision.double())
-        except PrecisionExhaustedError:
-            pass
-        else:
-            assert got.ratio_deviation(want) <= 1e-6
-        assert bessel_k(nu, rp(x), dd).ratio_deviation(want) <= 1e-14
+        got = bessel_k(nu, rp(x), Precision.from_mode(mode))
+        assert got.ratio_deviation(want) <= 1e-14
 
 
 def two_sign_asym_sums(nu_c, x0, ctx):
@@ -667,22 +664,18 @@ class TestBesselContinuation:
         assert complex(got) == pytest.approx(
             math.sin(2.1 * math.pi) / math.sin(0.7 * math.pi), rel=1e-14)
 
-    def test_near_integer_window_snaps(self, dd):
-        k1 = bessel_k(1.0, rp(2.0), dd)
-        assert bessel_k(1.0001, rp(2.0), dd).ratio_deviation(k1) == 0.0
-        assert bessel_k(0.9999, rp(2.0), dd).ratio_deviation(k1) == 0.0
-        # just outside the window the reflection route takes over smoothly,
-        # so the snapped value is bracketed by its neighbors
-        lo = bessel_k(0.998, rp(2.0), dd).to_complex().real
-        hi = bessel_k(1.002, rp(2.0), dd).to_complex().real
-        mid = k1.to_complex().real
-        assert min(lo, hi) <= mid <= max(lo, hi)
-
     def test_domain_errors(self, dd):
         with pytest.raises(DomainError):
             bessel_i(-2.0, rp(2.0), dd)
-        with pytest.raises(DomainError):
-            bessel_k(complex(1.0, 1e-5), rp(2.0), dd)
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_complex_order_next_to_an_integer(self, mode):
+        # the integer-order series took real orders only and refused this
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        want = as_log(complex(mp.besselk(mp.mpc(1.0, 1e-5), 2)))
+        got = bessel_k(complex(1.0, 1e-5), rp(2.0), Precision.from_mode(mode))
+        assert got.ratio_deviation(want) <= 1e-14
 
 
 class TestKummerM:
