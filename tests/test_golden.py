@@ -47,8 +47,10 @@ _ORACLE = {
     "i-series": ["--fn", "i", "--nu", "0.3", "--r", "2", "--theta", "0.4"],
     "i-asym": ["--fn", "i", "--nu", "0.3+0.2j", "--r", "25", "--theta", "0.2"],
     "i-wound": ["--fn", "i", "--nu", "1.3", "--r", "3", "--theta", "2.5"],
-    "k-temme": ["--fn", "k", "--nu", "0.3", "--r", "2", "--theta", "0.5"],
-    "k-cf2": ["--fn", "k", "--nu", "2", "--r", "3", "--theta", "0.4"],
+    # k-reflection and k-integer keep the names of the routes they were
+    # recorded for; they now reach Temme's series and CF2 respectively.
+    "k-reflection": ["--fn", "k", "--nu", "0.3", "--r", "2", "--theta", "0.5"],
+    "k-integer": ["--fn", "k", "--nu", "2", "--r", "3", "--theta", "0.4"],
     "k-asym": ["--fn", "k", "--nu", "0.7", "--r", "25", "--theta", "-0.3"],
     "k-wound": ["--fn", "k", "--nu", "0.3", "--r", "2", "--theta", "4"],
     "k-integer-wound": ["--fn", "k", "--nu", "1", "--r", "1.5", "--theta", "-3.5"],
