@@ -6,8 +6,11 @@ Three immutable layers, all with exact rational coefficients:
                or 'b'), degree-indexed coefficients, stored fraction-free:
                integer numerators over one positive common denominator in
                canonical form, so arithmetic is integer loops with one gcd
-               pass per result.  `coeffs` builds the same values as a tuple
-               of fractions.Fraction on each access; nothing is cached.
+               pass per sum of products (`sum_of_products`, and
+               `coeff_sum_of_products` for CoeffPoly operands, the kernel of
+               every product and series recurrence).  `coeffs` builds the
+               same values as a tuple of fractions.Fraction on each access;
+               nothing is cached.
   CoeffPoly    polynomial in z whose coefficients are ParamPoly values,
                carrying a declared parity ('even', 'odd', 'none') that is
                validated on construction, never inferred.
@@ -45,6 +48,7 @@ from .errors import (
 )
 
 RationalLike = Union[Fraction, int]
+_ONE = Fraction(1)
 
 
 def _frac(value: RationalLike) -> Fraction:
@@ -223,12 +227,23 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def compose(self, image: "ParamPoly") -> "ParamPoly":
-        """Substitute the parameter by another polynomial (Horner over the
-        numerators, then one division by the denominator)."""
-        result = _ZERO
-        for c in reversed(self.numerators):
-            result = result * image + c
-        return result * Fraction(1, self.denominator)
+        """Substitute the parameter by another polynomial.  A linear image
+        (p0 + p1 x)/e runs Horner on integers over e^deg and reduces once;
+        any other image runs Horner over ParamPoly values, then one
+        division by the denominator."""
+        nums = self.numerators
+        if len(image.numerators) > 2:
+            result = _ZERO
+            for c in reversed(nums):
+                result = result * image + c
+            return result * Fraction(1, self.denominator)
+        p0, p1 = (image.numerators + (0, 0))[:2]
+        e, acc = image.denominator, []
+        for k, c in enumerate(reversed(nums)):
+            acc = [p0 * v + p1 * w for v, w in zip(acc + [0], [0] + acc)]
+            acc[0] += c * e ** k
+        den = self.denominator * e ** max(len(nums) - 1, 0)
+        return _canonical(image.param, acc, den, den)
 
     def reflect(self) -> "ParamPoly":
         """Substitute parameter -> -parameter: odd-degree coefficients negated."""
@@ -286,6 +301,45 @@ class ParamPoly:
 
 _ZERO = ParamPoly.zero()
 
+
+def _reduce(param: Optional[str], terms: list, sn: int, sd: int) -> ParamPoly:
+    """sn/sd times the sum of the integer convolutions in `terms`, each a
+    pair of numerator tuples with the product of their denominators, over
+    one common denominator, then one gcd pass."""
+    if not terms or not sn:
+        return _ZERO
+    if len(terms) == 1:
+        x, y, den = terms[0]
+        out = [0] * (len(x) + len(y) - 1)
+    else:
+        den = lcm(*[d for _, _, d in terms])
+        out = [0] * max([len(x) + len(y) - 1 for x, y, _ in terms])
+    for x, y, d in terms:
+        if len(x) < len(y):
+            x, y = y, x
+        s = den // d * sn
+        for j, c in enumerate(y):
+            if c:
+                c *= s
+                for i, v in enumerate(x, j):
+                    out[i] += v * c
+    den *= sd
+    return _canonical(param, out, den, den)
+
+
+def sum_of_products(pairs: Iterable[tuple], scale: RationalLike = _ONE) -> ParamPoly:
+    """scale * sum(a * c for a, c in pairs) over ParamPoly operands, reduced
+    once.  Names merge over the nonzero products, as in the fold of * and +
+    (a zero operand carries no name)."""
+    param = None
+    terms = []
+    for a, c in pairs:
+        if a.numerators and c.numerators:
+            param = merge_param(merge_param(param, a.param), c.param)
+            terms.append((a.numerators, c.numerators, a.denominator * c.denominator))
+    return _reduce(param, terms, *_frac(scale).as_integer_ratio())
+
+
 PARITIES = ("even", "odd", "none")
 
 
@@ -305,6 +359,32 @@ def _mul_parity(a: str, b: str) -> str:
 
 def _flip(parity: str) -> str:
     return {"even": "odd", "odd": "even", "none": "none"}[parity]
+
+
+def coeff_sum_of_products(pairs: Iterable[tuple],
+                          scale: RationalLike = _ONE) -> "CoeffPoly":
+    """scale * sum(a * c for a, c in pairs) over CoeffPoly operands: every
+    z-degree gathers its coefficient products and is reduced once, as in
+    sum_of_products.  The parity folds the products' parities as + does,
+    over the nonzero products ('even' if there is none)."""
+    sn, sd = _frac(scale).as_integer_ratio()
+    slots = []
+    param = parity = None
+    for a, c in pairs:
+        if not a.coeffs or not c.coeffs:
+            continue
+        param = merge_param(merge_param(param, a.param), c.param)
+        p = _mul_parity(a.parity, c.parity)
+        parity = p if parity in (None, p) else "none"
+        slots += [[] for _ in range(len(a.coeffs) + len(c.coeffs) - 1 - len(slots))]
+        for i, x in enumerate(a.coeffs):
+            if x.numerators:
+                xn, xd = x.numerators, x.denominator
+                for k, y in enumerate(c.coeffs, i):
+                    if y.numerators:
+                        slots[k].append((xn, y.numerators, xd * y.denominator))
+    return CoeffPoly([_reduce(param, s, sn, sd) if s else _ZERO for s in slots],
+                     parity or "even")
 
 
 class CoeffPoly:
@@ -396,18 +476,7 @@ class CoeffPoly:
     def __mul__(self, other) -> "CoeffPoly":
         if not isinstance(other, (CoeffPoly, ParamPoly, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return CoeffPoly.zero()
-        parity = _mul_parity(self.parity, other.parity)
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, c in enumerate(other.coeffs):
-                if not c.is_zero():
-                    out[i + j] = out[i + j] + a * c
-        return CoeffPoly(out, parity=parity)
+        return coeff_sum_of_products(((self, self._coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -578,16 +647,10 @@ class TruncSeries:
             return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
         self._check(other)
         order = min(self.order, other.order)
-        out = [CoeffPoly.zero()] * (order + 1)
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                c = other.coeffs[j]
-                if not c.is_zero():
-                    out[i + j] = out[i + j] + a * c
-        return TruncSeries(self.var, order, out)
+        a, c = self.coeffs, other.coeffs
+        return TruncSeries(self.var, order, [
+            coeff_sum_of_products([(a[i], c[n - i]) for i in range(n + 1)])
+            for n in range(order + 1)])
 
     __rmul__ = __mul__
 
@@ -595,13 +658,11 @@ class TruncSeries:
         """exp of a series with zero constant term."""
         if not self.coeffs[0].is_zero():
             raise ExactDivisionError("exp needs a zero constant term")
+        deriv = [c * k for k, c in enumerate(self.coeffs)]
         out = [CoeffPoly.one()]
         for n in range(1, self.order + 1):
-            acc = CoeffPoly.zero()
-            for k in range(1, n + 1):
-                if not self.coeffs[k].is_zero():
-                    acc = acc + (self.coeffs[k] * k) * out[n - k]
-            out.append(acc * Fraction(1, n))
+            out.append(coeff_sum_of_products(
+                [(deriv[k], out[n - k]) for k in range(1, n + 1)], Fraction(1, n)))
         return TruncSeries(self.var, self.order, out)
 
     def log(self) -> "TruncSeries":
@@ -609,12 +670,12 @@ class TruncSeries:
         if self.coeffs[0] != CoeffPoly.one():
             raise ExactDivisionError("log needs constant term 1")
         out = [CoeffPoly.zero()]
+        neg_deriv = [out[0]]  # -k * out[k]
         for n in range(1, self.order + 1):
-            acc = self.coeffs[n] * n
-            for k in range(1, n):
-                if not out[k].is_zero() and not self.coeffs[n - k].is_zero():
-                    acc = acc - (out[k] * k) * self.coeffs[n - k]
-            out.append(acc * Fraction(1, n))
+            pairs = [(self.coeffs[n], CoeffPoly._coerce(n))]
+            pairs += [(neg_deriv[k], self.coeffs[n - k]) for k in range(1, n)]
+            out.append(coeff_sum_of_products(pairs, Fraction(1, n)))
+            neg_deriv.append(out[n] * (-n))
         return TruncSeries(self.var, self.order, out)
 
     def inverse(self) -> "TruncSeries":
@@ -625,11 +686,8 @@ class TruncSeries:
         inv0 = 1 / c0.coefficient(0)
         out = [CoeffPoly._coerce(inv0)]
         for n in range(1, self.order + 1):
-            acc = CoeffPoly.zero()
-            for k in range(1, n + 1):
-                if not self.coeffs[k].is_zero():
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out.append(acc * (-inv0))
+            out.append(coeff_sum_of_products(
+                [(self.coeffs[k], out[n - k]) for k in range(1, n + 1)], -inv0))
         return TruncSeries(self.var, self.order, out)
 
     def pow_param(self, exponent) -> "TruncSeries":

@@ -28,7 +28,8 @@ from math import factorial
 from typing import Sequence, Tuple, Union
 
 from .errors import OrderStarvationError
-from .ratpoly import CoeffPoly, CoefficientTable, ParamPoly, TruncSeries
+from .ratpoly import (CoeffPoly, CoefficientTable, ParamPoly, TruncSeries,
+                      coeff_sum_of_products)
 
 DEFAULT_N_MAX = 8
 
@@ -81,14 +82,14 @@ def temme_iterate(base: Sequence[CoeffPoly],
             f"base series has {len(base)} coefficients, need {need} "
             f"for n_max={n_max}")
     z2 = CoeffPoly.monomial(2)
+    shift = [CoeffPoly.from_param(ParamPoly("b", (1 + k, -1)))  # 1 - b + k
+             for k in range(need)]
     rows = [list(base[:need])]
     for n in range(n_max):
         prev = rows[-1]
-        row = []
-        for k in range(len(prev) - 2):
-            shift = ParamPoly("b", (1 + k, -1))  # 1 - b + k
-            row.append((z2 * prev[k + 2] + shift * prev[k + 1]) * 4)
-        rows.append(row)
+        rows.append([
+            coeff_sum_of_products(((z2, prev[k + 2]), (shift[k], prev[k + 1])), 4)
+            for k in range(len(prev) - 2)])
 
     even = tuple(row[0] for row in rows)
     odd = tuple(row[1].mul_by_z() * (-2) for row in rows)

@@ -8,7 +8,9 @@ whose grid includes arg z = 5*pi/2 and the integer b = 2.0, so the
 error-status rows are pinned too.  The exact cases pin `coeffs` (raw and
 lowered families, JSON and text, and the b renaming), `temme`, `bernoulli`
 and `verify`, whose output involves no floating point; `coeffs`, `temme`
-and `verify` also at order 0, where no entry mentions the parameter.  The oracle
+and `verify` also at order 0, where no entry mentions the parameter, and at
+order 20 (`verify` by its file, the 440 KB JSON of `coeffs` and `temme` by
+the SHA-256 of stdout).  The oracle
 cases reach each kernel route directly, in both modes: I by series and by
 asymptotics (and on a wound sheet); K by Temme's series, by CF2 and the
 upward recurrence, by asymptotics, and by winding (at a fractional and an
@@ -23,6 +25,7 @@ digits without any change in the code.  Re-record with
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -87,12 +90,25 @@ CASES["bernoulli-6"] = (
     "double", ["bernoulli", "--n", "6", "--ell", "2-b", "--x", "1-b/2"])
 CASES["verify-8"] = ("double", ["verify", "--nmax", "8"])
 CASES["verify-0"] = ("double", ["verify", "--nmax", "0"])
+CASES["verify-20"] = ("double", ["verify", "--nmax", "20"])
 CASES["coeffs-raw-0-text"] = (
     "double", ["coeffs", "--order", "0", "--format", "text"])
 CASES["temme-0-text"] = ("double", ["temme", "--nmax", "0", "--format", "text"])
 for _route, _argv in _ORACLE.items():
     for _mode in ("double", "dd"):
         CASES[f"oracle-{_route}-{_mode}"] = (_mode, ["oracle", *_argv])
+
+DIGESTS = {
+    "coeffs-raw-20-json": (
+        ["coeffs", "--order", "20", "--variant", "AB"],
+        "931fad9c3cada0d8ea73c0b7214ca9d367e339d697bc37b9ded83a62c3302036"),
+    "coeffs-lowered-20-json": (
+        ["coeffs", "--order", "20", "--variant", "ab"],
+        "4177f365ee70a9539ba998be447daa7a5ac1920f4c2bd2f6aba1d33a46494ff9"),
+    "temme-20-json": (
+        ["temme", "--nmax", "20"],
+        "3e4fed4f2687a9433f97dd5a10d13e54f3345ac47e991da54af10a76b28e4d18"),
+}
 
 
 def run_case(name: str) -> str:
@@ -109,6 +125,15 @@ def run_case(name: str) -> str:
 def test_golden(name):
     want = (GOLDEN / f"{name}.txt").read_bytes()
     assert run_case(name).encode() == want
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_golden_digest(name):
+    argv, want = DIGESTS[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want
 
 
 if __name__ == "__main__":

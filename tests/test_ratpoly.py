@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from kummer_asym.errors import (ExactDivisionError, OrderStarvationError,
                                 ParameterMixError, ParityError)
-from kummer_asym.ratpoly import CoeffPoly, ParamPoly, TruncSeries, merge_param
+from kummer_asym.ratpoly import (CoeffPoly, ParamPoly, TruncSeries,
+                                 coeff_sum_of_products, merge_param,
+                                 sum_of_products)
+from kummer_asym.temme import temme_base_series, temme_iterate
 
 
 def rand_frac(rng):
@@ -380,3 +384,220 @@ class TestTruncSeries:
         b = TruncSeries.one("s", 3)
         with pytest.raises(ValueError):
             a + b
+
+
+# The naive definitions the sum-of-products kernel must reproduce: every
+# partial product and partial sum built and reduced on its own.
+
+def naive_param_sum(pairs):
+    return reduce(lambda acc, pair: acc + pair[0] * pair[1], pairs, ParamPoly.zero())
+
+
+def naive_coeff_mul(a, c):
+    if a.is_zero() or c.is_zero():
+        return CoeffPoly.zero()
+    out = [ParamPoly.zero()] * (len(a.coeffs) + len(c.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(c.coeffs):
+            out[i + j] = out[i + j] + x * y
+    if "none" in (a.parity, c.parity):
+        parity = "none"
+    else:
+        parity = "even" if a.parity == c.parity else "odd"
+    return CoeffPoly(out, parity=parity)
+
+
+def naive_coeff_sum(pairs):
+    """Fold of naive products under CoeffPoly +, and whether a partial sum
+    cancelled to zero after a nonzero product (its parity then restarts)."""
+    acc, seen, cancelled = CoeffPoly.zero(), False, False
+    for a, c in pairs:
+        prod = naive_coeff_mul(a, c)
+        acc = acc + prod
+        seen = seen or not prod.is_zero()
+        cancelled = cancelled or (seen and acc.is_zero())
+    return acc, cancelled
+
+
+def naive_exp(s):
+    out = [CoeffPoly.one()]
+    for n in range(1, s.order + 1):
+        acc = CoeffPoly.zero()
+        for k in range(1, n + 1):
+            acc = acc + naive_coeff_mul(s.coeffs[k] * k, out[n - k])
+        out.append(acc * Fraction(1, n))
+    return out
+
+
+def naive_log(s):
+    out = [CoeffPoly.zero()]
+    for n in range(1, s.order + 1):
+        acc = s.coeffs[n] * n
+        for k in range(1, n):
+            acc = acc - naive_coeff_mul(out[k] * k, s.coeffs[n - k])
+        out.append(acc * Fraction(1, n))
+    return out
+
+
+def naive_inverse(s):
+    inv0 = 1 / s.coeffs[0].coefficient(0).coefficient(0)
+    out = [CoeffPoly.from_param(ParamPoly.constant(inv0))]
+    for n in range(1, s.order + 1):
+        acc = CoeffPoly.zero()
+        for k in range(1, n + 1):
+            acc = acc + naive_coeff_mul(s.coeffs[k], out[n - k])
+        out.append(acc * (-inv0))
+    return out
+
+
+def naive_iterate(base, n_max):
+    z2 = CoeffPoly.monomial(2)
+    rows = [list(base[:2 * n_max + 2])]
+    for _ in range(n_max):
+        prev = rows[-1]
+        rows.append([
+            (naive_coeff_mul(z2, prev[k + 2])
+             + naive_coeff_mul(CoeffPoly.from_param(ParamPoly("b", (1 + k, -1))),
+                               prev[k + 1])) * 4
+            for k in range(len(prev) - 2)])
+    return ([row[0] for row in rows],
+            [row[1].mul_by_z() * (-2) for row in rows])
+
+
+def assert_same(got, want):
+    """Equal values, equal storage and equal declared parity."""
+    assert got == want and got.parity == want.parity
+    assert [(c.numerators, c.denominator, c.param) for c in got.coeffs] == \
+        [(c.numerators, c.denominator, c.param) for c in want.coeffs]
+
+
+small_rationals = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+param_polys = st.one_of(
+    st.just(ParamPoly.zero()),
+    rationals.map(lambda c: ParamPoly(None, (c,))),
+    coeff_lists.map(lambda p: ParamPoly("mu", p)))
+small_param_polys = st.lists(small_rationals, max_size=3).map(
+    lambda p: ParamPoly("mu", p))
+
+
+@st.composite
+def coeff_polys(draw, max_len=5, params=param_polys):
+    """A CoeffPoly with a declared parity that its coefficients respect."""
+    parity = draw(st.sampled_from(("even", "odd", "none")))
+    coeffs = draw(st.lists(params, max_size=max_len))
+    skip = {"even": 1, "odd": 0}.get(parity)
+    if skip is not None:
+        coeffs = [ParamPoly.zero() if k % 2 == skip else c
+                  for k, c in enumerate(coeffs)]
+    return CoeffPoly(coeffs, parity=parity)
+
+
+@st.composite
+def series(draw, constant=None):
+    order = draw(st.integers(0, 8))
+    coeffs = draw(st.lists(coeff_polys(3, small_param_polys),
+                           min_size=order + 1, max_size=order + 1))
+    if constant is not None:
+        coeffs[0] = CoeffPoly.from_param(ParamPoly.constant(constant))
+    return TruncSeries("w", order, coeffs)
+
+
+class TestSumOfProducts:
+    """sum_of_products and coeff_sum_of_products, and every user of them,
+    against the naive fold of * and +."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(param_polys, param_polys), max_size=5),
+           scale=rationals)
+    def test_param_level_equals_the_fold(self, pairs, scale):
+        want = naive_param_sum(pairs)
+        got = sum_of_products(pairs)
+        assert_canonical(got, list(want.coeffs))
+        assert (got.numerators, got.denominator, got.param) == \
+            (want.numerators, want.denominator, want.param)
+        assert sum_of_products(pairs, scale) == want * scale
+
+    def test_param_level_names_merge_as_the_fold_does(self):
+        mu, b = ParamPoly.variable("mu"), ParamPoly.variable("b")
+        one, zero = ParamPoly.one(), ParamPoly.zero()
+        with pytest.raises(ParameterMixError):
+            sum_of_products([(mu, one), (b, one)])
+        with pytest.raises(ParameterMixError):
+            sum_of_products([(mu, b)])
+        with pytest.raises(ParameterMixError):
+            sum_of_products([(mu, zero), (b, mu)])
+        # a named operand of a zero product mixes with nothing, as in mu + b*0
+        assert sum_of_products([(mu, one), (b, zero)]) == mu
+        assert sum_of_products([(mu, mu), (-mu, mu)]).param is None
+        assert sum_of_products([]) == zero
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(coeff_polys(), coeff_polys()), max_size=4))
+    def test_coeff_level_equals_the_sum_of_products(self, pairs):
+        want, cancelled = naive_coeff_sum(pairs)
+        got = coeff_sum_of_products(pairs)
+        assert got == want
+        if not cancelled:
+            assert_same(got, want)
+        if len(pairs) == 1:
+            assert_same(pairs[0][0] * pairs[0][1], naive_coeff_mul(*pairs[0]))
+
+    def test_coeff_level_names_and_parity(self):
+        mu = CoeffPoly.from_param(ParamPoly.variable("mu"))
+        b = CoeffPoly.from_param(ParamPoly.variable("b"))
+        z = CoeffPoly.monomial(1)
+        with pytest.raises(ParameterMixError):
+            coeff_sum_of_products([(mu, z), (b, z)])
+        assert coeff_sum_of_products([]).parity == "even"
+        assert coeff_sum_of_products([(z, z), (mu, z)]).parity == "none"
+        assert coeff_sum_of_products([(z, z), (mu, mu)]).parity == "even"
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a=series(), b=series())
+    def test_series_product(self, a, b):
+        got = (a * b).coeffs
+        for n in range(len(got)):
+            want, cancelled = naive_coeff_sum(
+                [(a.coeffs[i], b.coeffs[n - i]) for i in range(n + 1)])
+            assert got[n] == want
+            if not cancelled:
+                assert got[n].parity == want.parity
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=series(constant=0))
+    def test_exp(self, s):
+        for got, want in zip(s.exp().coeffs, naive_exp(s)):
+            assert got == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=series(constant=1))
+    def test_log(self, s):
+        for got, want in zip(s.log().coeffs, naive_log(s)):
+            assert got == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=series(constant=Fraction(-3, 7)))
+    def test_inverse(self, s):
+        for got, want in zip(s.inverse().coeffs, naive_inverse(s)):
+            assert got == want
+
+    @pytest.mark.parametrize("n_max", [0, 1, 4, 8])
+    def test_temme_iterate(self, n_max):
+        base = temme_base_series(2 * n_max + 1)
+        table = temme_iterate(base, n_max)
+        even, odd = naive_iterate(base, n_max)
+        for got, want in zip(table.even + table.odd, even + odd):
+            assert_same(got, want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(p=coeff_lists, image=st.lists(rationals, max_size=2))
+    def test_linear_compose_equals_the_horner_fold(self, p, image):
+        a, q = ParamPoly("mu", p), ParamPoly("b", image)
+        want = ParamPoly.zero()
+        for c in reversed(a.coeffs):
+            want = want * q + c
+        got = a.compose(q)
+        assert_canonical(got, list(want.coeffs))
+        assert (got.numerators, got.denominator, got.param) == \
+            (want.numerators, want.denominator, want.param)
