@@ -6,11 +6,11 @@ Three immutable layers, all with exact rational coefficients:
                or 'b'), degree-indexed coefficients, stored fraction-free:
                integer numerators over one positive common denominator in
                canonical form, so arithmetic is integer loops with one gcd
-               pass per sum of products (`sum_of_products`, and
-               `coeff_sum_of_products` for CoeffPoly operands, the kernel of
-               every product and series recurrence).  `coeffs` builds the
-               same values as a tuple of fractions.Fraction on each access;
-               nothing is cached.
+               pass per sum of products (`coeff_sum_of_products`, the
+               kernel of every CoeffPoly and series product and recurrence,
+               reduces each z-degree once).  `coeffs` builds the same values
+               as a tuple of fractions.Fraction on each access; nothing is
+               cached.
   CoeffPoly    polynomial in z whose coefficients are ParamPoly values,
                carrying a declared parity ('even', 'odd', 'none') that is
                validated on construction, never inferred.
@@ -214,33 +214,21 @@ class ParamPoly:
         a, b = self.numerators, other.numerators
         if not a or not b:
             return _ZERO
-        den = self.denominator * other.denominator
-        if len(a) < len(b):
-            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
-        for j, c in enumerate(b):
-            if c:
-                for i, x in enumerate(a, j):
-                    out[i] += x * c
+        _mac(out, a, b)
+        den = self.denominator * other.denominator
         return _canonical(param, out, den, den)
 
     __rmul__ = __mul__
 
     def compose(self, image: "ParamPoly") -> "ParamPoly":
-        """Substitute the parameter by another polynomial.  A linear image
-        (p0 + p1 x)/e runs Horner on integers over e^deg and reduces once;
-        any other image runs Horner over ParamPoly values, then one
-        division by the denominator."""
-        nums = self.numerators
-        if len(image.numerators) > 2:
-            result = _ZERO
-            for c in reversed(nums):
-                result = result * image + c
-            return result * Fraction(1, self.denominator)
-        p0, p1 = (image.numerators + (0, 0))[:2]
-        e, acc = image.denominator, []
+        """Substitute the parameter by another polynomial q/e: Horner on
+        integers over e^deg, then one gcd pass."""
+        nums, q, e = self.numerators, image.numerators, image.denominator
+        acc = []
         for k, c in enumerate(reversed(nums)):
-            acc = [p0 * v + p1 * w for v, w in zip(acc + [0], [0] + acc)]
+            prev, acc = acc, [0] * max(len(acc) + len(q) - 1, 1)
+            _mac(acc, prev, q)
             acc[0] += c * e ** k
         den = self.denominator * e ** max(len(nums) - 1, 0)
         return _canonical(image.param, acc, den, den)
@@ -302,42 +290,27 @@ class ParamPoly:
 _ZERO = ParamPoly.zero()
 
 
+def _mac(out: list, x: Sequence[int], y: Sequence[int], s: int = 1) -> None:
+    """Add s times the convolution of x and y into out, all integers."""
+    if len(x) < len(y):
+        x, y = y, x
+    for j, c in enumerate(y):
+        if c:
+            c *= s
+            for i, v in enumerate(x, j):
+                out[i] += v * c
+
+
 def _reduce(param: Optional[str], terms: list, sn: int, sd: int) -> ParamPoly:
-    """sn/sd times the sum of the integer convolutions in `terms`, each a
-    pair of numerator tuples with the product of their denominators, over
-    one common denominator, then one gcd pass."""
-    if not terms or not sn:
-        return _ZERO
-    if len(terms) == 1:
-        x, y, den = terms[0]
-        out = [0] * (len(x) + len(y) - 1)
-    else:
-        den = lcm(*[d for _, _, d in terms])
-        out = [0] * max([len(x) + len(y) - 1 for x, y, _ in terms])
+    """sn/sd times the sum of the integer convolutions in `terms` (not
+    empty), each a pair of numerator tuples with the product of their
+    denominators, over one common denominator, then one gcd pass."""
+    den = lcm(*[d for _, _, d in terms])
+    out = [0] * max([len(x) + len(y) - 1 for x, y, _ in terms])
     for x, y, d in terms:
-        if len(x) < len(y):
-            x, y = y, x
-        s = den // d * sn
-        for j, c in enumerate(y):
-            if c:
-                c *= s
-                for i, v in enumerate(x, j):
-                    out[i] += v * c
+        _mac(out, x, y, den // d * sn)
     den *= sd
     return _canonical(param, out, den, den)
-
-
-def sum_of_products(pairs: Iterable[tuple], scale: RationalLike = _ONE) -> ParamPoly:
-    """scale * sum(a * c for a, c in pairs) over ParamPoly operands, reduced
-    once.  Names merge over the nonzero products, as in the fold of * and +
-    (a zero operand carries no name)."""
-    param = None
-    terms = []
-    for a, c in pairs:
-        if a.numerators and c.numerators:
-            param = merge_param(merge_param(param, a.param), c.param)
-            terms.append((a.numerators, c.numerators, a.denominator * c.denominator))
-    return _reduce(param, terms, *_frac(scale).as_integer_ratio())
 
 
 PARITIES = ("even", "odd", "none")
@@ -364,9 +337,10 @@ def _flip(parity: str) -> str:
 def coeff_sum_of_products(pairs: Iterable[tuple],
                           scale: RationalLike = _ONE) -> "CoeffPoly":
     """scale * sum(a * c for a, c in pairs) over CoeffPoly operands: every
-    z-degree gathers its coefficient products and is reduced once, as in
-    sum_of_products.  The parity folds the products' parities as + does,
-    over the nonzero products ('even' if there is none)."""
+    z-degree gathers its coefficient products and is reduced once.  Names
+    merge over the nonzero products, as in the fold of * and + (a zero
+    operand carries no name), and the parity folds the products' parities
+    as + does, over the nonzero products ('even' if there is none)."""
     sn, sd = _frac(scale).as_integer_ratio()
     slots = []
     param = parity = None
