@@ -29,8 +29,9 @@ technique: Brent & Zimmermann, Modern Computer Arithmetic (2010), 4.4;
 Johansson, "Computing hypergeometric functions rigorously", ACM TOMS 45
 (2019).
 
-The dd working pass of the U quadrature (quad.py) runs on the same numbers
-held on the fixed grid 2^-QUAD_BITS (on_grid), where its sums are exact.
+The dd trapezoid sums of the U quadrature (quad.py) run on the same
+numbers held on the fixed grid 2^-QUAD_BITS (on_grid), where they are
+exact.
 FixedKernels gives it exp and log(1 + x) of block numbers, computed by
 the fixed-point routines of mpmath.libmp.libelefun.  The integrand's
 parameters stay exact, and e^w keeps wp bits however small or large it

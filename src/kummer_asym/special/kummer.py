@@ -133,8 +133,9 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
 
     Integrand exp((b-1) w - (a-b+1) ln(1+e^-w) - x0 e^w) over w in R,
     which is Gamma(a) U = int t^(a-1) (1+t)^(b-a-1) e^(-x0 t) dt at t = e^w.
-    c = b-1 and d = a-b+1 are formed in ctx; the float plan samples the
-    same formula at their complex roundings.
+    c = b-1 and d = a-b+1 are formed in ctx; the float twin that finds the
+    peak and the cutoffs samples the same formula at their complex
+    roundings.
     """
     c, d = b_c - 1, a_c - b_c + 1
     ad, bd, xd = ctx.to_complex(a_c), ctx.to_complex(b_c), ctx.to_complex(x0)

@@ -54,8 +54,8 @@ class NumericContext:
       series_out(s)            a number of that arithmetic as a context
                                complex, rounded once
       quad_in(x)               a float, context number or series number
-                               on the fixed grid of the quadrature's
-                               working pass, in the series arithmetic
+                               on the fixed grid of the U quadrature's
+                               sums, in the series arithmetic
       quad_out(s)              a series number as a context number,
                                rounded once: a real where its imaginary
                                part is 0
@@ -71,9 +71,10 @@ class NumericContext:
     precision plus blockfloat.SERIES_GUARD_BITS, and sums exact on the grid
     of their largest term.
 
-    The U quadrature's working pass (quad.py) and its integrand use the
+    The U quadrature's trapezoid sums (quad.py) and its integrand use the
     same arithmetic, held on a fixed grid by quad_in, with exp and
-    log1p_real of series numbers; in double this is all native math.
+    log1p_real of series numbers; in double this is all native math, the
+    arithmetic of the float twin that brackets the integrand.
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
@@ -659,9 +660,6 @@ class ScaledValue:
         ctx.check_headroom(max(ctx.mag(hi.mantissa), ctx.mag(lo_mantissa)),
                            ctx.mag(m), what)
         return ScaledValue(m, hi.shift)
-
-    def neg(self) -> "ScaledValue":
-        return ScaledValue(-self.mantissa, self.shift)
 
     def to_logcomplex(self, ctx: NumericContext) -> LogComplex:
         if self.is_zero():

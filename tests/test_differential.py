@@ -52,10 +52,10 @@ class TestUIntegralRoute:
                             6.33579305470352, -0.9721194399184261) <= 1e-22
 
     @pytest.mark.parametrize("a, b, r, theta", [
-        # cancellation puts double's rounding floor above sqrt(tol), so the
-        # plan finds no level and dd halves from the first one
+        # cancellation puts double's rounding floor above sqrt(tol), where
+        # only the dd sums show the convergence (at 512 intervals)
         (200.0, 1.5, 10.0, 0.4 * math.pi),
-        # the planned level misses tol by a little; dd halves on from it
+        # the first level within sqrt(tol) misses tol; the next meets it
         (0.5, 0.1, 0.1, 0.4 * math.pi)])
     def test_dd_halving_takes_over_from_the_plan(self, a, b, r, theta):
         assert _u_rel_error(a, b, r, theta) <= 1e-22
@@ -73,9 +73,11 @@ class TestUIntegralRoute:
         ref = exact.hyperu(a, b, exact.mpf(r) * exact.expj(theta))
         assert abs(value / ref - 1) <= 1e-30
 
-    def test_plan_gives_up_at_the_rounding_floor(self, monkeypatch):
-        # the plan at (200, 1.5, 10 e^{0.4 pi i}) finds no level; running
-        # all 12 halvings took 65,617 native evaluations before dd took over
+    def test_dd_samples_the_twin_only_to_bracket(self, monkeypatch):
+        # the float twin finds the peak and the cutoffs and nothing more,
+        # however many levels the dd sum needs; halving the twin's own sums
+        # to choose a level took 4,435 and 1,105 calls here
+        bounds = {(0.5, 0.1, 0.1): 400, (200.0, 1.5, 10.0): 100}
         calls = 0
         original = kummer.peak_integral
 
@@ -87,21 +89,11 @@ class TestUIntegralRoute:
             return original(logf, w_start, ctx, plan)
 
         monkeypatch.setattr(kummer, "peak_integral", counted)
-        got = kummer_u_scaled(200.0, 1.5, RiemannPoint(10.0, 0.4 * math.pi),
-                              Precision.dd())
-        assert calls < 10_000
-        # giving up early changes nothing after it: with the stall exit
-        # off, all 12 halvings lead to these same bits
-        exact = _MP.clone()
-        exact.prec = 256
-        want_mantissa = exact.mpc(
-            exact.mpf((51623848601283886443245054577332163, -151)),
-            exact.mpf((-43058524370834847799275390379022133, -150)))
-        want_shift = exact.mpc(
-            exact.mpf((-286826661362071652705339917870801, -98)),
-            exact.mpf((-47139559000520440390719249046873813, -109)))
-        assert exact.mpc(got.mantissa) == want_mantissa
-        assert exact.mpc(got.shift) == want_shift
+        for (a, b, r), bound in bounds.items():
+            calls = 0
+            kummer_u_scaled(a, b, RiemannPoint(r, 0.4 * math.pi),
+                            Precision.dd())
+            assert calls <= bound
 
     def test_double_integral_at_large_complex_a(self, monkeypatch):
         # the U integral of sweep-double's cells at t = 40, arg u = 0.3,
@@ -149,7 +141,7 @@ class TestUIntegralRoute:
         assert abs(got - complex(want)) <= 4 * sys.float_info.epsilon * size
 
     @pytest.mark.parametrize("a, b, r, theta, evaluations", [
-        (200.0, 1.5, 10.0, 0.4 * math.pi, 1026),
+        (200.0, 1.5, 10.0, 0.4 * math.pi, 514),
         (0.5, 0.1, 0.1, 0.4 * math.pi, 8194),
         # the U value of the sweep's u-capital config at b = 2.5, z = 1,
         # t = 10, arg u = 0
