@@ -7,9 +7,9 @@ winding is restored through the exact continuation rules
     K_nu(x e^(i pi m)) = e^(-i pi nu m) K_nu(x) - i pi R_m(nu) I_nu(x)
 
 with R_m = sin(pi nu m)/sin(pi nu) from types.winding_ratio; where it is
-exactly 0 (nu m an integer, nu not) I is not evaluated.  From |x| =
-bessel_switch both base values take the compound asymptotic expansion.
-Below it I takes the ascending series, and K one route at every order:
+exactly 0 (nu m an integer, nu not) I is not evaluated.  I takes the
+ascending series below |x| = bessel_switch and the compound asymptotic
+expansion from it.  K takes one route at every order and every |x|:
 nu = mu + n with n the integer nearest Re nu, (K_mu, K_mu+1) from Temme's
 series for |x| <= 2 (N. M. Temme, J. Comput. Phys. 19, 1975) or Steed's
 continued fraction CF2 beyond (Thompson & Barnett, Comput. Phys. Commun.
@@ -20,13 +20,15 @@ as its log does.
 
 Within a sharing scope the I series, the K pair (K_(b-1) and K_b share one
 where b - 1/2 is an integer) and the asymptotic sums are computed once per
-input; one term loop gives the growing and the decaying asymptotic sum, so
-K's is the decaying half of I's.  The term loops run in the context's
-series arithmetic (NumericContext series_in / series_out): native complex
-numbers in double, block-floating Python integers in dd (see blockfloat),
-whose roundings truncate toward zero, so that the growing sum's negated
-terms are the decaying sum's, bit for bit.  Every state update of Temme's
-series and of CF2 ends in a quotient, so in dd it is rounded once a step.
+input; one term loop gives I's growing and decaying asymptotic sum.  A sum
+that must stop at its smallest term before that term meets series_tol
+raises PrecisionExhaustedError once the term exceeds guard_threshold of
+the sum.  The term loops run in the context's series arithmetic
+(NumericContext series_in / series_out): native complex numbers in double,
+block-floating Python integers in dd (see blockfloat), whose roundings
+truncate toward zero, so that the growing sum's negated terms are the
+decaying sum's, bit for bit.  Every state update of Temme's series and of
+CF2 ends in a quotient, so in dd it is rounded once a step.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _sum_i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
 
 def _asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
     """(Sum_k a_k(nu) (-1)^k / x0^k, Sum_k a_k(nu) / x0^k), the growing and
-    the decaying sum, each truncated at the smallest term."""
+    the decaying sum of I's expansion, each truncated at the smallest term."""
     return shared(("I asymptotic", ctx.name, exact_key(nu_c), exact_key(x0)),
                   lambda: _sum_asym_pair(nu_c, x0, ctx))
 
@@ -111,6 +113,11 @@ def _sum_asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
             decay_open = not t_mag <= ctx.series_tol * ctx.mag(decay)
         if not (grow_open or decay_open):
             break
+    # an open sum stopped where its terms began to grow, or ran out of them
+    for total, still_open in ((grow, grow_open), (decay, decay_open)):
+        if still_open and prev_mag > ctx.guard_threshold * ctx.mag(total):
+            raise PrecisionExhaustedError(
+                "Bessel asymptotic sum stops at a term above the guard")
     return ctx.series_out(grow), ctx.series_out(decay)
 
 
@@ -123,11 +130,6 @@ def _i_asym(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     rotate = ctx.exp(ctx.make_complex(0.0, sign) * ctx.pi * (nu_c + 0.5))
     mantissa = grow + rotate * ctx.exp(-2 * x0) * decay
     return ScaledValue(mantissa, shift)
-
-
-def _k_asym(nu_c, x0, ctx: NumericContext) -> ScaledValue:
-    shift = -x0 + (ctx.log(ctx.pi / (2 * x0))) / 2
-    return ScaledValue(_asym_pair(nu_c, x0, ctx)[1], shift)
 
 
 def _i_base(nu_c, x0, ctx: NumericContext) -> ScaledValue:
@@ -261,8 +263,6 @@ def _k_pair(mu, x0, ctx: NumericContext) -> tuple:
 
 def _k_base(nu_c, nu: complex, x0, ctx: NumericContext) -> ScaledValue:
     """K at Re nu >= 0."""
-    if ctx.mag(x0) >= ctx.bessel_switch:
-        return _k_asym(nu_c, x0, ctx)
     n = math.floor(nu.real + 0.5)
     if n > MAX_STEPS:
         raise DomainError(f"order {nu.real:.6g} needs more than {MAX_STEPS} "

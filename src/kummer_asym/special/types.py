@@ -78,9 +78,10 @@ class NumericContext:
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
-    integral aims for; bessel_switch the |x| from which I and K take the
+    integral aims for; bessel_switch the |x| from which I takes the
     asymptotic expansion (it equalizes I's series cancellation, eps
-    e^(2|x|), against the asymptotic floor, e^(-2|x|)); stirling_profile
+    e^(2|x|), against the asymptotic floor, e^(-2|x|); K takes CF2 at every
+    |x| beyond 2 and reads no switch); stirling_profile
     the (threshold, terms) of log-gamma's Stirling series, whose tail at
     the threshold sits about two digits below the mode's accuracy;
     underflows whether a product of nonzero series numbers can round to 0,
@@ -575,31 +576,6 @@ class LogComplex:
         if self.is_zero:
             return LogComplex.zero()
         return LogComplex(self.logmag - other.logmag, self.phase - other.phase)
-
-    def __neg__(self) -> "LogComplex":
-        if self.is_zero:
-            return self
-        return LogComplex(self.logmag, self.phase + math.pi)
-
-    def __add__(self, other) -> "LogComplex":
-        if not isinstance(other, LogComplex):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        hi, lo = (self, other) if self.logmag >= other.logmag else (other, self)
-        w = cmath.exp(complex(lo.logmag - hi.logmag, lo.phase - hi.phase))
-        s = 1.0 + w
-        if s == 0:
-            return LogComplex.zero()
-        return LogComplex(hi.logmag + math.log(abs(s)),
-                          hi.phase + math.atan2(s.imag, s.real))
-
-    def __sub__(self, other) -> "LogComplex":
-        if not isinstance(other, LogComplex):
-            return NotImplemented
-        return self + (-other)
 
     def ratio_deviation(self, other: "LogComplex") -> float:
         """|self/other - 1|, insensitive to 2*pi bookkeeping differences."""

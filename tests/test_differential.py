@@ -13,7 +13,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kummer_asym.errors import DomainError, PrecisionExhaustedError
@@ -224,13 +224,18 @@ class TestDDSeriesLoops:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
-           r=st.floats(0.05, 19.5) | st.floats(40.0, 200.0),
-           theta=st.floats(-1.5, 1.5))
+           r=st.floats(0.05, 200.0), theta=st.floats(-1.5, 1.5))
+    @example(nu_re=0.7, nu_im=0.0, r=20.0, theta=0.0)
+    @example(nu_re=0.3, nu_im=0.5, r=30.0, theta=1.2)
+    @example(nu_re=8.0, nu_im=0.0, r=10.0, theta=0.0)
+    @example(nu_re=15.3, nu_im=0.0, r=20.0, theta=0.0)
+    @example(nu_re=15.3, nu_im=0.0, r=30.0, theta=0.0)
+    @example(nu_re=0.1, nu_im=5.0, r=10.0, theta=0.3)
     def test_k_matches_besselk(self, nu_re, nu_im, r, theta):
-        # Temme's series or CF2 below the switch at 20, at every order; the
-        # asymptotic sum from 40.  The reflection through I_(+-nu) lost up
-        # to e^(2r) / |sin(pi nu)| and snapped orders within 1e-3 of an
-        # integer to it
+        # Temme's series or CF2 at every order and every r.  The examples
+        # sit where the asymptotic sum stops above the mode's accuracy: at
+        # its floor e^(-2r) for r up to about 38, or, at orders with |nu|^2
+        # comparable to r, far above it
         nu = complex(nu_re, nu_im)
         got = _value(bessel_k_scaled(nu, RiemannPoint(r, theta), Precision.dd()))
         ref = _MP.besselk(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
@@ -238,12 +243,31 @@ class TestDDSeriesLoops:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
-           r=st.floats(0.05, 9.4), theta=st.floats(-1.5, 1.5))
+           r=st.floats(0.05, 200.0), theta=st.floats(-1.5, 1.5))
+    @example(nu_re=0.7, nu_im=0.0, r=10.0, theta=0.0)
+    @example(nu_re=0.3, nu_im=0.5, r=12.0, theta=1.2)
+    @example(nu_re=8.0, nu_im=0.0, r=10.0, theta=0.0)
+    @example(nu_re=15.3, nu_im=0.0, r=20.0, theta=0.0)
+    @example(nu_re=15.3, nu_im=0.0, r=30.0, theta=0.0)
+    @example(nu_re=0.1, nu_im=5.0, r=10.0, theta=0.3)
     def test_double_k_matches_besselk(self, nu_re, nu_im, r, theta):
+        # the examples as in test_k_matches_besselk; the floor e^(-2r)
+        # meets double's eps near r = 18.5
         nu = complex(nu_re, nu_im)
         got = bessel_k_scaled(nu, RiemannPoint(r, theta), Precision.double())
         ref = _MP.besselk(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
         assert abs(_value(got) / ref - 1) <= 1e-13
+
+    @pytest.mark.parametrize("mode, nu, r, theta", [
+        ("double", 15.3, 25.0, 0.0), ("dd", 15.3, 25.0, 0.0),
+        ("double", 8.0, 10.0, 0.0), ("double", 4 + 2j, 9.5, 1.0)])
+    def test_i_asymptotic_sum_stopped_above_the_guard_raises(self, mode, nu,
+                                                             r, theta):
+        # each sum stops at its smallest term, still above 1e-6 of the sum;
+        # at I_15.3(25) what it had summed reads -2.11e10 for 5.6e7
+        with pytest.raises(PrecisionExhaustedError):
+            bessel_i_scaled(nu, RiemannPoint(r, theta),
+                            Precision.from_mode(mode))
 
     def test_terms_that_shrink_then_grow_keep_full_precision(self):
         # the terms fall to 2e-38 and then rise to about 1e43; 50-digit

@@ -255,9 +255,9 @@ class TestKernelSharing:
         count(bessel, "_sum_i_series")
         count(bessel, "_sum_asym_pair")
         count(bessel, "_k_cf2")
-        # half-integer b winds K through I; |u z| = 10 takes the I series
-        # and CF2 in dd, where K_(1/2) and K_(3/2) read one pair at
-        # mu = -1/2, and 20 and 40 the asymptotic sums
+        # half-integer b winds K through I; in dd K takes CF2 at every
+        # |u z|, where K_(1/2) and K_(3/2) read one pair at mu = -1/2, and
+        # I the series at |u z| = 10 and the asymptotic sums at 20 and 40
         cell = [cfg(variant, b=1.5, z=(1.0, 2 * math.pi), t=t, order=n)
                 for variant in VARIANTS for t in (10.0, 20.0, 40.0)
                 for n in (1, 2, 3)]

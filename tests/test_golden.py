@@ -13,8 +13,8 @@ order 20 (`verify` by its file, the 440 KB JSON of `coeffs` and `temme` by
 the SHA-256 of stdout).  The oracle
 cases reach each kernel route directly, in both modes: I by series and by
 asymptotics (and on a wound sheet); K by Temme's series, by CF2 and the
-upward recurrence, by asymptotics, and by winding (at a fractional and an
-integer order); the M series; and U by the integral, the connection
+upward recurrence (at |x| = 3 and 25), and by winding (at a fractional and
+an integer order); the M series; and U by the integral, the connection
 formula and the monodromy (one whole turn either way).
 
 The double rows pin this platform's libm as well as the package: a
@@ -50,8 +50,8 @@ _ORACLE = {
     "i-series": ["--fn", "i", "--nu", "0.3", "--r", "2", "--theta", "0.4"],
     "i-asym": ["--fn", "i", "--nu", "0.3+0.2j", "--r", "25", "--theta", "0.2"],
     "i-wound": ["--fn", "i", "--nu", "1.3", "--r", "3", "--theta", "2.5"],
-    # k-reflection and k-integer keep the names of the routes they were
-    # recorded for; they now reach Temme's series and CF2 respectively.
+    # k-reflection, k-integer and k-asym keep the names of the routes they
+    # were recorded for; they now reach Temme's series, CF2 and CF2.
     "k-reflection": ["--fn", "k", "--nu", "0.3", "--r", "2", "--theta", "0.5"],
     "k-integer": ["--fn", "k", "--nu", "2", "--r", "3", "--theta", "0.4"],
     "k-asym": ["--fn", "k", "--nu", "0.7", "--r", "25", "--theta", "-0.3"],

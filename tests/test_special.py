@@ -110,7 +110,6 @@ class TestLogComplex:
         assert z.is_zero
         assert z.to_complex() == 0
         assert (z * as_log(3.0)).is_zero
-        assert (as_log(2.0) + z).ratio_deviation(as_log(2.0)) == 0
         with pytest.raises(DomainError):
             as_log(1.0) / z
 
@@ -139,10 +138,6 @@ class TestLogComplex:
             assert got == pytest.approx(w1 * w2, rel=1e-12)
             got = (as_log(w1) / as_log(w2)).to_complex()
             assert got == pytest.approx(w1 / w2, rel=1e-12)
-            got = (as_log(w1) + as_log(w2)).to_complex()
-            assert got == pytest.approx(w1 + w2, rel=1e-10, abs=1e-12)
-            got = (as_log(w1) - as_log(w2)).to_complex()
-            assert got == pytest.approx(w1 - w2, rel=1e-10, abs=1e-12)
 
     def test_ratio_deviation_ignores_turns(self):
         a = LogComplex(1.5, 0.3)
@@ -510,25 +505,28 @@ class TestBesselBase:
         # I_nu(x) K_{nu+1}(x) + I_{nu+1}(x) K_nu(x) = 1/x
         for nu in (0.0, 0.3, 1.7):
             for x in (0.5, 2.0, 10.0):
-                w = (bessel_i(nu, rp(x), dd) * bessel_k(nu + 1, rp(x), dd)
-                     + bessel_i(nu + 1, rp(x), dd) * bessel_k(nu, rp(x), dd))
-                assert w.ratio_deviation(as_log(1.0 / x)) < 1e-12
+                i0, i1 = (bessel_i(v, rp(x), dd).to_complex() for v in (nu, nu + 1))
+                k0, k1 = (bessel_k(v, rp(x), dd).to_complex() for v in (nu, nu + 1))
+                assert abs((i0 * k1 + i1 * k0) * x - 1) < 1e-12
 
     def test_k_recurrence(self, dd):
         # K_{nu+1} - K_{nu-1} = (2 nu / x) K_nu
         for nu in (0.4, 1.3, 2.6):
             for x in (0.8, 3.0, 12.0):
-                lhs = bessel_k(nu + 1, rp(x), dd) - bessel_k(nu - 1, rp(x), dd)
-                rhs = bessel_k(nu, rp(x), dd) * (2.0 * nu / x)
-                assert lhs.ratio_deviation(rhs) < 1e-11
+                lhs = (bessel_k(nu + 1, rp(x), dd).to_complex()
+                       - bessel_k(nu - 1, rp(x), dd).to_complex())
+                rhs = bessel_k(nu, rp(x), dd).to_complex() * (2.0 * nu / x)
+                assert abs(lhs / rhs - 1) < 1e-11
 
     def test_i_reflection_gives_k(self, dd):
         # pi / (2 sin(pi nu)) * (I_{-nu} - I_nu) = K_nu
         for nu in (0.3, 0.7):
             for x in (0.9, 5.0):
-                diff = bessel_i(-nu, rp(x), dd) - bessel_i(nu, rp(x), dd)
+                diff = (bessel_i(-nu, rp(x), dd).to_complex()
+                        - bessel_i(nu, rp(x), dd).to_complex())
                 got = diff * (math.pi / (2.0 * math.sin(math.pi * nu)))
-                assert got.ratio_deviation(bessel_k(nu, rp(x), dd)) < 1e-10
+                want = bessel_k(nu, rp(x), dd).to_complex()
+                assert abs(got / want - 1) < 1e-10
 
     @pytest.mark.parametrize("nu, x", [(1.0011, 9.0), (1.0011, 9.4),
                                        (2.0015, 9.4), (0.0012, 9.0),
@@ -571,10 +569,13 @@ def two_sign_asym_sums(nu_c, x0, ctx):
 
 
 class TestAsymptoticPair:
+    # |x| starts at 1.25 switches, so that no sum here stops above the
+    # guard: in double the last term is at most 4.2e-8 of its sum, at
+    # nu = 6 + 2i, arg x = 0.63; at |x| = 9.5 it reaches 1.9 times the sum
     @settings(max_examples=60, deadline=None)
     @given(mode=st.sampled_from(["double", "dd"]),
            nu_re=st.floats(-6.0, 6.0), nu_im=st.floats(-2.0, 2.0) | st.just(-0.0),
-           scale=st.floats(1.0, 4.0), angle=st.floats(-math.pi / 2, math.pi / 2))
+           scale=st.floats(1.25, 4.0), angle=st.floats(-math.pi / 2, math.pi / 2))
     def test_one_loop_gives_both_sums_bit_for_bit(self, mode, nu_re, nu_im,
                                                   scale, angle):
         ctx = Precision.from_mode(mode).ctx
@@ -586,7 +587,8 @@ class TestAsymptoticPair:
         assert [exact_key(v) for v in got] == [exact_key(v) for v in want]
 
     def test_k_reads_the_decaying_half_of_the_pair(self, dd, monkeypatch):
-        # K's base sum, its winding's I and I itself read one pair
+        # K's base value comes from CF2; its winding's I and I itself read
+        # one pair
         calls = []
         pair = bessel_module._sum_asym_pair
 
@@ -631,24 +633,24 @@ class TestBesselContinuation:
         #   = e^{-i pi nu m} K_nu(x) - i pi s_m I_nu(x),
         # s_m = sin(pi nu m) / sin(pi nu)
         for nu in (0.3, 1.7):
-            k0 = bessel_k(nu, rp(2.0), dd)
-            i0 = bessel_i(nu, rp(2.0), dd)
+            k0 = bessel_k(nu, rp(2.0), dd).to_complex()
+            i0 = bessel_i(nu, rp(2.0), dd).to_complex()
             for m in (-2, -1, 1, 2):
                 got = bessel_k(nu, rp(2.0, math.pi * m), dd)
                 s = math.sin(math.pi * nu * m) / math.sin(math.pi * nu)
                 want = k0 * cmath.exp(-1j * math.pi * nu * m) + i0 * (-1j * math.pi * s)
-                assert got.ratio_deviation(want) < 1e-10
+                assert got.ratio_deviation(as_log(want)) < 1e-10
 
     def test_k_rotation_integer_order(self, dd):
         # at integer order the winding factor becomes m * (-1)^(n (m - 1))
         for n in (0, 1, 2):
-            k0 = bessel_k(float(n), rp(2.0), dd)
-            i0 = bessel_i(float(n), rp(2.0), dd)
+            k0 = bessel_k(float(n), rp(2.0), dd).to_complex()
+            i0 = bessel_i(float(n), rp(2.0), dd).to_complex()
             for m in (-2, -1, 1, 2):
                 got = bessel_k(float(n), rp(2.0, math.pi * m), dd)
                 s = m * (-1.0) ** (n * (m - 1))
                 want = k0 * cmath.exp(-1j * math.pi * n * m) + i0 * (-1j * math.pi * s)
-                assert got.ratio_deviation(want) < 1e-10
+                assert got.ratio_deviation(as_log(want)) < 1e-10
 
     @pytest.mark.parametrize("mode", ["double", "dd"])
     def test_winding_ratio(self, mode):
@@ -738,21 +740,21 @@ class TestKummerU:
 
     def test_monodromy_round_trip(self, dd):
         a, b, r = 3.2, 1.5, 2.0
-        base = kummer_u(a, b, rp(r), dd)
-        up = kummer_u(a, b, rp(r, 2 * math.pi), dd)
-        down = kummer_u(a, b, rp(r, -2 * math.pi), dd)
-        m = kummer_m(a, b, r, dd)
+        base = kummer_u(a, b, rp(r), dd).to_complex()
+        up = kummer_u(a, b, rp(r, 2 * math.pi), dd).to_complex()
+        down = kummer_u(a, b, rp(r, -2 * math.pi), dd).to_complex()
+        m = kummer_m(a, b, r, dd).to_complex()
         c = (2j * math.pi * cmath.exp(-1j * math.pi * b)
              / cmath.exp(log_gamma(b, dd) + log_gamma(1 + a - b, dd)))
         # one positive turn adds the monodromy multiple of M
         want = base * cmath.exp(-2j * math.pi * b) + m * c
-        assert up.ratio_deviation(want) < 1e-10
+        assert abs(up / want - 1) < 1e-10
         # undoing the turn lands back on the base sheet
         recovered = (up - m * c) * cmath.exp(2j * math.pi * b)
-        assert recovered.ratio_deviation(base) < 1e-10
+        assert abs(recovered / base - 1) < 1e-10
         # a negative turn inverts the relation
         want = (base - m * c) * cmath.exp(2j * math.pi * b)
-        assert down.ratio_deviation(want) < 1e-9
+        assert abs(down / want - 1) < 1e-9
 
     @staticmethod
     def _wound_reference(a, b, r, theta0, m):
