@@ -138,8 +138,8 @@ def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
     u-lower read one U; the prefactored lhs per variant at that point; the
     Bessel pair per kind at that point; and each coefficient value even[s],
     odd[s] per (raw or lowered table, b, z, s, precision).  Below them the
-    kernels share log-gamma values, I series and asymptotic sums by their
-    exact inputs.  A shared value is the one computed for its key alone,
+    kernels share log-gamma values, K pairs and I's continued fraction by
+    their exact inputs.  A shared value is the one computed for its key alone,
     so results are identical with and without sharing.
     """
     table, low_even, low_odd = expansion_tables()
@@ -265,7 +265,8 @@ def decay_sweep(grid: Sequence[ExpansionConfig]) -> SweepResult:
     The whole sweep is one sharing scope (see evaluate_sides): kernels are
     computed once per (b, z, t, arg u) and shared across the orders N,
     u-capital and u-lower share U and the K pair, and each log-gamma value,
-    I series and asymptotic sum is computed once per exact input.  Nothing
+    Bessel K pair and I continued fraction is computed once per exact
+    input.  Nothing
     is shared across sweeps, and every row equals evaluate_sides(cfg) run
     alone.  Failures are recorded per row and never abort the sweep.  Fits
     need at least two distinct t values with finite nonzero discrepancy.

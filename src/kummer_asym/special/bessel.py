@@ -7,28 +7,31 @@ winding is restored through the exact continuation rules
     K_nu(x e^(i pi m)) = e^(-i pi nu m) K_nu(x) - i pi R_m(nu) I_nu(x)
 
 with R_m = sin(pi nu m)/sin(pi nu) from types.winding_ratio; where it is
-exactly 0 (nu m an integer, nu not) I is not evaluated.  I takes the
-ascending series below |x| = bessel_switch and the compound asymptotic
-expansion from it.  K takes one route at every order and every |x|:
-nu = mu + n with n the integer nearest Re nu, (K_mu, K_mu+1) from Temme's
-series for |x| <= 2 (N. M. Temme, J. Comput. Phys. 19, 1975) or Steed's
-continued fraction CF2 beyond (Thompson & Barnett, Comput. Phys. Commun.
-47, 1987), both as in Numerical Recipes' bessik, then the upward
-recurrence, stable for K, at most MAX_STEPS long.  The recurrence folds a
-mantissa past 1e100 into its shift, so K_n stays finite in double as long
-as its log does.
+exactly 0 (nu m an integer, nu not) I is not evaluated.
 
-Within a sharing scope the I series, the K pair (K_(b-1) and K_b share one
-where b - 1/2 is an integer) and the asymptotic sums are computed once per
-input; one term loop gives I's growing and decaying asymptotic sum.  A sum
-that must stop at its smallest term before that term meets series_tol
-raises PrecisionExhaustedError once the term exceeds guard_threshold of
-the sum.  The term loops run in the context's series arithmetic
-(NumericContext series_in / series_out): native complex numbers in double,
-block-floating Python integers in dd (see blockfloat), whose roundings
-truncate toward zero, so that the growing sum's negated terms are the
-decaying sum's, bit for bit.  Every state update of Temme's series and of
-CF2 ends in a quotient, so in dd it is rounded once a step.
+One engine gives both on the base sheet, at every order and every |x|.
+K: nu = mu + n with n the integer nearest Re nu, (K_mu, K_mu+1) from
+Temme's series for |x| <= 2 (N. M. Temme, J. Comput. Phys. 19, 1975) or
+Steed's continued fraction CF2 beyond (Thompson & Barnett, Comput. Phys.
+Commun. 47, 1987), both as in Numerical Recipes' bessik, then the upward
+recurrence, stable for K, to (K_nu, K_nu+1).  The recurrence folds a
+mantissa past 1e100 into its shift, so K_n stays finite in double as long
+as its log does.  I: the Wronskian I_nu K_nu+1 + I_nu+1 K_nu = 1/x0
+(DLMF 10.28.2) with that pair, and r = I_nu+1 / I_nu from the continued
+fraction CF1, summed by Steed's method at an order at least |x0| above
+nu and walked down to nu by the recurrence, stable for r.  Below Re nu =
+-1/2, I_nu = I_-nu + (2/pi) sin(-pi nu) K_-nu (DLMF 10.27.2), both read
+from the one pair at -nu: at those orders the Wronskian's two terms
+cancel as |x0| falls, and this sum does not.  The recurrence and the walk
+are each at most MAX_STEPS long.
+
+Within a sharing scope the K pair (K_(b-1) and K_b share one where b - 1/2
+is an integer) and I's CF1 (shared by I_(b-1), I_b and K's winding I) are
+computed once per input.  The loops run in the context's series
+arithmetic (NumericContext series_in / series_out): native complex numbers
+in double, block-floating Python integers in dd (see blockfloat).  Every
+state update of Temme's series, of CF2 and of CF1, and every step of the
+walk, ends in a quotient, so in dd it is rounded once a step.
 """
 
 from __future__ import annotations
@@ -52,90 +55,6 @@ _RGAMMA_TERMS = 50
 # the K recurrence folds a mantissa into the shift before a step takes it
 # above this size
 _FOLD_ABOVE = 1e100
-
-
-def _i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
-    """Ascending series; value = mantissa * exp(nu*log(x0/2) - lgamma(nu+1))."""
-    return shared(("I series", ctx.name, exact_key(nu_c), exact_key(x0)),
-                  lambda: _sum_i_series(nu_c, x0, ctx))
-
-
-def _sum_i_series(nu_c, x0, ctx: NumericContext) -> ScaledValue:
-    nu_s, x_s = ctx.series_in(nu_c), ctx.series_in(x0)
-    q = x_s * x_s / 4
-    one = ctx.series_in(ctx.make_complex(1.0))
-    term = one
-    total = one
-    max_term = 1.0
-    absx = ctx.mag(x0)
-    min_terms = int(absx / 2) + 8
-    for k in range(_MAX_SERIES_TERMS):
-        term = term * q / ((k + 1) * (nu_s + (k + 1)))
-        total = total + term
-        t_mag = ctx.mag(term)
-        max_term = max(max_term, t_mag)
-        if k >= min_terms and t_mag <= ctx.series_tol * ctx.mag(total):
-            break
-    else:
-        raise PrecisionExhaustedError("I series did not converge")
-    ctx.check_headroom(max_term, ctx.mag(total), "I series")
-    shift = nu_c * ctx.log(x0 / 2) - log_gamma_ctx(nu_c + 1, ctx)
-    return ScaledValue(ctx.series_out(total), shift)
-
-
-def _asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
-    """(Sum_k a_k(nu) (-1)^k / x0^k, Sum_k a_k(nu) / x0^k), the growing and
-    the decaying sum of I's expansion, each truncated at the smallest term."""
-    return shared(("I asymptotic", ctx.name, exact_key(nu_c), exact_key(x0)),
-                  lambda: _sum_asym_pair(nu_c, x0, ctx))
-
-
-def _sum_asym_pair(nu_c, x0, ctx: NumericContext) -> tuple:
-    # a growing term is the decaying one, negated at odd k; negation is
-    # exact, so both sums read one term loop and stop as they would alone
-    nu_s, x_s = ctx.series_in(nu_c), ctx.series_in(x0)
-    nu4 = 4 * nu_s * nu_s
-    term = ctx.series_in(ctx.make_complex(1.0))
-    grow = decay = term
-    grow_open = decay_open = True
-    prev_mag = math.inf
-    for k in range(140):
-        term = term * (nu4 - (2 * k + 1) ** 2) / (8 * (k + 1) * x_s)
-        t_mag = ctx.mag(term)
-        if t_mag >= prev_mag:
-            break
-        prev_mag = t_mag
-        if grow_open:
-            grow = grow + (term if k % 2 else -term)
-            grow_open = not t_mag <= ctx.series_tol * ctx.mag(grow)
-        if decay_open:
-            decay = decay + term
-            decay_open = not t_mag <= ctx.series_tol * ctx.mag(decay)
-        if not (grow_open or decay_open):
-            break
-    # an open sum stopped where its terms began to grow, or ran out of them
-    for total, still_open in ((grow, grow_open), (decay, decay_open)):
-        if still_open and prev_mag > ctx.guard_threshold * ctx.mag(total):
-            raise PrecisionExhaustedError(
-                "Bessel asymptotic sum stops at a term above the guard")
-    return ctx.series_out(grow), ctx.series_out(decay)
-
-
-def _i_asym(nu_c, x0, ctx: NumericContext) -> ScaledValue:
-    """Compound large-argument expansion, both exponentials retained."""
-    two_pi = 2 * ctx.pi
-    shift = x0 - ctx.log(two_pi * x0) / 2
-    grow, decay = _asym_pair(nu_c, x0, ctx)
-    sign = 1.0 if ctx.to_float(ctx.im(x0)) >= 0.0 else -1.0
-    rotate = ctx.exp(ctx.make_complex(0.0, sign) * ctx.pi * (nu_c + 0.5))
-    mantissa = grow + rotate * ctx.exp(-2 * x0) * decay
-    return ScaledValue(mantissa, shift)
-
-
-def _i_base(nu_c, x0, ctx: NumericContext) -> ScaledValue:
-    if ctx.mag(x0) >= ctx.bessel_switch:
-        return _i_asym(nu_c, x0, ctx)
-    return _i_series(nu_c, x0, ctx)
 
 
 @lru_cache(maxsize=None)
@@ -261,15 +180,15 @@ def _k_pair(mu, x0, ctx: NumericContext) -> tuple:
                   lambda: route(mu, x0, ctx))
 
 
-def _k_base(nu_c, nu: complex, x0, ctx: NumericContext) -> ScaledValue:
-    """K at Re nu >= 0."""
+def _k_base(nu_c, nu: complex, x0, ctx: NumericContext) -> tuple:
+    """(K_nu, K_nu+1) at Re nu >= -1/2."""
     n = math.floor(nu.real + 0.5)
     if n > MAX_STEPS:
         raise DomainError(f"order {nu.real:.6g} needs more than {MAX_STEPS} "
                           f"recurrence steps")
     mu = nu_c - n
     k_prev, k_cur = _k_pair(mu, x0, ctx)
-    for j in range(1, n):
+    for j in range(1, n + 1):
         # K_(mu+j+1) = K_(mu+j-1) + (2 (mu + j) / x0) K_(mu+j)
         factor = 2 * (mu + j) / x0
         if ctx.mag(k_cur.mantissa) * ctx.mag(factor) > _FOLD_ABOVE:
@@ -280,7 +199,70 @@ def _k_base(nu_c, nu: complex, x0, ctx: NumericContext) -> ScaledValue:
                                 k_cur.shift + ctx.log(size))
         k_prev, k_cur = k_cur, k_prev.add(k_cur.mul_complex(factor), ctx,
                                           "K recurrence")
-    return k_cur if n else k_prev
+    return k_prev, k_cur
+
+
+def _i_cf1(order, x0, ctx: NumericContext):
+    """I_(order+1) / I_order (x0) by Steed's algorithm on CF1,
+    x0 / (2 (order + 1) + x0^2 / (2 (order + 2) + x0^2 / ...)), as _k_cf2
+    sums CF2.  From |order| = |x0| up its terms fall about 4-fold a step,
+    and faster as the order grows."""
+    one = ctx.series_in(ctx.make_complex(1.0))
+    x_s = ctx.series_in(x0)
+    a, b = x_s * x_s, 2 * (ctx.series_in(order) + 1)
+    d = one / b
+    h = delh = x_s * d
+    for _ in range(_MAX_SERIES_TERMS):
+        b = b + 2
+        ad = a * d
+        den = b + ad
+        delh, d = ad * delh / -den, one / den
+        h = h + delh
+        if ctx.mag(delh) <= ctx.series_tol * ctx.mag(h):
+            break
+    else:
+        raise PrecisionExhaustedError("I continued fraction did not converge")
+    return ctx.series_out(h)
+
+
+def _i_wronskian(nu_c, nu: complex, x0, k_nu, k_next,
+                 ctx: NumericContext) -> ScaledValue:
+    """I_nu(x0) = 1 / (x0 (K_nu+1 + r K_nu)) from the Wronskian
+    I_nu K_nu+1 + I_nu+1 K_nu = 1/x0 (DLMF 10.28.2).  r = I_nu+1 / I_nu
+    is CF1 at order nu + top - n, with top = max(n, ceil|x0|) and n the
+    integer nearest Re nu, walked down by r_(k-1) = x0 / (2 (nu + k - n)
+    + x0 r_k), stable because I is the minimal solution of the recurrence
+    as the order grows."""
+    n = math.floor(nu.real + 0.5)
+    top = max(n, math.ceil(ctx.mag(x0)))
+    if top - n > MAX_STEPS:
+        raise DomainError(f"I at |x| = {ctx.mag(x0):.6g} needs more than "
+                          f"{MAX_STEPS} recurrence steps")
+    order = nu_c + (top - n)
+    ratio = shared(("I CF1", ctx.name, exact_key(order), exact_key(x0)),
+                   lambda: _i_cf1(order, x0, ctx))
+    x_s, r = ctx.series_in(x0), ctx.series_in(ratio)
+    b = 2 * ctx.series_in(order)  # 2 (nu + k - n) at k = top
+    for _ in range(top - n):
+        r = x_s / (b + x_s * r)
+        b = b - 2
+    total = k_next.add(k_nu.mul_complex(ctx.series_out(r)), ctx,
+                       "I Wronskian")
+    return ScaledValue(1 / total.mantissa, -total.shift - ctx.log(x0))
+
+
+def _i_base(nu_c, nu: complex, x0, ctx: NumericContext) -> ScaledValue:
+    """I_nu(x0) from the Wronskian; below Re nu = -1/2, that at -nu plus
+    (2/pi) sin(-pi nu) K_-nu."""
+    reflect = nu.real < -0.5
+    if reflect:
+        nu_c, nu = -nu_c, -nu
+    k_nu, k_next = _k_base(nu_c, nu, x0, ctx)
+    i_nu = _i_wronskian(nu_c, nu, x0, k_nu, k_next, ctx)
+    if not reflect:
+        return i_nu
+    return i_nu.add(k_nu.mul_complex(2 / ctx.pi * ctx.sinpi(nu_c)), ctx,
+                    "I reflection")
 
 
 def bessel_i_scaled(nu: complex, point: RiemannPoint,
@@ -292,7 +274,7 @@ def bessel_i_scaled(nu: complex, point: RiemannPoint,
     ctx = prec.ctx
     x0, _, m = base_point(point, 1, ctx)
     nu_c = ctx.coerce(nu)
-    base = _i_base(nu_c, x0, ctx)
+    base = _i_base(nu_c, nu, x0, ctx)
     if m == 0:
         return base
     winding = ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m
@@ -308,7 +290,7 @@ def bessel_k_scaled(nu: complex, point: RiemannPoint,
     ctx = prec.ctx
     x0, _, m = base_point(point, 1, ctx)
     nu_c = ctx.coerce(nu)
-    k_base = _k_base(nu_c, nu, x0, ctx)
+    k_base, k_next = _k_base(nu_c, nu, x0, ctx)
     if m == 0:
         return k_base
     unwind = ctx.exp(-ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m)
@@ -316,7 +298,7 @@ def bessel_k_scaled(nu: complex, point: RiemannPoint,
     ratio = winding_ratio(nu_c, m, ctx)
     if ratio == 0:
         return first
-    i_base = _i_base(nu_c, x0, ctx)
+    i_base = _i_wronskian(nu_c, nu, x0, k_base, k_next, ctx)
     second = i_base.mul_complex(-ctx.make_complex(0.0, 1.0) * ctx.pi * ratio)
     return first.add(second, ctx, "K continuation")
 

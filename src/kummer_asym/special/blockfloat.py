@@ -21,8 +21,7 @@ loops, whose step is term * p(n) / q(n) with p and q low-degree in n:
     largest term so far, and a compensated (Kahan) step adds nothing.
 
 Every rounding truncates toward zero, so negation commutes with every
-operation: a series summed with alternating signs gets the negated terms of
-the same series, bit for bit.
+operation.
 
 Summing hypergeometric-type series in integer mantissas is the standard
 technique: Brent & Zimmermann, Modern Computer Arithmetic (2010), 4.4;

@@ -4,16 +4,15 @@ Kernels compute internally in a NumericContext: plain double via
 math/cmath, or extended precision via mpmath pinned at 34 significant
 digits.  The context is the single home of every number that differs
 between the two modes (roundoff, the series and quadrature tolerances, the
-Bessel route switch, the Stirling profile), of the arithmetic the series
-term loops run in, and of the one cancellation guard every kernel applies.
-Kernels hand results around as ScaledValue pairs value = mantissa *
-exp(shift), so magnitudes like e^2000 never materialize.  The public
-boundary type is LogComplex, which stores log-magnitude and unrestricted
-phase as doubles.
+Stirling profile), of the arithmetic the series term loops run in, and of
+the one cancellation guard every kernel applies.  Kernels hand results
+around as ScaledValue pairs value = mantissa * exp(shift), so magnitudes
+like e^2000 never materialize.  The public boundary type is LogComplex,
+which stores log-magnitude and unrestricted phase as doubles.
 
 Within a sharing scope, shared() computes each keyed value once: a sweep
 opens one, so the kernels it runs read each other's log-gamma values,
-I series and asymptotic sums instead of computing them again.
+K pairs and I continued fractions instead of computing them again.
 """
 
 from __future__ import annotations
@@ -61,15 +60,15 @@ class NumericContext:
                                part is 0
       check_headroom(...)      the cancellation guard
 
-    The term loops of the M series, the I series, K's Temme series and CF2,
-    and the Bessel asymptotic sums convert their parameters with series_in,
-    step and sum with + - * / and the comparison with 0, and convert the
-    sums back with series_out.  In double both conversions are the
-    identity, so the loops run on native complex numbers.  In dd they run
-    on block-floating integers (blockfloat.BlockComplex) instead of mpmath
-    numbers: exact products, one rounding per quotient to the working
-    precision plus blockfloat.SERIES_GUARD_BITS, and sums exact on the grid
-    of their largest term.
+    The term loops of the M series, K's Temme series and CF2, and I's CF1
+    and its walk down convert their parameters with series_in, step and
+    sum with + - * / and the comparison with 0, and convert the sums back
+    with series_out.  In double both conversions are the identity, so the
+    loops run on native complex numbers.  In dd they run on block-floating
+    integers (blockfloat.BlockComplex) instead of mpmath numbers: exact
+    products, one rounding per quotient to the working precision plus
+    blockfloat.SERIES_GUARD_BITS, and sums exact on the grid of their
+    largest term.
 
     The U quadrature's trapezoid sums (quad.py) and its integrand use the
     same arithmetic, held on a fixed grid by quad_in, with exp and
@@ -78,12 +77,9 @@ class NumericContext:
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
-    integral aims for; bessel_switch the |x| from which I takes the
-    asymptotic expansion (it equalizes I's series cancellation, eps
-    e^(2|x|), against the asymptotic floor, e^(-2|x|); K takes CF2 at every
-    |x| beyond 2 and reads no switch); stirling_profile
-    the (threshold, terms) of log-gamma's Stirling series, whose tail at
-    the threshold sits about two digits below the mode's accuracy;
+    integral aims for; stirling_profile the (threshold, terms) of
+    log-gamma's Stirling series, whose tail at the threshold sits about two
+    digits below the mode's accuracy;
     underflows whether a product of nonzero series numbers can round to 0,
     so that a series' terms may vanish before its stopping rule is met.
     guard_threshold is shared; see check_headroom.
@@ -93,7 +89,6 @@ class NumericContext:
     eps = 0.0
     series_tol = 0.0
     quadrature_tol = 0.0
-    bessel_switch = 0.0
     stirling_profile = (0.0, 0)
     underflows = True
     guard_threshold = 1e-6
@@ -140,7 +135,6 @@ class _Double(NumericContext):
     eps = 2.2e-16
     series_tol = 1e-17
     quadrature_tol = 1e-13
-    bessel_switch = 9.5
     stirling_profile = (20.0, 12)
 
     real = float
@@ -220,7 +214,6 @@ class _ExtendedMP(NumericContext):
     eps = 1e-33
     series_tol = 1e-36
     quadrature_tol = 1e-18
-    bessel_switch = 20.0
     stirling_profile = (35.0, 18)
     underflows = False
 
@@ -322,7 +315,7 @@ PRECISION_ENV_VAR = "KUMMER_ASYM_PRECISION"
 class Precision:
     """Precision mode, "double" or "dd", naming its NumericContext.
 
-    The mode's numbers (roundoff, tolerances, route switches, the guard)
+    The mode's numbers (roundoff, tolerances, Stirling profile, the guard)
     are attributes of that context, prec.ctx, not of this handle.
     """
 
@@ -399,8 +392,9 @@ def turn_reduce(theta: float, period: float) -> tuple:
 MAX_TURNS = 2 ** 16
 # The most unit steps of the other kernel loops whose length grows with an
 # input: log-gamma's shift up from Re w >= -MAX_STEPS to the Stirling
-# threshold, and K's upward recurrence from an order of real part at most
-# 1/2.  Their cost, and log-gamma's rounding, grow with the step count.
+# threshold, K's upward recurrence from an order of real part at most 1/2,
+# and I's walk down from the order where CF1 starts, about |x| above it.
+# Their cost, and log-gamma's rounding, grow with the step count.
 MAX_STEPS = 2 ** 16
 
 

@@ -189,11 +189,22 @@ def _m_peak(a, b, x):
     return peak
 
 
+def _i_errors(nu, radii, prec):
+    """|I / I_ref - 1| at each r in radii and arg x in {0, 1.2, pi/2}."""
+    errors = {}
+    for r in radii:
+        for theta in (0.0, 1.2, math.pi / 2):
+            got = _value(bessel_i_scaled(nu, RiemannPoint(r, theta), prec))
+            ref = _MP.besseli(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
+            errors[r, theta] = float(abs(got / ref - 1))
+    return errors
+
+
 class TestDDSeriesLoops:
-    """The dd term loops (M series, I series, Bessel asymptotic sums) sum
-    in block-floating integers; each term keeps the working precision plus
-    guard bits, so the error is the final rounding to 34 digits plus the
-    guard-bit rounding times the cancellation peak / |M|."""
+    """The dd term loops (M series, the Bessel continued fractions and I's
+    walk) sum in block-floating integers; each term keeps the working
+    precision plus guard bits, so the error is the final rounding to 34
+    digits plus the guard-bit rounding times the cancellation peak / |M|."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(a_re=st.floats(-40.0, 40.0), a_im=st.floats(-40.0, 40.0),
@@ -212,15 +223,40 @@ class TestDDSeriesLoops:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
-           r=st.floats(0.05, 19.5) | st.floats(40.0, 200.0),
-           theta=st.floats(-1.5, 1.5))
+           r=st.floats(0.05, 200.0), theta=st.floats(-1.5, 1.5))
+    @example(nu_re=0.7, nu_im=0.0, r=30.0, theta=0.0)
     def test_i_matches_besseli(self, nu_re, nu_im, r, theta):
-        # the series below the switch at 20, the asymptotic sums from 40,
-        # where their truncation floor e^(-2r) is far below the rounding
+        # CF1 and the Wronskian at every r; the asymptotic sums I took from
+        # r = 20 were 5.1e-27 off at I_0.7(30), and more below
         nu = complex(nu_re, nu_im)
         got = _value(bessel_i_scaled(nu, RiemannPoint(r, theta), Precision.dd()))
         ref = _MP.besseli(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
         assert abs(got / ref - 1) <= 1e-30
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
+           r=st.floats(0.05, 200.0), theta=st.floats(-1.5, 1.5))
+    @example(nu_re=0.7, nu_im=0.0, r=10.0, theta=0.0)
+    def test_double_i_matches_besseli(self, nu_re, nu_im, r, theta):
+        # the asymptotic sums I took from r = 9.5 were 1.2e-9 off at
+        # I_0.7(10)
+        nu = complex(nu_re, nu_im)
+        got = bessel_i_scaled(nu, RiemannPoint(r, theta), Precision.double())
+        ref = _MP.besseli(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
+        assert abs(_value(got) / ref - 1) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [
+        0.0, 0.3, 0.7, 1.1, 0.9, 1 + 1e-8, 1 - 1e-8, 1 + 1e-15, 1 - 1e-15,
+        1.5, 2.5, 3.2, -0.3, -1.3, 15.3])
+    @pytest.mark.parametrize("mode, bound", [("double", 1e-13), ("dd", 1e-28)])
+    def test_i_on_the_gate_grid(self, mode, bound, nu):
+        # a slice of the grid on which the series and the asymptotic sums
+        # were up to 1.1e-8 (double) and 5.7e-18 (dd) off: across their
+        # switch, up to where the sums' floor e^(-2r) meets the mode, and
+        # on the imaginary axis
+        errors = _i_errors(nu, (0.3, 2.0, 9.6, 12.0, 19.9, 20.0, 25.0, 36.0,
+                                80.0), Precision.from_mode(mode))
+        assert max(errors.values()) <= bound, errors
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
@@ -258,16 +294,30 @@ class TestDDSeriesLoops:
         ref = _MP.besselk(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
         assert abs(_value(got) / ref - 1) <= 1e-13
 
+    @pytest.mark.parametrize("nu", [-1.3, -2.7, -5.2, complex(-2.3, -1.9)])
+    @pytest.mark.parametrize("mode, bound", [("double", 1e-13), ("dd", 1e-28)])
+    def test_i_below_order_minus_half(self, mode, bound, nu):
+        # I_nu there is as large as K_-nu at small |x|, so the Wronskian's
+        # two terms cancel at nu itself: that way I_-5.2(0.26) is 6.6e-7
+        # off in double, and I_-2.7(1e-3) trips the guard; the reflection
+        # from -nu does not cancel there
+        errors = _i_errors(nu, (1e-6, 1e-3, 0.3, 2.0, 9.6),
+                           Precision.from_mode(mode))
+        assert max(errors.values()) <= bound, errors
+
     @pytest.mark.parametrize("mode, nu, r, theta", [
         ("double", 15.3, 25.0, 0.0), ("dd", 15.3, 25.0, 0.0),
-        ("double", 8.0, 10.0, 0.0), ("double", 4 + 2j, 9.5, 1.0)])
-    def test_i_asymptotic_sum_stopped_above_the_guard_raises(self, mode, nu,
-                                                             r, theta):
-        # each sum stops at its smallest term, still above 1e-6 of the sum;
-        # at I_15.3(25) what it had summed reads -2.11e10 for 5.6e7
-        with pytest.raises(PrecisionExhaustedError):
-            bessel_i_scaled(nu, RiemannPoint(r, theta),
-                            Precision.from_mode(mode))
+        ("double", 8.0, 10.0, 0.0), ("double", 4 + 2j, 9.5, 1.0),
+        ("double", 0.3, 10.0, math.pi / 2), ("double", 0.7, 10.0, math.pi / 2)])
+    def test_i_where_asymptotics_failed(self, mode, nu, r, theta):
+        # the first four stopped the asymptotic sums at a smallest term
+        # above 1e-6 of the sum, which raised (at I_15.3(25) the sum read
+        # -2.11e10 for 5.6e7); the last two they gave 1.9e-10 and 3.0e-10
+        # off, with no error
+        prec = Precision.from_mode(mode)
+        got = _value(bessel_i_scaled(nu, RiemannPoint(r, theta), prec))
+        ref = _MP.besseli(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
+        assert abs(got / ref - 1) <= (1e-13 if mode == "double" else 1e-28)
 
     def test_terms_that_shrink_then_grow_keep_full_precision(self):
         # the terms fall to 2e-38 and then rise to about 1e43; 50-digit

@@ -252,19 +252,17 @@ class TestKernelSharing:
             monkeypatch.setattr(module, name, wrapper)
 
         count(gammafn, "_shifted_stirling")
-        count(bessel, "_sum_i_series")
-        count(bessel, "_sum_asym_pair")
+        count(bessel, "_i_cf1")
         count(bessel, "_k_cf2")
-        # half-integer b winds K through I; in dd K takes CF2 at every
-        # |u z|, where K_(1/2) and K_(3/2) read one pair at mu = -1/2, and
-        # I the series at |u z| = 10 and the asymptotic sums at 20 and 40
+        # in dd K takes CF2 at every |u z|, where K_(1/2) and K_(3/2) read
+        # one pair at mu = -1/2, and I_(1/2) and I_(3/2) one CF1 at order
+        # |u z| - 1/2
         cell = [cfg(variant, b=1.5, z=(1.0, 2 * math.pi), t=t, order=n)
                 for variant in VARIANTS for t in (10.0, 20.0, 40.0)
                 for n in (1, 2, 3)]
         result = decay_sweep(cell)
         assert all(row.status == "ok" for row in result.rows)
-        assert set(inputs) == {"_shifted_stirling", "_sum_i_series",
-                               "_sum_asym_pair", "_k_cf2"}
+        assert set(inputs) == {"_shifted_stirling", "_i_cf1", "_k_cf2"}
         for name, seen in inputs.items():
             assert len(seen) == len(set(seen)), name
 

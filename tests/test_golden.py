@@ -11,11 +11,12 @@ and `verify`, whose output involves no floating point; `coeffs`, `temme`
 and `verify` also at order 0, where no entry mentions the parameter, and at
 order 20 (`verify` by its file, the 440 KB JSON of `coeffs` and `temme` by
 the SHA-256 of stdout).  The oracle
-cases reach each kernel route directly, in both modes: I by series and by
-asymptotics (and on a wound sheet); K by Temme's series, by CF2 and the
-upward recurrence (at |x| = 3 and 25), and by winding (at a fractional and
-an integer order); the M series; and U by the integral, the connection
-formula and the monodromy (one whole turn either way).
+cases reach each kernel route directly, in both modes: I by CF1 and the
+Wronskian with K's pair, at |x| = 2 and 25 (and on a wound sheet); K by
+Temme's series, by CF2 and the upward recurrence (at |x| = 3 and 25), and
+by winding (at a fractional and an integer order); the M series; and U by
+the integral, the connection formula and the monodromy (one whole turn
+either way).
 
 The double rows pin this platform's libm as well as the package: a
 different `exp`, `log` or `atan2` rounding can change the last printed
@@ -47,6 +48,9 @@ _GRID_DOUBLE = ["--b", "0.7,2.0", "--z-r", "1",
 _GRID_DD = ["--b", "1.5", "--z-r", "1", "--z-theta", "0,7.853981633974483",
             "--t", "10,20", "--order", "2"]
 _ORACLE = {
+    # i-series and i-asym keep the names of the routes they were recorded
+    # for; both now reach CF1 and the Wronskian, with Temme's series and
+    # with CF2 for K's pair.
     "i-series": ["--fn", "i", "--nu", "0.3", "--r", "2", "--theta", "0.4"],
     "i-asym": ["--fn", "i", "--nu", "0.3+0.2j", "--r", "25", "--theta", "0.2"],
     "i-wound": ["--fn", "i", "--nu", "1.3", "--r", "3", "--theta", "2.5"],

@@ -9,8 +9,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kummer_asym.errors import (DomainError, PoleError,
                                PrecisionExhaustedError, QuadratureError)
@@ -193,15 +191,14 @@ class TestPrecision:
         assert [f.name for f in dataclasses.fields(Precision)] == ["mode"]
 
     def test_mode_numbers(self):
-        # pinned: no speedup or fix may loosen a tolerance, the guard, the
-        # Bessel route switch or the Stirling profile
+        # pinned: no speedup or fix may loosen a tolerance, the guard or
+        # the Stirling profile
         double, dd = Precision.double().ctx, Precision.dd().ctx
         assert (double.series_tol, dd.series_tol) == (1e-17, 1e-36)
         assert (double.quadrature_tol, dd.quadrature_tol) == (1e-13, 1e-18)
         assert (double.eps, dd.eps) == (2.2e-16, 1e-33)
         assert dd.dps == dd._mp.dps == 34
         assert double.guard_threshold == dd.guard_threshold == 1e-6
-        assert (double.bessel_switch, dd.bessel_switch) == (9.5, 20.0)
         assert double.stirling_profile == (20.0, 12)
         assert dd.stirling_profile == (35.0, 18)
 
@@ -502,7 +499,10 @@ class TestBesselBase:
                                                 rel=1e-13)
 
     def test_wronskian(self, dd):
-        # I_nu(x) K_{nu+1}(x) + I_{nu+1}(x) K_nu(x) = 1/x
+        # I_nu(x) K_{nu+1}(x) + I_{nu+1}(x) K_nu(x) = 1/x.  I is computed
+        # from this identity, so it checks little beyond CF1 and the
+        # rounding; test_independent_route and test_differential.py are
+        # I's independent checks
         for nu in (0.0, 0.3, 1.7):
             for x in (0.5, 2.0, 10.0):
                 i0, i1 = (bessel_i(v, rp(x), dd).to_complex() for v in (nu, nu + 1))
@@ -543,62 +543,20 @@ class TestBesselBase:
         assert got.ratio_deviation(want) <= 1e-14
 
 
-def two_sign_asym_sums(nu_c, x0, ctx):
-    """The growing and the decaying asymptotic sum, each by its own loop,
-    in the context's series arithmetic as the kernel sums them."""
-    sums = []
-    nu_s, x_s = ctx.series_in(nu_c), ctx.series_in(x0)
-    for sign in (-1, +1):
-        nu4 = 4 * nu_s * nu_s
-        term = ctx.series_in(ctx.make_complex(1.0))
-        total = term
-        prev_mag = math.inf
-        for k in range(140):
-            term = term * (nu4 - (2 * k + 1) ** 2) / (8 * (k + 1) * x_s)
-            if sign < 0:
-                term = -term
-            t_mag = ctx.mag(term)
-            if t_mag >= prev_mag:
-                break
-            total = total + term
-            prev_mag = t_mag
-            if t_mag <= ctx.series_tol * ctx.mag(total):
-                break
-        sums.append(ctx.series_out(total))
-    return tuple(sums)
-
-
 class TestAsymptoticPair:
-    # |x| starts at 1.25 switches, so that no sum here stops above the
-    # guard: in double the last term is at most 4.2e-8 of its sum, at
-    # nu = 6 + 2i, arg x = 0.63; at |x| = 9.5 it reaches 1.9 times the sum
-    @settings(max_examples=60, deadline=None)
-    @given(mode=st.sampled_from(["double", "dd"]),
-           nu_re=st.floats(-6.0, 6.0), nu_im=st.floats(-2.0, 2.0) | st.just(-0.0),
-           scale=st.floats(1.25, 4.0), angle=st.floats(-math.pi / 2, math.pi / 2))
-    def test_one_loop_gives_both_sums_bit_for_bit(self, mode, nu_re, nu_im,
-                                                  scale, angle):
-        ctx = Precision.from_mode(mode).ctx
-        r = ctx.bessel_switch * scale
-        nu_c = ctx.make_complex(nu_re, nu_im)
-        x0 = ctx.make_complex(r * math.cos(angle), r * math.sin(angle))
-        got = bessel_module._asym_pair(nu_c, x0, ctx)
-        want = two_sign_asym_sums(nu_c, x0, ctx)
-        assert [exact_key(v) for v in got] == [exact_key(v) for v in want]
-
     def test_k_reads_the_decaying_half_of_the_pair(self, dd, monkeypatch):
         # K's base value comes from CF2; its winding's I and I itself read
-        # one pair
+        # one CF1, I from the Wronskian with K's pair
         calls = []
-        pair = bessel_module._sum_asym_pair
+        cf1 = bessel_module._i_cf1
 
         def counted(*args):
             calls.append(args)
-            return pair(*args)
+            return cf1(*args)
 
         point = rp(30.0, 2 * math.pi + 0.2)
         want = bessel_k(0.3, point, dd), bessel_i(0.3, point, dd)
-        monkeypatch.setattr(bessel_module, "_sum_asym_pair", counted)
+        monkeypatch.setattr(bessel_module, "_i_cf1", counted)
         with sharing_scope():
             got = bessel_k(0.3, point, dd), bessel_i(0.3, point, dd)
         assert len(calls) == 1
@@ -608,7 +566,8 @@ class TestAsymptoticPair:
 class TestBesselContinuation:
     @pytest.mark.parametrize("mode", ["double", "dd"])
     def test_integer_order_beyond_the_step_bound_is_refused(self, mode):
-        # K's upward recurrence would take n steps; I's log-gamma shift as many
+        # K's upward recurrence would take n steps, at -nu for I below
+        # order -1/2
         prec = Precision.from_mode(mode)
         for nu in (MAX_STEPS + 1, 3e9, 1e300):
             with pytest.raises(DomainError):
@@ -618,6 +577,18 @@ class TestBesselContinuation:
                 bessel_k(nu, rp(1.0), prec)
             with pytest.raises(DomainError):
                 bessel_i(nu, rp(1.0), prec)
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_argument_beyond_the_step_bound_is_refused(self, mode):
+        # I's walk from CF1's order, about |x|, down to nu would take more
+        # than MAX_STEPS steps; it is refused before the first
+        prec = Precision.from_mode(mode)
+        for nu, r in ((0.3, MAX_STEPS + 2.0), (2.0, 1e300)):
+            with pytest.raises(DomainError):
+                bessel_i(nu, rp(r), prec)
+            with pytest.raises(DomainError):
+                bessel_k(nu, rp(r, 2 * math.pi + 0.1), prec)
+        assert bessel_i(0.3, rp(MAX_STEPS - 2.0), prec).logmag > 0
 
     def test_i_rotation_rule(self, dd):
         # I_nu(x e^{i pi m}) = e^{i pi nu m} I_nu(x)
