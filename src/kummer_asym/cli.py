@@ -236,23 +236,22 @@ def verify_identities(nmax: int):
            (in_b(lowered.even), in_b(lowered.odd)) == (diag.even, diag.odd),
            f"n<={nmax}, exact")
 
-    d, dtilde = gamma_ratio_coefficients(9)
+    d, dtilde = gamma_ratio_coefficients(nmax + 1)
     yield ("odd-ratio-coefficients-vanish",
-           all(d[n].is_zero() for n in range(1, 10, 2)),
-           "odd n<=9, exact")
+           all(d[n].is_zero() for n in range(1, nmax + 2, 2)),
+           f"odd n<={nmax + 1}, exact")
 
     one_minus_b = ParamPoly("b", (1, -1))
     half = Fraction(1, 2)
-    slope_top = min(nmax, 6)
     slope_ok = all(
         table.odd[n].coefficient(1).compose(image) * one_minus_b
-        == d[n + 1] * half for n in range(slope_top + 1))
-    yield ("slope-bridge", slope_ok, f"n<={slope_top}, exact")
+        == d[n + 1] * half for n in range(nmax + 1))
+    yield ("slope-bridge", slope_ok, f"n<={nmax}, exact")
 
     origin_ok = all(
         lowered.even[n].coefficient(0).compose(image) == dtilde[n]
-        for n in range(min(nmax, 8) + 1))
-    yield ("origin-bridge", origin_ok, f"n<={min(nmax, 8)}, exact")
+        for n in range(nmax + 1))
+    yield ("origin-bridge", origin_ok, f"n<={nmax}, exact")
 
 
 def cmd_verify(args) -> int:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Sequence, Tuple
 
@@ -59,7 +58,7 @@ class ExpansionConfig:
     t: float
     u_theta: float = 0.0
     order: int = 3
-    prec: Precision = field(default_factory=Precision.dd)
+    prec: Precision = Precision("dd")
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -208,14 +207,12 @@ def _sides(cfg: ExpansionConfig, lowered: bool, even, odd) -> SideBySide:
 
 
 def gamma_ratio_check(b: complex, u: float, order: int,
-                      prec: Precision = None) -> SideBySide:
+                      prec: Precision = Precision("dd")) -> SideBySide:
     """Gamma-quotient asymptotics against the exact d_n coefficients.
 
     lhs = Gamma(1+a-b)/Gamma(a) * 2^(2-2b) * u^(2b-2) with a = u^2/4 + b/2;
     rhs = sum_{n<=order} d_n(b) * u^(-2n)  (odd entries vanish identically).
     """
-    if prec is None:
-        prec = Precision.dd()
     if not (u > 0 and math.isfinite(u)):
         raise DomainError("u must be positive real")
     if order < 0:
@@ -259,6 +256,15 @@ def sweep_group_key(cfg: ExpansionConfig):
             cfg.u_theta, cfg.order)
 
 
+def _slope(xs, ys) -> float:
+    """Least-squares slope of ys against xs, summed with fsum as Python 3.10
+    and 3.11's statistics.linear_regression sums (3.12's sumprod differs in
+    the last digits)."""
+    xm, ym = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    return (math.fsum((x - xm) * (y - ym) for x, y in zip(xs, ys))
+            / math.fsum((x - xm) * (x - xm) for x in xs))
+
+
 def decay_sweep(grid: Sequence[ExpansionConfig]) -> SweepResult:
     """Evaluate every config; fit log-log discrepancy decay per group.
 
@@ -296,10 +302,8 @@ def decay_sweep(grid: Sequence[ExpansionConfig]) -> SweepResult:
         ts = sorted({t for t, _ in points})
         if len(ts) < 2:
             continue
-        xs = [math.log(t) for t, _ in points]
-        ys = [math.log(d) for _, d in points]
-        fit = statistics.linear_regression(xs, ys)
-        slopes[key] = fit.slope
+        slopes[key] = _slope([math.log(t) for t, _ in points],
+                             [math.log(d) for _, d in points])
     return SweepResult(tuple(rows), slopes)
 
 
@@ -313,9 +317,8 @@ def product_grid(variant: str, prec: Precision, bs, z_rs, z_thetas, u_thetas,
             bs, z_rs, z_thetas, u_thetas, orders, ts))
 
 
-def acceptance_grid(variant: str, prec: Precision = None) -> Tuple[ExpansionConfig, ...]:
+def acceptance_grid(variant: str,
+                    prec: Precision = Precision("dd")) -> Tuple[ExpansionConfig, ...]:
     """The pinned default grid for one variant, in deterministic order."""
-    if prec is None:
-        prec = Precision.dd()
     return product_grid(variant, prec, GRID_B, GRID_Z_R, GRID_Z_THETA,
                         GRID_U_THETA, GRID_ORDER, GRID_T)

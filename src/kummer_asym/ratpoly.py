@@ -15,10 +15,11 @@ Three immutable layers, all with exact rational coefficients:
                carrying a declared parity ('even', 'odd', 'none') that is
                validated on construction, never inferred.
   TruncSeries  truncated power series in a named variable with CoeffPoly
-               coefficients; supports the product and the exp/log/inverse
-               recurrences needed for generating-function work.  There is
+               coefficients; supports the product and the exp/log
+               recurrences needed for generating-function work, and powers
+               of a series with constant term 1 as exp(p log).  There is
                no division by the variable: a quotient that would need one
-               is written as a product with an inverse.
+               is written as a product with a power -1.
 
 CoefficientTable holds one pair of CoeffPoly families (even, odd), the form
 in which both coefficient routes, olver and temme, hand over their results.
@@ -650,18 +651,6 @@ class TruncSeries:
             pairs += [(neg_deriv[k], self.coeffs[n - k]) for k in range(1, n)]
             out.append(coeff_sum_of_products(pairs, Fraction(1, n)))
             neg_deriv.append(out[n] * (-n))
-        return TruncSeries(self.var, self.order, out)
-
-    def inverse(self) -> "TruncSeries":
-        """Reciprocal series; constant term must be a nonzero rational constant."""
-        c0 = self.coeffs[0].coefficient(0)
-        if self.coeffs[0].z_degree() > 0 or c0.degree() != 0:
-            raise ExactDivisionError("inverse needs a nonzero constant leading term")
-        inv0 = 1 / c0.coefficient(0)
-        out = [CoeffPoly._coerce(inv0)]
-        for n in range(1, self.order + 1):
-            out.append(coeff_sum_of_products(
-                [(self.coeffs[k], out[n - k]) for k in range(1, n + 1)], -inv0))
         return TruncSeries(self.var, self.order, out)
 
     def pow_param(self, exponent) -> "TruncSeries":

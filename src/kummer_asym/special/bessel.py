@@ -44,7 +44,7 @@ from ..errors import DomainError, PrecisionExhaustedError
 from .gammafn import bernoulli_numbers, log_gamma_ctx
 from .types import (MAX_STEPS, LogComplex, NumericContext, Precision,
                     RiemannPoint, ScaledValue, base_point, exact_key,
-                    is_nonpositive_integer, shared, winding_ratio)
+                    shared, winding_ratio)
 
 _MAX_SERIES_TERMS = 3000
 # Temme's series up to this |x|, CF2 beyond it
@@ -101,7 +101,8 @@ def _temme_gammas(mu, ctx: NumericContext) -> tuple:
 def _k_temme(mu, x0, ctx: NumericContext) -> tuple:
     """(K_mu, K_mu+1)(x0) = (sum c_k f_k, (2/x0) sum c_k (p_k - k f_k)),
     c_k = (x0^2/4)^k / k!; K_mu+1's factor 2/x0 is kept in its shift, so
-    that no mantissa leaves the double range however small x0 is."""
+    that no mantissa leaves the double range however small x0 is.  Each
+    sum is guarded against the peak of its own terms."""
     log_2x = ctx.log(2 / x0)
     gamma1, gamma2 = _temme_gammas(mu, ctx)
     power = ctx.exp(mu * log_2x)  # (x0/2)^-mu
@@ -118,7 +119,7 @@ def _k_temme(mu, x0, ctx: NumericContext) -> tuple:
     f, mu_s, x_s = ctx.series_in(f), ctx.series_in(mu), ctx.series_in(x0)
     mu2, quarter_x2 = mu_s * mu_s, x_s * x_s / 4
     c = ctx.series_in(ctx.make_complex(1.0))
-    sums, peak = (f, p), max(ctx.mag(f), ctx.mag(p))
+    sums, peaks = (f, p), (ctx.mag(f), ctx.mag(p))
     for k in range(1, _MAX_SERIES_TERMS):
         f = -(k * f + p + q) / (mu2 - k * k)
         p, q = -p / (mu_s - k), q / (mu_s + k)
@@ -126,12 +127,16 @@ def _k_temme(mu, x0, ctx: NumericContext) -> tuple:
         terms = (c * f, c * (p - k * f))
         sums = tuple(s + t for s, t in zip(sums, terms))
         sizes = [ctx.mag(t) for t in terms]
-        peak = max(peak, *sizes)
+        # K_mu+1's term rounds like the larger of c_k p_k and k c_k f_k; at
+        # small |x0| and mu < 0 these are near (x0/2)^|mu| and K_mu's terms
+        # near (2/x0)^|mu|
+        peaks = (max(peaks[0], sizes[0]),
+                 max(peaks[1], ctx.mag(c) * ctx.mag(p), k * sizes[0]))
         if all(t <= ctx.series_tol * ctx.mag(s) for t, s in zip(sizes, sums)):
             break
     else:
         raise PrecisionExhaustedError("K series did not converge")
-    for s in sums:
+    for s, peak in zip(sums, peaks):
         ctx.check_headroom(peak, ctx.mag(s), "K series")
     k0, k1 = (ctx.series_out(s) for s in sums)
     return ScaledValue(k0, ctx.make_complex(0.0)), ScaledValue(k1, log_2x)
@@ -180,11 +185,12 @@ def _k_pair(mu, x0, ctx: NumericContext) -> tuple:
                   lambda: route(mu, x0, ctx))
 
 
-def _k_base(nu_c, nu: complex, x0, ctx: NumericContext) -> tuple:
+def _k_base(nu_c, x0, ctx: NumericContext) -> tuple:
     """(K_nu, K_nu+1) at Re nu >= -1/2."""
-    n = math.floor(nu.real + 0.5)
+    re_nu = ctx.to_float(ctx.re(nu_c))
+    n = math.floor(re_nu + 0.5)
     if n > MAX_STEPS:
-        raise DomainError(f"order {nu.real:.6g} needs more than {MAX_STEPS} "
+        raise DomainError(f"order {re_nu:.6g} needs more than {MAX_STEPS} "
                           f"recurrence steps")
     mu = nu_c - n
     k_prev, k_cur = _k_pair(mu, x0, ctx)
@@ -225,15 +231,14 @@ def _i_cf1(order, x0, ctx: NumericContext):
     return ctx.series_out(h)
 
 
-def _i_wronskian(nu_c, nu: complex, x0, k_nu, k_next,
-                 ctx: NumericContext) -> ScaledValue:
+def _i_wronskian(nu_c, x0, k_nu, k_next, ctx: NumericContext) -> ScaledValue:
     """I_nu(x0) = 1 / (x0 (K_nu+1 + r K_nu)) from the Wronskian
     I_nu K_nu+1 + I_nu+1 K_nu = 1/x0 (DLMF 10.28.2).  r = I_nu+1 / I_nu
     is CF1 at order nu + top - n, with top = max(n, ceil|x0|) and n the
     integer nearest Re nu, walked down by r_(k-1) = x0 / (2 (nu + k - n)
     + x0 r_k), stable because I is the minimal solution of the recurrence
     as the order grows."""
-    n = math.floor(nu.real + 0.5)
+    n = math.floor(ctx.to_float(ctx.re(nu_c)) + 0.5)
     top = max(n, math.ceil(ctx.mag(x0)))
     if top - n > MAX_STEPS:
         raise DomainError(f"I at |x| = {ctx.mag(x0):.6g} needs more than "
@@ -251,14 +256,14 @@ def _i_wronskian(nu_c, nu: complex, x0, k_nu, k_next,
     return ScaledValue(1 / total.mantissa, -total.shift - ctx.log(x0))
 
 
-def _i_base(nu_c, nu: complex, x0, ctx: NumericContext) -> ScaledValue:
+def _i_base(nu_c, x0, ctx: NumericContext) -> ScaledValue:
     """I_nu(x0) from the Wronskian; below Re nu = -1/2, that at -nu plus
-    (2/pi) sin(-pi nu) K_-nu."""
-    reflect = nu.real < -0.5
+    (2/pi) sin(-pi nu) K_-nu, which is 0 at a negative integer order."""
+    reflect = ctx.to_float(ctx.re(nu_c)) < -0.5
     if reflect:
-        nu_c, nu = -nu_c, -nu
-    k_nu, k_next = _k_base(nu_c, nu, x0, ctx)
-    i_nu = _i_wronskian(nu_c, nu, x0, k_nu, k_next, ctx)
+        nu_c = -nu_c
+    k_nu, k_next = _k_base(nu_c, x0, ctx)
+    i_nu = _i_wronskian(nu_c, x0, k_nu, k_next, ctx)
     if not reflect:
         return i_nu
     return i_nu.add(k_nu.mul_complex(2 / ctx.pi * ctx.sinpi(nu_c)), ctx,
@@ -268,13 +273,10 @@ def _i_base(nu_c, nu: complex, x0, ctx: NumericContext) -> ScaledValue:
 def bessel_i_scaled(nu: complex, point: RiemannPoint,
                     prec: Precision) -> ScaledValue:
     """I_nu at a surface point as a ScaledValue in prec's context."""
-    nu = complex(nu)
-    if nu.real < -0.5 and is_nonpositive_integer(nu):
-        raise DomainError(f"I undefined in this form at negative integer order {nu.real:g}")
     ctx = prec.ctx
     x0, _, m = base_point(point, 1, ctx)
     nu_c = ctx.coerce(nu)
-    base = _i_base(nu_c, nu, x0, ctx)
+    base = _i_base(nu_c, x0, ctx)
     if m == 0:
         return base
     winding = ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m
@@ -284,13 +286,12 @@ def bessel_i_scaled(nu: complex, point: RiemannPoint,
 def bessel_k_scaled(nu: complex, point: RiemannPoint,
                     prec: Precision) -> ScaledValue:
     """K_nu at a surface point as a ScaledValue in prec's context."""
-    nu = complex(nu)
-    if nu.real < 0:
-        nu = -nu
     ctx = prec.ctx
     x0, _, m = base_point(point, 1, ctx)
     nu_c = ctx.coerce(nu)
-    k_base, k_next = _k_base(nu_c, nu, x0, ctx)
+    if ctx.to_float(ctx.re(nu_c)) < 0:
+        nu_c = -nu_c
+    k_base, k_next = _k_base(nu_c, x0, ctx)
     if m == 0:
         return k_base
     unwind = ctx.exp(-ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m)
@@ -298,22 +299,18 @@ def bessel_k_scaled(nu: complex, point: RiemannPoint,
     ratio = winding_ratio(nu_c, m, ctx)
     if ratio == 0:
         return first
-    i_base = _i_wronskian(nu_c, nu, x0, k_base, k_next, ctx)
+    i_base = _i_wronskian(nu_c, x0, k_base, k_next, ctx)
     second = i_base.mul_complex(-ctx.make_complex(0.0, 1.0) * ctx.pi * ratio)
     return first.add(second, ctx, "K continuation")
 
 
 def bessel_i(nu: complex, point: RiemannPoint,
-             prec: Precision = None) -> LogComplex:
+             prec: Precision = Precision()) -> LogComplex:
     """Modified Bessel I_nu on the surface; see bessel_i_scaled."""
-    if prec is None:
-        prec = Precision.double()
     return bessel_i_scaled(nu, point, prec).to_logcomplex(prec.ctx)
 
 
 def bessel_k(nu: complex, point: RiemannPoint,
-             prec: Precision = None) -> LogComplex:
+             prec: Precision = Precision()) -> LogComplex:
     """Modified Bessel K_nu on the surface; see bessel_k_scaled."""
-    if prec is None:
-        prec = Precision.double()
     return bessel_k_scaled(nu, point, prec).to_logcomplex(prec.ctx)

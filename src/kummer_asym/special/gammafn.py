@@ -80,9 +80,7 @@ def _shifted_stirling(w, ctx: NumericContext):
     return _stirling_log_gamma(w + shift, ctx) - correction
 
 
-def log_gamma(w, prec: Precision = None) -> complex:
+def log_gamma(w, prec: Precision = Precision()) -> complex:
     """Principal-branch log(Gamma(w)) rounded to a native complex."""
-    if prec is None:
-        prec = Precision.double()
     ctx = prec.ctx
     return ctx.to_complex(log_gamma_ctx(ctx.coerce(w), ctx))

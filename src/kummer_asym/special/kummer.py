@@ -45,16 +45,14 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext) -> ScaledValue:
     the terms grow while |a x| / (|b + n| n) exceeds 1, that is up to about
     n = |a x| / |b| where |b| exceeds sqrt(|a x|), and up to sqrt(|a x|)
     otherwise.
-    When that is more than the cap and no term can vanish (a is no
-    nonpositive integer, x is not 0, and the arithmetic does not
-    underflow), it fails at once.
+    When that is more than the cap and a is no nonpositive integer (whose
+    series ends), it fails at once.
     """
     abs_ax = ctx.mag(a_c) * ctx.mag(x_c)
     root, abs_b = math.sqrt(abs_ax), ctx.mag(b_c)
     rise = 2.0 * (root if abs_b <= root else abs_ax / abs_b)
     need = rise + 10
-    if (need > _MAX_TERMS and not ctx.underflows and x_c != 0
-            and not is_nonpositive_integer(a_c)):
+    if need > _MAX_TERMS and not is_nonpositive_integer(a_c):
         raise PrecisionExhaustedError(
             f"M series needs at least {need:.4g} terms, more than its cap "
             f"of {_MAX_TERMS}")
@@ -92,10 +90,8 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext) -> ScaledValue:
 
 
 def kummer_m(a: complex, b: complex, x: complex,
-             prec: Precision = None) -> LogComplex:
+             prec: Precision = Precision()) -> LogComplex:
     """M(a,b,x) by series; b must stay off 0 and the negative integers."""
-    if prec is None:
-        prec = Precision.double()
     return kummer_m_scaled(a, b, x, prec).to_logcomplex(prec.ctx)
 
 
@@ -157,14 +153,13 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
                        integral.shift - log_gamma_ctx(a_c, ctx))
 
 
-def _u_base_connection(a_c, b_c, b: complex, x0, theta0,
-                       ctx: NumericContext) -> tuple:
+def _u_base_connection(a_c, b_c, x0, theta0, ctx: NumericContext) -> tuple:
     """Two-term M connection for base points left of the imaginary axis;
     returns U(a,b,x0) and the M(a,b,x0) it used.
 
     Fails for integer b, where the pair of M solutions degenerates.
     """
-    if b.imag == 0.0 and nearest_integer(b, 1e-9) is not None:
+    if complex(b_c).imag == 0.0 and nearest_integer(b_c, 1e-9) is not None:
         raise DomainError(
             "U base point left of the imaginary axis needs non-integer b")
     m1 = _m_series(a_c, b_c, x0, ctx)
@@ -197,7 +192,6 @@ def kummer_u_scaled(a: complex, b: complex, x: RiemannPoint,
     lets callers that derive a = u^2/4 + b/2 keep full working precision.
     """
     ctx = prec.ctx
-    b_key = complex(b)
     if not complex(a).real > 0:
         raise DomainError(f"U oracle requires Re a > 0, got {complex(a).real:g}")
     a_c, b_c = ctx.coerce(a), ctx.coerce(b)
@@ -206,7 +200,7 @@ def kummer_u_scaled(a: complex, b: complex, x: RiemannPoint,
     if abs(ctx.to_float(theta0)) <= _QUAD_ANGLE_LIMIT:
         base = _u_base_integral(a_c, b_c, x0, ctx)
     else:
-        base, m_base = _u_base_connection(a_c, b_c, b_key, x0, theta0, ctx)
+        base, m_base = _u_base_connection(a_c, b_c, x0, theta0, ctx)
     if m == 0:
         return base
     i_unit = ctx.make_complex(0.0, 1.0)
@@ -223,8 +217,6 @@ def kummer_u_scaled(a: complex, b: complex, x: RiemannPoint,
 
 
 def kummer_u(a: complex, b: complex, x: RiemannPoint,
-             prec: Precision = None) -> LogComplex:
+             prec: Precision = Precision()) -> LogComplex:
     """U(a,b,x) on the surface of the logarithm; see kummer_u_scaled."""
-    if prec is None:
-        prec = Precision.double()
     return kummer_u_scaled(a, b, x, prec).to_logcomplex(prec.ctx)

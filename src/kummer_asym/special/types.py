@@ -79,10 +79,8 @@ class NumericContext:
     at which a series stops; quadrature_tol the relative error the U
     integral aims for; stirling_profile the (threshold, terms) of
     log-gamma's Stirling series, whose tail at the threshold sits about two
-    digits below the mode's accuracy;
-    underflows whether a product of nonzero series numbers can round to 0,
-    so that a series' terms may vanish before its stopping rule is met.
-    guard_threshold is shared; see check_headroom.
+    digits below the mode's accuracy.  guard_threshold is shared; see
+    check_headroom.
     """
 
     name = "abstract"
@@ -90,7 +88,6 @@ class NumericContext:
     series_tol = 0.0
     quadrature_tol = 0.0
     stirling_profile = (0.0, 0)
-    underflows = True
     guard_threshold = 1e-6
     own_types = ()  # number types that coerce passes through unchanged
 
@@ -215,7 +212,6 @@ class _ExtendedMP(NumericContext):
     series_tol = 1e-36
     quadrature_tol = 1e-18
     stirling_profile = (35.0, 18)
-    underflows = False
 
     def __init__(self):
         import mpmath

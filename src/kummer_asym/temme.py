@@ -44,7 +44,7 @@ def mu_series(order: int) -> TruncSeries:
     """Maclaurin series of m(s) = 1/s - 1/(e^s - 1) - 1/2 (odd, no
     constant term), as F/E - 1/2; see the module docstring."""
     e_series, f_series = _exp_tail("s", order, 1), _exp_tail("s", order, 2)
-    return f_series * e_series.inverse() - Fraction(1, 2)
+    return f_series * e_series.pow_param(-1) - Fraction(1, 2)
 
 
 def temme_base_series(order: int = 2 * DEFAULT_N_MAX + 1) -> Tuple[CoeffPoly, ...]:
@@ -64,7 +64,7 @@ def temme_base_series(order: int = 2 * DEFAULT_N_MAX + 1) -> Tuple[CoeffPoly, ..
         else:
             vals.append(Fraction(0))
     sinh_ratio = TruncSeries.from_rationals("s", order, vals)
-    power_part = sinh_ratio.inverse().pow_param(ParamPoly.variable("b"))
+    power_part = sinh_ratio.pow_param(-ParamPoly.variable("b"))
 
     return (exp_part * power_part).coeffs
 
@@ -112,9 +112,10 @@ def generalized_bernoulli(n_max: int,
     Returns B_0..B_n_max; entries are polynomials in the parameter when
     ell or x is one.
     """
-    core = _exp_tail("t", n_max, 1).inverse()  # t/(e^t - 1)
+    # (t/(e^t - 1))^ell = ((e^t - 1)/t)^-ell
+    core = _exp_tail("t", n_max, 1).pow_param(-ell)
     linear = TruncSeries.from_rationals("t", n_max, (0, 1)) * x
-    series = core.pow_param(ell) * linear.exp()
+    series = core * linear.exp()
     return tuple(series.coeffs[n].coefficient(0) * factorial(n)
                  for n in range(n_max + 1))
 

@@ -64,9 +64,9 @@ def test_criterion_03_shift_identity(identities8):
 def test_criterion_04_gamma_ratio_bridges(identities8):
     ok = _passed(identities8,
                  ("odd-ratio-coefficients-vanish", "odd n<=9, exact"),
-                 ("slope-bridge", "n<=6, exact"),
+                 ("slope-bridge", "n<=8, exact"),
                  ("origin-bridge", "n<=8, exact"))
-    _report(4, ok, "odd d_n = 0 (n <= 9), slope bridge n <= 6, "
+    _report(4, ok, "odd d_n = 0 (n <= 9), slope bridge n <= 8, "
                    "origin bridge n <= 8, exact")
 
 

@@ -410,19 +410,21 @@ def test_huge_parameter_is_one_domain_error_line_in_time(mode, argv):
 def test_m_series_beyond_its_term_cap_fails_at_once():
     # a = t^2/4 + b/2 = 1.024e15 + 0.25 at x = 1: the terms grow until
     # n ~ 3e7, and 2 sqrt(|a x|) + 10 = 6.4e7 terms are needed, against a
-    # cap of 20,000; dd summed all 20,000 terms before it raised
+    # cap of 20,000; both modes once summed all 20,000 terms before they
+    # raised
     argv = ["eval", "--variant", "m", "--b", "0.5", "--z-r", "1",
             "--t", "6.4e7"]
-    proc = run_child(argv, timeout=20, KUMMER_ASYM_PRECISION="dd")
-    assert proc.returncode == 1
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith(
-        "error: PrecisionExhaustedError: M series needs at least 6.4e+07 "
-        "terms")
-    start = time.perf_counter()
-    with pytest.raises(PrecisionExhaustedError):
-        kummer_m_scaled(1.024e15 + 0.25, 0.5, 1.0, Precision.dd())
-    assert time.perf_counter() - start < 1.0
+    for mode in ("double", "dd"):
+        proc = run_child(argv, timeout=20, KUMMER_ASYM_PRECISION=mode)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(
+            "error: PrecisionExhaustedError: M series needs at least 6.4e+07 "
+            "terms")
+        start = time.perf_counter()
+        with pytest.raises(PrecisionExhaustedError):
+            kummer_m_scaled(1.024e15 + 0.25, 0.5, 1.0, Precision.from_mode(mode))
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("mode", ["double", "dd"])

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import inspect
 import math
 import random
 import re
@@ -235,11 +236,12 @@ class TestPrecision:
                     prec.ctx.coerce(w)
 
     def test_context_interface(self):
-        doc = NumericContext.__doc__
+        # Python 3.13 strips a docstring's indentation when it compiles it
+        doc = inspect.cleandoc(NumericContext.__doc__)
         listing = doc.split("types:\n\n")[1].split("\n\n")[0]
         names = []
         for line in listing.splitlines():
-            if re.match(r" {6}\w", line):
+            if re.match(r" {2}\w", line):
                 field = re.split(r"\s{2,}", line.strip())[0]
                 names += re.findall(r"(?:^|, )(\w+)(?=\(|,|$)", field)
         assert len(names) == 24 and "log1p_real" in names and "euler" in names
@@ -542,6 +544,20 @@ class TestBesselBase:
         got = bessel_k(nu, rp(x), Precision.from_mode(mode))
         assert got.ratio_deviation(want) <= 1e-14
 
+    @pytest.mark.parametrize("mode, x", [("double", 1e-20), ("dd", 1e-60)])
+    def test_temme_sums_each_weighed_by_their_own_terms(self, mode, x):
+        # K_0.7 reads Temme's pair at mu = -0.3, where K_mu's terms are
+        # near (2/x)^0.3 and K_mu+1's near (x/2)^0.3; one peak for both
+        # sums raised "K series cancellation" here, for I_0.7 as well
+        mp = mpmath.MPContext()
+        mp.dps = 60
+        prec = Precision.from_mode(mode)
+        for theta in (0.0, 0.3):
+            z = mp.mpf(x) * mp.expj(theta)
+            for f, ref in ((bessel_k, mp.besselk), (bessel_i, mp.besseli)):
+                want = as_log(complex(ref(0.7, z)))
+                assert f(0.7, rp(x, theta), prec).ratio_deviation(want) <= 1e-14
+
 
 class TestAsymptoticPair:
     def test_k_reads_the_decaying_half_of_the_pair(self, dd, monkeypatch):
@@ -637,9 +653,18 @@ class TestBesselContinuation:
         assert complex(got) == pytest.approx(
             math.sin(2.1 * math.pi) / math.sin(0.7 * math.pi), rel=1e-14)
 
-    def test_domain_errors(self, dd):
-        with pytest.raises(DomainError):
-            bessel_i(-2.0, rp(2.0), dd)
+    def test_negative_integer_order(self):
+        # I_-n = I_n: the reflection's K_n term carries sin(pi n) = 0
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        for mode in ("double", "dd"):
+            prec = Precision.from_mode(mode)
+            for n in (1, 2, 3, 7):
+                for r, theta in ((2.0, 0.3), (0.5, 0.0), (15.0, 1.2)):
+                    x = mp.mpf(r) * mp.expj(theta)
+                    want = as_log(complex(mp.besseli(n, x)))
+                    got = bessel_i(-float(n), rp(r, theta), prec)
+                    assert got.ratio_deviation(want) <= 5e-15, (mode, n, r)
 
     @pytest.mark.parametrize("mode", ["double", "dd"])
     def test_complex_order_next_to_an_integer(self, mode):
