@@ -92,7 +92,8 @@ class SideBySide:
             raise DomainError("discrepancy is NaN")
 
 
-def _finish(lhs: ScaledValue, rhs: ScaledValue, ctx: NumericContext) -> SideBySide:
+def _finish(lhs: ScaledValue, lhs_log: LogComplex, rhs: ScaledValue,
+            ctx: NumericContext) -> SideBySide:
     ratio = lhs.div(rhs, ctx)
     gap = ctx.to_float(ctx.re(ratio.shift)) + math.log(
         max(ctx.to_float(ctx.abs(ratio.mantissa)), 1e-300))
@@ -101,7 +102,7 @@ def _finish(lhs: ScaledValue, rhs: ScaledValue, ctx: NumericContext) -> SideBySi
     else:
         w = ratio.mantissa * ctx.exp(ratio.shift)
         disc = ctx.to_float(ctx.abs(w - 1))
-    return SideBySide(lhs.to_logcomplex(ctx), rhs.to_logcomplex(ctx), disc)
+    return SideBySide(lhs_log, rhs.to_logcomplex(ctx), disc)
 
 
 def _point_constants(cfg: ExpansionConfig, ctx: NumericContext) -> tuple:
@@ -134,11 +135,13 @@ def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
     special.types.shared) within the sharing scope this opens unless the
     caller, such as decay_sweep, has one open: the point's constants, the
     oracle per (M or U, b, z, t, arg u, precision), so u-capital and
-    u-lower read one U; the prefactored lhs per variant at that point; the
-    Bessel pair per kind at that point; and each coefficient value even[s],
-    odd[s] per (raw or lowered table, b, z, s, precision).  Below them the
-    kernels share log-gamma values, K pairs and I's continued fraction by
-    their exact inputs.  A shared value is the one computed for its key alone,
+    u-lower read one U; the prefactored lhs and its LogComplex per variant
+    at that point; the Bessel pair per kind at that point, from one call
+    that returns both orders b - 1 and b; and each coefficient value
+    even[s], odd[s] per (raw or lowered table, b, z, s, precision).  Below
+    them the kernels share log-gamma values, K's ladder and I's pair by
+    their exact inputs, so the m variant and K's winding read one CF1 and
+    one walk down.  A shared value is the one computed for its key alone,
     so results are identical with and without sharing.
     """
     table, low_even, low_odd = expansion_tables()
@@ -195,15 +198,17 @@ def _sides(cfg: ExpansionConfig, lowered: bool, even, odd) -> SideBySide:
 
     def bessel_pair():
         bessel = bessel_i_scaled if cfg.variant == "m" else bessel_k_scaled
-        uz_point = cfg.z.scaled(cfg.t, cfg.u_theta)
-        return bessel(b - 1, uz_point, prec), bessel(b, uz_point, prec)
+        return bessel(b - 1, cfg.z.scaled(cfg.t, cfg.u_theta), prec)
 
     low, high = shared(("I" if cfg.variant == "m" else "K",) + point,
                        bessel_pair)
     high_mantissa = high.mantissa if cfg.variant == "m" else -high.mantissa
     term1 = ScaledValue(low.mantissa * sum_even, low.shift + log_z)
     term2 = ScaledValue(high_mantissa * sum_odd, high.shift + log_z - log_u)
-    return _finish(lhs, term1.add(term2, ctx), ctx)
+    rhs = term1.add(term2, ctx)
+    lhs_log = shared(("lhs log", cfg.variant) + point,
+                     lambda: lhs.to_logcomplex(ctx))
+    return _finish(lhs, lhs_log, rhs, ctx)
 
 
 def gamma_ratio_check(b: complex, u: float, order: int,
@@ -232,7 +237,7 @@ def gamma_ratio_check(b: complex, u: float, order: int,
         total = total + power * d_coeffs[n].evaluate(b_c, ctx.rational)
         power = power * inv_u2
     rhs = ScaledValue(total, ctx.make_complex(0.0))
-    return _finish(lhs, rhs, ctx)
+    return _finish(lhs, lhs.to_logcomplex(ctx), rhs, ctx)
 
 
 @dataclass(frozen=True)
@@ -271,11 +276,12 @@ def decay_sweep(grid: Sequence[ExpansionConfig]) -> SweepResult:
     The whole sweep is one sharing scope (see evaluate_sides): kernels are
     computed once per (b, z, t, arg u) and shared across the orders N,
     u-capital and u-lower share U and the K pair, and each log-gamma value,
-    Bessel K pair and I continued fraction is computed once per exact
-    input.  Nothing
-    is shared across sweeps, and every row equals evaluate_sides(cfg) run
-    alone.  Failures are recorded per row and never abort the sweep.  Fits
-    need at least two distinct t values with finite nonzero discrepancy.
+    K ladder and I pair is computed once per exact input: one Bessel call
+    per point and kind, which costs one K pair, one CF1 and one walk down.
+    Nothing is shared across sweeps, and every row equals
+    evaluate_sides(cfg) run alone.  Failures are recorded per row and never
+    abort the sweep.  Fits need at least two distinct t values with finite
+    nonzero discrepancy.
     """
     grid = tuple(grid)
     if not grid:

@@ -1,37 +1,45 @@
 """Modified Bessel functions I and K on the Riemann surface of the logarithm.
 
-The angle is reduced to theta0 in (-pi/2, pi/2] plus half-turns m, and the
-winding is restored through the exact continuation rules
+bessel_i_scaled and bessel_k_scaled return the adjacent pair
+(Z_nu, Z_nu+1) at one surface point, the two orders that the large-a
+expansions read; bessel_i and bessel_k keep the first.  The angle is
+reduced to theta0 in (-pi/2, pi/2] plus half-turns m, and the winding is
+restored order by order through the exact continuation rules
 
     I_nu(x e^(i pi m)) = e^(i pi nu m) I_nu(x)
     K_nu(x e^(i pi m)) = e^(-i pi nu m) K_nu(x) - i pi R_m(nu) I_nu(x)
 
 with R_m = sin(pi nu m)/sin(pi nu) from types.winding_ratio; where it is
-exactly 0 (nu m an integer, nu not) I is not evaluated.
+exactly 0 at both orders (nu m an integer, nu not) I is not evaluated.
 
 One engine gives both on the base sheet, at every order and every |x|.
-K: nu = mu + n with n the integer nearest Re nu, (K_mu, K_mu+1) from
-Temme's series for |x| <= 2 (N. M. Temme, J. Comput. Phys. 19, 1975) or
-Steed's continued fraction CF2 beyond (Thompson & Barnett, Comput. Phys.
-Commun. 47, 1987), both as in Numerical Recipes' bessik, then the upward
-recurrence, stable for K, to (K_nu, K_nu+1).  The recurrence folds a
-mantissa past 1e100 into its shift, so K_n stays finite in double as long
-as its log does.  I: the Wronskian I_nu K_nu+1 + I_nu+1 K_nu = 1/x0
-(DLMF 10.28.2) with that pair, and r = I_nu+1 / I_nu from the continued
-fraction CF1, summed by Steed's method at an order at least |x0| above
-nu and walked down to nu by the recurrence, stable for r.  Below Re nu =
--1/2, I_nu = I_-nu + (2/pi) sin(-pi nu) K_-nu (DLMF 10.27.2), both read
-from the one pair at -nu: at those orders the Wronskian's two terms
-cancel as |x0| falls, and this sum does not.  The recurrence and the walk
+K: at Re nu >= -1/2, nu = mu + n with n = floor(Re nu + 1/2) >= 0,
+(K_mu, K_mu+1) from Temme's series for |x| <= 2 (N. M. Temme, J. Comput.
+Phys. 19, 1975) or Steed's continued fraction CF2 beyond (Thompson &
+Barnett, Comput. Phys. Commun. 47, 1987), both as in Numerical Recipes'
+bessik, then one climb of the upward recurrence, stable for K, to the
+ladder (K_nu, K_nu+1, K_nu+2).  The recurrence folds a mantissa past
+1e100 into its shift, so K_n stays finite in double as long as its log
+does.  Below Re nu = -1/2 the pair is the one at -nu - 1 swapped, as
+K_-nu = K_nu.  I: the Wronskian I_k K_k+1 + I_k+1 K_k = 1/x0 (DLMF
+10.28.2) at k = nu and nu + 1 with that ladder, and r_k = I_k+1 / I_k
+from the continued fraction CF1, summed by Steed's method at an order at
+least |x0| above nu and at least nu + 1, and walked down by the
+recurrence, stable for r, once: through nu + 1 to nu.  Below Re nu =
+-1/2, each such order k is I_-k + (2/pi) sin(-pi k) K_-k (DLMF 10.27.2),
+read from the pairs at -nu - 1: at those orders the Wronskian's two
+terms cancel as |x0| falls, and this sum does not.  The recurrence and the walk
 are each at most MAX_STEPS long.
 
-Within a sharing scope the K pair (K_(b-1) and K_b share one where b - 1/2
-is an integer) and I's CF1 (shared by I_(b-1), I_b and K's winding I) are
-computed once per input.  The loops run in the context's series
-arithmetic (NumericContext series_in / series_out): native complex numbers
-in double, block-floating Python integers in dd (see blockfloat).  Every
-state update of Temme's series, of CF2 and of CF1, and every step of the
-walk, ends in a quotient, so in dd it is rounded once a step.
+Within a sharing scope, which each kernel opens unless one is open, K's
+ladder (read by K's pair and by I's two Wronskians) and I's pair (read
+by I and by K's winding) are computed once per input, so a point of the
+expansions costs one K pair, one CF1 and one walk.  The loops run in the
+context's series arithmetic (NumericContext series_in / series_out):
+native complex numbers in double, block-floating Python integers in dd
+(see blockfloat).  Every state update of Temme's series, of CF2 and of
+CF1, and every step of the walk, ends in a quotient, so in dd it is
+rounded once a step.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from ..errors import DomainError, PrecisionExhaustedError
 from .gammafn import bernoulli_numbers, log_gamma_ctx
 from .types import (MAX_STEPS, LogComplex, NumericContext, Precision,
                     RiemannPoint, ScaledValue, base_point, exact_key,
-                    shared, winding_ratio)
+                    shared, sharing_scope, winding_ratio)
 
 _MAX_SERIES_TERMS = 3000
 # Temme's series up to this |x|, CF2 beyond it
@@ -178,23 +186,24 @@ def _k_cf2(mu, x0, ctx: NumericContext) -> tuple:
     return ScaledValue(k0, shift), ScaledValue(k0 * (base - h) / x0, shift)
 
 
-def _k_pair(mu, x0, ctx: NumericContext) -> tuple:
-    """(K_mu, K_mu+1)(x0) as two ScaledValues."""
-    route = _k_temme if ctx.mag(x0) <= _TEMME_RADIUS else _k_cf2
-    return shared(("K pair", ctx.name, exact_key(mu), exact_key(x0)),
-                  lambda: route(mu, x0, ctx))
-
-
-def _k_base(nu_c, x0, ctx: NumericContext) -> tuple:
-    """(K_nu, K_nu+1) at Re nu >= -1/2."""
+def _k_ladder(nu_c, x0, ctx: NumericContext) -> tuple:
+    """(K_nu, K_nu+1, K_nu+2)(x0) at Re nu >= -1/2, once per input within a
+    sharing scope: (K_mu, K_mu+1) at mu = nu - n, n = floor(Re nu + 1/2),
+    climbed n + 1 steps."""
     re_nu = ctx.to_float(ctx.re(nu_c))
     n = math.floor(re_nu + 0.5)
     if n > MAX_STEPS:
         raise DomainError(f"order {re_nu:.6g} needs more than {MAX_STEPS} "
                           f"recurrence steps")
-    mu = nu_c - n
-    k_prev, k_cur = _k_pair(mu, x0, ctx)
-    for j in range(1, n + 1):
+    return shared(("K ladder", ctx.name, exact_key(nu_c), exact_key(x0)),
+                  lambda: _k_climb(nu_c - n, n + 1, x0, ctx))
+
+
+def _k_climb(mu, steps, x0, ctx: NumericContext) -> tuple:
+    """The last three of K_mu, ..., K_mu+steps+1 (x0), steps >= 1."""
+    route = _k_temme if ctx.mag(x0) <= _TEMME_RADIUS else _k_cf2
+    k_prev, k_cur = route(mu, x0, ctx)
+    for j in range(1, steps + 1):
         # K_(mu+j+1) = K_(mu+j-1) + (2 (mu + j) / x0) K_(mu+j)
         factor = 2 * (mu + j) / x0
         if ctx.mag(k_cur.mantissa) * ctx.mag(factor) > _FOLD_ABOVE:
@@ -203,9 +212,9 @@ def _k_base(nu_c, x0, ctx: NumericContext) -> tuple:
             size = ctx.abs(k_cur.mantissa)
             k_cur = ScaledValue(k_cur.mantissa / size,
                                 k_cur.shift + ctx.log(size))
-        k_prev, k_cur = k_cur, k_prev.add(k_cur.mul_complex(factor), ctx,
-                                          "K recurrence")
-    return k_prev, k_cur
+        k_low, k_prev, k_cur = k_prev, k_cur, k_prev.add(
+            k_cur.mul_complex(factor), ctx, "K recurrence")
+    return k_low, k_prev, k_cur
 
 
 def _i_cf1(order, x0, ctx: NumericContext):
@@ -231,86 +240,123 @@ def _i_cf1(order, x0, ctx: NumericContext):
     return ctx.series_out(h)
 
 
-def _i_wronskian(nu_c, x0, k_nu, k_next, ctx: NumericContext) -> ScaledValue:
-    """I_nu(x0) = 1 / (x0 (K_nu+1 + r K_nu)) from the Wronskian
-    I_nu K_nu+1 + I_nu+1 K_nu = 1/x0 (DLMF 10.28.2).  r = I_nu+1 / I_nu
-    is CF1 at order nu + top - n, with top = max(n, ceil|x0|) and n the
-    integer nearest Re nu, walked down by r_(k-1) = x0 / (2 (nu + k - n)
-    + x0 r_k), stable because I is the minimal solution of the recurrence
-    as the order grows."""
+def _i_ratios(nu_c, x0, ctx: NumericContext) -> tuple:
+    """(r_nu, r_nu+1), r_k = I_k+1 / I_k (x0), at Re nu >= -1/2: CF1 at
+    order nu + top - n, with top = max(n + 1, ceil|x0|) and n the integer
+    nearest Re nu, walked down by r_(k-1) = x0 / (2 k + x0 r_k) through
+    nu + 1 to nu, stable because I is the minimal solution of the
+    recurrence as the order grows."""
     n = math.floor(ctx.to_float(ctx.re(nu_c)) + 0.5)
-    top = max(n, math.ceil(ctx.mag(x0)))
+    top = max(n + 1, math.ceil(ctx.mag(x0)))
     if top - n > MAX_STEPS:
         raise DomainError(f"I at |x| = {ctx.mag(x0):.6g} needs more than "
                           f"{MAX_STEPS} recurrence steps")
     order = nu_c + (top - n)
-    ratio = shared(("I CF1", ctx.name, exact_key(order), exact_key(x0)),
-                   lambda: _i_cf1(order, x0, ctx))
-    x_s, r = ctx.series_in(x0), ctx.series_in(ratio)
-    b = 2 * ctx.series_in(order)  # 2 (nu + k - n) at k = top
-    for _ in range(top - n):
+    x_s, r = ctx.series_in(x0), ctx.series_in(_i_cf1(order, x0, ctx))
+    b = 2 * ctx.series_in(order)  # 2 k at the order k where CF1 starts
+    for _ in range(top - n - 1):
         r = x_s / (b + x_s * r)
         b = b - 2
-    total = k_next.add(k_nu.mul_complex(ctx.series_out(r)), ctx,
-                       "I Wronskian")
-    return ScaledValue(1 / total.mantissa, -total.shift - ctx.log(x0))
+    r_next = r
+    r = x_s / (b + x_s * r)
+    return ctx.series_out(r), ctx.series_out(r_next)
 
 
-def _i_base(nu_c, x0, ctx: NumericContext) -> ScaledValue:
-    """I_nu(x0) from the Wronskian; below Re nu = -1/2, that at -nu plus
-    (2/pi) sin(-pi nu) K_-nu, which is 0 at a negative integer order."""
-    reflect = ctx.to_float(ctx.re(nu_c)) < -0.5
-    if reflect:
-        nu_c = -nu_c
-    k_nu, k_next = _k_base(nu_c, x0, ctx)
-    i_nu = _i_wronskian(nu_c, x0, k_nu, k_next, ctx)
-    if not reflect:
-        return i_nu
-    return i_nu.add(k_nu.mul_complex(2 / ctx.pi * ctx.sinpi(nu_c)), ctx,
-                    "I reflection")
+def _i_wronskian(nu_c, x0, ctx: NumericContext) -> tuple:
+    """(I_nu, I_nu+1)(x0) at Re nu >= -1/2: I_k = 1 / (x0 (K_k+1 + r_k K_k))
+    at k = nu and nu + 1, from the Wronskian I_k K_k+1 + I_k+1 K_k = 1/x0
+    (DLMF 10.28.2) with K's ladder and CF1's ratios."""
+    ladder = _k_ladder(nu_c, x0, ctx)
+    log_x = ctx.log(x0)
+    pair = []
+    for k_low, k_high, r in zip(ladder, ladder[1:],
+                                _i_ratios(nu_c, x0, ctx)):
+        total = k_high.add(k_low.mul_complex(r), ctx, "I Wronskian")
+        pair.append(ScaledValue(1 / total.mantissa, -total.shift - log_x))
+    return tuple(pair)
+
+
+def _i_base(nu_c, x0, ctx: NumericContext) -> tuple:
+    """(I_nu, I_nu+1)(x0): at Re nu >= -1/2 from the Wronskian, once per
+    input within a sharing scope.  Below, an order k with Re k < -1/2 is
+    I_-k + (2/pi) sin(-pi k) K_-k, whose second term is 0 at a negative
+    integer order, with I_-k and K_-k from the pairs at -nu - 1; an order
+    at or above -1/2 is the Wronskian's."""
+    if ctx.to_float(ctx.re(nu_c)) >= -0.5:
+        return shared(("I pair", ctx.name, exact_key(nu_c), exact_key(x0)),
+                      lambda: _i_wronskian(nu_c, x0, ctx))
+    # (I_-nu-1, I_-nu) and (K_-nu-1, K_-nu, K_-nu+1)
+    i_pair = _i_base(-nu_c - 1, x0, ctx)
+    ladder = _k_ladder(-nu_c - 1, x0, ctx)
+    pair = []
+    for j, k in ((1, nu_c), (0, nu_c + 1)):
+        if ctx.to_float(ctx.re(k)) >= -0.5:
+            pair.append(_i_base(k, x0, ctx)[0])
+        else:
+            pair.append(i_pair[j].add(
+                ladder[j].mul_complex(2 / ctx.pi * ctx.sinpi(-k)), ctx,
+                "I reflection"))
+    return tuple(pair)
+
+
+def _k_wind(nu_c, x0, m, pair, ctx: NumericContext) -> tuple:
+    """(K_nu, K_nu+1)(x0 e^(i pi m)) from their pair at x0, order by order;
+    I's pair is read only where some R_m is not 0."""
+    orders = (nu_c, nu_c + 1)
+    i_unit = ctx.make_complex(0.0, 1.0)
+    wound = [k_val.mul_complex(ctx.exp(-i_unit * ctx.pi * k * m))
+             for k, k_val in zip(orders, pair)]
+    ratios = [winding_ratio(k, m, ctx) for k in orders]
+    if all(ratio == 0 for ratio in ratios):
+        return tuple(wound)
+    return tuple(
+        first if ratio == 0 else first.add(
+            i_val.mul_complex(-i_unit * ctx.pi * ratio), ctx, "K continuation")
+        for first, ratio, i_val in zip(wound, ratios,
+                                       _i_base(nu_c, x0, ctx)))
 
 
 def bessel_i_scaled(nu: complex, point: RiemannPoint,
-                    prec: Precision) -> ScaledValue:
-    """I_nu at a surface point as a ScaledValue in prec's context."""
+                    prec: Precision) -> tuple:
+    """(I_nu, I_nu+1) at a surface point as ScaledValues in prec's
+    context."""
     ctx = prec.ctx
     x0, _, m = base_point(point, 1, ctx)
     nu_c = ctx.coerce(nu)
-    base = _i_base(nu_c, x0, ctx)
+    with sharing_scope():
+        pair = _i_base(nu_c, x0, ctx)
     if m == 0:
-        return base
-    winding = ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m
-    return ScaledValue(base.mantissa, base.shift + winding)
+        return pair
+    i_pi = ctx.make_complex(0.0, 1.0) * ctx.pi
+    return tuple(ScaledValue(value.mantissa, value.shift + i_pi * k * m)
+                 for k, value in zip((nu_c, nu_c + 1), pair))
 
 
 def bessel_k_scaled(nu: complex, point: RiemannPoint,
-                    prec: Precision) -> ScaledValue:
-    """K_nu at a surface point as a ScaledValue in prec's context."""
+                    prec: Precision) -> tuple:
+    """(K_nu, K_nu+1) at a surface point as ScaledValues in prec's
+    context.  Below Re nu = -1/2 this is the pair at -nu - 1 swapped, as
+    K_-nu = K_nu."""
     ctx = prec.ctx
     x0, _, m = base_point(point, 1, ctx)
     nu_c = ctx.coerce(nu)
-    if ctx.to_float(ctx.re(nu_c)) < 0:
-        nu_c = -nu_c
-    k_base, k_next = _k_base(nu_c, x0, ctx)
-    if m == 0:
-        return k_base
-    unwind = ctx.exp(-ctx.make_complex(0.0, 1.0) * ctx.pi * nu_c * m)
-    first = k_base.mul_complex(unwind)
-    ratio = winding_ratio(nu_c, m, ctx)
-    if ratio == 0:
-        return first
-    i_base = _i_wronskian(nu_c, x0, k_base, k_next, ctx)
-    second = i_base.mul_complex(-ctx.make_complex(0.0, 1.0) * ctx.pi * ratio)
-    return first.add(second, ctx, "K continuation")
+    swap = ctx.to_float(ctx.re(nu_c)) < -0.5
+    if swap:
+        nu_c = -nu_c - 1
+    with sharing_scope():
+        pair = _k_ladder(nu_c, x0, ctx)[:2]
+        if m != 0:
+            pair = _k_wind(nu_c, x0, m, pair, ctx)
+    return pair[::-1] if swap else pair
 
 
 def bessel_i(nu: complex, point: RiemannPoint,
              prec: Precision = Precision()) -> LogComplex:
     """Modified Bessel I_nu on the surface; see bessel_i_scaled."""
-    return bessel_i_scaled(nu, point, prec).to_logcomplex(prec.ctx)
+    return bessel_i_scaled(nu, point, prec)[0].to_logcomplex(prec.ctx)
 
 
 def bessel_k(nu: complex, point: RiemannPoint,
              prec: Precision = Precision()) -> LogComplex:
     """Modified Bessel K_nu on the surface; see bessel_k_scaled."""
-    return bessel_k_scaled(nu, point, prec).to_logcomplex(prec.ctx)
+    return bessel_k_scaled(nu, point, prec)[0].to_logcomplex(prec.ctx)

@@ -12,7 +12,7 @@ which stores log-magnitude and unrestricted phase as doubles.
 
 Within a sharing scope, shared() computes each keyed value once: a sweep
 opens one, so the kernels it runs read each other's log-gamma values,
-K pairs and I continued fractions instead of computing them again.
+K ladders and I pairs instead of computing them again.
 """
 
 from __future__ import annotations
@@ -335,11 +335,10 @@ class Precision:
 
     @classmethod
     def from_env(cls, default: str = "double") -> "Precision":
-        mode = os.environ.get(PRECISION_ENV_VAR, default)
-        if mode not in ("double", "dd"):
-            raise DomainError(
-                f"{PRECISION_ENV_VAR} must be 'double' or 'dd', got {mode!r}")
-        return cls(mode=mode)
+        try:
+            return cls(mode=os.environ.get(PRECISION_ENV_VAR, default))
+        except DomainError as exc:
+            raise DomainError(f"{PRECISION_ENV_VAR}: {exc}") from None
 
     @property
     def ctx(self) -> NumericContext:
@@ -597,7 +596,8 @@ class ScaledValue:
         return cls(ctx.make_complex(0.0), ctx.make_complex(0.0))
 
     def is_zero(self) -> bool:
-        return self.mantissa == 0
+        # an mpc compared with 0 first builds an mpc from the 0
+        return not self.mantissa
 
     def mul_complex(self, w) -> "ScaledValue":
         return ScaledValue(self.mantissa * w, self.shift)

@@ -177,6 +177,56 @@ def _value(scaled):
     return _MP.mpc(scaled.mantissa) * _MP.exp(_MP.mpc(scaled.shift))
 
 
+def _half_turns(theta):
+    """The m with theta - pi m in (-pi/2, pi/2], reduced at 50 digits."""
+    return int(_MP.ceil(_MP.mpf(theta) / _MP.pi - _MP.mpf(1) / 2))
+
+
+def _i_reference(nu, r, theta):
+    """I_nu(r e^(i theta)) at 50 digits, DLMF 10.34.1."""
+    m = _half_turns(theta)
+    x0 = _MP.mpf(r) * _MP.expj(_MP.mpf(theta) - _MP.pi * m)
+    return _MP.expjpi(nu * m) * _MP.besseli(nu, x0)
+
+
+def _k_reference(nu, r, theta):
+    """K_nu(r e^(i theta)) at 50 digits, DLMF 10.34.2."""
+    return _k_wound(nu, r, theta, _half_turns(theta))
+
+
+def _pair_errors(kernel, reference, nu, r, theta, prec):
+    """|Z / Z_ref - 1| of both halves of the pair (Z_nu, Z_nu+1) that
+    kernel returns at r e^(i theta)."""
+    pair = kernel(nu, RiemannPoint(r, theta), prec)
+    return [float(abs(_value(got) / reference(_MP.mpc(nu) + j, r, theta) - 1))
+            for j, got in enumerate(pair)]
+
+
+# pinned points of the pair tests: Re nu in [-1/2, 0), where K reads the
+# pair at nu itself; Re nu < -1/2, where I reflects each order and K swaps
+# the pair at -nu - 1; an integer order; |x| below nu + 1, where CF1 starts
+# at nu + 1; and wound points, with R_m = 0 at both orders (0.5 and 1.5 at
+# two half-turns) and with R_m != 0
+_PAIR_EXAMPLES = (
+    dict(nu_re=-0.3, nu_im=0.0, r=20.0, theta=0.0),
+    dict(nu_re=-0.5, nu_im=0.5, r=1.5, theta=0.7),
+    dict(nu_re=-1.3, nu_im=0.0, r=2.0, theta=0.4),
+    dict(nu_re=-2.7, nu_im=0.3, r=12.0, theta=-0.3),
+    dict(nu_re=2.0, nu_im=0.0, r=10.0, theta=0.0),
+    dict(nu_re=15.3, nu_im=0.0, r=0.3, theta=0.0),
+    dict(nu_re=0.5, nu_im=0.0, r=10.0, theta=2 * math.pi + 0.3),
+    dict(nu_re=0.7, nu_im=0.0, r=10.0, theta=2 * math.pi + 0.3),
+    dict(nu_re=-0.3, nu_im=0.0, r=5.0, theta=3 * math.pi - 0.2),
+    dict(nu_re=-1.3, nu_im=0.2, r=3.0, theta=-math.pi - 0.4),
+)
+
+
+def _pair_examples(test):
+    for point in _PAIR_EXAMPLES:
+        test = example(**point)(test)
+    return test
+
+
 def _m_peak(a, b, x):
     """The largest term modulus of the series of M(a,b,x), at 50 digits."""
     a, b, x = _MP.mpc(a), _MP.mpc(b), _MP.mpc(x)
@@ -194,7 +244,7 @@ def _i_errors(nu, radii, prec):
     errors = {}
     for r in radii:
         for theta in (0.0, 1.2, math.pi / 2):
-            got = _value(bessel_i_scaled(nu, RiemannPoint(r, theta), prec))
+            got = _value(bessel_i_scaled(nu, RiemannPoint(r, theta), prec)[0])
             ref = _MP.besseli(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
             errors[r, theta] = float(abs(got / ref - 1))
     return errors
@@ -225,25 +275,26 @@ class TestDDSeriesLoops:
     @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
            r=st.floats(0.05, 200.0), theta=st.floats(-1.5, 1.5))
     @example(nu_re=0.7, nu_im=0.0, r=30.0, theta=0.0)
+    @_pair_examples
     def test_i_matches_besseli(self, nu_re, nu_im, r, theta):
         # CF1 and the Wronskian at every r; the asymptotic sums I took from
         # r = 20 were 5.1e-27 off at I_0.7(30), and more below
-        nu = complex(nu_re, nu_im)
-        got = _value(bessel_i_scaled(nu, RiemannPoint(r, theta), Precision.dd()))
-        ref = _MP.besseli(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
-        assert abs(got / ref - 1) <= 1e-30
+        errors = _pair_errors(bessel_i_scaled, _i_reference,
+                              complex(nu_re, nu_im), r, theta, Precision.dd())
+        assert max(errors) <= 1e-30, errors
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
            r=st.floats(0.05, 200.0), theta=st.floats(-1.5, 1.5))
     @example(nu_re=0.7, nu_im=0.0, r=10.0, theta=0.0)
+    @_pair_examples
     def test_double_i_matches_besseli(self, nu_re, nu_im, r, theta):
         # the asymptotic sums I took from r = 9.5 were 1.2e-9 off at
         # I_0.7(10)
-        nu = complex(nu_re, nu_im)
-        got = bessel_i_scaled(nu, RiemannPoint(r, theta), Precision.double())
-        ref = _MP.besseli(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
-        assert abs(_value(got) / ref - 1) <= 1e-13
+        errors = _pair_errors(bessel_i_scaled, _i_reference,
+                              complex(nu_re, nu_im), r, theta,
+                              Precision.double())
+        assert max(errors) <= 1e-13, errors
 
     @pytest.mark.parametrize("nu", [
         0.0, 0.3, 0.7, 1.1, 0.9, 1 + 1e-8, 1 - 1e-8, 1 + 1e-15, 1 - 1e-15,
@@ -267,15 +318,15 @@ class TestDDSeriesLoops:
     @example(nu_re=15.3, nu_im=0.0, r=20.0, theta=0.0)
     @example(nu_re=15.3, nu_im=0.0, r=30.0, theta=0.0)
     @example(nu_re=0.1, nu_im=5.0, r=10.0, theta=0.3)
+    @_pair_examples
     def test_k_matches_besselk(self, nu_re, nu_im, r, theta):
-        # Temme's series or CF2 at every order and every r.  The examples
-        # sit where the asymptotic sum stops above the mode's accuracy: at
-        # its floor e^(-2r) for r up to about 38, or, at orders with |nu|^2
-        # comparable to r, far above it
-        nu = complex(nu_re, nu_im)
-        got = _value(bessel_k_scaled(nu, RiemannPoint(r, theta), Precision.dd()))
-        ref = _MP.besselk(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
-        assert abs(got / ref - 1) <= 1e-28
+        # Temme's series or CF2 at every order and every r.  The first
+        # examples sit where the asymptotic sum stops above the mode's
+        # accuracy: at its floor e^(-2r) for r up to about 38, or, at
+        # orders with |nu|^2 comparable to r, far above it
+        errors = _pair_errors(bessel_k_scaled, _k_reference,
+                              complex(nu_re, nu_im), r, theta, Precision.dd())
+        assert max(errors) <= 1e-28, errors
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
@@ -286,13 +337,14 @@ class TestDDSeriesLoops:
     @example(nu_re=15.3, nu_im=0.0, r=20.0, theta=0.0)
     @example(nu_re=15.3, nu_im=0.0, r=30.0, theta=0.0)
     @example(nu_re=0.1, nu_im=5.0, r=10.0, theta=0.3)
+    @_pair_examples
     def test_double_k_matches_besselk(self, nu_re, nu_im, r, theta):
         # the examples as in test_k_matches_besselk; the floor e^(-2r)
         # meets double's eps near r = 18.5
-        nu = complex(nu_re, nu_im)
-        got = bessel_k_scaled(nu, RiemannPoint(r, theta), Precision.double())
-        ref = _MP.besselk(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
-        assert abs(_value(got) / ref - 1) <= 1e-13
+        errors = _pair_errors(bessel_k_scaled, _k_reference,
+                              complex(nu_re, nu_im), r, theta,
+                              Precision.double())
+        assert max(errors) <= 1e-13, errors
 
     @pytest.mark.parametrize("nu", [-1.3, -2.7, -5.2, complex(-2.3, -1.9)])
     @pytest.mark.parametrize("mode, bound", [("double", 1e-13), ("dd", 1e-28)])
@@ -315,7 +367,7 @@ class TestDDSeriesLoops:
         # -2.11e10 for 5.6e7); the last two they gave 1.9e-10 and 3.0e-10
         # off, with no error
         prec = Precision.from_mode(mode)
-        got = _value(bessel_i_scaled(nu, RiemannPoint(r, theta), prec))
+        got = _value(bessel_i_scaled(nu, RiemannPoint(r, theta), prec)[0])
         ref = _MP.besseli(_MP.mpc(nu), _MP.mpf(r) * _MP.expj(_MP.mpf(theta)))
         assert abs(got / ref - 1) <= (1e-13 if mode == "double" else 1e-28)
 
@@ -358,7 +410,7 @@ class TestDDSeriesLoops:
     def test_i_order_just_off_a_negative_integer(self, im):
         prec = Precision.dd()
         nu = prec.ctx.make_complex(-3, im)
-        got = _value(bessel_i_scaled(nu, RiemannPoint(1.0, 0.0), prec))
+        got = _value(bessel_i_scaled(nu, RiemannPoint(1.0, 0.0), prec)[0])
         exact = _MP.clone()
         exact.dps = 80
         ref = exact.besseli(exact.mpc(nu), 1)
@@ -450,16 +502,16 @@ _TURNS = (-3, -2, -1, 1, 2, 3)
 def _winding_ratio(nu, m):
     """R_m(nu) = sin(pi nu m) / sin(pi nu) at 50 digits, with its limit
     m (-1)^(n (m-1)) at an integer nu = n."""
-    nu = _MP.mpf(nu)
+    nu = _MP.mpmathify(nu)
     if _MP.sinpi(nu) == 0:
-        return m if int(nu) * (m - 1) % 2 == 0 else -m
+        return m if int(_MP.re(nu)) * (m - 1) % 2 == 0 else -m
     return _MP.sinpi(nu * m) / _MP.sinpi(nu)
 
 
 @functools.lru_cache(maxsize=None)
 def _k_wound(nu, r, theta, m):
     """K_nu(r e^(i theta)) from the base angle theta - pi m, DLMF 10.34.2."""
-    nu = _MP.mpf(nu)
+    nu = _MP.mpmathify(nu)
     x0 = _MP.mpf(r) * _MP.expj(_MP.mpf(theta) - _MP.pi * m)
     return (_MP.expjpi(-nu * m) * _MP.besselk(nu, x0)
             - 1j * _MP.pi * _winding_ratio(nu, m) * _MP.besseli(nu, x0))
@@ -514,7 +566,7 @@ class TestContinuation:
                   if r < 40.0 or nu != round(nu)]
 
         def kernel(nu, r, theta, m, prec):
-            return bessel_k_scaled(nu, RiemannPoint(r, theta), prec)
+            return bessel_k_scaled(nu, RiemannPoint(r, theta), prec)[0]
 
         wrong, raised = _misses(points, kernel, _k_wound, mode)
         assert not wrong

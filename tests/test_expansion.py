@@ -214,7 +214,7 @@ def scope_is_open():
 
 class TestKernelSharing:
     """decay_sweep computes each kernel once per (b, z, t, arg u), and each
-    log-gamma value, I series and asymptotic sum once per exact input, and
+    log-gamma value, K pair, CF1 and walk down once per exact input, and
     shares them across N and variants without changing any result."""
 
     @pytest.mark.parametrize("mode", ["double", "dd"])
@@ -253,6 +253,7 @@ class TestKernelSharing:
 
         count(gammafn, "_shifted_stirling")
         count(bessel, "_i_cf1")
+        count(bessel, "_i_ratios")
         count(bessel, "_k_cf2")
         # in dd K takes CF2 at every |u z|, where K_(1/2) and K_(3/2) read
         # one pair at mu = -1/2, and I_(1/2) and I_(3/2) one CF1 at order
@@ -262,9 +263,22 @@ class TestKernelSharing:
                 for n in (1, 2, 3)]
         result = decay_sweep(cell)
         assert all(row.status == "ok" for row in result.rows)
-        assert set(inputs) == {"_shifted_stirling", "_i_cf1", "_k_cf2"}
+        assert set(inputs) == {"_shifted_stirling", "_i_cf1", "_i_ratios",
+                               "_k_cf2"}
         for name, seen in inputs.items():
             assert len(seen) == len(set(seen)), name
+
+        # at b = 0.7, K_-0.3 and K_0.7 read one CF2 pair at mu = -0.3; two
+        # half-turns leave R_2 != 0 at both orders, so K's winding reads I's
+        # pair, which the m variant reads too: one CF1 and one walk down
+        inputs.clear()
+        cell = [cfg(variant, b=0.7, z=(1.0, 2 * math.pi), t=t, order=n)
+                for variant in VARIANTS for t in (10.0, 20.0, 40.0)
+                for n in (1, 2, 3)]
+        result = decay_sweep(cell)
+        assert all(row.status == "ok" for row in result.rows)
+        for name in ("_k_cf2", "_i_cf1", "_i_ratios"):
+            assert len(inputs[name]) == 3, name
 
     def test_no_scope_outlives_a_call(self):
         double = Precision.double()
@@ -293,8 +307,9 @@ class TestKernelSharing:
                 for t in (10.0, 20.0, 40.0) for n in (1, 2, 3)]
         result = decay_sweep(cell)
         assert all(row.status == "ok" for row in result.rows)
+        # each Bessel call gives the pair at orders b - 1 and b
         assert calls == {"kummer_u_scaled": 3, "kummer_m_scaled": 3,
-                         "bessel_k_scaled": 6, "bessel_i_scaled": 6}
+                         "bessel_k_scaled": 3, "bessel_i_scaled": 3}
 
         # a failed oracle is kept: once per t, not once per N
         calls.clear()
@@ -303,7 +318,7 @@ class TestKernelSharing:
         result = decay_sweep(failing)
         assert [row.status for row in result.rows] == (
             ["ok"] * 3 + ["error:PrecisionExhaustedError"] * 6)
-        assert calls == {"kummer_m_scaled": 3, "bessel_i_scaled": 2}
+        assert calls == {"kummer_m_scaled": 3, "bessel_i_scaled": 1}
 
     def test_kept_failures_leave_no_garbage(self):
         # the memo dies with the sweep: no reference cycle waits for the

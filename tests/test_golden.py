@@ -10,7 +10,8 @@ lowered families, JSON and text, and the b renaming), `temme`, `bernoulli`
 and `verify`, whose output involves no floating point; `coeffs`, `temme`
 and `verify` also at order 0, where no entry mentions the parameter, and at
 order 20 (`verify` by its file, the 440 KB JSON of `coeffs` and `temme` by
-the SHA-256 of stdout).  The oracle
+the SHA-256 of stdout).  The dd acceptance sweeps of all three variants
+are pinned by the SHA-256 of stdout as well.  The oracle
 cases reach each kernel route directly, in both modes: I by CF1 and the
 Wronskian with K's pair, at |x| = 2 and 25 (and on a wound sheet); K by
 Temme's series, by CF2 and the upward recurrence (at |x| = 3 and 25), and
@@ -104,14 +105,24 @@ for _route, _argv in _ORACLE.items():
 
 DIGESTS = {
     "coeffs-raw-20-json": (
-        ["coeffs", "--order", "20", "--variant", "AB"],
+        "double", ["coeffs", "--order", "20", "--variant", "AB"],
         "931fad9c3cada0d8ea73c0b7214ca9d367e339d697bc37b9ded83a62c3302036"),
     "coeffs-lowered-20-json": (
-        ["coeffs", "--order", "20", "--variant", "ab"],
+        "double", ["coeffs", "--order", "20", "--variant", "ab"],
         "4177f365ee70a9539ba998be447daa7a5ac1920f4c2bd2f6aba1d33a46494ff9"),
     "temme-20-json": (
-        ["temme", "--nmax", "20"],
+        "double", ["temme", "--nmax", "20"],
         "3e4fed4f2687a9433f97dd5a10d13e54f3345ac47e991da54af10a76b28e4d18"),
+    # the dd acceptance sweeps read no libm, so they are pinned everywhere
+    "sweep-acceptance-m-dd": (
+        "dd", ["sweep", "--preset", "acceptance", "--variant", "m"],
+        "df581ab01f0f729b09a77df79e12548f478c8483bce775584ecea2f1fbce681f"),
+    "sweep-acceptance-u-capital-dd": (
+        "dd", ["sweep", "--preset", "acceptance", "--variant", "u-capital"],
+        "c8484a18c4109e8b0eb57cc1ad95b9e694d3c45e84fe5a077970e52479a0f8e1"),
+    "sweep-acceptance-u-lower-dd": (
+        "dd", ["sweep", "--preset", "acceptance", "--variant", "u-lower"],
+        "3b864f70e8c0692879b8260fdae1643df0568a25f87bc305ca818877b7095377"),
 }
 
 
@@ -133,9 +144,11 @@ def test_golden(name):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_golden_digest(name):
-    argv, want = DIGESTS[name]
+    mode, argv, want = DIGESTS[name]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with mock.patch.dict(os.environ, {PRECISION_ENV_VAR: mode}), \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
         assert main(list(argv)) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want
 

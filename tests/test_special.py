@@ -210,7 +210,7 @@ class TestPrecision:
         monkeypatch.setenv(PRECISION_ENV_VAR, "dd")
         assert Precision.from_env().mode == "dd"
         monkeypatch.setenv(PRECISION_ENV_VAR, "quad")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=PRECISION_ENV_VAR):
             Precision.from_env()
 
     def test_from_mode(self):
