@@ -95,8 +95,8 @@ class SideBySide:
 def _finish(lhs: ScaledValue, lhs_log: LogComplex, rhs: ScaledValue,
             ctx: NumericContext) -> SideBySide:
     ratio = lhs.div(rhs, ctx)
-    gap = ctx.to_float(ctx.re(ratio.shift)) + math.log(
-        max(ctx.to_float(ctx.abs(ratio.mantissa)), 1e-300))
+    gap = ctx.to_float(ratio.shift) + math.log(
+        max(ctx.mag(ratio.mantissa), 1e-300))
     if gap > 690.0:
         disc = math.inf
     else:
@@ -179,10 +179,11 @@ def _sides(cfg: ExpansionConfig, lowered: bool, even, odd) -> SideBySide:
             else:
                 head = (log_gamma_ctx(a_c, ctx)
                         + ((b_c - 2) * log2 + (1 - b_c) * log_u))
-        return ScaledValue(oracle.mantissa,
-                           oracle.shift + (head - x_red / 2 + b_c * log_z))
+        lhs = ScaledValue(oracle.mantissa,
+                          oracle.shift + (head - x_red / 2 + b_c * log_z))
+        return lhs, lhs.to_logcomplex(ctx)
 
-    lhs = shared((cfg.variant,) + point, prefactored_oracle)
+    lhs, lhs_log = shared((cfg.variant,) + point, prefactored_oracle)
 
     power = ctx.make_complex(1.0)
     sum_even = ctx.make_complex(0.0)
@@ -205,10 +206,7 @@ def _sides(cfg: ExpansionConfig, lowered: bool, even, odd) -> SideBySide:
     high_mantissa = high.mantissa if cfg.variant == "m" else -high.mantissa
     term1 = ScaledValue(low.mantissa * sum_even, low.shift + log_z)
     term2 = ScaledValue(high_mantissa * sum_odd, high.shift + log_z - log_u)
-    rhs = term1.add(term2, ctx)
-    lhs_log = shared(("lhs log", cfg.variant) + point,
-                     lambda: lhs.to_logcomplex(ctx))
-    return _finish(lhs, lhs_log, rhs, ctx)
+    return _finish(lhs, lhs_log, term1.add(term2, ctx), ctx)
 
 
 def gamma_ratio_check(b: complex, u: float, order: int,

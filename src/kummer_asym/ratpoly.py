@@ -8,9 +8,11 @@ Three immutable layers, all with exact rational coefficients:
                canonical form, so arithmetic is integer loops with one gcd
                pass per sum of products (`coeff_sum_of_products`, the
                kernel of every CoeffPoly and series product and recurrence,
-               reduces each z-degree once).  `coeffs` builds the same values
-               as a tuple of fractions.Fraction on each access; nothing is
-               cached.
+               reduces each z-degree once).  A scalar factor p/q (int or
+               Fraction) is that reduction's scale: it multiplies the
+               numerators by p and the denominator by q, and never becomes
+               a ParamPoly.  `coeffs` builds the same values as a tuple of
+               fractions.Fraction on each access; nothing is cached.
   CoeffPoly    polynomial in z whose coefficients are ParamPoly values,
                carrying a declared parity ('even', 'odd', 'none') that is
                validated on construction, never inferred.
@@ -208,17 +210,17 @@ class ParamPoly:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other) -> "ParamPoly":
-        if not isinstance(other, (ParamPoly, int, Fraction)):
+        """A product of polynomials, or of a polynomial and a scalar p/q
+        as _reduce's scale: no scalar becomes a ParamPoly."""
+        if isinstance(other, ParamPoly):
+            return _reduce(merge_param(self.param, other.param),
+                           [(self.numerators, other.numerators,
+                             self.denominator * other.denominator)], 1, 1)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
-        param = merge_param(self.param, other.param)
-        a, b = self.numerators, other.numerators
-        if not a or not b:
-            return _ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        _mac(out, a, b)
-        den = self.denominator * other.denominator
-        return _canonical(param, out, den, den)
+        p, q = other.as_integer_ratio()
+        return _reduce(self.param, [(self.numerators, (1,), self.denominator)],
+                       p, q)
 
     __rmul__ = __mul__
 

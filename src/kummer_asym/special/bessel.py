@@ -63,15 +63,17 @@ _RGAMMA_TERMS = 50
 # the K recurrence folds a mantissa into the shift before a step takes it
 # above this size
 _FOLD_ABOVE = 1e100
+# Euler's constant to 50 digits
+_EULER = Fraction(57721566490153286060651209008240243104215933593992, 10 ** 50)
 
 
 @lru_cache(maxsize=None)
 def _rgamma_taylor(ctx: NumericContext) -> tuple:
     """Taylor coefficients a_k of 1/Gamma(1 + z) in ctx, by DLMF 5.7.2,
     k a_k = gamma a_(k-1) - zeta(2) a_(k-2) + zeta(3) a_(k-3) - ..., each
-    with an absolute rounding error of a few eps.  zeta(s) is an exact
-    Fraction within 1e-38: the terms below 20, then the Euler-Maclaurin
-    tail from 20 with 20 Bernoulli terms (DLMF 2.10.1)."""
+    with an absolute rounding error of a few eps.  gamma is _EULER, and
+    zeta(s) an exact Fraction within 1e-38: the terms below 20, then the
+    Euler-Maclaurin tail from 20 with 20 Bernoulli terms (DLMF 2.10.1)."""
     n, bern = 20, bernoulli_numbers(41)
 
     def zeta(s):
@@ -81,8 +83,8 @@ def _rgamma_taylor(ctx: NumericContext) -> tuple:
         return (sum(Fraction(1, k ** s) for k in range(1, n)) + tail
                 + Fraction(2 * n + s - 1, 2 * (s - 1) * n ** s))
 
-    weights = [ctx.euler] + [ctx.rational((-1) ** (j + 1) * zeta(j))
-                             for j in range(2, _RGAMMA_TERMS)]
+    weights = [ctx.rational(_EULER)] + [
+        ctx.rational((-1) ** (j + 1) * zeta(j)) for j in range(2, _RGAMMA_TERMS)]
     coeffs = [ctx.real(1)]
     for k in range(1, _RGAMMA_TERMS):
         coeffs.append(sum((weights[j] * coeffs[k - 1 - j] for j in range(k)),
@@ -190,7 +192,7 @@ def _k_ladder(nu_c, x0, ctx: NumericContext) -> tuple:
     """(K_nu, K_nu+1, K_nu+2)(x0) at Re nu >= -1/2, once per input within a
     sharing scope: (K_mu, K_mu+1) at mu = nu - n, n = floor(Re nu + 1/2),
     climbed n + 1 steps."""
-    re_nu = ctx.to_float(ctx.re(nu_c))
+    re_nu = ctx.to_float(nu_c)
     n = math.floor(re_nu + 0.5)
     if n > MAX_STEPS:
         raise DomainError(f"order {re_nu:.6g} needs more than {MAX_STEPS} "
@@ -246,7 +248,7 @@ def _i_ratios(nu_c, x0, ctx: NumericContext) -> tuple:
     nearest Re nu, walked down by r_(k-1) = x0 / (2 k + x0 r_k) through
     nu + 1 to nu, stable because I is the minimal solution of the
     recurrence as the order grows."""
-    n = math.floor(ctx.to_float(ctx.re(nu_c)) + 0.5)
+    n = math.floor(ctx.to_float(nu_c) + 0.5)
     top = max(n + 1, math.ceil(ctx.mag(x0)))
     if top - n > MAX_STEPS:
         raise DomainError(f"I at |x| = {ctx.mag(x0):.6g} needs more than "
@@ -282,7 +284,7 @@ def _i_base(nu_c, x0, ctx: NumericContext) -> tuple:
     I_-k + (2/pi) sin(-pi k) K_-k, whose second term is 0 at a negative
     integer order, with I_-k and K_-k from the pairs at -nu - 1; an order
     at or above -1/2 is the Wronskian's."""
-    if ctx.to_float(ctx.re(nu_c)) >= -0.5:
+    if ctx.to_float(nu_c) >= -0.5:
         return shared(("I pair", ctx.name, exact_key(nu_c), exact_key(x0)),
                       lambda: _i_wronskian(nu_c, x0, ctx))
     # (I_-nu-1, I_-nu) and (K_-nu-1, K_-nu, K_-nu+1)
@@ -290,7 +292,7 @@ def _i_base(nu_c, x0, ctx: NumericContext) -> tuple:
     ladder = _k_ladder(-nu_c - 1, x0, ctx)
     pair = []
     for j, k in ((1, nu_c), (0, nu_c + 1)):
-        if ctx.to_float(ctx.re(k)) >= -0.5:
+        if ctx.to_float(k) >= -0.5:
             pair.append(_i_base(k, x0, ctx)[0])
         else:
             pair.append(i_pair[j].add(
@@ -340,7 +342,7 @@ def bessel_k_scaled(nu: complex, point: RiemannPoint,
     ctx = prec.ctx
     x0, _, m = base_point(point, 1, ctx)
     nu_c = ctx.coerce(nu)
-    swap = ctx.to_float(ctx.re(nu_c)) < -0.5
+    swap = ctx.to_float(nu_c) < -0.5
     if swap:
         nu_c = -nu_c - 1
     with sharing_scope():

@@ -64,7 +64,7 @@ def log_gamma_ctx(w, ctx: NumericContext):
 
 
 def _shifted_stirling(w, ctx: NumericContext):
-    re = ctx.to_float(ctx.re(w))
+    re = ctx.to_float(w)
     if is_nonpositive_integer(w):
         raise PoleError(f"log_gamma pole at {re:.17g}")
     if re < -MAX_STEPS:

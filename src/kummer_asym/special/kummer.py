@@ -2,8 +2,8 @@
 
 M(a,b,x) is entire in x, so it takes a plain complex argument.  U lives on
 the Riemann surface: the angle is reduced by m whole turns to a base angle
-in (-pi, pi], the base value comes from the real-axis integral (or, left of
-the imaginary axis, from the two-term connection to M), and the turns are
+in (-pi, pi], the base value comes from the real-axis integral (or, beyond
+|arg x| = 0.45 pi, from the two-term connection to M), and the turns are
 restored by DLMF 13.2.12, U(x e^(2 pi i m)) = e^(-2 pi i b m) U(x) +
 2 pi i e^(-i pi b m) R_m(b) M(x) / (Gamma(b) Gamma(1+a-b)), with R_m from
 types.winding_ratio.  Where R_m is exactly 0 (b m an integer, b not), M is
@@ -154,14 +154,14 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
 
 
 def _u_base_connection(a_c, b_c, x0, theta0, ctx: NumericContext) -> tuple:
-    """Two-term M connection for base points left of the imaginary axis;
+    """Two-term M connection for base points beyond |arg x0| = 0.45 pi;
     returns U(a,b,x0) and the M(a,b,x0) it used.
 
     Fails for integer b, where the pair of M solutions degenerates.
     """
     if complex(b_c).imag == 0.0 and nearest_integer(b_c, 1e-9) is not None:
         raise DomainError(
-            "U base point left of the imaginary axis needs non-integer b")
+            "U base point beyond |arg x| = 0.45 pi needs non-integer b")
     m1 = _m_series(a_c, b_c, x0, ctx)
     g1 = log_gamma_ctx(1 - b_c, ctx) - log_gamma_ctx(a_c - b_c + 1, ctx)
     first = ScaledValue(m1.mantissa, m1.shift + g1)

@@ -103,7 +103,7 @@ def peak_integral(logf, w_start, ctx: NumericContext,
     tol = ctx.quadrature_tol
     native = ctx is NATIVE
     twin = logf if plan_logf is None else plan_logf
-    re = lambda w: NATIVE.to_float(NATIVE.re(twin(w)))
+    re = lambda w: NATIVE.to_float(twin(w))
     w_peak = _locate_peak(re, NATIVE.to_float(w_start))
     peak_re = re(w_peak)
     # an extended mode's tails must fall below its rounding, not just its

@@ -37,11 +37,9 @@ class NumericContext:
       exp(x), log(x), sin(x)   real or complex; log of a negative real is complex
       sinpi(x)                 sin(pi x), its argument reduced exactly
       log1p_real(x)            log(1 + x) of a real
-      atan2(y, x)              the angle of x + iy, from two reals
-      re(x), im(x)             the parts; im of a real is 0
       abs(x)                   |x| as a context real
       is_finite(x)             no part infinite or NaN
-      pi, euler                the constants
+      pi                       the constant
       to_float(x)              the real part as a float
       to_complex(x)            x as a complex
       mag(x)                   |x| as a float, for decisions only (stopping
@@ -137,10 +135,8 @@ class _Double(NumericContext):
     real = float
     make_complex = complex
     log1p_real = staticmethod(math.log1p)
-    atan2 = staticmethod(math.atan2)
     abs = staticmethod(abs)
     pi = math.pi
-    euler = 0.5772156649015328606
 
     def rational(self, fr):
         return fr.numerator / fr.denominator
@@ -171,12 +167,6 @@ class _Double(NumericContext):
         if isinstance(x, complex):
             return cmath.sin(complex(math.pi * r, math.pi * x.imag))
         return math.sin(math.pi * r)
-
-    def re(self, x):
-        return x.real if isinstance(x, complex) else x
-
-    def im(self, x):
-        return x.imag if isinstance(x, complex) else 0.0
 
     def is_finite(self, x):
         if isinstance(x, complex):
@@ -228,14 +218,12 @@ class _ExtendedMP(NumericContext):
         self._raw_to_float = mpmath.libmp.to_float
         self._fzero, self._to_fixed = fzero, to_fixed
         self._from_man_exp = from_man_exp
-        self.dps = mp.dps
         self.own_types = (mp.mpf, mp.mpc)
         self.real, self.make_complex = mp.mpf, mp.mpc
         self._mp_exp, self._mp_log1p = mp.exp, mp.log1p
         self.log, self.sin, self.sinpi = mp.log, mp.sin, mp.sinpi
         self.abs, self.is_finite = mp.fabs, mp.isfinite
-        self.re, self.im, self.atan2 = mp.re, mp.im, mp.atan2
-        self.pi, self.euler = mp.pi, mp.euler
+        self.pi = mp.pi
 
     def rational(self, fr):
         return self._mp.mpf(fr.numerator) / self._mp.mpf(fr.denominator)
@@ -533,7 +521,8 @@ class LogComplex:
         w = complex(w)
         if w == 0:
             return cls.zero()
-        return cls(math.log(abs(w)), math.atan2(w.imag, w.real))
+        w = cmath.log(w)
+        return cls(w.real, w.imag)
 
     def to_complex(self) -> complex:
         """Native complex; requires |logmag| < 700 (or the zero sentinel)."""
@@ -617,7 +606,7 @@ class ScaledValue:
             return other
         if other.is_zero():
             return self
-        if ctx.re(self.shift) >= ctx.re(other.shift):
+        if ctx.to_float(self.shift) >= ctx.to_float(other.shift):
             hi, lo = self, other
         else:
             hi, lo = other, self
@@ -628,12 +617,10 @@ class ScaledValue:
         return ScaledValue(m, hi.shift)
 
     def to_logcomplex(self, ctx: NumericContext) -> LogComplex:
+        """log(mantissa) + shift, formed in ctx and rounded once."""
         if self.is_zero():
             return LogComplex.zero()
-        mag = ctx.abs(self.mantissa)
-        logmag = ctx.to_float(ctx.log(mag) + ctx.re(self.shift))
-        phase = ctx.to_float(ctx.atan2(ctx.im(self.mantissa), ctx.re(self.mantissa))
-                             + ctx.im(self.shift))
-        if math.isnan(logmag) or math.isnan(phase):
+        w = ctx.to_complex(ctx.log(self.mantissa) + self.shift)
+        if cmath.isnan(w):
             raise DomainError("scaled value produced NaN")
-        return LogComplex(logmag, phase)
+        return LogComplex(w.real, w.imag)

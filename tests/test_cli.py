@@ -464,3 +464,19 @@ def test_double_mode_imports_no_mpmath():
     assert proc.returncode == 0, proc.stderr
     assert "value_value=" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the u-lower row at t = 40 reads "
+                          "ok with rel_discrepancy 4.6e11, the U connection's "
+                          "error (FOUND 38) unflagged")
+def test_no_ok_sweep_row_is_wholly_wrong(capsys, monkeypatch):
+    monkeypatch.setenv("KUMMER_ASYM_PRECISION", "double")
+    code, out, _ = run_cli(capsys, "sweep", "--variant", "u-lower", "--b",
+                           "1.5", "--z-r", "1", "--z-theta", "0.9", "--t",
+                           "10,20,40", "--order", "3")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 3
+    assert all(float(row["rel_discrepancy"]) <= 1 for row in rows
+               if row["status"] == "ok")

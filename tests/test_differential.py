@@ -587,3 +587,34 @@ class TestContinuation:
         # double's base integral fails at one base point, at every m
         failing = {(100.75, 1.5, 4.0)} if mode == "double" else set()
         assert {point[:3] for point in raised} <= failing
+
+
+_QUIET_U_REASON = ("FOUND 38 (CHANGES.md): the U connection's two-term sum "
+                   "is guarded against its own rounding, not its terms' "
+                   "errors; ROADMAP items 1 and 2")
+
+
+class TestKnownQuietFailures:
+    """Ledger of values the package returns wrong without raising, each a
+    strict xfail that turns into a pass, and so fails, once it is mended:
+    a value must be within its mode's bound of 60-digit mpmath or raise a
+    typed error."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=_QUIET_U_REASON)
+    @pytest.mark.parametrize("a, theta, mode", [
+        (400.75, 0.46 * math.pi, "double"),  # 103 off in logmag
+        (400.75, 0.7 * math.pi, "dd"),  # 21 off in logmag
+        (100.75, 0.46 * math.pi, "dd")])  # 5.1e-7 off
+    def test_u_connection_is_accurate_or_raises(self, a, theta, mode):
+        bound = {"double": 1e-6, "dd": 1e-9}[mode]
+        try:
+            got = kummer_u_scaled(a, 1.5, RiemannPoint(4.0, theta),
+                                  Precision.from_mode(mode))
+        except (PrecisionExhaustedError, DomainError):
+            return
+        mp = _MP.clone()
+        mp.dps = 60
+        value = mp.mpc(got.mantissa) * mp.exp(mp.mpc(got.shift))
+        ref = mp.hyperu(a, 1.5, 4 * mp.expj(mp.mpf(theta)))
+        assert abs(value / ref - 1) <= bound

@@ -263,6 +263,18 @@ class TestCoeffPoly:
             assert p.integrate_from_zero().differentiate() == p
             assert p.mul_by_z(2).divide_by_z(2) == p
 
+    def test_calculus_builds_no_constant(self, table8, monkeypatch):
+        # a scalar factor scales a ParamPoly's storage; it does not become
+        # a ParamPoly first
+        entry = table8.odd[4]
+        want = entry.differentiate(), entry.integrate_from_zero()
+
+        def refused(value):
+            raise AssertionError(f"ParamPoly.constant({value})")
+
+        monkeypatch.setattr(ParamPoly, "constant", refused)
+        assert (entry.differentiate(), entry.integrate_from_zero()) == want
+
     def test_divide_by_z_requires_low_zeros(self):
         sixth = CoeffPoly.monomial(3, Fraction(1, 6))
         assert sixth.divide_by_z() == CoeffPoly.monomial(2, Fraction(1, 6))
