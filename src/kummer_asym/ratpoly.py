@@ -7,15 +7,19 @@ Three immutable layers, all with exact rational coefficients:
                integer numerators over one positive common denominator in
                canonical form, so arithmetic is integer loops with one gcd
                pass per sum of products (`coeff_sum_of_products`, the
-               kernel of every CoeffPoly and series product and recurrence,
-               reduces each z-degree once).  A scalar factor p/q (int or
+               kernel of every CoeffPoly and series product, sum and
+               recurrence, reduces each z-degree once; + and - are its sum
+               with unit factors, so each result coefficient gets one gcd
+               pass, and ParamPoly + is its reduction over the nonzero
+               operands, each times 1).  A scalar factor p/q (int or
                Fraction) is that reduction's scale: it multiplies the
                numerators by p and the denominator by q, and never becomes
                a ParamPoly.  `coeffs` builds the same values as a tuple of
                fractions.Fraction on each access; nothing is cached.
   CoeffPoly    polynomial in z whose coefficients are ParamPoly values,
                carrying a declared parity ('even', 'odd', 'none') that is
-               validated on construction, never inferred.
+               validated on construction, never inferred; a sum's parity
+               is the kernel's fold over its nonzero operands.
   TruncSeries  truncated power series in a named variable with CoeffPoly
                coefficients; supports the product and the exp/log
                recurrences needed for generating-function work, and powers
@@ -72,22 +76,21 @@ def merge_param(a: Optional[str], b: Optional[str]) -> Optional[str]:
     raise ParameterMixError(f"cannot mix parameters {a!r} and {b!r}")
 
 
-def _canonical(param: Optional[str], numerators: list, denominator: int,
-               bound: int) -> "ParamPoly":
-    """ParamPoly from integer numerators over a positive denominator, where
-    any factor common to all of them divides `bound`: trailing zeros are
-    trimmed, then one gcd pass divides that factor out."""
+def _canonical(param: Optional[str], numerators: list,
+               denominator: int) -> "ParamPoly":
+    """ParamPoly from integer numerators over a positive denominator:
+    trailing zeros are trimmed, then one gcd pass divides out any factor
+    shared by the denominator and every numerator."""
     n = len(numerators)
     while n and not numerators[n - 1]:
         n -= 1
     if not n:
         return _ZERO
     del numerators[n:]
-    if bound != 1:
-        g = gcd(bound, *numerators)
-        if g != 1:
-            numerators = [c // g for c in numerators]
-            denominator //= g
+    g = gcd(denominator, *numerators)
+    if g != 1:
+        numerators = [c // g for c in numerators]
+        denominator //= g
     return ParamPoly._raw(param, tuple(numerators), denominator)
 
 
@@ -174,26 +177,13 @@ class ParamPoly:
         return ParamPoly.constant(other)
 
     def __add__(self, other) -> "ParamPoly":
+        """The sum as _reduce's sum of products, each operand times 1."""
         if not isinstance(other, (ParamPoly, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
-        param = merge_param(self.param, other.param)
-        a, b = self.numerators, other.numerators
-        if not b:
-            return self
-        if not a:
-            return other
-        da, db = self.denominator, other.denominator
-        # over lcm(da, db) a common factor can only divide g
-        g = gcd(da, db)
-        sa, sb = db // g, da // g
-        den = da * sa
-        if len(a) < len(b):
-            a, b, sa, sb = b, a, sb, sa
-        out = [c * sa for c in a]
-        for k, c in enumerate(b):
-            out[k] += c * sb
-        return _canonical(param, out, den, g)
+        return _reduce(merge_param(self.param, other.param),
+                       [(p.numerators, (1,), p.denominator)
+                        for p in (self, other) if p.numerators], 1, 1)
 
     __radd__ = __add__
 
@@ -234,7 +224,7 @@ class ParamPoly:
             _mac(acc, prev, q)
             acc[0] += c * e ** k
         den = self.denominator * e ** max(len(nums) - 1, 0)
-        return _canonical(image.param, acc, den, den)
+        return _canonical(image.param, acc, den)
 
     def reflect(self) -> "ParamPoly":
         """Substitute parameter -> -parameter: odd-degree coefficients negated."""
@@ -305,26 +295,17 @@ def _mac(out: list, x: Sequence[int], y: Sequence[int], s: int = 1) -> None:
 
 
 def _reduce(param: Optional[str], terms: list, sn: int, sd: int) -> ParamPoly:
-    """sn/sd times the sum of the integer convolutions in `terms` (not
-    empty), each a pair of numerator tuples with the product of their
-    denominators, over one common denominator, then one gcd pass."""
+    """sn/sd times the sum of the integer convolutions in `terms`, each a
+    pair of numerator tuples with the product of their denominators, over
+    one common denominator, then one gcd pass (zero if `terms` is empty)."""
     den = lcm(*[d for _, _, d in terms])
-    out = [0] * max([len(x) + len(y) - 1 for x, y, _ in terms])
+    out = [0] * max([len(x) + len(y) - 1 for x, y, _ in terms], default=0)
     for x, y, d in terms:
         _mac(out, x, y, den // d * sn)
-    den *= sd
-    return _canonical(param, out, den, den)
+    return _canonical(param, out, den * sd)
 
 
 PARITIES = ("even", "odd", "none")
-
-
-def _add_parity(a: "CoeffPoly", b: "CoeffPoly") -> str:
-    if a.is_zero():
-        return b.parity
-    if b.is_zero():
-        return a.parity
-    return a.parity if a.parity == b.parity else "none"
 
 
 def _mul_parity(a: str, b: str) -> str:
@@ -343,7 +324,9 @@ def coeff_sum_of_products(pairs: Iterable[tuple],
     z-degree gathers its coefficient products and is reduced once.  Names
     merge over the nonzero products, as in the fold of * and + (a zero
     operand carries no name), and the parity folds the products' parities
-    as + does, over the nonzero products ('even' if there is none)."""
+    over the nonzero products: equal parities keep theirs, mixed ones
+    give 'none', and no product at all gives 'even'.  This fold is the
+    parity rule of + and -, which are this sum with unit factors."""
     sn, sd = _frac(scale).as_integer_ratio()
     slots = []
     param = parity = None
@@ -430,12 +413,7 @@ class CoeffPoly:
     def __add__(self, other) -> "CoeffPoly":
         if not isinstance(other, (CoeffPoly, ParamPoly, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        parity = _add_parity(self, other)
-        return CoeffPoly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)],
-            parity=parity)
+        return coeff_sum_of_products(((self, _UNIT), (self._coerce(other), _UNIT)))
 
     __radd__ = __add__
 
@@ -541,6 +519,9 @@ class CoeffPoly:
         return f"CoeffPoly({self.param!r}, parity={self.parity!r}, {self.to_json()})"
 
 
+_UNIT = CoeffPoly.one()
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
     """Families even[s], odd[s] for s <= order, in the parameter `param`,
@@ -581,7 +562,7 @@ class TruncSeries:
 
     @classmethod
     def one(cls, var: str, order: int) -> "TruncSeries":
-        return cls(var, order, (CoeffPoly.one(),))
+        return cls(var, order, (_UNIT,))
 
     def coefficient(self, k: int) -> CoeffPoly:
         if not 0 <= k <= self.order:
@@ -636,7 +617,7 @@ class TruncSeries:
         if not self.coeffs[0].is_zero():
             raise ExactDivisionError("exp needs a zero constant term")
         deriv = [c * k for k, c in enumerate(self.coeffs)]
-        out = [CoeffPoly.one()]
+        out = [_UNIT]
         for n in range(1, self.order + 1):
             out.append(coeff_sum_of_products(
                 [(deriv[k], out[n - k]) for k in range(1, n + 1)], Fraction(1, n)))
@@ -644,7 +625,7 @@ class TruncSeries:
 
     def log(self) -> "TruncSeries":
         """log of a series with constant term exactly 1."""
-        if self.coeffs[0] != CoeffPoly.one():
+        if self.coeffs[0] != _UNIT:
             raise ExactDivisionError("log needs constant term 1")
         out = [CoeffPoly.zero()]
         neg_deriv = [out[0]]  # -k * out[k]

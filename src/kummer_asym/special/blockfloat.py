@@ -18,7 +18,8 @@ loops, whose step is term * p(n) / q(n) with p and q low-degree in n:
   * a sum of two block numbers lies on the coarser of their two grids,
     the finer operand truncated to it.  Terms that each carry wp bits then
     keep the running sum an exact integer at the scale 2^-wp times the
-    largest term so far, and a compensated (Kahan) step adds nothing.
+    largest term so far; a compensated (Kahan) step holds only the bits
+    of a term truncated onto that grid.
 
 Every rounding truncates toward zero, so negation commutes with every
 operation.

@@ -13,8 +13,9 @@ The M series runs in its context's series arithmetic (NumericContext
 series_in / series_out): native complex numbers in double, and in dd
 block-floating Python integers (see blockfloat), where each term keeps the
 working precision plus guard bits and the sum is exact on the grid of its
-largest term, so the compensation that double needs is always zero there.
-The stopping rules are the same in both modes.
+largest term.  The compensation that double needs is not always zero in
+dd (see _m_series), but it seldom moves the rounded M there.  The stopping
+rules are the same in both modes.
 """
 
 from __future__ import annotations
@@ -39,8 +40,13 @@ def _m_series(a_c, b_c, x_c, ctx: NumericContext) -> ScaledValue:
     """Compensated ascending series for M(a,b,x); mantissa with zero shift.
 
     The terms run in the context's series arithmetic (see
-    NumericContext); in dd the sum is exact on its grid, so there the
-    compensation is always zero.  The series may stop only after
+    NumericContext).  Double needs the compensation: without it
+    M(401.25, 2.5, 1) is 9.4e-16 off instead of 5.8e-17.  In dd the sum
+    is exact on its grid, but a term on a finer grid is truncated onto it,
+    and the compensation holds the truncated bits: on the three dd
+    acceptance sweeps it was nonzero in 1,512 of 37,246 steps, yet without
+    it none of their 387 distinct M values changed, and 1 of 300 random
+    points moved by 2.7e-33 relative.  The series may stop only after
     2 |a x| / max(|b|, sqrt(|a x|)) + 10 terms, unless a term vanishes:
     the terms grow while |a x| / (|b + n| n) exceeds 1, that is up to about
     n = |a x| / |b| where |b| exceeds sqrt(|a x|), and up to sqrt(|a x|)

@@ -95,7 +95,8 @@ def peak_integral(logf, w_start, ctx: NumericContext,
     runs in every mode.  plan_logf is the same integrand on native floats
     (returning float or complex), the twin that finds the peak and the
     cutoffs; it defaults to logf, which must then accept floats.  Returns a
-    ScaledValue whose parts are ctx reals where the integrand is real;
+    ScaledValue whose parts leave the series arithmetic by ctx.series_out,
+    as context complex numbers (in double, the numbers logf returns);
     raises QuadratureError if the step-halving fails to stabilize within
     the level cap, or where a sample lies beyond a double's range above
     the located peak.
@@ -112,7 +113,7 @@ def peak_integral(logf, w_start, ctx: NumericContext,
     wl = ctx.quad_in(_find_cutoff(re, w_peak, peak_re, -1.0, drop))
     wr = ctx.quad_in(_find_cutoff(re, w_peak, peak_re, +1.0, drop))
     span = wr - wl
-    g_peak = ctx.quad_out(logf(ctx.quad_in(w_peak)))
+    g_peak = ctx.series_out(logf(ctx.quad_in(w_peak)))
     g = ctx.quad_in(g_peak)
 
     def sample(w):
@@ -145,7 +146,7 @@ def peak_integral(logf, w_start, ctx: NumericContext,
             if scale == 0.0 or change <= tol * scale:
                 stable += 1
                 if stable >= needed:
-                    return ScaledValue(ctx.quad_out(value), g_peak)
+                    return ScaledValue(ctx.series_out(value), g_peak)
             elif settled:
                 # a miss after the first level within sqrt(tol): two in a row
                 stable, needed = 0, 2

@@ -52,10 +52,8 @@ class NumericContext:
                                complex, rounded once
       quad_in(x)               a float, context number or series number
                                on the fixed grid of the U quadrature's
-                               sums, in the series arithmetic
-      quad_out(s)              a series number as a context number,
-                               rounded once: a real where its imaginary
-                               part is 0
+                               sums, in the series arithmetic, which
+                               series_out leaves
       check_headroom(...)      the cancellation guard
 
     The term loops of the M series, K's Temme series and CF2, and I's CF1
@@ -100,9 +98,6 @@ class NumericContext:
 
     def quad_in(self, x):
         return x
-
-    def quad_out(self, s):
-        return s
 
     def coerce(self, w):
         """Any finite number, by way of complex(), into a context complex;
@@ -249,10 +244,6 @@ class _ExtendedMP(NumericContext):
         if type(x) is not self._block:
             x = self.series_in(self.coerce(x))
         return x.on_grid(self._quad_grid)
-
-    def quad_out(self, s):
-        z = self.series_out(s)
-        return z if s.im else z.real
 
     def exp(self, x):
         if type(x) is self._block:

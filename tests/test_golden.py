@@ -10,8 +10,8 @@ lowered families, JSON and text, and the b renaming), `temme`, `bernoulli`
 and `verify`, whose output involves no floating point; `coeffs`, `temme`
 and `verify` also at order 0, where no entry mentions the parameter, and at
 order 20 (`verify` by its file, the 440 KB JSON of `coeffs` and `temme` by
-the SHA-256 of stdout).  The dd acceptance sweeps of all three variants
-are pinned by the SHA-256 of stdout as well.  The oracle
+the SHA-256 of stdout).  The acceptance sweeps of all three variants, in
+double and in dd, are pinned by the SHA-256 of stdout as well.  The oracle
 cases reach each kernel route directly, in both modes: I by CF1 and the
 Wronskian with K's pair, at |x| = 2 and 25 (and on a wound sheet); K by
 Temme's series, by CF2 and the upward recurrence (at |x| = 3 and 25), and
@@ -19,9 +19,9 @@ by winding (at a fractional and an integer order); the M series; and U by
 the integral, the connection formula and the monodromy (one whole turn
 either way).
 
-The double rows pin this platform's libm as well as the package: a
-different `exp`, `log` or `atan2` rounding can change the last printed
-digits without any change in the code.  Re-record with
+The double rows and the double sweep digests pin this platform's libm as
+well as the package: a different `exp`, `log` or `atan2` rounding can
+change the last printed digits without any change in the code.  Re-record with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -113,6 +113,16 @@ DIGESTS = {
     "temme-20-json": (
         "double", ["temme", "--nmax", "20"],
         "3e4fed4f2687a9433f97dd5a10d13e54f3345ac47e991da54af10a76b28e4d18"),
+    # the double acceptance sweeps read libm, as the double golden rows do
+    "sweep-acceptance-m-double": (
+        "double", ["sweep", "--preset", "acceptance", "--variant", "m"],
+        "8de9574bc55b3d180242fec93597380b479f20a63be960ce56efbe9e2a62a6d7"),
+    "sweep-acceptance-u-capital-double": (
+        "double", ["sweep", "--preset", "acceptance", "--variant", "u-capital"],
+        "504849614cf1b0e2b25db203b7cd795a02412b5550e59d110f79c70ff63f1be8"),
+    "sweep-acceptance-u-lower-double": (
+        "double", ["sweep", "--preset", "acceptance", "--variant", "u-lower"],
+        "fd69c36dc875c0d72e12f1cab9c423e213dafa8d3af4d70d84a03775142fbaf4"),
     # the dd acceptance sweeps read no libm, so they are pinned everywhere
     "sweep-acceptance-m-dd": (
         "dd", ["sweep", "--preset", "acceptance", "--variant", "m"],

@@ -399,8 +399,9 @@ class TestTruncSeries:
 
 # The naive definitions the sum-of-products kernel must reproduce: every
 # partial product and partial sum built and reduced on its own.  ParamPoly *
-# shares the kernel's integer convolution, so the naive product is built from
-# Fraction lists.
+# and CoeffPoly + share the kernel's integer convolution, so the naive
+# product is built from Fraction lists and the naive sum adds coefficientwise
+# under ParamPoly +.
 
 def naive_param_mul(a, c):
     return ParamPoly(merge_param(a.param, c.param), ref_mul(a.coeffs, c.coeffs))
@@ -425,13 +426,27 @@ def naive_coeff_mul(a, c):
     return CoeffPoly(out, parity=parity)
 
 
+def naive_coeff_add(a, b):
+    """a + b coefficientwise under ParamPoly +: a zero operand takes the
+    other's parity, and two nonzero ones keep a shared parity or give
+    'none'."""
+    if a.is_zero() or b.is_zero():
+        parity = b.parity if a.is_zero() else a.parity
+    else:
+        parity = a.parity if a.parity == b.parity else "none"
+    n = max(len(a.coeffs), len(b.coeffs))
+    return CoeffPoly([a.coefficient(k) + b.coefficient(k) for k in range(n)],
+                     parity=parity)
+
+
 def naive_coeff_sum(pairs):
-    """Fold of naive products under CoeffPoly +, and whether a partial sum
-    cancelled to zero after a nonzero product (its parity then restarts)."""
+    """Fold of naive products under naive_coeff_add, and whether a partial
+    sum cancelled to zero after a nonzero product (its parity then
+    restarts)."""
     acc, seen, cancelled = CoeffPoly.zero(), False, False
     for a, c in pairs:
         prod = naive_coeff_mul(a, c)
-        acc = acc + prod
+        acc = naive_coeff_add(acc, prod)
         seen = seen or not prod.is_zero()
         cancelled = cancelled or (seen and acc.is_zero())
     return acc, cancelled
@@ -442,7 +457,7 @@ def naive_exp(s):
     for n in range(1, s.order + 1):
         acc = CoeffPoly.zero()
         for k in range(1, n + 1):
-            acc = acc + naive_coeff_mul(s.coeffs[k] * k, out[n - k])
+            acc = naive_coeff_add(acc, naive_coeff_mul(s.coeffs[k] * k, out[n - k]))
         out.append(acc * Fraction(1, n))
     return out
 
@@ -452,7 +467,7 @@ def naive_log(s):
     for n in range(1, s.order + 1):
         acc = s.coeffs[n] * n
         for k in range(1, n):
-            acc = acc - naive_coeff_mul(out[k] * k, s.coeffs[n - k])
+            acc = naive_coeff_add(acc, -naive_coeff_mul(out[k] * k, s.coeffs[n - k]))
         out.append(acc * Fraction(1, n))
     return out
 
@@ -463,7 +478,7 @@ def naive_inverse(s):
     for n in range(1, s.order + 1):
         acc = CoeffPoly.zero()
         for k in range(1, n + 1):
-            acc = acc + naive_coeff_mul(s.coeffs[k], out[n - k])
+            acc = naive_coeff_add(acc, naive_coeff_mul(s.coeffs[k], out[n - k]))
         out.append(acc * (-inv0))
     return out
 
@@ -474,9 +489,10 @@ def naive_iterate(base, n_max):
     for _ in range(n_max):
         prev = rows[-1]
         rows.append([
-            (naive_coeff_mul(z2, prev[k + 2])
-             + naive_coeff_mul(CoeffPoly.from_param(ParamPoly("b", (1 + k, -1))),
-                               prev[k + 1])) * 4
+            naive_coeff_add(
+                naive_coeff_mul(z2, prev[k + 2]),
+                naive_coeff_mul(CoeffPoly.from_param(ParamPoly("b", (1 + k, -1))),
+                                prev[k + 1])) * 4
             for k in range(len(prev) - 2)])
     return ([row[0] for row in rows],
             [row[1].mul_by_z() * (-2) for row in rows])
@@ -519,6 +535,55 @@ def series(draw, constant=None):
     if constant is not None:
         coeffs[0] = CoeffPoly.from_param(ParamPoly.constant(constant))
     return TruncSeries("w", order, coeffs)
+
+
+def ref_rows(operand):
+    """A CoeffPoly, ParamPoly or rational as one Fraction list per z-degree."""
+    if isinstance(operand, CoeffPoly):
+        return [list(c.coeffs) for c in operand.coeffs]
+    row = ref_trim(ParamPoly._coerce(operand).coeffs)
+    return [row] if row else []
+
+
+def ref_add_rows(p, q):
+    empty = [[]] * abs(len(p) - len(q))
+    rows = [ref_add(a, b) for a, b in zip(p + empty, q + empty)]
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
+
+
+class TestCoeffPolyAgainstFractionLists:
+    """CoeffPoly + and -, the kernel's sum with unit factors, against
+    coefficientwise sums of Fraction lists."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=coeff_polys(), b=st.one_of(coeff_polys(), param_polys, rationals))
+    def test_add_and_sub(self, a, b):
+        ra, rb = ref_rows(a), ref_rows(b)
+        neg = lambda rows: [[-c for c in row] for row in rows]
+        b_parity = b.parity if isinstance(b, CoeffPoly) else "even"
+        if not ra or not rb:
+            parity = a.parity if ra else b_parity
+        else:
+            parity = a.parity if a.parity == b_parity else "none"
+        for got, want in ((a + b, ref_add_rows(ra, rb)),
+                          (b + a, ref_add_rows(rb, ra)),
+                          (a - b, ref_add_rows(ra, neg(rb))),
+                          (b - a, ref_add_rows(rb, neg(ra)))):
+            assert len(got.coeffs) == len(want)
+            for c, row in zip(got.coeffs, want):
+                assert_canonical(c, row)
+            if got:
+                assert got.parity == parity
+
+    def test_a_sum_of_zeros_is_even(self):
+        # as coeff_sum_of_products([]): no operand's declaration survives
+        odd, none = CoeffPoly.zero("odd"), CoeffPoly.zero("none")
+        assert (odd + odd).parity == "even"
+        assert (odd - none).parity == "even"
+        assert (none + 0).parity == "even"
+        assert (Fraction(0) - odd).parity == "even"
 
 
 class TestSumOfProducts:
