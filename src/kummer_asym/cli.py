@@ -4,28 +4,24 @@ Exit codes: 0 success, 1 domain, precision or file failure (one-line
 diagnostic on stderr), 2 usage errors.  Output is deterministic: fixed key
 order, floats at 17 significant digits.  KUMMER_ASYM_PRECISION=double|dd
 overrides the default precision mode (double for single evaluations, dd for
-the acceptance sweep preset).
+the acceptance sweep preset).  Only oracle, eval and sweep load the numeric
+layer (expansion, special.*), when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import re
 import sys
 from fractions import Fraction
 
+from . import VARIANTS
 from .errors import DomainError, ExactnessError
-from .expansion import (ExpansionConfig, VARIANTS, acceptance_grid,
-                        decay_sweep, evaluate_sides, product_grid)
 from .olver import (compute_coefficient_table, lower_coefficients,
                     normalizer_series, satisfies_recursion, shift_basis)
 from .ratpoly import CoeffPoly, ParamPoly, TruncSeries
-from .special.bessel import bessel_i, bessel_k
-from .special.kummer import kummer_m, kummer_u
-from .special.types import LogComplex, Precision, RiemannPoint
 from .temme import gamma_ratio_coefficients, generalized_bernoulli, temme_base_series, temme_iterate
 
 CSV_COLUMNS = ("variant", "b_re", "b_im", "z_r", "z_theta", "t", "u_theta",
@@ -87,7 +83,7 @@ def _echo(args_pairs, stream) -> None:
     print(f"# config: {parts}", file=stream)
 
 
-def _print_logcomplex(label: str, value: LogComplex, stream) -> None:
+def _print_logcomplex(label: str, value, stream) -> None:
     print(f"{label}_logmag={_fmt(value.logmag)} {label}_phase={_fmt(value.phase)}",
           file=stream)
     if not value.is_zero and abs(value.logmag) < 700.0:
@@ -145,6 +141,10 @@ def cmd_bernoulli(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .special.bessel import bessel_i, bessel_k
+    from .special.kummer import kummer_m, kummer_u
+    from .special.types import Precision, RiemannPoint
+
     prec = Precision.from_env(default="double")
     config = [("subcommand", "oracle"), ("fn", args.fn),
               ("precision", prec.mode)]
@@ -180,6 +180,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .expansion import ExpansionConfig, evaluate_sides
+    from .special.types import Precision, RiemannPoint
+
     prec = Precision.from_env(default="double")
     cfg = ExpansionConfig(variant=args.variant, b=_parse_complex(args.b),
                           z=RiemannPoint(args.z_r, args.z_theta),
@@ -287,6 +290,11 @@ def _csv_row(row) -> list:
 
 
 def cmd_sweep(args) -> int:
+    import csv
+
+    from .expansion import acceptance_grid, decay_sweep, product_grid
+    from .special.types import Precision
+
     if args.preset == "acceptance":
         prec = Precision.from_env(default="dd")
         grid = acceptance_grid(args.variant, prec)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Sequence, Tuple
 
+from . import VARIANTS
 from .errors import DomainError, OrderStarvationError, PoleError
 from .olver import compute_coefficient_table, lower_coefficients
 from .ratpoly import CoeffPoly
@@ -27,8 +28,6 @@ from .special.types import (LogComplex, NumericContext, Precision,
                             RiemannPoint, ScaledValue, exact_key,
                             is_nonpositive_integer, shared, sharing_scope)
 from .temme import gamma_ratio_coefficients
-
-VARIANTS = ("m", "u-capital", "u-lower")
 
 # Default grid pinned by the acceptance preset; R is implicitly 2.
 GRID_B = (0.7, 1.5, 2.5)

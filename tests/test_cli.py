@@ -285,7 +285,8 @@ class TestSweep:
     def test_unwritable_out_fails_before_the_sweep(self, capsys, monkeypatch,
                                                    tmp_path):
         calls = []
-        monkeypatch.setattr(cli, "decay_sweep", calls.append)
+        # cmd_sweep looks decay_sweep up in expansion when it runs
+        monkeypatch.setattr("kummer_asym.expansion.decay_sweep", calls.append)
         target = tmp_path / "missing" / "rows.csv"
         code, out, err = run_cli(capsys, "sweep", "--variant", "m",
                                  "--out", str(target))
@@ -464,6 +465,41 @@ def test_double_mode_imports_no_mpmath():
     assert proc.returncode == 0, proc.stderr
     assert "value_value=" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_exact_commands_load_no_numeric_module():
+    # exact-tables times each request from the cold import: an exact
+    # command loads no kernel, and the numeric commands import theirs on
+    # first use in the same process
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from kummer_asym.cli import main",
+        "exact = [['coeffs', '--order', '4', '--variant', 'ab'],",
+        "         ['temme', '--nmax', '3'], ['verify', '--nmax', '2'],",
+        "         ['bernoulli', '--n', '2', '--ell', '2-b', '--x', '1-b/2']]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [main(argv) for argv in exact]",
+        "print(codes, sorted(m for m in sys.modules if m in",
+        "      ('csv', 'kummer_asym.expansion', 'kummer_asym.special')",
+        "      or m.startswith('kummer_asym.special.')))",
+        "main(['oracle', '--fn', 'u', '--a', '2', '--b', '1.5', '--r', '1'])",
+        "main(['eval', '--variant', 'm'])",
+        "main(['sweep', '--variant', 'm'])",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("KUMMER_ASYM_PRECISION", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[0, 0, 0, 0] []"
+    assert any(line.startswith("value_value=") for line in lines)
+    assert any(line.startswith("rel_discrepancy=") for line in lines)
+    header = lines.index(",".join(CSV_COLUMNS))
+    assert lines[header + 1].startswith("m,1.5,0,1,0,20,0,3,")
+    assert lines[header + 1].endswith(",ok")
+    assert len(lines) == header + 2
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
