@@ -5,14 +5,14 @@ diagnostic on stderr), 2 usage errors.  Output is deterministic: fixed key
 order, floats at 17 significant digits.  KUMMER_ASYM_PRECISION=double|dd
 overrides the default precision mode (double for single evaluations, dd for
 the acceptance sweep preset).  Only oracle, eval and sweep load the numeric
-layer (expansion, special.*), when they run.
+layer (expansion, special.*), when they run, and only JSON output loads
+json.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import re
 import sys
 from fractions import Fraction
@@ -94,6 +94,8 @@ def _emit_families(config, families, fmt: str) -> None:
     """Print (name, family) pairs as one JSON document, or as the config
     echo followed by one `name[index] = polynomial` line per entry."""
     if fmt == "json":
+        import json
+
         payload = {"config": dict(config)}
         for name, family in families:
             payload[name] = [p.to_json() for p in family]

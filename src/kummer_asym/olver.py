@@ -18,8 +18,8 @@ lowered or shifted, is a ratpoly.CoefficientTable.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .errors import InvalidSeedError
 from .ratpoly import CoeffPoly, CoefficientTable, ParamPoly, TruncSeries
@@ -119,7 +119,7 @@ def normalizer_series(table: CoefficientTable, sign: int = 1) -> TruncSeries:
 
 
 def shift_basis(table: CoefficientTable,
-                seeds: Sequence[Union[ParamPoly, Fraction, int]]) -> CoefficientTable:
+                seeds: Sequence[ParamPoly | Fraction | int]) -> CoefficientTable:
     """Re-seed the recursion: shifted[s] = sum_r family[r] * seeds[s-r],
     the u^-2 series product of each family with the seeds.
 

@@ -9,12 +9,13 @@ Three immutable layers, all with exact rational coefficients:
                pass per sum of products (`coeff_sum_of_products`, the
                kernel of every CoeffPoly and series product, sum and
                recurrence, reduces each z-degree once; + and - are its sum
-               with unit factors, so each result coefficient gets one gcd
-               pass, and ParamPoly + is its reduction over the nonzero
-               operands, each times 1).  A scalar factor p/q (int or
-               Fraction) is that reduction's scale: it multiplies the
-               numerators by p and the denominator by q, and never becomes
-               a ParamPoly.  `coeffs` builds the same values as a tuple of
+               with unit factors, so a result coefficient that both
+               operands reach gets one gcd pass and any other is the
+               operand's own; ParamPoly + is its reduction over the two
+               operands, each times 1, or the other operand where one is
+               zero).  A scalar factor p/q (int or Fraction) is that
+               reduction's scale: it multiplies the numerators by p and the
+               denominator by q, and never becomes a ParamPoly.  `coeffs` builds the same values as a tuple of
                fractions.Fraction on each access; nothing is cached.
   CoeffPoly    polynomial in z whose coefficients are ParamPoly values,
                carrying a declared parity ('even', 'odd', 'none') that is
@@ -29,6 +30,9 @@ Three immutable layers, all with exact rational coefficients:
 
 CoefficientTable holds one pair of CoeffPoly families (even, odd), the form
 in which both coefficient routes, olver and temme, hand over their results.
+Like the three layers it is a plain immutable __slots__ class with value
+equality; no dataclass, so importing this module loads neither dataclasses
+nor typing.
 
 The parameter is named only where it occurs: `param` is its name on a
 polynomial of degree >= 1 and None on every constant, zero included, and a
@@ -42,10 +46,9 @@ degree-indexed arrays (zero polynomial = empty array).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     ExactDivisionError,
@@ -54,11 +57,10 @@ from .errors import (
     ParityError,
 )
 
-RationalLike = Union[Fraction, int]
 _ONE = Fraction(1)
 
 
-def _frac(value: RationalLike) -> Fraction:
+def _frac(value: Fraction | int) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -66,7 +68,7 @@ def _frac(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def merge_param(a: Optional[str], b: Optional[str]) -> Optional[str]:
+def merge_param(a: str | None, b: str | None) -> str | None:
     """The parameter of a result from those of its operands: None is
     neutral, equal names merge, and two different names raise."""
     if a is None or a == b:
@@ -76,7 +78,7 @@ def merge_param(a: Optional[str], b: Optional[str]) -> Optional[str]:
     raise ParameterMixError(f"cannot mix parameters {a!r} and {b!r}")
 
 
-def _canonical(param: Optional[str], numerators: list,
+def _canonical(param: str | None, numerators: list,
                denominator: int) -> "ParamPoly":
     """ParamPoly from integer numerators over a positive denominator:
     trailing zeros are trimmed, then one gcd pass divides out any factor
@@ -106,7 +108,7 @@ class ParamPoly:
 
     __slots__ = ("param", "numerators", "denominator")
 
-    def __init__(self, param: Optional[str], coeffs: Iterable[RationalLike] = ()):
+    def __init__(self, param: str | None, coeffs: Iterable[Fraction | int] = ()):
         fracs = [_frac(c) for c in coeffs]
         n = len(fracs)
         while n and not fracs[n - 1]:
@@ -122,7 +124,7 @@ class ParamPoly:
         object.__setattr__(self, "denominator", den)
 
     @classmethod
-    def _raw(cls, param: Optional[str], numerators: tuple, denominator: int) -> "ParamPoly":
+    def _raw(cls, param: str | None, numerators: tuple, denominator: int) -> "ParamPoly":
         """Wrap storage that is already canonical; a constant drops the name."""
         self = object.__new__(cls)
         object.__setattr__(self, "param", param if len(numerators) > 1 else None)
@@ -148,7 +150,7 @@ class ParamPoly:
         return cls._raw(None, (1,), 1)
 
     @classmethod
-    def constant(cls, value: RationalLike) -> "ParamPoly":
+    def constant(cls, value: Fraction | int) -> "ParamPoly":
         value = _frac(value)
         if not value:
             return cls.zero()
@@ -177,13 +179,18 @@ class ParamPoly:
         return ParamPoly.constant(other)
 
     def __add__(self, other) -> "ParamPoly":
-        """The sum as _reduce's sum of products, each operand times 1."""
+        """The sum as _reduce's sum of products, each operand times 1; a
+        zero operand hands back the other, canonical already."""
         if not isinstance(other, (ParamPoly, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
+        if not other.numerators:
+            return self
+        if not self.numerators:
+            return other
         return _reduce(merge_param(self.param, other.param),
                        [(p.numerators, (1,), p.denominator)
-                        for p in (self, other) if p.numerators], 1, 1)
+                        for p in (self, other)], 1, 1)
 
     __radd__ = __add__
 
@@ -294,7 +301,7 @@ def _mac(out: list, x: Sequence[int], y: Sequence[int], s: int = 1) -> None:
                 out[i] += v * c
 
 
-def _reduce(param: Optional[str], terms: list, sn: int, sd: int) -> ParamPoly:
+def _reduce(param: str | None, terms: list, sn: int, sd: int) -> ParamPoly:
     """sn/sd times the sum of the integer convolutions in `terms`, each a
     pair of numerator tuples with the product of their denominators, over
     one common denominator, then one gcd pass (zero if `terms` is empty)."""
@@ -319,16 +326,23 @@ def _flip(parity: str) -> str:
 
 
 def coeff_sum_of_products(pairs: Iterable[tuple],
-                          scale: RationalLike = _ONE) -> "CoeffPoly":
+                          scale: Fraction | int = _ONE) -> "CoeffPoly":
     """scale * sum(a * c for a, c in pairs) over CoeffPoly operands: every
     z-degree gathers its coefficient products and is reduced once.  Names
     merge over the nonzero products, as in the fold of * and + (a zero
     operand carries no name), and the parity folds the products' parities
     over the nonzero products: equal parities keep theirs, mixed ones
     give 'none', and no product at all gives 'even'.  This fold is the
-    parity rule of + and -, which are this sum with unit factors."""
+    parity rule of + and -, which are this sum with unit factors; a
+    z-degree that only one of their operands reaches keeps its coefficient
+    unreduced."""
     sn, sd = _frac(scale).as_integer_ratio()
     slots = []
+    # at unit scale, the coefficient x of a pair (a, _UNIT) by z-degree: a
+    # degree whose one term it is takes it as it is, canonical already
+    # (found by identity: + and - pass _UNIT itself, and == would compare)
+    lone = {}
+    unit = sn == sd == 1
     param = parity = None
     for a, c in pairs:
         if not a.coeffs or not c.coeffs:
@@ -337,14 +351,18 @@ def coeff_sum_of_products(pairs: Iterable[tuple],
         p = _mul_parity(a.parity, c.parity)
         parity = p if parity in (None, p) else "none"
         slots += [[] for _ in range(len(a.coeffs) + len(c.coeffs) - 1 - len(slots))]
+        as_is = unit and c is _UNIT
         for i, x in enumerate(a.coeffs):
             if x.numerators:
                 xn, xd = x.numerators, x.denominator
                 for k, y in enumerate(c.coeffs, i):
                     if y.numerators:
                         slots[k].append((xn, y.numerators, xd * y.denominator))
-    return CoeffPoly([_reduce(param, s, sn, sd) if s else _ZERO for s in slots],
-                     parity or "even")
+                if as_is:
+                    lone[i] = x
+    return CoeffPoly([lone[k] if len(s) == 1 and k in lone
+                      else _reduce(param, s, sn, sd) if s else _ZERO
+                      for k, s in enumerate(slots)], parity or "even")
 
 
 class CoeffPoly:
@@ -391,7 +409,7 @@ class CoeffPoly:
         return cls((p,), parity="even")
 
     @classmethod
-    def monomial(cls, k: int, coeff: RationalLike = 1) -> "CoeffPoly":
+    def monomial(cls, k: int, coeff: Fraction | int = 1) -> "CoeffPoly":
         c = [_ZERO] * k + [ParamPoly.constant(coeff)]
         return cls(c, parity="even" if k % 2 == 0 else "odd")
 
@@ -522,16 +540,36 @@ class CoeffPoly:
 _UNIT = CoeffPoly.one()
 
 
-@dataclass(frozen=True)
 class CoefficientTable:
     """Families even[s], odd[s] for s <= order, in the parameter `param`,
-    for the perturbation polynomial f; what both coefficient routes return."""
+    for the perturbation polynomial f; what both coefficient routes return.
+    Immutable, and equal to another table when all five fields are."""
 
-    f: CoeffPoly
-    order: int
-    param: str
-    even: tuple[CoeffPoly, ...]
-    odd: tuple[CoeffPoly, ...]
+    __slots__ = ("f", "order", "param", "even", "odd")
+
+    def __init__(self, f: CoeffPoly, order: int, param: str,
+                 even: tuple[CoeffPoly, ...], odd: tuple[CoeffPoly, ...]):
+        for name, value in zip(self.__slots__, (f, order, param, even, odd)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoefficientTable is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.f, self.order, self.param, self.even, self.odd)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoefficientTable):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}"
+                         for name, value in zip(self.__slots__, self._fields()))
+        return f"CoefficientTable({body})"
 
 
 class TruncSeries:
@@ -557,7 +595,7 @@ class TruncSeries:
 
     @classmethod
     def from_rationals(cls, var: str, order: int,
-                       values: Sequence[RationalLike]) -> "TruncSeries":
+                       values: Sequence[Fraction | int]) -> "TruncSeries":
         return cls(var, order, [CoeffPoly.from_param(ParamPoly.constant(v)) for v in values])
 
     @classmethod

@@ -23,9 +23,9 @@ sequences d_n, dtilde_n come from the same series toolkit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Sequence, Tuple, Union
 
 from .errors import OrderStarvationError
 from .ratpoly import (CoeffPoly, CoefficientTable, ParamPoly, TruncSeries,
@@ -47,7 +47,7 @@ def mu_series(order: int) -> TruncSeries:
     return f_series * e_series.pow_param(-1) - Fraction(1, 2)
 
 
-def temme_base_series(order: int = 2 * DEFAULT_N_MAX + 1) -> Tuple[CoeffPoly, ...]:
+def temme_base_series(order: int = 2 * DEFAULT_N_MAX + 1) -> tuple[CoeffPoly, ...]:
     """Coefficients c_k(z), k <= order, of the base generating function.
 
     Each c_k is an even z-polynomial with coefficients polynomial in b;
@@ -105,8 +105,8 @@ def binomial_poly(p: ParamPoly, n: int) -> ParamPoly:
 
 
 def generalized_bernoulli(n_max: int,
-                          ell: Union[ParamPoly, Fraction, int],
-                          x: Union[ParamPoly, Fraction, int]) -> Tuple[ParamPoly, ...]:
+                          ell: ParamPoly | Fraction | int,
+                          x: ParamPoly | Fraction | int) -> tuple[ParamPoly, ...]:
     """B_n at polynomial arguments from (t/(e^t-1))^ell * e^(x*t).
 
     Returns B_0..B_n_max; entries are polynomials in the parameter when
@@ -120,8 +120,8 @@ def generalized_bernoulli(n_max: int,
                  for n in range(n_max + 1))
 
 
-def gamma_ratio_coefficients(n_max: int) -> Tuple[Tuple[ParamPoly, ...],
-                                                  Tuple[ParamPoly, ...]]:
+def gamma_ratio_coefficients(n_max: int) -> tuple[tuple[ParamPoly, ...],
+                                                  tuple[ParamPoly, ...]]:
     """Sequences d_n and dtilde_n of the two gamma-ratio expansions.
 
     d_n      = 4^n * binom(1-b, n) * B_n at (ell=2-b, x=1-b/2),

@@ -502,6 +502,30 @@ def test_exact_commands_load_no_numeric_module():
     assert len(lines) == header + 2
 
 
+def test_exact_request_loads_only_what_it_runs():
+    # without site (-S), nothing but the request itself imports these:
+    # no exact module needs dataclasses (and the inspect it pulls in) or
+    # typing, and only JSON output loads json
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from kummer_asym.cli import main",
+        "heavy = ('dataclasses', 'inspect', 'json', 'typing')",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = main(['verify', '--nmax', '2'])",
+        "print(code, [m for m in heavy if m in sys.modules])",
+        "with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "    code = main(['coeffs', '--order', '2'])",
+        "print(code, [m for m in heavy if m in sys.modules], out.getvalue()[:1])",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("KUMMER_ASYM_PRECISION", None)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 []", "0 ['json'] {"]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: the u-lower row at t = 40 reads "
                           "ok with rel_discrepancy 4.6e11, the U connection's "

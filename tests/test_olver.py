@@ -1,6 +1,5 @@
 """Recursion-generated coefficient families and their derived objects."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -49,7 +48,26 @@ class TestCoefficientTable:
     def test_recursion_check_rejects_perturbation(self, table8):
         broken = list(table8.even)
         broken[1] = broken[1] + CoeffPoly.monomial(2, Fraction(1, 7))
-        assert not satisfies_recursion(replace(table8, even=tuple(broken)))
+        assert not satisfies_recursion(CoefficientTable(
+            table8.f, table8.order, table8.param, tuple(broken), table8.odd))
+
+    def test_tables_are_values(self, table8):
+        # an independent build of the same families
+        again = compute_coefficient_table(CoeffPoly.monomial(2), order=8)
+        same = CoefficientTable(f=again.f, order=8, param="mu",
+                                even=again.even, odd=again.odd)
+        assert same == table8 and hash(same) == hash(table8)
+        lowered = lower_coefficients(table8)
+        assert CoefficientTable(table8.f, 8, "mu", table8.even, lowered.odd) != table8
+        assert table8 != (table8.f, 8, "mu", table8.even, table8.odd)
+        assert repr(table8).startswith(
+            f"CoefficientTable(f={table8.f!r}, order=8, param='mu', even=(")
+
+    def test_tables_are_immutable(self, table8):
+        with pytest.raises(AttributeError):
+            table8.order = 9
+        with pytest.raises(AttributeError):
+            table8.extra = None
 
     def test_recursion_weight_follows_the_table_parameter(self):
         # the weight is 2*param + 1 in whatever name the table carries

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kummer_asym import ratpoly
 from kummer_asym.errors import (ExactDivisionError, OrderStarvationError,
                                 ParameterMixError, ParityError)
 from kummer_asym.ratpoly import (CoeffPoly, ParamPoly, TruncSeries,
@@ -576,6 +577,30 @@ class TestCoeffPolyAgainstFractionLists:
                 assert_canonical(c, row)
             if got:
                 assert got.parity == parity
+
+    def test_a_lone_term_is_the_operand_coefficient(self, monkeypatch):
+        # a z-degree that one operand alone reaches is that operand's
+        # coefficient, canonical already: the sum reduces nothing
+        a, b = CoeffPoly.monomial(2), CoeffPoly.monomial(4, Fraction(-3, 2))
+        reduce_, calls = ratpoly._reduce, []
+
+        def counting(*args):
+            calls.append(args)
+            return reduce_(*args)
+
+        monkeypatch.setattr(ratpoly, "_reduce", counting)
+        got = a + b
+        assert calls == []
+        assert got == CoeffPoly.from_json(None, [[], [], ["1"], [], ["-3/2"]])
+        assert got.parity == "even"
+        assert got.coeffs[2] is a.coeffs[2] and got.coeffs[4] is b.coeffs[4]
+        p = ParamPoly("mu", (Fraction(1, 3), 2))
+        assert (p + 0) is p and (ParamPoly.zero() + p) is p
+        assert calls == []
+        # any other scale is applied and reduced
+        doubled = coeff_sum_of_products([(b, ratpoly._UNIT)], 2)
+        assert len(calls) == 1
+        assert doubled == CoeffPoly.monomial(4, -3)
 
     def test_a_sum_of_zeros_is_even(self):
         # as coeff_sum_of_products([]): no operand's declaration survives
