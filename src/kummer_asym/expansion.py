@@ -14,13 +14,14 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, Tuple
 
 from . import VARIANTS
 from .errors import DomainError, OrderStarvationError, PoleError
 from .olver import compute_coefficient_table, lower_coefficients
-from .ratpoly import CoeffPoly
+from .ratpoly import CoeffPoly, horner, horner2
 from .special.bessel import bessel_i_scaled, bessel_k_scaled
 from .special.gammafn import log_gamma_ctx
 from .special.kummer import kummer_m_scaled, kummer_u_scaled
@@ -45,6 +46,45 @@ def expansion_tables():
     table = compute_coefficient_table(CoeffPoly.monomial(2))
     lowered = lower_coefficients(table)
     return table, lowered.even, lowered.odd
+
+
+# The coefficient tables as numbers of a context.  Like gammafn's Stirling
+# constants they are keyed by the context object and rounded once per
+# process, each entry when a sweep or check first reads it: never when the
+# tables are built or a context is made.
+
+@cache
+def _context_zero(ctx: NumericContext):
+    """ctx.rational(0), the start of every Horner on converted values."""
+    return ctx.rational(Fraction(0))
+
+
+@cache
+def _table_in_context(ctx: NumericContext, lowered: bool, s: int) -> tuple:
+    """even[s] and odd[s] of the raw or lowered table converted by
+    ctx.rational (CoeffPoly.converted), for horner2 from _context_zero."""
+    table, low_even, low_odd = expansion_tables()
+    even, odd = (low_even, low_odd) if lowered else (table.even, table.odd)
+    return even[s].converted(ctx.rational), odd[s].converted(ctx.rational)
+
+
+@cache
+def _gamma_ratio_in_context(ctx: NumericContext, order: int) -> tuple:
+    """The coefficients of d_0..d_order converted by ctx.rational, for
+    horner from _context_zero."""
+    d_coeffs, _ = gamma_ratio_coefficients(order)
+    return tuple([tuple([ctx.rational(c) for c in d.coeffs])
+                  for d in d_coeffs])
+
+
+def _coefficient_values(ctx: NumericContext, lowered: bool, s: int, mu,
+                        z) -> tuple:
+    """even[s] and odd[s] of the raw or lowered table at (mu, z): the
+    values CoeffPoly.evaluate(mu, z, ctx.rational) gives, from rows
+    rounded once per context."""
+    zero = _context_zero(ctx)
+    return tuple([horner2(rows, zero, mu, z)
+                  for rows in _table_in_context(ctx, lowered, s)])
 
 
 @dataclass(frozen=True)
@@ -137,23 +177,25 @@ def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
     u-lower read one U; the prefactored lhs and its LogComplex per variant
     at that point; the Bessel pair per kind at that point, from one call
     that returns both orders b - 1 and b; and each coefficient value
-    even[s], odd[s] per (raw or lowered table, b, z, s, precision).  Below
-    them the kernels share log-gamma values, K's ladder and I's pair by
-    their exact inputs, so the m variant and K's winding read one CF1 and
-    one walk down.  A shared value is the one computed for its key alone,
-    so results are identical with and without sharing.
+    even[s], odd[s] per (raw or lowered table, b, z, s, precision), from
+    the table's coefficients as ctx numbers, which every sweep in the
+    process reads (_table_in_context).  Below them the kernels share
+    log-gamma values, K's ladder and I's pair by their exact inputs, so
+    the m variant and K's winding read one CF1 and one walk down.  A
+    shared value is the one computed for its key alone, so results are
+    identical with and without sharing.
     """
-    table, low_even, low_odd = expansion_tables()
+    table, low_even, _ = expansion_tables()
     lowered = cfg.variant == "u-lower"
-    even, odd = (low_even, low_odd) if lowered else (table.even, table.odd)
-    if cfg.order > len(even):
+    orders = len(low_even if lowered else table.even)
+    if cfg.order > orders:
         raise OrderStarvationError(
-            f"tables hold {len(even)} orders, need {cfg.order}")
+            f"tables hold {orders} orders, need {cfg.order}")
     with sharing_scope():
-        return _sides(cfg, lowered, even, odd)
+        return _sides(cfg, lowered)
 
 
-def _sides(cfg: ExpansionConfig, lowered: bool, even, odd) -> SideBySide:
+def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
     prec, ctx = cfg.prec, cfg.prec.ctx
     b = complex(cfg.b)
     # keys read the exact inputs: b = 1.5 - 0j and 1.5 + 0j, or arg z = -0.0
@@ -190,8 +232,7 @@ def _sides(cfg: ExpansionConfig, lowered: bool, even, odd) -> SideBySide:
     for s in range(cfg.order):
         even_s, odd_s = shared(
             ("coefficients", lowered, s) + z_key,
-            lambda: (even[s].evaluate(mu_c, z_red, ctx.rational),
-                     odd[s].evaluate(mu_c, z_red, ctx.rational)))
+            lambda: _coefficient_values(ctx, lowered, s, mu_c, z_red))
         sum_even = sum_even + power * even_s
         sum_odd = sum_odd + power * odd_s
         power = power * inv_u2
@@ -226,12 +267,12 @@ def gamma_ratio_check(b: complex, u: float, order: int,
     shift = (log_gamma_ctx(1 + a_c - b_c, ctx) - log_gamma_ctx(a_c, ctx)
              + (2 - 2 * b_c) * ctx.log(2) + (2 * b_c - 2) * ctx.log(u_c))
     lhs = ScaledValue(ctx.make_complex(1.0), shift)
-    d_coeffs, _ = gamma_ratio_coefficients(order)
+    zero = _context_zero(ctx)
     inv_u2 = 1 / (u_c * u_c)
     power = ctx.make_complex(1.0)
     total = ctx.make_complex(0.0)
-    for n in range(order + 1):
-        total = total + power * d_coeffs[n].evaluate(b_c, ctx.rational)
+    for d_n in _gamma_ratio_in_context(ctx, order):
+        total = total + power * horner(d_n, zero, b_c)
         power = power * inv_u2
     rhs = ScaledValue(total, ctx.make_complex(0.0))
     return _finish(lhs, lhs.to_logcomplex(ctx), rhs, ctx)

@@ -20,7 +20,10 @@ Three immutable layers, all with exact rational coefficients:
   CoeffPoly    polynomial in z whose coefficients are ParamPoly values,
                carrying a declared parity ('even', 'odd', 'none') that is
                validated on construction, never inferred; a sum's parity
-               is the kernel's fold over its nonzero operands.
+               is the kernel's fold over its nonzero operands.  Its value
+               at a point is `horner2` of its coefficients converted into
+               the target arithmetic (`converted`), which a caller may
+               keep and evaluate again without converting.
   TruncSeries  truncated power series in a named variable with CoeffPoly
                coefficients; supports the product and the exp/log
                recurrences needed for generating-function work, and powers
@@ -240,13 +243,10 @@ class ParamPoly:
             tuple([-c if k % 2 else c for k, c in enumerate(self.numerators)]),
             self.denominator)
 
-    def evaluate(self, value, convert: Callable[[Fraction], object] = None):
+    def evaluate(self, value, convert: Callable[[Fraction], object] = complex):
         """Horner evaluation; `convert` maps Fraction into the target arithmetic."""
-        conv = convert if convert is not None else (lambda f: complex(f))
-        result = conv(Fraction(0))
-        for c in reversed(self.coeffs):
-            result = result * value + conv(c)
-        return result
+        return horner([convert(c) for c in self.coeffs], convert(Fraction(0)),
+                      value)
 
     def to_json(self) -> list:
         return [str(c) for c in self.coeffs]
@@ -288,6 +288,24 @@ class ParamPoly:
 
 
 _ZERO = ParamPoly.zero()
+
+
+def horner(values: Sequence, zero, x):
+    """Horner's rule at x on degree-indexed values in the target
+    arithmetic, from `zero`: result * x + value, top degree first."""
+    result = zero
+    for c in reversed(values):
+        result = result * x + c
+    return result
+
+
+def horner2(rows: Sequence[Sequence], zero, param_value, z_value):
+    """A CoeffPoly's value from its converted rows (CoeffPoly.converted):
+    each z-degree's row by horner at param_value, then those by horner at
+    z_value, every Horner from `zero`.  CoeffPoly.evaluate runs here, so
+    rows converted once and kept give its values in the same operations."""
+    return horner([horner(row, zero, param_value) for row in rows], zero,
+                  z_value)
 
 
 def _mac(out: list, x: Sequence[int], y: Sequence[int], s: int = 1) -> None:
@@ -490,12 +508,16 @@ class CoeffPoly:
         return CoeffPoly(
             [c.reflect() for c in self.coeffs], parity=self.parity)
 
-    def evaluate(self, param_value, z_value, convert: Callable[[Fraction], object] = None):
-        conv = convert if convert is not None else (lambda f: complex(f))
-        result = conv(Fraction(0))
-        for c in reversed(self.coeffs):
-            result = result * z_value + c.evaluate(param_value, conv)
-        return result
+    def converted(self, convert: Callable[[Fraction], object]) -> tuple:
+        """Every coefficient mapped by `convert`: rows[k][j] is that of
+        param^j z^k, the form horner2 evaluates."""
+        return tuple([tuple([convert(c) for c in p.coeffs]) for p in self.coeffs])
+
+    def evaluate(self, param_value, z_value,
+                 convert: Callable[[Fraction], object] = complex):
+        """horner2 of the coefficients mapped by `convert`, from convert(0)."""
+        return horner2(self.converted(convert), convert(Fraction(0)),
+                       param_value, z_value)
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coeffs]

@@ -137,10 +137,10 @@ class _Double(NumericContext):
         return fr.numerator / fr.denominator
 
     def to_float(self, x):
-        return float(x.real) if isinstance(x, complex) else float(x)
+        return float(x.real)
 
     def mag(self, x):
-        return float(abs(x))
+        return abs(x)
 
     def exp(self, x):
         return cmath.exp(x) if isinstance(x, complex) else math.exp(x)

@@ -382,3 +382,82 @@ class TestPrecisionIsolation:
         with mpmath.workdps(50):
             got = evaluate_sides(cfg("u-lower", **self.POINT))
         assert got == want
+
+
+class TestCoefficientsInContext:
+    """The tables are rounded into each context once per process, and a
+    sweep reads them there: the values are those of CoeffPoly.evaluate."""
+
+    B_VALUES = (0.7, 2.0, 0.7 + 0.5j)
+    # |z| 0.5 and 2 off the axes, and one z whose imaginary part is -0.0
+    Z_VALUES = ((0.5, 0.3), (2.0, 2.5), (2.0, None))
+
+    @staticmethod
+    def raw(x, mode):
+        return x._mpc_ if mode == "dd" else exact_key(x)
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    def test_cached_values_equal_coeffpoly_evaluate(self, mode):
+        ctx = Precision.from_mode(mode).ctx
+        table, low_even, low_odd = expansion.expansion_tables()
+        families = {False: (table.even, table.odd), True: (low_even, low_odd)}
+        points = []
+        for b in self.B_VALUES:
+            mu = ctx.coerce(b) - 1
+            for r, theta in self.Z_VALUES:
+                if theta is None:
+                    z = ctx.make_complex(r, -0.0)
+                else:
+                    z = ctx.real(r) * ctx.exp(ctx.make_complex(0.0, theta))
+                points.append((mu, z))
+        compared = 0
+        for lowered, (even, odd) in families.items():
+            assert len(even) == len(odd) == 11
+            for s in range(11):
+                for mu, z in points:
+                    got = expansion._coefficient_values(ctx, lowered, s, mu, z)
+                    want = (even[s].evaluate(mu, z, ctx.rational),
+                            odd[s].evaluate(mu, z, ctx.rational))
+                    assert ([self.raw(x, mode) for x in got]
+                            == [self.raw(x, mode) for x in want]), (lowered, s)
+                    compared += 2
+        assert compared == 4 * 11 * len(points)
+
+    def test_contexts_kept_apart_and_converted_lazily(self, monkeypatch):
+        point = dict(b=0.7 + 0.5j, z=(1.0, 0.3), t=20.0, order=3)
+        first_dd = evaluate_sides(cfg("u-lower", **point))
+        evaluate_sides(cfg("u-lower", prec=Precision.double(), **point))
+        assert evaluate_sides(cfg("u-lower", **point)) == first_dd
+        dd_ctx = Precision.dd().ctx
+        for s in range(3):
+            dd_rows = expansion._table_in_context(dd_ctx, True, s)
+            double_rows = expansion._table_in_context(
+                Precision.double().ctx, True, s)
+            dd_values = [v for rows in dd_rows for row in rows for v in row]
+            double_values = [v for rows in double_rows for row in rows
+                             for v in row]
+            assert dd_values and len(dd_values) == len(double_values)
+            assert all(isinstance(v, dd_ctx.own_types) for v in dd_values)
+            assert all(type(v) is float for v in double_values)
+
+        # a fresh dd context, as a new process has: its set-up converts
+        # nothing, its first sweep converts, and a second one does not
+        calls = []
+        rational = types._ExtendedMP.rational
+
+        def counting(self, fr):
+            calls.append(fr)
+            return rational(self, fr)
+
+        monkeypatch.setattr(types._ExtendedMP, "rational", counting)
+        monkeypatch.setattr(types, "_CTX_DD", None)
+        Precision.dd().ctx
+        expansion.expansion_tables.__wrapped__()
+        expansion.expansion_tables()
+        assert not calls
+        grid = [cfg(variant, **point) for variant in VARIANTS]
+        decay_sweep(grid)
+        assert calls
+        calls.clear()
+        decay_sweep(grid)
+        assert not calls
