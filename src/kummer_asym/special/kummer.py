@@ -101,12 +101,13 @@ def kummer_m(a: complex, b: complex, x: complex,
     return kummer_m_scaled(a, b, x, prec).to_logcomplex(prec.ctx)
 
 
-def _u_log_integrand(c, d, x0, ctx: NumericContext):
-    """w -> c w - d log(1+e^-w) - x0 e^w, c = b-1, d = a-b+1, in ctx's
-    series arithmetic: the parameters are read exactly with series_in, and
-    w and the value are series numbers (native numbers in double; in dd the
-    quadrature's fixed-point nodes, and e^w keeps its working bits however
-    far w is from 0, so x0 e^w stays accurate for any |x0|).
+def _u_log_integrand(c: complex, d: complex, x0: complex):
+    """The U integral's integrand on native numbers, c = b-1, d = a-b+1:
+    integrand(w) is the exponent E(w) = c w - d log(1+e^-w) - x0 e^w at a
+    float w, and integrand(w, g) the sample exp(E(w) - g) that
+    peak_integral sums.  It is double's integrand and, in every mode, the
+    float twin that brackets the integral; dd samples the same formula on
+    integers (blockfloat.FixedKernels.u_integrand).
 
     This is a w + (b-a-1) log(1+e^w) - x0 e^w with no two terms that
     cancel.  In that form, for large |a|, a w and (b-a-1) log(1+e^w) are
@@ -114,20 +115,18 @@ def _u_log_integrand(c, d, x0, ctx: NumericContext):
     roundoff in them would hold the trapezoid sums near 1e-13.  Here the
     terms there are some tens, the exponent's own size.  For w > 0, e^-w
     is 1 / e^w, so a node costs one exp; for w <= 0, d log(1+e^-w) is
-    d log(1+e^w) - d w, two products of opposite sign that add in size
-    and that dd forms exactly, where log(1+e^w) - w would be cut to the
-    coarser grid of w first."""
-    c, d, x0 = ctx.series_in(c), ctx.series_in(d), ctx.series_in(x0)
+    d log(1+e^w) - d w, two products of opposite sign that add in size."""
 
-    def logf(w):
-        exp_w = ctx.exp(w)
-        if ctx.to_float(w) > 0:
-            d_ell = d * ctx.log1p_real(1 / exp_w)
+    def integrand(w, g=None):
+        exp_w = math.exp(w)
+        if w > 0:
+            d_ell = d * math.log1p(1 / exp_w)
         else:
-            d_ell = d * ctx.log1p_real(exp_w) - d * w
-        return c * w - d_ell - x0 * exp_w
+            d_ell = d * math.log1p(exp_w) - d * w
+        e = c * w - d_ell - x0 * exp_w
+        return e if g is None else cmath.exp(e - g)
 
-    return logf
+    return integrand
 
 
 def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
@@ -135,15 +134,21 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
 
     Integrand exp((b-1) w - (a-b+1) ln(1+e^-w) - x0 e^w) over w in R,
     which is Gamma(a) U = int t^(a-1) (1+t)^(b-a-1) e^(-x0 t) dt at t = e^w.
-    c = b-1 and d = a-b+1 are formed in ctx; the float twin that finds the
-    peak and the cutoffs samples the same formula at their complex
-    roundings.
+    c = b-1 and d = a-b+1 are formed in ctx.  The float twin that finds
+    the peak and the cutoffs samples the same formula at their complex
+    roundings, and is the integrand itself in double; dd reads c, d and x0
+    exactly into its series arithmetic (series_in), where e^w keeps its
+    working bits however far w is from 0, so x0 e^w stays accurate for any
+    |x0|.
     """
     c, d = b_c - 1, a_c - b_c + 1
     ad, bd, xd = ctx.to_complex(a_c), ctx.to_complex(b_c), ctx.to_complex(x0)
-    logf = _u_log_integrand(c, d, x0, ctx)
-    plan_logf = _u_log_integrand(ctx.to_complex(c), ctx.to_complex(d), xd,
-                                 NATIVE)
+    twin = _u_log_integrand(ctx.to_complex(c), ctx.to_complex(d), xd)
+    if ctx is NATIVE:
+        integrand = twin
+    else:
+        integrand = ctx.quad_kernels.u_integrand(
+            ctx.series_in(c), ctx.series_in(d), ctx.series_in(x0))
     # saddle of the t-space integrand: x t^2 + (x+2-b) t - (a-1) = 0
     try:
         disc = cmath.sqrt((xd + 2 - bd) ** 2 + 4 * xd * (ad - 1))
@@ -154,7 +159,7 @@ def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
                   (-(xd + 2 - bd) - disc) / (2 * xd)]
     t_peak = max(root.real for root in candidates)
     w_start = math.log(t_peak) if t_peak > 1e-8 else math.log(1e-8)
-    integral = peak_integral(logf, w_start, ctx, plan_logf)
+    integral = peak_integral(integrand, w_start, ctx, twin)
     return ScaledValue(integral.mantissa,
                        integral.shift - log_gamma_ctx(a_c, ctx))
 

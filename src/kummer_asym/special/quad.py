@@ -1,18 +1,22 @@
 """Trapezoid integration of exp(logf(w)) over the real line.
 
 Built for Laplace-type integrands with a single interior peak: the caller
-supplies the log of the integrand (already transformed so the domain is all
-of R and the tails decay at least exponentially).  Nodes are spaced evenly
-between two cutoffs where the integrand has fallen far below its peak, and
-everything is summed relative to the peak so no overflow can occur.
+supplies the integrand as its exponent logf(w) and its sample
+exp(logf(w) - g) (already transformed so the domain is all of R and the
+tails decay at least exponentially).  Nodes are spaced evenly between two
+cutoffs where the integrand has fallen far below its peak, and everything
+is summed relative to the peak, g = logf(peak), so no overflow can occur.
 
-A native-float twin of the integrand brackets it: the peak is located and
-the two cutoffs walked out on the twin, which is sampled nowhere else.
-One step-halving loop then sums the trapezoid rule in the context's
-quadrature arithmetic (quad_in): native floats in double; in dd the fixed
-grid 2^-QUAD_BITS of blockfloat, where the sums are exact, two levels
-compare exactly and the value is rounded into the context once.  Levels
-are nested from 16 intervals, and the first comparison is 64 against 32.
+A native-float twin of the exponent brackets it: the peak is located and
+the two cutoffs walked out on the twin.  In double the integrand is its
+own twin, and its exponent at the peak, computed once, places the cutoffs
+too.  One step-halving loop then sums the trapezoid rule in the context's
+quadrature arithmetic (quad_in): native floats in double, where a sample
+is the integrand's own native number; in dd the fixed grid 2^-QUAD_BITS of
+blockfloat, where the integrand hands back each sample on that grid, the
+sums are exact, two levels compare exactly and the value is rounded into
+the context once.  Levels are nested from 16 intervals, and the first
+comparison is 64 against 32.
 
 For such analytic integrands the trapezoid error falls geometrically with
 the node count (Trefethen & Weideman, SIAM Review 56, 2014): an error e at
@@ -83,46 +87,56 @@ def _find_cutoff(re, w_peak: float, peak_re: float, direction: float,
     raise QuadratureError("integrand tail does not decay")
 
 
-def peak_integral(logf, w_start, ctx: NumericContext,
+def peak_integral(integrand, w_start, ctx: NumericContext,
                   plan_logf=None) -> ScaledValue:
     """Integrate exp(logf(w)) dw over R to ctx.quadrature_tol.
 
-    logf maps a real of ctx's series arithmetic to a number of it, and is
-    called once at the peak and once per node: in double both are native
-    numbers; in dd it is handed nodes on the quadrature grid (ctx.quad_in)
-    and gives back a series number, so a logf built from + - * with
-    integers and series numbers, ctx.exp, ctx.log1p_real and ctx.to_float
-    runs in every mode.  plan_logf is the same integrand on native floats
-    (returning float or complex), the twin that finds the peak and the
-    cutoffs; it defaults to logf, which must then accept floats.  Returns a
-    ScaledValue whose parts leave the series arithmetic by ctx.series_out,
-    as context complex numbers (in double, the numbers logf returns);
-    raises QuadratureError if the step-halving fails to stabilize within
-    the level cap, or where a sample lies beyond a double's range above
-    the located peak.
+    integrand is called once at the peak and once per node, on a real of
+    ctx's quadrature arithmetic: in double a float, in dd a series number
+    on the quadrature grid (ctx.quad_in).  At the peak, integrand(w) is
+    the exponent logf(w), a number of the series arithmetic (in double a
+    native number); at a node, integrand(w, g) is the sample
+    exp(logf(w) - g) in the quadrature arithmetic (in dd on the grid
+    2^-QUAD_BITS), g being the exponent at the peak in that arithmetic.
+    It raises OverflowError where the sample is beyond a double's range.
+    plan_logf is the exponent on native floats (returning float or
+    complex), the twin that finds the peak and the cutoffs; it defaults to
+    integrand, which must then accept floats.  In double the twin must
+    be the integrand's own exponent: integrand(w) at the peak, called
+    once, gives both the cutoffs' reference and the shift g.
+    Returns a ScaledValue whose parts leave the series arithmetic by
+    ctx.series_out, as context complex numbers (in double, the numbers
+    integrand returns); raises QuadratureError if the step-halving fails
+    to stabilize within the level cap, or where a sample lies beyond a
+    double's range above the located peak.
     """
     tol = ctx.quadrature_tol
     native = ctx is NATIVE
-    twin = logf if plan_logf is None else plan_logf
+    twin = integrand if plan_logf is None else plan_logf
     re = lambda w: NATIVE.to_float(twin(w))
     w_peak = _locate_peak(re, NATIVE.to_float(w_start))
-    peak_re = re(w_peak)
+    # in double the integrand is its own twin: one exponent at the peak
+    # places the cutoffs and is the sums' shift
+    peak = integrand(w_peak) if native else twin(w_peak)
+    peak_re = NATIVE.to_float(peak)
     # an extended mode's tails must fall below its rounding, not just its
     # tolerance: cut at eps there, which tol exceeds by 15 digits in dd
     drop = -math.log(tol if native else ctx.eps) + 15.0
     wl = ctx.quad_in(_find_cutoff(re, w_peak, peak_re, -1.0, drop))
     wr = ctx.quad_in(_find_cutoff(re, w_peak, peak_re, +1.0, drop))
     span = wr - wl
-    g_peak = ctx.series_out(logf(ctx.quad_in(w_peak)))
+    g_peak = peak if native else ctx.series_out(
+        integrand(ctx.quad_in(w_peak)))
     g = ctx.quad_in(g_peak)
 
     def sample(w):
         try:
-            return ctx.quad_in(ctx.exp(logf(w) - g))
+            return integrand(w, g)
         except OverflowError:
             # the located peak is not the integrand's maximum
+            where = ctx.to_float(ctx.series_out(w))
             raise QuadratureError(
-                f"integrand at w = {ctx.to_float(w):.6g} exceeds its located "
+                f"integrand at w = {where:.6g} exceeds its located "
                 f"peak beyond a double's range") from None
 
     # each sum holds the two end samples once and every other sample twice,

@@ -36,7 +36,6 @@ class NumericContext:
       make_complex(re, im=0)   a context complex
       exp(x), log(x), sin(x)   real or complex; log of a negative real is complex
       sinpi(x)                 sin(pi x), its argument reduced exactly
-      log1p_real(x)            log(1 + x) of a real
       abs(x)                   |x| as a context real
       is_finite(x)             no part infinite or NaN
       pi                       the constant
@@ -52,8 +51,8 @@ class NumericContext:
                                complex, rounded once
       quad_in(x)               a float, context number or series number
                                on the fixed grid of the U quadrature's
-                               sums, in the series arithmetic, which
-                               series_out leaves
+                               nodes and sums, in the series arithmetic,
+                               which series_out leaves
       check_headroom(...)      the cancellation guard
 
     The term loops of the M series, K's Temme series and CF2, and I's CF1
@@ -66,10 +65,11 @@ class NumericContext:
     blockfloat.SERIES_GUARD_BITS, and sums exact on the grid of their
     largest term.
 
-    The U quadrature's trapezoid sums (quad.py) and its integrand use the
-    same arithmetic, held on a fixed grid by quad_in, with exp and
-    log1p_real of series numbers; in double this is all native math, the
-    arithmetic of the float twin that brackets the integrand.
+    The U quadrature's nodes and trapezoid sums (quad.py) use the same
+    arithmetic, held on a fixed grid by quad_in.  Its integrand is native
+    math in double, the float twin that brackets it in every mode; in dd
+    each sample is one routine on the integers of those series numbers
+    (blockfloat.FixedKernels.u_integrand, the context's quad_kernels).
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
@@ -129,7 +129,6 @@ class _Double(NumericContext):
 
     real = float
     make_complex = complex
-    log1p_real = staticmethod(math.log1p)
     abs = staticmethod(abs)
     pi = math.pi
 
@@ -174,7 +173,7 @@ class _ExtendedMP(NumericContext):
 
     It works in a private mpmath.MPContext, so it neither reads nor writes
     the process-wide mpmath.mp precision; the interface functions are that
-    context's own, but for exp and log1p_real of series numbers.
+    context's own.
 
     Its series numbers are BlockComplex values with wp = prec +
     SERIES_GUARD_BITS bits; like mpmath, blockfloat is imported only when
@@ -187,9 +186,9 @@ class _ExtendedMP(NumericContext):
     costs a few integer multiplications a step instead of mpmath's
     pure-Python mpc objects.
 
-    quad_in puts a number on the grid 2^-blockfloat.QUAD_BITS, and exp and
-    log1p_real of a series number are those of blockfloat.FixedKernels,
-    built with the context.
+    quad_in puts a number on the grid 2^-blockfloat.QUAD_BITS, and
+    quad_kernels, the blockfloat.FixedKernels built with the context, gives
+    the U quadrature's samples on that grid.
     """
 
     name = "dd"
@@ -207,16 +206,15 @@ class _ExtendedMP(NumericContext):
         mp = self._mp = mpmath.MPContext()
         mp.prec = DD_PREC
         self._block = BlockComplex
-        kernels = FixedKernels()
-        self._series_exp, self._series_log1p = kernels.exp, kernels.log1p
+        self.quad_kernels = FixedKernels()
         self._quad_grid = -QUAD_BITS
         self._raw_to_float = mpmath.libmp.to_float
         self._fzero, self._to_fixed = fzero, to_fixed
         self._from_man_exp = from_man_exp
         self.own_types = (mp.mpf, mp.mpc)
         self.real, self.make_complex = mp.mpf, mp.mpc
-        self._mp_exp, self._mp_log1p = mp.exp, mp.log1p
-        self.log, self.sin, self.sinpi = mp.log, mp.sin, mp.sinpi
+        self.exp, self.log = mp.exp, mp.log
+        self.sin, self.sinpi = mp.sin, mp.sinpi
         self.abs, self.is_finite = mp.fabs, mp.isfinite
         self.pi = mp.pi
 
@@ -244,16 +242,6 @@ class _ExtendedMP(NumericContext):
         if type(x) is not self._block:
             x = self.series_in(self.coerce(x))
         return x.on_grid(self._quad_grid)
-
-    def exp(self, x):
-        if type(x) is self._block:
-            return self._series_exp(x)
-        return self._mp_exp(x)
-
-    def log1p_real(self, x):
-        if type(x) is self._block:
-            return self._series_log1p(x)
-        return self._mp_log1p(x)
 
     def mag(self, x):
         if type(x) is self._block:

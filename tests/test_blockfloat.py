@@ -1,6 +1,7 @@
 """Block-floating complex arithmetic against exact Fraction arithmetic, and
 the quadrature's fixed-point kernels against 50-digit mpmath."""
 
+import cmath
 import importlib
 import math
 import pathlib
@@ -66,23 +67,6 @@ def test_a_quotient_is_rounded_once_to_wp_bits(a, b):
 
 
 @settings(max_examples=200, derandomize=True)
-@given(st.integers(-(1 << 70), 1 << 70), nonzero)
-def test_an_integer_over_a_block_is_rounded_once(n, b):
-    # to wp bits, or to the divisor's own bits where it has more
-    q = n / b
-    br, bi = exact(b)
-    den = br * br + bi * bi
-    want = (n * br / den, -n * bi / den)
-    unit = Fraction(2) ** q.exp
-    for got, part in zip(exact(q), want):
-        assert 0 <= (part - got) * (1 if part >= 0 else -1) < unit
-    bits = max(WP, max(abs(b.re), abs(b.im)).bit_length())
-    if n:
-        assert bits - 1 <= max(abs(q.re), abs(q.im)).bit_length() <= bits + 1
-    assert same(-n / b, -(n / b))
-
-
-@settings(max_examples=200, derandomize=True)
 @given(blocks, blocks)
 def test_a_sum_lies_on_the_coarser_grid(a, b):
     s = a + b
@@ -122,12 +106,6 @@ def test_on_grid_is_exact_or_truncates_toward_zero(a, exp):
         if exp <= a.exp:
             assert got == part
     assert same((-a).on_grid(exp), -b)
-
-
-def test_float_reads_the_real_part():
-    assert float(Block(-3, 7, -2)) == -0.75
-    assert float(Block(1 << 300, 0, -301)) == 0.5
-    assert float(Block(-(3 << 200), 0, -200)) == -3.0
 
 
 # The mpmath.libmp names the package uses.  They are not documented API,
@@ -184,12 +162,25 @@ def value(b):
     return _REF.mpc(_REF.ldexp(b.re, b.exp), _REF.ldexp(b.im, b.exp))
 
 
+def kernel_exp(x):
+    """KERNELS.exp of a block number x, read onto the kernels' grid."""
+    x = x.on_grid(-KERNELS.wp)
+    return BlockComplex(*KERNELS.exp(x.re, x.im))
+
+
+def kernel_log1p(x):
+    """KERNELS.log1p of the real part of a block number x, read onto the
+    kernels' grid, as a block number."""
+    return BlockComplex(KERNELS.log1p(x.on_grid(-KERNELS.wp).re), 0,
+                        -KERNELS.wp)
+
+
 @settings(max_examples=150, derandomize=True)
 @given(st.floats(-600.0, 600.0) | st.sampled_from(
     [-600.0, -1e-9, 0.5, 33.0, 600.0, 709.0]))
 def test_exp_of_a_real(w):
     x = on_quad_grid(w)
-    got = KERNELS.exp(x)
+    got = kernel_exp(x)
     assert got.im == 0 and got.re.bit_length() >= KERNELS.wp - 1
     ref = _REF.exp(value(x))
     assert abs(value(got) / ref - 1) / UNIT <= kernel_bound(abs(w))
@@ -201,7 +192,7 @@ def test_exp_of_a_real(w):
 def test_log1p_from_zero_past_two_to_the_sixty(t):
     mantissa, exponent = math.frexp(t)
     x = BlockComplex(int(math.ldexp(mantissa, 53)), 0, exponent - 53)
-    got = value(KERNELS.log1p(x)).real
+    got = value(kernel_log1p(x)).real
     ref = _REF.log1p(value(x).real)
     assert abs(got - ref) / UNIT <= kernel_bound(float(ref), float(ref))
 
@@ -210,7 +201,7 @@ def test_log1p_from_zero_past_two_to_the_sixty(t):
 @given(st.floats(-60.0, 5.0), st.floats(-1e4, 1e4) | st.floats(-4.0, 4.0))
 def test_exp_of_a_complex_exponent(re_x, im_x):
     x = on_quad_grid(re_x, im_x)
-    got, ref = value(KERNELS.exp(x)), _REF.exp(value(x))
+    got, ref = value(kernel_exp(x)), _REF.exp(value(x))
     error = max(abs(got.real - ref.real), abs(got.imag - ref.imag))
     assert error / (UNIT * abs(ref)) <= kernel_bound(abs(complex(re_x, im_x)))
 
@@ -221,18 +212,117 @@ def test_log1p_of_a_reciprocal_exp(w):
     # the U integrand's log(1 + e^-w) for w > 0: the reciprocal keeps the
     # bits of e^w, so the result stays within the kernels' bound
     x = on_quad_grid(w)
-    got = value(KERNELS.log1p(1 / KERNELS.exp(x))).real
+    e_w = kernel_exp(x)
+    got = value(BlockComplex(KERNELS.log1p_inverse(e_w.re, e_w.exp), 0,
+                             -KERNELS.wp)).real
     ref = _REF.log1p(_REF.exp(-value(x).real))
     assert abs(got - ref) / UNIT <= kernel_bound(w) + 2.0 ** -12
 
 
 def test_kernels_are_exact_at_zero_and_refuse_overflow():
     zero = on_quad_grid(0.0)
-    assert value(KERNELS.exp(zero)) == 1 and value(KERNELS.log1p(zero)) == 0
+    assert value(kernel_exp(zero)) == 1 and value(kernel_log1p(zero)) == 0
     top = math.log(2.0 ** 1023 * (2 - 2.0 ** -52))  # a double's largest exp
-    KERNELS.exp(on_quad_grid(top - 1e-9, 3.0))
+    kernel_exp(on_quad_grid(top - 1e-9, 3.0))
     for x in (on_quad_grid(top + 1e-9), on_quad_grid(1e6, -2.0)):
         with pytest.raises(OverflowError):
-            KERNELS.exp(x)
+            kernel_exp(x)
     # far below the peak a sample is exactly 0 on the grid
-    assert KERNELS.exp(on_quad_grid(-1e6, 1.0)).on_grid(-QUAD_BITS) == 0
+    assert kernel_exp(on_quad_grid(-1e6, 1.0)).on_grid(-QUAD_BITS) == 0
+
+
+# The U integral's sample, fused into one routine on integers
+# (FixedKernels.u_integrand), against the composition it replaced, written
+# out here from BlockComplex's operators and the kernels: the integrand's
+# exponent c w - d log(1 + e^-w) - x0 e^w on block numbers, then - g, exp
+# and the quadrature grid.
+
+
+def reciprocal(x):
+    """1 / x rounded once to wp bits, or to x's own bits where it has
+    more, as the integrand formed 1 / e^w."""
+    bits = max(BlockComplex.wp, (abs(x.re) | abs(x.im)).bit_length())
+    wide = type("Wide", (BlockComplex,), {"__slots__": (), "wp": bits})
+    return wide(1, 0, 0) / x
+
+
+def composed_exponent(c, d, x0, w):
+    exp_w = kernel_exp(w)
+    if w.re > 0:
+        d_ell = d * kernel_log1p(reciprocal(exp_w))
+    else:
+        d_ell = d * kernel_log1p(exp_w) - d * w
+    return c * w - d_ell - x0 * exp_w
+
+
+def composed_sample(c, d, x0, w, g):
+    return kernel_exp(composed_exponent(c, d, x0, w) - g).on_grid(-QUAD_BITS)
+
+
+def parts(b):
+    return b.re, b.im, b.exp
+
+
+def outcome(f, *args):
+    """f's block result as integers, or the OverflowError it raised."""
+    try:
+        return parts(f(*args))
+    except OverflowError:
+        return OverflowError
+
+
+reals_a = st.floats(0.01, 400.0)
+complexes_a = st.builds(lambda r, t: cmath.rect(r, t), st.floats(0.01, 400.0),
+                        st.floats(-1.5, 1.5))
+bs = (st.floats(0.1, 3.0) | st.integers(1, 3).map(float)
+      | st.builds(complex, st.floats(0.1, 3.0), st.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(a=reals_a | complexes_a, b=bs, r=st.floats(0.1, 4.0),
+       theta=st.just(0.0) | st.floats(-0.45 * math.pi, 0.45 * math.pi),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       fine=st.booleans())
+def test_the_fused_sample_is_the_composed_one_bit_for_bit(a, b, r, theta,
+                                                         fractions, fine):
+    from kummer_asym.special import quad
+    from kummer_asym.special.kummer import _u_log_integrand
+    from kummer_asym.special.types import NATIVE, Precision
+
+    ctx = Precision.dd().ctx
+    a_c, b_c = ctx.coerce(a), ctx.coerce(b)
+    x0_c = ctx.coerce(cmath.rect(r, theta))
+    c_c, d_c = b_c - 1, a_c - b_c + 1
+    c, d, x0 = (ctx.series_in(v) for v in (c_c, d_c, x0_c))
+    fused = ctx.quad_kernels.u_integrand(c, d, x0)
+    # the peak and the cutoffs as peak_integral places them on the twin
+    twin = _u_log_integrand(complex(c_c), complex(d_c), complex(x0_c))
+    re = lambda w: NATIVE.to_float(twin(w))
+    try:
+        w_peak = quad._locate_peak(re, 0.0)
+        peak_re = re(w_peak)
+        drop = -math.log(ctx.eps) + 15.0
+        cut = [quad._find_cutoff(re, w_peak, peak_re, s, drop)
+               for s in (-1.0, 1.0)]
+    except (OverflowError, quad.QuadratureError):
+        return
+    peak = ctx.quad_in(w_peak)
+    assert parts(fused(peak)) == parts(composed_exponent(c, d, x0, peak))
+    g = ctx.quad_in(ctx.series_out(fused(peak)))
+    wl, wr = cut
+    nodes = [wl + (wr - wl) * f for f in fractions] + [wl, wr, 0.0,
+                                                       w_peak]
+    for w in nodes:
+        node = ctx.quad_in(w)
+        if fine:
+            # a node on a finer grid than the quadrature's
+            node = BlockComplex(node.re << QUAD_BITS | 1, 0, -2 * QUAD_BITS)
+        assert parts(fused(node)) == parts(
+            composed_exponent(c, d, x0, node))
+        want = outcome(composed_sample, c, d, x0, node, g)
+        assert outcome(fused, node, g) == want
+    # a shift far below the peak's exponent: the sample at the peak is
+    # beyond a double's range, and both refuse it
+    low = ctx.quad_in(ctx.series_out(fused(peak)) - 800)
+    assert outcome(composed_sample, c, d, x0, peak, low) is OverflowError
+    assert outcome(fused, peak, low) is OverflowError

@@ -204,6 +204,26 @@ class TestDecaySweep:
         assert [row.status for row in result.rows] == [
             "error:OrderStarvationError"] * 3
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="FOUND 74 (CHANGES.md): in double the U "
+                              "integral fails to stabilize at arg z = 2.5, "
+                              "|z| = 2 for t >= 20, where dd reads ok")
+    def test_double_u_rows_between_the_axes_read_as_dd(self):
+        # no acceptance axis lies between arg z = pi/2 and pi; dd reads
+        # 2.85e-7 at t = 20 here
+        def sweep(prec):
+            return decay_sweep([
+                cfg(variant, b=0.7 + 0.5j, z=(2.0, 2.5), t=t, prec=prec)
+                for variant in ("u-capital", "u-lower")
+                for t in (10.0, 20.0, 40.0)]).rows
+
+        for got, want in zip(sweep(Precision.double()),
+                             sweep(Precision.dd())):
+            assert want.status == "ok"
+            assert got.status == "ok", (got.config.t, got.status)
+            assert abs(got.result.rel_discrepancy
+                       - want.result.rel_discrepancy) <= 1e-6
+
 
 def scope_is_open():
     calls = []
