@@ -26,7 +26,7 @@ from .special.bessel import bessel_i_scaled, bessel_k_scaled
 from .special.gammafn import log_gamma_ctx
 from .special.kummer import kummer_m_scaled, kummer_u_scaled
 from .special.types import (LogComplex, NumericContext, Precision,
-                            RiemannPoint, ScaledValue, exact_key,
+                            RiemannPoint, ScaledValue, alignment, exact_key,
                             is_nonpositive_integer, shared, sharing_scope)
 from .temme import gamma_ratio_coefficients
 
@@ -132,14 +132,18 @@ class SideBySide:
 
 
 def _finish(lhs: ScaledValue, lhs_log: LogComplex, rhs: ScaledValue,
-            ctx: NumericContext) -> SideBySide:
+            ctx: NumericContext, ratio_scale=None) -> SideBySide:
+    """The side-by-side of lhs and rhs; ratio_scale, where the caller has
+    it, is e^(lhs.shift - rhs.shift)."""
     ratio = lhs.div(rhs, ctx)
     gap = ctx.to_float(ratio.shift) + math.log(
         max(ctx.mag(ratio.mantissa), 1e-300))
     if gap > 690.0:
         disc = math.inf
     else:
-        w = ratio.mantissa * ctx.exp(ratio.shift)
+        if ratio_scale is None:
+            ratio_scale = ctx.exp(ratio.shift)
+        w = ratio.mantissa * ratio_scale
         disc = ctx.to_float(ctx.abs(w - 1))
     return SideBySide(lhs_log, rhs.to_logcomplex(ctx), disc)
 
@@ -168,17 +172,19 @@ def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
     prefactor, the Bessel kind (I or K), the sign of the order-b term and
     the coefficient table (raw or lowered).  The order is checked against
     the table first; kernels then run in the order oracle, log-gamma,
-    coefficient values, Bessel pair.
+    Bessel pair, coefficient values.
 
     Every value that does not depend on the order N is shared (see
     special.types.shared) within the sharing scope this opens unless the
     caller, such as decay_sweep, has one open: the point's constants, the
     oracle per (M or U, b, z, t, arg u, precision), so u-capital and
-    u-lower read one U; the prefactored lhs and its LogComplex per variant
-    at that point; the Bessel pair per kind at that point, from one call
-    that returns both orders b - 1 and b; and each coefficient value
-    even[s], odd[s] per (raw or lowered table, b, z, s, precision), from
-    the table's coefficients as ctx numbers, which every sweep in the
+    u-lower read one U; per variant at that point, one entry with the
+    prefactored lhs and its LogComplex, the shifts of the two Bessel
+    terms, the exp that aligns them (ScaledValue.add_aligned) and the exp
+    that scales lhs / rhs; the Bessel pair per kind at that point, from
+    one call that returns both orders b - 1 and b; and each coefficient
+    value even[s], odd[s] per (raw or lowered table, b, z, s, precision),
+    from the table's coefficients as ctx numbers, which every sweep in the
     process reads (_table_in_context).  Below them the kernels share
     log-gamma values, K's ladder and I's pair by their exact inputs, so
     the m variant and K's winding read one CF1 and one walk down.  A
@@ -206,7 +212,9 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
     (b_c, log_u, a_c, log_z, z_red, x_red, log2, mu_c,
      inv_u2) = shared(("point",) + point, lambda: _point_constants(cfg, ctx))
 
-    def prefactored_oracle():
+    def variant_constants():
+        # lhs, then the two Bessel terms' shifts, the exp that aligns them
+        # and the exp that scales lhs / rhs: what every order N reads
         if cfg.variant == "m":
             oracle = kummer_m_scaled(a_c, b_c, x_red, prec)
             head = ((1 - b_c) * log2 + (b_c - 1) * log_u
@@ -222,9 +230,23 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
                         + ((b_c - 2) * log2 + (1 - b_c) * log_u))
         lhs = ScaledValue(oracle.mantissa,
                           oracle.shift + (head - x_red / 2 + b_c * log_z))
-        return lhs, lhs.to_logcomplex(ctx)
+        lhs_log = lhs.to_logcomplex(ctx)
+        bessel = bessel_i_scaled if cfg.variant == "m" else bessel_k_scaled
+        low, high = shared(
+            ("I" if cfg.variant == "m" else "K",) + point,
+            lambda: bessel(b - 1, cfg.z.scaled(cfg.t, cfg.u_theta), prec))
+        high_mantissa = high.mantissa if cfg.variant == "m" else -high.mantissa
+        shifts = (low.shift + log_z, high.shift + log_z - log_u)
+        first, scale = alignment(*shifts, ctx)
+        try:
+            ratio_scale = ctx.exp(lhs.shift - shifts[0 if first else 1])
+        except OverflowError:
+            ratio_scale = None  # beyond a double; _finish may not need it
+        return (lhs, lhs_log, low.mantissa, high_mantissa, shifts, first,
+                scale, ratio_scale)
 
-    lhs, lhs_log = shared((cfg.variant,) + point, prefactored_oracle)
+    (lhs, lhs_log, low_mantissa, high_mantissa, shifts, first, scale,
+     ratio_scale) = shared((cfg.variant,) + point, variant_constants)
 
     power = ctx.make_complex(1.0)
     sum_even = ctx.make_complex(0.0)
@@ -237,16 +259,12 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
         sum_odd = sum_odd + power * odd_s
         power = power * inv_u2
 
-    def bessel_pair():
-        bessel = bessel_i_scaled if cfg.variant == "m" else bessel_k_scaled
-        return bessel(b - 1, cfg.z.scaled(cfg.t, cfg.u_theta), prec)
-
-    low, high = shared(("I" if cfg.variant == "m" else "K",) + point,
-                       bessel_pair)
-    high_mantissa = high.mantissa if cfg.variant == "m" else -high.mantissa
-    term1 = ScaledValue(low.mantissa * sum_even, low.shift + log_z)
-    term2 = ScaledValue(high_mantissa * sum_odd, high.shift + log_z - log_u)
-    return _finish(lhs, lhs_log, term1.add(term2, ctx), ctx)
+    term1 = ScaledValue(low_mantissa * sum_even, shifts[0])
+    term2 = ScaledValue(high_mantissa * sum_odd, shifts[1])
+    if lhs.is_zero() or term1.is_zero() or term2.is_zero():
+        return _finish(lhs, lhs_log, term1.add(term2, ctx), ctx)
+    rhs = term1.add_aligned(term2, first, scale, ctx)
+    return _finish(lhs, lhs_log, rhs, ctx, ratio_scale)
 
 
 def gamma_ratio_check(b: complex, u: float, order: int,

@@ -3,24 +3,34 @@
 A BlockComplex is (re + i im) 2^exp, with Python-integer mantissas re and
 im sharing one binary exponent.  The extended context converts a series'
 parameters into this type once (NumericContext.series_in), the term loops
-of kummer.py and bessel.py run on it through the operators below, and the
-sum is rounded out once (series_out).  The operators are chosen for those
-loops, whose step is term * p(n) / q(n) with p and q low-degree in n:
+run on it, and the sum is rounded out once (series_out).  The operators
+below are chosen for those loops, whose step is term * p(n) / q(n) with p
+and q low-degree in n:
 
   * a product, and a sum with a Python int, are exact on the operands'
     grid (an int is rounded to the grid only when the grid is coarser than
     1, that is when the operand is already above 2^wp);
   * a quotient is rounded once, to wp significant bits of its larger
-    part, so each series step rounds once and every term keeps wp bits
-    however far the terms shrink below 1 or grow again;
+    part (_quotient), so each series step rounds once and every term
+    keeps wp bits however far the terms shrink below 1 or grow again;
   * a sum of two block numbers lies on the coarser of their two grids,
-    the finer operand truncated to it.  Terms that each carry wp bits then
-    keep the running sum an exact integer at the scale 2^-wp times the
-    largest term so far; a compensated (Kahan) step holds only the bits
-    of a term truncated onto that grid.
+    the finer operand truncated to it (_sum).  Terms that each carry wp
+    bits then keep the running sum an exact integer at the scale 2^-wp
+    times the largest term so far.  A compensated (Kahan) step, whose
+    correction is formed on that grid too, keeps only a term that falls
+    wholly below a unit of it: the bits truncated off a larger term are
+    truncated again from the correction.
 
 Every rounding truncates toward zero, so negation commutes with every
 operation.
+
+K's Temme series runs on the operators.  The loops of the M series, K's
+CF2, I's CF1 and I's walk down are one routine each on the integers of
+the block numbers (m_terms, k_cf2_terms, i_cf1_terms, i_walk): each makes
+the integer operations that the operators would make for its loop, in
+the same order, and reads its stopping tests and peaks through
+_magnitude, as mag does, so every term and every stop is the same; it
+builds block numbers only for what it returns.
 
 Summing hypergeometric-type series in integer mantissas is the standard
 technique: Brent & Zimmermann, Modern Computer Arithmetic (2010), 4.4;
@@ -48,6 +58,8 @@ import sys
 # them that each series term keeps.
 DD_PREC = 116
 SERIES_GUARD_BITS = 24
+# The significant bits of a series quotient (BlockComplex.wp).
+WP = DD_PREC + SERIES_GUARD_BITS
 
 # The bits FixedKernels computes with beyond the quadrature grid.  Each
 # kernel then stays within 2^-12 (1 + |x| / 2^10) units of the grid (see
@@ -79,7 +91,8 @@ def _truncate(m: int, bits: int) -> int:
 
 def _on_grid(m: int, exp: int, grid: int) -> int:
     """m 2^exp on the grid 2^grid: exact where that grid is the finer one,
-    truncated toward zero onto it otherwise."""
+    truncated toward zero onto it otherwise.  _on_grid(n, 0, exp) is the
+    integer n on a block number's grid, as BlockComplex.__add__ adds it."""
     drop = grid - exp
     if drop <= 0:
         return m << -drop
@@ -89,7 +102,7 @@ def _on_grid(m: int, exp: int, grid: int) -> int:
 def _sum(ar: int, ai: int, ae: int, br: int, bi: int, be: int) -> tuple:
     """(ar + i ai) 2^ae + (br + i bi) 2^be as BlockComplex._plus forms it,
     on integers: (re, im, exp) on the coarser of the two grids.  _plus does
-    not call it: the series loops' sums would pay a call each."""
+    not call it: the operator loops' sums would pay a call each."""
     if not (br or bi):
         return ar, ai, ae
     if not (ar or ai):
@@ -102,6 +115,41 @@ def _sum(ar: int, ai: int, ae: int, br: int, bi: int, be: int) -> tuple:
     return ar + br, ai + bi, be
 
 
+def _quotient(ar: int, ai: int, ae: int, br: int, bi: int, be: int,
+              wp: int = WP) -> tuple:
+    """(ar + i ai) 2^ae / (br + i bi) 2^be rounded once, toward zero, to
+    wp significant bits of its larger part: (re, im, exp)."""
+    # a / b = a conj(b) / |b|^2, one rounding
+    den = br * br + bi * bi
+    num_re = ar * br + ai * bi
+    num_im = ai * br - ar * bi
+    shift = wp + den.bit_length() - (abs(num_re) | abs(num_im)).bit_length()
+    if shift >= 0:
+        num_re <<= shift
+        num_im <<= shift
+    else:
+        den <<= -shift
+    # floor division, turned into truncation toward zero
+    re = num_re // den if num_re >= 0 else -(-num_re // den)
+    im = num_im // den if num_im >= 0 else -(-num_im // den)
+    return re, im, ae - be - shift
+
+
+def _magnitude(re: int, im: int, exp: int) -> float:
+    """|(re + i im) 2^exp| as a float: 0.0 below the double range, inf
+    above it.  A series term or sum has mantissas within a few bits of wp,
+    but a quadrature sum far above its peak can have mantissas beyond a
+    float's range; their low bits are dropped first."""
+    try:
+        return math.ldexp(math.hypot(re, im), exp)
+    except OverflowError:
+        drop = max(0, max(abs(re), abs(im)).bit_length() - 64)
+    try:
+        return math.ldexp(math.hypot(re >> drop, im >> drop), exp + drop)
+    except OverflowError:
+        return math.inf
+
+
 class BlockComplex:
     """(re + i im) 2^exp with integer mantissas; see the module docstring.
 
@@ -109,7 +157,7 @@ class BlockComplex:
     """
 
     __slots__ = ("re", "im", "exp")
-    wp = DD_PREC + SERIES_GUARD_BITS
+    wp = WP
 
     def __init__(self, re: int, im: int, exp: int):
         self.re = re
@@ -122,19 +170,8 @@ class BlockComplex:
                           _on_grid(self.im, self.exp, exp), exp)
 
     def mag(self) -> float:
-        """|self| as a float: 0.0 below the double range, inf above it.
-        A series term or sum has mantissas within a few bits of wp, but a
-        quadrature sum far above its peak can have mantissas beyond a
-        float's range; their low bits are dropped first."""
-        re, im, exp = self.re, self.im, self.exp
-        try:
-            return math.ldexp(math.hypot(re, im), exp)
-        except OverflowError:
-            drop = max(0, max(abs(re), abs(im)).bit_length() - 64)
-        try:
-            return math.ldexp(math.hypot(re >> drop, im >> drop), exp + drop)
-        except OverflowError:
-            return math.inf
+        """|self| as a float (see _magnitude)."""
+        return _magnitude(self.re, self.im, self.exp)
 
     def __add__(self, other):
         if type(other) is int:
@@ -176,32 +213,158 @@ class BlockComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """self / other rounded once to wp bits."""
+        """self / other rounded once to wp bits (see _quotient)."""
         if type(other) is int:
             other = type(self)(other, 0, 0)
-        br, bi = other.re, other.im
-        # self / other = self * conj(other) / |other|^2, one rounding
-        den = br * br + bi * bi
-        num_re = self.re * br + self.im * bi
-        num_im = self.im * br - self.re * bi
-        shift = (self.wp + den.bit_length()
-                 - (abs(num_re) | abs(num_im)).bit_length())
-        exp = self.exp - other.exp - shift
-        if shift >= 0:
-            num_re <<= shift
-            num_im <<= shift
-        else:
-            den <<= -shift
-        # floor division, turned into truncation toward zero
-        re = num_re // den if num_re >= 0 else -(-num_re // den)
-        im = num_im // den if num_im >= 0 else -(-num_im // den)
-        return type(self)(re, im, exp)
+        return type(self)(*_quotient(self.re, self.im, self.exp, other.re,
+                                     other.im, other.exp, self.wp))
 
-    def __eq__(self, other):
-        # the loops compare with 0 only: is a term exactly zero
-        if type(other) is not int or other:
-            return NotImplemented
-        return not (self.re or self.im)
+
+# The dd term loops of kummer._m_series, bessel._k_cf2, bessel._i_cf1 and
+# bessel._i_ratios, each one routine on the integers of block numbers.  Each
+# makes the integer operations that BlockComplex's operators made for that
+# loop, in their order: exact products, an integer added on its operand's
+# grid (_on_grid), each sum on the coarser grid (_sum) and each quotient
+# rounded once (_quotient); each stopping test and peak reads _magnitude,
+# as BlockComplex.mag does.  A loop that runs out of terms returns None.
+# The loops start from 1 as series_in reads it: 2^(WP - 1) 2^(1 - WP).
+
+_ONE = (1 << (WP - 1), 0, 1 - WP)
+
+
+def m_terms(a: BlockComplex, b: BlockComplex, x: BlockComplex,
+            min_terms: int, max_terms: int, tol: float):
+    """The M series sum_n (a)_n x^n / ((b)_n n!) with Kahan compensation:
+    term_n+1 = term_n (a + n) x / ((b + n) (n + 1)), from term_0 = 1.
+    It stops at a term that is exactly 0, or at the second term in a row
+    within tol of the sum once n >= min_terms.  Returns the sum and the
+    largest |term| (at least 1)."""
+    ar, ai, ae = a.re, a.im, a.exp
+    br, bi, be = b.re, b.im, b.exp
+    xr, xi, xe = x.re, x.im, x.exp
+    tr, ti, te = _ONE
+    sr, si, se = _ONE
+    cr = ci = ce = 0
+    peak, quiet = 1.0, 0
+    for n in range(max_terms):
+        # term (a + n) x / ((b + n) (n + 1))
+        pr = ar + _on_grid(n, 0, ae)
+        ur, ui = tr * pr - ti * ai, tr * ai + ti * pr
+        ur, ui = ur * xr - ui * xi, ur * xi + ui * xr
+        qr, k = br + _on_grid(n, 0, be), n + 1
+        tr, ti, te = _quotient(ur, ui, te + ae + xe, qr * k, bi * k, be)
+        if not (tr or ti):
+            break
+        # y = term - comp, t = sum + y, comp = (t - sum) - y
+        yr, yi, ye = _sum(tr, ti, te, -cr, -ci, ce)
+        nr, ni, ne = _sum(sr, si, se, yr, yi, ye)
+        cr, ci, ce = _sum(*_sum(nr, ni, ne, -sr, -si, se), -yr, -yi, ye)
+        sr, si, se = nr, ni, ne
+        size = _magnitude(tr, ti, te)
+        if size > peak:
+            peak = size
+        if size <= tol * _magnitude(sr, si, se):
+            quiet += 1
+            if quiet >= 2 and n >= min_terms:
+                break
+        else:
+            quiet = 0
+    else:
+        return None
+    return BlockComplex(sr, si, se), peak
+
+
+def k_cf2_terms(a1: BlockComplex, x: BlockComplex, max_terms: int,
+                tol: float):
+    """Steed's sums for CF2 at a1 = 1/4 - mu^2 (bessel._k_cf2): returns s,
+    h and the largest |term| of s (at least 1)."""
+    # a = -a1, b = 2 (x + 1), d = h = delh = 1 / b, with delh in l
+    ar, ai, ae = -a1.re, -a1.im, a1.exp
+    br, bi, be = 2 * (x.re + _on_grid(1, 0, x.exp)), 2 * x.im, x.exp
+    b_step = _on_grid(2, 0, be)
+    dr, di, de = _quotient(*_ONE, br, bi, be)
+    hr, hi, he = lr, li, le = dr, di, de
+    # t_prev = 0, t = q = -a, s = t delh + 1
+    tpr = tpi = tpe = 0
+    tr, ti, te = -ar, -ai, ae
+    qr, qi, qe = tr, ti, te
+    sr, si, se = tr * lr - ti * li, tr * li + ti * lr, te + le
+    sr += _on_grid(1, 0, se)
+    peak = 1.0
+    for i in range(2, max_terms):
+        # t_prev, t = t, ((i - 1) b t + a t_prev) / (i (i - 1))
+        k = i - 1
+        ur, ui = br * k, bi * k
+        nr, ni, ne = _sum(ur * tr - ui * ti, ur * ti + ui * tr, be + te,
+                          ar * tpr - ai * tpi, ar * tpi + ai * tpr, ae + tpe)
+        tpr, tpi, tpe = tr, ti, te
+        tr, ti, te = _quotient(nr, ni, ne, i * k, 0, 0)
+        # a, b = a - 2 (i - 1), b + 2
+        ar += _on_grid(-2 * k, 0, ae)
+        br += b_step
+        qr, qi, qe = _sum(qr, qi, qe, tr, ti, te)
+        # den = b + a d; delh, d = a d delh / -den, 1 / den
+        ur, ui, ue = ar * dr - ai * di, ar * di + ai * dr, ae + de
+        nr, ni, ne = _sum(br, bi, be, ur, ui, ue)
+        lr, li, le = _quotient(ur * lr - ui * li, ur * li + ui * lr, ue + le,
+                               -nr, -ni, ne)
+        dr, di, de = _quotient(*_ONE, nr, ni, ne)
+        # h += delh, s += q delh
+        hr, hi, he = _sum(hr, hi, he, lr, li, le)
+        ur, ui, ue = qr * lr - qi * li, qr * li + qi * lr, qe + le
+        sr, si, se = _sum(sr, si, se, ur, ui, ue)
+        size = _magnitude(ur, ui, ue)
+        if size > peak:
+            peak = size
+        if size <= tol * _magnitude(sr, si, se):
+            break
+    else:
+        return None
+    return BlockComplex(sr, si, se), BlockComplex(hr, hi, he), peak
+
+
+def i_cf1_terms(x: BlockComplex, order: BlockComplex, max_terms: int,
+                tol: float):
+    """Steed's sum h for CF1 (bessel._i_cf1): x / (2 (order + 1) + x^2 /
+    (2 (order + 2) + ...)), until |delh| is within tol of |h|."""
+    xr, xi, xe = x.re, x.im, x.exp
+    # a = x^2, b = 2 (order + 1), d = 1 / b, h = delh = x d, with delh in l
+    ar, ai, ae = xr * xr - xi * xi, 2 * xr * xi, 2 * xe
+    br = 2 * (order.re + _on_grid(1, 0, order.exp))
+    bi, be = 2 * order.im, order.exp
+    b_step = _on_grid(2, 0, be)
+    dr, di, de = _quotient(*_ONE, br, bi, be)
+    hr, hi, he = lr, li, le = xr * dr - xi * di, xr * di + xi * dr, xe + de
+    for _ in range(max_terms):
+        br += b_step
+        # den = b + a d; delh, d = a d delh / -den, 1 / den
+        ur, ui, ue = ar * dr - ai * di, ar * di + ai * dr, ae + de
+        nr, ni, ne = _sum(br, bi, be, ur, ui, ue)
+        lr, li, le = _quotient(ur * lr - ui * li, ur * li + ui * lr, ue + le,
+                               -nr, -ni, ne)
+        dr, di, de = _quotient(*_ONE, nr, ni, ne)
+        hr, hi, he = _sum(hr, hi, he, lr, li, le)
+        if _magnitude(lr, li, le) <= tol * _magnitude(hr, hi, he):
+            return BlockComplex(hr, hi, he)
+    return None
+
+
+def i_walk(x: BlockComplex, r: BlockComplex, order: BlockComplex,
+           steps: int) -> tuple:
+    """The walk down of bessel._i_ratios from r = r_order: steps times
+    r_(k-1) = x / (2 k + x r_k), then once more; returns the last two
+    ratios, the lower first."""
+    xr, xi, xe = x.re, x.im, x.exp
+    rr, ri, rx = r.re, r.im, r.exp
+    br, bi, be = 2 * order.re, 2 * order.im, order.exp
+    b_step = _on_grid(-2, 0, be)
+    for _ in range(steps + 1):
+        r_next = rr, ri, rx
+        nr, ni, ne = _sum(br, bi, be, xr * rr - xi * ri, xr * ri + xi * rr,
+                          xe + rx)
+        rr, ri, rx = _quotient(xr, xi, xe, nr, ni, ne)
+        br += b_step
+    return BlockComplex(rr, ri, rx), BlockComplex(*r_next)
 
 
 class FixedKernels:

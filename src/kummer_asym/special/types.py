@@ -56,14 +56,17 @@ class NumericContext:
       check_headroom(...)      the cancellation guard
 
     The term loops of the M series, K's Temme series and CF2, and I's CF1
-    and its walk down convert their parameters with series_in, step and
-    sum with + - * / and the comparison with 0, and convert the sums back
-    with series_out.  In double both conversions are the identity, so the
-    loops run on native complex numbers.  In dd they run on block-floating
-    integers (blockfloat.BlockComplex) instead of mpmath numbers: exact
-    products, one rounding per quotient to the working precision plus
-    blockfloat.SERIES_GUARD_BITS, and sums exact on the grid of their
-    largest term.
+    and its walk down convert their parameters with series_in and their
+    sums back with series_out.  In double both conversions are the
+    identity, so the loops run on native complex numbers.  In dd they run
+    on block-floating integers (blockfloat.BlockComplex) instead of mpmath
+    numbers: exact products, one rounding per quotient to the working
+    precision plus blockfloat.SERIES_GUARD_BITS, and sums exact on the
+    grid of their largest term.  Temme's series steps and sums with the
+    operators + - * /; the other four loops are one routine each on the
+    integers of those numbers (blockfloat.m_terms, k_cf2_terms,
+    i_cf1_terms, i_walk), which makes the operators' integer operations in
+    their order.
 
     The U quadrature's nodes and trapezoid sums (quad.py) use the same
     arithmetic, held on a fixed grid by quad_in.  Its integrand is native
@@ -546,6 +549,15 @@ class LogComplex:
         return abs(cmath.exp(complex(dl, self.phase - other.phase)) - 1.0)
 
 
+def alignment(shift, other, ctx: NumericContext) -> tuple:
+    """(first, scale) for two ScaledValue shifts: first tells whether shift
+    has the larger real part (on a tie it counts as larger), and scale =
+    e^(smaller - larger) brings the other value's mantissa to that shift."""
+    first = ctx.to_float(shift) >= ctx.to_float(other)
+    hi, lo = (shift, other) if first else (other, shift)
+    return first, ctx.exp(lo - hi)
+
+
 class ScaledValue:
     """Internal kernel currency: value = mantissa * exp(shift), ctx numbers.
 
@@ -585,11 +597,17 @@ class ScaledValue:
             return other
         if other.is_zero():
             return self
-        if ctx.to_float(self.shift) >= ctx.to_float(other.shift):
-            hi, lo = self, other
-        else:
-            hi, lo = other, self
-        lo_mantissa = lo.mantissa * ctx.exp(lo.shift - hi.shift)
+        return self.add_aligned(other, *alignment(self.shift, other.shift,
+                                                  ctx), ctx, what)
+
+    def add_aligned(self, other: "ScaledValue", first: bool, scale,
+                    ctx: NumericContext,
+                    what: str = "two-term sum") -> "ScaledValue":
+        """add's sum of two nonzero values, given (first, scale) =
+        alignment(self.shift, other.shift, ctx), which a caller may
+        compute once for every pair of mantissas on the same two shifts."""
+        hi, lo = (self, other) if first else (other, self)
+        lo_mantissa = lo.mantissa * scale
         m = hi.mantissa + lo_mantissa
         ctx.check_headroom(max(ctx.mag(hi.mantissa), ctx.mag(lo_mantissa)),
                            ctx.mag(m), what)

@@ -1,5 +1,7 @@
-"""Block-floating complex arithmetic against exact Fraction arithmetic, and
-the quadrature's fixed-point kernels against 50-digit mpmath."""
+"""Block-floating complex arithmetic against exact Fraction arithmetic, the
+quadrature's fixed-point kernels against 50-digit mpmath, and the integer
+routines (the U sample and the series term loops) against the operator
+compositions they replaced."""
 
 import cmath
 import importlib
@@ -10,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kummer_asym
@@ -84,15 +86,13 @@ def test_a_sum_lies_on_the_coarser_grid(a, b):
     assert same(a - b, a + -b)
 
 
-def test_mag_and_comparison_with_zero():
+def test_mag():
     assert Block(3, 4, -2).mag() == 1.25
     assert Block(1, 0, 5000).mag() == float("inf")
     assert Block(1, 0, -5000).mag() == 0.0
     # mantissas beyond a float's range, on a fine grid
     assert Block(3 << 1100, -4 << 1100, -1100).mag() == 5.0
     assert Block(1 << 2000, 0, 100).mag() == float("inf")
-    assert Block(0, 0, 7) == 0
-    assert not Block(8, 0, -3) == 0 and not Block(0, 1, 9) == 0
 
 
 @settings(max_examples=200, derandomize=True)
@@ -228,7 +228,8 @@ def test_kernels_are_exact_at_zero_and_refuse_overflow():
         with pytest.raises(OverflowError):
             kernel_exp(x)
     # far below the peak a sample is exactly 0 on the grid
-    assert kernel_exp(on_quad_grid(-1e6, 1.0)).on_grid(-QUAD_BITS) == 0
+    tiny = kernel_exp(on_quad_grid(-1e6, 1.0)).on_grid(-QUAD_BITS)
+    assert tiny.re == tiny.im == 0
 
 
 # The U integral's sample, fused into one routine on integers
@@ -326,3 +327,180 @@ def test_the_fused_sample_is_the_composed_one_bit_for_bit(a, b, r, theta,
     low = ctx.quad_in(ctx.series_out(fused(peak)) - 800)
     assert outcome(composed_sample, c, d, x0, peak, low) is OverflowError
     assert outcome(fused, peak, low) is OverflowError
+
+
+# The dd term loops of the M series, K's CF2 and I's CF1 and walk down, each
+# one routine on integers (blockfloat.m_terms, k_cf2_terms, i_cf1_terms,
+# i_walk), against the operator loops they replaced, written out here on
+# BlockComplex numbers: every sum, peak and stop must be the same, bit for
+# bit.
+
+
+def dd_series(*values):
+    """Numbers as the dd context's series arithmetic reads them."""
+    from kummer_asym.special.types import Precision
+
+    ctx = Precision.dd().ctx
+    return ctx, [ctx.series_in(ctx.coerce(v)) for v in values]
+
+
+def loop_outcome(result):
+    """A routine's result with every block number as its integers."""
+    if result is None:
+        return None
+    return tuple(parts(v) if isinstance(v, BlockComplex) else v
+                 for v in result)
+
+
+def block_one(ctx):
+    return ctx.series_in(ctx.make_complex(1.0))
+
+
+def m_operator_loop(ctx, a, b, x, min_terms, max_terms):
+    term = total = block_one(ctx)
+    comp = ctx.series_in(ctx.make_complex(0.0))
+    max_mag, quiet = 1.0, 0
+    for n in range(max_terms):
+        term = term * (a + n) * x / ((b + n) * (n + 1))
+        if not (term.re or term.im):
+            break
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        t_mag = term.mag()
+        max_mag = max(max_mag, t_mag)
+        if t_mag <= ctx.series_tol * total.mag():
+            quiet += 1
+            if quiet >= 2 and n >= min_terms:
+                break
+        else:
+            quiet = 0
+    else:
+        return None
+    return total, max_mag
+
+
+integer_a = st.integers(-30, 0).map(float)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+# at these points a term falls below a unit of the sum's grid, and the
+# compensation carries it into the sum's last bits
+@example(a=72.92320968015561, b=2.4224735026463526 - 1.026078867372159j,
+         x=2.0260773152905958 - 1.1923188702601903j, min_terms=149,
+         capped=False)
+@example(a=310.9488948613575, b=1.9430722098611637,
+         x=1.6065909163740657 + 2.8258383234434183j, min_terms=129,
+         capped=False)
+@given(a=reals_a | complexes_a | integer_a, b=bs,
+       x=st.builds(cmath.rect, st.floats(0.01, 4.0),
+                   st.floats(-math.pi, math.pi)) | st.floats(-4.0, 4.0),
+       min_terms=st.integers(0, 200), capped=st.booleans())
+def test_the_m_loop_is_the_operator_loop_bit_for_bit(a, b, x, min_terms,
+                                                     capped):
+    from kummer_asym.special.blockfloat import m_terms
+
+    ctx, (a_s, b_s, x_s) = dd_series(a, b, x)
+    # a cap below the terms the series needs: both give up
+    max_terms = 40 if capped else 20000
+    want = m_operator_loop(ctx, a_s, b_s, x_s, min_terms, max_terms)
+    got = m_terms(a_s, b_s, x_s, min_terms, max_terms, ctx.series_tol)
+    assert loop_outcome(got) == loop_outcome(want)
+
+
+def k_cf2_operator_loop(ctx, a1, x, max_terms):
+    one = block_one(ctx)
+    a, b = -a1, 2 * (x + 1)
+    d = h = delh = one / b
+    t_prev, t = ctx.series_in(ctx.make_complex(0.0)), -a
+    q, s, peak = t, t * delh + 1, 1.0
+    for i in range(2, max_terms):
+        t_prev, t = t, ((i - 1) * b * t + a * t_prev) / (i * (i - 1))
+        a, b = a - 2 * (i - 1), b + 2
+        q = q + t
+        ad = a * d
+        den = b + ad
+        delh, d = ad * delh / -den, one / den
+        h, term = h + delh, q * delh
+        s, size = s + term, term.mag()
+        peak = max(peak, size)
+        if size <= ctx.series_tol * s.mag():
+            return s, h, peak
+    return None
+
+
+mus = (st.floats(-0.5, 0.5)
+       | st.builds(complex, st.floats(-0.5, 0.5), st.floats(-3.0, 3.0)))
+# the arguments that K and I see on the base sheet
+base_x = st.builds(cmath.rect, st.floats(2.0, 80.0),
+                   st.floats(-0.5 * math.pi, 0.5 * math.pi))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mu=mus, x=base_x, capped=st.booleans())
+def test_the_cf2_loop_is_the_operator_loop_bit_for_bit(mu, x, capped):
+    from kummer_asym.special.blockfloat import k_cf2_terms
+
+    ctx, (x_s,) = dd_series(x)
+    mu_c = ctx.coerce(mu)
+    a1 = ctx.series_in(0.25 - mu_c * mu_c)
+    max_terms = 6 if capped else 3000
+    want = k_cf2_operator_loop(ctx, a1, x_s, max_terms)
+    assert loop_outcome(k_cf2_terms(a1, x_s, max_terms,
+                                    ctx.series_tol)) == loop_outcome(want)
+
+
+def i_cf1_operator_loop(ctx, x, order, max_terms):
+    one = block_one(ctx)
+    a, b = x * x, 2 * (order + 1)
+    d = one / b
+    h = delh = x * d
+    for _ in range(max_terms):
+        b = b + 2
+        ad = a * d
+        den = b + ad
+        delh, d = ad * delh / -den, one / den
+        h = h + delh
+        if delh.mag() <= ctx.series_tol * h.mag():
+            return (h,)
+    return None
+
+
+def walk_operator_loop(x, r, order, steps):
+    b = 2 * order
+    for _ in range(steps):
+        r = x / (b + x * r)
+        b = b - 2
+    r_next = r
+    r = x / (b + x * r)
+    return r, r_next
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(nu=st.floats(-0.5, 3.0) | st.builds(complex, st.floats(-0.5, 3.0),
+                                           st.floats(-3.0, 3.0)),
+       x=base_x | st.builds(cmath.rect, st.floats(0.05, 2.0),
+                            st.floats(-0.5 * math.pi, 0.5 * math.pi)),
+       capped=st.booleans())
+def test_the_cf1_loop_and_walk_are_the_operator_loops_bit_for_bit(nu, x,
+                                                                  capped):
+    from kummer_asym.special.blockfloat import i_cf1_terms, i_walk
+
+    # the orders of bessel._i_ratios: CF1 at nu + top - n, walked down
+    # top - n - 1 steps and one more
+    n = math.floor(complex(nu).real + 0.5)
+    top = max(n + 1, math.ceil(abs(x)))
+    ctx, (x_s,) = dd_series(x)
+    order = ctx.coerce(nu) + (top - n)
+    order_s = ctx.series_in(order)
+    max_terms = 3 if capped else 3000
+    want = i_cf1_operator_loop(ctx, x_s, order_s, max_terms)
+    got = i_cf1_terms(x_s, order_s, max_terms, ctx.series_tol)
+    assert loop_outcome(None if got is None else (got,)) == loop_outcome(want)
+    if want is None:
+        return
+    # the walk starts from CF1's ratio rounded into the context
+    r = ctx.series_in(ctx.series_out(want[0]))
+    assert loop_outcome(i_walk(x_s, r, order_s, top - n - 1)) == loop_outcome(
+        walk_operator_loop(x_s, r, order_s, top - n - 1))
