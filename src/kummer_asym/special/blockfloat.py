@@ -37,6 +37,13 @@ technique: Brent & Zimmermann, Modern Computer Arithmetic (2010), 4.4;
 Johansson, "Computing hypergeometric functions rigorously", ACM TOMS 45
 (2019).
 
+dd log-gamma (gammafn) has two integer routines of its own.  shift_product
+forms the product of the shifted arguments, w (w + 1) ... (w + shift - 1),
+each factor exact and the product truncated to SHIFT_BITS significant bits
+after each, so that one log of it replaces a log per factor.
+stirling_tail sums Stirling's tail by Horner's rule in r^2, r = 1 / w,
+on the fixed grid 2^-TAIL_BITS, with integer coefficients on that grid.
+
 The dd nodes and trapezoid sums of the U quadrature (quad.py) run on the
 same numbers held on the fixed grid 2^-QUAD_BITS (on_grid), where the
 sums are exact.  FixedKernels.u_integrand computes each sample as one
@@ -365,6 +372,63 @@ def i_walk(x: BlockComplex, r: BlockComplex, order: BlockComplex,
         rr, ri, rx = _quotient(xr, xi, xe, nr, ni, ne)
         br += b_step
     return BlockComplex(rr, ri, rx), BlockComplex(*r_next)
+
+
+# The two integer parts of dd log-gamma (gammafn._shifted_stirling).
+# shift_product keeps SHIFT_BITS significant bits, so that after MAX_STEPS
+# = 2^16 truncations, each within 2^(2 - SHIFT_BITS) of the product,
+# it still has WP bits; stirling_tail sums on the grid 2^-TAIL_BITS.
+SHIFT_BITS = WP + 16
+TAIL_BITS = WP
+
+
+def shift_product(w: BlockComplex, shift: int) -> BlockComplex:
+    """prod_{k < shift} (w + k): each factor exact on w's grid (k added as
+    BlockComplex.__add__ adds an integer), the product truncated toward
+    zero to SHIFT_BITS significant bits of its larger part after each
+    factor.  Its relative error is below shift 2^(2 - SHIFT_BITS)."""
+    wr, wi, we = w.re, w.im, w.exp
+    pr, pi, pe = 1, 0, 0
+    for k in range(shift):
+        fr = wr + _on_grid(k, 0, we)
+        pr, pi, pe = pr * fr - pi * wi, pr * wi + pi * fr, pe + we
+        drop = (abs(pr) | abs(pi)).bit_length() - SHIFT_BITS
+        if drop > 0:
+            # _truncate, inlined
+            pr = pr >> drop if pr >= 0 else -(-pr >> drop)
+            pi = pi >> drop if pi >= 0 else -(-pi >> drop)
+            pe += drop
+    return BlockComplex(pr, pi, pe)
+
+
+def stirling_tail(w: BlockComplex, coeffs: tuple) -> BlockComplex:
+    """Stirling's tail sum_n c_n / w^(2n - 1) as r (c_1 + r^2 (c_2 + ...)),
+    r = 1 / w, on the grid 2^-TAIL_BITS, where coeffs holds the c_n as
+    integers on that grid.  r is one quotient and each product is exact,
+    each truncated toward zero onto the grid.  Where the terms shrink, as
+    they do for |w| at or above dd's Stirling threshold 35, each rounding
+    reaches the sum shrunk by the powers of r after it, and the sum is
+    within a few units of the grid."""
+    wr, wi, we = w.re, w.im, w.exp
+    # r 2^TAIL_BITS = conj(w) 2^(TAIL_BITS - we) / |w|^2, one rounding
+    den = wr * wr + wi * wi
+    up = TAIL_BITS - we
+    if up >= 0:
+        wr, wi = wr << up, wi << up
+    else:
+        den <<= -up
+    rr = wr // den if wr >= 0 else -(-wr // den)
+    ri = -(wi // den) if wi >= 0 else -wi // den
+    sr = _truncate(rr * rr - ri * ri, TAIL_BITS)
+    si = _truncate(2 * rr * ri, TAIL_BITS)
+    ar, ai = coeffs[-1], 0
+    for c in reversed(coeffs[:-1]):
+        # a = c + a s, with _truncate inlined
+        ar, ai = ar * sr - ai * si, ar * si + ai * sr
+        ar = c + (ar >> TAIL_BITS if ar >= 0 else -(-ar >> TAIL_BITS))
+        ai = ai >> TAIL_BITS if ai >= 0 else -(-ai >> TAIL_BITS)
+    return BlockComplex(_truncate(ar * rr - ai * ri, TAIL_BITS),
+                        _truncate(ar * ri + ai * rr, TAIL_BITS), -TAIL_BITS)
 
 
 class FixedKernels:

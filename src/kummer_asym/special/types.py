@@ -66,7 +66,10 @@ class NumericContext:
     operators + - * /; the other four loops are one routine each on the
     integers of those numbers (blockfloat.m_terms, k_cf2_terms,
     i_cf1_terms, i_walk), which makes the operators' integer operations in
-    their order.
+    their order.  dd log-gamma reads its argument with series_in too: the
+    product of its shifted arguments and Stirling's tail are one integer
+    routine each (blockfloat.shift_product, stirling_tail), rounded out
+    with series_out.
 
     The U quadrature's nodes and trapezoid sums (quad.py) use the same
     arithmetic, held on a fixed grid by quad_in.  Its integrand is native

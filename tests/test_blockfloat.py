@@ -504,3 +504,63 @@ def test_the_cf1_loop_and_walk_are_the_operator_loops_bit_for_bit(nu, x,
     r = ctx.series_in(ctx.series_out(want[0]))
     assert loop_outcome(i_walk(x_s, r, order_s, top - n - 1)) == loop_outcome(
         walk_operator_loop(x_s, r, order_s, top - n - 1))
+
+
+# The two integer parts of dd log-gamma (gammafn._shifted_stirling): the
+# shift's product against the exact product of Gaussian integers, and
+# Stirling's tail against a 300-bit mpmath sum of the same coefficients.
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(w=st.builds(complex, st.floats(-300.0, 35.0),
+                   st.sampled_from([0.0, 1e-30, -1e-300])
+                   | st.floats(-300.0, 300.0)),
+       shift=st.integers(1, 400))
+@example(w=-2.5, shift=36)
+@example(w=complex(-0.3, 1e-30), shift=36)
+def test_the_shift_product_is_the_exact_one_within_its_truncations(w, shift):
+    from kummer_asym.special.blockfloat import SHIFT_BITS, shift_product
+
+    ctx, (w_s,) = dd_series(w)
+    got = shift_product(w_s, shift)
+    assert max(abs(got.re), abs(got.im)).bit_length() <= SHIFT_BITS
+    # the exact product, (pr + i pi) 2^(shift we)
+    wr, wi, we = w_s.re, w_s.im, w_s.exp
+    pr, pi = 1, 0
+    for k in range(shift):
+        fr = wr + (k << -we)
+        pr, pi = pr * fr - pi * wi, pr * wi + pi * fr
+    drop = got.exp - shift * we
+    assert drop >= 0
+    dr, di = (got.re << drop) - pr, (got.im << drop) - pi
+    # each truncation is within 2^(2 - SHIFT_BITS) of the product
+    assert ((dr * dr + di * di) << (2 * SHIFT_BITS - 4)
+            <= shift * shift * (pr * pr + pi * pi))
+
+
+def stirling_fractions(terms=18):
+    from kummer_asym.special.gammafn import bernoulli_numbers
+
+    bern = bernoulli_numbers(2 * terms + 1)
+    return [Fraction(bern[2 * n], 2 * n * (2 * n - 1))
+            for n in range(1, terms + 1)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(w=st.builds(complex, st.floats(35.0, 1e4), st.floats(-1e4, 1e4))
+       | st.builds(complex, st.floats(35.0, 40.0), st.floats(-1.0, 1.0))
+       | st.floats(35.0, 1e60))
+def test_the_horner_tail_is_the_sum_of_its_terms(w):
+    from kummer_asym.special.blockfloat import TAIL_BITS, stirling_tail
+
+    fractions = stirling_fractions()
+    got = stirling_tail(dd_series(w)[1][0],
+                        tuple(int(c * 2 ** TAIL_BITS) for c in fractions))
+    assert got.exp == -TAIL_BITS
+    ref = mpmath.MPContext()
+    ref.prec = 300
+    x = ref.mpc(w)
+    want = ref.fsum(ref.mpf(c.numerator) / c.denominator / x ** (2 * n - 1)
+                    for n, c in enumerate(fractions, 1))
+    got = ref.mpc(ref.ldexp(got.re, -TAIL_BITS), ref.ldexp(got.im, -TAIL_BITS))
+    assert abs(got - want) <= ref.ldexp(4, -TAIL_BITS)

@@ -6,16 +6,20 @@ import inspect
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kummer_asym.errors import (DomainError, PoleError,
                                PrecisionExhaustedError, QuadratureError)
 from kummer_asym.special import bessel as bessel_module
 from kummer_asym.special.bessel import bessel_i, bessel_k
-from kummer_asym.special.gammafn import bernoulli_numbers, log_gamma
+from kummer_asym.special.gammafn import (bernoulli_numbers, log_gamma,
+                                         log_gamma_ctx)
 from kummer_asym.special import kummer as kummer_module
 from kummer_asym.special.kummer import kummer_m, kummer_u
 from kummer_asym.special.blockfloat import QUAD_BITS, BlockComplex
@@ -421,10 +425,11 @@ class TestLogGamma:
         assert log_gamma(0.5, dd) == pytest.approx(0.5 * math.log(math.pi),
                                                    rel=1e-15)
 
-    def test_poles(self):
-        for w in (0.0, -1.0, -5.0):
-            with pytest.raises(PoleError):
-                log_gamma(w)
+    def test_poles(self, dd):
+        for prec in (Precision(), dd):
+            for w in (0.0, -1.0, -5.0):
+                with pytest.raises(PoleError):
+                    log_gamma(w, prec)
 
     def test_recurrence(self, dd):
         rng = random.Random(77)
@@ -463,6 +468,41 @@ class TestLogGamma:
         got = log_gamma(w)
         assert abs(got.real - want.real) < 1e-6 * abs(want.real)
         assert abs(got.imag - want.imag) < 1e-6
+
+    # dd against 240-bit loggamma: above the Stirling threshold, and below
+    # it, where the shift's product and its branch count come in; on the
+    # negative axis both take the limit from above
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(re=st.floats(-1200.0, 3000.0) | st.floats(-40.0, 40.0),
+           im=st.sampled_from([0.0, 1e-30, -1e-30, 1e-300, -1e-300])
+           | st.floats(-2.0, 2.0) | st.floats(-300.0, 300.0))
+    @example(re=-2.5, im=0.0)
+    @example(re=-2.5, im=1e-30)
+    @example(re=-2.5, im=-1e-30)
+    @example(re=-0.3, im=0.0)
+    @example(re=0.7, im=0.3)
+    def test_dd_matches_240_bit_loggamma(self, re, im):
+        w = complex(re, im)
+        if is_nonpositive_integer(w):
+            return
+        ctx = Precision.dd().ctx
+        got = log_gamma_ctx(ctx.coerce(w), ctx)
+        ref = mpmath.MPContext()
+        ref.prec = 240
+        want = ref.loggamma(ref.mpc(w))
+        assert abs(ref.mpc(got) - want) <= 1e-32 * max(1, abs(want))
+
+    def test_dd_shift_near_the_step_bound(self):
+        ctx = Precision.dd().ctx
+        w = complex(-60000.5, 0.5)
+        log_gamma_ctx(ctx.coerce(1.5), ctx)  # the Stirling constants
+        start = time.perf_counter()
+        got = log_gamma_ctx(ctx.coerce(w), ctx)
+        assert time.perf_counter() - start < 0.5
+        ref = mpmath.MPContext()
+        ref.prec = 240
+        want = ref.loggamma(ref.mpc(w))
+        assert abs(ref.mpc(got) - want) <= 1e-32 * abs(want)
 
     def test_bernoulli_numbers(self):
         b = bernoulli_numbers(7)
