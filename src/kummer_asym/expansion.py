@@ -5,7 +5,12 @@ exponential prefactors); the right side combines modified Bessel functions
 with the exact coefficient polynomials, truncated at a requested order.
 Everything is assembled as ScaledValue in the working precision, and the
 relative discrepancy |lhs/rhs - 1| is measured before any rounding to the
-LogComplex boundary type.
+LogComplex boundary type.  In double a row is native complex arithmetic.
+In dd the values every order reads are taken into integers once per point
+(NumericContext.series_in), and each row is one integer routine
+(sweeprow.row_terms): the coefficient sums and the two-term sum with
+exact products, and |lhs/rhs - 1| exact until its one rounding to a
+float; rhs leaves by one series_out and one complex log.
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ from typing import Optional, Sequence, Tuple
 from . import VARIANTS
 from .errors import DomainError, OrderStarvationError, PoleError
 from .olver import compute_coefficient_table, lower_coefficients
-from .ratpoly import CoeffPoly, horner, horner2
+from .ratpoly import CoeffPoly, horner2
 from .special.bessel import bessel_i_scaled, bessel_k_scaled
 from .special.gammafn import log_gamma_ctx
 from .special.kummer import kummer_m_scaled, kummer_u_scaled
-from .special.types import (LogComplex, NumericContext, Precision,
+from .special.types import (NATIVE, LogComplex, NumericContext, Precision,
                             RiemannPoint, ScaledValue, alignment, exact_key,
                             is_nonpositive_integer, shared, sharing_scope)
-from .temme import gamma_ratio_coefficients
 
 # Default grid pinned by the acceptance preset; R is implicitly 2.
 GRID_B = (0.7, 1.5, 2.5)
@@ -66,15 +70,6 @@ def _table_in_context(ctx: NumericContext, lowered: bool, s: int) -> tuple:
     table, low_even, low_odd = expansion_tables()
     even, odd = (low_even, low_odd) if lowered else (table.even, table.odd)
     return even[s].converted(ctx.rational), odd[s].converted(ctx.rational)
-
-
-@cache
-def _gamma_ratio_in_context(ctx: NumericContext, order: int) -> tuple:
-    """The coefficients of d_0..d_order converted by ctx.rational, for
-    horner from _context_zero."""
-    d_coeffs, _ = gamma_ratio_coefficients(order)
-    return tuple([tuple([ctx.rational(c) for c in d.coeffs])
-                  for d in d_coeffs])
 
 
 def _coefficient_values(ctx: NumericContext, lowered: bool, s: int, mu,
@@ -149,8 +144,9 @@ def _finish(lhs: ScaledValue, lhs_log: LogComplex, rhs: ScaledValue,
 
 
 def _point_constants(cfg: ExpansionConfig, ctx: NumericContext) -> tuple:
-    """b, log u, a, log z, z, z^2, log 2, mu = b - 1 and 1/u^2 of cfg's
-    point as ctx numbers, with z the reduced value of cfg.z."""
+    """b, log u, a, log z, z, z^2, log 2 and mu = b - 1 of cfg's point as
+    ctx numbers, with z the reduced value of cfg.z, and 1/u^2 in the
+    arithmetic of the rows' coefficient sums (ctx.series_in)."""
     i_unit = ctx.make_complex(0.0, 1.0)
     b_c = ctx.coerce(complex(cfg.b))
     t_c, th_u = ctx.real(cfg.t), ctx.real(cfg.u_theta)
@@ -161,7 +157,7 @@ def _point_constants(cfg: ExpansionConfig, ctx: NumericContext) -> tuple:
     log_z = ctx.log(r_c) + i_unit * th_z
     z_red = r_c * ctx.exp(i_unit * th_z)
     return (b_c, log_u, a_c, log_z, z_red, z_red * z_red, ctx.log(2),
-            b_c - 1, 1 / (u_c * u_c))
+            b_c - 1, ctx.series_in(1 / (u_c * u_c)))
 
 
 def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
@@ -185,11 +181,16 @@ def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
     one call that returns both orders b - 1 and b; and each coefficient
     value even[s], odd[s] per (raw or lowered table, b, z, s, precision),
     from the table's coefficients as ctx numbers, which every sweep in the
-    process reads (_table_in_context).  Below them the kernels share
-    log-gamma values, K's ladder and I's pair by their exact inputs, so
-    the m variant and K's winding read one CF1 and one walk down.  A
-    shared value is the one computed for its key alone, so results are
-    identical with and without sharing.
+    process reads (_table_in_context).  In dd the point's 1/u^2, the
+    variant entry and the coefficient values hold the row's operands as
+    block numbers (1/u^2, the lhs and Bessel mantissas and both exps),
+    read by series_in once, and each order's row is sweeprow.row_terms
+    on them; rows whose lhs or a term is zero, or whose exp overflowed,
+    take ScaledValue.add and _finish, as double does.  Below them the
+    kernels share log-gamma values, K's ladder and I's pair by their
+    exact inputs, so the m variant and K's winding read one CF1 and one
+    walk down.  A shared value is the one computed for its key alone, so
+    results are identical with and without sharing.
     """
     table, low_even, _ = expansion_tables()
     lowered = cfg.variant == "u-lower"
@@ -242,11 +243,45 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
             ratio_scale = ctx.exp(lhs.shift - shifts[0 if first else 1])
         except OverflowError:
             ratio_scale = None  # beyond a double; _finish may not need it
-        return (lhs, lhs_log, low.mantissa, high_mantissa, shifts, first,
-                scale, ratio_scale)
+        values = (lhs.mantissa, low.mantissa, high_mantissa, scale,
+                  ratio_scale)
+        if ctx is not NATIVE:
+            # the row's operands, read into integers once per point
+            values = tuple([v if v is None else ctx.series_in(v)
+                            for v in values])
+        return (lhs, lhs_log, shifts, first) + values
 
-    (lhs, lhs_log, low_mantissa, high_mantissa, shifts, first, scale,
-     ratio_scale) = shared((cfg.variant,) + point, variant_constants)
+    (lhs, lhs_log, shifts, first, lhs_mantissa, low_mantissa, high_mantissa,
+     scale, ratio_scale) = shared((cfg.variant,) + point, variant_constants)
+
+    if ctx is not NATIVE:
+        from .special.blockfloat import BlockComplex
+        from .special.sweeprow import coefficient_sums, row_terms
+        # each coefficient value read into integers once per point; loops,
+        # not comprehensions, so that no local becomes a closure cell, which
+        # a failed row's traceback would keep alive
+        pairs = []
+        for s in range(cfg.order):
+            pairs.append(shared(
+                ("coefficients", lowered, s) + z_key,
+                lambda: tuple(map(ctx.series_in, _coefficient_values(
+                    ctx, lowered, s, mu_c, z_red)))))
+        row = row_terms(inv_u2, pairs, low_mantissa, high_mantissa,
+                        lhs_mantissa, first, scale, ratio_scale,
+                        ctx.check_headroom)
+        if row is not None:
+            rhs, disc = row
+            rhs = ScaledValue(ctx.series_out(rhs), shifts[0 if first else 1])
+            return SideBySide(lhs_log, rhs.to_logcomplex(ctx), disc)
+        # a zero lhs or term, or no ratio_scale: ScaledValue.add's sum
+        sum_even, sum_odd = coefficient_sums(inv_u2, pairs)
+        term1 = ScaledValue(ctx.series_out(low_mantissa)
+                            * ctx.series_out(BlockComplex(*sum_even)),
+                            shifts[0])
+        term2 = ScaledValue(ctx.series_out(high_mantissa)
+                            * ctx.series_out(BlockComplex(*sum_odd)),
+                            shifts[1])
+        return _finish(lhs, lhs_log, term1.add(term2, ctx), ctx)
 
     power = ctx.make_complex(1.0)
     sum_even = ctx.make_complex(0.0)
@@ -265,35 +300,6 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
         return _finish(lhs, lhs_log, term1.add(term2, ctx), ctx)
     rhs = term1.add_aligned(term2, first, scale, ctx)
     return _finish(lhs, lhs_log, rhs, ctx, ratio_scale)
-
-
-def gamma_ratio_check(b: complex, u: float, order: int,
-                      prec: Precision = Precision("dd")) -> SideBySide:
-    """Gamma-quotient asymptotics against the exact d_n coefficients.
-
-    lhs = Gamma(1+a-b)/Gamma(a) * 2^(2-2b) * u^(2b-2) with a = u^2/4 + b/2;
-    rhs = sum_{n<=order} d_n(b) * u^(-2n)  (odd entries vanish identically).
-    """
-    if not (u > 0 and math.isfinite(u)):
-        raise DomainError("u must be positive real")
-    if order < 0:
-        raise DomainError("order must be non-negative")
-    ctx = prec.ctx
-    b_c = ctx.coerce(b)
-    u_c = ctx.real(u)
-    a_c = u_c * u_c / 4 + b_c / 2
-    shift = (log_gamma_ctx(1 + a_c - b_c, ctx) - log_gamma_ctx(a_c, ctx)
-             + (2 - 2 * b_c) * ctx.log(2) + (2 * b_c - 2) * ctx.log(u_c))
-    lhs = ScaledValue(ctx.make_complex(1.0), shift)
-    zero = _context_zero(ctx)
-    inv_u2 = 1 / (u_c * u_c)
-    power = ctx.make_complex(1.0)
-    total = ctx.make_complex(0.0)
-    for d_n in _gamma_ratio_in_context(ctx, order):
-        total = total + power * horner(d_n, zero, b_c)
-        power = power * inv_u2
-    rhs = ScaledValue(total, ctx.make_complex(0.0))
-    return _finish(lhs, lhs.to_logcomplex(ctx), rhs, ctx)
 
 
 @dataclass(frozen=True)

@@ -431,9 +431,6 @@ class CoeffPoly:
         c = [_ZERO] * k + [ParamPoly.constant(coeff)]
         return cls(c, parity="even" if k % 2 == 0 else "odd")
 
-    def z_degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -44,9 +44,14 @@ after each, so that one log of it replaces a log per factor.
 stirling_tail sums Stirling's tail by Horner's rule in r^2, r = 1 / w,
 on the fixed grid 2^-TAIL_BITS, with integer coefficients on that grid.
 
+The dd sweep row (expansion._sides) is one routine on these numbers too,
+in its own module (sweeprow), which only a sweep row imports.
+
 The dd nodes and trapezoid sums of the U quadrature (quad.py) run on the
 same numbers held on the fixed grid 2^-QUAD_BITS (on_grid), where the
-sums are exact.  FixedKernels.u_integrand computes each sample as one
+sums are exact: each node is wl + k span / n truncated onto the grid, formed
+on the integers of wl and span, and the samples are summed as integer
+pairs.  FixedKernels.u_integrand computes each sample as one
 routine on the integers of those numbers: exp and log(1 + x) by the
 fixed-point routines of mpmath.libmp.libelefun, products and sums by the
 rules above (_on_grid, _sum), with no block number in between.  The

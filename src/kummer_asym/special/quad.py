@@ -13,9 +13,10 @@ own twin, and its exponent at the peak, computed once, places the cutoffs
 too.  One step-halving loop then sums the trapezoid rule in the context's
 quadrature arithmetic (quad_in): native floats in double, where a sample
 is the integrand's own native number; in dd the fixed grid 2^-QUAD_BITS of
-blockfloat, where the integrand hands back each sample on that grid, the
-sums are exact, two levels compare exactly and the value is rounded into
-the context once.  Levels are nested from 16 intervals, and the first
+blockfloat, where each node is formed on the grid's integers, the
+integrand hands back each sample on that grid, the samples are summed as
+integers, two levels compare exactly and the value is rounded into the
+context once.  Levels are nested from 16 intervals, and the first
 comparison is 64 against 32.
 
 For such analytic integrands the trapezoid error falls geometrically with
@@ -139,21 +140,39 @@ def peak_integral(integrand, w_start, ctx: NumericContext,
                 f"integrand at w = {where:.6g} exceeds its located "
                 f"peak beyond a double's range") from None
 
+    # level(n, ks, weight, start) is start + weight times the samples at
+    # the nodes wl + k span / n, k in ks.  Double adds them to start one by
+    # one, weighted each (a weight of 1 is not multiplied in), since its
+    # rounding depends on that order; dd truncates each node onto the grid
+    # as wl + h k does, and sums the samples, which lie on that grid, as
+    # integers, exactly
+    if native:
+        def level(n, ks, weight, start):
+            h = span * (1.0 / n)
+            if weight == 1:
+                return sum((sample(wl + h * k) for k in ks), start)
+            return sum((weight * sample(wl + h * k) for k in ks), start)
+    else:
+        def level(n, ks, weight, start):
+            block, left, width, grid = type(wl), wl.re, span.re, wl.exp
+            bits = n.bit_length() - 1
+            re = im = 0
+            for k in ks:
+                s = sample(block(left + (width * k >> bits), 0, grid))
+                re += s.re
+                im += s.im
+            return start + weight * block(re, im, grid)
+
     # each sum holds the two end samples once and every other sample twice,
     # so the trapezoid value at n intervals is total * h / 2
     n = _FIRST_LEVEL
-    h = span * ctx.quad_in(1.0 / n)
-    total = sum((2 * sample(wl + h * k) for k in range(1, n)),
-                sample(wl) + sample(wr))
+    total = level(n, range(1, n), 2, sample(wl) + sample(wr))
     previous = None
     stable, needed, settled = 0, 2 if native else 1, False
     for _ in range(_MAX_HALVINGS):
         n *= 2
-        h = span * ctx.quad_in(1.0 / n)
-        mid = sum((sample(wl + h * k) for k in range(1, n, 2)),
-                  ctx.quad_in(0.0))
-        total = total + 2 * mid
-        value = total * h * ctx.quad_in(0.5)
+        total = total + 2 * level(n, range(1, n, 2), 1, ctx.quad_in(0.0))
+        value = total * (span * ctx.quad_in(1.0 / n)) * ctx.quad_in(0.5)
         if previous is not None:
             change = ctx.mag(value - previous)
             scale = ctx.mag(value)

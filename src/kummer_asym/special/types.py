@@ -69,13 +69,18 @@ class NumericContext:
     their order.  dd log-gamma reads its argument with series_in too: the
     product of its shifted arguments and Stirling's tail are one integer
     routine each (blockfloat.shift_product, stirling_tail), rounded out
-    with series_out.
+    with series_out.  So is a dd sweep row (expansion._sides): its
+    operands are read with series_in once per point, the coefficient sums,
+    the two-term sum and |lhs/rhs - 1| are one integer routine
+    (sweeprow.row_terms), and rhs leaves by series_out.
 
     The U quadrature's nodes and trapezoid sums (quad.py) use the same
-    arithmetic, held on a fixed grid by quad_in.  Its integrand is native
-    math in double, the float twin that brackets it in every mode; in dd
-    each sample is one routine on the integers of those series numbers
-    (blockfloat.FixedKernels.u_integrand, the context's quad_kernels).
+    arithmetic, held on a fixed grid by quad_in; in dd each node is formed
+    on that grid's integers and the samples are summed as integers.  Its
+    integrand is native math in double, the float twin that brackets it in
+    every mode; in dd each sample is one routine on the integers of those
+    series numbers (blockfloat.FixedKernels.u_integrand, the context's
+    quad_kernels).
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
@@ -539,17 +544,6 @@ class LogComplex:
         if self.is_zero:
             return LogComplex.zero()
         return LogComplex(self.logmag - other.logmag, self.phase - other.phase)
-
-    def ratio_deviation(self, other: "LogComplex") -> float:
-        """|self/other - 1|, insensitive to 2*pi bookkeeping differences."""
-        if other.is_zero:
-            raise DomainError("reference value is zero")
-        if self.is_zero:
-            return 1.0
-        dl = self.logmag - other.logmag
-        if dl > 700.0:
-            return math.inf
-        return abs(cmath.exp(complex(dl, self.phase - other.phase)) - 1.0)
 
 
 def alignment(shift, other, ctx: NumericContext) -> tuple:

@@ -564,3 +564,357 @@ def test_the_horner_tail_is_the_sum_of_its_terms(w):
                     for n, c in enumerate(fractions, 1))
     got = ref.mpc(ref.ldexp(got.re, -TAIL_BITS), ref.ldexp(got.im, -TAIL_BITS))
     assert abs(got - want) <= ref.ldexp(4, -TAIL_BITS)
+
+
+# The dd sweep row (sweeprow.row_terms) against the operator row it
+# replaced, written out here on the dd context's numbers as expansion._sides
+# formed it (the coefficient sums, ScaledValue.add_aligned and
+# expansion._finish), and against a 300-bit evaluation of the same inputs.
+
+REF = mpmath.MPContext()
+REF.prec = 300
+
+
+def nearest_double(x):
+    return mpmath.libmp.to_float(REF.mpf(x)._mpf_, rnd="n")
+
+
+def same_double(a, b, exact, bound):
+    """a and b are both the double nearest exact, unless a midpoint between
+    two doubles lies within bound of exact, where either may round."""
+    d = nearest_double(exact)
+    for other in (math.nextafter(d, -math.inf), math.nextafter(d, math.inf)):
+        if abs(exact - (REF.mpf(d) + other) / 2) <= bound:
+            return True
+    return a == b == d
+
+
+def polar(lo, hi):
+    """Complex numbers of magnitude 10^[lo, hi] at any angle."""
+    return st.builds(lambda e, t: cmath.rect(10.0 ** e, t), st.floats(lo, hi),
+                     st.floats(-math.pi, math.pi))
+
+
+def row_inputs(order, u, coeffs, low, high, shifts, lhs, delta):
+    """The dd numbers of one row: 1/u^2, the coefficient pairs, the Bessel
+    mantissas, the two terms' shifts and the lhs; with delta, the lhs is
+    rhs (1 + delta) on a shift near the larger term's."""
+    from kummer_asym.special.types import Precision, ScaledValue, alignment
+
+    ctx = Precision.dd().ctx
+    c = ctx.coerce
+    v = 1 / (c(u) * c(u))
+    pairs = [(c(coeffs[2 * s]), c(coeffs[2 * s + 1])) for s in range(order)]
+    shift_pair = (c(shifts[0]), c(shifts[1]))
+    first, scale = alignment(*shift_pair, ctx)
+    hi_shift = shift_pair[0 if first else 1]
+    if delta is None:
+        lhs = ScaledValue(c(lhs), c(shifts[2]))
+    else:
+        rhs = operator_terms(ctx, v, pairs, c(low), c(high), shift_pair)
+        gap = ctx.real(shifts[2].real / 12)
+        lhs = ScaledValue(rhs.mantissa * (1 + c(delta)) * ctx.exp(-gap),
+                          hi_shift + gap)
+    ratio_scale = ctx.exp(lhs.shift - hi_shift)
+    return ctx, (v, pairs, c(low), c(high), lhs, shift_pair, ratio_scale)
+
+
+def operator_terms(ctx, v, pairs, low, high, shifts):
+    from kummer_asym.special.types import ScaledValue, alignment
+
+    power = ctx.make_complex(1.0)
+    sum_even = sum_odd = ctx.make_complex(0.0)
+    for even_s, odd_s in pairs:
+        sum_even = sum_even + power * even_s
+        sum_odd = sum_odd + power * odd_s
+        power = power * v
+    term1 = ScaledValue(low * sum_even, shifts[0])
+    term2 = ScaledValue(high * sum_odd, shifts[1])
+    return term1.add_aligned(term2, *alignment(*shifts, ctx), ctx)
+
+
+def operator_row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale):
+    from kummer_asym.expansion import _finish
+
+    rhs = operator_terms(ctx, v, pairs, low, high, shifts)
+    return _finish(lhs, lhs.to_logcomplex(ctx), rhs, ctx, ratio_scale)
+
+
+def integer_row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale):
+    from kummer_asym.expansion import SideBySide
+    from kummer_asym.special.sweeprow import row_terms
+    from kummer_asym.special.types import ScaledValue, alignment
+
+    first, scale = alignment(*shifts, ctx)
+    s = ctx.series_in
+    row = row_terms(s(v), [(s(e), s(o)) for e, o in pairs], s(low), s(high),
+                    s(lhs.mantissa), first, s(scale),
+                    None if ratio_scale is None else s(ratio_scale),
+                    ctx.check_headroom)
+    if row is None:
+        return None
+    rhs = ScaledValue(ctx.series_out(row[0]), shifts[0 if first else 1])
+    return SideBySide(lhs.to_logcomplex(ctx), rhs.to_logcomplex(ctx), row[1])
+
+
+def reference_row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale):
+    """rhs, log rhs with its shift, lhs ratio_scale / rhs, and the terms'
+    sizes over |rhs|, at 300 bits from the same dd numbers."""
+    from kummer_asym.special.types import alignment
+
+    first, scale = alignment(*shifts, ctx)
+    x = REF.mpc
+    sums = [REF.fsum(x(v) ** s * x(pair[k]) for s, pair in enumerate(pairs))
+            for k in (0, 1)]
+    sizes = [REF.fsum(abs(x(v)) ** s * abs(x(pair[k]))
+                      for s, pair in enumerate(pairs)) for k in (0, 1)]
+    terms = [x(low) * sums[0], x(high) * sums[1]]
+    peaks = [abs(x(low)) * sizes[0], abs(x(high)) * sizes[1]]
+    lo = 1 if first else 0
+    terms[lo] *= x(scale)
+    peaks[lo] *= abs(x(scale))
+    rhs = terms[0] + terms[1]
+    w = x(lhs.mantissa) * x(ratio_scale) / rhs
+    log_rhs = REF.log(rhs) + x(shifts[1 - lo])
+    return rhs, log_rhs, w, (peaks[0] + peaks[1]) / abs(rhs)
+
+
+def row_outcome(f, *args):
+    from kummer_asym.errors import PrecisionExhaustedError
+
+    try:
+        return f(*args)
+    except PrecisionExhaustedError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+# the lhs far above the rhs: the discrepancy reads infinite in both
+@example(order=3, u=20.0, coeffs=[1.0, 0.5, -0.3j, 0.2, 0.1, 1j, 1, 1],
+         low=1.5, high=0.7j, shifts=[3.0, 1.0 + 2j, 800.0], lhs=1.0,
+         delta=None)
+# the larger shift on the odd term
+@example(order=2, u=10.0, coeffs=[1.0, 0.5, 2.0, -1j, 1, 1, 1, 1],
+         low=1.0, high=2.0, shifts=[-5.0, 5.0, 0.0], lhs=1.0, delta=1e-12)
+@given(order=st.integers(1, 4),
+       u=st.builds(cmath.rect, st.floats(3.0, 60.0), st.floats(-0.45, 0.45)),
+       coeffs=st.lists(polar(-3, 3), min_size=8, max_size=8),
+       low=polar(-2, 2), high=polar(-2, 2),
+       shifts=st.lists(st.builds(complex, st.floats(-60.0, 60.0),
+                                 st.floats(-10.0, 10.0)),
+                       min_size=3, max_size=3),
+       lhs=polar(-2, 2), delta=st.none() | polar(-15, -1))
+def test_the_row_routine_is_the_operator_row(order, u, coeffs, low, high,
+                                             shifts, lhs, delta):
+    ctx, inputs = row_inputs(order, u, coeffs, low, high, shifts, lhs, delta)
+    want = row_outcome(operator_row, ctx, *inputs)
+    got = row_outcome(integer_row, ctx, *inputs)
+    if isinstance(want, str):
+        # the guard's message: both cancelled past the precision headroom
+        assert got == want
+        return
+    rhs, log_rhs, w, kappa = reference_row(ctx, *inputs)
+    assert got.lhs == want.lhs
+    if abs(w) > REF.exp(690):
+        assert got.rel_discrepancy == want.rel_discrepancy == math.inf
+    else:
+        disc = abs(w - 1)
+        # the routine rounds once, from sums within 2^-138 of their terms
+        # per order; the operator row rounds every operation to 116 bits
+        assert (abs(got.rel_discrepancy - disc)
+                <= math.ulp(got.rel_discrepancy) / 2
+                + REF.ldexp(kappa * (abs(w) + 1), -130))
+        mpc_bound = REF.ldexp(kappa * (abs(w) + 1), -100)
+        assert (abs(want.rel_discrepancy - disc)
+                <= math.ulp(want.rel_discrepancy) / 2 + mpc_bound)
+        assert same_double(got.rel_discrepancy, want.rel_discrepancy, disc,
+                           mpc_bound)
+    # rhs leaves by one complex log, rounded to 116 bits in each row
+    log_bound = REF.ldexp(kappa + abs(log_rhs) + 1, -100)
+    for part in ("logmag", "phase"):
+        exact = getattr(log_rhs, "real" if part == "logmag" else "imag")
+        got_part, want_part = getattr(got.rhs, part), getattr(want.rhs, part)
+        assert abs(got_part - exact) <= math.ulp(got_part) + log_bound
+        assert same_double(got_part, want_part, exact, log_bound)
+
+
+def test_the_row_routine_leaves_zeros_and_overflow_to_the_general_path():
+    from kummer_asym.special.sweeprow import row_terms
+
+    ctx, (v, pairs, low, high, lhs, shifts, ratio_scale) = row_inputs(
+        2, 20.0, [1.0, 0.5, -0.3j, 0.2, 1, 1, 1, 1], 1.5, 0.7j,
+        [3.0, 1.0, 0.0], 1.0, None)
+    s = ctx.series_in
+    zero = ctx.make_complex(0.0)
+    args = [s(v), [(s(e), s(o)) for e, o in pairs], s(low), s(high),
+            s(lhs.mantissa), True, s(ctx.exp(shifts[1] - shifts[0])),
+            s(ratio_scale), ctx.check_headroom]
+    assert row_terms(*args) is not None
+    for index, value in ((1, [(s(e), s(zero)) for e, _ in pairs]),
+                         (2, s(zero)), (3, s(zero)), (4, s(zero)),
+                         (7, None)):
+        changed = list(args)
+        changed[index] = value
+        assert row_terms(*changed) is None, index
+
+
+def test_a_cancelling_row_raises_as_the_operator_row_does():
+    from kummer_asym.errors import PrecisionExhaustedError
+
+    # on equal shifts the odd term is minus the even one, so the two-term
+    # sum cancels: to zero, or to 1e-30 of its terms
+    for rest in (0.0, 1e-30):
+        ctx, (v, pairs, low, high, lhs, shifts, ratio_scale) = row_inputs(
+            1, 20.0, [1.0 + 0.5j, 1.0, 0, 0, 0, 0, 0, 0], 1.5, 1.0,
+            [2.0, 2.0, 0.0], 1.0, None)
+        high = -low * pairs[0][0] / pairs[0][1] * (1 + ctx.real(rest))
+        for row in (operator_row, integer_row):
+            with pytest.raises(PrecisionExhaustedError,
+                               match="two-term sum cancellation"):
+                row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale)
+
+
+def test_rows_on_the_general_path_read_as_the_routine_rows(monkeypatch):
+    # every row made to take the general path (series_out of the integer
+    # coefficient sums, ScaledValue.add and expansion._finish) reads as
+    # the routine rows do, to the general path's rounding
+    from kummer_asym import expansion
+    from kummer_asym.special import sweeprow
+    from kummer_asym.special.types import Precision, RiemannPoint
+
+    grid = [expansion.ExpansionConfig(
+        variant=variant, b=b, z=RiemannPoint(1.0, theta), t=t, order=order,
+        prec=Precision.dd())
+        for variant in expansion.VARIANTS for b in (0.7, 1.5)
+        for theta in (0.0, math.pi) for t in (10.0, 40.0) for order in (1, 3)]
+    routine = expansion.decay_sweep(grid).rows
+    monkeypatch.setattr(sweeprow, "row_terms", lambda *args: None)
+    general = expansion.decay_sweep(grid).rows
+    compared = 0
+    for a, b in zip(routine, general):
+        assert a.status == b.status
+        if a.status != "ok":
+            continue
+        compared += 1
+        assert a.result.lhs == b.result.lhs
+        assert a.result.rhs.logmag == pytest.approx(b.result.rhs.logmag,
+                                                    rel=1e-15, abs=1e-15)
+        assert a.result.rhs.phase == pytest.approx(b.result.rhs.phase,
+                                                   rel=1e-15, abs=1e-15)
+        assert a.result.rel_discrepancy == pytest.approx(
+            b.result.rel_discrepancy, rel=1e-12, abs=1e-30)
+    assert compared >= 40
+
+
+def test_a_row_with_a_zero_term_takes_the_general_path(monkeypatch):
+    # with every odd coefficient 0 the second term vanishes: rhs is the
+    # first term alone, as ScaledValue.add returns it, in both modes
+    from kummer_asym import expansion
+    from kummer_asym.special.types import Precision, RiemannPoint
+
+    values = expansion._coefficient_values
+
+    def even_only(ctx, lowered, s, mu, z):
+        even, _ = values(ctx, lowered, s, mu, z)
+        return even, ctx.make_complex(0.0)
+
+    monkeypatch.setattr(expansion, "_coefficient_values", even_only)
+    rows = {}
+    for mode in ("double", "dd"):
+        rows[mode] = expansion.evaluate_sides(expansion.ExpansionConfig(
+            variant="u-lower", b=0.7, z=RiemannPoint(1.0, 0.3), t=20.0,
+            order=3, prec=Precision(mode)))
+    # without its odd half the expansion is off by far more than either
+    # mode's rounding
+    assert rows["dd"].rel_discrepancy > 1e-4
+    assert rows["dd"].rel_discrepancy == pytest.approx(
+        rows["double"].rel_discrepancy, rel=1e-10)
+    assert rows["dd"].rhs.logmag == pytest.approx(rows["double"].rhs.logmag,
+                                                  rel=1e-13)
+
+
+# The U quadrature's trapezoid sums (quad.peak_integral), whose dd nodes are
+# integers on the grid 2^-QUAD_BITS and whose samples are summed as
+# integers, against the loop they replaced, written out here on the
+# quadrature arithmetic's operators: nodes wl + h k and sums by + and *.
+
+
+def operator_peak_integral(integrand, w_start, ctx, plan_logf):
+    from kummer_asym.special import quad
+    from kummer_asym.special.types import NATIVE, ScaledValue
+
+    tol, native = ctx.quadrature_tol, ctx is NATIVE
+    re = lambda w: NATIVE.to_float(plan_logf(w))
+    w_peak = quad._locate_peak(re, NATIVE.to_float(w_start))
+    peak = integrand(w_peak) if native else plan_logf(w_peak)
+    drop = -math.log(tol if native else ctx.eps) + 15.0
+    wl = ctx.quad_in(quad._find_cutoff(re, w_peak, NATIVE.to_float(peak),
+                                       -1.0, drop))
+    wr = ctx.quad_in(quad._find_cutoff(re, w_peak, NATIVE.to_float(peak),
+                                       +1.0, drop))
+    span = wr - wl
+    g_peak = peak if native else ctx.series_out(
+        integrand(ctx.quad_in(w_peak)))
+    g = ctx.quad_in(g_peak)
+    sample = lambda w: integrand(w, g)
+    n = quad._FIRST_LEVEL
+    h = span * ctx.quad_in(1.0 / n)
+    total = sum((2 * sample(wl + h * k) for k in range(1, n)),
+                sample(wl) + sample(wr))
+    previous, stable, needed, settled = None, 0, 2 if native else 1, False
+    for _ in range(quad._MAX_HALVINGS):
+        n *= 2
+        h = span * ctx.quad_in(1.0 / n)
+        mid = sum((sample(wl + h * k) for k in range(1, n, 2)),
+                  ctx.quad_in(0.0))
+        total = total + 2 * mid
+        value = total * h * ctx.quad_in(0.5)
+        if previous is not None:
+            change, scale = ctx.mag(value - previous), ctx.mag(value)
+            if scale == 0.0 or change <= tol * scale:
+                stable += 1
+                if stable >= needed:
+                    return ScaledValue(ctx.series_out(value), g_peak)
+            elif settled:
+                stable, needed = 0, 2
+            else:
+                stable, settled = 0, change <= math.sqrt(tol) * scale
+        previous = value
+    raise quad.QuadratureError("no level")
+
+
+def quad_outcome(f, *args):
+    """f's ScaledValue as exact keys, or the type of its error."""
+    from kummer_asym.special.types import exact_key
+
+    try:
+        got = f(*args)
+    except (OverflowError, ArithmeticError) as exc:
+        return type(exc)
+    return exact_key(got.mantissa), exact_key(got.shift)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=reals_a | complexes_a, b=bs, r=st.floats(0.1, 4.0),
+       theta=st.just(0.0) | st.floats(-0.45 * math.pi, 0.45 * math.pi),
+       mode=st.sampled_from(["double", "dd"]))
+def test_the_trapezoid_sums_are_the_operator_loop_bit_for_bit(a, b, r, theta,
+                                                             mode):
+    from kummer_asym.special.kummer import _u_log_integrand
+    from kummer_asym.special.quad import peak_integral
+    from kummer_asym.special.types import NATIVE, Precision
+
+    ctx = Precision(mode).ctx
+    a_c, b_c = ctx.coerce(a), ctx.coerce(b)
+    x0 = ctx.coerce(cmath.rect(r, theta))
+    c, d = b_c - 1, a_c - b_c + 1
+    twin = _u_log_integrand(ctx.to_complex(c), ctx.to_complex(d),
+                            ctx.to_complex(x0))
+    if ctx is NATIVE:
+        integrand = twin
+    else:
+        integrand = ctx.quad_kernels.u_integrand(
+            ctx.series_in(c), ctx.series_in(d), ctx.series_in(x0))
+    start = math.log(max(abs(complex(a)) / r, 1e-8))
+    want = quad_outcome(operator_peak_integral, integrand, start, ctx, twin)
+    assert quad_outcome(peak_integral, integrand, start, ctx, twin) == want

@@ -618,3 +618,57 @@ class TestKnownQuietFailures:
         value = mp.mpc(got.mantissa) * mp.exp(mp.mpc(got.shift))
         ref = mp.hyperu(a, 1.5, 4 * mp.expj(mp.mpf(theta)))
         assert abs(value / ref - 1) <= bound
+
+
+# ROADMAP item 3's table: U(a, 0.7, x) at the base angles 2.0, 2.5 and
+# 4 - 2 pi, between the acceptance axes, where the connection formula
+# answers.  Each value must be within its mode's bound of 280-bit hyperu or
+# raise a typed error; b is the float 0.7's exact binary value.  The marks
+# group today's quiet failures by defect class.
+_CONNECTION_DD = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 3 (FOUND 38): at a = 400.35, |x| = 4 the two M "
+           "series of the connection formula cancel past dd's digits, and "
+           "its guard weighs the sum's own rounding, not its terms' errors")
+_CONNECTION_DOUBLE = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 3 (FOUND 38): the same cancellation in double "
+           "passes its guard at a = 25.35 and 100.35 (|x| = 4) and at "
+           "100.35 and 400.35 (|x| = 1); at 400.35, |x| = 4 it raises")
+
+
+@pytest.mark.parametrize("a, r, theta, mode", [
+    pytest.param(400.35, 4.0, 2.0, "dd", marks=_CONNECTION_DD),  # 5.8e11
+    pytest.param(400.35, 4.0, 2.5, "dd", marks=_CONNECTION_DD),  # 5.6e4
+    pytest.param(400.35, 4.0, 4.0 - 2 * math.pi, "dd",
+                 marks=_CONNECTION_DD),  # 1.3e8
+    (100.35, 4.0, 2.0, "dd"),
+    (400.35, 1.0, 2.0, "dd"),
+    (100.35, 1.0, 2.0, "dd"),
+    (25.35, 4.0, 2.0, "dd"),
+    # the first three raise PrecisionExhaustedError in double
+    (400.35, 4.0, 2.0, "double"),
+    (400.35, 4.0, 2.5, "double"),
+    (400.35, 4.0, 4.0 - 2 * math.pi, "double"),
+    pytest.param(100.35, 4.0, 2.0, "double",
+                 marks=_CONNECTION_DOUBLE),  # 2.1e11
+    pytest.param(400.35, 1.0, 2.0, "double",
+                 marks=_CONNECTION_DOUBLE),  # 3.8e10
+    pytest.param(100.35, 1.0, 2.0, "double",
+                 marks=_CONNECTION_DOUBLE),  # 5.3e-4
+    pytest.param(25.35, 4.0, 2.0, "double",
+                 marks=_CONNECTION_DOUBLE),  # 7.2e-3
+])
+def test_u_between_the_axes_is_accurate_or_raises(a, r, theta, mode):
+    bound = {"double": 1e-6, "dd": 1e-9}[mode]
+    try:
+        got = kummer_u_scaled(a, 0.7, RiemannPoint(r, theta),
+                              Precision(mode))
+    except (DomainError, PrecisionExhaustedError):  # QuadratureError too
+        return
+    mp = _MP.clone()
+    mp.prec = 280
+    # read from the ScaledValue, not through LogComplex's float logs
+    value = mp.mpc(got.mantissa) * mp.exp(mp.mpc(got.shift))
+    ref = mp.hyperu(mp.mpf(a), mp.mpf(0.7), mp.mpf(r) * mp.expj(mp.mpf(theta)))
+    assert abs(value / ref - 1) <= bound

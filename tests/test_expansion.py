@@ -13,11 +13,11 @@ from kummer_asym import expansion
 from kummer_asym.errors import DomainError, PoleError
 from kummer_asym.expansion import (ExpansionConfig, SideBySide, VARIANTS,
                                    acceptance_grid, decay_sweep,
-                                   evaluate_sides, gamma_ratio_check,
-                                   sweep_group_key)
+                                   evaluate_sides, sweep_group_key)
 from kummer_asym.special import bessel, gammafn, types
 from kummer_asym.special.types import (LogComplex, Precision, RiemannPoint,
                                        exact_key, shared)
+from support import gamma_ratio_discrepancy, ratio_deviation
 
 
 KERNELS = ("kummer_u_scaled", "kummer_m_scaled", "bessel_k_scaled",
@@ -87,7 +87,7 @@ class TestFirstKind:
         base = evaluate_sides(cfg("m", b=b, z=(1.0, 0.3)))
         up = evaluate_sides(cfg("m", b=b, z=(1.0, 0.3 + math.pi)))
         want = base.lhs * cmath.exp(1j * math.pi * b)
-        assert up.lhs.ratio_deviation(want) < 1e-8
+        assert ratio_deviation(up.lhs, want) < 1e-8
 
     def test_complex_parameter(self):
         r = evaluate_sides(cfg("m", b=complex(1.2, 0.5)))
@@ -126,7 +126,7 @@ class TestSecondKind:
         # ratio must reproduce it to within the larger single discrepancy
         uc = evaluate_sides(cfg("u-capital"))
         ul = evaluate_sides(cfg("u-lower"))
-        dev = (uc.rhs / ul.rhs).ratio_deviation(uc.lhs / ul.lhs)
+        dev = ratio_deviation(uc.rhs / ul.rhs, uc.lhs / ul.lhs)
         assert dev <= max(uc.rel_discrepancy, ul.rel_discrepancy)
 
     def test_variant_equivalence_grid(self):
@@ -135,7 +135,7 @@ class TestSecondKind:
                               (1.5, 1.0, math.pi, 20.0)):
             uc = evaluate_sides(cfg("u-capital", b=b, z=(zr, zth), t=t))
             ul = evaluate_sides(cfg("u-lower", b=b, z=(zr, zth), t=t))
-            dev = (uc.rhs / ul.rhs).ratio_deviation(uc.lhs / ul.lhs)
+            dev = ratio_deviation(uc.rhs / ul.rhs, uc.lhs / ul.lhs)
             bound = (uc.rel_discrepancy + ul.rel_discrepancy) * 1.0001
             assert dev <= bound
 
@@ -145,22 +145,20 @@ class TestGammaRatio:
         # every coefficient beyond d_0 vanishes at b = 2, so the asymptotic
         # statement becomes an identity
         for u in (10.0, 20.0, 40.0):
-            r = gamma_ratio_check(2.0, u, 3, dd)
-            assert r.rel_discrepancy <= 1e-12
+            assert gamma_ratio_discrepancy(2.0, u, 3, dd) <= 1e-12
 
     def test_generic_parameter(self, dd):
-        r = gamma_ratio_check(1.5, 20.0, 3, dd)
-        assert r.rel_discrepancy < 1e-10
-        ratio = (gamma_ratio_check(1.5, 20.0, 3, dd).rel_discrepancy
-                 / gamma_ratio_check(1.5, 40.0, 3, dd).rel_discrepancy)
+        assert gamma_ratio_discrepancy(1.5, 20.0, 3, dd) < 1e-10
+        ratio = (gamma_ratio_discrepancy(1.5, 20.0, 3, dd)
+                 / gamma_ratio_discrepancy(1.5, 40.0, 3, dd))
         # first omitted term is u^(-2*order-2), so halving u gains 2^8
         assert 128.0 < ratio < 512.0
 
     def test_validation(self, dd):
         with pytest.raises(DomainError):
-            gamma_ratio_check(1.5, -1.0, 3, dd)
+            gamma_ratio_discrepancy(1.5, -1.0, 3, dd)
         with pytest.raises(DomainError):
-            gamma_ratio_check(1.5, 20.0, -1, dd)
+            gamma_ratio_discrepancy(1.5, 20.0, -1, dd)
 
 
 class TestDecaySweep:

@@ -10,6 +10,7 @@ from kummer_asym.special.gammafn import bernoulli_numbers
 from kummer_asym.temme import (binomial_poly, gamma_ratio_coefficients,
                                generalized_bernoulli, mu_series,
                                temme_base_series, temme_iterate)
+from support import z_degree
 
 B = "b"
 
@@ -48,7 +49,7 @@ class TestBaseSeries:
     def test_even_in_z(self):
         base = temme_base_series(8)
         for c in base:
-            for k in range(1, c.z_degree() + 1, 2):
+            for k in range(1, z_degree(c) + 1, 2):
                 assert c.coefficient(k).is_zero()
 
     def test_odd_index_vanishes_at_origin(self):
