@@ -258,8 +258,9 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
         from .special.blockfloat import BlockComplex
         from .special.sweeprow import coefficient_sums, row_terms
         # each coefficient value read into integers once per point; loops,
-        # not comprehensions, so that no local becomes a closure cell, which
-        # a failed row's traceback would keep alive
+        # not comprehensions: a comprehension is a scope of its own, and
+        # each local of _sides that it read would become a closure cell,
+        # built in every call in both modes
         pairs = []
         for s in range(cfg.order):
             pairs.append(shared(

@@ -38,8 +38,9 @@ expansions costs one K pair, one CF1 and one walk.  The loops run in the
 context's series arithmetic (NumericContext series_in / series_out):
 native complex numbers in double, block-floating Python integers in dd
 (see blockfloat), where Temme's series steps through the block numbers'
-operators and CF2, CF1 and the walk are one routine each on their
-integers (blockfloat.k_cf2_terms, i_cf1_terms, i_walk).  Every state
+operators.  CF2, CF1 and the walk are the context's loops (ctx.loops):
+k_cf2_terms, i_cf1_terms and i_walk of native in double and of
+blockfloat, on the block numbers' integers, in dd.  Every state
 update of Temme's series, of CF2 and of CF1, and every step of the walk,
 ends in a quotient, so in dd it is rounded once a step.
 """
@@ -52,9 +53,9 @@ from functools import lru_cache
 
 from ..errors import DomainError, PrecisionExhaustedError
 from .gammafn import bernoulli_numbers, log_gamma_ctx
-from .types import (MAX_STEPS, NATIVE, LogComplex, NumericContext,
-                    Precision, RiemannPoint, ScaledValue, base_point,
-                    exact_key, shared, sharing_scope, winding_ratio)
+from .types import (MAX_STEPS, LogComplex, NumericContext, Precision,
+                    RiemannPoint, ScaledValue, base_point, exact_key, shared,
+                    sharing_scope, winding_ratio)
 
 _MAX_SERIES_TERMS = 3000
 # Temme's series up to this |x|, CF2 beyond it
@@ -161,12 +162,8 @@ def _k_cf2(mu, x0, ctx: NumericContext) -> tuple:
     and Q_i: c_i grows like i! and Q_i falls as fast, and either alone
     leaves the double range near |x0| = 2."""
     a1 = 0.25 - mu * mu
-    if ctx is NATIVE:
-        sums = _k_cf2_terms(a1, x0, ctx.series_tol)
-    else:
-        from .blockfloat import k_cf2_terms
-        sums = k_cf2_terms(ctx.series_in(a1), ctx.series_in(x0),
-                           _MAX_SERIES_TERMS, ctx.series_tol)
+    sums = ctx.loops.k_cf2_terms(ctx.series_in(a1), ctx.series_in(x0),
+                                 _MAX_SERIES_TERMS, ctx.series_tol)
     if sums is None:
         raise PrecisionExhaustedError("K continued fraction did not converge")
     s, h, peak = sums
@@ -176,30 +173,6 @@ def _k_cf2(mu, x0, ctx: NumericContext) -> tuple:
                        "K continued fraction")
     shift = -x0 + ctx.log(ctx.pi / (2 * x0)) / 2
     return ScaledValue(k0, shift), ScaledValue(k0 * (base - h) / x0, shift)
-
-
-def _k_cf2_terms(a1, x0, tol: float):
-    """Steed's sums s and h for CF2 and the largest |term| of s, on native
-    complex numbers; dd runs them on integers (blockfloat.k_cf2_terms)."""
-    a, b = -a1, 2 * (x0 + 1)
-    d = h = delh = 1 / b
-    t_prev, t = 0j, -a
-    q, s, peak = t, t * delh + 1, 1.0
-    for i in range(2, _MAX_SERIES_TERMS):
-        t_prev, t = t, ((i - 1) * b * t + a * t_prev) / (i * (i - 1))
-        a, b = a - 2 * (i - 1), b + 2
-        q = q + t
-        # with den = b + a d, b d_new - 1 = -a d / den: every update of the
-        # state ends in a quotient
-        ad = a * d
-        den = b + ad
-        delh, d = ad * delh / -den, 1 / den
-        h, term = h + delh, q * delh
-        s, size = s + term, abs(term)
-        peak = max(peak, size)
-        if size <= tol * abs(s):
-            return s, h, peak
-    return None
 
 
 def _k_ladder(nu_c, x0, ctx: NumericContext) -> tuple:
@@ -238,32 +211,11 @@ def _i_cf1(order, x0, ctx: NumericContext):
     x0 / (2 (order + 1) + x0^2 / (2 (order + 2) + x0^2 / ...)), as _k_cf2
     sums CF2.  From |order| = |x0| up its terms fall about 4-fold a step,
     and faster as the order grows."""
-    if ctx is NATIVE:
-        h = _i_cf1_terms(order, x0, ctx.series_tol)
-    else:
-        from .blockfloat import i_cf1_terms
-        h = i_cf1_terms(ctx.series_in(x0), ctx.series_in(order),
-                        _MAX_SERIES_TERMS, ctx.series_tol)
+    h = ctx.loops.i_cf1_terms(ctx.series_in(x0), ctx.series_in(order),
+                              _MAX_SERIES_TERMS, ctx.series_tol)
     if h is None:
         raise PrecisionExhaustedError("I continued fraction did not converge")
     return ctx.series_out(h)
-
-
-def _i_cf1_terms(order, x0, tol: float):
-    """Steed's sum for CF1 on native complex numbers; dd runs it on
-    integers (blockfloat.i_cf1_terms)."""
-    a, b = x0 * x0, 2 * (order + 1)
-    d = 1 / b
-    h = delh = x0 * d
-    for _ in range(_MAX_SERIES_TERMS):
-        b = b + 2
-        ad = a * d
-        den = b + ad
-        delh, d = ad * delh / -den, 1 / den
-        h = h + delh
-        if abs(delh) <= tol * abs(h):
-            return h
-    return None
 
 
 def _i_ratios(nu_c, x0, ctx: NumericContext) -> tuple:
@@ -279,23 +231,9 @@ def _i_ratios(nu_c, x0, ctx: NumericContext) -> tuple:
                           f"{MAX_STEPS} recurrence steps")
     order = nu_c + (top - n)
     r = _i_cf1(order, x0, ctx)
-    if ctx is NATIVE:
-        return _i_walk(x0, r, order, top - n - 1)
-    from .blockfloat import i_walk
-    pair = i_walk(ctx.series_in(x0), ctx.series_in(r), ctx.series_in(order),
-                  top - n - 1)
+    pair = ctx.loops.i_walk(ctx.series_in(x0), ctx.series_in(r),
+                            ctx.series_in(order), top - n - 1)
     return tuple(ctx.series_out(ratio) for ratio in pair)
-
-
-def _i_walk(x0, r, order, steps: int) -> tuple:
-    """The walk down from r = r_order on native complex numbers: steps
-    times r_(k-1) = x0 / (2 k + x0 r_k), then once more; returns the last
-    two ratios, the lower first.  dd walks on integers (blockfloat.i_walk)."""
-    b = 2 * order  # 2 k at the order k where CF1 starts
-    for _ in range(steps):
-        r = x0 / (b + x0 * r)
-        b = b - 2
-    return x0 / (b + x0 * r), r
 
 
 def _i_wronskian(nu_c, x0, ctx: NumericContext) -> tuple:

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 
 from ..errors import DomainError, PrecisionExhaustedError
+from . import native
 
 
 class NumericContext:
@@ -54,6 +55,9 @@ class NumericContext:
                                nodes and sums, in the series arithmetic,
                                which series_out leaves
       check_headroom(...)      the cancellation guard
+      loops                    the module of the series term loops
+                               m_terms, k_cf2_terms, i_cf1_terms and
+                               i_walk: native in double, blockfloat in dd
 
     The term loops of the M series, K's Temme series and CF2, and I's CF1
     and its walk down convert their parameters with series_in and their
@@ -66,13 +70,15 @@ class NumericContext:
     operators + - * /; the other four loops are one routine each on the
     integers of those numbers (blockfloat.m_terms, k_cf2_terms,
     i_cf1_terms, i_walk), which makes the operators' integer operations in
-    their order.  dd log-gamma reads its argument with series_in too: the
-    product of its shifted arguments and Stirling's tail are one integer
-    routine each (blockfloat.shift_product, stirling_tail), rounded out
-    with series_out.  So is a dd sweep row (expansion._sides): its
-    operands are read with series_in once per point, the coefficient sums,
-    the two-term sum and |lhs/rhs - 1| are one integer routine
-    (sweeprow.row_terms), and rhs leaves by series_out.
+    their order; double's twins of the same names are in native, and a
+    kernel calls the one of ctx.loops.  dd log-gamma reads its argument
+    with series_in too: the product of its shifted arguments and
+    Stirling's tail are one integer routine each (blockfloat.shift_product,
+    stirling_tail), rounded out with series_out.  So is a dd sweep row
+    (expansion._sides): its operands are read with series_in once per
+    point, the coefficient sums, the two-term sum and |lhs/rhs - 1| are
+    one integer routine (sweeprow.row_terms), and rhs leaves by
+    series_out.
 
     The U quadrature's nodes and trapezoid sums (quad.py) use the same
     arithmetic, held on a fixed grid by quad_in; in dd each node is formed
@@ -137,6 +143,7 @@ class _Double(NumericContext):
     series_tol = 1e-17
     quadrature_tol = 1e-13
     stirling_profile = (20.0, 12)
+    loops = native
 
     real = float
     make_complex = complex
@@ -212,13 +219,14 @@ class _ExtendedMP(NumericContext):
         import mpmath
         from mpmath.libmp import fzero, from_man_exp, to_fixed
 
-        from .blockfloat import DD_PREC, QUAD_BITS, BlockComplex, FixedKernels
+        from . import blockfloat
 
         mp = self._mp = mpmath.MPContext()
-        mp.prec = DD_PREC
-        self._block = BlockComplex
-        self.quad_kernels = FixedKernels()
-        self._quad_grid = -QUAD_BITS
+        mp.prec = blockfloat.DD_PREC
+        self.loops = blockfloat
+        self._block = blockfloat.BlockComplex
+        self.quad_kernels = blockfloat.FixedKernels()
+        self._quad_grid = -blockfloat.QUAD_BITS
         self._raw_to_float = mpmath.libmp.to_float
         self._fzero, self._to_fixed = fzero, to_fixed
         self._from_man_exp = from_man_exp
@@ -436,6 +444,13 @@ def exact_key(x):
     return x._mpf_ if parts is None else parts
 
 
+class _Failure(tuple):
+    """(error, traceback): an error that shared keeps in place of a value,
+    with the traceback it left compute with.  Each later caller raises it
+    from that traceback, so that it does not grow by every caller's
+    frames."""
+
+
 def shared(key, compute):
     """compute(), once per key while a sharing scope is open, and at every
     call otherwise.
@@ -452,11 +467,11 @@ def shared(key, compute):
         try:
             memo[key] = compute()
         except (DomainError, ArithmeticError) as exc:
-            memo[key] = exc
+            memo[key] = _Failure((exc, exc.__traceback__))
     value = memo[key]
-    if isinstance(value, Exception):
+    if type(value) is _Failure:
         try:
-            raise value
+            raise value[0].with_traceback(value[1])
         finally:
             del value  # the traceback keeps this frame; it must not keep value
     return value

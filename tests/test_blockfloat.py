@@ -506,6 +506,82 @@ def test_the_cf1_loop_and_walk_are_the_operator_loops_bit_for_bit(nu, x,
         walk_operator_loop(x_s, r, order_s, top - n - 1))
 
 
+# Each term loop of double (special.native) against its dd twin of the same
+# name (blockfloat), as a kernel calls them through ctx.loops: the same
+# arguments, doubles for native and their series_in images for blockfloat.
+# Either both give up, or each double result is within a few eps of the dd
+# one, times the loop's largest term over the result where the loop
+# returns that peak.
+
+TWIN_EPS = 16 * 2.2e-16
+
+
+def twin_error(name, values, rest):
+    """The largest error of native.<name> against blockfloat.<name>, in
+    units of TWIN_EPS times the result's weight, or None where both give
+    up; values are the loop's numbers, rest its counts and tolerance."""
+    from kummer_asym.special import blockfloat, native
+    from kummer_asym.special.types import Precision
+
+    ctx = Precision.dd().ctx
+    double = getattr(native, name)(*values, *rest)
+    dd = getattr(blockfloat, name)(
+        *[ctx.series_in(ctx.coerce(v)) for v in values], *rest)
+    assert (double is None) == (dd is None), name
+    if dd is None:
+        return None
+    if not isinstance(dd, tuple):
+        double, dd = (double,), (dd,)
+    # m_terms and k_cf2_terms end in the peak of their first result's terms
+    peak = dd[-1] if not isinstance(dd[-1], BlockComplex) else 0.0
+    worst = 0.0
+    for k, (got, want) in enumerate(zip(double, dd)):
+        if not isinstance(want, BlockComplex):
+            continue
+        want = complex(ctx.series_out(want))
+        weight = abs(want) if k else max(abs(want), peak)
+        worst = max(worst, abs(got - want) / (TWIN_EPS * weight))
+    return worst
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(loop=st.sampled_from(["m_terms", "k_cf2_terms", "i_cf1_terms",
+                             "i_walk"]),
+       data=st.data(), capped=st.booleans())
+def test_each_double_loop_is_its_dd_twin_within_rounding(loop, data, capped):
+    from kummer_asym.special import native
+    from kummer_asym.special.types import NATIVE
+
+    tol = NATIVE.series_tol
+    if loop == "m_terms":
+        a = data.draw(reals_a | complexes_a | integer_a)
+        x = data.draw(st.builds(cmath.rect, st.floats(0.01, 4.0),
+                                st.floats(-math.pi, math.pi)))
+        values = (a, data.draw(bs), x)
+        rest = (data.draw(st.integers(0, 200)), 40 if capped else 20000, tol)
+    elif loop == "k_cf2_terms":
+        mu = data.draw(mus)
+        values = (0.25 - mu * mu, data.draw(base_x))
+        rest = (6 if capped else 3000, tol)
+    else:
+        nu = data.draw(st.floats(-0.5, 3.0) | st.builds(
+            complex, st.floats(-0.5, 3.0), st.floats(-3.0, 3.0)))
+        x = data.draw(base_x | st.builds(cmath.rect, st.floats(0.05, 2.0),
+                                         st.floats(-0.5 * math.pi,
+                                                   0.5 * math.pi)))
+        # the orders of bessel._i_ratios
+        n = math.floor(complex(nu).real + 0.5)
+        top = max(n + 1, math.ceil(abs(x)))
+        order = nu + (top - n)
+        values, rest = (x, order), (3 if capped else 3000, tol)
+        if loop == "i_walk":
+            # from CF1's ratio, walked down top - n - 1 steps and one more
+            values = (x, native.i_cf1_terms(x, order, 3000, tol), order)
+            rest = (top - n - 1,)
+    error = twin_error(loop, values, rest)
+    assert error is None or error <= 1.0, (loop, values, rest, error)
+
+
 # The two integer parts of dd log-gamma (gammafn._shifted_stirling): the
 # shift's product against the exact product of Gaussian integers, and
 # Stirling's tail against a 300-bit mpmath sum of the same coefficients.

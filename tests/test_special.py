@@ -251,8 +251,8 @@ class TestPrecision:
             if re.match(r" {2}\w", line):
                 field = re.split(r"\s{2,}", line.strip())[0]
                 names += re.findall(r"(?:^|, )(\w+)(?=\(|,|$)", field)
-        assert len(names) == 18
-        assert "sinpi" in names
+        assert len(names) == 19
+        assert "sinpi" in names and "loops" in names
         assert "series_in" in names and "series_out" in names
         assert "quad_in" in names
         double, dd = Precision.double().ctx, Precision.dd().ctx
@@ -399,6 +399,24 @@ class TestSharing:
                     shared("other", lambda: {}["missing"])
                 1 / 0
         shared("pole", lambda: None)  # no scope is left open
+
+    def test_a_kept_failure_does_not_grow_its_traceback(self):
+        def fail():
+            raise DomainError("kept")
+
+        depths = []
+        with sharing_scope():
+            for _ in range(5):
+                with pytest.raises(DomainError) as caught:
+                    shared("domain", fail)
+                frames, tb = [], caught.value.__traceback__
+                while tb is not None:
+                    frames.append(tb.tb_frame.f_code)
+                    tb = tb.tb_next
+                # each read still reaches the frame that raised
+                assert frames[-1] is fail.__code__
+                depths.append(len(frames))
+        assert len(set(depths)) == 1, depths
 
     def test_exact_keys_part_signed_zeros_and_types(self):
         assert exact_key(complex(-2, 0.0)) != exact_key(complex(-2, -0.0))
