@@ -127,9 +127,9 @@ class SideBySide:
 
 
 def _finish(lhs: ScaledValue, lhs_log: LogComplex, rhs: ScaledValue,
-            ctx: NumericContext, ratio_scale=None) -> SideBySide:
-    """The side-by-side of lhs and rhs; ratio_scale, where the caller has
-    it, is e^(lhs.shift - rhs.shift)."""
+            ctx: NumericContext, ratio_scale) -> SideBySide:
+    """The side-by-side of a double row's lhs and rhs; ratio_scale is
+    e^(lhs.shift - rhs.shift), or None where that exp overflowed."""
     ratio = lhs.div(rhs, ctx)
     gap = ctx.to_float(ratio.shift) + math.log(
         max(ctx.mag(ratio.mantissa), 1e-300))
@@ -185,11 +185,10 @@ def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
     variant entry and the coefficient values hold the row's operands as
     block numbers (1/u^2, the lhs and Bessel mantissas and both exps),
     read by series_in once, and each order's row is sweeprow.row_terms
-    on them; rows whose lhs or a term is zero, or whose exp overflowed,
-    take ScaledValue.add and _finish, as double does.  Below them the
-    kernels share log-gamma values, K's ladder and I's pair by their
-    exact inputs, so the m variant and K's winding read one CF1 and one
-    walk down.  A shared value is the one computed for its key alone, so
+    on them; in double it is ScaledValue.add_aligned and _finish.  Below
+    them the kernels share log-gamma values, K's ladder and I's pair by
+    their exact inputs, so the m variant and K's winding read one CF1 and
+    one walk down.  A shared value is the one computed for its key alone, so
     results are identical with and without sharing.
     """
     table, low_even, _ = expansion_tables()
@@ -246,17 +245,16 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
         values = (lhs.mantissa, low.mantissa, high_mantissa, scale,
                   ratio_scale)
         if ctx is not NATIVE:
-            # the row's operands, read into integers once per point
-            values = tuple([v if v is None else ctx.series_in(v)
-                            for v in values])
+            # the row's operands, read into integers once per point; mpmath's
+            # exp does not overflow, so dd always has ratio_scale
+            values = tuple(map(ctx.series_in, values))
         return (lhs, lhs_log, shifts, first) + values
 
     (lhs, lhs_log, shifts, first, lhs_mantissa, low_mantissa, high_mantissa,
      scale, ratio_scale) = shared((cfg.variant,) + point, variant_constants)
 
     if ctx is not NATIVE:
-        from .special.blockfloat import BlockComplex
-        from .special.sweeprow import coefficient_sums, row_terms
+        from .special.sweeprow import row_terms
         # each coefficient value read into integers once per point; loops,
         # not comprehensions: a comprehension is a scope of its own, and
         # each local of _sides that it read would become a closure cell,
@@ -267,22 +265,11 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
                 ("coefficients", lowered, s) + z_key,
                 lambda: tuple(map(ctx.series_in, _coefficient_values(
                     ctx, lowered, s, mu_c, z_red)))))
-        row = row_terms(inv_u2, pairs, low_mantissa, high_mantissa,
-                        lhs_mantissa, first, scale, ratio_scale,
-                        ctx.check_headroom)
-        if row is not None:
-            rhs, disc = row
-            rhs = ScaledValue(ctx.series_out(rhs), shifts[0 if first else 1])
-            return SideBySide(lhs_log, rhs.to_logcomplex(ctx), disc)
-        # a zero lhs or term, or no ratio_scale: ScaledValue.add's sum
-        sum_even, sum_odd = coefficient_sums(inv_u2, pairs)
-        term1 = ScaledValue(ctx.series_out(low_mantissa)
-                            * ctx.series_out(BlockComplex(*sum_even)),
-                            shifts[0])
-        term2 = ScaledValue(ctx.series_out(high_mantissa)
-                            * ctx.series_out(BlockComplex(*sum_odd)),
-                            shifts[1])
-        return _finish(lhs, lhs_log, term1.add(term2, ctx), ctx)
+        rhs, disc = row_terms(inv_u2, pairs, low_mantissa, high_mantissa,
+                              lhs_mantissa, first, scale, ratio_scale,
+                              ctx.check_headroom)
+        rhs = ScaledValue(ctx.series_out(rhs), shifts[0 if first else 1])
+        return SideBySide(lhs_log, rhs.to_logcomplex(ctx), disc)
 
     power = ctx.make_complex(1.0)
     sum_even = ctx.make_complex(0.0)
@@ -297,8 +284,6 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
 
     term1 = ScaledValue(low_mantissa * sum_even, shifts[0])
     term2 = ScaledValue(high_mantissa * sum_odd, shifts[1])
-    if lhs.is_zero() or term1.is_zero() or term2.is_zero():
-        return _finish(lhs, lhs_log, term1.add(term2, ctx), ctx)
     rhs = term1.add_aligned(term2, first, scale, ctx)
     return _finish(lhs, lhs_log, rhs, ctx, ratio_scale)
 

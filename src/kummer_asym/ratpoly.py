@@ -627,9 +627,6 @@ class TruncSeries:
                 f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def _check(self, other: "TruncSeries"):
         if self.var != other.var:
             raise ValueError(f"series variables differ: {self.var!r} vs {other.var!r}")

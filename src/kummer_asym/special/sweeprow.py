@@ -33,7 +33,8 @@ def coefficient_sums(v: BlockComplex, pairs) -> tuple:
     return (er, ei, ee), (orr, oi, oe)
 
 
-# |w| beyond which a row's discrepancy reads as infinite (expansion._finish)
+# |w| beyond which a dd row's discrepancy reads as infinite: the bound
+# expansion._finish sets for double's rows
 _WIDE = math.exp(690.0)
 
 
@@ -63,21 +64,16 @@ def row_terms(v: BlockComplex, pairs, low: BlockComplex, high: BlockComplex,
 
     The sums are coefficient_sums, the products exact and the two-term
     sum on the coarser grid, guarded by check, the context's
-    check_headroom, as ScaledValue.add_aligned guards it.  The
-    discrepancy is |lhs ratio_scale - rhs| / |rhs|, exact until its one
-    rounding to a float (_root_of_ratio), and infinite where
-    |lhs ratio_scale / rhs| exceeds e^690.  Returns (rhs, discrepancy),
-    or None where lhs or a term is zero or ratio_scale is None: the
-    caller's general path handles those rows."""
+    check_headroom, as ScaledValue.add_aligned guards it: a zero term adds
+    nothing, and a zero sum raises.  The discrepancy is
+    |lhs ratio_scale - rhs| / |rhs|, exact until its one rounding to a
+    float (_root_of_ratio), so a zero lhs reads 1.0, and infinite where
+    |lhs ratio_scale / rhs| exceeds e^690.  Returns (rhs, discrepancy)."""
     (er, ei, ee), (orr, oi, oe) = coefficient_sums(v, pairs)
     ar, ai, ae = low.re, low.im, low.exp
     t1 = ar * er - ai * ei, ar * ei + ai * er, ae + ee
     ar, ai, ae = high.re, high.im, high.exp
     t2 = ar * orr - ai * oi, ar * oi + ai * orr, ae + oe
-    lr, li, le = lhs.re, lhs.im, lhs.exp
-    if (ratio_scale is None or not (lr or li) or not (t1[0] or t1[1])
-            or not (t2[0] or t2[1])):
-        return None
     (hr, hi, he), (ar, ai, ae) = (t1, t2) if first else (t2, t1)
     sr, si = scale.re, scale.im
     ar, ai, ae = ar * sr - ai * si, ar * si + ai * sr, ae + scale.exp
@@ -85,6 +81,7 @@ def row_terms(v: BlockComplex, pairs, low: BlockComplex, high: BlockComplex,
     check(max(_magnitude(hr, hi, he), _magnitude(ar, ai, ae)),
           _magnitude(mr, mi, me), "two-term sum")
     rhs = BlockComplex(mr, mi, me)
+    lr, li, le = lhs.re, lhs.im, lhs.exp
     sr, si = ratio_scale.re, ratio_scale.im
     pr, pi, pe = lr * sr - li * si, lr * si + li * sr, le + ratio_scale.exp
     if _magnitude(*_quotient(pr, pi, pe, mr, mi, me, 53)) > _WIDE:

@@ -538,28 +538,6 @@ class LogComplex:
                 f"log-magnitude {self.logmag:.3g} not representable as double")
         return cmath.exp(complex(self.logmag, self.phase))
 
-    def __mul__(self, other) -> "LogComplex":
-        if isinstance(other, (int, float, complex)):
-            other = LogComplex.from_complex(other)
-        if not isinstance(other, LogComplex):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LogComplex.zero()
-        return LogComplex(self.logmag + other.logmag, self.phase + other.phase)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "LogComplex":
-        if isinstance(other, (int, float, complex)):
-            other = LogComplex.from_complex(other)
-        if not isinstance(other, LogComplex):
-            return NotImplemented
-        if other.is_zero:
-            raise DomainError("division by the zero sentinel")
-        if self.is_zero:
-            return LogComplex.zero()
-        return LogComplex(self.logmag - other.logmag, self.phase - other.phase)
-
 
 def alignment(shift, other, ctx: NumericContext) -> tuple:
     """(first, scale) for two ScaledValue shifts: first tells whether shift

@@ -70,13 +70,14 @@ def test_a_quotient_is_rounded_once_to_wp_bits(a, b):
 
 @settings(max_examples=200, derandomize=True)
 @given(blocks, blocks)
+@example(Block(0, 0, 3), Block(5, 1, -2))
 def test_a_sum_lies_on_the_coarser_grid(a, b):
     s = a + b
     if not (b.re or b.im):
         assert s is a
         return
     if not (a.re or a.im):
-        assert s is b
+        assert same(s, b)
         return
     assert s.exp == max(a.exp, b.exp)
     unit = Fraction(2) ** s.exp
@@ -724,11 +725,8 @@ def integer_row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale):
     first, scale = alignment(*shifts, ctx)
     s = ctx.series_in
     row = row_terms(s(v), [(s(e), s(o)) for e, o in pairs], s(low), s(high),
-                    s(lhs.mantissa), first, s(scale),
-                    None if ratio_scale is None else s(ratio_scale),
+                    s(lhs.mantissa), first, s(scale), s(ratio_scale),
                     ctx.check_headroom)
-    if row is None:
-        return None
     rhs = ScaledValue(ctx.series_out(row[0]), shifts[0 if first else 1])
     return SideBySide(lhs.to_logcomplex(ctx), rhs.to_logcomplex(ctx), row[1])
 
@@ -814,24 +812,45 @@ def test_the_row_routine_is_the_operator_row(order, u, coeffs, low, high,
         assert same_double(got_part, want_part, exact, log_bound)
 
 
-def test_the_row_routine_leaves_zeros_and_overflow_to_the_general_path():
-    from kummer_asym.special.sweeprow import row_terms
+def test_the_row_routine_reads_zero_lhs_and_terms():
+    # a zero lhs reads 1.0 against the same rhs; a zero term adds nothing,
+    # so rhs is the other term, exactly, on the larger term's shift; two
+    # zero terms leave a zero sum, which the guard refuses
+    from kummer_asym.errors import PrecisionExhaustedError
+    from kummer_asym.special.sweeprow import coefficient_sums, row_terms
 
     ctx, (v, pairs, low, high, lhs, shifts, ratio_scale) = row_inputs(
         2, 20.0, [1.0, 0.5, -0.3j, 0.2, 1, 1, 1, 1], 1.5, 0.7j,
         [3.0, 1.0, 0.0], 1.0, None)
     s = ctx.series_in
-    zero = ctx.make_complex(0.0)
+    zero = s(ctx.make_complex(0.0))
     args = [s(v), [(s(e), s(o)) for e, o in pairs], s(low), s(high),
             s(lhs.mantissa), True, s(ctx.exp(shifts[1] - shifts[0])),
             s(ratio_scale), ctx.check_headroom]
-    assert row_terms(*args) is not None
-    for index, value in ((1, [(s(e), s(zero)) for e, _ in pairs]),
-                         (2, s(zero)), (3, s(zero)), (4, s(zero)),
-                         (7, None)):
+
+    def row(*zeros):
+        # the row with the arguments at these indices zero
         changed = list(args)
-        changed[index] = value
-        assert row_terms(*changed) is None, index
+        for index in zeros:
+            changed[index] = zero
+        return row_terms(*changed)
+
+    rhs, disc = row()
+    assert 0 < disc < 1
+    zero_lhs = row(4)
+    assert same(zero_lhs[0], rhs) and zero_lhs[1] == 1.0
+
+    # products of block numbers are exact
+    even, odd = (type(zero)(*part) for part in coefficient_sums(*args[:2]))
+    x = args[4] * args[7]
+    for index, want in ((3, args[2] * even), (2, args[3] * odd * args[6])):
+        got, disc = row(index)
+        assert exact(got) == exact(want), index
+        (xr, xi), (wr, wi) = exact(x), exact(want)
+        ratio = ((xr - wr) ** 2 + (xi - wi) ** 2) / (wr * wr + wi * wi)
+        assert disc == pytest.approx(math.sqrt(ratio), rel=1e-15), index
+    with pytest.raises(PrecisionExhaustedError, match="two-term sum"):
+        row(2, 3)
 
 
 def test_a_cancelling_row_raises_as_the_operator_row_does():
@@ -850,43 +869,31 @@ def test_a_cancelling_row_raises_as_the_operator_row_does():
                 row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale)
 
 
-def test_rows_on_the_general_path_read_as_the_routine_rows(monkeypatch):
-    # every row made to take the general path (series_out of the integer
-    # coefficient sums, ScaledValue.add and expansion._finish) reads as
-    # the routine rows do, to the general path's rounding
-    from kummer_asym import expansion
-    from kummer_asym.special import sweeprow
-    from kummer_asym.special.types import Precision, RiemannPoint
-
-    grid = [expansion.ExpansionConfig(
-        variant=variant, b=b, z=RiemannPoint(1.0, theta), t=t, order=order,
-        prec=Precision.dd())
-        for variant in expansion.VARIANTS for b in (0.7, 1.5)
-        for theta in (0.0, math.pi) for t in (10.0, 40.0) for order in (1, 3)]
-    routine = expansion.decay_sweep(grid).rows
-    monkeypatch.setattr(sweeprow, "row_terms", lambda *args: None)
-    general = expansion.decay_sweep(grid).rows
-    compared = 0
-    for a, b in zip(routine, general):
-        assert a.status == b.status
-        if a.status != "ok":
-            continue
-        compared += 1
-        assert a.result.lhs == b.result.lhs
-        assert a.result.rhs.logmag == pytest.approx(b.result.rhs.logmag,
-                                                    rel=1e-15, abs=1e-15)
-        assert a.result.rhs.phase == pytest.approx(b.result.rhs.phase,
-                                                   rel=1e-15, abs=1e-15)
-        assert a.result.rel_discrepancy == pytest.approx(
-            b.result.rel_discrepancy, rel=1e-12, abs=1e-30)
-    assert compared >= 40
-
-
-def test_a_row_with_a_zero_term_takes_the_general_path(monkeypatch):
+def test_a_row_with_a_zero_term_reads_as_in_double(monkeypatch):
     # with every odd coefficient 0 the second term vanishes: rhs is the
-    # first term alone, as ScaledValue.add returns it, in both modes
+    # first term alone, in both modes; with the oracle's mantissa 0 the lhs
+    # vanishes: the row reads 1.0 against the rhs it has with its lhs
     from kummer_asym import expansion
-    from kummer_asym.special.types import Precision, RiemannPoint
+    from kummer_asym.special.types import Precision, RiemannPoint, ScaledValue
+
+    def by_mode():
+        return {mode: expansion.evaluate_sides(expansion.ExpansionConfig(
+            variant="u-lower", b=0.7, z=RiemannPoint(1.0, 0.3), t=20.0,
+            order=3, prec=Precision(mode))) for mode in ("double", "dd")}
+
+    full = by_mode()
+    oracle = expansion.kummer_u_scaled
+
+    def zero_oracle(*args):
+        u = oracle(*args)
+        return ScaledValue(u.mantissa * 0, u.shift)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(expansion, "kummer_u_scaled", zero_oracle)
+        for mode, row in by_mode().items():
+            assert row.lhs.is_zero
+            assert row.rel_discrepancy == 1.0
+            assert row.rhs == full[mode].rhs
 
     values = expansion._coefficient_values
 
@@ -895,11 +902,7 @@ def test_a_row_with_a_zero_term_takes_the_general_path(monkeypatch):
         return even, ctx.make_complex(0.0)
 
     monkeypatch.setattr(expansion, "_coefficient_values", even_only)
-    rows = {}
-    for mode in ("double", "dd"):
-        rows[mode] = expansion.evaluate_sides(expansion.ExpansionConfig(
-            variant="u-lower", b=0.7, z=RiemannPoint(1.0, 0.3), t=20.0,
-            order=3, prec=Precision(mode)))
+    rows = by_mode()
     # without its odd half the expansion is off by far more than either
     # mode's rounding
     assert rows["dd"].rel_discrepancy > 1e-4

@@ -115,9 +115,6 @@ class TestLogComplex:
         z = LogComplex.zero()
         assert z.is_zero
         assert z.to_complex() == 0
-        assert (z * as_log(3.0)).is_zero
-        with pytest.raises(DomainError):
-            as_log(1.0) / z
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -131,19 +128,6 @@ class TestLogComplex:
         big = LogComplex(800.0, 0.0)
         with pytest.raises(DomainError):
             big.to_complex()
-        # arithmetic on huge magnitudes stays finite
-        ratio = big / LogComplex(799.0, 0.5)
-        assert ratio.logmag == pytest.approx(1.0)
-
-    def test_arithmetic_matches_complex(self):
-        rng = random.Random(123)
-        for _ in range(40):
-            w1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) or 1.0
-            w2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) or 1.0
-            got = (as_log(w1) * as_log(w2)).to_complex()
-            assert got == pytest.approx(w1 * w2, rel=1e-12)
-            got = (as_log(w1) / as_log(w2)).to_complex()
-            assert got == pytest.approx(w1 / w2, rel=1e-12)
 
     def test_ratio_deviation_ignores_turns(self):
         a = LogComplex(1.5, 0.3)
@@ -670,7 +654,7 @@ class TestBesselContinuation:
             base = bessel_i(nu, rp(2.0), dd)
             for m in (-2, -1, 1, 2):
                 got = bessel_i(nu, rp(2.0, math.pi * m), dd)
-                want = base * cmath.exp(1j * math.pi * nu * m)
+                want = LogComplex(base.logmag, base.phase + math.pi * nu * m)
                 assert ratio_deviation(got, want) < 1e-10
 
     def test_k_rotation_rule(self, dd):
