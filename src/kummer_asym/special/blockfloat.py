@@ -52,18 +52,21 @@ on the fixed grid 2^-TAIL_BITS, with integer coefficients on that grid.
 The dd sweep row (expansion._sides) is one routine on these numbers too,
 in its own module (sweeprow), which only a sweep row imports.
 
-The dd nodes and trapezoid sums of the U quadrature (quad.py) run on the
-same numbers held on the fixed grid 2^-QUAD_BITS (on_grid), where the
-sums are exact: each node is wl + k span / n truncated onto the grid, formed
-on the integers of wl and span, and the samples are summed as integer
-pairs.  FixedKernels.u_integrand computes each sample as one
-routine on the integers of those numbers: exp and log(1 + x) by the
-fixed-point routines of mpmath.libmp.libelefun, products and sums by the
-rules above (_on_grid, _sum), with no block number in between.  The
-integrand's parameters stay exact, and e^w keeps wp bits however small or
-large it is, so x0 e^w loses nothing to the grid; its reciprocal e^-w,
-which the integrand's log(1 + e^-w) takes for w > 0, is one quotient
-that keeps those bits.
+The dd trapezoid levels of the U quadrature (quad.py) run on the same
+numbers held on the fixed grid 2^-QUAD_BITS (on_grid), where the sums are
+exact.  FixedKernels.u_integrand sums a whole level as one routine on
+integers: each node is wl + k span / n truncated onto the grid, formed on
+the integers of wl and span; each sample exp(E(w) - g) is computed by the
+fixed-point routines of mpmath.libmp.libelefun for exp and log(1 + x),
+with products and sums by the rules above (_on_grid, _sum), truncated
+onto the grid and added to an integer pair, with no block number in
+between.  The integrand's parameters stay exact, and e^w keeps wp bits
+however small or large it is, so x0 e^w loses nothing to the grid; its
+reciprocal e^-w, which the integrand's log(1 + e^-w) takes for w > 0, is
+one quotient that keeps those bits.  Along a level e^w is a chain: one
+exp at the first node, then the node before times e^D for the integer
+gap D between the two, which takes at most two values on a level of
+evenly spaced nodes, so a level costs two exps of D beside its samples.
 """
 
 from __future__ import annotations
@@ -99,6 +102,20 @@ KERNEL_GUARD_BITS = 24
 # peak, so an integral down to 2^-24 of the peak keeps the DD_PREC bits of
 # the dd context.
 QUAD_BITS = DD_PREC + 24 + 14
+# The bits beyond FixedKernels.wp, cp = wp + _CHAIN_GUARD_BITS in all, that
+# u_integrand carries e^w with along a trapezoid level, as the node before
+# times e^D.  Each exp at cp bits (the first node's, and each e^D) is within
+# 2 + |x| / ln 2 units of 2^-cp relative: two for exp_fixed and one for
+# each multiple of ln 2 taken off.  Each product, truncated to cp + 1 bits,
+# adds the error of its e^D and one unit, and the gaps of a level add up to
+# at most its span, so after N products e^w is within 3 N + 2 + 1.5 (|w_0|
+# + span) units of 2^-cp, |w_0| + span below 2^14 (the peak walk stops at
+# |w| = 10^4).  The longest level that quad's _MAX_HALVINGS allows has 2^15
+# nodes, where this is below 2^16.9 units: 16 bits keep the chain within
+# 1.9 units of 2^-wp, and 2.9 once truncated to the wp bits an exp returns,
+# as far inside the kernels' 2^12 units of 2^-wp (KERNEL_GUARD_BITS) as
+# one exp.  The chain is never re-seeded.
+_CHAIN_GUARD_BITS = 16
 
 
 def _truncate(m: int, bits: int) -> int:
@@ -435,7 +452,7 @@ class FixedKernels:
     """exp and log(1 + x) on fixed-point integers at wp = QUAD_BITS +
     KERNEL_GUARD_BITS bits, by mpmath's exp_fixed, cos_sin_fixed and
     log_taylor_cached with ln 2 and pi/2 built once, and the U integral's
-    sample built from them (u_integrand).
+    exponent and trapezoid levels built from them (u_integrand).
 
     An argument is an integer x standing for x 2^-wp, which is exact for a
     number on the quadrature grid.  Reducing it by ln 2 or pi/2 rounds once
@@ -471,6 +488,7 @@ class FixedKernels:
         self._exp_fixed, self._cos_sin_fixed = exp_fixed, cos_sin_fixed
         self._log_taylor = log_taylor_cached
         self._ln2 = ln2_fixed(wp)
+        self._chain_ln2 = ln2_fixed(wp + _CHAIN_GUARD_BITS)
         self._half_pi = pi_fixed(wp - 1)
         self._overflow = int(math.ldexp(math.log(sys.float_info.max), wp))
 
@@ -499,31 +517,51 @@ class FixedKernels:
         shift = (v * v).bit_length()
         return self.log1p(_on_grid((1 << shift) // v, -exp - shift, -self.wp))
 
+    def _chain_exp(self, x: int) -> tuple:
+        """e^(x 2^-wp) for an integer x as (v, n), e^(x 2^-wp) = v 2^(n -
+        cp) with cp = wp + _CHAIN_GUARD_BITS and v in [2^cp, 2^(cp + 1)]:
+        the factors of u_integrand's chained e^w.  It has no overflow test:
+        a step may span the whole interval."""
+        cp = self.wp + _CHAIN_GUARD_BITS
+        n, t = divmod(x << _CHAIN_GUARD_BITS, self._chain_ln2)
+        return self._exp_fixed(t, cp, self._chain_ln2), n
+
     def u_integrand(self, c: BlockComplex, d: BlockComplex,
                     x0: BlockComplex):
         """The U integral's integrand (kummer._u_log_integrand) on the
-        integers of block numbers c = b - 1, d = a - b + 1 and x0:
+        integers of block numbers c = b - 1, d = a - b + 1 and x0.
         integrand(w) is the exponent E(w) = c w - d log(1 + e^-w) - x0 e^w
-        at a real node w, a block number; integrand(w, g) is the sample
-        exp(E(w) - g) on the quadrature grid, for g on that grid.
+        at a real node w, a block number.  integrand(wl, g, span, n, ks) is
+        a trapezoid level: the sum over k in ks of the samples exp(E(w_k) -
+        g) at the nodes w_k = wl + span k / n, with span k / n truncated
+        onto the grid of wl (which span shares, n a power of 2) as
+        quad.peak_integral forms them, each sample truncated onto the
+        quadrature grid and the sum returned as the integer pair (re, im) on
+        that grid, for g on that grid.  Where a sample is beyond a double's
+        range it raises OverflowError with its node as a float.
 
-        Each makes the integer operations that BlockComplex's operators
-        and the kernels make for ((c w - d l) - x0 e^w) - g, in that order:
-        exact products, each sum on the coarser grid of its operands
-        (_sum), and kernel arguments read onto the grid 2^-wp.  l = log(1 + e^-w) is
-        log1p_inverse of e^w for w > 0; for w <= 0, d l is
-        d log(1 + e^w) - d w, two exact products summed on the grid of
-        d w, where log(1 + e^w) - w would be cut to the grid of w first.
+        E at a node makes the integer operations that BlockComplex's
+        operators and the kernels make for ((c w - d l) - x0 e^w) - g, in
+        that order: exact products, each sum on the coarser grid of its
+        operands (_sum), and kernel arguments read onto the grid 2^-wp.
+        l = log(1 + e^-w) is log1p_inverse of e^w for w > 0; for w <= 0,
+        d l is d log(1 + e^w) - d w, two exact products summed on the grid
+        of d w, where log(1 + e^w) - w would be cut to the grid of w first.
+        The exponent takes e^w by one exp.  A level takes it by one exp at
+        its first node and from then on as the node before times e^D, D the
+        integer gap between the two nodes, with _CHAIN_GUARD_BITS beyond wp
+        and one exp per distinct D (at most two on a level of evenly spaced
+        nodes), then truncated to the wp bits an exp returns.
         """
         wp, exp, log1p = self.wp, self.exp, self.log1p
-        log1p_inverse = self.log1p_inverse
+        log1p_inverse, chain_exp = self.log1p_inverse, self._chain_exp
+        overflow, cp = self._overflow, wp + _CHAIN_GUARD_BITS
         cr, ci, ce = c.re, c.im, c.exp
         dr, di, de = d.re, d.im, d.exp
         xr, xi, xe = -x0.re, -x0.im, x0.exp
 
-        def integrand(w, g=None):
-            m, e = w.re, w.exp
-            v, _, ev = exp(_on_grid(m, e, -wp), 0)
+        def exponent(m, e, v, ev):
+            # E at w = m 2^e, where e^w = v 2^ev, as (re, im, exp)
             if m > 0:
                 ell = log1p_inverse(v, ev)
                 s = _sum(cr * m, ci * m, ce + e, -dr * ell, -di * ell,
@@ -533,12 +571,41 @@ class FixedKernels:
                 re, im, ex = _sum(dr * ell, di * ell, de - wp, -dr * m,
                                   -di * m, de + e)
                 s = _sum(cr * m, ci * m, ce + e, -re, -im, ex)
-            re, im, ex = _sum(*s, xr * v, xi * v, xe + ev)
+            return _sum(*s, xr * v, xi * v, xe + ev)
+
+        def integrand(w, g=None, span=None, n=None, ks=None):
+            m, e = w.re, w.exp
             if g is None:
-                return BlockComplex(re, im, ex)
-            re, im, ex = _sum(re, im, ex, -g.re, -g.im, g.exp)
-            re, im, ex = exp(_on_grid(re, ex, -wp), _on_grid(im, ex, -wp))
-            return BlockComplex(_on_grid(re, ex, -QUAD_BITS),
-                                _on_grid(im, ex, -QUAD_BITS), -QUAD_BITS)
+                v, _, ev = exp(_on_grid(m, e, -wp), 0)
+                return BlockComplex(*exponent(m, e, v, ev))
+            left, width, bits = m, span.re, n.bit_length() - 1
+            gr, gi, ge = -g.re, -g.im, g.exp
+            total_re = total_im = 0
+            # the chain starts from e^0 = 2^cp 2^(0 - cp), exactly, so the
+            # first node's e^w is the exp of its own x
+            steps, cv, cn, last = {}, 1 << cp, 0, 0
+            try:
+                for k in ks:
+                    m = left + (width * k >> bits)
+                    x = _on_grid(m, e, -wp)
+                    if x > overflow:
+                        raise OverflowError
+                    # e^w = e^w_prev e^D, kept to cp + 1 bits
+                    gap = x - last
+                    if gap not in steps:
+                        steps[gap] = chain_exp(gap)
+                    dv, dn = steps[gap]
+                    cv *= dv
+                    drop = cv.bit_length() - cp - 1
+                    cv, cn, last = cv >> drop, cn + dn + drop - cp, x
+                    re, im, ex = _sum(*exponent(m, e, cv >> _CHAIN_GUARD_BITS,
+                                                cn - wp), gr, gi, ge)
+                    re, im, ex = exp(_on_grid(re, ex, -wp),
+                                     _on_grid(im, ex, -wp))
+                    total_re += _on_grid(re, ex, -QUAD_BITS)
+                    total_im += _on_grid(im, ex, -QUAD_BITS)
+            except OverflowError:
+                raise OverflowError(math.ldexp(m, e)) from None
+            return total_re, total_im
 
         return integrand

@@ -90,8 +90,9 @@ def _u_log_integrand(c: complex, d: complex, x0: complex):
     integrand(w) is the exponent E(w) = c w - d log(1+e^-w) - x0 e^w at a
     float w, and integrand(w, g) the sample exp(E(w) - g) that
     peak_integral sums.  It is double's integrand and, in every mode, the
-    float twin that brackets the integral; dd samples the same formula on
-    integers (blockfloat.FixedKernels.u_integrand).
+    float twin that brackets the integral; dd sums the same formula's
+    samples a trapezoid level at a time on integers
+    (blockfloat.FixedKernels.u_integrand).
 
     This is a w + (b-a-1) log(1+e^w) - x0 e^w with no two terms that
     cancel.  In that form, for large |a|, a w and (b-a-1) log(1+e^w) are

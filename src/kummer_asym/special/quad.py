@@ -1,7 +1,7 @@
 """Trapezoid integration of exp(logf(w)) over the real line.
 
 Built for Laplace-type integrands with a single interior peak: the caller
-supplies the integrand as its exponent logf(w) and its sample
+supplies the integrand as its exponent logf(w) and its samples
 exp(logf(w) - g) (already transformed so the domain is all of R and the
 tails decay at least exponentially).  Nodes are spaced evenly between two
 cutoffs where the integrand has fallen far below its peak, and everything
@@ -11,13 +11,13 @@ A native-float twin of the exponent brackets it: the peak is located and
 the two cutoffs walked out on the twin.  In double the integrand is its
 own twin, and its exponent at the peak, computed once, places the cutoffs
 too.  One step-halving loop then sums the trapezoid rule in the context's
-quadrature arithmetic (quad_in): native floats in double, where a sample
-is the integrand's own native number; in dd the fixed grid 2^-QUAD_BITS of
-blockfloat, where each node is formed on the grid's integers, the
-integrand hands back each sample on that grid, the samples are summed as
-integers, two levels compare exactly and the value is rounded into the
-context once.  Levels are nested from 16 intervals, and the first
-comparison is 64 against 32.
+quadrature arithmetic (quad_in).  In double that is native floats, one
+sample a node.  In dd it is the fixed grid 2^-QUAD_BITS of blockfloat,
+and the integrand sums a whole level at a time: it forms each node on the
+grid's integers and returns the level's samples summed as an integer
+pair on that grid, so two levels compare exactly and the value is
+rounded into the context once.  Levels are nested from 16 intervals, and
+the first comparison is 64 against 32.
 
 For such analytic integrands the trapezoid error falls geometrically with
 the node count (Trefethen & Weideman, SIAM Review 56, 2014): an error e at
@@ -27,7 +27,8 @@ since the change at 2n is about the error at n, and the error at 2n about
 its square.  A change that misses tol after a level within sqrt(tol) shows
 the convergence is not yet geometric, and from then on dd too asks for two
 in a row.  A sample beyond a double's range above the located peak raises
-QuadratureError.
+QuadratureError, and so does an exponent beyond a double's range, in the
+twin's walks or at the peak.
 """
 
 from __future__ import annotations
@@ -92,33 +93,53 @@ def peak_integral(integrand, w_start, ctx: NumericContext,
                   plan_logf=None) -> ScaledValue:
     """Integrate exp(logf(w)) dw over R to ctx.quadrature_tol.
 
-    integrand is called once at the peak and once per node, on a real of
-    ctx's quadrature arithmetic: in double a float, in dd a series number
-    on the quadrature grid (ctx.quad_in).  At the peak, integrand(w) is
-    the exponent logf(w), a number of the series arithmetic (in double a
-    native number); at a node, integrand(w, g) is the sample
-    exp(logf(w) - g) in the quadrature arithmetic (in dd on the grid
-    2^-QUAD_BITS), g being the exponent at the peak in that arithmetic.
-    It raises OverflowError where the sample is beyond a double's range.
-    plan_logf is the exponent on native floats (returning float or
-    complex), the twin that finds the peak and the cutoffs; it defaults to
-    integrand, which must then accept floats.  In double the twin must
-    be the integrand's own exponent: integrand(w) at the peak, called
-    once, gives both the cutoffs' reference and the shift g.
-    Returns a ScaledValue whose parts leave the series arithmetic by
+    integrand is called once at the peak and then per node in double, per
+    level in dd, on reals of ctx's quadrature arithmetic: in double
+    floats, in dd series numbers on the quadrature grid (ctx.quad_in).  At
+    the peak, integrand(w) is the exponent logf(w), a number of the series
+    arithmetic (in double a native number); g is that exponent in the
+    quadrature arithmetic.  In double, integrand(w, g) is the sample
+    exp(logf(w) - g) at a node.  In dd, integrand(wl, g, span, n, ks) is
+    the sum of the samples at the nodes wl + span k / n, k in ks, each
+    with span k / n truncated onto the grid of wl (n a power of 2), and
+    each sample truncated onto the grid 2^-QUAD_BITS, returned as the
+    integer pair (re, im) on that grid.  Where a sample is beyond a
+    double's range it raises OverflowError, in dd with that node as a
+    float in its args.  plan_logf is the exponent on native floats
+    (returning float or complex), the twin that finds the peak and the
+    cutoffs; it defaults to integrand, which must then accept floats.  In
+    double the twin must be the integrand's own exponent: integrand(w) at
+    the peak, called once, gives both the cutoffs' reference and the shift
+    g.  Returns a ScaledValue whose parts leave the series arithmetic by
     ctx.series_out, as context complex numbers (in double, the numbers
     integrand returns); raises QuadratureError if the step-halving fails
-    to stabilize within the level cap, or where a sample lies beyond a
-    double's range above the located peak.
+    to stabilize within the level cap, where a sample lies beyond a
+    double's range above the located peak, or where the twin or the
+    exponent at the peak overflows, naming the node.
     """
     tol = ctx.quadrature_tol
     native = ctx is NATIVE
     twin = integrand if plan_logf is None else plan_logf
-    re = lambda w: NATIVE.to_float(twin(w))
+
+    def exponent(f, w, where):
+        try:
+            return f(w)
+        except OverflowError:
+            raise QuadratureError(
+                f"integrand exponent at w = {where:.6g} is beyond a "
+                f"double's range") from None
+
+    def refused(where):
+        # the located peak is not the integrand's maximum
+        return QuadratureError(
+            f"integrand at w = {where:.6g} exceeds its located peak beyond "
+            f"a double's range")
+
+    re = lambda w: NATIVE.to_float(exponent(twin, w, w))
     w_peak = _locate_peak(re, NATIVE.to_float(w_start))
     # in double the integrand is its own twin: one exponent at the peak
     # places the cutoffs and is the sums' shift
-    peak = integrand(w_peak) if native else twin(w_peak)
+    peak = exponent(integrand if native else twin, w_peak, w_peak)
     peak_re = NATIVE.to_float(peak)
     # an extended mode's tails must fall below its rounding, not just its
     # tolerance: cut at eps there, which tol exceeds by 15 digits in dd
@@ -127,46 +148,43 @@ def peak_integral(integrand, w_start, ctx: NumericContext,
     wr = ctx.quad_in(_find_cutoff(re, w_peak, peak_re, +1.0, drop))
     span = wr - wl
     g_peak = peak if native else ctx.series_out(
-        integrand(ctx.quad_in(w_peak)))
+        exponent(integrand, ctx.quad_in(w_peak), w_peak))
     g = ctx.quad_in(g_peak)
-
-    def sample(w):
-        try:
-            return integrand(w, g)
-        except OverflowError:
-            # the located peak is not the integrand's maximum
-            where = ctx.to_float(ctx.series_out(w))
-            raise QuadratureError(
-                f"integrand at w = {where:.6g} exceeds its located "
-                f"peak beyond a double's range") from None
 
     # level(n, ks, weight, start) is start + weight times the samples at
     # the nodes wl + k span / n, k in ks.  Double adds them to start one by
     # one, weighted each (a weight of 1 is not multiplied in), since its
-    # rounding depends on that order; dd truncates each node onto the grid
-    # as wl + h k does, and sums the samples, which lie on that grid, as
-    # integers, exactly
+    # rounding depends on that order; dd has the integrand sum the level on
+    # the grid's integers, each node truncated onto the grid as wl + h k
+    # does, and the end samples are the level (0, n)
     if native:
+        def sample(w):
+            try:
+                return integrand(w, g)
+            except OverflowError:
+                raise refused(w) from None
+
         def level(n, ks, weight, start):
             h = span * (1.0 / n)
             if weight == 1:
                 return sum((sample(wl + h * k) for k in ks), start)
             return sum((weight * sample(wl + h * k) for k in ks), start)
+
+        ends = sample(wl) + sample(wr)
     else:
         def level(n, ks, weight, start):
-            block, left, width, grid = type(wl), wl.re, span.re, wl.exp
-            bits = n.bit_length() - 1
-            re = im = 0
-            for k in ks:
-                s = sample(block(left + (width * k >> bits), 0, grid))
-                re += s.re
-                im += s.im
-            return start + weight * block(re, im, grid)
+            try:
+                sums = integrand(wl, g, span, n, ks)
+            except OverflowError as exc:
+                raise refused(exc.args[0]) from None
+            return start + weight * type(wl)(*sums, wl.exp)
+
+        ends = level(_FIRST_LEVEL, (0, _FIRST_LEVEL), 1, ctx.quad_in(0.0))
 
     # each sum holds the two end samples once and every other sample twice,
     # so the trapezoid value at n intervals is total * h / 2
     n = _FIRST_LEVEL
-    total = level(n, range(1, n), 2, sample(wl) + sample(wr))
+    total = level(n, range(1, n), 2, ends)
     previous = None
     stable, needed, settled = 0, 2 if native else 1, False
     for _ in range(_MAX_HALVINGS):

@@ -81,12 +81,12 @@ class NumericContext:
     series_out.
 
     The U quadrature's nodes and trapezoid sums (quad.py) use the same
-    arithmetic, held on a fixed grid by quad_in; in dd each node is formed
-    on that grid's integers and the samples are summed as integers.  Its
-    integrand is native math in double, the float twin that brackets it in
-    every mode; in dd each sample is one routine on the integers of those
-    series numbers (blockfloat.FixedKernels.u_integrand, the context's
-    quad_kernels).
+    arithmetic, held on a fixed grid by quad_in.  Its integrand is native
+    math in double, the float twin that brackets it in every mode; in dd
+    each trapezoid level is one routine on the integers of those series
+    numbers (blockfloat.FixedKernels.u_integrand, the context's
+    quad_kernels), which forms the nodes on the grid's integers and sums
+    the samples as integers.
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
@@ -206,7 +206,7 @@ class _ExtendedMP(NumericContext):
 
     quad_in puts a number on the grid 2^-blockfloat.QUAD_BITS, and
     quad_kernels, the blockfloat.FixedKernels built with the context, gives
-    the U quadrature's samples on that grid.
+    the U quadrature's level sums on that grid.
     """
 
     name = "dd"

@@ -233,11 +233,19 @@ def test_kernels_are_exact_at_zero_and_refuse_overflow():
     assert tiny.re == tiny.im == 0
 
 
-# The U integral's sample, fused into one routine on integers
+# The U integral's integrand, one routine on integers
 # (FixedKernels.u_integrand), against the composition it replaced, written
-# out here from BlockComplex's operators and the kernels: the integrand's
-# exponent c w - d log(1 + e^-w) - x0 e^w on block numbers, then - g, exp
-# and the quadrature grid.
+# out here from BlockComplex's operators and the kernels one node at a
+# time: the integrand's exponent c w - d log(1 + e^-w) - x0 e^w on block
+# numbers, then - g, exp and the quadrature grid.  The exponent is the
+# composed one bit for bit.  A trapezoid level takes e^w along a chain of
+# products, not by one exp per node, so a sample may differ from the
+# composed one: its e^w is within FixedKernels' bound of the exact one, as
+# an exp's is, and each of the two samples truncates E - g and itself
+# onto the grid, so they differ by at most SAMPLE_UNITS units of the grid
+# in each part.
+
+SAMPLE_UNITS = 4
 
 
 def reciprocal(x):
@@ -273,20 +281,18 @@ def outcome(f, *args):
         return OverflowError
 
 
-reals_a = st.floats(0.01, 400.0)
-complexes_a = st.builds(lambda r, t: cmath.rect(r, t), st.floats(0.01, 400.0),
-                        st.floats(-1.5, 1.5))
-bs = (st.floats(0.1, 3.0) | st.integers(1, 3).map(float)
-      | st.builds(complex, st.floats(0.1, 3.0), st.floats(-2.0, 2.0)))
+def level_nodes(wl, span, n, ks):
+    """The nodes wl + span k / n of a level, as peak_integral forms them."""
+    bits = n.bit_length() - 1
+    return [BlockComplex(wl.re + (span.re * k >> bits), 0, wl.exp)
+            for k in ks]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(a=reals_a | complexes_a, b=bs, r=st.floats(0.1, 4.0),
-       theta=st.just(0.0) | st.floats(-0.45 * math.pi, 0.45 * math.pi),
-       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-       fine=st.booleans())
-def test_the_fused_sample_is_the_composed_one_bit_for_bit(a, b, r, theta,
-                                                         fractions, fine):
+def u_level(a, b, r, theta):
+    """The fused integrand at (a, b, x0 = r e^(i theta)) in dd, its c, d
+    and x0 as series numbers, and its peak, cutoffs wl and wr and shift g
+    on the quadrature grid as peak_integral places them; None where the
+    float twin cannot bracket the integral."""
     from kummer_asym.special import quad
     from kummer_asym.special.kummer import _u_log_integrand
     from kummer_asym.special.types import NATIVE, Precision
@@ -297,37 +303,113 @@ def test_the_fused_sample_is_the_composed_one_bit_for_bit(a, b, r, theta,
     c_c, d_c = b_c - 1, a_c - b_c + 1
     c, d, x0 = (ctx.series_in(v) for v in (c_c, d_c, x0_c))
     fused = ctx.quad_kernels.u_integrand(c, d, x0)
-    # the peak and the cutoffs as peak_integral places them on the twin
     twin = _u_log_integrand(complex(c_c), complex(d_c), complex(x0_c))
     re = lambda w: NATIVE.to_float(twin(w))
     try:
         w_peak = quad._locate_peak(re, 0.0)
         peak_re = re(w_peak)
         drop = -math.log(ctx.eps) + 15.0
-        cut = [quad._find_cutoff(re, w_peak, peak_re, s, drop)
-               for s in (-1.0, 1.0)]
+        wl, wr = (ctx.quad_in(quad._find_cutoff(re, w_peak, peak_re, s, drop))
+                  for s in (-1.0, 1.0))
     except (OverflowError, quad.QuadratureError):
-        return
+        return None
     peak = ctx.quad_in(w_peak)
-    assert parts(fused(peak)) == parts(composed_exponent(c, d, x0, peak))
     g = ctx.quad_in(ctx.series_out(fused(peak)))
-    wl, wr = cut
-    nodes = [wl + (wr - wl) * f for f in fractions] + [wl, wr, 0.0,
-                                                       w_peak]
-    for w in nodes:
-        node = ctx.quad_in(w)
+    return fused, (c, d, x0), peak, wl, wr, g
+
+
+def assert_level_is_composed(fused, cdx0, wl, g, span, n, ks):
+    """The level sum over ks against the composed samples at its nodes,
+    within SAMPLE_UNITS a sample; both refuse the same overflow."""
+    try:
+        got = fused(wl, g, span, n, ks)
+    except OverflowError as exc:
+        got = OverflowError, exc.args
+    want_re = want_im = 0
+    for node in level_nodes(wl, span, n, ks):
+        try:
+            sample = composed_sample(*cdx0, node, g)
+        except OverflowError:
+            assert got == (OverflowError, (math.ldexp(node.re, node.exp),))
+            return
+        want_re, want_im = want_re + sample.re, want_im + sample.im
+    bound = SAMPLE_UNITS * len(ks)
+    assert abs(got[0] - want_re) <= bound and abs(got[1] - want_im) <= bound
+
+
+reals_a = st.floats(0.01, 400.0)
+complexes_a = st.builds(lambda r, t: cmath.rect(r, t), st.floats(0.01, 400.0),
+                        st.floats(-1.5, 1.5))
+bs = (st.floats(0.1, 3.0) | st.integers(1, 3).map(float)
+      | st.builds(complex, st.floats(0.1, 3.0), st.floats(-2.0, 2.0)))
+thetas = st.just(0.0) | st.floats(-0.45 * math.pi, 0.45 * math.pi)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(a=reals_a | complexes_a, b=bs, r=st.floats(0.1, 4.0), theta=thetas,
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       fine=st.booleans())
+def test_the_fused_exponent_is_the_composed_one_bit_for_bit(a, b, r, theta,
+                                                           fractions, fine):
+    setup = u_level(a, b, r, theta)
+    if setup is None:
+        return
+    fused, (c, d, x0), peak, wl, wr, g = setup
+    nodes = [wl + (wr - wl) * BlockComplex(int(math.ldexp(f, 53)), 0, -53)
+             for f in fractions] + [wl, wr, peak, wl - wl]
+    for node in nodes:
+        node = node.on_grid(-QUAD_BITS)
         if fine:
             # a node on a finer grid than the quadrature's
             node = BlockComplex(node.re << QUAD_BITS | 1, 0, -2 * QUAD_BITS)
         assert parts(fused(node)) == parts(
             composed_exponent(c, d, x0, node))
-        want = outcome(composed_sample, c, d, x0, node, g)
-        assert outcome(fused, node, g) == want
     # a shift far below the peak's exponent: the sample at the peak is
-    # beyond a double's range, and both refuse it
-    low = ctx.quad_in(ctx.series_out(fused(peak)) - 800)
+    # beyond a double's range, and both refuse it, the level naming its node
+    low = g + -800
     assert outcome(composed_sample, c, d, x0, peak, low) is OverflowError
-    assert outcome(fused, peak, low) is OverflowError
+    with pytest.raises(OverflowError) as refused:
+        fused(peak, low, wr - wl, 1, (0,))
+    assert refused.value.args == (math.ldexp(peak.re, peak.exp),)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=reals_a | complexes_a, b=bs, r=st.floats(0.1, 4.0), theta=thetas,
+       log2_n=st.integers(4, 11), first=st.integers(0, 1),
+       stride=st.integers(1, 2))
+def test_a_level_sums_the_composed_samples(a, b, r, theta, log2_n, first,
+                                           stride):
+    # every node of a level from one cutoff to the other, so that a chain
+    # of up to 2^11 products runs through w <= 0 and w > 0 alike
+    setup = u_level(a, b, r, theta)
+    if setup is None:
+        return
+    fused, cdx0, _, wl, wr, g = setup
+    n = 1 << log2_n
+    assert_level_is_composed(fused, cdx0, wl, g, wr - wl, n,
+                             range(first, n + 1, stride))
+
+
+@pytest.mark.parametrize("a, b, r, theta", [
+    (0.5, 0.1, 0.1, 0.4 * math.pi), (200.0 + 150.0j, 0.7 + 0.5j, 3.0, 0.4)])
+def test_the_longest_level_keeps_its_last_sample(a, b, r, theta):
+    # peak_integral's longest level, 2^15 nodes at 2^16 intervals, and so
+    # 2^15 - 1 products in the chain: the last sample is the difference of
+    # two level sums, and within SAMPLE_UNITS of the composed one
+    from kummer_asym.special.quad import _FIRST_LEVEL, _MAX_HALVINGS
+
+    fused, cdx0, _, wl, wr, g = u_level(a, b, r, theta)
+    n, span = _FIRST_LEVEL << _MAX_HALVINGS, wr - wl
+    ks = range(1, n, 2)
+    assert len(ks) == 2 ** 15
+    assert (level_nodes(wl, span, n, ks[:1])[0].re <= 0
+            < level_nodes(wl, span, n, ks[-1:])[0].re)
+    whole, head = fused(wl, g, span, n, ks), fused(wl, g, span, n, ks[:-1])
+    last = composed_sample(*cdx0, level_nodes(wl, span, n, ks[-1:])[0], g)
+    assert abs(whole[0] - head[0] - last.re) <= SAMPLE_UNITS
+    assert abs(whole[1] - head[1] - last.im) <= SAMPLE_UNITS
+    # and a short level of the same integrand sums its composed samples
+    assert_level_is_composed(fused, cdx0, wl, g, span, 16, range(17))
 
 
 # The dd term loops of the M series, K's CF2 and I's CF1 and walk down, each
@@ -912,13 +994,14 @@ def test_a_row_with_a_zero_term_reads_as_in_double(monkeypatch):
                                                   rel=1e-13)
 
 
-# The U quadrature's trapezoid sums (quad.peak_integral), whose dd nodes are
-# integers on the grid 2^-QUAD_BITS and whose samples are summed as
-# integers, against the loop they replaced, written out here on the
-# quadrature arithmetic's operators: nodes wl + h k and sums by + and *.
+# The U quadrature's trapezoid sums (quad.peak_integral), whose dd levels
+# are summed by the integrand on the integers of the grid 2^-QUAD_BITS,
+# against the loop they replaced, written out here on the quadrature
+# arithmetic's operators: nodes wl + h k, one sample(w, g) per node (in dd
+# the composed sample) and sums by + and *.
 
 
-def operator_peak_integral(integrand, w_start, ctx, plan_logf):
+def operator_peak_integral(integrand, w_start, ctx, plan_logf, sample_at):
     from kummer_asym.special import quad
     from kummer_asym.special.types import NATIVE, ScaledValue
 
@@ -935,7 +1018,7 @@ def operator_peak_integral(integrand, w_start, ctx, plan_logf):
     g_peak = peak if native else ctx.series_out(
         integrand(ctx.quad_in(w_peak)))
     g = ctx.quad_in(g_peak)
-    sample = lambda w: integrand(w, g)
+    sample = lambda w: sample_at(w, g)
     n = quad._FIRST_LEVEL
     h = span * ctx.quad_in(1.0 / n)
     total = sum((2 * sample(wl + h * k) for k in range(1, n)),
@@ -990,10 +1073,12 @@ def test_the_trapezoid_sums_are_the_operator_loop_bit_for_bit(a, b, r, theta,
     twin = _u_log_integrand(ctx.to_complex(c), ctx.to_complex(d),
                             ctx.to_complex(x0))
     if ctx is NATIVE:
-        integrand = twin
+        integrand = sample = twin
     else:
-        integrand = ctx.quad_kernels.u_integrand(
-            ctx.series_in(c), ctx.series_in(d), ctx.series_in(x0))
+        series = [ctx.series_in(v) for v in (c, d, x0)]
+        integrand = ctx.quad_kernels.u_integrand(*series)
+        sample = lambda w, g: composed_sample(*series, w, g)
     start = math.log(max(abs(complex(a)) / r, 1e-8))
-    want = quad_outcome(operator_peak_integral, integrand, start, ctx, twin)
+    want = quad_outcome(operator_peak_integral, integrand, start, ctx, twin,
+                        sample)
     assert quad_outcome(peak_integral, integrand, start, ctx, twin) == want

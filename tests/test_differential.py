@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kummer_asym.errors import DomainError, PrecisionExhaustedError
+from kummer_asym.errors import (DomainError, PrecisionExhaustedError,
+                                QuadratureError)
 from kummer_asym.expansion import VARIANTS, _point_constants, acceptance_grid
 from kummer_asym.special import kummer
 from kummer_asym.special.bessel import (bessel_i_scaled, bessel_k,
@@ -61,7 +62,10 @@ class TestUIntegralRoute:
         assert _u_rel_error(a, b, r, theta) <= 1e-22
 
     @pytest.mark.parametrize("a, b, r, theta", [
-        (2.0, 1.5, 1e20, 0.0), (0.5, 0.3, 1e30, 0.0), (3.0, 1.5, 1e8, 1.2)])
+        (2.0, 1.5, 1e20, 0.0), (0.5, 0.3, 1e30, 0.0), (3.0, 1.5, 1e8, 1.2),
+        # the 8,192-interval level, the longest chain of e^w products that
+        # any value reaches: 1.5e-33 off
+        (0.5, 0.1, 0.1, 0.4 * math.pi)])
     def test_dd_tails_are_cut_below_the_rounding(self, a, b, r, theta):
         # cutoffs where the integrand fell -log(quadrature_tol) + 15 below
         # its peak dropped tails of e^-56 of it: 1.75e-26, 1.4e-25 and
@@ -149,20 +153,38 @@ class TestUIntegralRoute:
     def test_working_pass_keeps_its_nodes(self, monkeypatch, a, b, r, theta,
                                           evaluations):
         # the integrand is evaluated once per node, n + 1 nodes at n
-        # intervals, and once more at the peak
+        # intervals, and once more at the peak; each level call
+        # (w, g, span, n, ks) samples len(ks) nodes
         calls = 0
         original = kummer.peak_integral
 
         def counted(logf, w_start, ctx, plan_logf):
             def working(*args):
                 nonlocal calls
-                calls += 1
+                calls += len(args[4]) if len(args) == 5 else 1
                 return logf(*args)
             return original(working, w_start, ctx, plan_logf)
 
         monkeypatch.setattr(kummer, "peak_integral", counted)
         kummer_u_scaled(a, b, RiemannPoint(r, theta), Precision.dd())
         assert calls == evaluations
+
+    @pytest.mark.parametrize("mode", ["double", "dd"])
+    @pytest.mark.parametrize("turns", [pytest.param(0.637, id="peak-walk"),
+                                       pytest.param(0.8, id="cutoff-walk")])
+    def test_an_exponent_beyond_a_double_is_a_quadrature_error(self, mode,
+                                                               turns):
+        # the integral itself at base angles the U oracle hands to the
+        # connection: e^w overflowed in the float twin, during the peak
+        # walk at 0.637 pi and the cutoff walk at 0.8 pi, as an untyped
+        # OverflowError
+        ctx = Precision(mode).ctx
+        x0 = ctx.coerce(cmath.rect(4.0, turns * math.pi))
+        with pytest.raises(QuadratureError,
+                           match=r"integrand exponent at w = 7\d\d\.?\d* is "
+                                 r"beyond a double's range"):
+            kummer._u_base_integral(ctx.coerce(400.35), ctx.coerce(0.7), x0,
+                                    ctx)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(a=st.floats(0.5, 200.0), b=st.floats(0.1, 3.0),

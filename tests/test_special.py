@@ -869,10 +869,12 @@ class TestKummerU:
 
 
 def counting(f):
-    """f wrapped to count its calls in .calls."""
+    """f, an integrand of peak_integral, wrapped to count in .calls the
+    exponents and samples it forms: one a call, and in dd len(ks) for a
+    level call (w, g, span, n, ks)."""
 
     def wrapper(*args):
-        wrapper.calls += 1
+        wrapper.calls += len(args[4]) if len(args) == 5 else 1
         return f(*args)
 
     wrapper.calls = 0
@@ -881,20 +883,31 @@ def counting(f):
 
 def sampled(logf, ctx):
     """The integrand peak_integral samples, from logf, the log of the
-    integrand in ctx's series arithmetic: logf(w) at the peak, and at a
-    node the sample exp(logf(w) - g), in dd by the quadrature's kernels
-    and on its grid."""
+    integrand in ctx's series arithmetic: logf(w) at the peak, and in
+    double the sample exp(logf(w) - g) at a node; in dd the level sum of
+    those samples at the nodes w + span k / n, k in ks, each by the
+    quadrature's kernels and on its grid, as FixedKernels.u_integrand
+    sums them."""
 
     def integrand(w, g=None):
-        e = logf(w)
-        if g is None:
-            return e
-        if ctx is NATIVE:
-            return ctx.exp(e - g)
-        kernels, x = ctx.quad_kernels, (e - g).on_grid(-ctx.quad_kernels.wp)
-        return BlockComplex(*kernels.exp(x.re, x.im)).on_grid(-QUAD_BITS)
+        return logf(w) if g is None else ctx.exp(logf(w) - g)
 
-    return integrand
+    def level(w, g=None, span=None, n=None, ks=()):
+        if g is None:
+            return logf(w)
+        kernels, bits = ctx.quad_kernels, n.bit_length() - 1
+        total_re = total_im = 0
+        for k in ks:
+            node = BlockComplex(w.re + (span.re * k >> bits), 0, w.exp)
+            x = (logf(node) - g).on_grid(-kernels.wp)
+            try:
+                s = BlockComplex(*kernels.exp(x.re, x.im)).on_grid(-QUAD_BITS)
+            except OverflowError:
+                raise OverflowError(math.ldexp(node.re, node.exp)) from None
+            total_re, total_im = total_re + s.re, total_im + s.im
+        return total_re, total_im
+
+    return integrand if ctx is NATIVE else level
 
 
 class TestPeakIntegral:
