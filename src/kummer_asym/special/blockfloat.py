@@ -35,7 +35,8 @@ operators would make for its loop, in the same order, and reads its
 stopping tests and peaks through _magnitude, as mag does, so every term
 and every stop is the same; it builds block numbers only for what it
 returns.  Each has a double twin of the same name and arguments in
-native, and a kernel calls the one of its context (ctx.loops).
+native, and a kernel calls the one of its context (ctx.loops); so does
+the U integral's integrand (u_integrand, below).
 
 Summing hypergeometric-type series in integer mantissas is the standard
 technique: Brent & Zimmermann, Modern Computer Arithmetic (2010), 4.4;
@@ -58,21 +59,25 @@ exact.  FixedKernels.u_integrand sums a whole level as one routine on
 integers: each node is wl + k span / n truncated onto the grid, formed on
 the integers of wl and span; each sample exp(E(w) - g) is computed by the
 fixed-point routines of mpmath.libmp.libelefun for exp and log(1 + x),
-with products and sums by the rules above (_on_grid, _sum), truncated
-onto the grid and added to an integer pair, with no block number in
-between.  The integrand's parameters stay exact, and e^w keeps wp bits
-however small or large it is, so x0 e^w loses nothing to the grid; its
-reciprocal e^-w, which the integrand's log(1 + e^-w) takes for w > 0, is
-one quotient that keeps those bits.  Along a level e^w is a chain: one
-exp at the first node, then the node before times e^D for the integer
-gap D between the two, which takes at most two values on a level of
-evenly spaced nodes, so a level costs two exps of D beside its samples.
+with products and sums by the rules above (_on_grid, _sum), truncated onto
+the grid and added to an integer pair, with no block number in between;
+the level is returned as one block number on the grid, which
+quad.peak_integral adds with the operators.  The integrand's parameters
+stay exact, and e^w keeps wp bits however small or large it is, so x0 e^w
+loses nothing to the grid; its reciprocal e^-w, which the integrand's
+log(1 + e^-w) takes for w > 0, is one quotient that keeps those bits.
+Along a level e^w is a chain: one exp at the first node, then the node
+before times e^D for the integer gap D between the two, which takes at
+most two values on a level of evenly spaced nodes, so a level costs two
+exps of D beside its samples.  u_integrand(c, d, x0) is that routine of the
+process's one FixedKernels, built on first use.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import cache
 
 # The significant bits of the dd context (34 digits), and the bits beyond
 # them that each series term keeps.
@@ -528,17 +533,17 @@ class FixedKernels:
 
     def u_integrand(self, c: BlockComplex, d: BlockComplex,
                     x0: BlockComplex):
-        """The U integral's integrand (kummer._u_log_integrand) on the
+        """The U integral's integrand (native.u_integrand) on the
         integers of block numbers c = b - 1, d = a - b + 1 and x0.
         integrand(w) is the exponent E(w) = c w - d log(1 + e^-w) - x0 e^w
         at a real node w, a block number.  integrand(wl, g, span, n, ks) is
         a trapezoid level: the sum over k in ks of the samples exp(E(w_k) -
         g) at the nodes w_k = wl + span k / n, with span k / n truncated
-        onto the grid of wl (which span shares, n a power of 2) as
-        quad.peak_integral forms them, each sample truncated onto the
-        quadrature grid and the sum returned as the integer pair (re, im) on
-        that grid, for g on that grid.  Where a sample is beyond a double's
-        range it raises OverflowError with its node as a float.
+        onto the grid of wl (which span shares, n a power of 2), each
+        sample truncated onto the quadrature grid and the sum returned as a
+        block number on that grid, for g on that grid.  Where a sample is
+        beyond a double's range it raises OverflowError with its node as a
+        float.
 
         E at a node makes the integer operations that BlockComplex's
         operators and the kernels make for ((c w - d l) - x0 e^w) - g, in
@@ -606,6 +611,15 @@ class FixedKernels:
                     total_im += _on_grid(im, ex, -QUAD_BITS)
             except OverflowError:
                 raise OverflowError(math.ldexp(m, e)) from None
-            return total_re, total_im
+            return BlockComplex(total_re, total_im, -QUAD_BITS)
 
         return integrand
+
+
+_kernels = cache(FixedKernels)  # the process's one, built on first use
+
+
+def u_integrand(c: BlockComplex, d: BlockComplex, x0: BlockComplex):
+    """FixedKernels.u_integrand(c, d, x0) of the process's one
+    FixedKernels; native.u_integrand is its double twin."""
+    return _kernels().u_integrand(c, d, x0)

@@ -15,7 +15,9 @@ complex code in double (native.m_terms), one routine on the Python
 integers of block-floating numbers in dd (blockfloat.m_terms), where each
 term keeps the working precision plus guard bits and the sum is exact on
 the grid of its largest term.  Both compensate the sum (see _m_series),
-and the stopping rules are the same in both modes.
+and the stopping rules are the same in both modes.  The U integral's
+integrand is the context's u_integrand in the same way, and
+quad.peak_integral sums it one trapezoid level a call in both modes.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import cmath
 import math
 
 from ..errors import DomainError, PoleError, PrecisionExhaustedError
+from . import native
 from .gammafn import log_gamma_ctx
 from .quad import peak_integral
-from .types import (NATIVE, LogComplex, NumericContext, Precision,
-                    RiemannPoint, ScaledValue, base_point,
-                    is_nonpositive_integer, nearest_integer, winding_ratio)
+from .types import (LogComplex, NumericContext, Precision, RiemannPoint,
+                    ScaledValue, base_point, is_nonpositive_integer,
+                    nearest_integer, winding_ratio)
 
 _MAX_TERMS = 20000
 # beyond this fraction of pi the base integral loses its damping and the
@@ -85,55 +88,23 @@ def kummer_m(a: complex, b: complex, x: complex,
     return kummer_m_scaled(a, b, x, prec).to_logcomplex(prec.ctx)
 
 
-def _u_log_integrand(c: complex, d: complex, x0: complex):
-    """The U integral's integrand on native numbers, c = b-1, d = a-b+1:
-    integrand(w) is the exponent E(w) = c w - d log(1+e^-w) - x0 e^w at a
-    float w, and integrand(w, g) the sample exp(E(w) - g) that
-    peak_integral sums.  It is double's integrand and, in every mode, the
-    float twin that brackets the integral; dd sums the same formula's
-    samples a trapezoid level at a time on integers
-    (blockfloat.FixedKernels.u_integrand).
-
-    This is a w + (b-a-1) log(1+e^w) - x0 e^w with no two terms that
-    cancel.  In that form, for large |a|, a w and (b-a-1) log(1+e^w) are
-    each some hundreds at the peak and cancel to a few tens, and double's
-    roundoff in them would hold the trapezoid sums near 1e-13.  Here the
-    terms there are some tens, the exponent's own size.  For w > 0, e^-w
-    is 1 / e^w, so a node costs one exp; for w <= 0, d log(1+e^-w) is
-    d log(1+e^w) - d w, two products of opposite sign that add in size."""
-
-    def integrand(w, g=None):
-        exp_w = math.exp(w)
-        if w > 0:
-            d_ell = d * math.log1p(1 / exp_w)
-        else:
-            d_ell = d * math.log1p(exp_w) - d * w
-        e = c * w - d_ell - x0 * exp_w
-        return e if g is None else cmath.exp(e - g)
-
-    return integrand
-
-
 def _u_base_integral(a_c, b_c, x0, ctx: NumericContext) -> ScaledValue:
     """Gamma(a) U(a,b,x0) by the real-axis integral, then the Gamma division.
 
     Integrand exp((b-1) w - (a-b+1) ln(1+e^-w) - x0 e^w) over w in R,
     which is Gamma(a) U = int t^(a-1) (1+t)^(b-a-1) e^(-x0 t) dt at t = e^w.
-    c = b-1 and d = a-b+1 are formed in ctx.  The float twin that finds
-    the peak and the cutoffs samples the same formula at their complex
-    roundings, and is the integrand itself in double; dd reads c, d and x0
-    exactly into its series arithmetic (series_in), where e^w keeps its
-    working bits however far w is from 0, so x0 e^w stays accurate for any
-    |x0|.
+    c = b-1 and d = a-b+1 are formed in ctx.  The integrand is the
+    context's u_integrand (ctx.loops), which reads c, d and x0 by
+    series_in: in dd exactly, where e^w keeps its working bits however far
+    w is from 0, so x0 e^w stays accurate for any |x0|.  The float twin
+    that finds the peak and the cutoffs is native.u_integrand at their
+    complex roundings, in double the same formula on the same numbers.
     """
     c, d = b_c - 1, a_c - b_c + 1
     ad, bd, xd = ctx.to_complex(a_c), ctx.to_complex(b_c), ctx.to_complex(x0)
-    twin = _u_log_integrand(ctx.to_complex(c), ctx.to_complex(d), xd)
-    if ctx is NATIVE:
-        integrand = twin
-    else:
-        integrand = ctx.quad_kernels.u_integrand(
-            ctx.series_in(c), ctx.series_in(d), ctx.series_in(x0))
+    twin = native.u_integrand(ctx.to_complex(c), ctx.to_complex(d), xd)
+    integrand = ctx.loops.u_integrand(ctx.series_in(c), ctx.series_in(d),
+                                      ctx.series_in(x0))
     # saddle of the t-space integrand: x t^2 + (x+2-b) t - (a-1) = 0
     try:
         disc = cmath.sqrt((xd + 2 - bd) ** 2 + 4 * xd * (ad - 1))

@@ -1,34 +1,36 @@
 """Trapezoid integration of exp(logf(w)) over the real line.
 
 Built for Laplace-type integrands with a single interior peak: the caller
-supplies the integrand as its exponent logf(w) and its samples
-exp(logf(w) - g) (already transformed so the domain is all of R and the
-tails decay at least exponentially).  Nodes are spaced evenly between two
-cutoffs where the integrand has fallen far below its peak, and everything
-is summed relative to the peak, g = logf(peak), so no overflow can occur.
+supplies the integrand as its exponent logf(w) and the sums of its
+samples exp(logf(w) - g) over trapezoid levels (already transformed so
+the domain is all of R and the tails decay at least exponentially).
+Nodes are spaced evenly between two cutoffs where the integrand has
+fallen far below its peak, and everything is summed relative to the peak,
+g = logf(peak), so no overflow can occur.
 
 A native-float twin of the exponent brackets it: the peak is located and
-the two cutoffs walked out on the twin.  In double the integrand is its
-own twin, and its exponent at the peak, computed once, places the cutoffs
-too.  One step-halving loop then sums the trapezoid rule in the context's
-quadrature arithmetic (quad_in).  In double that is native floats, one
-sample a node.  In dd it is the fixed grid 2^-QUAD_BITS of blockfloat,
-and the integrand sums a whole level at a time: it forms each node on the
-grid's integers and returns the level's samples summed as an integer
-pair on that grid, so two levels compare exactly and the value is
-rounded into the context once.  Levels are nested from 16 intervals, and
-the first comparison is 64 against 32.
+the two cutoffs walked out on the twin, to where the integrand has fallen
+e^15 below ctx.quadrature_cut of its peak (the tolerance in double; dd's
+rounding in dd, which its tolerance exceeds by 15 digits).  One
+step-halving loop then sums the trapezoid rule in the context's
+quadrature arithmetic (quad_in), and in both modes the integrand sums a
+whole level at a time: in double on native complex numbers, one sample a
+node (native.u_integrand); in dd on the fixed grid 2^-QUAD_BITS of
+blockfloat, where it forms each node on the grid's integers and returns
+the level's samples summed exactly on that grid, so two levels compare
+exactly and the value is rounded into the context once.  Levels are
+nested from 16 intervals, and the first comparison is 64 against 32.
 
 For such analytic integrands the trapezoid error falls geometrically with
 the node count (Trefethen & Weideman, SIAM Review 56, 2014): an error e at
-n intervals becomes about e^2 at 2n.  Double stops once two successive
-changes meet the tolerance.  dd stops at the first change that meets it,
-since the change at 2n is about the error at n, and the error at 2n about
-its square.  A change that misses tol after a level within sqrt(tol) shows
-the convergence is not yet geometric, and from then on dd too asks for two
-in a row.  A sample beyond a double's range above the located peak raises
-QuadratureError, and so does an exponent beyond a double's range, in the
-twin's walks or at the peak.
+n intervals becomes about e^2 at 2n.  The loop stops once
+ctx.quadrature_stable successive changes meet the tolerance: two in
+double; one in dd, since the change at 2n is about the error at n, and
+the error at 2n about its square.  A change that misses tol after a
+level within sqrt(tol) shows the convergence is not yet geometric, and
+from then on two in a row are asked for.  A sample beyond a double's
+range above the located peak raises QuadratureError, and so does an
+exponent beyond a double's range, in the twin's walks or at the peak.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 
 from ..errors import QuadratureError
-from .types import NATIVE, NumericContext, ScaledValue
+from .types import NumericContext, ScaledValue
 
 _MAX_HALVINGS = 12
 _MAX_TAIL_STEPS = 600
@@ -90,36 +92,29 @@ def _find_cutoff(re, w_peak: float, peak_re: float, direction: float,
 
 
 def peak_integral(integrand, w_start, ctx: NumericContext,
-                  plan_logf=None) -> ScaledValue:
+                  twin) -> ScaledValue:
     """Integrate exp(logf(w)) dw over R to ctx.quadrature_tol.
 
-    integrand is called once at the peak and then per node in double, per
-    level in dd, on reals of ctx's quadrature arithmetic: in double
-    floats, in dd series numbers on the quadrature grid (ctx.quad_in).  At
-    the peak, integrand(w) is the exponent logf(w), a number of the series
-    arithmetic (in double a native number); g is that exponent in the
-    quadrature arithmetic.  In double, integrand(w, g) is the sample
-    exp(logf(w) - g) at a node.  In dd, integrand(wl, g, span, n, ks) is
-    the sum of the samples at the nodes wl + span k / n, k in ks, each
-    with span k / n truncated onto the grid of wl (n a power of 2), and
-    each sample truncated onto the grid 2^-QUAD_BITS, returned as the
-    integer pair (re, im) on that grid.  Where a sample is beyond a
-    double's range it raises OverflowError, in dd with that node as a
-    float in its args.  plan_logf is the exponent on native floats
-    (returning float or complex), the twin that finds the peak and the
-    cutoffs; it defaults to integrand, which must then accept floats.  In
-    double the twin must be the integrand's own exponent: integrand(w) at
-    the peak, called once, gives both the cutoffs' reference and the shift
-    g.  Returns a ScaledValue whose parts leave the series arithmetic by
-    ctx.series_out, as context complex numbers (in double, the numbers
-    integrand returns); raises QuadratureError if the step-halving fails
-    to stabilize within the level cap, where a sample lies beyond a
-    double's range above the located peak, or where the twin or the
-    exponent at the peak overflows, naming the node.
+    integrand is called once at the peak and then once per trapezoid
+    level, on reals of ctx's quadrature arithmetic (ctx.quad_in): in
+    double floats, in dd series numbers on the quadrature grid.  At the
+    peak, integrand(w) is the exponent logf(w), a number of the series
+    arithmetic, and g is that exponent in the quadrature arithmetic.
+    integrand(wl, g, span, n, ks) is the sum of the samples exp(logf(w) -
+    g) at the nodes wl + span k / n, k in ks (n a power of 2), a number of
+    the quadrature arithmetic: in double a complex, in dd a block number
+    on the grid 2^-QUAD_BITS (see native.u_integrand and
+    blockfloat.FixedKernels.u_integrand).  Where a sample is beyond a
+    double's range it raises OverflowError with its node as a float.
+    twin is the exponent on native floats (returning float or complex),
+    which finds the peak and the cutoffs.  Returns a ScaledValue whose
+    parts leave the series arithmetic by ctx.series_out, as context
+    complex numbers; raises QuadratureError if the step-halving fails to
+    stabilize within the level cap, where a sample lies beyond a double's
+    range above the located peak, or where the twin or the exponent at the
+    peak overflows, naming the node.
     """
     tol = ctx.quadrature_tol
-    native = ctx is NATIVE
-    twin = integrand if plan_logf is None else plan_logf
 
     def exponent(f, w, where):
         try:
@@ -129,67 +124,34 @@ def peak_integral(integrand, w_start, ctx: NumericContext,
                 f"integrand exponent at w = {where:.6g} is beyond a "
                 f"double's range") from None
 
-    def refused(where):
-        # the located peak is not the integrand's maximum
-        return QuadratureError(
-            f"integrand at w = {where:.6g} exceeds its located peak beyond "
-            f"a double's range")
-
-    re = lambda w: NATIVE.to_float(exponent(twin, w, w))
-    w_peak = _locate_peak(re, NATIVE.to_float(w_start))
-    # in double the integrand is its own twin: one exponent at the peak
-    # places the cutoffs and is the sums' shift
-    peak = exponent(integrand if native else twin, w_peak, w_peak)
-    peak_re = NATIVE.to_float(peak)
-    # an extended mode's tails must fall below its rounding, not just its
-    # tolerance: cut at eps there, which tol exceeds by 15 digits in dd
-    drop = -math.log(tol if native else ctx.eps) + 15.0
+    re = lambda w: exponent(twin, w, w).real
+    w_peak = _locate_peak(re, w_start)
+    peak_re = re(w_peak)
+    drop = -math.log(ctx.quadrature_cut) + 15.0
     wl = ctx.quad_in(_find_cutoff(re, w_peak, peak_re, -1.0, drop))
     wr = ctx.quad_in(_find_cutoff(re, w_peak, peak_re, +1.0, drop))
     span = wr - wl
-    g_peak = peak if native else ctx.series_out(
-        exponent(integrand, ctx.quad_in(w_peak), w_peak))
+    g_peak = ctx.series_out(exponent(integrand, ctx.quad_in(w_peak), w_peak))
     g = ctx.quad_in(g_peak)
 
-    # level(n, ks, weight, start) is start + weight times the samples at
-    # the nodes wl + k span / n, k in ks.  Double adds them to start one by
-    # one, weighted each (a weight of 1 is not multiplied in), since its
-    # rounding depends on that order; dd has the integrand sum the level on
-    # the grid's integers, each node truncated onto the grid as wl + h k
-    # does, and the end samples are the level (0, n)
-    if native:
-        def sample(w):
-            try:
-                return integrand(w, g)
-            except OverflowError:
-                raise refused(w) from None
-
-        def level(n, ks, weight, start):
-            h = span * (1.0 / n)
-            if weight == 1:
-                return sum((sample(wl + h * k) for k in ks), start)
-            return sum((weight * sample(wl + h * k) for k in ks), start)
-
-        ends = sample(wl) + sample(wr)
-    else:
-        def level(n, ks, weight, start):
-            try:
-                sums = integrand(wl, g, span, n, ks)
-            except OverflowError as exc:
-                raise refused(exc.args[0]) from None
-            return start + weight * type(wl)(*sums, wl.exp)
-
-        ends = level(_FIRST_LEVEL, (0, _FIRST_LEVEL), 1, ctx.quad_in(0.0))
+    def level(n, ks):
+        # the samples at the nodes wl + k span / n, k in ks
+        try:
+            return integrand(wl, g, span, n, ks)
+        except OverflowError as exc:
+            # the located peak is not the integrand's maximum
+            raise QuadratureError(
+                f"integrand at w = {exc.args[0]:.6g} exceeds its located "
+                f"peak beyond a double's range") from None
 
     # each sum holds the two end samples once and every other sample twice,
     # so the trapezoid value at n intervals is total * h / 2
     n = _FIRST_LEVEL
-    total = level(n, range(1, n), 2, ends)
-    previous = None
-    stable, needed, settled = 0, 2 if native else 1, False
+    total = level(n, (0, n)) + 2 * level(n, range(1, n))
+    previous, stable, needed, settled = None, 0, ctx.quadrature_stable, False
     for _ in range(_MAX_HALVINGS):
         n *= 2
-        total = total + 2 * level(n, range(1, n, 2), 1, ctx.quad_in(0.0))
+        total = total + 2 * level(n, range(1, n, 2))
         value = total * (span * ctx.quad_in(1.0 / n)) * ctx.quad_in(0.5)
         if previous is not None:
             change = ctx.mag(value - previous)

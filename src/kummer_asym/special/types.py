@@ -55,9 +55,10 @@ class NumericContext:
                                nodes and sums, in the series arithmetic,
                                which series_out leaves
       check_headroom(...)      the cancellation guard
-      loops                    the module of the series term loops
-                               m_terms, k_cf2_terms, i_cf1_terms and
-                               i_walk: native in double, blockfloat in dd
+      loops                    the module of the term loops m_terms,
+                               k_cf2_terms, i_cf1_terms, i_walk and
+                               u_integrand: native in double, blockfloat
+                               in dd
 
     The term loops of the M series, K's Temme series and CF2, and I's CF1
     and its walk down convert their parameters with series_in and their
@@ -81,25 +82,31 @@ class NumericContext:
     series_out.
 
     The U quadrature's nodes and trapezoid sums (quad.py) use the same
-    arithmetic, held on a fixed grid by quad_in.  Its integrand is native
-    math in double, the float twin that brackets it in every mode; in dd
-    each trapezoid level is one routine on the integers of those series
-    numbers (blockfloat.FixedKernels.u_integrand, the context's
-    quad_kernels), which forms the nodes on the grid's integers and sums
-    the samples as integers.
+    arithmetic, held on a fixed grid by quad_in.  Its integrand is the
+    fifth twin of loops, u_integrand, and each call sums one trapezoid
+    level: native math in double (native.u_integrand, also the float twin
+    that brackets the integral in every mode), one routine on the
+    integers of those series numbers in dd (blockfloat.u_integrand), which
+    forms the nodes on the grid's integers and sums the samples as
+    integers.
 
     Per mode: eps is the unit roundoff; series_tol the relative term size
     at which a series stops; quadrature_tol the relative error the U
-    integral aims for; stirling_profile the (threshold, terms) of
-    log-gamma's Stirling series, whose tail at the threshold sits about two
-    digits below the mode's accuracy.  guard_threshold is shared; see
-    check_headroom.
+    integral aims for; quadrature_cut the integrand's size, relative to its
+    peak, e^15 below which the U integral's tails are cut;
+    quadrature_stable the successive changes within quadrature_tol that
+    stop its step-halving (see quad.py); stirling_profile the (threshold,
+    terms) of log-gamma's Stirling series, whose tail at the threshold sits
+    about two digits below the mode's accuracy.  guard_threshold is shared;
+    see check_headroom.
     """
 
     name = "abstract"
     eps = 0.0
     series_tol = 0.0
     quadrature_tol = 0.0
+    quadrature_cut = 0.0
+    quadrature_stable = 0
     stirling_profile = (0.0, 0)
     guard_threshold = 1e-6
     own_types = ()  # number types that coerce passes through unchanged
@@ -142,6 +149,8 @@ class _Double(NumericContext):
     eps = 2.2e-16
     series_tol = 1e-17
     quadrature_tol = 1e-13
+    quadrature_cut = 1e-13
+    quadrature_stable = 2
     stirling_profile = (20.0, 12)
     loops = native
 
@@ -204,15 +213,16 @@ class _ExtendedMP(NumericContext):
     costs a few integer multiplications a step instead of mpmath's
     pure-Python mpc objects.
 
-    quad_in puts a number on the grid 2^-blockfloat.QUAD_BITS, and
-    quad_kernels, the blockfloat.FixedKernels built with the context, gives
-    the U quadrature's level sums on that grid.
+    quad_in puts a number on the grid 2^-blockfloat.QUAD_BITS, where
+    blockfloat.u_integrand sums the U quadrature's levels.
     """
 
     name = "dd"
     eps = 1e-33
     series_tol = 1e-36
     quadrature_tol = 1e-18
+    quadrature_cut = 1e-33  # below the rounding, not just the tolerance
+    quadrature_stable = 1
     stirling_profile = (35.0, 18)
 
     def __init__(self):
@@ -225,7 +235,6 @@ class _ExtendedMP(NumericContext):
         mp.prec = blockfloat.DD_PREC
         self.loops = blockfloat
         self._block = blockfloat.BlockComplex
-        self.quad_kernels = blockfloat.FixedKernels()
         self._quad_grid = -blockfloat.QUAD_BITS
         self._raw_to_float = mpmath.libmp.to_float
         self._fzero, self._to_fixed = fzero, to_fixed

@@ -8,6 +8,7 @@ import importlib
 import math
 import pathlib
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -293,8 +294,7 @@ def u_level(a, b, r, theta):
     and x0 as series numbers, and its peak, cutoffs wl and wr and shift g
     on the quadrature grid as peak_integral places them; None where the
     float twin cannot bracket the integral."""
-    from kummer_asym.special import quad
-    from kummer_asym.special.kummer import _u_log_integrand
+    from kummer_asym.special import blockfloat, native, quad
     from kummer_asym.special.types import NATIVE, Precision
 
     ctx = Precision.dd().ctx
@@ -302,13 +302,13 @@ def u_level(a, b, r, theta):
     x0_c = ctx.coerce(cmath.rect(r, theta))
     c_c, d_c = b_c - 1, a_c - b_c + 1
     c, d, x0 = (ctx.series_in(v) for v in (c_c, d_c, x0_c))
-    fused = ctx.quad_kernels.u_integrand(c, d, x0)
-    twin = _u_log_integrand(complex(c_c), complex(d_c), complex(x0_c))
+    fused = blockfloat.u_integrand(c, d, x0)
+    twin = native.u_integrand(complex(c_c), complex(d_c), complex(x0_c))
     re = lambda w: NATIVE.to_float(twin(w))
     try:
         w_peak = quad._locate_peak(re, 0.0)
         peak_re = re(w_peak)
-        drop = -math.log(ctx.eps) + 15.0
+        drop = -math.log(ctx.quadrature_cut) + 15.0
         wl, wr = (ctx.quad_in(quad._find_cutoff(re, w_peak, peak_re, s, drop))
                   for s in (-1.0, 1.0))
     except (OverflowError, quad.QuadratureError):
@@ -325,6 +325,8 @@ def assert_level_is_composed(fused, cdx0, wl, g, span, n, ks):
         got = fused(wl, g, span, n, ks)
     except OverflowError as exc:
         got = OverflowError, exc.args
+    else:
+        assert got.exp == -QUAD_BITS
     want_re = want_im = 0
     for node in level_nodes(wl, span, n, ks):
         try:
@@ -334,7 +336,7 @@ def assert_level_is_composed(fused, cdx0, wl, g, span, n, ks):
             return
         want_re, want_im = want_re + sample.re, want_im + sample.im
     bound = SAMPLE_UNITS * len(ks)
-    assert abs(got[0] - want_re) <= bound and abs(got[1] - want_im) <= bound
+    assert abs(got.re - want_re) <= bound and abs(got.im - want_im) <= bound
 
 
 reals_a = st.floats(0.01, 400.0)
@@ -406,8 +408,8 @@ def test_the_longest_level_keeps_its_last_sample(a, b, r, theta):
             < level_nodes(wl, span, n, ks[-1:])[0].re)
     whole, head = fused(wl, g, span, n, ks), fused(wl, g, span, n, ks[:-1])
     last = composed_sample(*cdx0, level_nodes(wl, span, n, ks[-1:])[0], g)
-    assert abs(whole[0] - head[0] - last.re) <= SAMPLE_UNITS
-    assert abs(whole[1] - head[1] - last.im) <= SAMPLE_UNITS
+    assert abs(whole.re - head.re - last.re) <= SAMPLE_UNITS
+    assert abs(whole.im - head.im - last.im) <= SAMPLE_UNITS
     # and a short level of the same integrand sums its composed samples
     assert_level_is_composed(fused, cdx0, wl, g, span, 16, range(17))
 
@@ -994,43 +996,32 @@ def test_a_row_with_a_zero_term_reads_as_in_double(monkeypatch):
                                                   rel=1e-13)
 
 
-# The U quadrature's trapezoid sums (quad.peak_integral), whose dd levels
-# are summed by the integrand on the integers of the grid 2^-QUAD_BITS,
-# against the loop they replaced, written out here on the quadrature
-# arithmetic's operators: nodes wl + h k, one sample(w, g) per node (in dd
-# the composed sample) and sums by + and *.
+# The U quadrature's trapezoid sums (quad.peak_integral), each level one call
+# of the integrand, against the loops they replaced.  operator_peak_integral
+# is the loop on the quadrature arithmetic's operators in either mode: nodes
+# wl + h k, one sample(w, g) per node (in dd the composed sample) and sums
+# by + and *; peak_integral is that loop bit for bit.  per_node_peak_integral
+# is double's loop before its integrand summed a level: the integrand its own
+# twin, called once at the peak for the cutoffs and the shift, and the
+# samples of the first level added to the end samples one by one, each
+# doubled.  peak_integral samples as many nodes, and its sums stay within
+# DOUBLE_ULPS roundings of that loop's.
+
+DOUBLE_ULPS = 2
 
 
-def operator_peak_integral(integrand, w_start, ctx, plan_logf, sample_at):
+def halvings(total, n, level, span, g_peak, ctx):
+    """The step-halving loop of peak_integral from the first level's total
+    at n intervals, level(n, ks) the sum of the samples at ks."""
     from kummer_asym.special import quad
-    from kummer_asym.special.types import NATIVE, ScaledValue
+    from kummer_asym.special.types import ScaledValue
 
-    tol, native = ctx.quadrature_tol, ctx is NATIVE
-    re = lambda w: NATIVE.to_float(plan_logf(w))
-    w_peak = quad._locate_peak(re, NATIVE.to_float(w_start))
-    peak = integrand(w_peak) if native else plan_logf(w_peak)
-    drop = -math.log(tol if native else ctx.eps) + 15.0
-    wl = ctx.quad_in(quad._find_cutoff(re, w_peak, NATIVE.to_float(peak),
-                                       -1.0, drop))
-    wr = ctx.quad_in(quad._find_cutoff(re, w_peak, NATIVE.to_float(peak),
-                                       +1.0, drop))
-    span = wr - wl
-    g_peak = peak if native else ctx.series_out(
-        integrand(ctx.quad_in(w_peak)))
-    g = ctx.quad_in(g_peak)
-    sample = lambda w: sample_at(w, g)
-    n = quad._FIRST_LEVEL
-    h = span * ctx.quad_in(1.0 / n)
-    total = sum((2 * sample(wl + h * k) for k in range(1, n)),
-                sample(wl) + sample(wr))
-    previous, stable, needed, settled = None, 0, 2 if native else 1, False
+    tol = ctx.quadrature_tol
+    previous, stable, needed, settled = None, 0, ctx.quadrature_stable, False
     for _ in range(quad._MAX_HALVINGS):
         n *= 2
-        h = span * ctx.quad_in(1.0 / n)
-        mid = sum((sample(wl + h * k) for k in range(1, n, 2)),
-                  ctx.quad_in(0.0))
-        total = total + 2 * mid
-        value = total * h * ctx.quad_in(0.5)
+        total = total + 2 * level(n, range(1, n, 2))
+        value = total * (span * ctx.quad_in(1.0 / n)) * ctx.quad_in(0.5)
         if previous is not None:
             change, scale = ctx.mag(value - previous), ctx.mag(value)
             if scale == 0.0 or change <= tol * scale:
@@ -1045,6 +1036,55 @@ def operator_peak_integral(integrand, w_start, ctx, plan_logf, sample_at):
     raise quad.QuadratureError("no level")
 
 
+def bracket(twin, w_start, ctx):
+    """The peak and the cutoffs wl, wr of the twin, as floats."""
+    from kummer_asym.special import quad
+
+    re = lambda w: twin(w).real
+    w_peak = quad._locate_peak(re, w_start)
+    drop = -math.log(ctx.quadrature_cut) + 15.0
+    return (w_peak, *(quad._find_cutoff(re, w_peak, re(w_peak), s, drop)
+                      for s in (-1.0, 1.0)))
+
+
+def operator_peak_integral(integrand, w_start, ctx, twin, sample_at):
+    from kummer_asym.special import quad
+
+    w_peak, wl, wr = (ctx.quad_in(w) for w in bracket(twin, w_start, ctx))
+    span = wr - wl
+    g_peak = ctx.series_out(integrand(w_peak))
+    g = ctx.quad_in(g_peak)
+
+    def level(n, ks):
+        h = span * ctx.quad_in(1.0 / n)
+        return sum((sample_at(wl + h * k, g) for k in ks), ctx.quad_in(0j))
+
+    n = quad._FIRST_LEVEL
+    total = level(n, (0, n)) + 2 * level(n, range(1, n))
+    return halvings(total, n, level, span, g_peak, ctx)
+
+
+def per_node_peak_integral(logf, w_start, sample_at):
+    from kummer_asym.special import quad
+    from kummer_asym.special.types import NATIVE
+
+    try:
+        w_peak, wl, wr = bracket(logf, w_start, NATIVE)
+        g = logf(w_peak)
+        span = wr - wl
+
+        def level(n, ks, weight=1, start=0.0):
+            h = span * (1.0 / n)
+            return sum((weight * sample_at(wl + h * k, g) for k in ks), start)
+
+        n = quad._FIRST_LEVEL
+        ends = sample_at(wl, g) + sample_at(wr, g)
+        return halvings(level(n, range(1, n), 2, ends), n, level, span, g,
+                        NATIVE)
+    except OverflowError:
+        raise quad.QuadratureError("beyond a double's range") from None
+
+
 def quad_outcome(f, *args):
     """f's ScaledValue as exact keys, or the type of its error."""
     from kummer_asym.special.types import exact_key
@@ -1056,29 +1096,104 @@ def quad_outcome(f, *args):
     return exact_key(got.mantissa), exact_key(got.shift)
 
 
+def u_parameters(a, b, r, theta, ctx):
+    """c = b - 1, d = a - b + 1 and x0 = r e^(i theta) in ctx, the native
+    twin at their complex roundings, and a start for the peak search."""
+    from kummer_asym.special import native
+
+    a_c, b_c = ctx.coerce(a), ctx.coerce(b)
+    x0 = ctx.coerce(cmath.rect(r, theta))
+    c, d = b_c - 1, a_c - b_c + 1
+    twin = native.u_integrand(ctx.to_complex(c), ctx.to_complex(d),
+                              ctx.to_complex(x0))
+    start = math.log(max(abs(complex(a)) / r, 1e-8))
+    return (c, d, x0), twin, start
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(a=reals_a | complexes_a, b=bs, r=st.floats(0.1, 4.0),
        theta=st.just(0.0) | st.floats(-0.45 * math.pi, 0.45 * math.pi),
        mode=st.sampled_from(["double", "dd"]))
 def test_the_trapezoid_sums_are_the_operator_loop_bit_for_bit(a, b, r, theta,
                                                              mode):
-    from kummer_asym.special.kummer import _u_log_integrand
     from kummer_asym.special.quad import peak_integral
-    from kummer_asym.special.types import NATIVE, Precision
+    from kummer_asym.special.types import Precision
 
     ctx = Precision(mode).ctx
-    a_c, b_c = ctx.coerce(a), ctx.coerce(b)
-    x0 = ctx.coerce(cmath.rect(r, theta))
-    c, d = b_c - 1, a_c - b_c + 1
-    twin = _u_log_integrand(ctx.to_complex(c), ctx.to_complex(d),
-                            ctx.to_complex(x0))
-    if ctx is NATIVE:
-        integrand = sample = twin
+    params, twin, start = u_parameters(a, b, r, theta, ctx)
+    series = [ctx.series_in(v) for v in params]
+    integrand = ctx.loops.u_integrand(*series)
+    if mode == "double":
+        sample = lambda w, g: cmath.exp(twin(w) - g)
     else:
-        series = [ctx.series_in(v) for v in (c, d, x0)]
-        integrand = ctx.quad_kernels.u_integrand(*series)
         sample = lambda w, g: composed_sample(*series, w, g)
-    start = math.log(max(abs(complex(a)) / r, 1e-8))
     want = quad_outcome(operator_peak_integral, integrand, start, ctx, twin,
                         sample)
     assert quad_outcome(peak_integral, integrand, start, ctx, twin) == want
+
+
+def double_against_per_node(a, b, r, theta):
+    """peak_integral's U integral in double and per_node_peak_integral's,
+    each as (outcome, samples): its ScaledValue, or the type of its error,
+    and the number of nodes sampled."""
+    from kummer_asym.special.quad import peak_integral
+    from kummer_asym.special.types import NATIVE
+
+    (c, d, x0), twin, start = u_parameters(a, b, r, theta, NATIVE)
+    integrand, samples = NATIVE.loops.u_integrand(c, d, x0), [0, 0]
+
+    def level(*args):
+        samples[0] += len(args[4]) if len(args) == 5 else 0
+        return integrand(*args)
+
+    def sample(w, g):
+        samples[1] += 1
+        return cmath.exp(twin(w) - g)
+
+    outcomes = []
+    for f, args in ((peak_integral, (level, start, NATIVE, twin)),
+                    (per_node_peak_integral, (twin, start, sample))):
+        try:
+            outcomes.append(f(*args))
+        except ArithmeticError as exc:
+            outcomes.append(type(exc))
+    return tuple(zip(outcomes, samples))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=reals_a | complexes_a, b=bs, r=st.floats(0.25, 4.0), theta=thetas)
+def test_double_sums_stay_within_roundings_of_the_per_node_loop(a, b, r,
+                                                               theta):
+    (got, got_nodes), (want, want_nodes) = double_against_per_node(a, b, r,
+                                                                  theta)
+    assert got_nodes == want_nodes
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.shift == want.shift
+    bound = DOUBLE_ULPS * sys.float_info.epsilon * abs(want.mantissa)
+    assert abs(got.mantissa - want.mantissa) <= bound
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=reals_a | complexes_a, b=bs, r=st.floats(0.25, 4.0), theta=thetas,
+       log2_n=st.integers(0, 8), first=st.integers(0, 2),
+       stride=st.integers(1, 2))
+def test_a_double_level_adds_its_samples_in_order(a, b, r, theta, log2_n,
+                                                  first, stride):
+    # a level over [w_peak - 1, w_peak + 1], where every sample counts
+    from kummer_asym.special import quad
+    from kummer_asym.special.types import NATIVE, exact_key
+
+    (c, d, x0), twin, start = u_parameters(a, b, r, theta, NATIVE)
+    try:
+        w_peak = quad._locate_peak(lambda w: twin(w).real, start)
+    except ArithmeticError:
+        return
+    wl, span, n, g = w_peak - 1.0, 2.0, 1 << log2_n, twin(w_peak)
+    ks = range(first, n + 1, stride)
+    want = 0j
+    for k in ks:
+        want += cmath.exp(twin(wl + span * (1.0 / n) * k) - g)
+    got = NATIVE.loops.u_integrand(c, d, x0)(wl, g, span, n, ks)
+    assert exact_key(got) == exact_key(want)

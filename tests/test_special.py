@@ -22,7 +22,8 @@ from kummer_asym.special.gammafn import (bernoulli_numbers, log_gamma,
                                          log_gamma_ctx)
 from kummer_asym.special import kummer as kummer_module
 from kummer_asym.special.kummer import kummer_m, kummer_u
-from kummer_asym.special.blockfloat import QUAD_BITS, BlockComplex
+from kummer_asym.special.blockfloat import (QUAD_BITS, BlockComplex,
+                                            FixedKernels)
 from kummer_asym.special.quad import peak_integral
 from kummer_asym.special.types import (MAX_STEPS, MAX_TURNS, NATIVE,
                                        LogComplex, NumericContext,
@@ -33,6 +34,9 @@ from kummer_asym.special.types import (MAX_STEPS, MAX_TURNS, NATIVE,
                                        sharing_scope, turn_reduce,
                                        winding_ratio)
 from support import ratio_deviation
+
+
+KERNELS = FixedKernels()
 
 
 def rp(r, theta=0.0):
@@ -188,6 +192,8 @@ class TestPrecision:
         double, dd = Precision.double().ctx, Precision.dd().ctx
         assert (double.series_tol, dd.series_tol) == (1e-17, 1e-36)
         assert (double.quadrature_tol, dd.quadrature_tol) == (1e-13, 1e-18)
+        assert (double.quadrature_cut, dd.quadrature_cut) == (1e-13, 1e-33)
+        assert (double.quadrature_stable, dd.quadrature_stable) == (2, 1)
         assert (double.eps, dd.eps) == (2.2e-16, 1e-33)
         assert dd._mp.dps == 34
         assert double.guard_threshold == dd.guard_threshold == 1e-6
@@ -869,8 +875,8 @@ class TestKummerU:
 
 
 def counting(f):
-    """f, an integrand of peak_integral, wrapped to count in .calls the
-    exponents and samples it forms: one a call, and in dd len(ks) for a
+    """f, an integrand or twin of peak_integral, wrapped to count in .calls
+    the exponents and samples it forms: one a call, and len(ks) for a
     level call (w, g, span, n, ks)."""
 
     def wrapper(*args):
@@ -882,63 +888,83 @@ def counting(f):
 
 
 def sampled(logf, ctx):
-    """The integrand peak_integral samples, from logf, the log of the
-    integrand in ctx's series arithmetic: logf(w) at the peak, and in
-    double the sample exp(logf(w) - g) at a node; in dd the level sum of
-    those samples at the nodes w + span k / n, k in ks, each by the
+    """The integrand peak_integral sums, from logf, the log of the
+    integrand in ctx's series arithmetic: logf(w) at the peak, and at a
+    level (w, g, span, n, ks) the sum of the samples exp(logf(w_k) - g) at
+    the nodes w_k = w + span k / n.  In double they are added to 0j in k
+    order, as native.u_integrand adds them; in dd each is taken by the
     quadrature's kernels and on its grid, as FixedKernels.u_integrand
     sums them."""
 
-    def integrand(w, g=None):
-        return logf(w) if g is None else ctx.exp(logf(w) - g)
+    def native_level(w, g=None, span=None, n=None, ks=()):
+        if g is None:
+            return logf(w)
+        total = 0j
+        for k in ks:
+            node = w + span * (1.0 / n) * k
+            try:
+                total += ctx.exp(logf(node) - g)
+            except OverflowError:
+                raise OverflowError(node) from None
+        return total
 
     def level(w, g=None, span=None, n=None, ks=()):
         if g is None:
             return logf(w)
-        kernels, bits = ctx.quad_kernels, n.bit_length() - 1
+        bits = n.bit_length() - 1
         total_re = total_im = 0
         for k in ks:
             node = BlockComplex(w.re + (span.re * k >> bits), 0, w.exp)
-            x = (logf(node) - g).on_grid(-kernels.wp)
+            x = (logf(node) - g).on_grid(-KERNELS.wp)
             try:
-                s = BlockComplex(*kernels.exp(x.re, x.im)).on_grid(-QUAD_BITS)
+                s = BlockComplex(*KERNELS.exp(x.re, x.im)).on_grid(-QUAD_BITS)
             except OverflowError:
                 raise OverflowError(math.ldexp(node.re, node.exp)) from None
             total_re, total_im = total_re + s.re, total_im + s.im
-        return total_re, total_im
+        return BlockComplex(total_re, total_im, -QUAD_BITS)
 
-    return integrand if ctx is NATIVE else level
+    return native_level if ctx is NATIVE else level
+
+
+def node_value(w):
+    """A node of either mode as a float: a float in double, a block number
+    in dd."""
+    return w if isinstance(w, float) else math.ldexp(w.re, w.exp)
 
 
 class TestPeakIntegral:
     def test_gaussian(self):
         ctx = Precision.double().ctx
         logf = counting(sampled(lambda w: -w * w, ctx))
-        got = peak_integral(logf, 0.5, ctx)
+        twin = counting(lambda w: -w * w)
+        got = peak_integral(logf, 0.5, ctx, twin)
         value = got.to_logcomplex(ctx).to_complex()
         assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-        # logf is its own twin here, and is called at the peak once, for
-        # the cutoffs and the shift; nodes, stopping rule and bits are as
-        # before
-        assert logf.calls == 218
+        # the twin finds the peak and the cutoffs, and the integrand forms
+        # the exponent at the peak, the shift, once: 218 calls when logf
+        # was its own twin, and one more now; nodes, stopping rule and
+        # bits are as before
+        assert (twin.calls, logf.calls) == (89, 130)
         assert got.mantissa == 1.7724538509055159
         assert got.shift == -9.242213211096245e-30
 
     def test_shifted_oscillatory_gaussian(self):
         ctx = Precision.double().ctx
         logf = counting(sampled(lambda w: -((w - 2.0) ** 2) + 1j * w, ctx))
-        got = peak_integral(logf, 0.0, ctx)
+        twin = counting(lambda w: -((w - 2.0) ** 2) + 1j * w)
+        got = peak_integral(logf, 0.0, ctx, twin)
         value = got.to_logcomplex(ctx).to_complex()
         want = math.sqrt(math.pi) * cmath.exp(2j - 0.25)
         assert value == pytest.approx(want, rel=1e-11)
-        assert logf.calls == 223
+        # 223 calls when logf was its own twin, and one more now
+        assert (twin.calls, logf.calls) == (94, 130)
         assert got.mantissa == 1.380388447043143 + 1.0810593703305583e-17j
         assert got.shift == 2j
 
     def test_dd_sums_once_at_the_planned_level(self, dd):
         ctx = dd.ctx
         logf = counting(sampled(lambda w: -w * w, ctx))
-        got = peak_integral(logf, 0.5, ctx, plan_logf=lambda w: -w * w)
+        got = peak_integral(logf, 0.5, ctx, lambda w: -w * w)
         mp = mpmath.MPContext()
         mp.dps = 50
         # a real integral leaves by series_out too, as a complex
@@ -947,11 +973,6 @@ class TestPeakIntegral:
         # the nested levels sample each node once: 129 nodes and the peak
         assert logf.calls <= 200
 
-    def test_dd_plans_on_logf_by_default(self, dd):
-        got = peak_integral(sampled(lambda w: -w * w, dd.ctx), 0.5, dd.ctx)
-        value = got.to_logcomplex(dd.ctx).to_complex()
-        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
     def test_dd_oscillatory_gaussian_on_series_numbers(self, dd):
         # a complex logf in dd: the summing loop hands it nodes as series
         # numbers, the twin floats
@@ -959,7 +980,7 @@ class TestPeakIntegral:
         i = ctx.series_in(ctx.make_complex(0.0, 1.0))
         logf = counting(sampled(lambda w: -(w - 2) * (w - 2) + i * w, ctx))
         got = peak_integral(logf, 0.0, ctx,
-                            plan_logf=lambda w: -((w - 2.0) ** 2) + 1j * w)
+                            lambda w: -((w - 2.0) ** 2) + 1j * w)
         mp = mpmath.MPContext()
         mp.dps = 50
         value = mp.mpc(got.mantissa) * mp.exp(mp.mpc(got.shift))
@@ -969,34 +990,33 @@ class TestPeakIntegral:
     def test_dd_sample_far_above_the_peak_is_refused(self, dd):
         # the twin is a plain Gaussian; right of w = 1 the summed integrand
         # lies 2000 above the peak, past a double's range, and is refused
-        # as in double, not summed as a huge integer
-        ctx = dd.ctx
-
+        # in both modes, in dd not summed as a huge integer
         def logf(w):
-            return -w * w + (2000 if math.ldexp(w.re, w.exp) > 1.0 else 0)
+            return -w * w + (2000 if node_value(w) > 1.0 else 0)
 
-        with pytest.raises(QuadratureError,
-                           match=r"integrand at w = [\d.]+ exceeds its located "
-                                 r"peak beyond a double's range"):
-            peak_integral(sampled(logf, ctx), 0.5, ctx,
-                          plan_logf=lambda w: -w * w)
+        for prec in (Precision.double(), dd):
+            with pytest.raises(QuadratureError,
+                               match=r"integrand at w = [\d.]+ exceeds its "
+                                     r"located peak beyond a double's range"):
+                peak_integral(sampled(logf, prec.ctx), 0.5, prec.ctx,
+                              lambda w: -w * w)
 
     def test_dd_sums_far_above_the_peak_are_still_measured(self, dd):
         # samples e^650 above the located peak fit a double's range, but
-        # their sums' mantissas on the quadrature grid do not fit a float;
-        # read as infinite, every level would have passed the stopping
-        # test at once (the sum came back as 1.8e281)
-        ctx = dd.ctx
-
+        # in dd their sums' mantissas on the quadrature grid do not fit a
+        # float; read as infinite, every level would have passed the
+        # stopping test at once (the sum came back as 1.8e281).  The jump
+        # the samples make is never resolved, in either mode
         def logf(w):
-            at = math.ldexp(w.re, w.exp)
-            return -w * w + (650 if 1.0 < at < 1.5 else 0)
+            return -w * w + (650 if 1.0 < node_value(w) < 1.5 else 0)
 
-        with pytest.raises(QuadratureError, match="failed to stabilize"):
-            peak_integral(sampled(logf, ctx), 0.5, ctx,
-                          plan_logf=lambda w: -w * w)
+        for prec in (Precision.double(), dd):
+            with pytest.raises(QuadratureError, match="failed to stabilize"):
+                peak_integral(sampled(logf, prec.ctx), 0.5, prec.ctx,
+                              lambda w: -w * w)
 
     def test_tail_that_does_not_decay(self, dd):
+        logf = lambda w: -abs(w) / 100
         for prec in (Precision.double(), dd):
             with pytest.raises(QuadratureError, match="tail does not decay"):
-                peak_integral(lambda w: -abs(w) / 100, 0.0, prec.ctx)
+                peak_integral(logf, 0.0, prec.ctx, logf)
