@@ -5,12 +5,13 @@ exponential prefactors); the right side combines modified Bessel functions
 with the exact coefficient polynomials, truncated at a requested order.
 Everything is assembled as ScaledValue in the working precision, and the
 relative discrepancy |lhs/rhs - 1| is measured before any rounding to the
-LogComplex boundary type.  In double a row is native complex arithmetic.
-In dd the values every order reads are taken into integers once per point
-(NumericContext.series_in), and each row is one integer routine
-(sweeprow.row_terms): the coefficient sums and the two-term sum with
-exact products, and |lhs/rhs - 1| exact until its one rounding to a
-float; rhs leaves by one series_out and one complex log.
+LogComplex boundary type.  The values every order reads are taken into
+the context's loop arithmetic once per point (NumericContext.series_in),
+and each row is one routine of ctx.loops, row_terms: the coefficient sums,
+the two-term sum and |lhs/rhs - 1|, on native complex numbers in double
+and, in dd, on integers with exact products and |lhs/rhs - 1| exact until
+its one rounding to a float; rhs leaves by one series_out and one complex
+log.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .ratpoly import CoeffPoly, horner2
 from .special.bessel import bessel_i_scaled, bessel_k_scaled
 from .special.gammafn import log_gamma_ctx
 from .special.kummer import kummer_m_scaled, kummer_u_scaled
-from .special.types import (NATIVE, LogComplex, NumericContext, Precision,
+from .special.types import (LogComplex, NumericContext, Precision,
                             RiemannPoint, ScaledValue, alignment, exact_key,
                             is_nonpositive_integer, shared, sharing_scope)
 
@@ -126,23 +127,6 @@ class SideBySide:
             raise DomainError("discrepancy is NaN")
 
 
-def _finish(lhs: ScaledValue, lhs_log: LogComplex, rhs: ScaledValue,
-            ctx: NumericContext, ratio_scale) -> SideBySide:
-    """The side-by-side of a double row's lhs and rhs; ratio_scale is
-    e^(lhs.shift - rhs.shift), or None where that exp overflowed."""
-    ratio = lhs.div(rhs, ctx)
-    gap = ctx.to_float(ratio.shift) + math.log(
-        max(ctx.mag(ratio.mantissa), 1e-300))
-    if gap > 690.0:
-        disc = math.inf
-    else:
-        if ratio_scale is None:
-            ratio_scale = ctx.exp(ratio.shift)
-        w = ratio.mantissa * ratio_scale
-        disc = ctx.to_float(ctx.abs(w - 1))
-    return SideBySide(lhs_log, rhs.to_logcomplex(ctx), disc)
-
-
 def _point_constants(cfg: ExpansionConfig, ctx: NumericContext) -> tuple:
     """b, log u, a, log z, z, z^2, log 2 and mu = b - 1 of cfg's point as
     ctx numbers, with z the reduced value of cfg.z, and 1/u^2 in the
@@ -175,21 +159,20 @@ def evaluate_sides(cfg: ExpansionConfig) -> SideBySide:
     caller, such as decay_sweep, has one open: the point's constants, the
     oracle per (M or U, b, z, t, arg u, precision), so u-capital and
     u-lower read one U; per variant at that point, one entry with the
-    prefactored lhs and its LogComplex, the shifts of the two Bessel
-    terms, the exp that aligns them (ScaledValue.add_aligned) and the exp
-    that scales lhs / rhs; the Bessel pair per kind at that point, from
-    one call that returns both orders b - 1 and b; and each coefficient
-    value even[s], odd[s] per (raw or lowered table, b, z, s, precision),
-    from the table's coefficients as ctx numbers, which every sweep in the
-    process reads (_table_in_context).  In dd the point's 1/u^2, the
-    variant entry and the coefficient values hold the row's operands as
-    block numbers (1/u^2, the lhs and Bessel mantissas and both exps),
-    read by series_in once, and each order's row is sweeprow.row_terms
-    on them; in double it is ScaledValue.add_aligned and _finish.  Below
-    them the kernels share log-gamma values, K's ladder and I's pair by
-    their exact inputs, so the m variant and K's winding read one CF1 and
-    one walk down.  A shared value is the one computed for its key alone, so
-    results are identical with and without sharing.
+    prefactored lhs's LogComplex and mantissa, the larger shift of the two
+    Bessel terms, the exp that aligns them (alignment) and the exp that
+    scales lhs / rhs; the Bessel pair per kind at that point, from one
+    call that returns both orders b - 1 and b; and each coefficient value
+    even[s], odd[s] per (raw or lowered table, b, z, s, precision), from
+    the table's coefficients as ctx numbers, which every sweep in the
+    process reads (_table_in_context).  The point's 1/u^2, the variant
+    entry and the coefficient values hold the row's operands (1/u^2, the
+    lhs and Bessel mantissas and both exps) as series_in read them once,
+    block numbers in dd, and each order's row is ctx.loops.row_terms on
+    them.  Below them the kernels share log-gamma values, K's ladder and
+    I's pair by their exact inputs, so the m variant and K's winding read
+    one CF1 and one walk down.  A shared value is the one computed for its
+    key alone, so results are identical with and without sharing.
     """
     table, low_even, _ = expansion_tables()
     lowered = cfg.variant == "u-lower"
@@ -213,8 +196,10 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
      inv_u2) = shared(("point",) + point, lambda: _point_constants(cfg, ctx))
 
     def variant_constants():
-        # lhs, then the two Bessel terms' shifts, the exp that aligns them
-        # and the exp that scales lhs / rhs: what every order N reads
+        # lhs's log, rhs's shift (the larger term's), which term has it,
+        # and the row's operands: lhs, the two Bessel terms, the exp that
+        # aligns them and the exp that scales lhs / rhs; what every order N
+        # reads
         if cfg.variant == "m":
             oracle = kummer_m_scaled(a_c, b_c, x_red, prec)
             head = ((1 - b_c) * log2 + (b_c - 1) * log_u
@@ -238,54 +223,32 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
         high_mantissa = high.mantissa if cfg.variant == "m" else -high.mantissa
         shifts = (low.shift + log_z, high.shift + log_z - log_u)
         first, scale = alignment(*shifts, ctx)
-        try:
-            ratio_scale = ctx.exp(lhs.shift - shifts[0 if first else 1])
-        except OverflowError:
-            ratio_scale = None  # beyond a double; _finish may not need it
+        shift = shifts[0 if first else 1]
+        # the row's operands, read by series_in once per point; where the
+        # exp that scales lhs / rhs is beyond a double it raises
+        # OverflowError (mpmath's exp does not overflow)
         values = (lhs.mantissa, low.mantissa, high_mantissa, scale,
-                  ratio_scale)
-        if ctx is not NATIVE:
-            # the row's operands, read into integers once per point; mpmath's
-            # exp does not overflow, so dd always has ratio_scale
-            values = tuple(map(ctx.series_in, values))
-        return (lhs, lhs_log, shifts, first) + values
+                  ctx.exp(lhs.shift - shift))
+        return (lhs_log, shift, first) + tuple(map(ctx.series_in, values))
 
-    (lhs, lhs_log, shifts, first, lhs_mantissa, low_mantissa, high_mantissa,
-     scale, ratio_scale) = shared((cfg.variant,) + point, variant_constants)
+    (lhs_log, shift, first, lhs_mantissa, low_mantissa, high_mantissa, scale,
+     ratio_scale) = shared((cfg.variant,) + point, variant_constants)
 
-    if ctx is not NATIVE:
-        from .special.sweeprow import row_terms
-        # each coefficient value read into integers once per point; loops,
-        # not comprehensions: a comprehension is a scope of its own, and
-        # each local of _sides that it read would become a closure cell,
-        # built in every call in both modes
-        pairs = []
-        for s in range(cfg.order):
-            pairs.append(shared(
-                ("coefficients", lowered, s) + z_key,
-                lambda: tuple(map(ctx.series_in, _coefficient_values(
-                    ctx, lowered, s, mu_c, z_red)))))
-        rhs, disc = row_terms(inv_u2, pairs, low_mantissa, high_mantissa,
-                              lhs_mantissa, first, scale, ratio_scale,
-                              ctx.check_headroom)
-        rhs = ScaledValue(ctx.series_out(rhs), shifts[0 if first else 1])
-        return SideBySide(lhs_log, rhs.to_logcomplex(ctx), disc)
-
-    power = ctx.make_complex(1.0)
-    sum_even = ctx.make_complex(0.0)
-    sum_odd = ctx.make_complex(0.0)
+    # each coefficient value read by series_in once per point; a loop, not
+    # a comprehension: a comprehension is a scope of its own, and each local
+    # of _sides that it read would become a closure cell, built in every
+    # call
+    pairs = []
     for s in range(cfg.order):
-        even_s, odd_s = shared(
+        pairs.append(shared(
             ("coefficients", lowered, s) + z_key,
-            lambda: _coefficient_values(ctx, lowered, s, mu_c, z_red))
-        sum_even = sum_even + power * even_s
-        sum_odd = sum_odd + power * odd_s
-        power = power * inv_u2
-
-    term1 = ScaledValue(low_mantissa * sum_even, shifts[0])
-    term2 = ScaledValue(high_mantissa * sum_odd, shifts[1])
-    rhs = term1.add_aligned(term2, first, scale, ctx)
-    return _finish(lhs, lhs_log, rhs, ctx, ratio_scale)
+            lambda: tuple(map(ctx.series_in, _coefficient_values(
+                ctx, lowered, s, mu_c, z_red)))))
+    rhs, disc = ctx.loops.row_terms(inv_u2, pairs, low_mantissa,
+                                    high_mantissa, lhs_mantissa, first, scale,
+                                    ratio_scale, ctx.check_headroom)
+    rhs = ScaledValue(ctx.series_out(rhs), shift)
+    return SideBySide(lhs_log, rhs.to_logcomplex(ctx), disc)
 
 
 @dataclass(frozen=True)

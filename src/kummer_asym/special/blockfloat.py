@@ -46,12 +46,13 @@ Johansson, "Computing hypergeometric functions rigorously", ACM TOMS 45
 dd log-gamma (gammafn) has two integer routines of its own.  shift_product
 forms the product of the shifted arguments, w (w + 1) ... (w + shift - 1),
 each factor exact and the product truncated to SHIFT_BITS significant bits
-after each, so that one log of it replaces a log per factor.
+after each, so that one log of it replaces a log per factor (log_shift).
 stirling_tail sums Stirling's tail by Horner's rule in r^2, r = 1 / w,
-on the fixed grid 2^-TAIL_BITS, with integer coefficients on that grid.
-
-The dd sweep row (expansion._sides) is one routine on these numbers too,
-in its own module (sweeprow), which only a sweep row imports.
+on the fixed grid 2^-TAIL_BITS, with integer coefficients on that grid
+(stirling_coefficients), and stirling_series adds it to the head.  Each
+of the three has a double twin in native, as has the dd sweep row
+(expansion._sides), row_terms: one routine on these numbers for the
+coefficient sums, the two-term sum and |lhs/rhs - 1|.
 
 The dd trapezoid levels of the U quadrature (quad.py) run on the same
 numbers held on the fixed grid 2^-QUAD_BITS (on_grid), where the sums are
@@ -78,6 +79,8 @@ from __future__ import annotations
 import math
 import sys
 from functools import cache
+
+from .native import _WIDE
 
 # The significant bits of the dd context (34 digits), and the bits beyond
 # them that each series term keeps.
@@ -396,7 +399,7 @@ def i_walk(x: BlockComplex, r: BlockComplex, order: BlockComplex,
     return BlockComplex(rr, ri, rx), BlockComplex(*r_next)
 
 
-# The two integer parts of dd log-gamma (gammafn._shifted_stirling).
+# The integer parts of dd log-gamma (gammafn._shifted_stirling).
 # shift_product keeps SHIFT_BITS significant bits, so that after MAX_STEPS
 # = 2^16 truncations, each within 2^(2 - SHIFT_BITS) of the product,
 # it still has WP bits; stirling_tail sums on the grid 2^-TAIL_BITS.
@@ -451,6 +454,112 @@ def stirling_tail(w: BlockComplex, coeffs: tuple) -> BlockComplex:
         ai = ai >> TAIL_BITS if ai >= 0 else -(-ai >> TAIL_BITS)
     return BlockComplex(_truncate(ar * rr - ai * ri, TAIL_BITS),
                         _truncate(ar * ri + ai * rr, TAIL_BITS), -TAIL_BITS)
+
+
+def stirling_coefficients(fractions) -> tuple:
+    """The Stirling tail's coefficients, Fractions, as integers on
+    stirling_tail's grid 2^-TAIL_BITS, each truncated toward zero."""
+    return tuple(int(c * 2 ** TAIL_BITS) for c in fractions)
+
+
+def stirling_series(head, w, coeffs, ctx):
+    """head + sum_n c_n / w^(2n - 1) for a ctx complex w: the tail is
+    stirling_tail on w read by series_in, rounded into ctx once."""
+    return head + ctx.series_out(stirling_tail(ctx.series_in(w), coeffs))
+
+
+def log_shift(w, shift: int, ctx):
+    """sum_{k < shift} log(w + k), principal logs, as the log of the product
+    P (shift_product) plus 2 pi i n, where n counts the turns by which the
+    sum of the factors' arguments, in floats, exceeds arg P (Hare,
+    J. Algorithms 25 (1997)); on the negative axis both atan2 and the log
+    of a negative real take +pi, the limit from above.  With no factor it
+    is 0, and takes no log."""
+    if not shift:
+        return ctx.make_complex(0.0)
+    log_p = ctx.log(ctx.series_out(shift_product(ctx.series_in(w), shift)))
+    z = ctx.to_complex(w)
+    arg_sum = sum(math.atan2(z.imag, z.real + k) for k in range(shift))
+    n = round((arg_sum - ctx.to_complex(log_p).imag) / (2 * math.pi))
+    if n:
+        log_p = log_p + ctx.make_complex(0.0, 2 * n * ctx.pi)
+    return log_p
+
+
+# The dd sweep row of expansion._sides: its operands are the block numbers
+# that series_in read once per point.
+
+def coefficient_sums(v: BlockComplex, pairs) -> tuple:
+    """sum_s v^s even_s and sum_s v^s odd_s for pairs = ((even_0, odd_0),
+    ...), by Horner's rule: each product exact, each sum on the coarser
+    grid (_sum).  Returns the two sums as (re, im, exp) triples."""
+    vr, vi, ve = v.re, v.im, v.exp
+    even, odd = pairs[-1]
+    er, ei, ee = even.re, even.im, even.exp
+    orr, oi, oe = odd.re, odd.im, odd.exp
+    for even, odd in reversed(pairs[:-1]):
+        er, ei, ee = _sum(even.re, even.im, even.exp, er * vr - ei * vi,
+                          er * vi + ei * vr, ee + ve)
+        orr, oi, oe = _sum(odd.re, odd.im, odd.exp, orr * vr - oi * vi,
+                           orr * vi + oi * vr, oe + ve)
+    return (er, ei, ee), (orr, oi, oe)
+
+
+def _root_of_ratio(n2: int, d2: int, exp: int) -> float:
+    """sqrt(n2 / d2) 2^exp rounded once to a float: the root is taken to at
+    least 64 bits with a sticky bit for an inexact remainder, so that
+    int-to-float rounds as the exact root would."""
+    if not n2:
+        return 0.0
+    shift = 128 - n2.bit_length() + d2.bit_length()
+    shift += shift & 1
+    if shift >= 0:
+        q, r = divmod(n2 << shift, d2)
+    else:
+        q, r = divmod(n2, d2 << -shift)
+    root = math.isqrt(q)
+    sticky = 1 if r or root * root != q else 0
+    return math.ldexp(float(2 * root + sticky), exp - shift // 2 - 1)
+
+
+def row_terms(v: BlockComplex, pairs, low: BlockComplex, high: BlockComplex,
+              lhs: BlockComplex, first: bool, scale: BlockComplex,
+              ratio_scale, check):
+    """One sweep row of expansion._sides: rhs = low sum_s v^s even_s +
+    high sum_s v^s odd_s, the term with the smaller shift (first tells
+    which is larger) times scale, and |lhs ratio_scale / rhs - 1|.
+
+    The sums are coefficient_sums, the products exact and the two-term
+    sum on the coarser grid, guarded by check, the context's
+    check_headroom, as ScaledValue.add guards it: a zero term adds
+    nothing, and a zero sum raises.  The discrepancy is
+    |lhs ratio_scale - rhs| / |rhs|, exact until its one rounding to a
+    float (_root_of_ratio), so a zero lhs reads 1.0, and infinite where
+    |lhs ratio_scale / rhs| exceeds e^690 (native._WIDE, the bound of the
+    double twin).  Returns (rhs, discrepancy)."""
+    (er, ei, ee), (orr, oi, oe) = coefficient_sums(v, pairs)
+    ar, ai, ae = low.re, low.im, low.exp
+    t1 = ar * er - ai * ei, ar * ei + ai * er, ae + ee
+    ar, ai, ae = high.re, high.im, high.exp
+    t2 = ar * orr - ai * oi, ar * oi + ai * orr, ae + oe
+    (hr, hi, he), (ar, ai, ae) = (t1, t2) if first else (t2, t1)
+    sr, si = scale.re, scale.im
+    ar, ai, ae = ar * sr - ai * si, ar * si + ai * sr, ae + scale.exp
+    mr, mi, me = _sum(hr, hi, he, ar, ai, ae)
+    check(max(_magnitude(hr, hi, he), _magnitude(ar, ai, ae)),
+          _magnitude(mr, mi, me), "two-term sum")
+    rhs = BlockComplex(mr, mi, me)
+    lr, li, le = lhs.re, lhs.im, lhs.exp
+    sr, si = ratio_scale.re, ratio_scale.im
+    pr, pi, pe = lr * sr - li * si, lr * si + li * sr, le + ratio_scale.exp
+    if _magnitude(*_quotient(pr, pi, pe, mr, mi, me, 53)) > _WIDE:
+        return rhs, math.inf
+    # lhs ratio_scale - rhs on the finer grid, exactly
+    exp = min(pe, me)
+    pr, pi = pr << (pe - exp), pi << (pe - exp)
+    nr, ni = pr - (mr << (me - exp)), pi - (mi << (me - exp))
+    return rhs, _root_of_ratio(nr * nr + ni * ni, mr * mr + mi * mi,
+                               exp - me)
 
 
 class FixedKernels:

@@ -3,10 +3,13 @@
 m_terms, k_cf2_terms, i_cf1_terms and i_walk are the loops of the M series
 (kummer._m_series), K's CF2 (bessel._k_cf2) and I's CF1 and walk down
 (bessel._i_cf1, _i_ratios), and u_integrand the U integral's integrand,
-whose trapezoid levels are quad.peak_integral's loop.  Each has the name,
+whose trapezoid levels are quad.peak_integral's loop.  stirling_coefficients,
+stirling_series and log_shift are log-gamma's (gammafn): its Stirling tail's
+coefficients, the series on its head, and the logs of the points its shift
+skips.  row_terms is a sweep row of expansion._sides.  Each has the name,
 the arguments and the result of its dd twin on block-floating integers in
-blockfloat, which documents them, so a kernel calls the loop of its
-context (ctx.loops) with its parameters read by series_in.
+blockfloat, which documents them, so a caller calls the routine of its
+context (ctx.loops) with its numbers read by series_in, the identity here.
 """
 
 from __future__ import annotations
@@ -124,3 +127,54 @@ def u_integrand(c, d, x0):
         return total
 
     return integrand
+
+
+def stirling_coefficients(fractions) -> tuple:
+    """The Stirling tail's coefficients, Fractions, as floats, each rounded
+    once as ctx.rational rounds it."""
+    return tuple(c.numerator / c.denominator for c in fractions)
+
+
+def stirling_series(head, w, coeffs, ctx):
+    """head + sum_n c_n / w^(2n - 1), each term added to the running sum in
+    turn, from the head."""
+    w2 = w * w
+    power = w
+    for coeff in coeffs:
+        head = head + coeff / power
+        power = power * w2
+    return head
+
+
+def log_shift(w, shift: int, ctx):
+    """sum_{k < shift} log(w + k), principal logs, summed factor by
+    factor."""
+    correction = ctx.make_complex(0.0)
+    for k in range(shift):
+        correction = correction + ctx.log(w + k)
+    return correction
+
+
+# |lhs ratio_scale / rhs| beyond which a row's discrepancy reads as
+# infinite, in both modes (blockfloat.row_terms)
+_WIDE = math.exp(690.0)
+
+
+def row_terms(v, pairs, low, high, lhs, first, scale, ratio_scale, check):
+    """One sweep row: rhs = low sum_s v^s even_s + high sum_s v^s odd_s,
+    the term with the smaller shift times scale, guarded by check as
+    ScaledValue.add guards it, and |lhs ratio_scale / rhs - 1|,
+    infinite beyond _WIDE.  Returns (rhs, discrepancy)."""
+    power, sum_even, sum_odd = 1.0 + 0j, 0j, 0j
+    for even, odd in pairs:
+        sum_even = sum_even + power * even
+        sum_odd = sum_odd + power * odd
+        power = power * v
+    hi, lo = low * sum_even, high * sum_odd
+    if not first:
+        hi, lo = lo, hi
+    lo = lo * scale
+    rhs = hi + lo
+    check(max(abs(hi), abs(lo)), abs(rhs), "two-term sum")
+    w = lhs / rhs * ratio_scale
+    return rhs, math.inf if abs(w) > _WIDE else abs(w - 1)

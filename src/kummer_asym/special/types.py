@@ -55,10 +55,13 @@ class NumericContext:
                                nodes and sums, in the series arithmetic,
                                which series_out leaves
       check_headroom(...)      the cancellation guard
-      loops                    the module of the term loops m_terms,
+      loops                    the module of the nine routines that
+                               differ by mode (the term loops m_terms,
                                k_cf2_terms, i_cf1_terms, i_walk and
-                               u_integrand: native in double, blockfloat
-                               in dd
+                               u_integrand; log-gamma's
+                               stirling_coefficients, stirling_series and
+                               log_shift; the sweep row row_terms):
+                               native in double, blockfloat in dd
 
     The term loops of the M series, K's Temme series and CF2, and I's CF1
     and its walk down convert their parameters with series_in and their
@@ -72,18 +75,21 @@ class NumericContext:
     integers of those numbers (blockfloat.m_terms, k_cf2_terms,
     i_cf1_terms, i_walk), which makes the operators' integer operations in
     their order; double's twins of the same names are in native, and a
-    kernel calls the one of ctx.loops.  dd log-gamma reads its argument
-    with series_in too: the product of its shifted arguments and
-    Stirling's tail are one integer routine each (blockfloat.shift_product,
-    stirling_tail), rounded out with series_out.  So is a dd sweep row
-    (expansion._sides): its operands are read with series_in once per
-    point, the coefficient sums, the two-term sum and |lhs/rhs - 1| are
-    one integer routine (sweeprow.row_terms), and rhs leaves by
-    series_out.
+    kernel calls the one of ctx.loops.  Log-gamma and the sweep row call
+    their routines of ctx.loops too, so no code outside the two modules
+    tests the mode.  Log-gamma's (gammafn) convert Stirling's coefficients,
+    add its tail to the head and sum the logs of the shift's points; dd's
+    read the argument with series_in, and the product of the shifted
+    arguments and Stirling's tail are one integer routine each
+    (blockfloat.shift_product, stirling_tail), rounded out with
+    series_out.  A sweep row (expansion._sides) reads its operands with
+    series_in once per point; the coefficient sums, the two-term sum and
+    |lhs/rhs - 1| are one routine, row_terms, in dd on integers, and rhs
+    leaves by series_out.
 
     The U quadrature's nodes and trapezoid sums (quad.py) use the same
     arithmetic, held on a fixed grid by quad_in.  Its integrand is the
-    fifth twin of loops, u_integrand, and each call sums one trapezoid
+    routine u_integrand of loops, and each call sums one trapezoid
     level: native math in double (native.u_integrand, also the float twin
     that brackets the integral in every mode), one routine on the
     integers of those series numbers in dd (blockfloat.u_integrand), which
@@ -570,23 +576,12 @@ class ScaledValue:
         self.mantissa = mantissa
         self.shift = shift
 
-    @classmethod
-    def zero(cls, ctx: NumericContext) -> "ScaledValue":
-        return cls(ctx.make_complex(0.0), ctx.make_complex(0.0))
-
     def is_zero(self) -> bool:
         # an mpc compared with 0 first builds an mpc from the 0
         return not self.mantissa
 
     def mul_complex(self, w) -> "ScaledValue":
         return ScaledValue(self.mantissa * w, self.shift)
-
-    def div(self, other: "ScaledValue", ctx: NumericContext) -> "ScaledValue":
-        if other.is_zero():
-            raise DomainError("division by zero scaled value")
-        if self.is_zero():
-            return ScaledValue.zero(ctx)
-        return ScaledValue(self.mantissa / other.mantissa, self.shift - other.shift)
 
     def add(self, other: "ScaledValue", ctx: NumericContext,
             what: str = "two-term sum") -> "ScaledValue":
@@ -596,15 +591,7 @@ class ScaledValue:
             return other
         if other.is_zero():
             return self
-        return self.add_aligned(other, *alignment(self.shift, other.shift,
-                                                  ctx), ctx, what)
-
-    def add_aligned(self, other: "ScaledValue", first: bool, scale,
-                    ctx: NumericContext,
-                    what: str = "two-term sum") -> "ScaledValue":
-        """add's sum of two nonzero values, given (first, scale) =
-        alignment(self.shift, other.shift, ctx), which a caller may
-        compute once for every pair of mantissas on the same two shifts."""
+        first, scale = alignment(self.shift, other.shift, ctx)
         hi, lo = (self, other) if first else (other, self)
         lo_mantissa = lo.mantissa * scale
         m = hi.mantissa + lo_mantissa

@@ -5,6 +5,7 @@ compositions they replaced."""
 
 import cmath
 import importlib
+import itertools
 import math
 import pathlib
 import re
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kummer_asym
@@ -591,52 +592,138 @@ def test_the_cf1_loop_and_walk_are_the_operator_loops_bit_for_bit(nu, x,
         walk_operator_loop(x_s, r, order_s, top - n - 1))
 
 
-# Each term loop of double (special.native) against its dd twin of the same
-# name (blockfloat), as a kernel calls them through ctx.loops: the same
-# arguments, doubles for native and their series_in images for blockfloat.
-# Either both give up, or each double result is within a few eps of the dd
-# one, times the loop's largest term over the result where the loop
-# returns that peak.
+# Each routine of double (special.native) against its dd twin of the same
+# name (blockfloat), as a caller calls them through ctx.loops: the same
+# arguments, doubles for native and, for blockfloat, their series_in images
+# (the ctx numbers themselves where the twin reads ctx numbers), the
+# Stirling coefficients as each twin converts the same fractions, and each
+# twin's context where it takes one.  Either both give up, or each double
+# result is within a few eps of the dd one, times the result's weight: its
+# size, the loop's largest term where the loop returns that peak, and for
+# the sums of Stirling's series, the shift's logs and the sweep row the
+# sizes of what they add.
 
 TWIN_EPS = 16 * 2.2e-16
 
 
-def twin_error(name, values, rest):
+def twin_error(name, values, rest, dd_values=None, weights=None):
     """The largest error of native.<name> against blockfloat.<name>, in
     units of TWIN_EPS times the result's weight, or None where both give
-    up; values are the loop's numbers, rest its counts and tolerance."""
+    up (return None, or raise PrecisionExhaustedError); values are the
+    routine's numbers, rest its counts and tolerance.  dd_values are the dd
+    twin's arguments where they are not values' series_in images, and
+    weights the results' weights where they are not their sizes."""
+    from kummer_asym.errors import PrecisionExhaustedError
     from kummer_asym.special import blockfloat, native
     from kummer_asym.special.types import Precision
 
     ctx = Precision.dd().ctx
-    double = getattr(native, name)(*values, *rest)
-    dd = getattr(blockfloat, name)(
-        *[ctx.series_in(ctx.coerce(v)) for v in values], *rest)
+    if dd_values is None:
+        dd_values = [ctx.series_in(ctx.coerce(v)) for v in values]
+    outcomes = []
+    for module, args in ((native, values), (blockfloat, dd_values)):
+        try:
+            outcomes.append(getattr(module, name)(*args, *rest))
+        except PrecisionExhaustedError:
+            outcomes.append(None)
+    double, dd = outcomes
     assert (double is None) == (dd is None), name
     if dd is None:
         return None
     if not isinstance(dd, tuple):
         double, dd = (double,), (dd,)
-    # m_terms and k_cf2_terms end in the peak of their first result's terms
-    peak = dd[-1] if not isinstance(dd[-1], BlockComplex) else 0.0
+    wants = [complex(ctx.series_out(want) if isinstance(want, BlockComplex)
+                     else want) for want in dd]
+    if weights is None:
+        # m_terms and k_cf2_terms end in the peak of their first result's
+        # terms, which is no result to compare
+        peak = dd[-1] if not isinstance(dd[-1], BlockComplex) else 0.0
+        weights = [None if not isinstance(want, BlockComplex)
+                   else abs(value) if k else max(abs(value), peak)
+                   for k, (want, value) in enumerate(zip(dd, wants))]
     worst = 0.0
-    for k, (got, want) in enumerate(zip(double, dd)):
-        if not isinstance(want, BlockComplex):
-            continue
-        want = complex(ctx.series_out(want))
-        weight = abs(want) if k else max(abs(want), peak)
-        worst = max(worst, abs(got - want) / (TWIN_EPS * weight))
+    for got, want, weight in zip(double, wants, weights):
+        if weight is not None:
+            worst = max(worst, abs(got - want) / (TWIN_EPS * weight))
     return worst
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+def row_twin_arguments(data):
+    """A drawn sweep row's arguments for native.row_terms, those of
+    blockfloat.row_terms, and the sum of the sizes of the row's terms."""
+    from kummer_asym.special.types import NATIVE, Precision, alignment
+
+    _, (v, pairs, low, high, lhs, shifts, ratio_scale) = row_inputs(
+        **data.draw(st.fixed_dictionaries(ROWS)), mode="double")
+    first, scale = alignment(*shifts, NATIVE)
+    values = [v, pairs, low, high, lhs.mantissa, first, scale, ratio_scale,
+              NATIVE.check_headroom]
+    ctx = Precision.dd().ctx
+
+    def s(x):
+        return ctx.series_in(ctx.coerce(x))
+
+    dd_values = [s(v), [(s(e), s(o)) for e, o in pairs], s(low), s(high),
+                 s(lhs.mantissa), first, s(scale), s(ratio_scale),
+                 NATIVE.check_headroom]
+    sizes = [abs(m) * sum(abs(v) ** k * abs(pair[j])
+                          for k, pair in enumerate(pairs))
+             for j, m in enumerate((low, high))]
+    sizes[1 if first else 0] *= abs(scale)
+    return values, dd_values, sum(sizes)
+
+
+@settings(max_examples=350, deadline=None, derandomize=True)
 @given(loop=st.sampled_from(["m_terms", "k_cf2_terms", "i_cf1_terms",
-                             "i_walk"]),
+                             "i_walk", "row_terms", "stirling_series",
+                             "log_shift"]),
        data=st.data(), capped=st.booleans())
 def test_each_double_loop_is_its_dd_twin_within_rounding(loop, data, capped):
-    from kummer_asym.special import native
-    from kummer_asym.special.types import NATIVE
+    from kummer_asym.errors import PrecisionExhaustedError
+    from kummer_asym.special import blockfloat, native
+    from kummer_asym.special.types import NATIVE, Precision
 
+    dd = Precision.dd().ctx
+    if loop == "row_terms":
+        values, dd_values, peak = row_twin_arguments(data)
+        try:
+            rhs, disc = native.row_terms(*values)
+        except PrecisionExhaustedError:
+            weights = None
+        else:
+            # rhs within eps of the terms' sizes, and lhs / rhs within eps
+            # of itself times those sizes over |rhs|
+            weights = [peak, (1 + disc) * (peak / abs(rhs) + 1)]
+        error = twin_error(loop, values, (), dd_values, weights)
+        assert error is None or error <= 1.0, (loop, values, error)
+        return
+    if loop == "stirling_series":
+        # from the head at w in double's Stirling range, Re w >= 20
+        w = data.draw(st.builds(complex, st.floats(20.0, 1e4),
+                                st.floats(-1e4, 1e4)))
+        head = (w - 0.5) * cmath.log(w) - w + 0.5 * math.log(2 * math.pi)
+        fractions = stirling_fractions(NATIVE.stirling_profile[1])
+        values = (head, w, native.stirling_coefficients(fractions), NATIVE)
+        dd_values = (dd.coerce(head), dd.coerce(w),
+                     blockfloat.stirling_coefficients(fractions), dd)
+        error = twin_error(loop, values, (), dd_values, [abs(head) + 1])
+        assert error <= 1.0, (loop, values, error)
+        return
+    if loop == "log_shift":
+        w = data.draw(st.builds(complex, st.floats(-300.0, 35.0),
+                                st.sampled_from([0.0, 1e-30, -1e-300])
+                                | st.floats(-300.0, 300.0)))
+        shift = data.draw(st.integers(0, 400))
+        # no factor w + k is 0
+        assume(w.imag or w.real != round(w.real) or not -shift < w.real <= 0)
+        logs = [cmath.log(w + k) for k in range(shift)]
+        # each partial sum rounds, and each log, after w + k rounds
+        weight = (sum(map(abs, itertools.accumulate(logs)))
+                  + sum(map(abs, logs)) + shift + 1)
+        error = twin_error(loop, (w, shift, NATIVE), (),
+                           (dd.coerce(w), shift, dd), [weight])
+        assert error <= 1.0, (loop, w, shift, error)
+        return
     tol = NATIVE.series_tol
     if loop == "m_terms":
         a = data.draw(reals_a | complexes_a | integer_a)
@@ -727,10 +814,11 @@ def test_the_horner_tail_is_the_sum_of_its_terms(w):
     assert abs(got - want) <= ref.ldexp(4, -TAIL_BITS)
 
 
-# The dd sweep row (sweeprow.row_terms) against the operator row it
-# replaced, written out here on the dd context's numbers as expansion._sides
-# formed it (the coefficient sums, ScaledValue.add_aligned and
-# expansion._finish), and against a 300-bit evaluation of the same inputs.
+# The sweep row of each mode (ctx.loops.row_terms: blockfloat's in dd,
+# native's in double) against the operator row it replaced, written out here
+# on the context's numbers as expansion._sides formed it (the coefficient
+# sums, ScaledValue.add and lhs / rhs as expansion._finish took it),
+# and dd's against a 300-bit evaluation of the same inputs.
 
 REF = mpmath.MPContext()
 REF.prec = 300
@@ -756,13 +844,25 @@ def polar(lo, hi):
                      st.floats(-math.pi, math.pi))
 
 
-def row_inputs(order, u, coeffs, low, high, shifts, lhs, delta):
-    """The dd numbers of one row: 1/u^2, the coefficient pairs, the Bessel
-    mantissas, the two terms' shifts and the lhs; with delta, the lhs is
-    rhs (1 + delta) on a shift near the larger term's."""
+# The arguments of row_inputs, drawn.
+ROWS = dict(
+    order=st.integers(1, 4),
+    u=st.builds(cmath.rect, st.floats(3.0, 60.0), st.floats(-0.45, 0.45)),
+    coeffs=st.lists(polar(-3, 3), min_size=8, max_size=8),
+    low=polar(-2, 2), high=polar(-2, 2),
+    shifts=st.lists(st.builds(complex, st.floats(-60.0, 60.0),
+                              st.floats(-10.0, 10.0)),
+                    min_size=3, max_size=3),
+    lhs=polar(-2, 2), delta=st.none() | polar(-15, -1))
+
+
+def row_inputs(order, u, coeffs, low, high, shifts, lhs, delta, mode="dd"):
+    """The numbers of one row in the mode's context: 1/u^2, the coefficient
+    pairs, the Bessel mantissas, the two terms' shifts and the lhs; with
+    delta, the lhs is rhs (1 + delta) on a shift near the larger term's."""
     from kummer_asym.special.types import Precision, ScaledValue, alignment
 
-    ctx = Precision.dd().ctx
+    ctx = Precision(mode).ctx
     c = ctx.coerce
     v = 1 / (c(u) * c(u))
     pairs = [(c(coeffs[2 * s]), c(coeffs[2 * s + 1])) for s in range(order)]
@@ -781,7 +881,7 @@ def row_inputs(order, u, coeffs, low, high, shifts, lhs, delta):
 
 
 def operator_terms(ctx, v, pairs, low, high, shifts):
-    from kummer_asym.special.types import ScaledValue, alignment
+    from kummer_asym.special.types import ScaledValue
 
     power = ctx.make_complex(1.0)
     sum_even = sum_odd = ctx.make_complex(0.0)
@@ -791,26 +891,34 @@ def operator_terms(ctx, v, pairs, low, high, shifts):
         power = power * v
     term1 = ScaledValue(low * sum_even, shifts[0])
     term2 = ScaledValue(high * sum_odd, shifts[1])
-    return term1.add_aligned(term2, *alignment(*shifts, ctx), ctx)
+    return term1.add(term2, ctx)
 
 
 def operator_row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale):
-    from kummer_asym.expansion import _finish
+    """operator_terms, then |lhs ratio_scale / rhs - 1|: infinite where the
+    log of |lhs / rhs| exceeds 690, as expansion._finish read it."""
+    from kummer_asym.expansion import SideBySide
 
     rhs = operator_terms(ctx, v, pairs, low, high, shifts)
-    return _finish(lhs, lhs.to_logcomplex(ctx), rhs, ctx, ratio_scale)
+    ratio = lhs.mantissa / rhs.mantissa
+    gap = ctx.to_float(lhs.shift - rhs.shift) + math.log(
+        max(ctx.mag(ratio), 1e-300))
+    disc = (math.inf if gap > 690.0
+            else ctx.to_float(ctx.abs(ratio * ratio_scale - 1)))
+    return SideBySide(lhs.to_logcomplex(ctx), rhs.to_logcomplex(ctx), disc)
 
 
-def integer_row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale):
+def loops_row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale):
+    """The row as expansion._sides forms it: ctx.loops.row_terms on the
+    operands read by series_in."""
     from kummer_asym.expansion import SideBySide
-    from kummer_asym.special.sweeprow import row_terms
     from kummer_asym.special.types import ScaledValue, alignment
 
     first, scale = alignment(*shifts, ctx)
     s = ctx.series_in
-    row = row_terms(s(v), [(s(e), s(o)) for e, o in pairs], s(low), s(high),
-                    s(lhs.mantissa), first, s(scale), s(ratio_scale),
-                    ctx.check_headroom)
+    row = ctx.loops.row_terms(s(v), [(s(e), s(o)) for e, o in pairs], s(low),
+                              s(high), s(lhs.mantissa), first, s(scale),
+                              s(ratio_scale), ctx.check_headroom)
     rhs = ScaledValue(ctx.series_out(row[0]), shifts[0 if first else 1])
     return SideBySide(lhs.to_logcomplex(ctx), rhs.to_logcomplex(ctx), row[1])
 
@@ -847,6 +955,26 @@ def row_outcome(f, *args):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
+# the lhs e^700 above the rhs, within a double's range: infinite in both
+@example(order=3, u=20.0, coeffs=[1.0, 0.5, -0.3j, 0.2, 0.1, 1j, 1, 1],
+         low=1.5, high=0.7j, shifts=[3.0, 1.0 + 2j, 703.0], lhs=1.0,
+         delta=None)
+# the larger shift on the odd term
+@example(order=2, u=10.0, coeffs=[1.0, 0.5, 2.0, -1j, 1, 1, 1, 1],
+         low=1.0, high=2.0, shifts=[-5.0, 5.0, 0.0], lhs=1.0, delta=1e-12)
+@given(**ROWS)
+def test_the_double_row_is_the_operator_row_exactly(order, u, coeffs, low,
+                                                    high, shifts, lhs, delta):
+    # native.row_terms makes the operator row's operations in its order:
+    # the same rhs, the same discrepancy, or the same guard's message
+    ctx, inputs = row_inputs(order, u, coeffs, low, high, shifts, lhs, delta,
+                             "double")
+    assert ctx.loops.__name__ == "kummer_asym.special.native"
+    assert (row_outcome(loops_row, ctx, *inputs)
+            == row_outcome(operator_row, ctx, *inputs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 # the lhs far above the rhs: the discrepancy reads infinite in both
 @example(order=3, u=20.0, coeffs=[1.0, 0.5, -0.3j, 0.2, 0.1, 1j, 1, 1],
          low=1.5, high=0.7j, shifts=[3.0, 1.0 + 2j, 800.0], lhs=1.0,
@@ -854,19 +982,12 @@ def row_outcome(f, *args):
 # the larger shift on the odd term
 @example(order=2, u=10.0, coeffs=[1.0, 0.5, 2.0, -1j, 1, 1, 1, 1],
          low=1.0, high=2.0, shifts=[-5.0, 5.0, 0.0], lhs=1.0, delta=1e-12)
-@given(order=st.integers(1, 4),
-       u=st.builds(cmath.rect, st.floats(3.0, 60.0), st.floats(-0.45, 0.45)),
-       coeffs=st.lists(polar(-3, 3), min_size=8, max_size=8),
-       low=polar(-2, 2), high=polar(-2, 2),
-       shifts=st.lists(st.builds(complex, st.floats(-60.0, 60.0),
-                                 st.floats(-10.0, 10.0)),
-                       min_size=3, max_size=3),
-       lhs=polar(-2, 2), delta=st.none() | polar(-15, -1))
+@given(**ROWS)
 def test_the_row_routine_is_the_operator_row(order, u, coeffs, low, high,
                                              shifts, lhs, delta):
     ctx, inputs = row_inputs(order, u, coeffs, low, high, shifts, lhs, delta)
     want = row_outcome(operator_row, ctx, *inputs)
-    got = row_outcome(integer_row, ctx, *inputs)
+    got = row_outcome(loops_row, ctx, *inputs)
     if isinstance(want, str):
         # the guard's message: both cancelled past the precision headroom
         assert got == want
@@ -901,7 +1022,7 @@ def test_the_row_routine_reads_zero_lhs_and_terms():
     # so rhs is the other term, exactly, on the larger term's shift; two
     # zero terms leave a zero sum, which the guard refuses
     from kummer_asym.errors import PrecisionExhaustedError
-    from kummer_asym.special.sweeprow import coefficient_sums, row_terms
+    from kummer_asym.special.blockfloat import coefficient_sums, row_terms
 
     ctx, (v, pairs, low, high, lhs, shifts, ratio_scale) = row_inputs(
         2, 20.0, [1.0, 0.5, -0.3j, 0.2, 1, 1, 1, 1], 1.5, 0.7j,
@@ -941,13 +1062,13 @@ def test_a_cancelling_row_raises_as_the_operator_row_does():
     from kummer_asym.errors import PrecisionExhaustedError
 
     # on equal shifts the odd term is minus the even one, so the two-term
-    # sum cancels: to zero, or to 1e-30 of its terms
-    for rest in (0.0, 1e-30):
+    # sum cancels: to zero, or to 1e-30 of its terms, in either mode
+    for mode, rest in itertools.product(("double", "dd"), (0.0, 1e-30)):
         ctx, (v, pairs, low, high, lhs, shifts, ratio_scale) = row_inputs(
             1, 20.0, [1.0 + 0.5j, 1.0, 0, 0, 0, 0, 0, 0], 1.5, 1.0,
-            [2.0, 2.0, 0.0], 1.0, None)
+            [2.0, 2.0, 0.0], 1.0, None, mode)
         high = -low * pairs[0][0] / pairs[0][1] * (1 + ctx.real(rest))
-        for row in (operator_row, integer_row):
+        for row in (operator_row, loops_row):
             with pytest.raises(PrecisionExhaustedError,
                                match="two-term sum cancellation"):
                 row(ctx, v, pairs, low, high, lhs, shifts, ratio_scale)
@@ -994,6 +1115,32 @@ def test_a_row_with_a_zero_term_reads_as_in_double(monkeypatch):
         rows["double"].rel_discrepancy, rel=1e-10)
     assert rows["dd"].rhs.logmag == pytest.approx(rows["double"].rhs.logmag,
                                                   rel=1e-13)
+
+
+def test_a_ratio_beyond_a_double_raises_in_double_and_reads_inf_in_dd(
+        monkeypatch):
+    # with the oracle e^800 larger, e^(lhs.shift - rhs.shift) is beyond a
+    # double: the double row raises OverflowError, which a sweep records as
+    # the row's error, where dd's exp does not overflow and its row reads
+    # infinite, as both modes read a ratio beyond e^690 within a double
+    from kummer_asym import expansion
+    from kummer_asym.special.types import Precision, RiemannPoint, ScaledValue
+
+    oracle = expansion.kummer_u_scaled
+
+    def raised_oracle(*args):
+        u = oracle(*args)
+        return ScaledValue(u.mantissa, u.shift + 800)
+
+    monkeypatch.setattr(expansion, "kummer_u_scaled", raised_oracle)
+    cfg = {mode: expansion.ExpansionConfig(
+        variant="u-lower", b=0.7, z=RiemannPoint(1.0, 0.3), t=20.0, order=3,
+        prec=Precision(mode)) for mode in ("double", "dd")}
+    with pytest.raises(OverflowError):
+        expansion.evaluate_sides(cfg["double"])
+    (row,) = expansion.decay_sweep([cfg["double"]]).rows
+    assert row.status == "error:OverflowError" and row.result is None
+    assert expansion.evaluate_sides(cfg["dd"]).rel_discrepancy == math.inf
 
 
 # The U quadrature's trapezoid sums (quad.peak_integral), each level one call
