@@ -20,7 +20,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, Tuple
 
@@ -59,15 +58,9 @@ def expansion_tables():
 # tables are built or a context is made.
 
 @cache
-def _context_zero(ctx: NumericContext):
-    """ctx.rational(0), the start of every Horner on converted values."""
-    return ctx.rational(Fraction(0))
-
-
-@cache
 def _table_in_context(ctx: NumericContext, lowered: bool, s: int) -> tuple:
     """even[s] and odd[s] of the raw or lowered table converted by
-    ctx.rational (CoeffPoly.converted), for horner2 from _context_zero."""
+    ctx.rational (CoeffPoly.converted), for horner2 from ctx.real(0)."""
     table, low_even, low_odd = expansion_tables()
     even, odd = (low_even, low_odd) if lowered else (table.even, table.odd)
     return even[s].converted(ctx.rational), odd[s].converted(ctx.rational)
@@ -78,7 +71,7 @@ def _coefficient_values(ctx: NumericContext, lowered: bool, s: int, mu,
     """even[s] and odd[s] of the raw or lowered table at (mu, z): the
     values CoeffPoly.evaluate(mu, z, ctx.rational) gives, from rows
     rounded once per context."""
-    zero = _context_zero(ctx)
+    zero = ctx.real(0)
     return tuple([horner2(rows, zero, mu, z)
                   for rows in _table_in_context(ctx, lowered, s)])
 

@@ -16,12 +16,10 @@ and q low-degree in n:
   * a sum of two block numbers lies on the coarser of their two grids,
     the finer operand truncated to it (_sum).  Terms that each carry wp
     bits then keep the running sum an exact integer at the scale 2^-wp
-    times the largest term so far.  A compensated (Kahan) step, whose
-    correction is formed on that grid too, keeps only a term that falls
-    wholly below a unit of it: the bits truncated off a larger term are
-    truncated again from the correction.  Without it, 2 of 6,856 M values
-    rounded into the dd context moved, both in sums that cancel by about
-    1e9 (see kummer._m_series).
+    times the largest term so far, so the M series adds each term with
+    one _sum and no compensation: a Kahan correction, formed on that grid
+    too, could keep only a term that falls wholly below a unit of it
+    (see kummer._m_series).
 
 Every rounding truncates toward zero, so negation commutes with every
 operation.  The operators call these rules on integers (_on_grid, _sum,
@@ -56,9 +54,9 @@ coefficient sums, the two-term sum and |lhs/rhs - 1|.
 
 The dd trapezoid levels of the U quadrature (quad.py) run on the same
 numbers held on the fixed grid 2^-QUAD_BITS (on_grid), where the sums are
-exact.  FixedKernels.u_integrand sums a whole level as one routine on
-integers: each node is wl + k span / n truncated onto the grid, formed on
-the integers of wl and span; each sample exp(E(w) - g) is computed by the
+exact.  u_integrand sums a whole level as one routine on integers: each
+node is wl + k span / n truncated onto the grid, formed on the integers
+of wl and span; each sample exp(E(w) - g) is computed by the
 fixed-point routines of mpmath.libmp.libelefun for exp and log(1 + x),
 with products and sums by the rules above (_on_grid, _sum), truncated onto
 the grid and added to an integer pair, with no block number in between;
@@ -70,15 +68,18 @@ log(1 + e^-w) takes for w > 0, is one quotient that keeps those bits.
 Along a level e^w is a chain: one exp at the first node, then the node
 before times e^D for the integer gap D between the two, which takes at
 most two values on a level of evenly spaced nodes, so a level costs two
-exps of D beside its samples.  u_integrand(c, d, x0) is that routine of the
-process's one FixedKernels, built on first use.
+exps of D beside its samples.  The kernels' constants (ln 2 and pi/2 on
+their grid) are built when the module is imported, which only the dd
+context does.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import cache
+
+from mpmath.libmp.libelefun import (cos_sin_fixed, exp_fixed, ln2_fixed,
+                                    log_taylor_cached, pi_fixed)
 
 from .native import _WIDE
 
@@ -89,16 +90,17 @@ SERIES_GUARD_BITS = 24
 # The significant bits of a series quotient (BlockComplex.wp).
 WP = DD_PREC + SERIES_GUARD_BITS
 
-# The bits FixedKernels computes with beyond the quadrature grid.  Each
-# kernel then stays within 2^-12 (1 + |x| / 2^10) units of the grid (see
-# FixedKernels), so that in a U sample (u_integrand) e^w, entering the
-# exponent times x0 with |x0 e^w| up to 2^10, and l = log(1 + e^-w), times
-# a - b + 1 up to 2^11 in size, each add less than a unit of the grid to
-# it; l itself is within 2^-11 units.  For w > 0, l is the log of
-# 1 + 1 / e^w, at most ln 2, and the reciprocal's one rounding (to the bits
-# of e^w, 2^-24 units relative) and e^w's own error reach it times at most
-# 1/2.  For w <= 0, l is log(1 + e^w) - w, with the log's error and at most
-# half of e^w's, and (a - b + 1) l is formed as two exact products.
+# The bits the fixed-point kernels compute with beyond the quadrature grid.
+# Each kernel then stays within 2^-12 (1 + |x| / 2^10) units of the grid
+# (see KERNEL_WP, below), so that in a U sample (u_integrand) e^w,
+# entering the exponent times x0 with |x0 e^w| up to 2^10, and l =
+# log(1 + e^-w), times a - b + 1 up to 2^11 in size, each add less than a
+# unit of the grid to it; l itself is within 2^-11 units.  For w > 0, l is
+# the log of 1 + 1 / e^w, at most ln 2, and the reciprocal's one rounding
+# (to the bits of e^w, 2^-24 units relative) and e^w's own error reach it
+# times at most 1/2.  For w <= 0, l is log(1 + e^w) - w, with the log's
+# error and at most half of e^w's, and (a - b + 1) l is formed as two exact
+# products.
 KERNEL_GUARD_BITS = 24
 # The quadrature grid is 2^-QUAD_BITS.  A sample exp(E - g) is at most about
 # 1 (g is the exponent at the peak, on the grid) and lies within 2^3 units
@@ -110,7 +112,7 @@ KERNEL_GUARD_BITS = 24
 # peak, so an integral down to 2^-24 of the peak keeps the DD_PREC bits of
 # the dd context.
 QUAD_BITS = DD_PREC + 24 + 14
-# The bits beyond FixedKernels.wp, cp = wp + _CHAIN_GUARD_BITS in all, that
+# The bits beyond KERNEL_WP, cp = KERNEL_WP + _CHAIN_GUARD_BITS in all, that
 # u_integrand carries e^w with along a trapezoid level, as the node before
 # times e^D.  Each exp at cp bits (the first node's, and each e^D) is within
 # 2 + |x| / ln 2 units of 2^-cp relative: two for exp_fixed and one for
@@ -120,9 +122,9 @@ QUAD_BITS = DD_PREC + 24 + 14
 # + span) units of 2^-cp, |w_0| + span below 2^14 (the peak walk stops at
 # |w| = 10^4).  The longest level that quad's _MAX_HALVINGS allows has 2^15
 # nodes, where this is below 2^16.9 units: 16 bits keep the chain within
-# 1.9 units of 2^-wp, and 2.9 once truncated to the wp bits an exp returns,
-# as far inside the kernels' 2^12 units of 2^-wp (KERNEL_GUARD_BITS) as
-# one exp.  The chain is never re-seeded.
+# 1.9 units of 2^-KERNEL_WP, and 2.9 once truncated to the KERNEL_WP bits
+# an exp returns, as far inside the kernels' 2^12 units of 2^-KERNEL_WP
+# (KERNEL_GUARD_BITS) as one exp.  The chain is never re-seeded.
 _CHAIN_GUARD_BITS = 16
 
 
@@ -266,17 +268,16 @@ _ONE = (1 << (WP - 1), 0, 1 - WP)
 
 def m_terms(a: BlockComplex, b: BlockComplex, x: BlockComplex,
             min_terms: int, max_terms: int, tol: float):
-    """The M series sum_n (a)_n x^n / ((b)_n n!) with Kahan compensation:
-    term_n+1 = term_n (a + n) x / ((b + n) (n + 1)), from term_0 = 1.
-    It stops at a term that is exactly 0, or at the second term in a row
-    within tol of the sum once n >= min_terms.  Returns the sum and the
-    largest |term| (at least 1)."""
+    """The M series sum_n (a)_n x^n / ((b)_n n!), each term added to the
+    sum on the coarser grid (_sum): term_n+1 = term_n (a + n) x / ((b + n)
+    (n + 1)), from term_0 = 1.  It stops at a term that is exactly 0, or at
+    the second term in a row within tol of the sum once n >= min_terms.
+    Returns the sum and the largest |term| (at least 1)."""
     ar, ai, ae = a.re, a.im, a.exp
     br, bi, be = b.re, b.im, b.exp
     xr, xi, xe = x.re, x.im, x.exp
     tr, ti, te = _ONE
     sr, si, se = _ONE
-    cr = ci = ce = 0
     peak, quiet = 1.0, 0
     for n in range(max_terms):
         # term (a + n) x / ((b + n) (n + 1))
@@ -287,11 +288,7 @@ def m_terms(a: BlockComplex, b: BlockComplex, x: BlockComplex,
         tr, ti, te = _quotient(ur, ui, te + ae + xe, qr * k, bi * k, be)
         if not (tr or ti):
             break
-        # y = term - comp, t = sum + y, comp = (t - sum) - y
-        yr, yi, ye = _sum(tr, ti, te, -cr, -ci, ce)
-        nr, ni, ne = _sum(sr, si, se, yr, yi, ye)
-        cr, ci, ce = _sum(*_sum(nr, ni, ne, -sr, -si, se), -yr, -yi, ye)
-        sr, si, se = nr, ni, ne
+        sr, si, se = _sum(sr, si, se, tr, ti, te)
         size = _magnitude(tr, ti, te)
         if size > peak:
             peak = size
@@ -562,173 +559,153 @@ def row_terms(v: BlockComplex, pairs, low: BlockComplex, high: BlockComplex,
                                exp - me)
 
 
-class FixedKernels:
-    """exp and log(1 + x) on fixed-point integers at wp = QUAD_BITS +
-    KERNEL_GUARD_BITS bits, by mpmath's exp_fixed, cos_sin_fixed and
-    log_taylor_cached with ln 2 and pi/2 built once, and the U integral's
-    exponent and trapezoid levels built from them (u_integrand).
+# The U quadrature's fixed-point kernels: exp and log(1 + x) on integers at
+# KERNEL_WP = QUAD_BITS + KERNEL_GUARD_BITS bits, by mpmath's exp_fixed,
+# cos_sin_fixed and log_taylor_cached with ln 2 and pi/2 built at import,
+# and the U integral's exponent and trapezoid levels built from them
+# (u_integrand).
+#
+# An argument is an integer x standing for x 2^-KERNEL_WP, which is exact for
+# a number on the quadrature grid.  Reducing it by ln 2 or pi/2 rounds once
+# per multiple taken off, and the series add a few units of 2^-KERNEL_WP, so
+# in units u = 2^-QUAD_BITS, each result is within 2^-12 (1 + |x| / 2^10) u:
+#
+#   exp(re, im):           e^x, x = (re + i im) 2^-KERNEL_WP, as (re, im,
+#                          exp) of (re + i im) 2^exp: e^x = v 2^(n -
+#                          KERNEL_WP), v = e^t 2^KERNEL_WP with t = Re x -
+#                          n ln 2 in [0, ln 2); for a real x relative error,
+#                          for a complex x e^Re x (cos Im x + i sin Im x)
+#                          with each part's error relative to e^Re x;
+#   log1p(x):              log(1 + x 2^-KERNEL_WP) on the grid 2^-KERNEL_WP,
+#                          x 2^-KERNEL_WP > -1; absolute error, with
+#                          |log(1 + x)| in place of |x|;
+#   log1p_inverse(v, exp): log(1 + 1/y) on the grid 2^-KERNEL_WP for y =
+#                          v 2^exp as exp returns a real e^w: 1/y rounded
+#                          once, toward zero, to the bits of v, then log1p.
+#
+# exp raises OverflowError where e^Re x is beyond a double's range, as
+# math.exp does, so that no sample far above its peak builds a huge
+# integer.  Both are exact at 0: exp(0, 0) = 1 and log1p(0) = 0.
 
-    An argument is an integer x standing for x 2^-wp, which is exact for a
-    number on the quadrature grid.  Reducing it by ln 2 or pi/2 rounds once
-    per multiple taken off, and the series add a few units of 2^-wp, so in
-    units u = 2^-QUAD_BITS, each result is within 2^-12 (1 + |x| / 2^10) u:
-
-      exp(re, im):           e^x, x = (re + i im) 2^-wp, as (re, im, exp)
-                             of (re + i im) 2^exp: e^x = v 2^(n - wp), v =
-                             e^t 2^wp with t = Re x - n ln 2 in [0, ln 2);
-                             for a real x relative error, for a complex x
-                             e^Re x (cos Im x + i sin Im x) with each
-                             part's error relative to e^Re x;
-      log1p(x):              log(1 + x 2^-wp) on the grid 2^-wp, x 2^-wp >
-                             -1; absolute error, with |log(1 + x)| in place
-                             of |x|;
-      log1p_inverse(v, exp): log(1 + 1/y) on the grid 2^-wp for y = v 2^exp
-                             as exp returns a real e^w: 1/y rounded once,
-                             toward zero, to the bits of v, then log1p.
-
-    exp raises OverflowError where e^Re x is beyond a double's range, as
-    math.exp does, so that no sample far above its peak builds a huge
-    integer.  Both are exact at 0: exp(0, 0) = 1 and log1p(0) = 0.
-    """
-
-    wp = QUAD_BITS + KERNEL_GUARD_BITS
-
-    def __init__(self):
-        from mpmath.libmp.libelefun import (cos_sin_fixed, exp_fixed,
-                                            ln2_fixed, log_taylor_cached,
-                                            pi_fixed)
-
-        wp = self.wp
-        self._exp_fixed, self._cos_sin_fixed = exp_fixed, cos_sin_fixed
-        self._log_taylor = log_taylor_cached
-        self._ln2 = ln2_fixed(wp)
-        self._chain_ln2 = ln2_fixed(wp + _CHAIN_GUARD_BITS)
-        self._half_pi = pi_fixed(wp - 1)
-        self._overflow = int(math.ldexp(math.log(sys.float_info.max), wp))
-
-    def exp(self, re: int, im: int) -> tuple:
-        if re > self._overflow:
-            raise OverflowError("math range error")
-        wp = self.wp
-        # e^Re x = e^t 2^n with t in [0, ln 2)
-        n, t = divmod(re, self._ln2)
-        v = self._exp_fixed(t, wp, self._ln2)
-        if not im:
-            return v, 0, n - wp
-        c, s = self._cos_sin_fixed(im, wp, self._half_pi)
-        return v * c, v * s, n - 2 * wp
-
-    def log1p(self, x: int) -> int:
-        wp = self.wp
-        # 1 + x = y 2^k with y in [1, 2)
-        y = (1 << wp) + x
-        k = y.bit_length() - 1 - wp
-        y = y >> k if k >= 0 else y << -k
-        return k * self._ln2 + self._log_taylor(y, wp)
-
-    def log1p_inverse(self, v: int, exp: int) -> int:
-        # v >= 2^wp has more bits than BlockComplex.wp, and v / v^2 is 1/v
-        shift = (v * v).bit_length()
-        return self.log1p(_on_grid((1 << shift) // v, -exp - shift, -self.wp))
-
-    def _chain_exp(self, x: int) -> tuple:
-        """e^(x 2^-wp) for an integer x as (v, n), e^(x 2^-wp) = v 2^(n -
-        cp) with cp = wp + _CHAIN_GUARD_BITS and v in [2^cp, 2^(cp + 1)]:
-        the factors of u_integrand's chained e^w.  It has no overflow test:
-        a step may span the whole interval."""
-        cp = self.wp + _CHAIN_GUARD_BITS
-        n, t = divmod(x << _CHAIN_GUARD_BITS, self._chain_ln2)
-        return self._exp_fixed(t, cp, self._chain_ln2), n
-
-    def u_integrand(self, c: BlockComplex, d: BlockComplex,
-                    x0: BlockComplex):
-        """The U integral's integrand (native.u_integrand) on the
-        integers of block numbers c = b - 1, d = a - b + 1 and x0.
-        integrand(w) is the exponent E(w) = c w - d log(1 + e^-w) - x0 e^w
-        at a real node w, a block number.  integrand(wl, g, span, n, ks) is
-        a trapezoid level: the sum over k in ks of the samples exp(E(w_k) -
-        g) at the nodes w_k = wl + span k / n, with span k / n truncated
-        onto the grid of wl (which span shares, n a power of 2), each
-        sample truncated onto the quadrature grid and the sum returned as a
-        block number on that grid, for g on that grid.  Where a sample is
-        beyond a double's range it raises OverflowError with its node as a
-        float.
-
-        E at a node makes the integer operations that BlockComplex's
-        operators and the kernels make for ((c w - d l) - x0 e^w) - g, in
-        that order: exact products, each sum on the coarser grid of its
-        operands (_sum), and kernel arguments read onto the grid 2^-wp.
-        l = log(1 + e^-w) is log1p_inverse of e^w for w > 0; for w <= 0,
-        d l is d log(1 + e^w) - d w, two exact products summed on the grid
-        of d w, where log(1 + e^w) - w would be cut to the grid of w first.
-        The exponent takes e^w by one exp.  A level takes it by one exp at
-        its first node and from then on as the node before times e^D, D the
-        integer gap between the two nodes, with _CHAIN_GUARD_BITS beyond wp
-        and one exp per distinct D (at most two on a level of evenly spaced
-        nodes), then truncated to the wp bits an exp returns.
-        """
-        wp, exp, log1p = self.wp, self.exp, self.log1p
-        log1p_inverse, chain_exp = self.log1p_inverse, self._chain_exp
-        overflow, cp = self._overflow, wp + _CHAIN_GUARD_BITS
-        cr, ci, ce = c.re, c.im, c.exp
-        dr, di, de = d.re, d.im, d.exp
-        xr, xi, xe = -x0.re, -x0.im, x0.exp
-
-        def exponent(m, e, v, ev):
-            # E at w = m 2^e, where e^w = v 2^ev, as (re, im, exp)
-            if m > 0:
-                ell = log1p_inverse(v, ev)
-                s = _sum(cr * m, ci * m, ce + e, -dr * ell, -di * ell,
-                         de - wp)
-            else:
-                ell = log1p(_on_grid(v, ev, -wp))
-                re, im, ex = _sum(dr * ell, di * ell, de - wp, -dr * m,
-                                  -di * m, de + e)
-                s = _sum(cr * m, ci * m, ce + e, -re, -im, ex)
-            return _sum(*s, xr * v, xi * v, xe + ev)
-
-        def integrand(w, g=None, span=None, n=None, ks=None):
-            m, e = w.re, w.exp
-            if g is None:
-                v, _, ev = exp(_on_grid(m, e, -wp), 0)
-                return BlockComplex(*exponent(m, e, v, ev))
-            left, width, bits = m, span.re, n.bit_length() - 1
-            gr, gi, ge = -g.re, -g.im, g.exp
-            total_re = total_im = 0
-            # the chain starts from e^0 = 2^cp 2^(0 - cp), exactly, so the
-            # first node's e^w is the exp of its own x
-            steps, cv, cn, last = {}, 1 << cp, 0, 0
-            try:
-                for k in ks:
-                    m = left + (width * k >> bits)
-                    x = _on_grid(m, e, -wp)
-                    if x > overflow:
-                        raise OverflowError
-                    # e^w = e^w_prev e^D, kept to cp + 1 bits
-                    gap = x - last
-                    if gap not in steps:
-                        steps[gap] = chain_exp(gap)
-                    dv, dn = steps[gap]
-                    cv *= dv
-                    drop = cv.bit_length() - cp - 1
-                    cv, cn, last = cv >> drop, cn + dn + drop - cp, x
-                    re, im, ex = _sum(*exponent(m, e, cv >> _CHAIN_GUARD_BITS,
-                                                cn - wp), gr, gi, ge)
-                    re, im, ex = exp(_on_grid(re, ex, -wp),
-                                     _on_grid(im, ex, -wp))
-                    total_re += _on_grid(re, ex, -QUAD_BITS)
-                    total_im += _on_grid(im, ex, -QUAD_BITS)
-            except OverflowError:
-                raise OverflowError(math.ldexp(m, e)) from None
-            return BlockComplex(total_re, total_im, -QUAD_BITS)
-
-        return integrand
+KERNEL_WP = QUAD_BITS + KERNEL_GUARD_BITS
+_LN2 = ln2_fixed(KERNEL_WP)
+_CHAIN_LN2 = ln2_fixed(KERNEL_WP + _CHAIN_GUARD_BITS)
+_HALF_PI = pi_fixed(KERNEL_WP - 1)
+_OVERFLOW = int(math.ldexp(math.log(sys.float_info.max), KERNEL_WP))
 
 
-_kernels = cache(FixedKernels)  # the process's one, built on first use
+def exp(re: int, im: int) -> tuple:
+    """e^((re + i im) 2^-KERNEL_WP) as (re, im, exp); see above."""
+    if re > _OVERFLOW:
+        raise OverflowError("math range error")
+    # e^Re x = e^t 2^n with t in [0, ln 2)
+    n, t = divmod(re, _LN2)
+    v = exp_fixed(t, KERNEL_WP, _LN2)
+    if not im:
+        return v, 0, n - KERNEL_WP
+    c, s = cos_sin_fixed(im, KERNEL_WP, _HALF_PI)
+    return v * c, v * s, n - 2 * KERNEL_WP
+
+
+def log1p(x: int) -> int:
+    """log(1 + x 2^-KERNEL_WP) on the grid 2^-KERNEL_WP; see above."""
+    # 1 + x = y 2^k with y in [1, 2)
+    y = (1 << KERNEL_WP) + x
+    k = y.bit_length() - 1 - KERNEL_WP
+    y = y >> k if k >= 0 else y << -k
+    return k * _LN2 + log_taylor_cached(y, KERNEL_WP)
+
+
+def log1p_inverse(v: int, exp: int) -> int:
+    """log(1 + 1 / (v 2^exp)) on the grid 2^-KERNEL_WP; see above."""
+    # v >= 2^KERNEL_WP has more bits than BlockComplex.wp, and v / v^2 is 1/v
+    shift = (v * v).bit_length()
+    return log1p(_on_grid((1 << shift) // v, -exp - shift, -KERNEL_WP))
+
+
+def _chain_exp(x: int) -> tuple:
+    """e^(x 2^-KERNEL_WP) for an integer x as (v, n), e^(x 2^-KERNEL_WP) =
+    v 2^(n - cp) with cp = KERNEL_WP + _CHAIN_GUARD_BITS and v in [2^cp,
+    2^(cp + 1)]: the factors of u_integrand's chained e^w.  It has no
+    overflow test: a step may span the whole interval."""
+    n, t = divmod(x << _CHAIN_GUARD_BITS, _CHAIN_LN2)
+    return exp_fixed(t, KERNEL_WP + _CHAIN_GUARD_BITS, _CHAIN_LN2), n
 
 
 def u_integrand(c: BlockComplex, d: BlockComplex, x0: BlockComplex):
-    """FixedKernels.u_integrand(c, d, x0) of the process's one
-    FixedKernels; native.u_integrand is its double twin."""
-    return _kernels().u_integrand(c, d, x0)
+    """The U integral's integrand on the integers of block numbers c =
+    b - 1, d = a - b + 1 and x0; native.u_integrand is its double twin.
+    integrand(w) is the exponent E(w) = c w - d log(1 + e^-w) - x0 e^w at a
+    real node w, a block number.  integrand(wl, g, span, n, ks) is a
+    trapezoid level: the sum over k in ks of the samples exp(E(w_k) - g) at
+    the nodes w_k = wl + span k / n, with span k / n truncated onto the
+    grid of wl (which span shares, n a power of 2), each sample truncated
+    onto the quadrature grid and the sum returned as a block number on that
+    grid, for g on that grid.  Where a sample is beyond a double's range it
+    raises OverflowError with its node as a float.
+
+    E at a node makes the integer operations that BlockComplex's operators
+    and the kernels make for ((c w - d l) - x0 e^w) - g, in that order:
+    exact products, each sum on the coarser grid of its operands (_sum),
+    and kernel arguments read onto the grid 2^-KERNEL_WP.  l = log(1 +
+    e^-w) is log1p_inverse of e^w for w > 0; for w <= 0, d l is d log(1 +
+    e^w) - d w, two exact products summed on the grid of d w, where
+    log(1 + e^w) - w would be cut to the grid of w first.  The exponent
+    takes e^w by one exp.  A level takes it by one exp at its first node and
+    from then on as the node before times e^D, D the integer gap between the
+    two nodes, with _CHAIN_GUARD_BITS beyond KERNEL_WP and one exp per
+    distinct D (at most two on a level of evenly spaced nodes), then
+    truncated to the KERNEL_WP bits an exp returns.
+    """
+    wp, cp = KERNEL_WP, KERNEL_WP + _CHAIN_GUARD_BITS
+    cr, ci, ce = c.re, c.im, c.exp
+    dr, di, de = d.re, d.im, d.exp
+    xr, xi, xe = -x0.re, -x0.im, x0.exp
+
+    def exponent(m, e, v, ev):
+        # E at w = m 2^e, where e^w = v 2^ev, as (re, im, exp)
+        if m > 0:
+            ell = log1p_inverse(v, ev)
+            s = _sum(cr * m, ci * m, ce + e, -dr * ell, -di * ell, de - wp)
+        else:
+            ell = log1p(_on_grid(v, ev, -wp))
+            re, im, ex = _sum(dr * ell, di * ell, de - wp, -dr * m, -di * m,
+                              de + e)
+            s = _sum(cr * m, ci * m, ce + e, -re, -im, ex)
+        return _sum(*s, xr * v, xi * v, xe + ev)
+
+    def integrand(w, g=None, span=None, n=None, ks=None):
+        m, e = w.re, w.exp
+        if g is None:
+            v, _, ev = exp(_on_grid(m, e, -wp), 0)
+            return BlockComplex(*exponent(m, e, v, ev))
+        left, width, bits = m, span.re, n.bit_length() - 1
+        gr, gi, ge = -g.re, -g.im, g.exp
+        total_re = total_im = 0
+        # the chain starts from e^0 = 2^cp 2^(0 - cp), exactly, so the
+        # first node's e^w is the exp of its own x
+        steps, cv, cn, last = {}, 1 << cp, 0, 0
+        try:
+            for k in ks:
+                m = left + (width * k >> bits)
+                x = _on_grid(m, e, -wp)
+                if x > _OVERFLOW:
+                    raise OverflowError
+                # e^w = e^w_prev e^D, kept to cp + 1 bits
+                gap = x - last
+                if gap not in steps:
+                    steps[gap] = _chain_exp(gap)
+                dv, dn = steps[gap]
+                cv *= dv
+                drop = cv.bit_length() - cp - 1
+                cv, cn, last = cv >> drop, cn + dn + drop - cp, x
+                re, im, ex = _sum(*exponent(m, e, cv >> _CHAIN_GUARD_BITS,
+                                            cn - wp), gr, gi, ge)
+                re, im, ex = exp(_on_grid(re, ex, -wp), _on_grid(im, ex, -wp))
+                total_re += _on_grid(re, ex, -QUAD_BITS)
+                total_im += _on_grid(im, ex, -QUAD_BITS)
+        except OverflowError:
+            raise OverflowError(math.ldexp(m, e)) from None
+        return BlockComplex(total_re, total_im, -QUAD_BITS)
+
+    return integrand

@@ -14,10 +14,11 @@ parameters enter by series_in and its sum leaves by series_out: native
 complex code in double (native.m_terms), one routine on the Python
 integers of block-floating numbers in dd (blockfloat.m_terms), where each
 term keeps the working precision plus guard bits and the sum is exact on
-the grid of its largest term.  Both compensate the sum (see _m_series),
-and the stopping rules are the same in both modes.  The U integral's
-integrand is the context's u_integrand in the same way, and
-quad.peak_integral sums it one trapezoid level a call in both modes.
+the grid of its largest term.  Double compensates the sum and dd adds
+each term plainly (see _m_series); the stopping rules are the same in
+both modes.  The U integral's integrand is the context's u_integrand in
+the same way, and quad.peak_integral sums it one trapezoid level a call
+in both modes.
 """
 
 from __future__ import annotations
@@ -40,22 +41,21 @@ _QUAD_ANGLE_LIMIT = 0.45 * math.pi
 
 
 def _m_series(a_c, b_c, x_c, ctx: NumericContext) -> ScaledValue:
-    """Compensated ascending series for M(a,b,x); mantissa with zero shift.
+    """Ascending series for M(a,b,x); mantissa with zero shift.
 
     The terms run in the context's series arithmetic (see
-    NumericContext).  Double needs the compensation: without it
-    M(401.25, 2.5, 1) is 9.4e-16 off instead of 5.8e-17.  In dd the sum
-    is exact on its grid, but a term on a finer grid is truncated onto it,
-    and the compensation holds a term that falls wholly below a unit of
-    that grid (see blockfloat).  Against 300-bit hyp1f1, without it none
-    of the 216 M values of the dd m acceptance sweep moved, and 2 of 6,640
-    random draws (|a| <= 400, |x| <= 4) did, by 3.2e-33 and 2.2e-34
-    relative; both sums cancel by about 1e9, and both moved toward the
-    reference.  The series may stop only after
-    2 |a x| / max(|b|, sqrt(|a x|)) + 10 terms, unless a term vanishes:
-    the terms grow while |a x| / (|b + n| n) exceeds 1, that is up to about
-    n = |a x| / |b| where |b| exceeds sqrt(|a x|), and up to sqrt(|a x|)
-    otherwise.
+    NumericContext).  Double compensates the sum (Kahan) and needs to:
+    without it M(401.25, 2.5, 1) is 9.4e-16 off instead of 5.8e-17.  dd
+    adds each term with one sum, exact on the grid of the largest term so
+    far (see blockfloat); a Kahan correction formed on that grid could
+    keep only a term that falls wholly below a unit of it.  Dropping it
+    moved none of the 216 M values of the dd m acceptance sweep; at the
+    two points where it had reached the sum's last bits, dd M is within
+    8.2e-36 of 300-bit hyp1f1 with or without it (test_differential).
+    The series may stop only after 2 |a x| / max(|b|, sqrt(|a x|)) + 10
+    terms, unless a term vanishes: the terms grow while |a x| / (|b + n| n)
+    exceeds 1, that is up to about n = |a x| / |b| where |b| exceeds
+    sqrt(|a x|), and up to sqrt(|a x|) otherwise.
     When that is more than the cap and a is no nonpositive integer (whose
     series ends), it fails at once.
     """

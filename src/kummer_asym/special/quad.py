@@ -104,8 +104,8 @@ def peak_integral(integrand, w_start, ctx: NumericContext,
     g) at the nodes wl + span k / n, k in ks (n a power of 2), a number of
     the quadrature arithmetic: in double a complex, in dd a block number
     on the grid 2^-QUAD_BITS (see native.u_integrand and
-    blockfloat.FixedKernels.u_integrand).  Where a sample is beyond a
-    double's range it raises OverflowError with its node as a float.
+    blockfloat.u_integrand).  Where a sample is beyond a double's range it
+    raises OverflowError with its node as a float.
     twin is the exponent on native floats (returning float or complex),
     which finds the peak and the cutoffs.  Returns a ScaledValue whose
     parts leave the series arithmetic by ctx.series_out, as context

@@ -285,13 +285,9 @@ class _ExtendedMP(NumericContext):
         # two mpf objects
         parts = getattr(x, "_mpc_", None)
         if parts is not None:
-            m = math.hypot(self._raw_to_float(parts[0], rnd="n"),
-                           self._raw_to_float(parts[1], rnd="n"))
-        else:
-            m = abs(float(x))
-        if math.isfinite(m):
-            return m
-        return self.to_float(self._mp.fabs(x))
+            return math.hypot(self._raw_to_float(parts[0], rnd="n"),
+                              self._raw_to_float(parts[1], rnd="n"))
+        return abs(float(x))
 
 
 NATIVE = _Double()  # the double context; extended modes steer in it too

@@ -18,8 +18,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kummer_asym
-from kummer_asym.special.blockfloat import (QUAD_BITS, BlockComplex,
-                                            FixedKernels)
+from kummer_asym.special import blockfloat
+from kummer_asym.special.blockfloat import KERNEL_WP, QUAD_BITS, BlockComplex
 
 WP = 60
 
@@ -142,16 +142,15 @@ def test_mpmath_has_the_libmp_names_the_package_uses():
     assert used == LIBMP_NAMES
 
 
-KERNELS = FixedKernels()
 _REF = mpmath.MPContext()
 _REF.dps = 50
 UNIT = _REF.ldexp(1, -QUAD_BITS)
 
 
 def kernel_bound(size, reference=1.0):
-    """FixedKernels' documented error, in units of the grid, for an
-    argument (or logarithm) of modulus `size`, plus the 50-digit
-    reference's own rounding, relative to `reference`."""
+    """The fixed-point kernels' documented error (see blockfloat.KERNEL_WP),
+    in units of the grid, for an argument (or logarithm) of modulus `size`,
+    plus the 50-digit reference's own rounding, relative to `reference`."""
     return (2.0 ** -12 * (1 + size / 2.0 ** 10)
             + 2.0 ** (QUAD_BITS - _REF.prec) * max(1.0, reference))
 
@@ -166,16 +165,16 @@ def value(b):
 
 
 def kernel_exp(x):
-    """KERNELS.exp of a block number x, read onto the kernels' grid."""
-    x = x.on_grid(-KERNELS.wp)
-    return BlockComplex(*KERNELS.exp(x.re, x.im))
+    """blockfloat.exp of a block number x, read onto the kernels' grid."""
+    x = x.on_grid(-KERNEL_WP)
+    return BlockComplex(*blockfloat.exp(x.re, x.im))
 
 
 def kernel_log1p(x):
-    """KERNELS.log1p of the real part of a block number x, read onto the
+    """blockfloat.log1p of the real part of a block number x, read onto the
     kernels' grid, as a block number."""
-    return BlockComplex(KERNELS.log1p(x.on_grid(-KERNELS.wp).re), 0,
-                        -KERNELS.wp)
+    return BlockComplex(blockfloat.log1p(x.on_grid(-KERNEL_WP).re), 0,
+                        -KERNEL_WP)
 
 
 @settings(max_examples=150, derandomize=True)
@@ -184,7 +183,7 @@ def kernel_log1p(x):
 def test_exp_of_a_real(w):
     x = on_quad_grid(w)
     got = kernel_exp(x)
-    assert got.im == 0 and got.re.bit_length() >= KERNELS.wp - 1
+    assert got.im == 0 and got.re.bit_length() >= KERNEL_WP - 1
     ref = _REF.exp(value(x))
     assert abs(value(got) / ref - 1) / UNIT <= kernel_bound(abs(w))
 
@@ -216,8 +215,8 @@ def test_log1p_of_a_reciprocal_exp(w):
     # bits of e^w, so the result stays within the kernels' bound
     x = on_quad_grid(w)
     e_w = kernel_exp(x)
-    got = value(BlockComplex(KERNELS.log1p_inverse(e_w.re, e_w.exp), 0,
-                             -KERNELS.wp)).real
+    got = value(BlockComplex(blockfloat.log1p_inverse(e_w.re, e_w.exp), 0,
+                             -KERNEL_WP)).real
     ref = _REF.log1p(_REF.exp(-value(x).real))
     assert abs(got - ref) / UNIT <= kernel_bound(w) + 2.0 ** -12
 
@@ -236,13 +235,13 @@ def test_kernels_are_exact_at_zero_and_refuse_overflow():
 
 
 # The U integral's integrand, one routine on integers
-# (FixedKernels.u_integrand), against the composition it replaced, written
+# (blockfloat.u_integrand), against the composition it replaced, written
 # out here from BlockComplex's operators and the kernels one node at a
 # time: the integrand's exponent c w - d log(1 + e^-w) - x0 e^w on block
 # numbers, then - g, exp and the quadrature grid.  The exponent is the
 # composed one bit for bit.  A trapezoid level takes e^w along a chain of
 # products, not by one exp per node, so a sample may differ from the
-# composed one: its e^w is within FixedKernels' bound of the exact one, as
+# composed one: its e^w is within the kernels' bound of the exact one, as
 # an exp's is, and each of the two samples truncates E - g and itself
 # onto the grid, so they differ by at most SAMPLE_UNITS units of the grid
 # in each part.
@@ -444,16 +443,12 @@ def block_one(ctx):
 
 def m_operator_loop(ctx, a, b, x, min_terms, max_terms):
     term = total = block_one(ctx)
-    comp = ctx.series_in(ctx.make_complex(0.0))
     max_mag, quiet = 1.0, 0
     for n in range(max_terms):
         term = term * (a + n) * x / ((b + n) * (n + 1))
         if not (term.re or term.im):
             break
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total = total + term
         t_mag = term.mag()
         max_mag = max(max_mag, t_mag)
         if t_mag <= ctx.series_tol * total.mag():
@@ -471,8 +466,9 @@ integer_a = st.integers(-30, 0).map(float)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-# at these points a term falls below a unit of the sum's grid, and the
-# compensation carries it into the sum's last bits
+# at these points a term falls below a unit of the sum's grid, where a
+# compensated sum differed in its last bits (test_differential checks dd M
+# there against hyp1f1)
 @example(a=72.92320968015561, b=2.4224735026463526 - 1.026078867372159j,
          x=2.0260773152905958 - 1.1923188702601903j, min_terms=149,
          capped=False)

@@ -310,6 +310,23 @@ class TestDDSeriesLoops:
         bound = 1e-34 + 1e-38 * _m_peak(a, b, x) / abs(ref)
         assert abs(got / ref - 1) <= bound
 
+    # the points of test_blockfloat's m-loop examples, where a term falls
+    # wholly below a unit of the sum's grid: a compensated sum differed
+    # there in its last bits, and the plain one stays within the bound
+    @pytest.mark.parametrize("a, b, x", [
+        (72.92320968015561, 2.4224735026463526 - 1.026078867372159j,
+         2.0260773152905958 - 1.1923188702601903j),
+        (310.9488948613575, 1.9430722098611637,
+         1.6065909163740657 + 2.8258383234434183j),
+    ])
+    def test_m_matches_hyp1f1_where_a_term_falls_below_the_grid(self, a, b,
+                                                                 x):
+        got = _value(kummer.kummer_m_scaled(a, b, x, Precision.dd()))
+        with _MP.workprec(300):
+            ref = _MP.hyp1f1(_MP.mpc(a), _MP.mpc(b), _MP.mpc(x))
+        bound = 1e-34 + 1e-38 * _m_peak(a, b, x) / abs(ref)
+        assert abs(got / ref - 1) <= bound
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(nu_re=st.floats(0.0, 6.0), nu_im=st.floats(-2.0, 2.0),
            r=st.floats(0.05, 200.0), theta=st.floats(-1.5, 1.5))

@@ -22,8 +22,8 @@ from kummer_asym.special.gammafn import (bernoulli_numbers, log_gamma,
                                          log_gamma_ctx)
 from kummer_asym.special import kummer as kummer_module
 from kummer_asym.special.kummer import kummer_m, kummer_u
-from kummer_asym.special.blockfloat import (QUAD_BITS, BlockComplex,
-                                            FixedKernels)
+from kummer_asym.special import blockfloat
+from kummer_asym.special.blockfloat import KERNEL_WP, QUAD_BITS, BlockComplex
 from kummer_asym.special.quad import peak_integral
 from kummer_asym.special.types import (MAX_STEPS, MAX_TURNS, NATIVE,
                                        LogComplex, NumericContext,
@@ -34,9 +34,6 @@ from kummer_asym.special.types import (MAX_STEPS, MAX_TURNS, NATIVE,
                                        sharing_scope, turn_reduce,
                                        winding_ratio)
 from support import ratio_deviation
-
-
-KERNELS = FixedKernels()
 
 
 def rp(r, theta=0.0):
@@ -324,6 +321,17 @@ class TestMag:
         assert ctx.mag(mp.mpc(0)) == 0.0
         assert ctx.mag(mp.mpf(0)) == 0.0
         assert Precision.double().ctx.mag(0j) == 0.0
+
+    def test_dd_reads_what_fabs_reads_beyond_the_double_range(self, dd):
+        # the hypot of the parts rounded to floats is inf wherever |x| is
+        # beyond a double, even with both parts within it, and nan for a
+        # NaN part, as fabs rounded to a float is
+        ctx, mp = dd.ctx, dd.ctx._mp
+        for x in (mp.mpc("1e400", "1e400"), mp.mpc("1.5e308", "1.5e308"),
+                  mp.mpc("-1e400", "2.5"), mp.mpf("-1e400")):
+            assert ctx.mag(x) == float(mp.fabs(x)) == math.inf
+        for x in (mp.mpc(mp.nan, 1), mp.mpc(2, mp.nan), mp.mpf(mp.nan)):
+            assert math.isnan(ctx.mag(x)) and math.isnan(float(mp.fabs(x)))
 
 
 class TestPolePredicate:
@@ -890,8 +898,8 @@ def sampled(logf, ctx):
     level (w, g, span, n, ks) the sum of the samples exp(logf(w_k) - g) at
     the nodes w_k = w + span k / n.  In double they are added to 0j in k
     order, as native.u_integrand adds them; in dd each is taken by the
-    quadrature's kernels and on its grid, as FixedKernels.u_integrand
-    sums them."""
+    quadrature's kernels and on its grid, as blockfloat.u_integrand sums
+    them."""
 
     def native_level(w, g=None, span=None, n=None, ks=()):
         if g is None:
@@ -912,9 +920,10 @@ def sampled(logf, ctx):
         total_re = total_im = 0
         for k in ks:
             node = BlockComplex(w.re + (span.re * k >> bits), 0, w.exp)
-            x = (logf(node) - g).on_grid(-KERNELS.wp)
+            x = (logf(node) - g).on_grid(-KERNEL_WP)
             try:
-                s = BlockComplex(*KERNELS.exp(x.re, x.im)).on_grid(-QUAD_BITS)
+                s = BlockComplex(*blockfloat.exp(x.re, x.im))
+                s = s.on_grid(-QUAD_BITS)
             except OverflowError:
                 raise OverflowError(math.ldexp(node.re, node.exp)) from None
             total_re, total_im = total_re + s.re, total_im + s.im
