@@ -12,6 +12,13 @@ the two-term sum and |lhs/rhs - 1|, on native complex numbers in double
 and, in dd, on integers with exact products and |lhs/rhs - 1| exact until
 its one rounding to a float; rhs leaves by one series_out and one complex
 log.
+
+The records ExpansionConfig, SideBySide, SweepRow and SweepResult are
+special.types.Record classes, immutable values like frozen dataclasses;
+this module imports neither dataclasses nor typing.  ExpansionConfig
+refuses, with DomainError, any field a sweep could not run: an order that
+is not an int, a z that is not a RiemannPoint, a prec that is not a
+Precision.
 """
 
 from __future__ import annotations
@@ -19,9 +26,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cache
-from typing import Optional, Sequence, Tuple
 
 from . import VARIANTS
 from .errors import DomainError, OrderStarvationError, PoleError
@@ -30,7 +36,7 @@ from .ratpoly import CoeffPoly, horner2
 from .special.bessel import bessel_i_scaled, bessel_k_scaled
 from .special.gammafn import log_gamma_ctx
 from .special.kummer import kummer_m_scaled, kummer_u_scaled
-from .special.types import (LogComplex, NumericContext, Precision,
+from .special.types import (LogComplex, NumericContext, Precision, Record,
                             RiemannPoint, ScaledValue, alignment, exact_key,
                             is_nonpositive_integer, shared, sharing_scope)
 
@@ -76,48 +82,57 @@ def _coefficient_values(ctx: NumericContext, lowered: bool, s: int, mu,
                   for rows in _table_in_context(ctx, lowered, s)])
 
 
-@dataclass(frozen=True)
-class ExpansionConfig:
+class ExpansionConfig(Record):
     """One evaluation point: variant, parameters, surface point, order."""
 
-    variant: str
-    b: complex
-    z: RiemannPoint
-    t: float
-    u_theta: float = 0.0
-    order: int = 3
-    prec: Precision = Precision("dd")
+    __slots__ = ("variant", "b", "z", "t", "u_theta", "order", "prec")
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.order < 1:
+    def __init__(self, variant: str, b: complex, z: RiemannPoint, t: float,
+                 u_theta: float = 0.0, order: int = 3,
+                 prec: Precision = Precision("dd")):
+        if variant not in VARIANTS:
+            raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        if not isinstance(z, RiemannPoint):
+            raise DomainError(f"z must be a RiemannPoint, got {z!r}")
+        if not isinstance(order, int):
+            raise DomainError(f"truncation order must be an int, got {order!r}")
+        if order < 1:
             raise DomainError("truncation order must be at least 1")
-        if not (math.isfinite(self.t) and self.t > 0):
+        if not isinstance(prec, Precision):
+            raise DomainError(f"prec must be a Precision, got {prec!r}")
+        if not (math.isfinite(t) and t > 0):
             raise DomainError("u magnitude t must be positive and finite")
-        if not math.isfinite(self.u_theta):
+        if not math.isfinite(u_theta):
             raise DomainError("u angle must be finite")
-        if not cmath.isfinite(self.b):
-            raise DomainError(f"parameter b must be finite, got {self.b}")
-        if self.variant == "m":
-            if is_nonpositive_integer(self.b):
-                raise PoleError(f"b = {complex(self.b).real:g} is a pole of the M kernel")
+        if not cmath.isfinite(b):
+            raise DomainError(f"parameter b must be finite, got {b}")
+        if variant == "m":
+            if is_nonpositive_integer(b):
+                raise PoleError(f"b = {complex(b).real:g} is a pole of the M kernel")
         else:
-            if abs(self.u_theta) >= math.pi / 2:
+            if abs(u_theta) >= math.pi / 2:
                 raise DomainError("second-kind variants need |arg u| < pi/2")
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "u_theta", u_theta)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "prec", prec)
 
 
-@dataclass(frozen=True)
-class SideBySide:
+class SideBySide(Record):
     """Oracle value, expansion value, and their relative discrepancy."""
 
-    lhs: LogComplex
-    rhs: LogComplex
-    rel_discrepancy: float
+    __slots__ = ("lhs", "rhs", "rel_discrepancy")
 
-    def __post_init__(self):
-        if math.isnan(self.rel_discrepancy):
+    def __init__(self, lhs: LogComplex, rhs: LogComplex,
+                 rel_discrepancy: float):
+        if math.isnan(rel_discrepancy):
             raise DomainError("discrepancy is NaN")
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "rel_discrepancy", rel_discrepancy)
 
 
 def _point_constants(cfg: ExpansionConfig, ctx: NumericContext) -> tuple:
@@ -244,19 +259,27 @@ def _sides(cfg: ExpansionConfig, lowered: bool) -> SideBySide:
     return SideBySide(lhs_log, rhs.to_logcomplex(ctx), disc)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """One sweep point; result is None when status records a failure."""
 
-    config: ExpansionConfig
-    result: Optional[SideBySide]
-    status: str
+    __slots__ = ("config", "result", "status")
+
+    def __init__(self, config: ExpansionConfig, result: SideBySide | None,
+                 status: str):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "status", status)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: Tuple[SweepRow, ...]
-    slopes: dict
+class SweepResult(Record):
+    """The rows of a sweep in grid order, and the fitted slope of each
+    decay group (sweep_group_key) that has one."""
+
+    __slots__ = ("rows", "slopes")
+
+    def __init__(self, rows: tuple[SweepRow, ...], slopes: dict):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "slopes", slopes)
 
 
 def sweep_group_key(cfg: ExpansionConfig):
@@ -318,7 +341,7 @@ def decay_sweep(grid: Sequence[ExpansionConfig]) -> SweepResult:
 
 
 def product_grid(variant: str, prec: Precision, bs, z_rs, z_thetas, u_thetas,
-                 orders, ts) -> Tuple[ExpansionConfig, ...]:
+                 orders, ts) -> tuple[ExpansionConfig, ...]:
     """Configs over the product of the axes; b varies slowest, t fastest."""
     return tuple(
         ExpansionConfig(variant=variant, b=b, z=RiemannPoint(z_r, z_theta),
@@ -328,7 +351,7 @@ def product_grid(variant: str, prec: Precision, bs, z_rs, z_thetas, u_thetas,
 
 
 def acceptance_grid(variant: str,
-                    prec: Precision = Precision("dd")) -> Tuple[ExpansionConfig, ...]:
+                    prec: Precision = Precision("dd")) -> tuple[ExpansionConfig, ...]:
     """The pinned default grid for one variant, in deterministic order."""
     return product_grid(variant, prec, GRID_B, GRID_Z_R, GRID_Z_THETA,
                         GRID_U_THETA, GRID_ORDER, GRID_T)

@@ -8,15 +8,18 @@ Three immutable layers, all with exact rational coefficients:
                canonical form, so arithmetic is integer loops with one gcd
                pass per sum of products (`coeff_sum_of_products`, the
                kernel of every CoeffPoly and series product, sum and
-               recurrence, reduces each z-degree once; + and - are its sum
-               with unit factors, so a result coefficient that both
-               operands reach gets one gcd pass and any other is the
-               operand's own; ParamPoly + is its reduction over the two
-               operands, each times 1, or the other operand where one is
-               zero).  A scalar factor p/q (int or Fraction) is that
-               reduction's scale: it multiplies the numerators by p and the
-               denominator by q, and never becomes a ParamPoly.  `coeffs` builds the same values as a tuple of
-               fractions.Fraction on each access; nothing is cached.
+               recurrence, reduces each z-degree once; + is its sum with
+               unit factors, so a result coefficient that both operands
+               reach gets one gcd pass and any other is the operand's own,
+               and - is the same sum with a -1 factor on the right
+               operand, which builds no negated copy; ParamPoly + is its
+               reduction over the two operands, each times 1, or the other
+               operand where one is zero).  A scalar factor p/q (int or
+               Fraction) multiplies the numerators by p and the
+               denominator by q in one pass, then one gcd pass, and never
+               becomes a ParamPoly.  `coeffs` builds the same values as a
+               tuple of fractions.Fraction on each access; nothing is
+               cached.
   CoeffPoly    polynomial in z whose coefficients are ParamPoly values,
                carrying a declared parity ('even', 'odd', 'none') that is
                validated on construction, never inferred; a sum's parity
@@ -211,7 +214,8 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         """A product of polynomials, or of a polynomial and a scalar p/q
-        as _reduce's scale: no scalar becomes a ParamPoly."""
+        in one pass: the numerators times p over the denominator times q,
+        then one gcd pass.  No scalar becomes a ParamPoly."""
         if isinstance(other, ParamPoly):
             return _reduce(merge_param(self.param, other.param),
                            [(self.numerators, other.numerators,
@@ -219,8 +223,8 @@ class ParamPoly:
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         p, q = other.as_integer_ratio()
-        return _reduce(self.param, [(self.numerators, (1,), self.denominator)],
-                       p, q)
+        return _canonical(self.param, [c * p for c in self.numerators],
+                          self.denominator * q)
 
     __rmul__ = __mul__
 
@@ -351,9 +355,9 @@ def coeff_sum_of_products(pairs: Iterable[tuple],
     operand carries no name), and the parity folds the products' parities
     over the nonzero products: equal parities keep theirs, mixed ones
     give 'none', and no product at all gives 'even'.  This fold is the
-    parity rule of + and -, which are this sum with unit factors; a
-    z-degree that only one of their operands reaches keeps its coefficient
-    unreduced."""
+    parity rule of + and -, which are this sum with the factors 1 and 1,
+    or 1 and -1; a z-degree that only an operand with the factor 1
+    reaches keeps its coefficient unreduced."""
     sn, sd = _frac(scale).as_integer_ratio()
     slots = []
     # at unit scale, the coefficient x of a pair (a, _UNIT) by z-degree: a
@@ -454,9 +458,11 @@ class CoeffPoly:
         return CoeffPoly([-c for c in self.coeffs], parity=self.parity)
 
     def __sub__(self, other) -> "CoeffPoly":
+        """The sum with a -1 unit factor on other: no negated copy."""
         if not isinstance(other, (CoeffPoly, ParamPoly, int, Fraction)):
             return NotImplemented
-        return self + (-self._coerce(other))
+        return coeff_sum_of_products(((self, _UNIT),
+                                      (self._coerce(other), _NEG_UNIT)))
 
     def __rsub__(self, other) -> "CoeffPoly":
         return (-self) + self._coerce(other)
@@ -557,6 +563,7 @@ class CoeffPoly:
 
 
 _UNIT = CoeffPoly.one()
+_NEG_UNIT = CoeffPoly.from_param(ParamPoly.constant(-1))
 
 
 class CoefficientTable:

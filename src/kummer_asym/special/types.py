@@ -13,6 +13,12 @@ which stores log-magnitude and unrestricted phase as doubles.
 Within a sharing scope, shared() computes each keyed value once: a sweep
 opens one, so the kernels it runs read each other's log-gamma values,
 K ladders and I pairs instead of computing them again.
+
+Precision, RiemannPoint and LogComplex, and expansion's four records, are
+Record classes: plain immutable __slots__ classes with value equality, each
+with a straight-line __init__ that validates its fields.  No dataclass, so
+the numeric layer, like the exact one, loads neither dataclasses, the
+inspect chain it imports, nor typing.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import cmath
 import contextvars
 import math
 import os
-from dataclasses import dataclass
 
 from ..errors import DomainError, PrecisionExhaustedError
 from . import native
@@ -304,19 +309,59 @@ def _dd_context() -> _ExtendedMP:
 PRECISION_ENV_VAR = "KUMMER_ASYM_PRECISION"
 
 
-@dataclass(frozen=True)
-class Precision:
+class Record:
+    """Base of the immutable value records: Precision, RiemannPoint and
+    LogComplex here, and expansion's ExpansionConfig, SideBySide, SweepRow
+    and SweepResult.
+
+    A record names its fields in __slots__ and sets each one once, with
+    object.__setattr__, in a straight-line __init__ that validates them.
+    This base builds the rest from __slots__ as a frozen dataclass does:
+    equality only within one class, the hash of the field tuple, the repr
+    Name(field=value!r, ...), no assignment or deletion, and __reduce__,
+    which rebuilds a copy or an unpickled record through __init__.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(map("{}={!r}".format, self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Precision(Record):
     """Precision mode, "double" or "dd", naming its NumericContext.
 
     The mode's numbers (roundoff, tolerances, Stirling profile, the guard)
     are attributes of that context, prec.ctx, not of this handle.
     """
 
-    mode: str = "double"
+    __slots__ = ("mode",)
 
-    def __post_init__(self):
-        if self.mode not in ("double", "dd"):
-            raise DomainError(f"unknown precision mode {self.mode!r}")
+    def __init__(self, mode: str = "double"):
+        if mode not in ("double", "dd"):
+            raise DomainError(f"unknown precision mode {mode!r}")
+        object.__setattr__(self, "mode", mode)
 
     @classmethod
     def double(cls) -> "Precision":
@@ -342,22 +387,22 @@ class Precision:
         return _dd_context() if self.mode == "dd" else NATIVE
 
 
-@dataclass(frozen=True)
-class RiemannPoint:
+class RiemannPoint(Record):
     """Point r * e^(i*theta) on the Riemann surface of the logarithm.
 
     theta is unrestricted; r must be positive.  Winding is meaningful:
     (r, 0) and (r, 2*pi) are different points.
     """
 
-    r: float
-    theta: float
+    __slots__ = ("r", "theta")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise DomainError(f"modulus must be positive and finite, got {self.r}")
-        if not math.isfinite(self.theta):
+    def __init__(self, r: float, theta: float):
+        if not (math.isfinite(r) and r > 0):
+            raise DomainError(f"modulus must be positive and finite, got {r}")
+        if not math.isfinite(theta):
             raise DomainError("angle must be finite")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "theta", theta)
 
     def value(self) -> complex:
         """Reduced complex value (winding forgotten)."""
@@ -507,22 +552,22 @@ def is_nonpositive_integer(w) -> bool:
             and nearest_integer(w, 1e-12) is not None)
 
 
-@dataclass(frozen=True)
-class LogComplex:
+class LogComplex(Record):
     """Nonzero complex value as (log-magnitude, unrestricted phase).
 
     Zero is the distinct sentinel LogComplex.zero(); it never arises from
     a plain construction.
     """
 
-    logmag: float
-    phase: float
+    __slots__ = ("logmag", "phase")
 
-    def __post_init__(self):
-        regular = math.isfinite(self.logmag) and math.isfinite(self.phase)
-        sentinel = self.logmag == -math.inf and self.phase == 0.0
+    def __init__(self, logmag: float, phase: float):
+        regular = math.isfinite(logmag) and math.isfinite(phase)
+        sentinel = logmag == -math.inf and phase == 0.0
         if not (regular or sentinel):
             raise DomainError("LogComplex fields must be finite")
+        object.__setattr__(self, "logmag", logmag)
+        object.__setattr__(self, "phase", phase)
 
     @classmethod
     def zero(cls) -> "LogComplex":

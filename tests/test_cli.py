@@ -526,6 +526,34 @@ def test_exact_request_loads_only_what_it_runs():
     assert proc.stdout.splitlines() == ["0 []", "0 ['json'] {"]
 
 
+@pytest.mark.parametrize("flags, mode, heavy", [
+    (["-S"], "double", ("dataclasses", "inspect", "typing")),
+    # site's own hooks may load typing, and dd's mpmath needs site
+    ([], "dd", ("dataclasses", "inspect")),
+], ids=["double-without-site", "dd-with-site"])
+def test_numeric_row_loads_no_dataclasses(flags, mode, heavy):
+    # every numeric command and sweep setup starts cold: the records are
+    # plain __slots__ classes, so the numeric path imports neither
+    # dataclasses nor the inspect it pulls in, nor typing
+    code = "\n".join([
+        "import sys",
+        "from kummer_asym.expansion import (ExpansionConfig, evaluate_sides,",
+        "                                   expansion_tables)",
+        "from kummer_asym.special.types import Precision, RiemannPoint",
+        "expansion_tables()",
+        "row = evaluate_sides(ExpansionConfig('m', 1.5, RiemannPoint(1.0, 0.0),",
+        f"                                    20.0, prec=Precision({mode!r})))",
+        f"print(row.rel_discrepancy > 0, [m for m in {heavy!r} if m in sys.modules])",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("KUMMER_ASYM_PRECISION", None)
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True []"]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: the u-lower row at t = 40 reads "
                           "ok with rel_discrepancy 4.6e11, the U connection's "

@@ -1,8 +1,10 @@
 """End-to-end expansion evaluation: discrepancies, decay rates, sweeps."""
 
 import contextlib
+import copy
 import gc
 import math
+import pickle
 from collections import Counter
 
 import mpmath
@@ -10,9 +12,10 @@ import pytest
 
 from kummer_asym import expansion
 from kummer_asym.errors import DomainError, PoleError
-from kummer_asym.expansion import (ExpansionConfig, SideBySide, VARIANTS,
-                                   acceptance_grid, decay_sweep,
-                                   evaluate_sides, sweep_group_key)
+from kummer_asym.expansion import (ExpansionConfig, SideBySide, SweepResult,
+                                   SweepRow, VARIANTS, acceptance_grid,
+                                   decay_sweep, evaluate_sides,
+                                   sweep_group_key)
 from kummer_asym.special import bessel, gammafn, types
 from kummer_asym.special.types import (LogComplex, Precision, RiemannPoint,
                                        exact_key, shared)
@@ -61,6 +64,147 @@ class TestConfigValidation:
         one = LogComplex(0.0, 0.0)
         with pytest.raises(DomainError):
             SideBySide(one, one, math.nan)
+
+    def test_fields_of_the_wrong_type_are_refused(self):
+        # each passed validation once and stopped decay_sweep, which never
+        # aborts on a bad row, with an untyped TypeError or AttributeError
+        point = RiemannPoint(1.0, 0.0)
+        for bad in ({"order": 2.0}, {"order": 2.5}, {"order": "3"},
+                    {"prec": "double"}, {"prec": None},
+                    {"z": (1.0, 0.0)}, {"z": 1.0}):
+            fields = {"variant": "m", "b": 1.5, "z": point, "t": 20.0, **bad}
+            with pytest.raises(DomainError):
+                ExpansionConfig(**fields)
+
+
+def records():
+    """One instance of each of the seven records, in dependency order."""
+    point = RiemannPoint(1.0, -0.0)
+    config = ExpansionConfig("m", 1.5, point, 20.0)
+    one = LogComplex(0.0, 1.0)
+    sides = SideBySide(one, LogComplex.zero(), 0.25)
+    row = SweepRow(config, sides, "ok")
+    return {"precision": Precision(), "point": point, "log": one,
+            "config": config, "sides": sides, "row": row,
+            "result": SweepResult((row,), {("m", 1.5): -2.0})}
+
+
+class TestRecords:
+    """The value records keep the behaviour of frozen dataclasses."""
+
+    def test_construction(self):
+        point = RiemannPoint(2.0, 0.5)
+        assert point == RiemannPoint(r=2.0, theta=0.5)
+        assert (point.r, point.theta) == (2.0, 0.5)
+        assert LogComplex(1.0, 2.0) == LogComplex(logmag=1.0, phase=2.0)
+        assert Precision().mode == "double"
+        assert Precision("dd") == Precision(mode="dd") == Precision.dd()
+        full = ExpansionConfig("u-lower", 0.7, point, 10.0, 0.3, 2,
+                               Precision.double())
+        assert full == ExpansionConfig(
+            variant="u-lower", b=0.7, z=point, t=10.0, u_theta=0.3, order=2,
+            prec=Precision.double())
+        assert (full.variant, full.b, full.z, full.t, full.u_theta,
+                full.order, full.prec.mode) == (
+            "u-lower", 0.7, point, 10.0, 0.3, 2, "double")
+        short = ExpansionConfig("m", 1.5, point, 20.0)
+        assert (short.u_theta, short.order, short.prec) == (
+            0.0, 3, Precision("dd"))
+        one = LogComplex(0.0, 0.0)
+        sides = SideBySide(lhs=one, rhs=one, rel_discrepancy=0.5)
+        assert sides == SideBySide(one, one, 0.5)
+        assert (sides.lhs, sides.rhs, sides.rel_discrepancy) == (one, one, 0.5)
+        row = SweepRow(config=short, result=None, status="error:DomainError")
+        assert (row.config, row.result, row.status) == (
+            short, None, "error:DomainError")
+        assert SweepRow(short, None, "ok") == SweepRow(short, None, "ok")
+        result = SweepResult(rows=(row,), slopes={})
+        assert (result.rows, result.slopes) == ((row,), {})
+        with pytest.raises(TypeError):
+            RiemannPoint(1.0)
+        with pytest.raises(TypeError):
+            ExpansionConfig("m", 1.5, point)
+        with pytest.raises(TypeError):
+            Precision("dd", "double")
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            Precision("quad")
+        for r, theta in ((0.0, 0.0), (-1.0, 0.0), (math.inf, 0.0),
+                         (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                RiemannPoint(r, theta)
+        for logmag, phase in ((math.inf, 0.0), (math.nan, 0.0),
+                              (0.0, math.inf), (0.0, math.nan),
+                              (-math.inf, 1.0)):
+            with pytest.raises(DomainError):
+                LogComplex(logmag, phase)
+        assert LogComplex(-math.inf, 0.0).is_zero
+        for bad in ({"variant": "bogus"}, {"order": 0}, {"t": 0.0},
+                    {"t": math.inf}, {"u_theta": math.nan},
+                    {"b": complex(math.inf, 0.0)}, {"b": math.nan},
+                    {"variant": "u-capital", "u_theta": math.pi / 2}):
+            with pytest.raises(DomainError):
+                cfg(**{"variant": "m", **bad})
+        with pytest.raises(PoleError):
+            cfg("m", b=-1.0)
+        one = LogComplex(0.0, 0.0)
+        with pytest.raises(DomainError):
+            SideBySide(one, one, math.nan)
+
+    def test_equality_and_hash(self):
+        made, again = records(), records()
+        for name, record in made.items():
+            assert record == again[name] and not record != again[name]
+            if name == "result":  # a dict field: unhashable, as its tuple
+                with pytest.raises(TypeError):
+                    hash(record)
+            else:
+                assert hash(record) == hash(again[name])
+        # fields compare as a tuple of them does: 0.0 == -0.0
+        assert RiemannPoint(1.0, 0.0) == RiemannPoint(1.0, -0.0)
+        assert hash(RiemannPoint(1.0, 0.0)) == hash(RiemannPoint(1.0, -0.0))
+        assert hash(LogComplex(0.5, -1.0)) == hash((0.5, -1.0))
+        assert LogComplex(0.0, 1.0) != LogComplex(0.0, 1.5)
+        # equal only within one class
+        assert RiemannPoint(1.0, 2.0) != LogComplex(1.0, 2.0)
+        assert RiemannPoint(1.0, 2.0).__eq__(LogComplex(1.0, 2.0)) \
+            is NotImplemented
+        assert LogComplex(1.0, 2.0) != (1.0, 2.0)
+        assert Precision() != "double"
+
+    def test_repr(self):
+        made = records()
+        point = "RiemannPoint(r=1.0, theta=-0.0)"
+        config = (f"ExpansionConfig(variant='m', b=1.5, z={point}, t=20.0, "
+                  "u_theta=0.0, order=3, prec=Precision(mode='dd'))")
+        sides = ("SideBySide(lhs=LogComplex(logmag=0.0, phase=1.0), "
+                 "rhs=LogComplex(logmag=-inf, phase=0.0), "
+                 "rel_discrepancy=0.25)")
+        row = f"SweepRow(config={config}, result={sides}, status='ok')"
+        assert {name: repr(record) for name, record in made.items()} == {
+            "precision": "Precision(mode='double')", "point": point,
+            "log": "LogComplex(logmag=0.0, phase=1.0)", "config": config,
+            "sides": sides, "row": row,
+            "result": f"SweepResult(rows=({row},), slopes={{('m', 1.5): -2.0}})"}
+
+    def test_immutable(self):
+        for record in records().values():
+            name = type(record).__init__.__code__.co_varnames[1]
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    def test_copy_and_pickle(self):
+        for record in records().values():
+            for clone in (copy.copy(record), copy.deepcopy(record),
+                          pickle.loads(pickle.dumps(record))):
+                assert type(clone) is type(record)
+                assert clone == record
+                assert repr(clone) == repr(record)
 
 
 class TestFirstKind:
